@@ -166,6 +166,49 @@ fn bench_bf16_simd(c: &mut Criterion) {
             latches
         })
     });
+
+    // The same row-set through the production lane-major kernel.
+    let lane_planes: Vec<simd::LanePlane> = planes.iter().map(|p| lane_plane(p)).collect();
+    let lane_refs: Vec<&simd::LanePlane> = lane_planes.iter().collect();
+    let lane_v = lane_plane(&row_v);
+    for (name, prec) in [
+        (
+            "bf16/comp_row_set 16 banks wide (one row-set)",
+            TreePrecision::Wide,
+        ),
+        (
+            "bf16/comp_row_set 16 banks per-stage (one row-set)",
+            TreePrecision::PerStage,
+        ),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut latches = [Bf16::ZERO; 16];
+                simd::comp_row_set(
+                    black_box(&mut latches),
+                    black_box(&lane_refs),
+                    black_box(&lane_v),
+                    32,
+                    prec,
+                );
+                latches
+            })
+        });
+    }
+    let row_bf: Vec<Bf16> = row_v.iter().map(|&x| Bf16::from_f32(x)).collect();
+    let mut decoded = simd::LanePlane::zeroed(512);
+    c.bench_function("bf16/LanePlane::fill x512 (one row decode)", |b| {
+        b.iter(|| {
+            decoded.fill(black_box(&row_bf));
+            decoded.get(511)
+        })
+    });
+}
+
+/// The lane-major plane of an exactly-widened `f32` row.
+fn lane_plane(row: &[f32]) -> simd::LanePlane {
+    let bf: Vec<Bf16> = row.iter().map(|&x| Bf16::from_f32(x)).collect();
+    simd::LanePlane::from_row(&bf)
 }
 
 /// Not a timing bench: proves the dot16/comp_step kernels never allocate.
@@ -191,6 +234,9 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
         .map(|x| x.to_f32())
         .collect();
     let planes: Vec<&[f32]> = (0..16).map(|_| row_w.as_slice()).collect();
+    let (lane_w, lane_v) = (lane_plane(&row_w), lane_plane(&row_v));
+    let lane_planes: Vec<&simd::LanePlane> = (0..16).map(|_| &lane_w).collect();
+    let mut refilled = simd::LanePlane::zeroed(512);
 
     let (bytes, sink) = alloc_delta(|| {
         let mut acc = 0.0f32;
@@ -240,6 +286,20 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
                 TreePrecision::Wide,
             );
             acc_bits ^= latches[0].to_bits();
+            // The production lane-major kernel (slow-path redo included:
+            // it reuses the same stack scratch) and the in-place re-decode.
+            for prec in [TreePrecision::Wide, TreePrecision::PerStage] {
+                simd::comp_row_set(
+                    black_box(&mut latches),
+                    black_box(&lane_planes),
+                    black_box(&lane_v),
+                    32,
+                    prec,
+                );
+                acc_bits ^= latches[0].to_bits();
+            }
+            refilled.fill(black_box(&bf));
+            refilled.write(16, black_box(&bf[..16]));
         }
         (acc, acc_bits)
     });
@@ -248,7 +308,7 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
         bytes, 0,
         "dot16/comp_step/SIMD kernels allocated {bytes} heap bytes over 1000 iterations"
     );
-    println!("bf16/zero-alloc proof: 0 heap bytes across 11000 kernel calls");
+    println!("bf16/zero-alloc proof: 0 heap bytes across 15000 kernel calls");
     // Keep the harness aware this 'bench' ran (and give --test a hook).
     c.bench_function("bf16/zero-alloc proof (see assert above)", |b| {
         b.iter(|| alloc_delta(|| reduce::dot16_wide(black_box(weights), black_box(inputs))).0)

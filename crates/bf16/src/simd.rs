@@ -25,10 +25,20 @@
 //! * The batched [`comp_subchunks16_wide`] / [`comp_subchunks16_per_stage`]
 //!   fold a whole row of sub-chunk COMPs in one pass and equal the
 //!   corresponding `comp_step_*` loop step for step, latch value included.
+//! * [`comp_row_set`], the kernel the simulator runs, does the same for
+//!   every bank of a row-set over lane-major [`LanePlane`]s.
 //!
-//! The wide-plane variants take `f32` slices holding *exact* widenings of
-//! bf16 values (`Bf16::to_f32` is exact, so no information is lost); the
-//! decoded-weight cache and the device global buffer maintain such planes.
+//! Two layouts of the same exact `f32` widenings (`Bf16::to_f32` is exact,
+//! so no information is lost). The row-major kernels
+//! ([`comp_subchunks16`], [`comp_subchunks16_multi`]) take plain slices
+//! with each sub-chunk's 16 elements contiguous, so every adder-tree level
+//! is a horizontal pair-sum the vectorizer must build from shuffles; they
+//! are kept as test references and for the benchmark's kernel probe.
+//! [`comp_row_set`] takes [`LanePlane`]s, which store a block of 32
+//! sub-chunks as `[element][sub-chunk]`: products and all four tree levels
+//! are then vertical passes over 32 contiguous lanes with no shuffle. The
+//! decoded-weight cache and the device global buffer maintain such planes,
+//! and only this module knows their index math.
 //!
 //! One carve-out: NaN **inputs** are outside the cross-kernel contract.
 //! When both operands of an `f32` addition are NaN, hardware returns one
@@ -291,11 +301,16 @@ fn products_level1_flat<const ROUND: bool>(
     }
 }
 
-/// [`round_bf16_bits`] minus the NaN blend: correct for every input whose
-/// exponent field is below `0xFF` (anything but infinities and NaNs),
-/// including values that round-carry *into* the infinity encoding. Five
-/// integer ops per lane instead of the full select — the clean-block fast
-/// path below proves no special value is present before trusting it.
+/// [`round_bf16_bits`] minus the NaN blend: five integer ops per lane
+/// instead of the full select. Equal to [`round_bf16_bits`] on **every
+/// non-NaN pattern** — finite values (including those that round-carry
+/// *into* the infinity encoding) and ±infinity itself, whose low half is
+/// zero and so passes through unchanged — and on quiet NaNs whose low
+/// half is zero, for the same reason. Only a NaN with a non-zero low half
+/// or a clear quiet bit can differ (the carry may even walk it out of the
+/// NaN encoding), which is why the kernels using this either test the
+/// products or test the tree roots for an all-ones exponent and fall back.
+/// Pinned exhaustively over the high half in the tests below.
 #[inline]
 #[must_use]
 fn round_bf16_bits_finite(bits: u32) -> u32 {
@@ -492,6 +507,292 @@ pub fn comp_subchunks16_multi(
     }
 }
 
+/// A row of bf16 values, exactly widened to `f32` and stored **lane-major**
+/// for [`comp_row_set`].
+///
+/// The row is cut into 16-element sub-chunks and the sub-chunks into
+/// blocks of 32. Inside a block the layout is
+/// `[element j][sub-chunk s]`: element `j` of sub-chunk `s` of block `b`
+/// lives at `b * 512 + j * 32 + s`, so the 32 sub-chunks' `j`-th elements
+/// are contiguous. The last block is padded with `+0.0` to full size.
+/// This module is the only place that knows the index math.
+///
+/// A plane can only be filled from [`Bf16`] values, so every lane is an
+/// exact widening (low 16 bits zero) — the precondition of the kernel's
+/// hoisted inf/NaN test.
+#[derive(Debug, Clone)]
+pub struct LanePlane {
+    lanes: Box<[f32]>,
+    n_sub: usize,
+}
+
+impl LanePlane {
+    /// An all-zero plane with room for `elems` elements (rounded up to
+    /// whole sub-chunks).
+    #[must_use]
+    pub fn zeroed(elems: usize) -> LanePlane {
+        let n_sub = elems.div_ceil(TREE_ARITY);
+        let blocks = n_sub.div_ceil(BLOCK_SUBS);
+        LanePlane {
+            lanes: vec![0.0; blocks * BLOCK_ELEMS].into_boxed_slice(),
+            n_sub,
+        }
+    }
+
+    /// A plane holding `row` (a ragged tail sub-chunk is zero-filled).
+    #[must_use]
+    pub fn from_row(row: &[Bf16]) -> LanePlane {
+        let mut plane = LanePlane::zeroed(row.len());
+        plane.fill(row);
+        plane
+    }
+
+    /// Number of 16-element sub-chunks the plane holds.
+    #[must_use]
+    pub fn n_sub(&self) -> usize {
+        self.n_sub
+    }
+
+    /// Overwrites the whole plane with `row`, zero-filling whatever `row`
+    /// does not cover. Whole blocks are transposed with sequential writes
+    /// and no per-element index arithmetic (rows are decoded cold on the
+    /// weight-reload path, so this loop is paid per use there).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is longer than the plane.
+    pub fn fill(&mut self, row: &[Bf16]) {
+        assert!(
+            row.len() <= self.n_sub * TREE_ARITY,
+            "row of {} elements exceeds the plane's {} sub-chunks",
+            row.len(),
+            self.n_sub
+        );
+        let blocks = row.chunks(BLOCK_ELEMS).chain(std::iter::repeat(&[][..]));
+        for (lanes, block) in self.lanes.chunks_exact_mut(BLOCK_ELEMS).zip(blocks) {
+            for (j, lane_row) in lanes.chunks_exact_mut(BLOCK_SUBS).enumerate() {
+                if block.len() == BLOCK_ELEMS {
+                    for (lane, sub) in lane_row.iter_mut().zip(block.chunks_exact(TREE_ARITY)) {
+                        *lane = sub[j].to_f32();
+                    }
+                } else {
+                    for (s, lane) in lane_row.iter_mut().enumerate() {
+                        *lane = block.get(s * TREE_ARITY + j).map_or(0.0, |e| e.to_f32());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Overwrites elements `start..start + values.len()` (row order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the plane.
+    pub fn write(&mut self, start: usize, values: &[Bf16]) {
+        for (elem, v) in (start..).zip(values) {
+            self.lanes[lane_index(elem)] = v.to_f32();
+        }
+    }
+
+    /// Element `elem` (row order) as stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `elem` is past the plane.
+    #[must_use]
+    pub fn get(&self, elem: usize) -> f32 {
+        self.lanes[lane_index(elem)]
+    }
+
+    #[inline]
+    fn block(&self, b: usize) -> &[f32; BLOCK_ELEMS] {
+        self.lanes[b * BLOCK_ELEMS..][..BLOCK_ELEMS]
+            .try_into()
+            .expect("sliced to one block")
+    }
+}
+
+/// Lane-major position of row element `elem`.
+#[inline]
+fn lane_index(elem: usize) -> usize {
+    let (sub, j) = (elem / TREE_ARITY, elem % TREE_ARITY);
+    (sub / BLOCK_SUBS) * BLOCK_ELEMS + j * BLOCK_SUBS + sub % BLOCK_SUBS
+}
+
+type LaneRow = [f32; BLOCK_SUBS];
+
+/// The 32 adder-tree roots of one lane-major block: 16 product rows
+/// reduced through four levels of vertical adds, every pass a straight
+/// loop over 32 contiguous lanes. Per sub-chunk (= per lane) this is the
+/// arithmetic DAG of [`block_roots`]: products rounded to bf16, the
+/// `(0,1)(2,3)…` pairing, per-level rounding when `ROUND`.
+///
+/// With `FULL` unset every rounding is [`round_bf16_bits_finite`], which
+/// is only trusted when no root comes out inf/NaN (see [`comp_row_set`]).
+#[inline]
+fn lane_block_roots<const ROUND: bool, const FULL: bool>(
+    w: &[f32; BLOCK_ELEMS],
+    v: &[f32; BLOCK_ELEMS],
+    roots: &mut LaneRow,
+) {
+    #[inline(always)]
+    fn round<const FULL: bool>(x: f32) -> f32 {
+        let bits = x.to_bits();
+        f32::from_bits(if FULL {
+            round_bf16_bits(bits)
+        } else {
+            round_bf16_bits_finite(bits)
+        })
+    }
+    let product = |j: usize| -> LaneRow {
+        let (wj, vj) = (
+            &w[j * BLOCK_SUBS..][..BLOCK_SUBS],
+            &v[j * BLOCK_SUBS..][..BLOCK_SUBS],
+        );
+        let mut out = [0f32; BLOCK_SUBS];
+        for ((o, &x), &y) in out.iter_mut().zip(wj).zip(vj) {
+            *o = round::<FULL>(x * y);
+        }
+        out
+    };
+    let add = |a: LaneRow, b: LaneRow| -> LaneRow {
+        let mut out = [0f32; BLOCK_SUBS];
+        for ((o, &x), &y) in out.iter_mut().zip(&a).zip(&b) {
+            *o = if ROUND { round::<FULL>(x + y) } else { x + y };
+        }
+        out
+    };
+    // Depth-first, so a row of partial sums is consumed right after it is
+    // produced (measured faster than finishing each tree level in turn).
+    let quad = |i: usize| {
+        add(
+            add(product(4 * i), product(4 * i + 1)),
+            add(product(4 * i + 2), product(4 * i + 3)),
+        )
+    };
+    *roots = add(add(quad(0), quad(1)), add(quad(2), quad(3)));
+}
+
+/// [`lane_block_roots`] with the inf/NaN decision hoisted out of the
+/// product loop: the block is computed with the five-op finite rounding,
+/// then the `n` roots that will be folded are tested once for an
+/// all-ones exponent, and only a hit redoes the block with the full
+/// rounding.
+///
+/// Sound because the two roundings differ only on NaNs, and a NaN
+/// anywhere in a sub-chunk's DAG always reaches that sub-chunk's root:
+/// every operand is bf16-valued or a sum of such, so a NaN is either the
+/// IEEE default NaN (`0 × inf`, `inf - inf`) or a propagated operand
+/// payload — low half zero both ways, which [`round_bf16_bits_finite`]
+/// passes through — and NaN is absorbing under add. An infinity (a
+/// product or sum that overflows) is rounded correctly by the fast path;
+/// it shares the all-ones exponent, so it is a false positive that takes
+/// the slow path and gets the same bits.
+#[inline]
+fn lane_block_roots_checked<const ROUND: bool>(
+    w: &[f32; BLOCK_ELEMS],
+    v: &[f32; BLOCK_ELEMS],
+    n: usize,
+    roots: &mut LaneRow,
+) {
+    lane_block_roots::<ROUND, false>(w, v, roots);
+    let mut special = 0u32;
+    for r in &roots[..n] {
+        special |= u32::from(r.to_bits() & 0x7F80_0000 == 0x7F80_0000);
+    }
+    if special != 0 {
+        lane_block_roots::<ROUND, true>(w, v, roots);
+    }
+}
+
+/// The production COMP kernel: folds sub-chunks `0..n_sub` of every
+/// bank's weight row against the shared input row into that bank's latch.
+/// `latches[k]` pairs with `weights[k]`; all planes are lane-major
+/// ([`LanePlane`]).
+///
+/// Bit-exact with one [`comp_step_prewidened`](crate::reduce::comp_step_prewidened)
+/// (Wide) or [`comp_step_noalloc`](crate::reduce::comp_step_noalloc)
+/// (PerStage) per bank per sub-chunk in ascending order, and with the
+/// row-major [`comp_subchunks16_multi`]: the per-sub-chunk arithmetic DAG
+/// and the serial latch chain are the same, only laid out so that every
+/// tree level is a vertical add. As there, the latch chains of a gang run
+/// side by side, one flat pass per sub-chunk over up to
+/// [`MULTI_MAX_BANKS`] accumulators; a larger gang is folded
+/// [`MULTI_MAX_BANKS`] banks at a time.
+///
+/// Blocks are always computed 32 lanes wide; lanes at or past `n_sub` are
+/// never folded into a latch, so what they hold cannot matter.
+///
+/// # Panics
+///
+/// Panics if `latches` and `weights` differ in length, or `n_sub`
+/// exceeds any plane's [`LanePlane::n_sub`].
+pub fn comp_row_set(
+    latches: &mut [Bf16],
+    weights: &[&LanePlane],
+    inputs: &LanePlane,
+    n_sub: usize,
+    precision: TreePrecision,
+) {
+    assert_eq!(
+        latches.len(),
+        weights.len(),
+        "one latch per bank weight plane"
+    );
+    assert!(
+        weights.iter().all(|p| n_sub <= p.n_sub) && n_sub <= inputs.n_sub,
+        "n_sub {n_sub} exceeds a plane"
+    );
+    for (latches, weights) in latches
+        .chunks_mut(MULTI_MAX_BANKS)
+        .zip(weights.chunks(MULTI_MAX_BANKS))
+    {
+        comp_gang(latches, weights, inputs, n_sub, precision);
+    }
+}
+
+/// [`comp_row_set`] for one gang of at most [`MULTI_MAX_BANKS`] banks.
+fn comp_gang(
+    latches: &mut [Bf16],
+    weights: &[&LanePlane],
+    inputs: &LanePlane,
+    n_sub: usize,
+    precision: TreePrecision,
+) {
+    let nb = latches.len();
+    let mut acc = [0f32; MULTI_MAX_BANKS];
+    for (a, l) in acc.iter_mut().zip(latches.iter()) {
+        *a = l.to_f32();
+    }
+    // Roots transposed to `[sub][bank]` so the latch pass below walks
+    // contiguous rows of independent accumulators.
+    let mut roots_t = [0f32; BLOCK_SUBS * MULTI_MAX_BANKS];
+    let mut roots = [0f32; BLOCK_SUBS];
+    for b in 0..n_sub.div_ceil(BLOCK_SUBS) {
+        let n = (n_sub - b * BLOCK_SUBS).min(BLOCK_SUBS);
+        let vb = inputs.block(b);
+        for (k, plane) in weights.iter().enumerate() {
+            let wb = plane.block(b);
+            match precision {
+                TreePrecision::Wide => lane_block_roots_checked::<false>(wb, vb, n, &mut roots),
+                TreePrecision::PerStage => lane_block_roots_checked::<true>(wb, vb, n, &mut roots),
+            }
+            for (sub, &r) in roots[..n].iter().enumerate() {
+                roots_t[sub * nb + k] = r;
+            }
+        }
+        for row in roots_t[..n * nb].chunks_exact(nb) {
+            for (a, &r) in acc[..nb].iter_mut().zip(row) {
+                *a = round_bf16_f32(*a + r);
+            }
+        }
+    }
+    for (l, &a) in latches.iter_mut().zip(acc.iter()) {
+        *l = Bf16::from_f32(a);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,6 +857,36 @@ mod tests {
                 "bits {bits:#010x}"
             );
         }
+    }
+
+    #[test]
+    fn finite_round_equals_full_round_off_nan_for_every_high_half_and_tie_pattern() {
+        // Same sweep as the full rounding's: every high half crossed with
+        // the boundary low halves. The hoisted inf/NaN fallback of the
+        // batched kernels rests on exactly this equality.
+        for hi in 0..=0xFFFFu32 {
+            for lo in [0x0000u32, 0x0001, 0x7FFF, 0x8000, 0x8001, 0xFFFF] {
+                let bits = (hi << 16) | lo;
+                let is_nan = (bits & 0x7FFF_FFFF) > 0x7F80_0000;
+                let quiet_low_zero = is_nan && lo == 0 && hi & 0x0040 != 0;
+                if !is_nan || quiet_low_zero {
+                    assert_eq!(
+                        round_bf16_bits_finite(bits),
+                        round_bf16_bits(bits),
+                        "bits {bits:#010x}"
+                    );
+                }
+            }
+        }
+        // ±inf explicitly, and a NaN the finite form does get wrong (which
+        // is why a fallback exists at all).
+        for inf in [0x7F80_0000u32, 0xFF80_0000] {
+            assert_eq!(round_bf16_bits_finite(inf), inf);
+        }
+        assert_ne!(
+            round_bf16_bits_finite(0x7FFF_FFFF),
+            round_bf16_bits(0x7FFF_FFFF)
+        );
     }
 
     #[test]
@@ -761,5 +1092,245 @@ mod tests {
                 assert_eq!(bits_of(multi[k]), bits_of(single), "bank={k} {precision:?}");
             }
         }
+    }
+    /// Moderate magnitudes only: no product, sum or latch of these comes
+    /// near an overflow, so a planted special is the only one in a run.
+    fn tame_bf16(state: &mut u64) -> Bf16 {
+        Bf16::from_f32(((mix(state) % 2001) as f32 - 1000.0) / 256.0)
+    }
+
+    fn widen(row: &[Bf16]) -> Vec<f32> {
+        row.iter().map(|x| x.to_f32()).collect()
+    }
+
+    /// Runs one row-set through [`comp_row_set`] and checks every latch
+    /// against the per-sub-chunk scalar steps and against the row-major
+    /// [`comp_subchunks16_multi`].
+    fn check_row_set(
+        rows: &[Vec<Bf16>],
+        inputs: &[Bf16],
+        latches0: &[Bf16],
+        n_sub: usize,
+        precision: TreePrecision,
+        ctx: &str,
+    ) -> Vec<Bf16> {
+        let planes: Vec<LanePlane> = rows.iter().map(|r| LanePlane::from_row(r)).collect();
+        let refs: Vec<&LanePlane> = planes.iter().collect();
+        let mut lane_major = latches0.to_vec();
+        comp_row_set(
+            &mut lane_major,
+            &refs,
+            &LanePlane::from_row(inputs),
+            n_sub,
+            precision,
+        );
+
+        let elems = n_sub * TREE_ARITY;
+        let wide: Vec<Vec<f32>> = rows.iter().map(|r| widen(&r[..elems])).collect();
+        let wide_refs: Vec<&[f32]> = wide.iter().map(Vec::as_slice).collect();
+        let mut row_major = latches0.to_vec();
+        comp_subchunks16_multi(
+            &mut row_major,
+            &wide_refs,
+            &widen(&inputs[..elems]),
+            precision,
+        );
+
+        for (k, row) in rows.iter().enumerate() {
+            let mut scalar = latches0[k];
+            for s in 0..n_sub {
+                let span = s * TREE_ARITY..(s + 1) * TREE_ARITY;
+                scalar = match precision {
+                    TreePrecision::Wide => comp_step_prewidened(
+                        scalar,
+                        &wide[k][span.clone()],
+                        &inputs[span],
+                        precision,
+                    ),
+                    TreePrecision::PerStage => {
+                        comp_step_noalloc(scalar, &row[span.clone()], &inputs[span], precision)
+                    }
+                };
+            }
+            assert_eq!(
+                bits_of(lane_major[k]),
+                bits_of(scalar),
+                "vs scalar steps: bank {k} n_sub={n_sub} {precision:?} {ctx}"
+            );
+            assert_eq!(
+                bits_of(lane_major[k]),
+                bits_of(row_major[k]),
+                "vs row-major: bank {k} n_sub={n_sub} {precision:?} {ctx}"
+            );
+        }
+        lane_major
+    }
+
+    const BOTH: [TreePrecision; 2] = [TreePrecision::Wide, TreePrecision::PerStage];
+
+    #[test]
+    fn lane_plane_holds_rows_of_any_length_in_row_order() {
+        let mut state = 0x1A9E_u64;
+        for len in [0usize, 1, 15, 16, 17, 511, 512, 513, 700, 1024, 1030] {
+            let row: Vec<Bf16> = (0..len).map(|_| random_bf16(&mut state)).collect();
+            let mut plane = LanePlane::from_row(&row);
+            assert_eq!(plane.n_sub(), len.div_ceil(16));
+            let capacity = plane.n_sub() * 16;
+            for i in 0..capacity {
+                let expect = row.get(i).map_or(0.0, |e| e.to_f32());
+                assert_eq!(
+                    plane.get(i).to_bits(),
+                    expect.to_bits(),
+                    "len {len} elem {i}"
+                );
+            }
+            // `write` lands where `fill` would have put the same elements,
+            // and a shorter refill zeroes what it no longer covers.
+            if len >= 40 {
+                let mut patched = row.clone();
+                patched[20..40].fill(Bf16::ONE);
+                plane.write(20, &patched[20..40]);
+                for (i, e) in patched.iter().enumerate() {
+                    assert_eq!(plane.get(i).to_bits(), e.to_f32().to_bits());
+                }
+                plane.fill(&row[..len / 2]);
+                for i in 0..capacity {
+                    let expect = row[..len / 2].get(i).map_or(0.0, |e| e.to_f32());
+                    assert_eq!(plane.get(i).to_bits(), expect.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_set_kernel_matches_scalar_steps_and_row_major_fold() {
+        // Full-range operands (infinities included, so overflow, inf - inf
+        // and 0 x inf all occur and the slow-path redo runs often), gangs
+        // below, at and above MULTI_MAX_BANKS, row widths around the
+        // 32-sub-chunk block edge.
+        let mut state = 0x1A7E_3A30u64;
+        for nb in [1usize, 3, 16, 18] {
+            for n_sub in [1usize, 7, 31, 32, 33, 45, 64] {
+                for precision in BOTH {
+                    let rows: Vec<Vec<Bf16>> = (0..nb)
+                        .map(|_| (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect())
+                        .collect();
+                    let inputs: Vec<Bf16> =
+                        (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect();
+                    let latches0: Vec<Bf16> = (0..nb).map(|_| random_bf16(&mut state)).collect();
+                    check_row_set(&rows, &inputs, &latches0, n_sub, precision, "random");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_set_kernel_survives_a_special_in_every_block_position() {
+        // One special per run, planted at every (element j, sub-chunk s)
+        // of a block: an infinite weight, a NaN weight, a product that
+        // overflows f32, and a product that is finite in f32 but
+        // round-carries into the infinity encoding. Bank 1 stays tame and
+        // must not notice.
+        let carry = (Bf16::from_bits(0x5FB5), Bf16::from_bits(0x5F35));
+        let p = carry.0.to_f32() * carry.1.to_f32();
+        assert!(p.is_finite() && round_bf16_f32(p).is_infinite());
+        let plants = [
+            ("inf", Bf16::INFINITY, None),
+            ("nan", Bf16::NAN, None),
+            ("overflow", Bf16::MAX, Some(Bf16::from_f32(-2.0))),
+            ("carry", carry.0, Some(carry.1)),
+        ];
+        let mut state = 0x5BEC_1A15u64;
+        let n_sub = 32;
+        let rows: Vec<Vec<Bf16>> = (0..2)
+            .map(|_| (0..n_sub * 16).map(|_| tame_bf16(&mut state)).collect())
+            .collect();
+        let inputs: Vec<Bf16> = (0..n_sub * 16).map(|_| tame_bf16(&mut state)).collect();
+        let latches0 = [tame_bf16(&mut state), tame_bf16(&mut state)];
+        for precision in BOTH {
+            let clean = check_row_set(&rows, &inputs, &latches0, n_sub, precision, "clean");
+            assert!(clean.iter().all(|l| l.is_finite()));
+            for (name, weight, input) in plants {
+                for pos in 0..n_sub * 16 {
+                    let (mut rows, mut inputs) = (rows.clone(), inputs.clone());
+                    rows[0][pos] = weight;
+                    match input {
+                        Some(v) => inputs[pos] = v,
+                        // Keep the planted product away from `0 x inf`.
+                        None if inputs[pos].is_zero() => inputs[pos] = Bf16::ONE,
+                        None => {}
+                    }
+                    let ctx = format!("{name} at j={} s={}", pos % 16, pos / 16);
+                    let out = check_row_set(&rows, &inputs, &latches0, n_sub, precision, &ctx);
+                    assert!(!out[0].is_finite(), "{ctx}: the special must surface");
+                    if input.is_none() {
+                        assert_eq!(bits_of(out[1]), bits_of(clean[1]), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_past_n_sub_are_computed_but_never_folded() {
+        // A `-0.0` latch fed only `-0.0` roots must stay `-0.0`; folding a
+        // single padded lane (root `+0.0`) would flip it to `+0.0`.
+        let neg_zero_products = |elems: usize| -> (Vec<Bf16>, Vec<Bf16>) {
+            (vec![Bf16::NEG_ONE; elems], vec![Bf16::ZERO; elems])
+        };
+        for n_sub in [1usize, 7, 31, 33, 45] {
+            for precision in BOTH {
+                let (row, inputs) = neg_zero_products(n_sub * 16);
+                let out = check_row_set(
+                    &[row],
+                    &inputs,
+                    &[Bf16::NEG_ZERO],
+                    n_sub,
+                    precision,
+                    "-0.0 latch, zero-padded plane",
+                );
+                assert_eq!(bits_of(out[0]), bits_of(Bf16::NEG_ZERO));
+
+                // The same with live data past `n_sub`: a wider plane whose
+                // unfolded lanes hold infinities and NaNs.
+                let (mut row, mut inputs) = neg_zero_products(64 * 16);
+                for e in n_sub * 16..64 * 16 {
+                    row[e] = [Bf16::INFINITY, Bf16::NAN, Bf16::ONE][e % 3];
+                    inputs[e] = [Bf16::NEG_INFINITY, Bf16::ONE, Bf16::NAN][e % 3];
+                }
+                let out = check_row_set(
+                    &[row],
+                    &inputs,
+                    &[Bf16::NEG_ZERO],
+                    n_sub,
+                    precision,
+                    "-0.0 latch, specials past n_sub",
+                );
+                assert_eq!(bits_of(out[0]), bits_of(Bf16::NEG_ZERO));
+            }
+        }
+    }
+
+    #[test]
+    fn row_set_kernel_with_nothing_to_fold_returns_the_latches() {
+        let plane = LanePlane::zeroed(512);
+        let mut latches = [Bf16::from_f32(1.625), Bf16::NEG_ZERO];
+        comp_row_set(
+            &mut latches,
+            &[&plane, &plane],
+            &plane,
+            0,
+            TreePrecision::Wide,
+        );
+        assert_eq!(bits_of(latches[0]), bits_of(Bf16::from_f32(1.625)));
+        assert_eq!(bits_of(latches[1]), bits_of(Bf16::NEG_ZERO));
+        comp_row_set(&mut [], &[], &plane, 32, TreePrecision::Wide);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds a plane")]
+    fn row_set_kernel_rejects_n_sub_past_a_plane() {
+        let (short, long) = (LanePlane::zeroed(16), LanePlane::zeroed(512));
+        comp_row_set(&mut [Bf16::ZERO], &[&short], &long, 2, TreePrecision::Wide);
     }
 }

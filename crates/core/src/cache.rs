@@ -13,20 +13,20 @@
 //! timing model still issues the same column reads, so cycle counts,
 //! stats, audit records, and traces are identical with or without it.
 
+use newton_bf16::simd::LanePlane;
 use newton_bf16::Bf16;
 use newton_dram::Storage;
 
 use crate::error::AimError;
 
-/// One decoded row: the bf16 elements, optionally pre-widened to `f32`
-/// (exact) for the wide-tree discipline, plus the storage generation the
-/// decode observed.
+/// One decoded row: the bf16 elements, the same elements as the COMP
+/// kernel's lane-major `f32` plane, and the storage generation the decode
+/// observed.
 #[derive(Debug)]
 struct CachedRow {
     generation: u64,
     elems: Box<[Bf16]>,
-    /// `w.to_f32()` per element; empty unless the cache widens.
-    wide: Box<[f32]>,
+    lanes: LanePlane,
 }
 
 /// Cache of decoded matrix rows indexed directly by (bank, DRAM row).
@@ -40,24 +40,18 @@ struct CachedRow {
 pub struct DecodedWeightCache {
     banks: Vec<Vec<Option<Box<CachedRow>>>>,
     row_elems: usize,
-    widen: bool,
     decodes: u64,
     hits: u64,
 }
 
 impl DecodedWeightCache {
     /// Creates an empty cache for a `banks`-bank channel with
-    /// `row_elems`-element rows. With `widen` set, each decode also
-    /// stores the exact `f32` widening of every element (for
-    /// [`TreePrecision::Wide`] COMPs).
-    ///
-    /// [`TreePrecision::Wide`]: newton_bf16::reduce::TreePrecision::Wide
+    /// `row_elems`-element rows.
     #[must_use]
-    pub fn new(banks: usize, row_elems: usize, widen: bool) -> DecodedWeightCache {
+    pub fn new(banks: usize, row_elems: usize) -> DecodedWeightCache {
         DecodedWeightCache {
             banks: (0..banks).map(|_| Vec::new()).collect(),
             row_elems,
-            widen,
             decodes: 0,
             hits: 0,
         }
@@ -65,7 +59,8 @@ impl DecodedWeightCache {
 
     /// Makes (bank, row) present and current: decodes the row bytes if it
     /// was never cached or its storage generation moved since the cached
-    /// decode; otherwise a no-op.
+    /// decode; otherwise a no-op. A stale row (scrub rewrite, injected
+    /// fault) is re-decoded into the buffers it already owns.
     ///
     /// # Errors
     ///
@@ -89,22 +84,28 @@ impl DecodedWeightCache {
             }
         }
         let bytes = storage.row(bank, row)?;
-        let mut elems = vec![Bf16::ZERO; self.row_elems].into_boxed_slice();
-        for (e, c) in elems.iter_mut().zip(bytes.chunks_exact(2)) {
+        let row_elems = self.row_elems;
+        let cached = lane[row].get_or_insert_with(|| {
+            Box::new(CachedRow {
+                generation,
+                elems: vec![Bf16::ZERO; row_elems].into_boxed_slice(),
+                lanes: LanePlane::zeroed(row_elems),
+            })
+        });
+        cached.generation = generation;
+        for (e, c) in cached.elems.iter_mut().zip(bytes.chunks_exact(2)) {
             *e = Bf16::from_le_bytes([c[0], c[1]]);
         }
-        let wide = if self.widen {
-            elems.iter().map(|e| e.to_f32()).collect()
-        } else {
-            Box::default()
-        };
+        cached.lanes.fill(&cached.elems);
         self.decodes += 1;
-        self.banks[bank][row] = Some(Box::new(CachedRow {
-            generation,
-            elems,
-            wide,
-        }));
         Ok(())
+    }
+
+    fn cached(&self, bank: usize, row: usize) -> &CachedRow {
+        self.banks[bank]
+            .get(row)
+            .and_then(Option::as_deref)
+            .expect("decoded-weight cache: row read before ensure_row")
     }
 
     /// The decoded bf16 sub-chunk `[sub * width, (sub + 1) * width)` of a
@@ -116,36 +117,18 @@ impl DecodedWeightCache {
     /// both are controller wiring bugs, not runtime conditions.
     #[must_use]
     pub fn subchunk(&self, bank: usize, row: usize, sub: usize, width: usize) -> &[Bf16] {
-        let cached = self.banks[bank]
-            .get(row)
-            .and_then(Option::as_ref)
-            .expect("decoded-weight cache: sub-chunk read before ensure_row");
-        &cached.elems[sub * width..(sub + 1) * width]
+        &self.cached(bank, row).elems[sub * width..(sub + 1) * width]
     }
 
-    /// The pre-widened `f32` sub-chunk (wide-discipline plane).
+    /// The whole row as the batched COMP kernel's lane-major plane.
     ///
     /// # Panics
     ///
-    /// As [`subchunk`](DecodedWeightCache::subchunk); additionally if the
-    /// cache was built without widening.
+    /// Panics if the row is not cached (see
+    /// [`subchunk`](DecodedWeightCache::subchunk)).
     #[must_use]
-    pub fn subchunk_wide(&self, bank: usize, row: usize, sub: usize, width: usize) -> &[f32] {
-        let cached = self.banks[bank]
-            .get(row)
-            .and_then(Option::as_ref)
-            .expect("decoded-weight cache: sub-chunk read before ensure_row");
-        assert!(
-            !cached.wide.is_empty() || self.row_elems == 0,
-            "decoded-weight cache built without the wide plane"
-        );
-        &cached.wide[sub * width..(sub + 1) * width]
-    }
-
-    /// Whether decodes also populate the `f32` plane.
-    #[must_use]
-    pub fn widens(&self) -> bool {
-        self.widen
+    pub fn lanes(&self, bank: usize, row: usize) -> &LanePlane {
+        &self.cached(bank, row).lanes
     }
 
     /// Drops every cached row (e.g. when switching functional modes).
@@ -191,20 +174,29 @@ mod tests {
         let row: Vec<Bf16> = (0..512).map(|i| bf(i as f32 / 16.0)).collect();
         s.write_row(2, 9, &newton_bf16::slice::pack(&row)).unwrap();
 
-        let mut cache = DecodedWeightCache::new(banks(), 512, true);
+        let mut cache = DecodedWeightCache::new(banks(), 512);
         cache.ensure_row(&s, 2, 9).unwrap();
         cache.ensure_row(&s, 2, 9).unwrap();
         assert_eq!(cache.decode_count(), 1);
         assert_eq!(cache.hit_count(), 1);
         assert_eq!(cache.subchunk(2, 9, 1, 16), &row[16..32]);
-        assert_eq!(cache.subchunk_wide(2, 9, 0, 16)[3], row[3].to_f32());
+        assert_eq!(cache.lanes(2, 9).get(3), row[3].to_f32());
+        let (elems_at, lanes_at) = (
+            cache.subchunk(2, 9, 0, 16).as_ptr(),
+            std::ptr::from_ref(cache.lanes(2, 9)),
+        );
 
         // write_column bumps the generation -> re-decode with fresh data.
         s.write_column(2, 9, 0, &newton_bf16::slice::pack(&[bf(-7.0); 16]))
             .unwrap();
         cache.ensure_row(&s, 2, 9).unwrap();
         assert_eq!(cache.decode_count(), 2);
+        assert_eq!(cache.hit_count(), 1);
         assert_eq!(cache.subchunk(2, 9, 0, 16), &[bf(-7.0); 16][..]);
+        assert_eq!(cache.lanes(2, 9).get(15), -7.0);
+        // A stale row is re-decoded where it lies: no fresh boxes.
+        assert_eq!(cache.subchunk(2, 9, 0, 16).as_ptr(), elems_at);
+        assert_eq!(std::ptr::from_ref(cache.lanes(2, 9)), lanes_at);
         // Untouched tail of the row survives the partial overwrite.
         assert_eq!(cache.subchunk(2, 9, 1, 16), &row[16..32]);
 
@@ -217,18 +209,17 @@ mod tests {
     #[test]
     fn unwritten_rows_decode_as_zero_and_cache_at_generation_zero() {
         let s = storage();
-        let mut cache = DecodedWeightCache::new(banks(), 512, false);
+        let mut cache = DecodedWeightCache::new(banks(), 512);
         cache.ensure_row(&s, 0, 0).unwrap();
         cache.ensure_row(&s, 0, 0).unwrap();
         assert_eq!(cache.decode_count(), 1);
         assert!(cache.subchunk(0, 0, 0, 16).iter().all(|&w| w == Bf16::ZERO));
-        assert!(!cache.widens());
     }
 
     #[test]
     fn clear_forces_re_decode() {
         let s = storage();
-        let mut cache = DecodedWeightCache::new(banks(), 512, false);
+        let mut cache = DecodedWeightCache::new(banks(), 512);
         cache.ensure_row(&s, 0, 0).unwrap();
         cache.clear();
         cache.ensure_row(&s, 0, 0).unwrap();
@@ -238,7 +229,7 @@ mod tests {
     #[test]
     fn bad_addresses_are_surfaced() {
         let s = storage();
-        let mut cache = DecodedWeightCache::new(banks(), 512, false);
+        let mut cache = DecodedWeightCache::new(banks(), 512);
         assert!(cache.ensure_row(&s, 99, 0).is_err());
     }
 }

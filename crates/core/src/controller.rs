@@ -52,15 +52,14 @@ pub enum FunctionalMode {
     /// on every COMP.
     Uncached,
     /// Allocation-free kernels over the decoded-weight row cache
-    /// (decode-once per row generation; pre-widened `f32` weights in the
-    /// wide discipline).
+    /// (decode-once per row generation).
     Cached,
-    /// Explicit-width SIMD kernels (`newton_bf16::simd`) over the decoded
-    /// cache's `f32` plane and the global buffer's `f32` plane, with the
-    /// ganged COMP stream of a whole row-set folded per bank in one
-    /// batched pass. Bit-exact with every other mode (the timing half is
-    /// shared; the functional half is proven against the scalar oracles).
-    /// The default.
+    /// The lane-major SIMD kernel (`newton_bf16::simd::comp_row_set`) over
+    /// the decoded cache's and the global buffer's `f32` planes: the
+    /// ganged COMP stream of a whole row-set is folded for all banks in
+    /// one batched pass. Bit-exact with every other mode (the timing half
+    /// is shared; the functional half is proven against the scalar
+    /// oracles). The default.
     #[default]
     Simd,
 }
@@ -244,11 +243,7 @@ impl NewtonChannel {
             config.tree_precision,
             activation,
         )?;
-        // The cache always maintains the wide `f32` plane: the wide
-        // discipline reads it directly, and the SIMD kernels consume it in
-        // both disciplines (widening is exact, so this is free precision-
-        // wise and costs 2 extra bytes per cached element).
-        let weight_cache = DecodedWeightCache::new(config.dram.banks, config.row_elems(), true);
+        let weight_cache = DecodedWeightCache::new(config.dram.banks, config.row_elems());
         Ok(NewtonChannel {
             channel,
             device,
@@ -775,26 +770,11 @@ impl NewtonChannel {
             self.now = last_comp;
             stats.compute_commands += crs.n_sub as u64;
 
-            let device = &mut self.device;
             let cache = &self.weight_cache;
-            const GANG_MAX: usize = newton_bf16::simd::MULTI_MAX_BANKS;
-            if crs.banks.len() <= GANG_MAX {
-                let mut planes: [&[f32]; GANG_MAX] = [&[]; GANG_MAX];
-                for (slot, &bank) in planes.iter_mut().zip(&crs.banks) {
-                    *slot = cache.subchunk_wide(bank, rs.dram_row, 0, crs.n_sub * sub);
-                }
-                device.comp_banks_row_simd(
-                    &crs.banks,
-                    rs.latch,
-                    crs.n_sub,
-                    &planes[..crs.banks.len()],
-                );
-            } else {
-                for &bank in &crs.banks {
-                    let weights = cache.subchunk_wide(bank, rs.dram_row, 0, crs.n_sub * sub);
-                    device.comp_bank_row_simd(bank, rs.latch, crs.n_sub, weights);
-                }
-            }
+            self.device
+                .comp_banks_row_simd(&crs.banks, rs.latch, crs.n_sub, |bank| {
+                    cache.lanes(bank, rs.dram_row)
+                });
             self.comp_calls += 1;
             self.comp_nanos += comp_started.elapsed().as_nanos() as u64;
 
@@ -956,7 +936,7 @@ impl NewtonChannel {
         // one batched kernel pass. Bit-exact because nothing inside a
         // row-set observes device latch state, per-bank sub-chunk order is
         // preserved, and the batched kernel equals the per-sub steps
-        // (`newton_bf16::simd::comp_subchunks16`).
+        // (`newton_bf16::simd::comp_row_set`).
         if mode == FunctionalMode::Simd
             && self.config.opts.ganged_comp
             && self.config.opts.complex_comp
@@ -1007,29 +987,14 @@ impl NewtonChannel {
                     cmds += 1;
                 }
             }
-            let device = &mut self.device;
+            // Whole-gang fold: the device takes all banks' planes at once
+            // so their (independent) serial latch chains interleave
+            // instead of running back to back.
             let cache = &self.weight_cache;
-            const GANG_MAX: usize = newton_bf16::simd::MULTI_MAX_BANKS;
-            if self.scratch_banks.len() <= GANG_MAX {
-                // Whole-gang fold: hand all banks' planes to the device at
-                // once so their (independent) serial latch chains
-                // interleave instead of running back to back.
-                let mut planes: [&[f32]; GANG_MAX] = [&[]; GANG_MAX];
-                for (slot, &bank) in planes.iter_mut().zip(&self.scratch_banks) {
-                    *slot = cache.subchunk_wide(bank, row, 0, n_sub * sub_elems);
-                }
-                device.comp_banks_row_simd(
-                    &self.scratch_banks,
-                    latch,
-                    n_sub,
-                    &planes[..self.scratch_banks.len()],
-                );
-            } else {
-                for &bank in &self.scratch_banks {
-                    let weights = cache.subchunk_wide(bank, row, 0, n_sub * sub_elems);
-                    device.comp_bank_row_simd(bank, latch, n_sub, weights);
-                }
-            }
+            self.device
+                .comp_banks_row_simd(&self.scratch_banks, latch, n_sub, |bank| {
+                    cache.lanes(bank, row)
+                });
             return Ok((cmds, last_col));
         }
 
@@ -1346,34 +1311,12 @@ fn functional_comp(
     match mode {
         FunctionalMode::Reference => device.comp_bank_reference(bank, latch, sub, data),
         FunctionalMode::Uncached => device.comp_bank(bank, latch, sub, data),
-        FunctionalMode::Cached => {
-            if cache.widens() {
-                device.comp_bank_prewidened(
-                    bank,
-                    latch,
-                    sub,
-                    cache.subchunk_wide(bank, row, sub, sub_elems),
-                );
-            } else {
-                device.comp_bank_decoded(
-                    bank,
-                    latch,
-                    sub,
-                    cache.subchunk(bank, row, sub, sub_elems),
-                );
-            }
-        }
-        FunctionalMode::Simd => {
-            // Per-sub SIMD step (configurations the batched fast path in
-            // `compute_row_set` does not cover: non-ganged or simple
-            // commands). Falls back to the scalar prewidened kernel for
-            // sub-chunk widths other than the 16-wide MAC tree.
-            let weights = cache.subchunk_wide(bank, row, sub, sub_elems);
-            if sub_elems == newton_bf16::reduce::TREE_ARITY {
-                device.comp_bank_simd(bank, latch, sub, weights);
-            } else {
-                device.comp_bank_prewidened(bank, latch, sub, weights);
-            }
+        // Per-sub-chunk step over the decoded row. `Simd` only gets here
+        // in configurations the batched fast path in `compute_row_set`
+        // does not cover (non-ganged or simple commands, sub-chunk widths
+        // other than the 16-wide MAC tree).
+        FunctionalMode::Cached | FunctionalMode::Simd => {
+            device.comp_bank_decoded(bank, latch, sub, cache.subchunk(bank, row, sub, sub_elems))
         }
     }
 }

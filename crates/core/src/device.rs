@@ -9,6 +9,7 @@
 //! "without any further per-bank latching to save area".
 
 use newton_bf16::reduce::{self, TreePrecision};
+use newton_bf16::simd::{self, LanePlane};
 use newton_bf16::Bf16;
 
 use crate::error::AimError;
@@ -17,14 +18,14 @@ use crate::lut::{ActivationKind, ActivationLut};
 /// The channel-wide, DRAM-row-wide input vector buffer (512 bf16 elements
 /// for a 1 KB row), loaded one sub-chunk at a time by `GWRITE#`.
 ///
-/// Alongside the bf16 elements the buffer maintains an exactly-widened
-/// `f32` plane (`elems[i].to_f32()`, which is exact) so the SIMD COMP
-/// kernels can read contiguous `f32` lanes without a per-COMP widening
-/// pass. The plane is updated on every write and can never go stale.
+/// Alongside the bf16 elements the buffer maintains the same elements as
+/// the batched COMP kernel's lane-major `f32` plane (exact widenings), so
+/// a row-set COMP needs no per-COMP widening pass. The plane is updated on
+/// every write and can never go stale.
 #[derive(Debug, Clone)]
 pub struct GlobalBuffer {
     elems: Vec<Bf16>,
-    wide: Vec<f32>,
+    lanes: LanePlane,
     subchunk: usize,
 }
 
@@ -43,7 +44,7 @@ impl GlobalBuffer {
         );
         GlobalBuffer {
             elems: vec![Bf16::ZERO; row_elems],
-            wide: vec![0.0; row_elems],
+            lanes: LanePlane::zeroed(row_elems),
             subchunk,
         }
     }
@@ -97,12 +98,8 @@ impl GlobalBuffer {
         for e in &mut self.elems[start + data.len()..start + self.subchunk] {
             *e = Bf16::ZERO;
         }
-        for (w, e) in self.wide[start..start + self.subchunk]
-            .iter_mut()
-            .zip(&self.elems[start..start + self.subchunk])
-        {
-            *w = e.to_f32();
-        }
+        self.lanes
+            .write(start, &self.elems[start..start + self.subchunk]);
         Ok(())
     }
 
@@ -119,23 +116,11 @@ impl GlobalBuffer {
         &self.elems[start..start + self.subchunk]
     }
 
-    /// The exactly-widened `f32` view of sub-chunk `index` (the SIMD COMP
-    /// broadcast plane; `wide[i] == elems[i].to_f32()` always).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
+    /// The whole buffer as the batched COMP kernel's lane-major plane
+    /// (element `i` is `elems[i].to_f32()` always).
     #[must_use]
-    pub fn subchunk_wide(&self, index: usize) -> &[f32] {
-        let start = index * self.subchunk;
-        &self.wide[start..start + self.subchunk]
-    }
-
-    /// The whole exactly-widened `f32` plane (for batched row COMPs that
-    /// fold sub-chunks `0..n` in one pass).
-    #[must_use]
-    pub fn wide_plane(&self) -> &[f32] {
-        &self.wide
+    pub fn lanes(&self) -> &LanePlane {
+        &self.lanes
     }
 }
 
@@ -211,42 +196,6 @@ impl MacUnit {
         let v = reduce::comp_step(self.latches[latch], weights, inputs, self.precision);
         self.latches[latch] = v;
         self.comps += 1;
-    }
-
-    /// [`MacUnit::comp`] over pre-widened weights (`w.to_f32()` per
-    /// element, the decoded-weight cache's wide plane) — bit-exact with
-    /// the bf16-weight forms in both disciplines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latch` is out of range or the operand lengths differ or
-    /// exceed [`reduce::MAX_CHUNK`].
-    pub fn comp_prewidened(&mut self, latch: usize, weights: &[f32], inputs: &[Bf16]) {
-        let v = reduce::comp_step_prewidened(self.latches[latch], weights, inputs, self.precision);
-        self.latches[latch] = v;
-        self.comps += 1;
-    }
-
-    /// Executes one or more consecutive 16-wide COMP steps into latch
-    /// `latch` through the explicit-width SIMD kernels: `weights` and
-    /// `inputs` are exact `f32` planes covering whole 16-element
-    /// sub-chunks, folded in order — bit-exact with calling
-    /// [`MacUnit::comp`] once per sub-chunk (see `newton_bf16::simd`).
-    /// The COMP counter advances by the number of sub-chunks folded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latch` is out of range, the plane lengths differ, or the
-    /// length is not a multiple of 16.
-    pub fn comp_simd_subchunks(&mut self, latch: usize, weights: &[f32], inputs: &[f32]) {
-        let n_sub = (weights.len() / reduce::TREE_ARITY) as u64;
-        self.latches[latch] = newton_bf16::simd::comp_subchunks16(
-            self.latches[latch],
-            weights,
-            inputs,
-            self.precision,
-        );
-        self.comps += n_sub;
     }
 
     /// Preloads latch `latch` with a bias value (the AiM `WR_BIAS` data
@@ -424,120 +373,56 @@ impl NewtonDevice {
         self.macs[bank].comp(latch, weights, inputs);
     }
 
-    /// [`comp_bank`](NewtonDevice::comp_bank) over weights already widened
-    /// to `f32` (the decoded-weight cache path in the wide discipline) —
-    /// skips both the byte unpack and the per-product widening, bit-exact
-    /// with the byte path.
+    /// Batched row-set COMP: for every bank in `banks`, folds global-buffer
+    /// sub-chunks `0..n_sub` against the bank's open row into latch
+    /// `latch` — bit-exact with issuing
+    /// [`comp_bank_decoded`](NewtonDevice::comp_bank_decoded) once per
+    /// bank per sub-chunk in ascending order, and advances each bank's
+    /// COMP counter by `n_sub`. `plane_of(bank)` is that row as a
+    /// lane-major plane (the decoded-weight cache's). Banks are folded a
+    /// gang at a time so their serial latch chains interleave (see
+    /// [`newton_bf16::simd::comp_row_set`]); banks never interact, so any
+    /// bank order gives the same result.
     ///
     /// # Panics
     ///
-    /// Panics if `weights.len()` is not the device sub-chunk width.
-    pub fn comp_bank_prewidened(
-        &mut self,
-        bank: usize,
-        latch: usize,
-        subchunk: usize,
-        weights: &[f32],
-    ) {
-        debug_assert_eq!(weights.len(), self.subchunk);
-        let inputs = self.global.subchunk(subchunk);
-        self.macs[bank].comp_prewidened(latch, weights, inputs);
-    }
-
-    /// [`comp_bank`](NewtonDevice::comp_bank) through the explicit-width
-    /// SIMD kernels: pre-widened weights against the global buffer's `f32`
-    /// plane, bit-exact with the scalar paths for non-NaN operands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device sub-chunk width is not 16 (the SIMD kernels
-    /// are fixed at the paper's 16-wide MAC tree; the controller falls
-    /// back to the scalar paths for other widths) or if `weights.len()`
-    /// is not the sub-chunk width.
-    pub fn comp_bank_simd(&mut self, bank: usize, latch: usize, subchunk: usize, weights: &[f32]) {
-        assert_eq!(
-            self.subchunk,
-            reduce::TREE_ARITY,
-            "SIMD COMP path requires 16-wide sub-chunks"
-        );
-        debug_assert_eq!(weights.len(), self.subchunk);
-        let inputs = self.global.subchunk_wide(subchunk);
-        self.macs[bank].comp_simd_subchunks(latch, weights, inputs);
-    }
-
-    /// Batched row COMP on `bank`: folds global-buffer sub-chunks
-    /// `0..n_sub` against `weights` (the exact `f32` plane of the bank's
-    /// open row, `n_sub * 16` elements) into latch `latch` in one pass —
-    /// bit-exact with issuing [`comp_bank_simd`](NewtonDevice::comp_bank_simd)
-    /// once per sub-chunk in ascending order, and advances the COMP
-    /// counter by `n_sub`.
-    ///
-    /// # Panics
-    ///
-    /// As [`comp_bank_simd`](NewtonDevice::comp_bank_simd), plus a length
-    /// mismatch against `n_sub`.
-    pub fn comp_bank_row_simd(&mut self, bank: usize, latch: usize, n_sub: usize, weights: &[f32]) {
-        assert_eq!(
-            self.subchunk,
-            reduce::TREE_ARITY,
-            "SIMD COMP path requires 16-wide sub-chunks"
-        );
-        let elems = n_sub * self.subchunk;
-        debug_assert_eq!(weights.len(), elems);
-        let inputs = &self.global.wide[..elems];
-        self.macs[bank].comp_simd_subchunks(latch, weights, inputs);
-    }
-
-    /// Gang-batched row COMP: one
-    /// [`comp_bank_row_simd`](NewtonDevice::comp_bank_row_simd) per bank
-    /// in `banks`, computed together so the per-bank serial latch chains
-    /// interleave (see [`newton_bf16::simd::comp_subchunks16_multi`]).
-    /// `planes[k]` is bank `banks[k]`'s row plane. Bit-exact with the
-    /// per-bank calls in any bank order — banks never interact.
-    ///
-    /// # Panics
-    ///
-    /// As [`comp_bank_row_simd`](NewtonDevice::comp_bank_row_simd), plus
-    /// a `banks`/`planes` length mismatch.
-    pub fn comp_banks_row_simd(
+    /// Panics if the device sub-chunk width is not 16 (the kernel is fixed
+    /// at the paper's 16-wide MAC tree; the controller takes the
+    /// per-sub-chunk paths for other widths) or a plane is shorter than
+    /// `n_sub` sub-chunks.
+    pub fn comp_banks_row_simd<'a>(
         &mut self,
         banks: &[usize],
         latch: usize,
         n_sub: usize,
-        planes: &[&[f32]],
+        plane_of: impl Fn(usize) -> &'a LanePlane,
     ) {
         assert_eq!(
             self.subchunk,
             reduce::TREE_ARITY,
             "SIMD COMP path requires 16-wide sub-chunks"
         );
-        assert_eq!(banks.len(), planes.len(), "one weight plane per bank");
-        const GANG_MAX: usize = newton_bf16::simd::MULTI_MAX_BANKS;
-        if banks.is_empty() {
-            return;
-        }
-        if banks.len() > GANG_MAX {
-            for (&bank, plane) in banks.iter().zip(planes) {
-                self.comp_bank_row_simd(bank, latch, n_sub, plane);
+        const GANG_MAX: usize = simd::MULTI_MAX_BANKS;
+        let inputs = &self.global.lanes;
+        for gang in banks.chunks(GANG_MAX) {
+            let precision = self.macs[gang[0]].precision;
+            let mut latches = [Bf16::ZERO; GANG_MAX];
+            let mut planes = [inputs; GANG_MAX];
+            for ((l, p), &bank) in latches.iter_mut().zip(&mut planes).zip(gang) {
+                *l = self.macs[bank].latches[latch];
+                *p = plane_of(bank);
             }
-            return;
-        }
-        let elems = n_sub * self.subchunk;
-        let inputs = &self.global.wide[..elems];
-        let precision = self.macs[banks[0]].precision;
-        let mut latches = [Bf16::ZERO; GANG_MAX];
-        for (l, &bank) in latches.iter_mut().zip(banks) {
-            *l = self.macs[bank].latches[latch];
-        }
-        newton_bf16::simd::comp_subchunks16_multi(
-            &mut latches[..banks.len()],
-            planes,
-            inputs,
-            precision,
-        );
-        for (&bank, &l) in banks.iter().zip(latches.iter()) {
-            self.macs[bank].latches[latch] = l;
-            self.macs[bank].comps += n_sub as u64;
+            simd::comp_row_set(
+                &mut latches[..gang.len()],
+                &planes[..gang.len()],
+                inputs,
+                n_sub,
+                precision,
+            );
+            for (&bank, &l) in gang.iter().zip(&latches) {
+                self.macs[bank].latches[latch] = l;
+                self.macs[bank].comps += n_sub as u64;
+            }
         }
     }
 
@@ -648,13 +533,12 @@ mod tests {
     }
 
     #[test]
-    fn decoded_and_prewidened_comp_paths_match_byte_path() {
+    fn decoded_comp_path_matches_byte_paths() {
         let mk = || {
             NewtonDevice::new(2, 512, 16, 1, TreePrecision::Wide, ActivationKind::Identity).unwrap()
         };
         let weights: Vec<Bf16> = (0..16).map(|i| bf(i as f32 * 0.375 - 2.0)).collect();
         let bytes = newton_bf16::slice::pack(&weights);
-        let widened: Vec<f32> = weights.iter().map(|w| w.to_f32()).collect();
         let inputs = [bf(1.5); 16];
 
         let mut byte_dev = mk();
@@ -678,38 +562,29 @@ mod tests {
             .unwrap();
         dec_dev.comp_bank_decoded(0, 0, 0, &weights);
 
-        let mut wide_dev = mk();
-        wide_dev
-            .global_buffer_mut()
-            .write_subchunk(0, &inputs)
-            .unwrap();
-        wide_dev.comp_bank_prewidened(0, 0, 0, &widened);
-
         let expect = byte_dev.read_result(0, 0, false);
         assert_eq!(ref_dev.read_result(0, 0, false), expect);
         assert_eq!(dec_dev.read_result(0, 0, false), expect);
-        assert_eq!(wide_dev.read_result(0, 0, false), expect);
-
-        let mut simd_dev = mk();
-        simd_dev
-            .global_buffer_mut()
-            .write_subchunk(0, &inputs)
-            .unwrap();
-        simd_dev.comp_bank_simd(0, 0, 0, &widened);
-        assert_eq!(simd_dev.read_result(0, 0, false), expect);
-        assert_eq!(simd_dev.total_comps(), 1);
+        assert_eq!(dec_dev.total_comps(), 1);
     }
 
     #[test]
-    fn batched_row_simd_matches_per_subchunk_comps_in_both_disciplines() {
+    fn batched_row_set_matches_per_subchunk_comps_in_both_disciplines() {
+        // 18 banks: one full gang of 16 plus a second gang of 2.
+        const BANKS: usize = 18;
         for precision in [TreePrecision::Wide, TreePrecision::PerStage] {
-            let mk =
-                || NewtonDevice::new(2, 512, 16, 1, precision, ActivationKind::Identity).unwrap();
+            let mk = || {
+                NewtonDevice::new(BANKS, 512, 16, 1, precision, ActivationKind::Identity).unwrap()
+            };
             let n_sub = 5;
-            let weights: Vec<Bf16> = (0..n_sub * 16)
-                .map(|i| bf((i as f32 * 0.17) - 6.5))
+            let rows: Vec<Vec<Bf16>> = (0..BANKS)
+                .map(|b| {
+                    (0..512)
+                        .map(|i| bf(((i + 31 * b) as f32 * 0.17) - 6.5))
+                        .collect()
+                })
                 .collect();
-            let widened: Vec<f32> = weights.iter().map(|w| w.to_f32()).collect();
+            let planes: Vec<LanePlane> = rows.iter().map(|r| LanePlane::from_row(r)).collect();
 
             let mut step_dev = mk();
             let mut batch_dev = mk();
@@ -726,32 +601,46 @@ mod tests {
                     .write_subchunk(s, &chunk)
                     .unwrap();
             }
-            for s in 0..n_sub {
-                step_dev.comp_bank_decoded(1, 0, s, &weights[s * 16..(s + 1) * 16]);
+            let banks: Vec<usize> = (0..BANKS).rev().collect();
+            for &b in &banks {
+                step_dev.preload_bias(b, 0, bf(b as f32));
+                batch_dev.preload_bias(b, 0, bf(b as f32));
+                for s in 0..n_sub {
+                    step_dev.comp_bank_decoded(b, 0, s, &rows[b][s * 16..(s + 1) * 16]);
+                }
             }
-            batch_dev.comp_bank_row_simd(1, 0, n_sub, &widened);
+            batch_dev.comp_banks_row_simd(&banks, 0, n_sub, |b| &planes[b]);
 
-            assert_eq!(
-                batch_dev.read_result(1, 0, false).to_bits(),
-                step_dev.read_result(1, 0, false).to_bits(),
-                "precision {precision:?}"
-            );
+            for b in 0..BANKS {
+                assert_eq!(
+                    batch_dev.read_result(b, 0, false).to_bits(),
+                    step_dev.read_result(b, 0, false).to_bits(),
+                    "bank {b} precision {precision:?}"
+                );
+            }
             assert_eq!(batch_dev.total_comps(), step_dev.total_comps());
         }
     }
 
     #[test]
-    fn global_buffer_wide_plane_tracks_writes_exactly() {
+    fn global_buffer_lane_plane_tracks_writes_exactly() {
         let mut g = GlobalBuffer::new(64, 16);
         g.write_subchunk(1, &[bf(-3.25); 10]).unwrap();
         for i in 0..64 {
             assert_eq!(
-                g.wide_plane()[i].to_bits(),
+                g.lanes().get(i).to_bits(),
                 g.subchunk(i / 16)[i % 16].to_f32().to_bits()
             );
         }
-        assert_eq!(g.subchunk_wide(1)[0], -3.25);
-        assert_eq!(g.subchunk_wide(1)[10], 0.0);
+        assert_eq!(g.lanes().get(16), -3.25);
+        assert_eq!(g.lanes().get(26), 0.0);
+        // A non-16 write granularity keeps the plane in row order too.
+        let mut g = GlobalBuffer::new(64, 32);
+        g.write_subchunk(1, &[bf(2.0); 20]).unwrap();
+        for i in 0..64 {
+            let expect = if (32..52).contains(&i) { 2.0 } else { 0.0 };
+            assert_eq!(g.lanes().get(i), expect, "element {i}");
+        }
     }
 
     #[test]

@@ -194,9 +194,6 @@ fn per_stage_precision_uses_decoded_plane_and_stays_identical() {
     let simd = run_in_mode(&cfg, FunctionalMode::Simd, m, n, &matrix, &vectors);
     assert_runs_identical(&reference, &cached, "per-stage cached");
     assert_runs_identical(&reference, &simd, "per-stage simd");
-    // The cache keeps its exact f32 plane in every discipline: the SIMD
-    // kernels consume it even under per-stage rounding.
-    assert!(cached.1.weight_cache().widens());
 }
 
 /// Satellite: write a row, COMP against it, overwrite via both

@@ -6,6 +6,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use newton_bf16::reduce::TreePrecision;
 use newton_bf16::{reduce, simd, Bf16};
+use newton_core::cache::{DecodedWeightCache, Residency};
+use newton_dram::{DramConfig, Storage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -203,6 +205,23 @@ fn bench_bf16_simd(c: &mut Criterion) {
             decoded.get(511)
         })
     });
+    // The decode the simulator runs: the row as DRAM stores it, straight
+    // into the plane. Must build what `fill` builds.
+    let row_bytes = newton_bf16::slice::pack(&row_bf);
+    let mut from_bytes = simd::LanePlane::zeroed(512);
+    c.bench_function("bf16/LanePlane::fill_le_bytes x512 (one row decode)", |b| {
+        b.iter(|| {
+            from_bytes.fill_le_bytes(black_box(&row_bytes));
+            from_bytes.get(511)
+        })
+    });
+    for i in 0..512 {
+        assert_eq!(
+            from_bytes.get(i).to_bits(),
+            decoded.get(i).to_bits(),
+            "fill_le_bytes diverged from fill at element {i}"
+        );
+    }
 }
 
 /// The lane-major plane of an exactly-widened `f32` row.
@@ -237,6 +256,18 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
     let (lane_w, lane_v) = (lane_plane(&row_w), lane_plane(&row_v));
     let lane_planes: Vec<&simd::LanePlane> = (0..16).map(|_| &lane_w).collect();
     let mut refilled = simd::LanePlane::zeroed(512);
+    let row_bytes = newton_bf16::slice::pack(&bf.repeat(4));
+
+    // A single-use plan's weight rows: once the cache is built, decoding
+    // any number of distinct rows through it must not touch the heap.
+    let dram = DramConfig::hbm2e_like();
+    let mut storage = Storage::new(&dram);
+    for row in 0..64 {
+        for bank in 0..dram.banks {
+            storage.write_row(bank, row, &row_bytes).expect("in range");
+        }
+    }
+    let mut cache = DecodedWeightCache::new(dram.banks, dram.row_bytes() / 2);
 
     let (bytes, sink) = alloc_delta(|| {
         let mut acc = 0.0f32;
@@ -300,15 +331,27 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
             }
             refilled.fill(black_box(&bf));
             refilled.write(16, black_box(&bf[..16]));
+            refilled.fill_le_bytes(black_box(&row_bytes));
+        }
+        for row in 0..64 {
+            for bank in 0..dram.banks {
+                cache
+                    .ensure_row(&storage, bank, row, Residency::SingleUse)
+                    .expect("in range");
+                acc += cache.lanes(bank, row).get(row);
+            }
         }
         (acc, acc_bits)
     });
+    assert_eq!(cache.decode_count(), 64 * dram.banks as u64);
     black_box(sink);
     assert_eq!(
         bytes, 0,
-        "dot16/comp_step/SIMD kernels allocated {bytes} heap bytes over 1000 iterations"
+        "dot16/comp_step/SIMD kernels and streamed row decodes allocated {bytes} heap bytes"
     );
-    println!("bf16/zero-alloc proof: 0 heap bytes across 15000 kernel calls");
+    println!(
+        "bf16/zero-alloc proof: 0 heap bytes across 16000 kernel calls and 1024 streamed rows"
+    );
     // Keep the harness aware this 'bench' ran (and give --test a hook).
     c.bench_function("bf16/zero-alloc proof (see assert above)", |b| {
         b.iter(|| alloc_delta(|| reduce::dot16_wide(black_box(weights), black_box(inputs))).0)

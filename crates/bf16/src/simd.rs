@@ -517,9 +517,10 @@ pub fn comp_subchunks16_multi(
 /// are contiguous. The last block is padded with `+0.0` to full size.
 /// This module is the only place that knows the index math.
 ///
-/// A plane can only be filled from [`Bf16`] values, so every lane is an
-/// exact widening (low 16 bits zero) — the precondition of the kernel's
-/// hoisted inf/NaN test.
+/// A plane can only be filled from [`Bf16`] values or their little-endian
+/// bytes, so every lane is an exact widening (low 16 bits zero) — the
+/// precondition of the kernel's hoisted inf/NaN test, and what makes
+/// [`read`](LanePlane::read) lossless.
 #[derive(Debug, Clone)]
 pub struct LanePlane {
     lanes: Box<[f32]>,
@@ -554,14 +555,34 @@ impl LanePlane {
     }
 
     /// Overwrites the whole plane with `row`, zero-filling whatever `row`
-    /// does not cover. Whole blocks are transposed with sequential writes
-    /// and no per-element index arithmetic (rows are decoded cold on the
-    /// weight-reload path, so this loop is paid per use there).
+    /// does not cover.
     ///
     /// # Panics
     ///
     /// Panics if `row` is longer than the plane.
     pub fn fill(&mut self, row: &[Bf16]) {
+        self.fill_with(row, Bf16::to_f32);
+    }
+
+    /// [`fill`](LanePlane::fill) from the row as DRAM stores it:
+    /// little-endian bf16 pairs, decoded straight into the plane with no
+    /// intermediate [`Bf16`] row. Every lane is still an exact widening.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is odd-sized or holds more elements than the plane.
+    pub fn fill_le_bytes(&mut self, bytes: &[u8]) {
+        let (row, odd) = bytes.as_chunks::<2>();
+        assert!(odd.is_empty(), "{} bytes are not bf16 pairs", bytes.len());
+        self.fill_with(row, |pair| Bf16::from_le_bytes(pair).to_f32());
+    }
+
+    /// The one transposing fill; `widen` must be an exact bf16 widening.
+    /// Whole blocks are transposed with sequential writes and no
+    /// per-element index arithmetic (rows are decoded cold on the
+    /// weight-reload path, so this loop is paid per use there).
+    #[inline]
+    fn fill_with<T: Copy>(&mut self, row: &[T], widen: impl Fn(T) -> f32) {
         assert!(
             row.len() <= self.n_sub * TREE_ARITY,
             "row of {} elements exceeds the plane's {} sub-chunks",
@@ -573,11 +594,11 @@ impl LanePlane {
             for (j, lane_row) in lanes.chunks_exact_mut(BLOCK_SUBS).enumerate() {
                 if block.len() == BLOCK_ELEMS {
                     for (lane, sub) in lane_row.iter_mut().zip(block.chunks_exact(TREE_ARITY)) {
-                        *lane = sub[j].to_f32();
+                        *lane = widen(sub[j]);
                     }
                 } else {
                     for (s, lane) in lane_row.iter_mut().enumerate() {
-                        *lane = block.get(s * TREE_ARITY + j).map_or(0.0, |e| e.to_f32());
+                        *lane = block.get(s * TREE_ARITY + j).map_or(0.0, |&e| widen(e));
                     }
                 }
             }
@@ -592,6 +613,19 @@ impl LanePlane {
     pub fn write(&mut self, start: usize, values: &[Bf16]) {
         for (elem, v) in (start..).zip(values) {
             self.lanes[lane_index(elem)] = v.to_f32();
+        }
+    }
+
+    /// Reads elements `start..start + out.len()` (row order) back as
+    /// [`Bf16`] — the inverse of [`write`](LanePlane::write), exact because
+    /// every lane's low 16 bits are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the plane.
+    pub fn read(&self, start: usize, out: &mut [Bf16]) {
+        for (elem, o) in (start..).zip(out) {
+            *o = Bf16::from_bits((self.lanes[lane_index(elem)].to_bits() >> 16) as u16);
         }
     }
 
@@ -1172,7 +1206,10 @@ mod tests {
     fn lane_plane_holds_rows_of_any_length_in_row_order() {
         let mut state = 0x1A9E_u64;
         for len in [0usize, 1, 15, 16, 17, 511, 512, 513, 700, 1024, 1030] {
-            let row: Vec<Bf16> = (0..len).map(|_| random_bf16(&mut state)).collect();
+            // Every bit pattern, NaN payloads included: a plane only stores.
+            let row: Vec<Bf16> = (0..len)
+                .map(|_| Bf16::from_bits(mix(&mut state) as u16))
+                .collect();
             let mut plane = LanePlane::from_row(&row);
             assert_eq!(plane.n_sub(), len.div_ceil(16));
             let capacity = plane.n_sub() * 16;
@@ -1183,6 +1220,16 @@ mod tests {
                     expect.to_bits(),
                     "len {len} elem {i}"
                 );
+            }
+            // The byte fill builds the identical plane and `read` returns
+            // the identical row.
+            let mut from_bytes = LanePlane::zeroed(len);
+            from_bytes.fill_le_bytes(&crate::slice::pack(&row));
+            let mut back = vec![Bf16::ONE; capacity];
+            from_bytes.read(0, &mut back);
+            for (i, b) in back.iter().enumerate() {
+                assert_eq!(from_bytes.get(i).to_bits(), plane.get(i).to_bits());
+                assert_eq!(b.to_bits(), row.get(i).map_or(0, |e| e.to_bits()));
             }
             // `write` lands where `fill` would have put the same elements,
             // and a shorter refill zeroes what it no longer covers.

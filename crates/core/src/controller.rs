@@ -29,7 +29,7 @@ use newton_bf16::Bf16;
 use newton_dram::timing::Cycle;
 use newton_dram::{Channel, TimingEngine};
 
-use crate::cache::DecodedWeightCache;
+use crate::cache::{DecodedWeightCache, Residency};
 use crate::command::{AimCommand, CommandTrace};
 use crate::config::NewtonConfig;
 use crate::device::NewtonDevice;
@@ -464,6 +464,22 @@ impl NewtonChannel {
         vector: &[Bf16],
         lut_readout: bool,
     ) -> Result<MvRun, AimError> {
+        // A caller holding its own mapping and schedule can run them
+        // again: decoded rows are retained.
+        self.drain(mapping, schedule, vector, lut_readout, Residency::Resident)
+    }
+
+    /// The live drain behind [`NewtonChannel::run_mv`] and
+    /// [`NewtonChannel::run_planned`]; `residency` only decides whether
+    /// decoded weight rows outlive their row-set.
+    fn drain(
+        &mut self,
+        mapping: &MatrixMapping,
+        schedule: &Schedule,
+        vector: &[Bf16],
+        lut_readout: bool,
+        residency: Residency,
+    ) -> Result<MvRun, AimError> {
         if vector.len() != mapping.n() {
             return Err(AimError::Shape {
                 what: "input vector",
@@ -510,7 +526,7 @@ impl NewtonChannel {
 
             stats.activate_commands += self.activate_row_set(rs, row_cursor)?;
             let comp_started = std::time::Instant::now();
-            let (comp_cmds, last_comp) = self.compute_row_set(mapping, rs)?;
+            let (comp_cmds, last_comp) = self.compute_row_set(mapping, rs, residency)?;
             self.comp_calls += 1;
             self.comp_nanos += comp_started.elapsed().as_nanos() as u64;
             stats.compute_commands += comp_cmds;
@@ -578,7 +594,10 @@ impl NewtonChannel {
     /// otherwise the run drains live (a miss) and — when nothing blocks
     /// arming and the drain was correction-free — captures the entry for
     /// the next run. Stale entries (weight-epoch or engine change) are
-    /// dropped and counted as invalidations.
+    /// dropped and counted as invalidations. The plan's
+    /// [`Residency`] travels with it: a single-use plan drains the same
+    /// commands and reports the same miss, but streams its weight rows
+    /// through the decode scratch and captures nothing.
     ///
     /// # Errors
     ///
@@ -590,8 +609,9 @@ impl NewtonChannel {
         lut_readout: bool,
         replay: bool,
     ) -> Result<MvRun, AimError> {
+        let residency = plan.residency();
         if !replay {
-            return self.run_mv(plan.map(), plan.schedule(), vector, lut_readout);
+            return self.drain(plan.map(), plan.schedule(), vector, lut_readout, residency);
         }
         let mut slot = plan.slot();
         if let ReplaySlot::Ready(cs) = &*slot {
@@ -616,14 +636,19 @@ impl NewtonChannel {
                 return run;
             }
         }
-        let mut run = self.run_mv(plan.map(), plan.schedule(), vector, lut_readout)?;
+        let mut run = self.drain(plan.map(), plan.schedule(), vector, lut_readout, residency)?;
         run.stats.schedule_misses = 1;
         run.stats.schedule_invalidations = invalidations;
         // Capture only from a correction-free drain: with ECC on, that
         // cleanliness (plus the unchanged data epoch) is the proof that
         // skipping per-command checks and per-activation scrubs on replay
-        // is observationally identical.
-        if armable && run.stats.ecc_corrected == 0 && run.stats.ecc_uncorrectable == 0 {
+        // is observationally identical. A single-use plan is dropped
+        // before anything could replay it, so it captures nothing.
+        if armable
+            && residency == Residency::Resident
+            && run.stats.ecc_corrected == 0
+            && run.stats.ecc_uncorrectable == 0
+        {
             *slot = ReplaySlot::Ready(self.compile_schedule(plan.map(), plan.schedule()));
         } else if invalidations != 0 {
             // Drop reported in this run's stats; stop re-counting it.
@@ -758,8 +783,13 @@ impl NewtonChannel {
             let comp_started = std::time::Instant::now();
             for i in 0..crs.banks.len() {
                 let bank = crs.banks[i];
-                self.weight_cache
-                    .ensure_row(self.channel.storage(), bank, rs.dram_row)?;
+                // Only a plan that is run again has a captured train.
+                self.weight_cache.ensure_row(
+                    self.channel.storage(),
+                    bank,
+                    rs.dram_row,
+                    Residency::Resident,
+                )?;
             }
             let t0 = self
                 .channel
@@ -902,6 +932,7 @@ impl NewtonChannel {
         &mut self,
         mapping: &MatrixMapping,
         rs: &RowSet,
+        residency: Residency,
     ) -> Result<(u64, Cycle), AimError> {
         let sub_elems = self.config.subchunk_elems();
         let n_sub = mapping.chunk_elems(rs.chunk).div_ceil(sub_elems);
@@ -911,13 +942,17 @@ impl NewtonChannel {
             self.functional_mode,
             FunctionalMode::Cached | FunctionalMode::Simd
         ) {
-            // Decode-once: pin every active (bank, row) before the COMP
-            // stream. Nothing writes storage inside a row-set, so the
-            // pinned generations stay current until the next boundary.
+            // Pin every active (bank, row) as a decoded plane before the
+            // COMP stream. Nothing writes storage inside a row-set, so the
+            // pinned decodes stay current until the next boundary.
             for i in 0..self.scratch_banks.len() {
                 let bank = self.scratch_banks[i];
-                self.weight_cache
-                    .ensure_row(self.channel.storage(), bank, rs.dram_row)?;
+                self.weight_cache.ensure_row(
+                    self.channel.storage(),
+                    bank,
+                    rs.dram_row,
+                    residency,
+                )?;
             }
         }
         let mode = self.functional_mode;
@@ -1293,9 +1328,9 @@ impl NewtonChannel {
 
 /// The functional half of one COMP under the selected mode. `data` is the
 /// raw column-read payload the timing model produced; the cached modes
-/// ignore it (the cache holds the same bytes pre-decoded), so the column
-/// read — and with it all timing, stats, audit, and trace behavior —
-/// happens identically in every mode.
+/// ignore it (the cache holds the same bytes decoded as a plane), so the
+/// column read — and with it all timing, stats, audit, and trace behavior
+/// — happens identically in every mode.
 #[expect(clippy::too_many_arguments, reason = "flat hot-path dispatch")]
 fn functional_comp(
     device: &mut NewtonDevice,
@@ -1316,7 +1351,11 @@ fn functional_comp(
         // does not cover (non-ganged or simple commands, sub-chunk widths
         // other than the 16-wide MAC tree).
         FunctionalMode::Cached | FunctionalMode::Simd => {
-            device.comp_bank_decoded(bank, latch, sub, cache.subchunk(bank, row, sub, sub_elems))
+            // `NewtonDevice::new` bounds the sub-chunk width by MAX_CHUNK.
+            let mut weights = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
+            let weights = &mut weights[..sub_elems];
+            cache.lanes(bank, row).read(sub * sub_elems, weights);
+            device.comp_bank_decoded(bank, latch, sub, weights);
         }
     }
 }
@@ -1718,6 +1757,36 @@ mod tests {
         let run = ch.run_mv(&mapping, &schedule, &vector, false).unwrap();
         assert!(run.outputs.iter().all(|&v| v == 256.0));
         assert_eq!(run.stats.ecc_uncorrectable, 0);
+    }
+
+    #[test]
+    fn single_use_plan_counts_the_miss_but_keeps_nothing() {
+        let cfg = cfg1(OptLevel::Full);
+        let matrix: Vec<Bf16> = (0..32 * 512).map(|k| bf((k % 9) as f32 / 4.0)).collect();
+        let vector = vec![bf(0.5); 512];
+        let run = |residency| {
+            let mapping =
+                MatrixMapping::new(crate::layout::Layout::ChunkInterleaved, 32, 512, 16, 512, 0)
+                    .unwrap();
+            let plan = ChannelPlan::new(ScheduleKind::InterleavedFullReuse, mapping, residency);
+            let mut ch = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
+            ch.load_matrix(plan.map(), &matrix).unwrap();
+            let run = ch.run_planned(&plan, &vector, false, true).unwrap();
+            let decodes = ch.weight_cache().decode_count();
+            // A second touch of the same rows tells the two apart.
+            ch.run_mv(plan.map(), plan.schedule(), &vector, false)
+                .unwrap();
+            let hits = ch.weight_cache().hit_count();
+            (run, plan.is_compiled(), hits, decodes)
+        };
+        let (resident, compiled, hits, decodes) = run(Residency::Resident);
+        assert!(compiled && hits == 32 && decodes == 32);
+        let (single, compiled, hits, decodes) = run(Residency::SingleUse);
+        assert!(!compiled && hits == 0 && decodes == 32);
+        assert_eq!(single.stats, resident.stats);
+        assert_eq!(single.stats.schedule_misses, 1);
+        assert_eq!(single.outputs, resident.outputs);
+        assert_eq!(single.end_cycle, resident.end_cycle);
     }
 
     #[test]

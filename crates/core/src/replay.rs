@@ -8,7 +8,9 @@
 //! shape-static structure of the command train — ganged-ACT clusters,
 //! GWRITE/COMP train lengths, refresh look-ahead estimates — plus the
 //! validity stamps that make replaying it byte-identical to a live
-//! FR-FCFS drain.
+//! FR-FCFS drain. A plan built for one run and dropped
+//! ([`Residency::SingleUse`]: `NewtonSystem::run_mv`, `run_model`) never
+//! captures — nothing would be left to replay it.
 //!
 //! What is closed-form on replay and what is not:
 //!
@@ -45,34 +47,48 @@ use std::sync::{Mutex, MutexGuard};
 use newton_dram::timing::Cycle;
 use newton_dram::TimingEngine;
 
+use crate::cache::Residency;
 use crate::layout::MatrixMapping;
 use crate::tiling::{Schedule, ScheduleKind};
 
-/// One channel's share of a resident matrix: the bank mapping, the tiled
-/// schedule (built once, reused across runs), and the lazily-captured
-/// compiled command train.
+/// One channel's share of a loaded matrix: the bank mapping, the tiled
+/// schedule (built once, reused across runs), whether the plan will be
+/// run again, and the lazily-captured compiled command train.
 #[derive(Debug)]
 pub struct ChannelPlan {
     map: MatrixMapping,
     schedule: Schedule,
+    residency: Residency,
     compiled: Mutex<ReplaySlot>,
 }
 
 impl ChannelPlan {
     /// Builds the plan for `map` under traversal `kind` (the one
     /// `Schedule::build` for this matrix's lifetime on this channel).
+    /// `residency` says whether the plan will be run again: a
+    /// [`Residency::SingleUse`] plan (`NewtonSystem::run_mv` /
+    /// `run_model`) keeps nothing a later run could reuse — neither decoded
+    /// weight rows nor the compiled command train.
     ///
     /// # Panics
     ///
     /// As [`Schedule::build`]: if `map.layout()` mismatches the kind.
     #[must_use]
-    pub fn new(kind: ScheduleKind, map: MatrixMapping) -> ChannelPlan {
+    pub fn new(kind: ScheduleKind, map: MatrixMapping, residency: Residency) -> ChannelPlan {
         let schedule = Schedule::build(kind, &map);
         ChannelPlan {
             map,
             schedule,
+            residency,
             compiled: Mutex::new(ReplaySlot::Cold),
         }
+    }
+
+    /// Whether this plan will be run again ([`Residency::Resident`]) or
+    /// is dropped after one run.
+    #[must_use]
+    pub fn residency(&self) -> Residency {
+        self.residency
     }
 
     /// The channel-local matrix mapping.
@@ -190,7 +206,7 @@ mod tests {
     #[test]
     fn plan_builds_schedule_once_and_tracks_compile_state() {
         let map = MatrixMapping::new(Layout::ChunkInterleaved, 32, 512, 16, 512, 0).unwrap();
-        let plan = ChannelPlan::new(ScheduleKind::InterleavedFullReuse, map);
+        let plan = ChannelPlan::new(ScheduleKind::InterleavedFullReuse, map, Residency::Resident);
         assert_eq!(plan.schedule().kind(), ScheduleKind::InterleavedFullReuse);
         assert_eq!(plan.map().m(), 32);
         assert!(!plan.is_compiled());

@@ -18,6 +18,7 @@ use newton_dram::timing::Cycle;
 use newton_dram::DramError;
 use newton_trace::{HostProfiler, TimeSeries};
 
+use crate::cache::Residency;
 use crate::config::NewtonConfig;
 use crate::controller::{AimStats, NewtonChannel};
 use crate::error::AimError;
@@ -426,13 +427,19 @@ impl NewtonSystem {
     }
 
     /// Builds one [`ChannelPlan`] per channel from freshly-built mappings
-    /// — the single `Schedule::build` site for a resident matrix (every
+    /// — the single `Schedule::build` site for a loaded matrix (every
     /// run path goes through plans; none rebuilds the schedule per run).
-    fn compile_plans(&self, mappings: Vec<Option<MatrixMapping>>) -> Vec<Option<ChannelPlan>> {
+    /// The caller knows whether it will run the plans more than once, and
+    /// says so with `residency`.
+    fn compile_plans(
+        &self,
+        mappings: Vec<Option<MatrixMapping>>,
+        residency: Residency,
+    ) -> Vec<Option<ChannelPlan>> {
         let kind = self.schedule_kind();
         mappings
             .into_iter()
-            .map(|m| m.map(|map| ChannelPlan::new(kind, map)))
+            .map(|m| m.map(|map| ChannelPlan::new(kind, map, residency)))
             .collect()
     }
 
@@ -572,7 +579,7 @@ impl NewtonSystem {
     ) -> Result<LoadedMatrix, AimError> {
         let (mappings, _) = self.load_matrix_at(matrix, m, n, 0)?;
         Ok(LoadedMatrix {
-            plans: Arc::new(self.compile_plans(mappings)),
+            plans: Arc::new(self.compile_plans(mappings, Residency::Resident)),
             m,
             n,
         })
@@ -601,7 +608,7 @@ impl NewtonSystem {
             mappings.push(self.channel_mapping(ch, m, n, 0)?);
         }
         Ok(LoadedMatrix {
-            plans: Arc::new(self.compile_plans(mappings)),
+            plans: Arc::new(self.compile_plans(mappings, Residency::Resident)),
             m,
             n,
         })
@@ -644,7 +651,9 @@ impl NewtonSystem {
         vector: &[Bf16],
     ) -> Result<SystemRun, AimError> {
         let (mappings, _) = self.load_matrix_at(matrix, m, n, 0)?;
-        let plans = self.compile_plans(mappings);
+        // The plans die with this call and the next call rewrites the
+        // weights: nothing decoded or compiled here is worth keeping.
+        let plans = self.compile_plans(mappings, Residency::SingleUse);
         self.run_loaded(&plans, m, vector, false)
     }
 
@@ -856,7 +865,7 @@ impl NewtonSystem {
                     // epoch, so any stale compiled entries on the old
                     // plans can never replay.
                     let mappings = self.load_matrix_at(matrix, m, n, 0)?.0;
-                    replans = Some(self.compile_plans(mappings));
+                    replans = Some(self.compile_plans(mappings, Residency::Resident));
                 }
                 Err(e) => return Err(e),
             }
@@ -892,7 +901,7 @@ impl NewtonSystem {
         let (mappings, _) = self.load_matrix_at(matrix, m, n, 0)?;
         // One plan (and one Schedule::build) for the whole batch; with
         // replay on, item 0 captures and items 1.. replay.
-        let plans = self.compile_plans(mappings);
+        let plans = self.compile_plans(mappings, Residency::Resident);
         vectors
             .iter()
             .map(|v| self.run_loaded(&plans, m, v, false))
@@ -993,15 +1002,15 @@ impl NewtonSystem {
                 detail: "no layers".into(),
             });
         }
-        // Load every layer's matrix up front (all resident, Sec. III-E),
-        // planning each once — repeated inference over the same model
-        // replays per layer.
+        // Load every layer's matrix up front (all resident in DRAM,
+        // Sec. III-E), planning each once. Each layer's plans run once
+        // and are dropped on return, so they are single-use.
         let mut base_row = 0;
         let mut all_plans = Vec::with_capacity(layers.len());
         for layer in layers {
             let (mappings, rows) = self.load_matrix_at(layer.matrix, layer.m, layer.n, base_row)?;
             base_row += rows;
-            all_plans.push(self.compile_plans(mappings));
+            all_plans.push(self.compile_plans(mappings, Residency::SingleUse));
         }
 
         let start = self

@@ -4,13 +4,16 @@
 //! *nothing* observable: outputs bit-for-bit, cycle counts, AiM stats,
 //! and command traces identical to the pre-optimization reference path —
 //! including across arbitrary interleavings of storage writes and COMPs
-//! (the generation-counter invalidation contract).
+//! (the generation-counter invalidation contract), and whether a run
+//! retains its decoded rows or streams them through the scratch planes.
 
 use newton_bf16::Bf16;
+use newton_core::cache::Residency;
 use newton_core::config::{NewtonConfig, OptLevel};
 use newton_core::controller::{FunctionalMode, MvRun, NewtonChannel};
 use newton_core::layout::MatrixMapping;
 use newton_core::lut::ActivationKind;
+use newton_core::replay::ChannelPlan;
 use newton_core::tiling::{Schedule, ScheduleKind};
 use proptest::prelude::*;
 
@@ -282,7 +285,11 @@ enum Mutation {
         row: usize,
         bit: usize,
     },
-    Comp,
+    /// One COMP run on every channel; `retain` picks which decode the
+    /// streamed leg's channel uses for it.
+    Comp {
+        retain: bool,
+    },
 }
 
 fn mutation() -> impl Strategy<Value = Mutation> {
@@ -293,15 +300,27 @@ fn mutation() -> impl Strategy<Value = Mutation> {
             .prop_map(|(bank, row, col, seed)| Mutation::WriteColumn { bank, row, col, seed }),
         1 => (0usize..16, 0usize..2, 0usize..8192)
             .prop_map(|(bank, row, bit)| Mutation::FlipBit { bank, row, bit }),
-        3 => Just(Mutation::Comp),
+        3 => any::<bool>().prop_map(|retain| Mutation::Comp { retain }),
     ]
+}
+
+/// Output bits with every NaN collapsed to one pattern. The random row
+/// bytes below hold NaNs of several payloads, and which payload an add of
+/// two NaNs keeps is outside the SIMD kernel's contract with the scalar
+/// oracle (see `newton_bf16::simd`); where the NaNs land is not.
+fn bits_sans_nan_payload(run: &MvRun) -> Vec<u32> {
+    let canonical = |v: &f32| if v.is_nan() { f32::NAN } else { *v }.to_bits();
+    run.outputs.iter().map(canonical).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random interleavings of storage writes and COMPs: the cached
-    /// channel tracks the uncached one bit-for-bit at every COMP.
+    /// channel tracks the uncached one bit-for-bit at every COMP, and a
+    /// production-mode channel that streams its rows through a single-use
+    /// plan — over retained copies of its own that the writes keep making
+    /// stale — tracks the `Reference` oracle.
     #[test]
     fn random_write_comp_interleavings_stay_coherent(
         ops in prop::collection::vec(mutation(), 1..24)
@@ -316,7 +335,11 @@ proptest! {
         cached.set_functional_mode(FunctionalMode::Cached);
         let mut plain = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
         plain.set_functional_mode(FunctionalMode::Uncached);
-        for ch in [&mut cached, &mut plain] {
+        let mut streamed = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
+        let mut reference = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
+        reference.set_functional_mode(FunctionalMode::Reference);
+        let single_use = ChannelPlan::new(schedule.kind(), mapping.clone(), Residency::SingleUse);
+        for ch in [&mut cached, &mut plain, &mut streamed, &mut reference] {
             ch.load_matrix(&mapping, &matrix).unwrap();
         }
 
@@ -327,14 +350,14 @@ proptest! {
                 Mutation::WriteRow { bank, row, seed } => {
                     let data: Vec<u8> =
                         (0..row_bytes).map(|i| (i as u8).wrapping_mul(*seed)).collect();
-                    for ch in [&mut cached, &mut plain] {
+                    for ch in [&mut cached, &mut plain, &mut streamed, &mut reference] {
                         ch.channel_mut().storage_mut().write_row(*bank, *row, &data).unwrap();
                     }
                 }
                 Mutation::WriteColumn { bank, row, col, seed } => {
                     let data: Vec<u8> =
                         (0..col_bytes).map(|i| (i as u8).wrapping_add(*seed)).collect();
-                    for ch in [&mut cached, &mut plain] {
+                    for ch in [&mut cached, &mut plain, &mut streamed, &mut reference] {
                         ch.channel_mut()
                             .storage_mut()
                             .write_column(*bank, *row, *col, &data)
@@ -342,17 +365,27 @@ proptest! {
                     }
                 }
                 Mutation::FlipBit { bank, row, bit } => {
-                    for ch in [&mut cached, &mut plain] {
+                    for ch in [&mut cached, &mut plain, &mut streamed, &mut reference] {
                         ch.channel_mut().storage_mut().flip_bit(*bank, *row, *bit).unwrap();
                     }
                 }
-                Mutation::Comp => {
+                Mutation::Comp { retain } => {
                     let a = cached.run_mv(&mapping, &schedule, &vector, false).unwrap();
                     let b = plain.run_mv(&mapping, &schedule, &vector, false).unwrap();
                     let bits_a: Vec<u32> = a.outputs.iter().map(|v| v.to_bits()).collect();
                     let bits_b: Vec<u32> = b.outputs.iter().map(|v| v.to_bits()).collect();
                     prop_assert_eq!(bits_a, bits_b);
                     prop_assert_eq!(a.end_cycle, b.end_cycle);
+
+                    let s = if *retain {
+                        streamed.run_mv(&mapping, &schedule, &vector, false).unwrap()
+                    } else {
+                        streamed.run_planned(&single_use, &vector, false, true).unwrap()
+                    };
+                    let r = reference.run_mv(&mapping, &schedule, &vector, false).unwrap();
+                    prop_assert_eq!(bits_sans_nan_payload(&s), bits_sans_nan_payload(&r));
+                    prop_assert_eq!(s.end_cycle, r.end_cycle);
+                    prop_assert_eq!(s.stats.sans_schedule_cache(), r.stats);
                 }
             }
         }
@@ -362,5 +395,11 @@ proptest! {
         let bits_a: Vec<u32> = a.outputs.iter().map(|v| v.to_bits()).collect();
         let bits_b: Vec<u32> = b.outputs.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(bits_a, bits_b);
+        let s = streamed.run_planned(&single_use, &vector, false, true).unwrap();
+        let r = reference.run_mv(&mapping, &schedule, &vector, false).unwrap();
+        prop_assert_eq!(bits_sans_nan_payload(&s), bits_sans_nan_payload(&r));
+        // Streaming never captured a train and never will.
+        prop_assert!(!single_use.is_compiled());
+        prop_assert_eq!(s.stats.schedule_misses, 1);
     }
 }

@@ -211,16 +211,31 @@ impl Storage {
             });
         }
         let generation = self.bump_generation();
-        let check = self.ecc.then(|| encode_checks(data));
-        let slot = RowSlot {
-            data: data.to_vec().into_boxed_slice(),
-            generation,
-            check,
-        };
-        if self.banks[bank].len() <= row {
-            self.banks[bank].resize_with(row + 1, || None);
+        let ecc = self.ecc;
+        let rows = &mut self.banks[bank];
+        if rows.len() <= row {
+            rows.resize_with(row + 1, || None);
         }
-        self.banks[bank][row] = Some(slot);
+        match &mut rows[row] {
+            // An existing slot keeps its buffers (a weight reload rewrites
+            // the whole matrix; it should not also free and reallocate it).
+            Some(slot) => {
+                slot.generation = generation;
+                slot.data.copy_from_slice(data);
+                if let Some(check) = &mut slot.check {
+                    for (w, c) in check.iter_mut().enumerate() {
+                        *c = ecc::encode(word_at(data, w));
+                    }
+                }
+            }
+            empty => {
+                *empty = Some(RowSlot {
+                    data: data.into(),
+                    generation,
+                    check: ecc.then(|| encode_checks(data)),
+                });
+            }
+        }
         self.reassert_stuck(bank, row, 0, self.row_bytes);
         Ok(())
     }
@@ -820,6 +835,30 @@ mod tests {
         // Redeclaring a cell updates it in place.
         s.set_stuck(3, 2, 9, true).unwrap();
         assert_eq!(s.stuck_cells(), 2);
+    }
+
+    #[test]
+    fn rewriting_a_row_reuses_its_buffer() {
+        let mut s = storage();
+        s.enable_ecc();
+        s.write_row(4, 6, &[0xFFu8; 1024]).unwrap();
+        s.set_stuck(4, 6, 8, false).unwrap();
+        let at = s.row(4, 6).unwrap().as_ptr();
+        let g1 = s.row_generation(4, 6).unwrap();
+        let e1 = s.write_epoch();
+
+        s.write_row(4, 6, &[0x77u8; 1024]).unwrap();
+        let row = s.row(4, 6).unwrap();
+        assert_eq!(row.as_ptr(), at, "an existing slot is overwritten in place");
+        assert_eq!((row[0], row[1], row[1023]), (0x77, 0x76, 0x77));
+        assert!(
+            s.row_generation(4, 6).unwrap() > g1,
+            "generation strictly increases"
+        );
+        assert!(s.write_epoch() > e1);
+        // Checks were re-encoded over the new bytes, then the stuck cell
+        // reasserted itself: exactly that one defect is visible to ECC.
+        assert_eq!(s.scrub_row(4, 6).unwrap(), 1);
     }
 
     #[test]

@@ -9,11 +9,16 @@
 //! reproduce --list                 # list experiment names
 //! reproduce --only fig09          # any subset, by substring (comma-separated)
 //! reproduce --threads N           # worker-pool width (default: NEWTON_THREADS or host cores)
+//! reproduce --engine E            # timing engine: event-skipping (default) or reference
 //! reproduce --snapshot-dir DIR    # where metrics snapshots go (default target/snapshots)
 //! reproduce --no-snapshots        # skip snapshot files
 //! reproduce --audit               # timing-audit every channel's command stream
 //! reproduce --telemetry           # windowed time-series + energy attribution
 //! ```
+//!
+//! With `--engine reference`, every experiment runs on the oracle engine
+//! (each command issued and checked singly, nothing replayed); reports
+//! and snapshots are byte-identical to the default engine's.
 //!
 //! With `--telemetry`, every channel collects a windowed time series
 //! (bandwidth, bank utilization, queue depth, ganged-ACT width, ECC
@@ -39,6 +44,7 @@
 
 use newton_bench::harness::{run_experiments, HarnessOptions, EXPERIMENTS};
 use newton_bench::snapshot::SnapshotWriter;
+use newton_dram::TimingEngine;
 use std::path::PathBuf;
 
 struct Args {
@@ -55,6 +61,7 @@ impl Args {
         }
         let mut only = Vec::new();
         let mut threads = None;
+        let mut engine = TimingEngine::default();
         let mut audit = false;
         let mut telemetry = false;
         let mut snapshot_dir = Some(PathBuf::from("target/snapshots"));
@@ -72,6 +79,14 @@ impl Args {
                     Some(n) if n >= 1 => threads = Some(n),
                     _ => {
                         eprintln!("error: --threads requires a positive integer");
+                        std::process::exit(2);
+                    }
+                },
+                "--engine" => match it.next().as_deref() {
+                    Some("reference") => engine = TimingEngine::Reference,
+                    Some("event-skipping") => engine = TimingEngine::EventSkipping,
+                    _ => {
+                        eprintln!("error: --engine requires `reference` or `event-skipping`");
                         std::process::exit(2);
                     }
                 },
@@ -100,6 +115,7 @@ impl Args {
             opts: HarnessOptions {
                 filter: only,
                 threads,
+                engine,
                 audit,
                 telemetry,
             },

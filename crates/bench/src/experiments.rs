@@ -179,21 +179,25 @@ pub struct SpeedupRow {
 ///
 /// Propagates simulator errors.
 pub fn fig08_layers(layers: &[LayerMeasurement]) -> Result<Vec<SpeedupRow>, AimError> {
-    fig08_layers_with(layers, default_threads())
+    fig08_layers_with(&NewtonConfig::paper_default(), layers, default_threads())
 }
 
-/// [`fig08_layers`] on an explicit worker count: the Non-opt runs (the
-/// only simulations this figure adds) are measured in parallel and
-/// merged in layer order.
+/// [`fig08_layers`] on an explicit base configuration and worker count:
+/// the Non-opt runs (the only simulations this figure adds) derive from
+/// `base`, are measured in parallel and merged in layer order.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
 pub fn fig08_layers_with(
+    base: &NewtonConfig,
     layers: &[LayerMeasurement],
     threads: usize,
 ) -> Result<Vec<SpeedupRow>, AimError> {
-    let nonopt = NewtonConfig::at_level(OptLevel::NonOpt);
+    let nonopt = NewtonConfig {
+        opts: OptLevel::NonOpt.flags(),
+        ..base.clone()
+    };
     let nons = try_par_indexed(layers.len(), threads, |i| {
         measure_layer(&nonopt, layers[i].benchmark)
     })?;
@@ -266,8 +270,9 @@ pub struct EndToEndMeasurement {
     pub run: SystemRun,
 }
 
-/// Runs one end-to-end model on Newton (measured) and composes the
-/// GPU/Ideal comparisons, applying Amdahl's law for the non-FC fraction.
+/// Runs one end-to-end model on Newton (measured, on `cfg`) and composes
+/// the GPU/Ideal comparisons, applying Amdahl's law for the non-FC
+/// fraction.
 ///
 /// `nonopt_layer_times` maps Table II benchmarks to their measured
 /// Non-opt-Newton layer times (running the 144-layer BERT at 48x command
@@ -278,10 +283,10 @@ pub struct EndToEndMeasurement {
 ///
 /// Propagates simulator errors.
 pub fn measure_end_to_end(
+    cfg: &NewtonConfig,
     model: &EndToEndModel,
     nonopt_layer_times: &[(Benchmark, f64)],
 ) -> Result<EndToEndMeasurement, AimError> {
-    let cfg = NewtonConfig::paper_default();
     let mut sys = NewtonSystem::new(cfg.clone())?;
     let problems = model_problems(model);
     let mv: Vec<MvProblem<'_>> = problems
@@ -350,18 +355,24 @@ pub fn measure_end_to_end(
 ///
 /// Propagates simulator errors.
 pub fn fig08_end_to_end() -> Result<Vec<SpeedupRow>, AimError> {
-    fig08_end_to_end_with(default_threads())
+    fig08_end_to_end_with(&NewtonConfig::paper_default(), default_threads())
 }
 
-/// [`fig08_end_to_end`] on an explicit worker count: the Non-opt layer
-/// times and the four end-to-end models are measured in parallel and
-/// merged in their canonical order.
+/// [`fig08_end_to_end`] on an explicit base configuration and worker
+/// count: the Non-opt layer times and the four end-to-end models are
+/// measured in parallel and merged in their canonical order.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig08_end_to_end_with(threads: usize) -> Result<Vec<SpeedupRow>, AimError> {
-    let nonopt = NewtonConfig::at_level(OptLevel::NonOpt);
+pub fn fig08_end_to_end_with(
+    base: &NewtonConfig,
+    threads: usize,
+) -> Result<Vec<SpeedupRow>, AimError> {
+    let nonopt = NewtonConfig {
+        opts: OptLevel::NonOpt.flags(),
+        ..base.clone()
+    };
     let all = Benchmark::all();
     let nonopt_times: Vec<(Benchmark, f64)> = try_par_indexed(all.len(), threads, |i| {
         measure_layer(&nonopt, all[i]).map(|m| (all[i], m.newton_ns))
@@ -369,7 +380,7 @@ pub fn fig08_end_to_end_with(threads: usize) -> Result<Vec<SpeedupRow>, AimError
 
     let models = EndToEndModel::all();
     let measured = try_par_indexed(models.len(), threads, |i| {
-        measure_end_to_end(&models[i], &nonopt_times)
+        measure_end_to_end(base, &models[i], &nonopt_times)
     })?;
     let mut rows = Vec::new();
     let (mut all_n, mut all_i, mut all_o, mut key_n) =
@@ -418,21 +429,24 @@ pub struct LadderRow {
 ///
 /// Propagates simulator errors.
 pub fn fig09_ladder() -> Result<Vec<LadderRow>, AimError> {
-    fig09_ladder_with(default_threads())
+    fig09_ladder_with(&NewtonConfig::paper_default(), default_threads())
 }
 
-/// [`fig09_ladder`] on an explicit worker count: all
-/// `ladder-rung x layer` simulations run in parallel (48 independent
+/// [`fig09_ladder`] on an explicit base configuration and worker count:
+/// all `ladder-rung x layer` simulations run in parallel (48 independent
 /// measurements) and fold into per-rung geomeans in ladder order.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig09_ladder_with(threads: usize) -> Result<Vec<LadderRow>, AimError> {
+pub fn fig09_ladder_with(base: &NewtonConfig, threads: usize) -> Result<Vec<LadderRow>, AimError> {
     let levels = OptLevel::ladder();
     let benches = Benchmark::all();
     let speedups = try_par_indexed(levels.len() * benches.len(), threads, |k| {
-        let cfg = NewtonConfig::at_level(levels[k / benches.len()]);
+        let cfg = NewtonConfig {
+            opts: levels[k / benches.len()].flags(),
+            ..base.clone()
+        };
         let m = measure_layer(&cfg, benches[k % benches.len()])?;
         Ok(m.gpu_ns / m.newton_ns)
     })?;
@@ -465,21 +479,25 @@ pub struct BankSweepRow {
 ///
 /// Propagates simulator errors.
 pub fn fig10_bank_sweep() -> Result<Vec<BankSweepRow>, AimError> {
-    fig10_bank_sweep_with(default_threads())
+    fig10_bank_sweep_with(&NewtonConfig::paper_default(), default_threads())
 }
 
-/// [`fig10_bank_sweep`] on an explicit worker count: all
-/// `bank-count x layer` simulations run in parallel and fold into the
-/// sweep rows in the serial (bank-count outer, layer inner) order.
+/// [`fig10_bank_sweep`] on an explicit base configuration and worker
+/// count: all `bank-count x layer` simulations run in parallel and fold
+/// into the sweep rows in the serial (bank-count outer, layer inner)
+/// order.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig10_bank_sweep_with(threads: usize) -> Result<Vec<BankSweepRow>, AimError> {
+pub fn fig10_bank_sweep_with(
+    base: &NewtonConfig,
+    threads: usize,
+) -> Result<Vec<BankSweepRow>, AimError> {
     let bank_counts = [8usize, 16, 32];
     let benches = Benchmark::all();
     let speedups = try_par_indexed(bank_counts.len() * benches.len(), threads, |idx| {
-        let mut cfg = NewtonConfig::paper_default();
+        let mut cfg = base.clone();
         cfg.dram = cfg.dram.with_banks(bank_counts[idx / benches.len()]);
         let m = measure_layer(&cfg, benches[idx % benches.len()])?;
         Ok(m.gpu_ns / m.newton_ns)
@@ -693,11 +711,20 @@ pub struct ModelValidation {
 ///
 /// Propagates simulator errors.
 pub fn model_validation() -> Result<ModelValidation, AimError> {
+    model_validation_with(&NewtonConfig::paper_default())
+}
+
+/// [`model_validation`] with the simulator side derived from `base`.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+pub fn model_validation_with(base: &NewtonConfig) -> Result<ModelValidation, AimError> {
     let model = PerfModel::paper_default();
 
     // A large single-chunk matrix on one channel isolates the steady-state
     // row-set period the model describes.
-    let mut cfg = NewtonConfig::paper_default();
+    let mut cfg = base.clone();
     cfg.channels = 1;
     let (m, n) = (16 * 64, 512);
     let matrix = generator::matrix(newton_workloads::MvShape::new(m, n), 1);
@@ -732,7 +759,16 @@ pub fn model_validation() -> Result<ModelValidation, AimError> {
 ///
 /// Propagates simulator errors.
 pub fn fig07_command_trace() -> Result<String, AimError> {
-    let mut cfg = NewtonConfig::paper_default();
+    fig07_command_trace_with(&NewtonConfig::paper_default())
+}
+
+/// [`fig07_command_trace`] on a channel derived from `base`.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+pub fn fig07_command_trace_with(base: &NewtonConfig) -> Result<String, AimError> {
+    let mut cfg = base.clone();
     cfg.channels = 1;
     let (m, n) = (16, 512);
     let matrix = generator::matrix(newton_workloads::MvShape::new(m, n), 7);
@@ -787,33 +823,40 @@ impl AblationRow {
 ///
 /// Propagates simulator errors.
 pub fn ablation_layout() -> Result<Vec<AblationRow>, AimError> {
-    ablation_layout_with(default_threads())
+    ablation_layout_with(&NewtonConfig::paper_default(), default_threads())
 }
 
-/// [`ablation_layout`] on an explicit worker count.
+/// [`ablation_layout`] on an explicit base configuration and worker
+/// count.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn ablation_layout_with(threads: usize) -> Result<Vec<AblationRow>, AimError> {
-    let mut no_reuse = NewtonConfig::paper_default();
+pub fn ablation_layout_with(
+    base: &NewtonConfig,
+    threads: usize,
+) -> Result<Vec<AblationRow>, AimError> {
+    let mut no_reuse = base.clone();
     no_reuse.opts.interleaved_reuse = false;
-    ablation_with(&no_reuse, threads)
+    ablation_with(base, &no_reuse, threads)
 }
 
-/// Measures every Table II layer under full Newton and under `variant`,
-/// pairing the times per layer. Layer pairs run in parallel and merge in
-/// benchmark order.
-fn ablation_with(variant: &NewtonConfig, threads: usize) -> Result<Vec<AblationRow>, AimError> {
-    let full = NewtonConfig::paper_default();
+/// Measures every Table II layer under `full` (full Newton) and under
+/// `variant`, pairing the times per layer. Layer pairs run in parallel
+/// and merge in benchmark order.
+fn ablation_with(
+    full: &NewtonConfig,
+    variant: &NewtonConfig,
+    threads: usize,
+) -> Result<Vec<AblationRow>, AimError> {
     let benches = Benchmark::all();
     try_par_indexed(benches.len(), threads, |i| {
         let b = benches[i];
-        let base = measure_layer(&full, b)?;
+        let newton = measure_layer(full, b)?;
         let var = measure_layer(variant, b)?;
         Ok(AblationRow {
             name: b.name().to_string(),
-            newton_ns: base.newton_ns,
+            newton_ns: newton.newton_ns,
             variant_ns: var.newton_ns,
         })
     })
@@ -844,16 +887,20 @@ pub struct FamilyRow {
 ///
 /// Propagates simulator errors.
 pub fn ext_dram_families() -> Result<Vec<FamilyRow>, AimError> {
-    ext_dram_families_with(default_threads())
+    ext_dram_families_with(&NewtonConfig::paper_default(), default_threads())
 }
 
-/// [`ext_dram_families`] on an explicit worker count: the four family
-/// probes run in parallel and merge in the fixed family order.
+/// [`ext_dram_families`] on an explicit base configuration and worker
+/// count: the four family probes run in parallel and merge in the fixed
+/// family order.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn ext_dram_families_with(threads: usize) -> Result<Vec<FamilyRow>, AimError> {
+pub fn ext_dram_families_with(
+    base: &NewtonConfig,
+    threads: usize,
+) -> Result<Vec<FamilyRow>, AimError> {
     use newton_dram::DramConfig;
     use newton_model::PerfModel;
     let families: [(&'static str, DramConfig); 4] = [
@@ -864,7 +911,7 @@ pub fn ext_dram_families_with(threads: usize) -> Result<Vec<FamilyRow>, AimError
     ];
     try_par_indexed(families.len(), threads, |i| {
         let (name, dram) = &families[i];
-        let mut cfg = NewtonConfig::paper_default();
+        let mut cfg = base.clone();
         cfg.dram = dram.clone();
         cfg.channels = 1;
         let banks = dram.banks;
@@ -915,24 +962,27 @@ pub struct ChannelSweepRow {
 ///
 /// Propagates simulator errors.
 pub fn ext_channel_sweep() -> Result<Vec<ChannelSweepRow>, AimError> {
-    ext_channel_sweep_with(default_threads())
+    ext_channel_sweep_with(&NewtonConfig::paper_default(), default_threads())
 }
 
-/// [`ext_channel_sweep`] on an explicit worker count: the channel-count
-/// points are simulated in parallel; scaling/efficiency (relative to the
-/// first point) are derived afterwards, so the rows match the serial
-/// sweep exactly.
+/// [`ext_channel_sweep`] on an explicit base configuration and worker
+/// count: the channel-count points are simulated in parallel;
+/// scaling/efficiency (relative to the first point) are derived
+/// afterwards, so the rows match the serial sweep exactly.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn ext_channel_sweep_with(threads: usize) -> Result<Vec<ChannelSweepRow>, AimError> {
+pub fn ext_channel_sweep_with(
+    base: &NewtonConfig,
+    threads: usize,
+) -> Result<Vec<ChannelSweepRow>, AimError> {
     let shape = Benchmark::GnmtS1.shape();
     let matrix = generator::matrix(shape, 5);
     let vector = generator::vector(shape.n, 5);
     let counts = [8usize, 16, 24, 32, 48];
     let times = try_par_indexed(counts.len(), threads, |i| {
-        let mut cfg = NewtonConfig::paper_default();
+        let mut cfg = base.clone();
         cfg.channels = counts[i];
         let mut sys = NewtonSystem::new(cfg)?;
         Ok(sys.run_mv(&matrix, shape.m, shape.n, &vector)?.elapsed_ns)
@@ -961,17 +1011,21 @@ pub fn ext_channel_sweep_with(threads: usize) -> Result<Vec<ChannelSweepRow>, Ai
 ///
 /// Propagates simulator errors.
 pub fn ablation_latches() -> Result<Vec<AblationRow>, AimError> {
-    ablation_latches_with(default_threads())
+    ablation_latches_with(&NewtonConfig::paper_default(), default_threads())
 }
 
-/// [`ablation_latches`] on an explicit worker count.
+/// [`ablation_latches`] on an explicit base configuration and worker
+/// count.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn ablation_latches_with(threads: usize) -> Result<Vec<AblationRow>, AimError> {
-    let mut four = NewtonConfig::paper_default();
+pub fn ablation_latches_with(
+    base: &NewtonConfig,
+    threads: usize,
+) -> Result<Vec<AblationRow>, AimError> {
+    let mut four = base.clone();
     four.result_latches_per_bank = 4;
     four.opts.interleaved_reuse = false; // four-latch runs the grouped layout
-    ablation_with(&four, threads)
+    ablation_with(base, &four, threads)
 }

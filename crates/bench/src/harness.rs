@@ -16,17 +16,18 @@
 
 use std::fmt::Write as _;
 
-use newton_core::config::NewtonConfig;
+use newton_core::config::{NewtonConfig, TelemetryConfig};
 use newton_core::parallel::{self, ParallelPolicy};
 use newton_core::AimError;
+use newton_dram::TimingEngine;
 use newton_trace::MetricsSnapshot;
 use newton_workloads::Benchmark;
 
 use crate::experiments::{
     ablation_latches_with, ablation_layout_with, ext_channel_sweep_with, ext_dram_families_with,
-    fig07_command_trace, fig08_end_to_end_with, fig08_layers_with, fig09_ladder_with,
+    fig07_command_trace_with, fig08_end_to_end_with, fig08_layers_with, fig09_ladder_with,
     fig10_bank_sweep_with, fig11_batch_vs_ideal, fig12_batch_vs_gpu, fig13_energy_validation,
-    fig13_power, measure_all_layers_with, model_validation, LayerMeasurement, BATCH_SIZES,
+    fig13_power, measure_all_layers_with, model_validation_with, LayerMeasurement, BATCH_SIZES,
 };
 use crate::report::{fns, fx, geomean, Table};
 use crate::snapshot::add_table;
@@ -58,7 +59,9 @@ pub struct ExperimentReport {
     pub snapshot: MetricsSnapshot,
 }
 
-/// Harness selection and worker-pool options.
+/// Harness selection, worker-pool and simulator options: everything the
+/// `reproduce` command line sets, resolved once here and handed down as
+/// one base [`NewtonConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct HarnessOptions {
     /// Substring filters over [`EXPERIMENTS`]; empty selects everything.
@@ -67,6 +70,9 @@ pub struct HarnessOptions {
     /// [`ParallelPolicy`], so `NEWTON_THREADS` applies; `Some(n)` pins
     /// the width regardless of the environment.
     pub threads: Option<usize>,
+    /// The timing engine every experiment runs on (`reproduce --engine`);
+    /// reports and snapshots are byte-identical for both.
+    pub engine: TimingEngine,
     /// Run every experiment with the channel timing audit enabled
     /// (`reproduce --audit`): each channel records its full command
     /// stream and re-validates it against the raw timing constraints at
@@ -97,6 +103,19 @@ impl HarnessOptions {
             .copied()
             .filter(|e| self.wants(e))
             .collect()
+    }
+
+    /// The configuration every experiment derives its systems from: the
+    /// paper's evaluation point with this run's engine, audit and
+    /// telemetry choices.
+    #[must_use]
+    pub fn base_config(&self) -> NewtonConfig {
+        NewtonConfig {
+            engine: self.engine,
+            audit: self.audit,
+            telemetry: self.telemetry.then(TelemetryConfig::default),
+            ..NewtonConfig::paper_default()
+        }
     }
 
     /// The resolved worker-pool width. Explicit `--threads` requests are
@@ -132,8 +151,7 @@ impl HarnessOptions {
 /// Panics if a Table II layer fails its numeric check against the `f64`
 /// reference (the same gate the serial harness applied).
 pub fn run_experiments(opts: &HarnessOptions) -> Result<Vec<ExperimentReport>, AimError> {
-    newton_core::set_audit_mode(opts.audit);
-    newton_core::set_telemetry_mode(opts.telemetry);
+    let base = &opts.base_config();
     let names = opts.selected();
     let threads = opts.threads();
 
@@ -143,7 +161,7 @@ pub fn run_experiments(opts: &HarnessOptions) -> Result<Vec<ExperimentReport>, A
         .iter()
         .any(|n| matches!(*n, "fig08" | "fig11" | "fig12" | "fig13"));
     let layers = if needs_layers {
-        let layers = measure_all_layers_with(&NewtonConfig::paper_default(), threads)?;
+        let layers = measure_all_layers_with(base, threads)?;
         for m in &layers {
             assert!(
                 m.numerics_ok,
@@ -164,16 +182,16 @@ pub fn run_experiments(opts: &HarnessOptions) -> Result<Vec<ExperimentReport>, A
         .map(|&name| -> Job<'_> {
             match name {
                 "table2" => Box::new(report_table2),
-                "table3" => Box::new(report_table3),
-                "fig07" => Box::new(report_fig07),
-                "fig08" => Box::new(move || report_fig08(layers, threads)),
-                "fig09" => Box::new(move || report_fig09(threads)),
-                "fig10" => Box::new(move || report_fig10(threads)),
+                "table3" => Box::new(move || report_table3(base)),
+                "fig07" => Box::new(move || report_fig07(base)),
+                "fig08" => Box::new(move || report_fig08(base, layers, threads)),
+                "fig09" => Box::new(move || report_fig09(base, threads)),
+                "fig10" => Box::new(move || report_fig10(base, threads)),
                 "fig11" => Box::new(move || report_fig11(layers)),
                 "fig12" => Box::new(move || report_fig12(layers)),
                 "fig13" => Box::new(move || report_fig13(layers)),
-                "ablations" => Box::new(move || report_ablations(threads)),
-                "extensions" => Box::new(move || report_extensions(threads)),
+                "ablations" => Box::new(move || report_ablations(base, threads)),
+                "extensions" => Box::new(move || report_extensions(base, threads)),
                 other => unreachable!("unknown experiment {other}"),
             }
         })
@@ -206,8 +224,8 @@ fn report_table2() -> Result<ExperimentReport, AimError> {
     })
 }
 
-fn report_table3() -> Result<ExperimentReport, AimError> {
-    let mv = model_validation()?;
+fn report_table3(base: &NewtonConfig) -> Result<ExperimentReport, AimError> {
+    let mv = model_validation_with(base)?;
     let mut text = String::new();
     let _ = writeln!(
         text,
@@ -227,13 +245,13 @@ fn report_table3() -> Result<ExperimentReport, AimError> {
     })
 }
 
-fn report_fig07() -> Result<ExperimentReport, AimError> {
+fn report_fig07(base: &NewtonConfig) -> Result<ExperimentReport, AimError> {
     let mut text = String::new();
     let _ = writeln!(
         text,
         "Fig. 7 command timeline (one DRAM row across all banks, first 44 commands):"
     );
-    let trace = fig07_command_trace()?;
+    let trace = fig07_command_trace_with(base)?;
     for line in trace.lines().take(44) {
         let _ = writeln!(text, "  {line}");
     }
@@ -247,13 +265,17 @@ fn report_fig07() -> Result<ExperimentReport, AimError> {
     })
 }
 
-fn report_fig08(layers: &[LayerMeasurement], threads: usize) -> Result<ExperimentReport, AimError> {
+fn report_fig08(
+    base: &NewtonConfig,
+    layers: &[LayerMeasurement],
+    threads: usize,
+) -> Result<ExperimentReport, AimError> {
     let mut text = String::new();
     let _ = writeln!(
         text,
         "Fig. 8 (left): per-layer speedup over the Titan-V-like GPU"
     );
-    let rows = fig08_layers_with(layers, threads)?;
+    let rows = fig08_layers_with(base, layers, threads)?;
     let mut snap = MetricsSnapshot::new("fig08");
     snap.scalar(
         "geomean_newton_x",
@@ -315,7 +337,7 @@ fn report_fig08(layers: &[LayerMeasurement], threads: usize) -> Result<Experimen
         text,
         "Fig. 8 (right): end-to-end speedup over the Titan-V-like GPU"
     );
-    let rows = fig08_end_to_end_with(threads)?;
+    let rows = fig08_end_to_end_with(base, threads)?;
     let mut t = Table::new(&["model", "Newton", "Ideal Non-PIM", "Non-opt-Newton"]);
     for r in &rows {
         t.row(&[
@@ -338,13 +360,13 @@ fn report_fig08(layers: &[LayerMeasurement], threads: usize) -> Result<Experimen
     })
 }
 
-fn report_fig09(threads: usize) -> Result<ExperimentReport, AimError> {
+fn report_fig09(base: &NewtonConfig, threads: usize) -> Result<ExperimentReport, AimError> {
     let mut text = String::new();
     let _ = writeln!(
         text,
         "Fig. 9: isolating Newton's optimizations (geomean over layers)"
     );
-    let rows = fig09_ladder_with(threads)?;
+    let rows = fig09_ladder_with(base, threads)?;
     let mut t = Table::new(&["configuration", "speedup vs GPU"]);
     for r in &rows {
         t.row(&[r.level.label().into(), fx(r.speedup_x)]);
@@ -359,10 +381,10 @@ fn report_fig09(threads: usize) -> Result<ExperimentReport, AimError> {
     })
 }
 
-fn report_fig10(threads: usize) -> Result<ExperimentReport, AimError> {
+fn report_fig10(base: &NewtonConfig, threads: usize) -> Result<ExperimentReport, AimError> {
     let mut text = String::new();
     let _ = writeln!(text, "Fig. 10: sensitivity to banks per channel");
-    let rows = fig10_bank_sweep_with(threads)?;
+    let rows = fig10_bank_sweep_with(base, threads)?;
     let mut t = Table::new(&["layer", "8 banks", "16 banks", "32 banks"]);
     for r in &rows {
         t.row(&[
@@ -531,13 +553,13 @@ fn report_fig13(layers: &[LayerMeasurement]) -> Result<ExperimentReport, AimErro
     })
 }
 
-fn report_ablations(threads: usize) -> Result<ExperimentReport, AimError> {
+fn report_ablations(base: &NewtonConfig, threads: usize) -> Result<ExperimentReport, AimError> {
     let mut text = String::new();
     let _ = writeln!(
         text,
         "Ablation (Sec. III-C): interleaved full-reuse vs Newton-no-reuse"
     );
-    let rows = ablation_layout_with(threads)?;
+    let rows = ablation_layout_with(base, threads)?;
     let mut snap = MetricsSnapshot::new("ablations");
     let mut t = Table::new(&["layer", "Newton", "no-reuse", "slowdown"]);
     let mut slow = Vec::new();
@@ -568,7 +590,7 @@ fn report_ablations(threads: usize) -> Result<ExperimentReport, AimError> {
         text,
         "Ablation (Sec. III-C): four result latches per bank vs full Newton"
     );
-    let rows = ablation_latches_with(threads)?;
+    let rows = ablation_latches_with(base, threads)?;
     let mut t = Table::new(&["layer", "Newton", "4-latch", "ratio"]);
     for r in &rows {
         t.row(&[
@@ -587,10 +609,10 @@ fn report_ablations(threads: usize) -> Result<ExperimentReport, AimError> {
     })
 }
 
-fn report_extensions(threads: usize) -> Result<ExperimentReport, AimError> {
+fn report_extensions(base: &NewtonConfig, threads: usize) -> Result<ExperimentReport, AimError> {
     let mut text = String::new();
     let _ = writeln!(text, "Extension (Sec. III-E): Newton across DRAM families");
-    let rows = ext_dram_families_with(threads)?;
+    let rows = ext_dram_families_with(base, threads)?;
     let mut snap = MetricsSnapshot::new("extensions");
     let mut t = Table::new(&["family", "banks", "measured", "model"]);
     for r in &rows {
@@ -605,7 +627,7 @@ fn report_extensions(threads: usize) -> Result<ExperimentReport, AimError> {
     add_table(&mut snap, "Extension: DRAM families", &t);
 
     let _ = writeln!(text, "Extension (Sec. V-C): channel scaling (GNMTs1)");
-    let rows = ext_channel_sweep_with(threads)?;
+    let rows = ext_channel_sweep_with(base, threads)?;
     let mut t = Table::new(&["channels", "layer time", "efficiency"]);
     for r in &rows {
         t.row(&[
@@ -653,8 +675,7 @@ mod tests {
             let opts = HarnessOptions {
                 filter: vec!["table2".into(), "fig07".into()],
                 threads: Some(threads),
-                audit: false,
-                telemetry: false,
+                ..HarnessOptions::default()
             };
             run_experiments(&opts).expect("harness run")
         };

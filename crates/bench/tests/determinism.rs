@@ -453,14 +453,15 @@ proptest! {
     }
 
     /// PR 7 tentpole gate: the event-skipping timing engine must be
-    /// byte-identical to the reference (full-rescan) oracle on random
+    /// byte-identical to the reference (full-rescan, never-replayed) oracle on random
     /// write/COMP/read interleavings — with ECC enabled, refresh
     /// interposition in flight, streaming telemetry and command traces on,
     /// at pool widths 1, 2 and 8 — across *every* observable surface:
     /// output bits, cycle counts, AiM stats, rendered traces, telemetry
     /// windows, and energy totals. A second engine pair runs bare (no
-    /// ECC/trace/telemetry) so the batched COMP-burst fast path is
-    /// compared too, not just the fully-observed slow path.
+    /// ECC/trace/telemetry) so the closed-form trains and replay hits are
+    /// compared against the oracle too (modulo the cache's own counters),
+    /// not just the fully-observed cold drain.
     #[test]
     fn timing_engines_byte_identical_under_random_interleavings(
         ops in prop::collection::vec(mutation(), 1..10)
@@ -481,15 +482,15 @@ proptest! {
                 cfg.ecc = true;
                 cfg.parallel = ParallelPolicy::exact(threads);
                 cfg.telemetry = Some(TelemetryConfig::default());
+                cfg.engine = engine;
                 let mut sys = NewtonSystem::new(cfg).expect("system");
-                sys.set_timing_engine(engine);
                 for ch in sys.channels_mut() {
                     ch.enable_trace();
                 }
                 observed.push(sys);
             }
         }
-        // Bare systems: engine pair with the COMP-burst fast path armed.
+        // Bare systems: engine pair with trains and replay armed.
         let mut bare: Vec<NewtonSystem> = engines
             .iter()
             .map(|&engine| {
@@ -561,7 +562,12 @@ proptest! {
                 "fast-path output bits"
             );
             assert_eq!(fast.cycles, oracle.cycles, "fast-path cycles");
-            assert_eq!(fast.stats, oracle.stats, "fast-path stats");
+            assert_eq!(
+                fast.stats.sans_schedule_cache(),
+                oracle.stats.sans_schedule_cache(),
+                "fast-path stats"
+            );
+            assert_eq!(oracle.stats.schedule_hits, 0, "the oracle never replays");
             assert_eq!(
                 fast.channel_summaries, oracle.channel_summaries,
                 "fast-path channel summaries"
@@ -631,8 +637,9 @@ proptest! {
 // ---------------------------------------------------------------------
 // Serving path (PR 8): the deadline scheduler, admission control, chaos
 // injection, and the recovery ladder must produce byte-identical
-// BENCH_pr8-style snapshots across both timing engines and every thread
-// width — latency percentiles, shed/retry counters, energy, all of it.
+// BENCH_pr8-style snapshots at every thread width, and across the two
+// timing engines on everything but the replay cache's own counters —
+// latency percentiles, shed/retry counters, energy, all of it.
 // ---------------------------------------------------------------------
 
 /// One serving cell under an explicit engine and pool width: mid-traffic
@@ -642,7 +649,6 @@ proptest! {
 fn serving_observation(
     engine: TimingEngine,
     threads: usize,
-    replay: bool,
 ) -> (newton_serve::ServeReport, String) {
     use newton_serve::{ChaosAction, ChaosEvent, ChaosPlan, Server, TrafficConfig};
     use newton_workloads::arrivals::ArrivalPattern;
@@ -654,9 +660,8 @@ fn serving_observation(
     cfg.ecc = true;
     cfg.parallel = ParallelPolicy::exact(threads);
     cfg.telemetry = Some(TelemetryConfig::default());
+    cfg.engine = engine;
     let mut server = Server::new(cfg, matrix, m, n, 3, 33).expect("server");
-    server.system_mut().set_timing_engine(engine);
-    server.system_mut().set_schedule_replay(replay);
 
     let traffic = TrafficConfig {
         pattern: ArrivalPattern::Bursty {
@@ -703,68 +708,86 @@ fn serving_observation(
 
 #[test]
 fn serving_reports_byte_identical_across_engines_and_widths() {
-    let mut all: Vec<(newton_serve::ServeReport, String)> = Vec::new();
-    for engine in [TimingEngine::EventSkipping, TimingEngine::Reference] {
-        for threads in [1usize, 2, 8] {
-            all.push(serving_observation(engine, threads, true));
-        }
-    }
-    let (first_report, first_snap) = &all[0];
+    // The reference engine is the never-cached oracle of the chaos cell
+    // (BER faults + stuck word -> scrub, retry, retirement, re-plan); the
+    // production engine must match it modulo the cache counters, and each
+    // engine must match itself exactly at every width.
+    let cell = |engine| -> Vec<(newton_serve::ServeReport, String)> {
+        [1usize, 2, 8]
+            .iter()
+            .map(|&threads| serving_observation(engine, threads))
+            .collect()
+    };
+    let production = cell(TimingEngine::EventSkipping);
+    let oracle = cell(TimingEngine::Reference);
+    let (first_report, _) = &production[0];
     // The cell must actually exercise the interesting machinery, or the
     // equality below proves nothing.
     assert!(first_report.retries > 0, "chaos must force retries");
     assert!(
         !first_report.recovery.retired_banks.is_empty(),
-        "the stuck word must retire a bank"
+        "the stuck word must retire a bank mid-chaos"
     );
     assert_eq!(first_report.sdc, 0, "ECC on: zero silent corruption");
     assert_eq!(
         first_report.offered,
         first_report.completed + first_report.shed + first_report.expired
     );
-    for (i, (report, rendered)) in all.iter().enumerate().skip(1) {
-        assert_eq!(
-            report, first_report,
-            "serving report diverged at engine/width combo {i}"
-        );
-        assert_eq!(
-            rendered, first_snap,
-            "rendered snapshot diverged at combo {i}"
-        );
+    assert!(
+        first_report.schedule_hits > 0,
+        "resident serving must hit the replay cache"
+    );
+    assert!(
+        first_report.schedule_invalidations > 0,
+        "chaos must invalidate compiled entries"
+    );
+    assert_eq!(oracle[0].0.schedule_hits, 0, "the oracle never replays");
+    assert_eq!(oracle[0].0.replayed_commands, 0, "the oracle never replays");
+    for (engine, runs) in [("event-skipping", &production), ("reference", &oracle)] {
+        for (i, (report, rendered)) in runs.iter().enumerate().skip(1) {
+            assert_eq!(report, &runs[0].0, "{engine}: report diverged at width {i}");
+            assert_eq!(
+                rendered, &runs[0].1,
+                "{engine}: rendered snapshot diverged at width {i}"
+            );
+        }
     }
+    assert_eq!(
+        oracle[0].0.sans_schedule_cache(),
+        first_report.sans_schedule_cache(),
+        "sanitized reports across engines"
+    );
 }
 
 // ---------------------------------------------------------------------
-// Compiled-schedule replay cache (PR 9): replay-on must be byte-identical
-// to replay-off (the never-cached oracle) on every observable surface —
-// across both timing engines, thread widths {1, 2, 8}, invalidation
-// edges (weight writes, retirement mid-chaos, engine flips, ECC on/off),
-// and observer bypasses (audit logs, conventional traffic).
+// Compiled-schedule replay cache (PR 9): the production engine (trains, replay)
+// must be byte-identical to the reference engine (the never-cached
+// oracle) on every observable surface — at thread widths {1, 2, 8},
+// through invalidation edges (weight writes, retirement mid-chaos, ECC
+// on/off), engine flips, and observer bypasses (audit logs, conventional
+// traffic).
 // ---------------------------------------------------------------------
 
-/// A resident-matrix pair: the same config run with replay on and off.
-/// `ecc`/`engine`/`threads` shape the cell; both systems see identical
-/// mutations through the returned handles.
-fn replay_pair(
+/// A resident-matrix pair: the same config on the reference engine (the
+/// oracle, index 0) and on the event-skipping engine (production, index
+/// 1). Both systems see identical mutations through the returned handles.
+fn engine_pair(
     ecc: bool,
-    engine: TimingEngine,
     threads: usize,
     m: usize,
     n: usize,
     matrix: &[Bf16],
 ) -> (Vec<NewtonSystem>, Vec<LoadedMatrix>) {
-    let mut systems: Vec<NewtonSystem> = [false, true]
+    let mut systems: Vec<NewtonSystem> = [TimingEngine::Reference, TimingEngine::EventSkipping]
         .iter()
-        .map(|&replay| {
+        .map(|&engine| {
             let mut cfg = NewtonConfig::paper_default();
             cfg.channels = 2;
             cfg.ecc = ecc;
             cfg.parallel = ParallelPolicy::exact(threads);
             cfg.telemetry = Some(TelemetryConfig::default());
-            let mut sys = NewtonSystem::new(cfg).expect("system");
-            sys.set_timing_engine(engine);
-            sys.set_schedule_replay(replay);
-            sys
+            cfg.engine = engine;
+            NewtonSystem::new(cfg).expect("system")
         })
         .collect();
     let loaded: Vec<LoadedMatrix> = systems
@@ -776,8 +799,8 @@ fn replay_pair(
 
 /// Runs one vector through both systems of a pair and asserts every
 /// surface agrees modulo the schedule-cache counters; returns the
-/// replay-on run for counter assertions.
-fn assert_replay_identical(
+/// production run for counter assertions.
+fn assert_engines_identical(
     systems: &mut [NewtonSystem],
     loaded: &[LoadedMatrix],
     vector: &[Bf16],
@@ -788,21 +811,25 @@ fn assert_replay_identical(
         .zip(loaded)
         .map(|(s, l)| s.run_resident(l, vector).expect("resident run"))
         .collect();
-    let (off, on) = (&runs[0], &runs[1]);
+    let (oracle, production) = (&runs[0], &runs[1]);
     let bits = |r: &SystemRun| r.output.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-    assert_eq!(bits(off), bits(on), "{what}: output bits");
-    assert_eq!(off.cycles, on.cycles, "{what}: cycles");
+    assert_eq!(bits(oracle), bits(production), "{what}: output bits");
+    assert_eq!(oracle.cycles, production.cycles, "{what}: cycles");
     assert_eq!(
-        off.stats.sans_schedule_cache(),
-        on.stats.sans_schedule_cache(),
+        oracle.stats.sans_schedule_cache(),
+        production.stats.sans_schedule_cache(),
         "{what}: stats"
     );
     assert_eq!(
-        off.stats,
-        off.stats.sans_schedule_cache(),
-        "{what}: replay-off must never touch the cache counters"
+        (oracle.stats.schedule_hits, oracle.stats.replayed_commands),
+        (0, 0),
+        "{what}: the oracle must never replay"
     );
-    for (a, b) in off.channel_summaries.iter().zip(&on.channel_summaries) {
+    for (a, b) in oracle
+        .channel_summaries
+        .iter()
+        .zip(&production.channel_summaries)
+    {
         let mut a = a.clone();
         let mut b = b.clone();
         a.telemetry = a.telemetry.map(|t| t.sans_schedule_cache());
@@ -818,62 +845,72 @@ fn replay_invalidation_edges_stay_live_and_byte_identical() {
 
     let spec = DecodeStreamSpec::new(32, 512, 8, 41);
     let matrix = spec.matrix();
-    for engine in [TimingEngine::EventSkipping, TimingEngine::Reference] {
-        for threads in [1usize, 2, 8] {
-            let (mut systems, loaded) = replay_pair(true, engine, threads, 32, 512, &matrix);
-            let what = format!("engine {engine:?} threads {threads}");
+    for threads in [1usize, 2, 8] {
+        let (mut systems, loaded) = engine_pair(true, threads, 32, 512, &matrix);
+        let what = format!("threads {threads}");
 
-            // Warm: capture, then hit.
-            assert_replay_identical(&mut systems, &loaded, &spec.token_input(0), &what);
-            let run = assert_replay_identical(&mut systems, &loaded, &spec.token_input(1), &what);
-            assert_eq!(run.stats.schedule_hits, 2, "{what}: steady stream hits");
+        // Warm: capture, then hit.
+        assert_engines_identical(&mut systems, &loaded, &spec.token_input(0), &what);
+        let run = assert_engines_identical(&mut systems, &loaded, &spec.token_input(1), &what);
+        assert_eq!(run.stats.schedule_hits, 2, "{what}: steady stream hits");
 
-            // Weight rewrite mid-stream (correctable single-bit flip on
-            // channel 0, applied identically to both systems): the next
-            // token must fall back to a live drain, stay byte-identical,
-            // and report the invalidation.
-            for sys in &mut systems {
-                sys.channels_mut()[0]
-                    .channel_mut()
-                    .storage_mut()
-                    .flip_bit(1, 0, 3)
-                    .expect("flip");
-            }
-            let run = assert_replay_identical(&mut systems, &loaded, &spec.token_input(2), &what);
-            assert_eq!(run.stats.schedule_invalidations, 1, "{what}: weight write");
-            assert_eq!(run.stats.schedule_hits, 1, "{what}: untouched channel hits");
-            assert!(run.stats.ecc_corrected > 0, "{what}: live drain corrects");
-
-            // The dirty drain must not have captured; the next clean one
-            // does, and the stream returns to full hits.
-            let run = assert_replay_identical(&mut systems, &loaded, &spec.token_input(3), &what);
-            assert_eq!(run.stats.schedule_misses, 1, "{what}: re-capture drain");
-            let run = assert_replay_identical(&mut systems, &loaded, &spec.token_input(4), &what);
-            assert_eq!(run.stats.schedule_hits, 2, "{what}: recovered");
-
-            // `NEWTON_TIMING_ENGINE`-style flip mid-stream: every entry
-            // invalidates once, the fallback drains live and identical.
-            let other = match engine {
-                TimingEngine::Reference => TimingEngine::EventSkipping,
-                TimingEngine::EventSkipping => TimingEngine::Reference,
-            };
-            for sys in &mut systems {
-                sys.set_timing_engine(other);
-            }
-            let run = assert_replay_identical(&mut systems, &loaded, &spec.token_input(5), &what);
-            assert_eq!(run.stats.schedule_invalidations, 2, "{what}: engine flip");
-            let run = assert_replay_identical(&mut systems, &loaded, &spec.token_input(6), &what);
-            assert_eq!(run.stats.schedule_hits, 2, "{what}: re-armed after flip");
+        // Weight rewrite mid-stream (correctable single-bit flip on
+        // channel 0, applied identically to both systems): the next
+        // token must fall back to a cold drain, stay byte-identical,
+        // and report the invalidation.
+        for sys in &mut systems {
+            sys.channels_mut()[0]
+                .channel_mut()
+                .storage_mut()
+                .flip_bit(1, 0, 3)
+                .expect("flip");
         }
+        let run = assert_engines_identical(&mut systems, &loaded, &spec.token_input(2), &what);
+        assert_eq!(run.stats.schedule_invalidations, 1, "{what}: weight write");
+        assert_eq!(run.stats.schedule_hits, 1, "{what}: untouched channel hits");
+        assert!(run.stats.ecc_corrected > 0, "{what}: cold drain corrects");
+
+        // The dirty drain must not have captured; the next clean one
+        // does, and the stream returns to full hits.
+        let run = assert_engines_identical(&mut systems, &loaded, &spec.token_input(3), &what);
+        assert_eq!(run.stats.schedule_misses, 1, "{what}: re-capture drain");
+        let run = assert_engines_identical(&mut systems, &loaded, &spec.token_input(4), &what);
+        assert_eq!(run.stats.schedule_hits, 2, "{what}: recovered");
+
+        // Engine flip mid-stream: on the reference engine the production
+        // system bypasses (a miss, nothing dropped, nothing replayed);
+        // flipped back, the kept entries hit at once.
+        systems[1].set_timing_engine(TimingEngine::Reference);
+        let run = assert_engines_identical(&mut systems, &loaded, &spec.token_input(5), &what);
+        assert_eq!(run.stats.schedule_hits, 0, "{what}: flipped to the oracle");
+        assert_eq!(
+            run.stats.replayed_commands, 0,
+            "{what}: flipped to the oracle"
+        );
+        assert_eq!(run.stats.schedule_misses, 2, "{what}: a bypass is a miss");
+        assert_eq!(
+            run.stats.schedule_invalidations, 0,
+            "{what}: a bypass keeps"
+        );
+        assert_eq!(loaded[1].compiled_channels(), 2, "{what}: entries kept");
+        systems[1].set_timing_engine(TimingEngine::EventSkipping);
+        let run = assert_engines_identical(&mut systems, &loaded, &spec.token_input(6), &what);
+        assert_eq!(
+            run.stats.schedule_hits, 2,
+            "{what}: hits after flipping back"
+        );
+        assert_eq!(
+            run.stats.schedule_invalidations, 0,
+            "{what}: nothing dropped"
+        );
     }
 
     // ECC-off toggle (a construction-time config change): a fresh pair
     // without ECC must agree the same way, including through a raw
     // mid-stream row rewrite (no check words to stay consistent with).
-    let (mut systems, loaded) =
-        replay_pair(false, TimingEngine::EventSkipping, 1, 32, 512, &matrix);
-    assert_replay_identical(&mut systems, &loaded, &spec.token_input(0), "ecc off");
-    let run = assert_replay_identical(&mut systems, &loaded, &spec.token_input(1), "ecc off");
+    let (mut systems, loaded) = engine_pair(false, 1, 32, 512, &matrix);
+    assert_engines_identical(&mut systems, &loaded, &spec.token_input(0), "ecc off");
+    let run = assert_engines_identical(&mut systems, &loaded, &spec.token_input(1), "ecc off");
     assert_eq!(run.stats.schedule_hits, 2, "ecc off: hits");
     let row_bytes = systems[0].config().row_elems() * 2;
     let data: Vec<u8> = (0..row_bytes).map(|i| (i as u8).wrapping_mul(7)).collect();
@@ -884,65 +921,29 @@ fn replay_invalidation_edges_stay_live_and_byte_identical() {
             .write_row(0, 0, &data)
             .expect("rewrite");
     }
-    let run = assert_replay_identical(&mut systems, &loaded, &spec.token_input(2), "ecc off");
+    let run = assert_engines_identical(&mut systems, &loaded, &spec.token_input(2), "ecc off");
     assert_eq!(run.stats.schedule_invalidations, 1, "ecc off: row rewrite");
-}
-
-#[test]
-fn replay_serving_chaos_byte_identical_across_engines_and_widths() {
-    // The PR 8 chaos cell (BER faults + stuck word -> scrub, retry,
-    // retirement, re-plan) with replay off is the never-cached oracle;
-    // replay on must match it modulo the cache counters, at every engine
-    // and width.
-    for engine in [TimingEngine::EventSkipping, TimingEngine::Reference] {
-        for threads in [1usize, 2, 8] {
-            let (off, _) = serving_observation(engine, threads, false);
-            let (on, _) = serving_observation(engine, threads, true);
-            assert_eq!(
-                off.sans_schedule_cache(),
-                on.sans_schedule_cache(),
-                "engine {engine:?} threads {threads}: sanitized reports"
-            );
-            assert_eq!(
-                off,
-                off.sans_schedule_cache(),
-                "replay-off serving must never touch the cache"
-            );
-            assert!(
-                on.schedule_hits > 0,
-                "engine {engine:?} threads {threads}: resident serving must hit"
-            );
-            assert!(
-                on.schedule_invalidations > 0,
-                "engine {engine:?} threads {threads}: chaos must invalidate"
-            );
-            assert!(
-                !on.recovery.retired_banks.is_empty(),
-                "the cell must exercise retirement mid-chaos"
-            );
-        }
-    }
 }
 
 #[test]
 fn replay_bypasses_for_audit_and_conventional_traffic() {
     use newton_serve::{ChaosPlan, ConventionalTraffic, Server, TrafficConfig};
 
-    // Audit log attached: replay must bypass (the batched appliers cannot
+    // Audit log attached: replay must bypass (a folded train cannot
     // reproduce per-command audit events) while staying byte-identical to
-    // an audited never-cached run — and the audit stream itself must be
-    // identical, so the observer sees the same command history.
+    // the audited oracle — and the audit stream itself must be identical,
+    // so the observer sees the same command history.
     let (m, n) = (32, 512);
     let matrix = generator::matrix(MvShape::new(m, n), 43);
     let vector = generator::vector(n, 43);
-    let (mut systems, loaded) = replay_pair(true, TimingEngine::EventSkipping, 1, m, n, &matrix);
+    let (mut systems, loaded) = engine_pair(true, 1, m, n, &matrix);
     for sys in &mut systems {
         for ch in sys.channels_mut() {
             ch.channel_mut().enable_audit();
         }
     }
     for _ in 0..2 {
-        let run = assert_replay_identical(&mut systems, &loaded, &vector, "audit");
+        let run = assert_engines_identical(&mut systems, &loaded, &vector, "audit");
         assert_eq!(run.stats.schedule_hits, 0, "audit must bypass replay");
         assert_eq!(run.stats.schedule_misses, 2, "audited runs count as misses");
     }
@@ -962,15 +963,15 @@ fn replay_bypasses_for_audit_and_conventional_traffic() {
     // controller advances clocks between AiM batches; replay's per-train
     // first-command scans absorb that, so the cache stays hot and the
     // reports agree byte-for-byte.
-    let run_conv = |replay: bool| {
+    let run_conv = |engine: TimingEngine| {
         let mut cfg = NewtonConfig::paper_default();
         cfg.channels = 2;
         cfg.ecc = true;
         cfg.parallel = ParallelPolicy::exact(1);
         cfg.telemetry = Some(TelemetryConfig::default());
+        cfg.engine = engine;
         let matrix = generator::matrix(MvShape::new(m, n), 47);
         let mut server = Server::new(cfg, matrix, m, n, 3, 49).expect("server");
-        server.system_mut().set_schedule_replay(replay);
         let mut traffic = TrafficConfig::poisson(0.05, 24, 51);
         traffic.conventional = Some(ConventionalTraffic {
             interval_ns: 4_000.0,
@@ -978,15 +979,22 @@ fn replay_bypasses_for_audit_and_conventional_traffic() {
         });
         server.serve(&traffic, &ChaosPlan::none()).expect("serves")
     };
-    let off = run_conv(false);
-    let on = run_conv(true);
+    let oracle = run_conv(TimingEngine::Reference);
+    let production = run_conv(TimingEngine::EventSkipping);
     assert_eq!(
-        off.sans_schedule_cache(),
-        on.sans_schedule_cache(),
+        oracle.sans_schedule_cache(),
+        production.sans_schedule_cache(),
         "conventional-traffic reports"
     );
-    assert!(on.conventional_bursts > 0, "cell must interleave bursts");
-    assert!(on.schedule_hits > 0, "replay stays hot across bursts");
+    assert!(
+        production.conventional_bursts > 0,
+        "cell must interleave bursts"
+    );
+    assert!(
+        production.schedule_hits > 0,
+        "replay stays hot across bursts"
+    );
+    assert_eq!(oracle.schedule_hits, 0, "the oracle never replays");
 }
 
 // ---------------------------------------------------------------------
@@ -1023,9 +1031,8 @@ fn lowered_bert_trace_is_byte_identical_across_engines_and_widths() {
                 let mut cfg = base.clone();
                 cfg.parallel = ParallelPolicy::exact(threads);
                 cfg.telemetry = Some(TelemetryConfig::default());
-                let mut sys = NewtonSystem::new(cfg).expect("system");
-                sys.set_timing_engine(engine);
-                sys
+                cfg.engine = engine;
+                NewtonSystem::new(cfg).expect("system")
             };
 
             let mut sys_trace = build();

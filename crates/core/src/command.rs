@@ -162,6 +162,21 @@ impl CommandTrace {
         }
     }
 
+    /// Records the `count` commands of a train at
+    /// `start, start + step, ...` (no-op when disabled).
+    pub fn record_train(
+        &mut self,
+        start: Cycle,
+        step: Cycle,
+        count: usize,
+        cmd: impl Fn(usize) -> AimCommand,
+    ) {
+        if self.enabled {
+            self.entries
+                .extend((0..count).map(|i| (start + i as Cycle * step, cmd(i))));
+        }
+    }
+
     /// The recorded `(cycle, command)` pairs in issue order.
     #[must_use]
     pub fn entries(&self) -> &[(Cycle, AimCommand)] {

@@ -16,70 +16,12 @@
 //! [`OptFlags`] holds the five switches independently; [`OptLevel`] is the
 //! exact cumulative ladder of Fig. 9.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use newton_bf16::reduce::TreePrecision;
 use newton_dram::timing::Cycle;
-use newton_dram::DramConfig;
+use newton_dram::{DramConfig, TimingEngine};
 
 use crate::error::AimError;
 use crate::parallel::ParallelPolicy;
-
-/// Process-wide switch for the post-run channel timing audit.
-///
-/// The bench harness constructs `NewtonConfig`s internally per experiment,
-/// so a config field cannot reach them from the CLI; the `--audit` flag
-/// sets this global instead, and every subsequently constructed
-/// `NewtonChannel` records + validates its command stream.
-static AUDIT_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Turns the process-wide timing-audit mode on or off.
-pub fn set_audit_mode(enabled: bool) {
-    AUDIT_MODE.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the process-wide timing-audit mode is on.
-#[must_use]
-pub fn audit_mode() -> bool {
-    AUDIT_MODE.load(Ordering::Relaxed)
-}
-
-/// Process-wide switch for streaming telemetry, mirroring `AUDIT_MODE`:
-/// the bench harness constructs `NewtonConfig`s internally per
-/// experiment, so the `--telemetry` flag sets this global and every
-/// subsequently constructed `NewtonChannel` collects a windowed
-/// [`TimeSeries`](newton_trace::TimeSeries) with the default window
-/// width. A per-config [`TelemetryConfig`] takes precedence.
-static TELEMETRY_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Turns the process-wide streaming-telemetry mode on or off.
-pub fn set_telemetry_mode(enabled: bool) {
-    TELEMETRY_MODE.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the process-wide streaming-telemetry mode is on.
-#[must_use]
-pub fn telemetry_mode() -> bool {
-    TELEMETRY_MODE.load(Ordering::Relaxed)
-}
-
-/// Environment override for the compiled-schedule replay cache: the
-/// `NEWTON_SCHEDULE_REPLAY` variable forces replay on (`1`/`on`/`true`/
-/// `yes`) or off (`0`/`off`/`false`/`no`) regardless of
-/// [`NewtonConfig::schedule_replay`]; any other value (or an unset
-/// variable) defers to the config field. Read once per
-/// `NewtonSystem` construction, like `NEWTON_TIMING_ENGINE`.
-#[must_use]
-pub fn schedule_replay_override() -> Option<bool> {
-    match std::env::var("NEWTON_SCHEDULE_REPLAY") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "1" | "on" | "true" | "yes" => Some(true),
-            "0" | "off" | "false" | "no" => Some(false),
-            _ => None,
-        },
-        Err(_) => None,
-    }
-}
 
 /// Streaming-telemetry configuration for a Newton system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -258,16 +200,21 @@ pub struct NewtonConfig {
     pub ecc: bool,
     /// Streaming telemetry: `Some` makes every channel collect a windowed
     /// time series (and per-command energy attributions) with the given
-    /// window width. `None` (the default) falls back to the process-wide
-    /// [`telemetry_mode`] switch with the default window.
+    /// window width. `None` (the default) collects nothing.
     pub telemetry: Option<TelemetryConfig>,
-    /// Enables the compiled-schedule replay cache: the first drain of a
-    /// resident matrix captures its command-train structure, and later
-    /// runs replay it with closed-form stats/telemetry updates plus only
-    /// the data-dependent SIMD COMP work. Byte-identical to live drains
-    /// by construction; on by default. `NEWTON_SCHEDULE_REPLAY` overrides
-    /// at `NewtonSystem` construction ([`schedule_replay_override`]).
-    pub schedule_replay: bool,
+    /// How the controller schedules: [`TimingEngine::EventSkipping`] (the
+    /// default) issues each GWRITE and ganged COMP stream as one train
+    /// and replays a resident matrix's compiled schedule;
+    /// [`TimingEngine::Reference`] is the oracle — every command issued
+    /// and checked singly after a full `earliest_*` rescan, never
+    /// replayed. Both produce identical command streams.
+    pub engine: TimingEngine,
+    /// Attaches the post-hoc timing audit to every channel: each records
+    /// its full command stream and re-validates it against the raw
+    /// timing constraints at the end of every run; a violation fails the
+    /// run with [`AimError::AuditFailed`]. Off by default (the log costs
+    /// memory proportional to the command count).
+    pub audit: bool,
 }
 
 impl NewtonConfig {
@@ -287,7 +234,8 @@ impl NewtonConfig {
             parallel: ParallelPolicy::default(),
             ecc: false,
             telemetry: None,
-            schedule_replay: true,
+            engine: TimingEngine::EventSkipping,
+            audit: false,
         }
     }
 

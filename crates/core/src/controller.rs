@@ -41,25 +41,19 @@ use crate::tiling::{RowSet, Schedule};
 
 /// How the channel computes the *functional* half of each COMP. The
 /// timing half — command stream, cycle counts, stats, audit, trace — is
-/// identical across modes; all three produce bit-identical results.
+/// identical across modes; both produce bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FunctionalMode {
-    /// The pre-optimization reference: per-COMP byte decode through the
-    /// allocating reduction kernels. Kept as the test oracle and the
-    /// "before" baseline for perf measurements.
+    /// The oracle: per-COMP byte decode through the allocating scalar
+    /// reduction kernels.
     Reference,
-    /// Allocation-free kernels, but weights still decoded from row bytes
-    /// on every COMP.
-    Uncached,
-    /// Allocation-free kernels over the decoded-weight row cache
-    /// (decode-once per row generation).
-    Cached,
     /// The lane-major SIMD kernel (`newton_bf16::simd::comp_row_set`) over
     /// the decoded cache's and the global buffer's `f32` planes: the
     /// ganged COMP stream of a whole row-set is folded for all banks in
-    /// one batched pass. Bit-exact with every other mode (the timing half
-    /// is shared; the functional half is proven against the scalar
-    /// oracles). The default.
+    /// one batched pass; configurations that kernel does not cover step
+    /// per sub-chunk over the same decoded plane. Bit-exact with the
+    /// oracle (the timing half is shared; the functional half is proven
+    /// against the scalar kernels). The default.
     #[default]
     Simd,
 }
@@ -86,17 +80,18 @@ pub struct AimStats {
     /// Uncorrectable ECC detections during this run. Nonzero only when an
     /// error variant also surfaced — the run never silently continues.
     pub ecc_uncorrectable: u64,
-    /// Compiled-schedule replay-cache hits: runs served by replaying a
-    /// captured command train (one count per channel per run). Zero
-    /// whenever replay is disabled.
+    /// Compiled-schedule replay-cache hits: planned runs served by
+    /// replaying a captured command train (one count per channel per
+    /// run). Always zero on the `Reference` engine.
     pub schedule_hits: u64,
-    /// Replay-cache misses: replay-enabled runs that drained live — cold
-    /// cache, a just-invalidated entry, or an observer-forced bypass.
+    /// Replay-cache misses: planned runs that drained cold — nothing
+    /// captured yet, a just-invalidated entry, or a bypass (an observer,
+    /// host traffic, the `Reference` engine).
     pub schedule_misses: u64,
-    /// Compiled entries dropped this run (weight-epoch or engine change).
+    /// Compiled entries dropped this run (the weight epoch moved).
     pub schedule_invalidations: u64,
-    /// Commands applied via closed-form train folds during replay
-    /// (GWRITEs + COMPs); zero on live drains.
+    /// Commands of the captured GWRITE and COMP trains on a hit; zero on
+    /// cold drains.
     pub replayed_commands: u64,
 }
 
@@ -119,8 +114,8 @@ impl AimStats {
     }
 
     /// This run's counters with the replay-cache bookkeeping zeroed — the
-    /// comparison form for replay-on vs. replay-off byte-identity checks
-    /// (the cache counters are *about* the cache, not about the simulated
+    /// comparison form for production-vs-oracle byte-identity checks (the
+    /// cache counters are *about* the cache, not about the simulated
     /// machine, and are the only fields allowed to differ).
     #[must_use]
     pub fn sans_schedule_cache(&self) -> AimStats {
@@ -194,7 +189,6 @@ pub struct NewtonChannel {
     host_queue: Vec<HostRequest>,
     host_responses: Vec<HostResponse>,
     functional_mode: FunctionalMode,
-    timing_engine: TimingEngine,
     weight_cache: DecodedWeightCache,
     /// Reusable scratch for the per-row-set command loops (ganged
     /// activate clusters, the ganged COMP stream, READRES latch dedup),
@@ -226,13 +220,10 @@ impl NewtonChannel {
         if config.ecc {
             channel.storage_mut().enable_ecc();
         }
-        if crate::config::audit_mode() {
+        if config.audit {
             channel.enable_audit();
         }
-        let telemetry = config.telemetry.or_else(|| {
-            crate::config::telemetry_mode().then(crate::config::TelemetryConfig::default)
-        });
-        if let Some(t) = telemetry {
+        if let Some(t) = config.telemetry {
             channel.enable_telemetry(t.window_cycles);
         }
         let device = NewtonDevice::new(
@@ -253,7 +244,6 @@ impl NewtonChannel {
             host_queue: Vec::new(),
             host_responses: Vec::new(),
             functional_mode: FunctionalMode::default(),
-            timing_engine: TimingEngine::default_engine(),
             weight_cache,
             scratch_pairs: Vec::new(),
             scratch_banks: Vec::new(),
@@ -274,7 +264,7 @@ impl NewtonChannel {
     }
 
     /// Selects how the functional half of COMP is computed (timing is
-    /// unaffected; all modes are bit-identical). See [`FunctionalMode`].
+    /// unaffected; both modes are bit-identical). See [`FunctionalMode`].
     pub fn set_functional_mode(&mut self, mode: FunctionalMode) {
         self.functional_mode = mode;
     }
@@ -285,18 +275,18 @@ impl NewtonChannel {
         self.functional_mode
     }
 
-    /// Selects the timing engine for this controller's own scheduling
-    /// (the event-skipping COMP cursor vs. full `earliest_*` rescans).
-    /// Both engines issue byte-identical command streams; the choice only
+    /// Changes [`NewtonConfig::engine`] for subsequent runs (trains and
+    /// replay vs. single commands after full `earliest_*` rescans). Both
+    /// engines issue byte-identical command streams; the choice only
     /// affects host-side work per command.
     pub fn set_timing_engine(&mut self, engine: TimingEngine) {
-        self.timing_engine = engine;
+        self.config.engine = engine;
     }
 
     /// The channel's current timing engine.
     #[must_use]
     pub fn timing_engine(&self) -> TimingEngine {
-        self.timing_engine
+        self.config.engine
     }
 
     /// The decoded-weight cache (hit/decode counters for perf reporting).
@@ -466,12 +456,26 @@ impl NewtonChannel {
     ) -> Result<MvRun, AimError> {
         // A caller holding its own mapping and schedule can run them
         // again: decoded rows are retained.
-        self.drain(mapping, schedule, vector, lut_readout, Residency::Resident)
+        self.drain(
+            mapping,
+            schedule,
+            vector,
+            lut_readout,
+            Residency::Resident,
+            None,
+        )
     }
 
-    /// The live drain behind [`NewtonChannel::run_mv`] and
-    /// [`NewtonChannel::run_planned`]; `residency` only decides whether
-    /// decoded weight rows outlive their row-set.
+    /// The one row-set loop behind [`NewtonChannel::run_mv`] and
+    /// [`NewtonChannel::run_planned`]. `residency` only decides whether
+    /// decoded weight rows outlive their row-set. `capture` is the plan's
+    /// compiled entry on a replay hit; it changes three things and
+    /// nothing else: the refresh look-ahead estimate and the G_ACT
+    /// clusters are read from it instead of being recomputed,
+    /// activations skip the row-buffer-fill scrub, and the COMP train
+    /// carries the clean-rows proof (so it stays closed-form with ECC
+    /// on). The caller vouches that the capture is current
+    /// (`replay_armable`, data epoch unchanged).
     fn drain(
         &mut self,
         mapping: &MatrixMapping,
@@ -479,6 +483,7 @@ impl NewtonChannel {
         vector: &[Bf16],
         lut_readout: bool,
         residency: Residency,
+        capture: Option<&CompiledSchedule>,
     ) -> Result<MvRun, AimError> {
         if vector.len() != mapping.n() {
             return Err(AimError::Shape {
@@ -496,7 +501,8 @@ impl NewtonChannel {
 
         self.device.reset_latches();
 
-        for rs in schedule.row_sets() {
+        for (i, rs) in schedule.row_sets().iter().enumerate() {
+            let captured = capture.map(|cs| &cs.row_sets[i]);
             // Row-set boundary: all banks are precharged, so queued host
             // (non-AiM) traffic interleaves here (Sec. III-D).
             if !self.host_queue.is_empty() {
@@ -505,7 +511,10 @@ impl NewtonChannel {
 
             // Refresh interposition: if the pending refresh matures within
             // this row-set's (deterministic) latency, wait for it first.
-            let estimate = self.row_set_estimate(mapping, rs);
+            let estimate = match captured {
+                Some(crs) => crs.estimate,
+                None => self.row_set_estimate(mapping, rs),
+            };
             if self.channel.refresh_due() <= self.now + estimate {
                 self.interpose_refresh()?;
             }
@@ -524,9 +533,10 @@ impl NewtonChannel {
                 }
             }
 
-            stats.activate_commands += self.activate_row_set(rs, row_cursor)?;
+            stats.activate_commands += self.activate_row_set(rs, row_cursor, captured)?;
             let comp_started = std::time::Instant::now();
-            let (comp_cmds, last_comp) = self.compute_row_set(mapping, rs, residency)?;
+            let (comp_cmds, last_comp) =
+                self.compute_row_set(mapping, rs, residency, captured.is_some())?;
             self.comp_calls += 1;
             self.comp_nanos += comp_started.elapsed().as_nanos() as u64;
             stats.compute_commands += comp_cmds;
@@ -556,7 +566,7 @@ impl NewtonChannel {
         stats.ecc_corrected = self.channel.stats().ecc_corrected - ecc_corrected_before;
         stats.ecc_uncorrectable = self.channel.stats().ecc_uncorrectable - ecc_uncorrectable_before;
         self.now = self.now.max(end);
-        if crate::config::audit_mode() {
+        if self.config.audit {
             self.validate_audit()?;
         }
         Ok(MvRun {
@@ -568,14 +578,16 @@ impl NewtonChannel {
     }
 
     /// Whether the compiled-schedule replay cache may serve this channel
-    /// right now. Replay is legal only for the batched SIMD ganged
-    /// complex-COMP configuration (the one whose train structure the
-    /// appliers fold), with ganged activation, and with no per-command
-    /// observer attached: command traces, audit logs, trace sinks, and
-    /// queued host (non-AiM) traffic all see individual commands the
-    /// folded trains would not reproduce, so they force the live drain.
+    /// right now. Replay is what the event-skipping engine does with a
+    /// resident plan, so it needs that engine, the batched SIMD ganged
+    /// complex-COMP configuration (the one whose train structure a hit
+    /// reuses) with ganged activation, and no per-command observer:
+    /// command traces, audit logs, trace sinks, and queued host (non-AiM)
+    /// traffic all force the cold drain. The `Reference` engine is the
+    /// oracle and never executes a folded train.
     fn replay_armable(&self) -> bool {
-        self.functional_mode == FunctionalMode::Simd
+        self.config.engine == TimingEngine::EventSkipping
+            && self.functional_mode == FunctionalMode::Simd
             && self.config.opts.ganged_comp
             && self.config.opts.complex_comp
             && self.config.opts.ganged_act
@@ -583,21 +595,19 @@ impl NewtonChannel {
             && !self.trace.is_enabled()
             && !self.channel.has_audit()
             && !self.channel.has_trace_sink()
-            && !crate::config::audit_mode()
             && self.host_queue.is_empty()
     }
 
-    /// Runs one matrix–vector product through a [`ChannelPlan`]: the
-    /// replay-enabled form of [`NewtonChannel::run_mv`]. With `replay`
-    /// off this is exactly `run_mv` (no cache bookkeeping at all). With
-    /// it on, a valid compiled entry replays the captured command train;
-    /// otherwise the run drains live (a miss) and — when nothing blocks
-    /// arming and the drain was correction-free — captures the entry for
-    /// the next run. Stale entries (weight-epoch or engine change) are
-    /// dropped and counted as invalidations. The plan's
-    /// [`Residency`] travels with it: a single-use plan drains the same
-    /// commands and reports the same miss, but streams its weight rows
-    /// through the decode scratch and captures nothing.
+    /// Runs one matrix–vector product through a [`ChannelPlan`]. A valid
+    /// compiled entry on an armable channel replays (a hit); otherwise
+    /// the run drains cold (a miss) and — when nothing blocks arming and
+    /// the drain was correction-free — captures the entry for the next
+    /// run. An entry whose weight epoch moved is dropped and counted as
+    /// an invalidation; a bypass (observer, host traffic, `Reference`
+    /// engine) is a miss that keeps the entry. The plan's [`Residency`]
+    /// travels with it: a single-use plan drains the same commands and
+    /// reports the same miss, but streams its weight rows through the
+    /// decode scratch and captures nothing.
     ///
     /// # Errors
     ///
@@ -607,15 +617,11 @@ impl NewtonChannel {
         plan: &ChannelPlan,
         vector: &[Bf16],
         lut_readout: bool,
-        replay: bool,
     ) -> Result<MvRun, AimError> {
         let residency = plan.residency();
-        if !replay {
-            return self.drain(plan.map(), plan.schedule(), vector, lut_readout, residency);
-        }
         let mut slot = plan.slot();
         if let ReplaySlot::Ready(cs) = &*slot {
-            if cs.engine != self.timing_engine || cs.data_epoch != self.channel.write_epoch() {
+            if cs.data_epoch != self.channel.write_epoch() {
                 // Tombstone, not Cold: if the fallback drain below aborts
                 // (its stats die with the error), the next completed run
                 // still reports this drop exactly once.
@@ -624,19 +630,25 @@ impl NewtonChannel {
         }
         let invalidations = u64::from(matches!(*slot, ReplaySlot::Invalidated));
         let armable = self.replay_armable();
-        if armable {
-            if let ReplaySlot::Ready(cs) = &*slot {
-                let mut run = self.replay_mv(plan.map(), plan.schedule(), cs, vector, lut_readout);
-                if let Ok(run) = &mut run {
-                    run.stats.schedule_hits = 1;
-                    run.stats.replayed_commands = cs.train_commands;
-                    self.channel
-                        .note_schedule_cache(run.end_cycle, 1, 0, 0, cs.train_commands);
-                }
-                return run;
-            }
+        let capture = match &*slot {
+            ReplaySlot::Ready(cs) if armable => Some(cs),
+            _ => None,
+        };
+        let mut run = self.drain(
+            plan.map(),
+            plan.schedule(),
+            vector,
+            lut_readout,
+            residency,
+            capture,
+        )?;
+        if let Some(cs) = capture {
+            run.stats.schedule_hits = 1;
+            run.stats.replayed_commands = cs.train_commands;
+            self.channel
+                .note_schedule_cache(run.end_cycle, 1, 0, 0, cs.train_commands);
+            return Ok(run);
         }
-        let mut run = self.drain(plan.map(), plan.schedule(), vector, lut_readout, residency)?;
         run.stats.schedule_misses = 1;
         run.stats.schedule_invalidations = invalidations;
         // Capture only from a correction-free drain: with ECC on, that
@@ -659,9 +671,9 @@ impl NewtonChannel {
         Ok(run)
     }
 
-    /// Compiles the shape-static command-train structure of `schedule` —
-    /// a pure function of (shape, kind, bank map, timing config) stamped
-    /// with the current engine and storage data epoch.
+    /// Compiles what a hit reuses of `schedule` — a pure function of
+    /// (shape, kind, bank map, timing config) stamped with the current
+    /// storage data epoch.
     fn compile_schedule(&self, mapping: &MatrixMapping, schedule: &Schedule) -> CompiledSchedule {
         let sub = self.config.subchunk_elems();
         let mut train_commands = 0u64;
@@ -670,172 +682,21 @@ impl NewtonChannel {
             .iter()
             .map(|rs| {
                 let n_sub = mapping.chunk_elems(rs.chunk).div_ceil(sub);
-                let n_gwrites = if rs.load_chunk { n_sub } else { 0 };
-                let max_bank = rs.work.iter().map(|w| w.bank).max().unwrap_or(0);
-                let mut clusters = Vec::new();
-                for cluster in 0..=(max_bank / 4) {
-                    let pairs: Vec<(usize, usize)> = rs
-                        .work
-                        .iter()
-                        .filter(|w| w.bank / 4 == cluster)
-                        .map(|w| (w.bank, rs.dram_row))
-                        .collect();
-                    if !pairs.is_empty() {
-                        clusters.push(pairs);
-                    }
-                }
-                let banks = rs.work.iter().map(|w| w.bank).collect();
-                train_commands += (n_gwrites + n_sub) as u64;
+                train_commands += (n_sub * (1 + usize::from(rs.load_chunk))) as u64;
                 CompiledRowSet {
                     estimate: self.row_set_estimate(mapping, rs),
-                    n_gwrites,
-                    clusters,
-                    banks,
-                    n_sub,
+                    clusters: (0..cluster_count(rs))
+                        .map(|c| cluster_pairs(rs, c).collect::<Vec<_>>())
+                        .filter(|pairs| !pairs.is_empty())
+                        .collect(),
                 }
             })
             .collect();
         CompiledSchedule {
-            engine: self.timing_engine,
             data_epoch: self.channel.write_epoch(),
             train_commands,
             row_sets,
         }
-    }
-
-    /// Replays a captured command train: byte-identical to the live
-    /// drain of the same run, with the two hot streams — the GWRITE train
-    /// and the ganged COMP burst — applied closed-form (one `earliest_*`
-    /// scan for the first command, `col_step` spacing for the rest,
-    /// train-folded stats/telemetry/energy) and per-command work reduced
-    /// to the data-dependent SIMD kernels. Refresh interposition,
-    /// activations (scrub-skipped under the capture's cleanliness
-    /// proof), READRES, and precharges issue through the real
-    /// per-command paths.
-    fn replay_mv(
-        &mut self,
-        mapping: &MatrixMapping,
-        schedule: &Schedule,
-        cs: &CompiledSchedule,
-        vector: &[Bf16],
-        lut_readout: bool,
-    ) -> Result<MvRun, AimError> {
-        if vector.len() != mapping.n() {
-            return Err(AimError::Shape {
-                what: "input vector",
-                detail: format!("expected {} elements, got {}", mapping.n(), vector.len()),
-            });
-        }
-        let start_cycle = self.now;
-        let mut stats = AimStats::default();
-        let refreshes_before = self.channel.stats().refreshes;
-        let mut outputs = vec![0.0f32; mapping.m()];
-        let mut end = self.now;
-        let col_step = self.channel.timing().col_step();
-        let col_bytes = self.config.dram.col_bytes();
-        let sub = self.config.subchunk_elems();
-
-        self.device.reset_latches();
-
-        for (rs, crs) in schedule.row_sets().iter().zip(&cs.row_sets) {
-            if self.channel.refresh_due() <= self.now + crs.estimate {
-                self.interpose_refresh()?;
-            }
-
-            let row_cursor = self.now;
-            if rs.load_chunk && crs.n_gwrites > 0 {
-                let t0 = self.channel.earliest_broadcast_write(self.now);
-                self.channel
-                    .issue_broadcast_write_train(t0, col_step, crs.n_gwrites, col_bytes)?;
-                let chunk_elems = mapping.chunk_elems(rs.chunk);
-                let base = rs.chunk * mapping.row_elems();
-                for g in 0..crs.n_gwrites {
-                    let lo = base + g * sub;
-                    let hi = (lo + sub).min(base + chunk_elems);
-                    self.device
-                        .global_buffer_mut()
-                        .write_subchunk(g, &vector[lo..hi])?;
-                }
-                for g in crs.n_gwrites..self.device.global_buffer().subchunks() {
-                    self.device.global_buffer_mut().write_subchunk(g, &[])?;
-                }
-                self.now = self.now.max(t0 + (crs.n_gwrites as Cycle - 1) * col_step);
-                stats.gwrite_commands += crs.n_gwrites as u64;
-            }
-
-            if rs.reset_latch {
-                for w in &rs.work {
-                    self.device.reset_latch(w.bank, rs.latch);
-                }
-            }
-
-            for pairs in &crs.clusters {
-                self.scratch_banks.clear();
-                self.scratch_banks.extend(pairs.iter().map(|p| p.0));
-                let t = self
-                    .channel
-                    .earliest_ganged_activate(&self.scratch_banks)
-                    .max(row_cursor);
-                self.channel.issue_ganged_activate_prescrubbed(t, pairs)?;
-                stats.activate_commands += 1;
-            }
-
-            let comp_started = std::time::Instant::now();
-            for i in 0..crs.banks.len() {
-                let bank = crs.banks[i];
-                // Only a plan that is run again has a captured train.
-                self.weight_cache.ensure_row(
-                    self.channel.storage(),
-                    bank,
-                    rs.dram_row,
-                    Residency::Resident,
-                )?;
-            }
-            let t0 = self
-                .channel
-                .earliest_ganged_column_read(self.now, &crs.banks);
-            let last_comp = self
-                .channel
-                .issue_comp_burst_replay(t0, col_step, crs.n_sub, &crs.banks)?;
-            self.now = last_comp;
-            stats.compute_commands += crs.n_sub as u64;
-
-            let cache = &self.weight_cache;
-            self.device
-                .comp_banks_row_simd(&crs.banks, rs.latch, crs.n_sub, |bank| {
-                    cache.lanes(bank, rs.dram_row)
-                });
-            self.comp_calls += 1;
-            self.comp_nanos += comp_started.elapsed().as_nanos() as u64;
-
-            if !rs.read_after.is_empty() {
-                let (readres_cmds, read_end) =
-                    self.read_results(rs, last_comp, lut_readout, &mut outputs)?;
-                stats.readres_commands += readres_cmds;
-                end = end.max(read_end);
-            }
-
-            let t = *self.channel.timing();
-            let p = self
-                .channel
-                .earliest_precharge_all()
-                .max(last_comp + t.t_rtp);
-            self.channel.issue_precharge_all(p)?;
-            self.now = last_comp + t.t_ccd;
-            end = end.max(p + t.t_rp);
-            stats.row_sets += 1;
-        }
-
-        stats.refreshes = self.channel.stats().refreshes - refreshes_before;
-        // ECC deltas stay zero by the arming proof: the capture was
-        // correction-free and the data epoch has not moved since.
-        self.now = self.now.max(end);
-        Ok(MvRun {
-            outputs,
-            end_cycle: end,
-            start_cycle,
-            stats,
-        })
     }
 
     /// Loads input chunk `chunk` into the global buffer, one GWRITE per
@@ -851,59 +712,82 @@ impl NewtonChannel {
         let base = chunk * mapping.row_elems();
         let n_gwrites = chunk_elems.div_ceil(sub);
         let col_bytes = self.config.dram.col_bytes();
-        let mut cmds = 0;
+        if self.config.engine == TimingEngine::EventSkipping {
+            // Nothing else touches the column or data bus inside a GWRITE
+            // phase, so after the first scanned slot every GWRITE lands
+            // exactly one `col_step` (max(tCCD, tCMD)) later: one train.
+            let col_step = self.channel.timing().col_step();
+            let t0 = self.channel.earliest_broadcast_write(self.now);
+            let last = self
+                .channel
+                .issue_broadcast_write_train(t0, col_step, n_gwrites, col_bytes)?;
+            self.trace
+                .record_train(t0, col_step, n_gwrites, |g| AimCommand::Gwrite { index: g });
+            self.now = self.now.max(last);
+        } else {
+            for g in 0..n_gwrites {
+                let t = self.channel.earliest_broadcast_write(self.now);
+                self.channel.issue_broadcast_write(t, col_bytes)?;
+                self.trace.record(t, AimCommand::Gwrite { index: g });
+                self.now = self.now.max(t);
+            }
+        }
         for g in 0..n_gwrites {
-            let t = self.channel.earliest_broadcast_write(self.now);
-            self.channel.issue_broadcast_write(t, col_bytes)?;
             let lo = base + g * sub;
             let hi = (lo + sub).min(base + chunk_elems);
             self.device
                 .global_buffer_mut()
                 .write_subchunk(g, &vector[lo..hi])?;
-            self.trace.record(t, AimCommand::Gwrite { index: g });
-            self.now = self.now.max(t);
-            cmds += 1;
         }
         // Zero any stale tail sub-chunks from a previous (longer) chunk.
         for g in n_gwrites..self.device.global_buffer().subchunks() {
             self.device.global_buffer_mut().write_subchunk(g, &[])?;
         }
-        Ok(cmds)
+        Ok(n_gwrites as u64)
     }
 
     /// Opens `rs.dram_row` in every active bank, ganged or staggered,
     /// starting no earlier than `cursor` (which may precede `self.now`
-    /// when a concurrent GWRITE phase runs on the column bus). Returns
-    /// the number of activation commands issued.
-    fn activate_row_set(&mut self, rs: &RowSet, cursor: Cycle) -> Result<u64, AimError> {
+    /// when a concurrent GWRITE phase runs on the column bus). On a
+    /// replay hit the G_ACT clusters come from `captured` and skip the
+    /// row-buffer-fill scrub (the rows are proven clean). Returns the
+    /// number of activation commands issued.
+    fn activate_row_set(
+        &mut self,
+        rs: &RowSet,
+        cursor: Cycle,
+        captured: Option<&CompiledRowSet>,
+    ) -> Result<u64, AimError> {
         let mut cmds = 0;
         if self.config.opts.ganged_act {
-            // Cluster the active banks in groups of four (bank clusters
-            // are fixed in hardware: banks 4c..4c+4).
-            let max_bank = rs.work.iter().map(|w| w.bank).max().unwrap_or(0);
-            for cluster in 0..=(max_bank / 4) {
-                self.scratch_pairs.clear();
-                self.scratch_pairs.extend(
-                    rs.work
-                        .iter()
-                        .filter(|w| w.bank / 4 == cluster)
-                        .map(|w| (w.bank, rs.dram_row)),
-                );
-                if self.scratch_pairs.is_empty() {
+            let clusters = captured.map_or_else(|| cluster_count(rs), |crs| crs.clusters.len());
+            for k in 0..clusters {
+                let pairs: &[(usize, usize)] = match captured {
+                    Some(crs) => &crs.clusters[k],
+                    None => {
+                        self.scratch_pairs.clear();
+                        self.scratch_pairs.extend(cluster_pairs(rs, k));
+                        &self.scratch_pairs
+                    }
+                };
+                let Some(&(first_bank, _)) = pairs.first() else {
                     continue;
-                }
+                };
                 self.scratch_banks.clear();
-                self.scratch_banks
-                    .extend(self.scratch_pairs.iter().map(|p| p.0));
+                self.scratch_banks.extend(pairs.iter().map(|p| p.0));
                 let t = self
                     .channel
                     .earliest_ganged_activate(&self.scratch_banks)
                     .max(cursor);
-                self.channel.issue_ganged_activate(t, &self.scratch_pairs)?;
+                if captured.is_some() {
+                    self.channel.issue_ganged_activate_prescrubbed(t, pairs)?;
+                } else {
+                    self.channel.issue_ganged_activate(t, pairs)?;
+                }
                 self.trace.record(
                     t,
                     AimCommand::GAct {
-                        cluster,
+                        cluster: first_bank / 4,
                         row: rs.dram_row,
                     },
                 );
@@ -926,22 +810,22 @@ impl NewtonChannel {
         Ok(cmds)
     }
 
-    /// Streams the COMP commands for a row-set. Returns (commands issued,
-    /// issue cycle of the last column access).
+    /// Streams the COMP commands for a row-set. `rows_clean` is the
+    /// replay hit's proof that the open rows are unchanged since a
+    /// correction-free drain. Returns (commands issued, issue cycle of
+    /// the last column access).
     fn compute_row_set(
         &mut self,
         mapping: &MatrixMapping,
         rs: &RowSet,
         residency: Residency,
+        rows_clean: bool,
     ) -> Result<(u64, Cycle), AimError> {
         let sub_elems = self.config.subchunk_elems();
         let n_sub = mapping.chunk_elems(rs.chunk).div_ceil(sub_elems);
         self.scratch_banks.clear();
         self.scratch_banks.extend(rs.work.iter().map(|w| w.bank));
-        if matches!(
-            self.functional_mode,
-            FunctionalMode::Cached | FunctionalMode::Simd
-        ) {
+        if self.functional_mode == FunctionalMode::Simd {
             // Pin every active (bank, row) as a decoded plane before the
             // COMP stream. Nothing writes storage inside a row-set, so the
             // pinned decodes stay current until the next boundary.
@@ -977,29 +861,27 @@ impl NewtonChannel {
             && self.config.opts.complex_comp
             && sub_elems == newton_bf16::reduce::TREE_ARITY
         {
-            // Event-skipping cursor: inside a ganged complex COMP stream
-            // no other command touches the column bus or these banks, so
-            // after the first scanned slot every successive COMP lands
-            // exactly one `col_step` (max(tCCD, tCMD)) later. Under the
-            // event-skipping engine the whole train therefore collapses
-            // into one batched channel call; the reference engine keeps
-            // the per-command scan as the oracle.
-            let col_step = self.channel.timing().col_step();
-            if self.timing_engine == TimingEngine::EventSkipping {
+            if self.config.engine == TimingEngine::EventSkipping {
+                // Inside a ganged complex COMP stream no other command
+                // touches the column bus or these banks, so after the
+                // first scanned slot every successive COMP lands exactly
+                // one `col_step` later: the stream is one train. The
+                // reference engine keeps the per-command scan.
+                let col_step = self.channel.timing().col_step();
                 let t0 = self
                     .channel
                     .earliest_ganged_column_read(self.now, &self.scratch_banks);
-                let last =
-                    self.channel
-                        .issue_comp_burst(t0, col_step, n_sub, &self.scratch_banks)?;
-                if self.trace.is_enabled() {
-                    for sub in 0..n_sub {
-                        self.trace.record(
-                            t0 + sub as Cycle * col_step,
-                            AimCommand::Comp { subchunk: sub },
-                        );
-                    }
-                }
+                let last = self.channel.issue_comp_train(
+                    t0,
+                    col_step,
+                    n_sub,
+                    &self.scratch_banks,
+                    rows_clean,
+                )?;
+                self.trace
+                    .record_train(t0, col_step, n_sub, |sub| AimCommand::Comp {
+                        subchunk: sub,
+                    });
                 self.now = last;
                 last_col = last;
                 cmds += n_sub as u64;
@@ -1033,12 +915,6 @@ impl NewtonChannel {
             return Ok((cmds, last_col));
         }
 
-        // Event-skipping cursor for the ganged *complex* stream (see the
-        // batched fast path above); a control command between column
-        // reads (simple commands) invalidates it, so it is only armed
-        // when COMP is the sole command class in flight.
-        let col_step = self.channel.timing().col_step();
-        let mut next_t: Option<Cycle> = None;
         for sub in 0..n_sub {
             if self.config.opts.ganged_comp {
                 if !self.config.opts.complex_comp {
@@ -1055,20 +931,9 @@ impl NewtonChannel {
                 self.scratch_pairs.clear();
                 self.scratch_pairs
                     .extend(self.scratch_banks.iter().map(|&b| (b, sub)));
-                let t = match next_t {
-                    Some(t) => {
-                        debug_assert_eq!(
-                            t,
-                            self.channel
-                                .earliest_ganged_column_read(self.now, &self.scratch_banks),
-                            "COMP cursor must match the scanned earliest cycle"
-                        );
-                        t
-                    }
-                    None => self
-                        .channel
-                        .earliest_ganged_column_read(self.now, &self.scratch_banks),
-                };
+                let t = self
+                    .channel
+                    .earliest_ganged_column_read(self.now, &self.scratch_banks);
                 let device = &mut self.device;
                 let cache = &self.weight_cache;
                 self.channel.issue_ganged_column_read_internal(
@@ -1094,11 +959,6 @@ impl NewtonChannel {
                 self.now = t;
                 last_col = t;
                 cmds += 1;
-                if self.timing_engine == TimingEngine::EventSkipping
-                    && self.config.opts.complex_comp
-                {
-                    next_t = Some(t + col_step);
-                }
                 if !self.config.opts.complex_comp {
                     // Simple expansion step 3: the multiply-add trigger.
                     let t = self.channel.earliest_control_command(self.now);
@@ -1326,11 +1186,26 @@ impl NewtonChannel {
     }
 }
 
+/// The `(bank, dram_row)` activations of `rs` in hardware bank cluster
+/// `cluster`: banks `4c..4c + 4` share one G_ACT.
+fn cluster_pairs(rs: &RowSet, cluster: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    rs.work
+        .iter()
+        .filter(move |w| w.bank / 4 == cluster)
+        .map(|w| (w.bank, rs.dram_row))
+}
+
+/// Bank clusters `rs` may touch (some can be empty under a bank map that
+/// routes around retired banks).
+fn cluster_count(rs: &RowSet) -> usize {
+    rs.work.iter().map(|w| w.bank).max().unwrap_or(0) / 4 + 1
+}
+
 /// The functional half of one COMP under the selected mode. `data` is the
-/// raw column-read payload the timing model produced; the cached modes
-/// ignore it (the cache holds the same bytes decoded as a plane), so the
-/// column read — and with it all timing, stats, audit, and trace behavior
-/// — happens identically in every mode.
+/// raw column-read payload the timing model produced; `Simd` ignores it
+/// (the cache holds the same bytes decoded as a plane), so the column read
+/// — and with it all timing, stats, audit, and trace behavior — happens
+/// identically in both modes.
 #[expect(clippy::too_many_arguments, reason = "flat hot-path dispatch")]
 fn functional_comp(
     device: &mut NewtonDevice,
@@ -1345,12 +1220,11 @@ fn functional_comp(
 ) {
     match mode {
         FunctionalMode::Reference => device.comp_bank_reference(bank, latch, sub, data),
-        FunctionalMode::Uncached => device.comp_bank(bank, latch, sub, data),
-        // Per-sub-chunk step over the decoded row. `Simd` only gets here
-        // in configurations the batched fast path in `compute_row_set`
-        // does not cover (non-ganged or simple commands, sub-chunk widths
-        // other than the 16-wide MAC tree).
-        FunctionalMode::Cached | FunctionalMode::Simd => {
+        // Per-sub-chunk step over the decoded row: the configurations the
+        // batched fast path in `compute_row_set` does not cover
+        // (non-ganged or simple commands, sub-chunk widths other than the
+        // 16-wide MAC tree).
+        FunctionalMode::Simd => {
             // `NewtonDevice::new` bounds the sub-chunk width by MAX_CHUNK.
             let mut weights = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
             let weights = &mut weights[..sub_elems];
@@ -1771,7 +1645,7 @@ mod tests {
             let plan = ChannelPlan::new(ScheduleKind::InterleavedFullReuse, mapping, residency);
             let mut ch = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
             ch.load_matrix(plan.map(), &matrix).unwrap();
-            let run = ch.run_planned(&plan, &vector, false, true).unwrap();
+            let run = ch.run_planned(&plan, &vector, false).unwrap();
             let decodes = ch.weight_cache().decode_count();
             // A second touch of the same rows tells the two apart.
             ch.run_mv(plan.map(), plan.schedule(), &vector, false)

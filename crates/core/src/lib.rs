@@ -73,10 +73,7 @@ pub mod system;
 pub mod tiling;
 pub mod timeline;
 
-pub use config::{
-    audit_mode, set_audit_mode, set_telemetry_mode, telemetry_mode, NewtonConfig, OptFlags,
-    OptLevel, TelemetryConfig,
-};
+pub use config::{NewtonConfig, OptFlags, OptLevel, TelemetryConfig};
 pub use error::AimError;
 pub use export::export_chrome_trace;
 pub use parallel::ParallelPolicy;

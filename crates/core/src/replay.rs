@@ -5,47 +5,44 @@
 //! — only the input-vector bits change. A [`ChannelPlan`] therefore
 //! builds the tiled [`Schedule`] once per resident matrix (not once per
 //! run) and carries a lazily-captured [`CompiledSchedule`]: the
-//! shape-static structure of the command train — ganged-ACT clusters,
-//! GWRITE/COMP train lengths, refresh look-ahead estimates — plus the
-//! validity stamps that make replaying it byte-identical to a live
-//! FR-FCFS drain. A plan built for one run and dropped
+//! shape-static structure of the command train — ganged-ACT clusters
+//! and refresh look-ahead estimates — plus the validity stamp that makes
+//! replaying it byte-identical to a cold drain. A plan built for one run and dropped
 //! ([`Residency::SingleUse`]: `NewtonSystem::run_mv`, `run_model`) never
 //! captures — nothing would be left to replay it.
 //!
-//! What is closed-form on replay and what is not:
-//!
-//! * **Closed-form**: every command after the first of a GWRITE or COMP
-//!   train lands exactly one `col_step` (max(tCCD, tCMD)) after its
-//!   predecessor — structural, because nothing else touches the column
-//!   bus or the ganged banks inside a train. The whole train folds into
-//!   one batched channel call (`issue_broadcast_write_train` /
-//!   `issue_comp_burst_replay`) with train-folded stats, telemetry, and
-//!   energy updates. Per-COMP SECDED operand checks and per-activation
-//!   row scrubs are skipped under the cleanliness proof below.
-//! * **Live on every replay**: the first command of each train is found
-//!   by a real `earliest_*` scan (absorbing whatever bus/bank state the
-//!   run entered with), activations and READRES issue through the real
-//!   per-command paths, refresh interposition runs unchanged, and the
-//!   data-dependent SIMD COMP kernels compute real bf16 arithmetic.
+//! Replay is what a resident plan does on the
+//! [`TimingEngine::EventSkipping`](newton_dram::TimingEngine) engine; it
+//! has no switch of its own. A hit runs the same row-set loop as a cold
+//! drain (`NewtonChannel::drain`) and the same two channel trains
+//! (`issue_broadcast_write_train` / `issue_comp_train`), differing in
+//! three places only: the refresh look-ahead estimate and the G_ACT
+//! clusters come from the capture instead of being recomputed,
+//! activations skip the row-buffer-fill scrub, and the COMP train
+//! carries the clean-rows proof so it stays closed-form with ECC on.
+//! Everything else — the first command of each train found by a real
+//! `earliest_*` scan, READRES, refresh interposition, precharges, the
+//! data-dependent SIMD COMP kernels — is the live code.
 //!
 //! Invalidation rides the storage layer's data epoch
 //! ([`Storage::write_epoch`](newton_dram::Storage::write_epoch)): any
 //! weight write, fault injection, or ECC scrub-correction moves the
-//! epoch and drops the compiled entry; a timing-engine flip is caught by
-//! the engine stamp; bank retirement rebuilds mappings and with them
-//! fresh (cold) plans. With ECC on, an entry is only captured from a
-//! correction-free drain, so skipping the per-command checks on replay
-//! is observationally identical (a clean check mutates nothing).
+//! epoch and drops the compiled entry; bank retirement rebuilds mappings
+//! and with them fresh (cold) plans. With ECC on, an entry is only
+//! captured from a correction-free drain, so skipping the per-command
+//! checks on a hit is observationally identical (a clean check mutates
+//! nothing).
 //!
 //! Replay never arms when an observer could diverge: command traces,
-//! audit logs, trace sinks, queued host (non-AiM) traffic, and non-SIMD
-//! or non-ganged configurations all force the live path (counted as
-//! cache misses when replay is enabled).
+//! audit logs, trace sinks, queued host (non-AiM) traffic, non-SIMD or
+//! non-ganged configurations, and the `Reference` engine (the oracle
+//! never executes a folded train) all take the cold drain, counted as a
+//! cache miss. A bypass keeps the captured entry: it is a pure function
+//! of shape, bank map and timing.
 
 use std::sync::{Mutex, MutexGuard};
 
 use newton_dram::timing::Cycle;
-use newton_dram::TimingEngine;
 
 use crate::cache::Residency;
 use crate::layout::MatrixMapping;
@@ -109,8 +106,8 @@ impl ChannelPlan {
         matches!(*self.slot(), ReplaySlot::Ready(_))
     }
 
-    /// Drops the compiled entry (the next replay-enabled run re-captures
-    /// from a live drain and reports the invalidation).
+    /// Drops the compiled entry (the next run re-captures from a cold
+    /// drain and reports the invalidation).
     pub fn invalidate(&self) {
         let mut slot = self.slot();
         if matches!(*slot, ReplaySlot::Ready(_)) {
@@ -170,10 +167,6 @@ pub(crate) enum ReplaySlot {
 /// follows at the structural `col_step` spacing.
 #[derive(Debug)]
 pub(crate) struct CompiledSchedule {
-    /// Timing engine the capture ran under; a flip invalidates (the
-    /// engines are byte-identical, but the flip is an explicit
-    /// config-change boundary the cache must respect).
-    pub engine: TimingEngine,
     /// Storage data epoch at capture; any weight mutation moves it.
     pub data_epoch: u64,
     /// Commands applied via folded trains per replay (GWRITEs + COMPs)
@@ -183,19 +176,13 @@ pub(crate) struct CompiledSchedule {
     pub row_sets: Vec<CompiledRowSet>,
 }
 
-/// Shape-static structure of one row-set's command train.
+/// What a hit reuses of one row-set instead of recomputing it.
 #[derive(Debug)]
 pub(crate) struct CompiledRowSet {
     /// Refresh look-ahead: conservative cycle bound of this row-set.
     pub estimate: Cycle,
-    /// GWRITE train length when the row-set loads its chunk; 0 otherwise.
-    pub n_gwrites: usize,
     /// Ganged-activation clusters: `(bank, dram_row)` pairs per G_ACT.
     pub clusters: Vec<Vec<(usize, usize)>>,
-    /// Active banks, in work order (the ganged COMP gang).
-    pub banks: Vec<usize>,
-    /// COMP train length (sub-chunks of the input chunk).
-    pub n_sub: usize,
 }
 
 #[cfg(test)]
@@ -211,7 +198,6 @@ mod tests {
         assert_eq!(plan.map().m(), 32);
         assert!(!plan.is_compiled());
         *plan.slot() = ReplaySlot::Ready(CompiledSchedule {
-            engine: TimingEngine::Reference,
             data_epoch: 0,
             train_commands: 0,
             row_sets: Vec::new(),

@@ -195,11 +195,6 @@ pub struct NewtonSystem {
     /// built by [`channel_mapping`](NewtonSystem::channel_mapping) route
     /// around them.
     retired: Vec<BTreeSet<usize>>,
-    /// Whether runs through [`ChannelPlan`]s may use the compiled-
-    /// schedule replay cache. Resolved once at construction from
-    /// `NEWTON_SCHEDULE_REPLAY` falling back to
-    /// [`NewtonConfig::schedule_replay`].
-    replay: bool,
     /// Host-phase self-profiling: wall-clock time this process spent in
     /// each simulation phase (encode / drain / comp / merge / snapshot).
     /// Accumulates across runs; purely observational. Call counts are
@@ -238,28 +233,13 @@ impl NewtonSystem {
             .map(|_| NewtonChannel::new(&config, activation))
             .collect::<Result<Vec<_>, _>>()?;
         let retired = vec![BTreeSet::new(); config.channels];
-        let replay = crate::config::schedule_replay_override().unwrap_or(config.schedule_replay);
         Ok(NewtonSystem {
             config,
             channels,
             activation,
             retired,
-            replay,
             profiler: HostProfiler::new(&HOST_PHASES),
         })
-    }
-
-    /// Whether the compiled-schedule replay cache is in use.
-    #[must_use]
-    pub fn schedule_replay(&self) -> bool {
-        self.replay
-    }
-
-    /// Turns the compiled-schedule replay cache on or off for subsequent
-    /// runs (results are byte-identical either way; benches toggle this
-    /// to measure the replay speedup on one system).
-    pub fn set_schedule_replay(&mut self, enabled: bool) {
-        self.replay = enabled;
     }
 
     /// The accumulated host-phase profile (encode / drain / comp / merge
@@ -302,10 +282,11 @@ impl NewtonSystem {
         }
     }
 
-    /// Sets the timing engine on every channel (command streams, cycles,
-    /// and results are byte-identical across engines; see
-    /// [`TimingEngine`](newton_dram::TimingEngine)).
+    /// Changes [`NewtonConfig::engine`] on the system and every channel
+    /// (command streams, cycles, and results are byte-identical across
+    /// engines; see [`TimingEngine`](newton_dram::TimingEngine)).
     pub fn set_timing_engine(&mut self, engine: newton_dram::TimingEngine) {
+        self.config.engine = engine;
         for ch in &mut self.channels {
             ch.set_timing_engine(engine);
         }
@@ -461,7 +442,6 @@ impl NewtonSystem {
         vector: &[Bf16],
         lut_readout: bool,
     ) -> Result<SystemRun, AimError> {
-        let replay = self.replay;
         let c = self.config.channels;
         // All channels start together (barrier at layer entry).
         let start = self
@@ -493,7 +473,7 @@ impl NewtonSystem {
                 .worker_threads(active.len(), per_channel_macs);
             parallel::par_map_mut(&mut active, threads, |_, (ch, channel, plan)| {
                 channel.advance_to(start);
-                (*ch, channel.run_planned(plan, vector, lut_readout, replay))
+                (*ch, channel.run_planned(plan, vector, lut_readout))
             })
         };
         self.profiler
@@ -899,8 +879,8 @@ impl NewtonSystem {
             });
         }
         let (mappings, _) = self.load_matrix_at(matrix, m, n, 0)?;
-        // One plan (and one Schedule::build) for the whole batch; with
-        // replay on, item 0 captures and items 1.. replay.
+        // One plan (and one Schedule::build) for the whole batch: item 0
+        // captures and items 1.. replay.
         let plans = self.compile_plans(mappings, Residency::Resident);
         vectors
             .iter()
@@ -1626,7 +1606,7 @@ mod tests {
     }
 
     /// A run summary with the telemetry's schedule-cache counters zeroed
-    /// (the only fields allowed to differ between replay on and off).
+    /// (the only fields allowed to differ between the two engines).
     fn sans_cache(s: &RunSummary) -> RunSummary {
         let mut s = s.clone();
         s.telemetry = s.telemetry.as_ref().map(TimeSeries::sans_schedule_cache);
@@ -1634,7 +1614,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_replay_is_byte_identical_and_counts_hits() {
+    fn replay_is_byte_identical_to_the_reference_engine_and_counts_hits() {
         let (m, n) = (48, 700);
         let matrix: Vec<Bf16> = (0..m * n)
             .map(|k| bf(((k % 19) as f32 - 9.0) / 8.0))
@@ -1650,9 +1630,12 @@ mod tests {
         cfg.ecc = true;
         cfg.telemetry = Some(crate::config::TelemetryConfig { window_cycles: 256 });
 
-        let run_all = |replay: bool| {
-            let mut sys = NewtonSystem::new(cfg.clone()).unwrap();
-            sys.set_schedule_replay(replay);
+        let run_all = |engine: newton_dram::TimingEngine| {
+            let mut sys = NewtonSystem::new(NewtonConfig {
+                engine,
+                ..cfg.clone()
+            })
+            .unwrap();
             let loaded = sys.load_matrix(&matrix, m, n).unwrap();
             let runs: Vec<SystemRun> = vectors
                 .iter()
@@ -1660,17 +1643,21 @@ mod tests {
                 .collect();
             (runs, loaded)
         };
-        let (live, live_loaded) = run_all(false);
-        let (replayed, loaded) = run_all(true);
+        let (live, live_loaded) = run_all(newton_dram::TimingEngine::Reference);
+        let (replayed, loaded) = run_all(newton_dram::TimingEngine::EventSkipping);
 
-        // Replay off: the cache never engages, counters stay untouched.
+        // The oracle never replays and never captures: every run is a
+        // bypass, counted as a miss.
         assert_eq!(live_loaded.compiled_channels(), 0);
         for r in &live {
-            assert_eq!(r.stats, r.stats.sans_schedule_cache());
+            assert_eq!(r.stats.schedule_hits, 0);
+            assert_eq!(r.stats.replayed_commands, 0);
+            assert_eq!(r.stats.schedule_misses, 3);
+            assert_eq!(r.stats.schedule_invalidations, 0);
         }
 
-        // Replay on: run 0 misses and captures on every active channel;
-        // runs 1.. replay with folded train commands.
+        // Production: run 0 misses and captures on every active channel;
+        // runs 1.. replay the captured trains.
         assert_eq!(loaded.compiled_channels(), 3);
         assert_eq!(replayed[0].stats.schedule_misses, 3);
         assert_eq!(replayed[0].stats.schedule_hits, 0);
@@ -1695,7 +1682,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_replay_invalidates_on_weight_writes_and_engine_flips() {
+    fn replay_invalidates_on_weight_writes_and_bypasses_on_the_reference_engine() {
         let (m, n) = (32, 512);
         let matrix: Vec<Bf16> = (0..m * n)
             .map(|k| bf(((k % 13) as f32 - 6.0) / 4.0))
@@ -1704,7 +1691,6 @@ mod tests {
         let mut cfg = small_cfg(2);
         cfg.ecc = true;
         let mut sys = NewtonSystem::new(cfg).unwrap();
-        sys.set_schedule_replay(true);
         let loaded = sys.load_matrix(&matrix, m, n).unwrap();
         let golden = sys.run_resident(&loaded, &vector).unwrap();
         assert_eq!(golden.stats.schedule_misses, 2);
@@ -1743,32 +1729,31 @@ mod tests {
             2
         );
 
-        // An engine flip invalidates every compiled entry once.
-        let other = match sys.channels()[0].timing_engine() {
-            newton_dram::TimingEngine::Reference => newton_dram::TimingEngine::EventSkipping,
-            newton_dram::TimingEngine::EventSkipping => newton_dram::TimingEngine::Reference,
-        };
-        sys.set_timing_engine(other);
+        // A flip to the reference engine is a bypass, not an
+        // invalidation: the oracle drains cold and the entries survive.
+        sys.set_timing_engine(newton_dram::TimingEngine::Reference);
         let run = sys.run_resident(&loaded, &vector).unwrap();
-        assert_eq!(run.stats.schedule_invalidations, 2);
+        assert_eq!(run.stats.schedule_hits, 0);
+        assert_eq!(run.stats.replayed_commands, 0);
         assert_eq!(run.stats.schedule_misses, 2);
+        assert_eq!(run.stats.schedule_invalidations, 0);
         assert_eq!(run.output, golden.output);
-        assert_eq!(
-            sys.run_resident(&loaded, &vector)
-                .unwrap()
-                .stats
-                .schedule_hits,
-            2
-        );
+        assert_eq!(loaded.compiled_channels(), 2);
+
+        // Flipping back hits at once.
+        sys.set_timing_engine(newton_dram::TimingEngine::EventSkipping);
+        let run = sys.run_resident(&loaded, &vector).unwrap();
+        assert_eq!(run.stats.schedule_hits, 2);
+        assert_eq!(run.stats.schedule_invalidations, 0);
+        assert_eq!(run.output, golden.output);
     }
 
     #[test]
-    fn schedule_replay_bypasses_for_observers_and_host_traffic() {
+    fn replay_bypasses_for_observers_and_host_traffic() {
         let (m, n) = (32, 512);
         let matrix = vec![bf(0.5); m * n];
         let vector = vec![bf(1.0); n];
         let mut sys = NewtonSystem::new(small_cfg(1)).unwrap();
-        sys.set_schedule_replay(true);
         let loaded = sys.load_matrix(&matrix, m, n).unwrap();
         assert_eq!(
             sys.run_resident(&loaded, &vector)

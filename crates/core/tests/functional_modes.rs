@@ -1,8 +1,8 @@
-//! Equivalence and coherence tests for the functional COMP modes.
+//! Equivalence and coherence tests for the two functional COMP modes.
 //!
-//! The decoded-weight cache and the allocation-free kernels must change
-//! *nothing* observable: outputs bit-for-bit, cycle counts, AiM stats,
-//! and command traces identical to the pre-optimization reference path —
+//! The decoded-weight cache and the SIMD kernels must change *nothing*
+//! observable: outputs bit-for-bit, cycle counts, AiM stats, and command
+//! traces identical to the `Reference` oracle —
 //! including across arbitrary interleavings of storage writes and COMPs
 //! (the generation-counter invalidation contract), and whether a run
 //! retains its decoded rows or streams them through the scratch planes.
@@ -47,15 +47,7 @@ fn run_in_mode(
     matrix: &[Bf16],
     vectors: &[Vec<Bf16>],
 ) -> (Vec<MvRun>, NewtonChannel) {
-    run_in_mode_with_engine(
-        cfg,
-        mode,
-        newton_dram::TimingEngine::default_engine(),
-        m,
-        n,
-        matrix,
-        vectors,
-    )
+    run_in_mode_with_engine(cfg, mode, cfg.engine, m, n, matrix, vectors)
 }
 
 fn run_in_mode_with_engine(
@@ -107,7 +99,7 @@ fn assert_runs_identical(
 }
 
 #[test]
-fn all_modes_identical_across_opt_levels() {
+fn both_modes_identical_across_opt_levels() {
     for level in [OptLevel::Full, OptLevel::NonOpt] {
         let cfg = cfg1(level);
         let (m, n) = (24, 700);
@@ -122,22 +114,18 @@ fn all_modes_identical_across_opt_levels() {
             })
             .collect();
         let reference = run_in_mode(&cfg, FunctionalMode::Reference, m, n, &matrix, &vectors);
-        let uncached = run_in_mode(&cfg, FunctionalMode::Uncached, m, n, &matrix, &vectors);
-        let cached = run_in_mode(&cfg, FunctionalMode::Cached, m, n, &matrix, &vectors);
         let simd = run_in_mode(&cfg, FunctionalMode::Simd, m, n, &matrix, &vectors);
-        assert_runs_identical(&reference, &uncached, "uncached");
-        assert_runs_identical(&reference, &cached, "cached");
         assert_runs_identical(&reference, &simd, "simd");
         // The cache actually engaged: decode once per (bank, row), hits on
         // the repeated row-sets of the second vector.
-        assert!(cached.1.weight_cache().decode_count() > 0);
-        assert!(cached.1.weight_cache().hit_count() > 0);
+        assert!(simd.1.weight_cache().decode_count() > 0);
+        assert!(simd.1.weight_cache().hit_count() > 0);
     }
 }
 
 /// Tentpole byte-identity gate: the event-skipping timing engine must
 /// reproduce the reference engine's outputs, cycles, AiM stats, command
-/// traces, and substrate counters exactly — in every functional mode and
+/// traces, and substrate counters exactly — in both functional modes and
 /// at every opt level (ganged/complex on and off exercises both the
 /// cursor-armed and cursor-disarmed command streams).
 #[test]
@@ -155,11 +143,7 @@ fn timing_engines_identical_across_modes_and_opt_levels() {
                     .collect()
             })
             .collect();
-        for mode in [
-            FunctionalMode::Reference,
-            FunctionalMode::Cached,
-            FunctionalMode::Simd,
-        ] {
+        for mode in [FunctionalMode::Reference, FunctionalMode::Simd] {
             let reference = run_in_mode_with_engine(
                 &cfg,
                 mode,
@@ -193,15 +177,14 @@ fn per_stage_precision_uses_decoded_plane_and_stays_identical() {
         .collect();
     let vectors = vec![(0..n).map(|k| bf(((k % 7) as f32 - 3.0) / 2.0)).collect()];
     let reference = run_in_mode(&cfg, FunctionalMode::Reference, m, n, &matrix, &vectors);
-    let cached = run_in_mode(&cfg, FunctionalMode::Cached, m, n, &matrix, &vectors);
     let simd = run_in_mode(&cfg, FunctionalMode::Simd, m, n, &matrix, &vectors);
-    assert_runs_identical(&reference, &cached, "per-stage cached");
     assert_runs_identical(&reference, &simd, "per-stage simd");
 }
 
 /// Satellite: write a row, COMP against it, overwrite via both
-/// `write_row` and `write_column`, COMP again — cached results must match
-/// the cache-disabled run bit-for-bit at every step.
+/// `write_row` and `write_column`, COMP again — results off the decoded
+/// cache must match the oracle (which decodes the row bytes on every
+/// COMP) bit-for-bit at every step.
 #[test]
 fn cache_invalidation_on_write_row_and_write_column() {
     let cfg = cfg1(OptLevel::Full);
@@ -211,9 +194,8 @@ fn cache_invalidation_on_write_row_and_write_column() {
     let vector: Vec<Bf16> = (0..n).map(|k| bf((k % 5) as f32 / 2.0)).collect();
 
     let mut cached = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
-    cached.set_functional_mode(FunctionalMode::Cached);
     let mut plain = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
-    plain.set_functional_mode(FunctionalMode::Uncached);
+    plain.set_functional_mode(FunctionalMode::Reference);
 
     let compare = |cached: &mut NewtonChannel, plain: &mut NewtonChannel, tag: &str| {
         let a = cached.run_mv(&mapping, &schedule, &vector, false).unwrap();
@@ -316,11 +298,11 @@ fn bits_sans_nan_payload(run: &MvRun) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random interleavings of storage writes and COMPs: the cached
-    /// channel tracks the uncached one bit-for-bit at every COMP, and a
-    /// production-mode channel that streams its rows through a single-use
-    /// plan — over retained copies of its own that the writes keep making
-    /// stale — tracks the `Reference` oracle.
+    /// Random interleavings of storage writes and COMPs: a production-mode
+    /// channel that always retains its decoded rows, and one that also
+    /// streams them through a single-use plan — over retained copies of
+    /// its own that the writes keep making stale — both track the
+    /// `Reference` oracle at every COMP.
     #[test]
     fn random_write_comp_interleavings_stay_coherent(
         ops in prop::collection::vec(mutation(), 1..24)
@@ -331,15 +313,12 @@ proptest! {
         let matrix: Vec<Bf16> = (0..m * n).map(|k| bf((k % 17) as f32 / 4.0 - 2.0)).collect();
         let vector: Vec<Bf16> = (0..n).map(|k| bf((k % 3) as f32 - 1.0)).collect();
 
-        let mut cached = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
-        cached.set_functional_mode(FunctionalMode::Cached);
-        let mut plain = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
-        plain.set_functional_mode(FunctionalMode::Uncached);
+        let mut retained = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
         let mut streamed = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
         let mut reference = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
         reference.set_functional_mode(FunctionalMode::Reference);
         let single_use = ChannelPlan::new(schedule.kind(), mapping.clone(), Residency::SingleUse);
-        for ch in [&mut cached, &mut plain, &mut streamed, &mut reference] {
+        for ch in [&mut retained, &mut streamed, &mut reference] {
             ch.load_matrix(&mapping, &matrix).unwrap();
         }
 
@@ -350,14 +329,14 @@ proptest! {
                 Mutation::WriteRow { bank, row, seed } => {
                     let data: Vec<u8> =
                         (0..row_bytes).map(|i| (i as u8).wrapping_mul(*seed)).collect();
-                    for ch in [&mut cached, &mut plain, &mut streamed, &mut reference] {
+                    for ch in [&mut retained, &mut streamed, &mut reference] {
                         ch.channel_mut().storage_mut().write_row(*bank, *row, &data).unwrap();
                     }
                 }
                 Mutation::WriteColumn { bank, row, col, seed } => {
                     let data: Vec<u8> =
                         (0..col_bytes).map(|i| (i as u8).wrapping_add(*seed)).collect();
-                    for ch in [&mut cached, &mut plain, &mut streamed, &mut reference] {
+                    for ch in [&mut retained, &mut streamed, &mut reference] {
                         ch.channel_mut()
                             .storage_mut()
                             .write_column(*bank, *row, *col, &data)
@@ -365,38 +344,31 @@ proptest! {
                     }
                 }
                 Mutation::FlipBit { bank, row, bit } => {
-                    for ch in [&mut cached, &mut plain, &mut streamed, &mut reference] {
+                    for ch in [&mut retained, &mut streamed, &mut reference] {
                         ch.channel_mut().storage_mut().flip_bit(*bank, *row, *bit).unwrap();
                     }
                 }
                 Mutation::Comp { retain } => {
-                    let a = cached.run_mv(&mapping, &schedule, &vector, false).unwrap();
-                    let b = plain.run_mv(&mapping, &schedule, &vector, false).unwrap();
-                    let bits_a: Vec<u32> = a.outputs.iter().map(|v| v.to_bits()).collect();
-                    let bits_b: Vec<u32> = b.outputs.iter().map(|v| v.to_bits()).collect();
-                    prop_assert_eq!(bits_a, bits_b);
-                    prop_assert_eq!(a.end_cycle, b.end_cycle);
-
+                    let a = retained.run_mv(&mapping, &schedule, &vector, false).unwrap();
                     let s = if *retain {
                         streamed.run_mv(&mapping, &schedule, &vector, false).unwrap()
                     } else {
-                        streamed.run_planned(&single_use, &vector, false, true).unwrap()
+                        streamed.run_planned(&single_use, &vector, false).unwrap()
                     };
                     let r = reference.run_mv(&mapping, &schedule, &vector, false).unwrap();
-                    prop_assert_eq!(bits_sans_nan_payload(&s), bits_sans_nan_payload(&r));
-                    prop_assert_eq!(s.end_cycle, r.end_cycle);
-                    prop_assert_eq!(s.stats.sans_schedule_cache(), r.stats);
+                    for run in [&a, &s] {
+                        prop_assert_eq!(bits_sans_nan_payload(run), bits_sans_nan_payload(&r));
+                        prop_assert_eq!(run.end_cycle, r.end_cycle);
+                        prop_assert_eq!(run.stats.sans_schedule_cache(), r.stats);
+                    }
                 }
             }
         }
         // Always end on a COMP so trailing writes are exercised.
-        let a = cached.run_mv(&mapping, &schedule, &vector, false).unwrap();
-        let b = plain.run_mv(&mapping, &schedule, &vector, false).unwrap();
-        let bits_a: Vec<u32> = a.outputs.iter().map(|v| v.to_bits()).collect();
-        let bits_b: Vec<u32> = b.outputs.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(bits_a, bits_b);
-        let s = streamed.run_planned(&single_use, &vector, false, true).unwrap();
+        let a = retained.run_mv(&mapping, &schedule, &vector, false).unwrap();
+        let s = streamed.run_planned(&single_use, &vector, false).unwrap();
         let r = reference.run_mv(&mapping, &schedule, &vector, false).unwrap();
+        prop_assert_eq!(bits_sans_nan_payload(&a), bits_sans_nan_payload(&r));
         prop_assert_eq!(bits_sans_nan_payload(&s), bits_sans_nan_payload(&r));
         // Streaming never captured a train and never will.
         prop_assert!(!single_use.is_compiled());

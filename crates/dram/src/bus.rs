@@ -75,18 +75,17 @@ impl CommandBus {
         Ok(())
     }
 
-    /// Claims `count` slots at `start, start + step, ...` in one call.
-    /// State-equivalent to `count` sequential [`CommandBus::issue`] calls
-    /// at those cycles, but O(1): the regular spacing folds into a single
-    /// histogram update.
+    /// Whether `count` slots at `start, start + step, ...` could be
+    /// claimed right now: the validation half of
+    /// [`CommandBus::issue_train`], so a caller can pre-flight a train
+    /// before mutating anything.
     ///
     /// # Errors
     ///
     /// [`DramError::Timing`] if the first slot is earlier than the bus
-    /// allows or (for multi-slot trains) `step` is below tCMD. Unlike the
-    /// sequential loop, nothing is recorded on failure.
-    pub fn issue_train(
-        &mut self,
+    /// allows or (for multi-slot trains) `step` is below tCMD.
+    pub fn check_train(
+        &self,
         start: Cycle,
         step: Cycle,
         count: usize,
@@ -111,6 +110,29 @@ impl CommandBus {
                 earliest: start + t.t_cmd,
                 bank: None,
             });
+        }
+        Ok(())
+    }
+
+    /// Claims `count` slots at `start, start + step, ...` in one call.
+    /// State-equivalent to `count` sequential [`CommandBus::issue`] calls
+    /// at those cycles, but O(1): the regular spacing folds into a single
+    /// histogram update.
+    ///
+    /// # Errors
+    ///
+    /// As [`CommandBus::check_train`]. Unlike the sequential loop,
+    /// nothing is recorded on failure.
+    pub fn issue_train(
+        &mut self,
+        start: Cycle,
+        step: Cycle,
+        count: usize,
+        t: &Timing,
+    ) -> Result<(), DramError> {
+        self.check_train(start, step, count, t)?;
+        if count == 0 {
+            return Ok(());
         }
         if let Some(last) = self.last_issue {
             self.gaps.record(start - last);
@@ -183,22 +205,20 @@ impl DataBus {
         Ok(())
     }
 
-    /// Occupies the bus for `count` bursts of `bytes` each, starting at
-    /// `start, start + step, ...`. State-equivalent to `count` sequential
-    /// [`DataBus::transfer`] calls at those cycles, but O(1) — the
-    /// closed-form leg of compiled-schedule replay.
+    /// Whether `count` bursts at `start, start + step, ...` could occupy
+    /// the bus right now: the validation half of
+    /// [`DataBus::transfer_train`].
     ///
     /// # Errors
     ///
     /// [`DramError::Timing`] if the bus is still busy at `start` or (for
     /// multi-burst trains) `step` is below tCCD, which would make later
-    /// bursts overlap. Nothing is recorded on failure.
-    pub fn transfer_train(
-        &mut self,
+    /// bursts overlap.
+    pub fn check_train(
+        &self,
         start: Cycle,
         step: Cycle,
         count: usize,
-        bytes: usize,
         t: &Timing,
     ) -> Result<(), DramError> {
         if count == 0 {
@@ -219,6 +239,28 @@ impl DataBus {
                 earliest: start + t.t_ccd,
                 bank: None,
             });
+        }
+        Ok(())
+    }
+
+    /// Occupies the bus for `count` bursts of `bytes` each, starting at
+    /// `start, start + step, ...`. State-equivalent to `count` sequential
+    /// [`DataBus::transfer`] calls at those cycles, but O(1).
+    ///
+    /// # Errors
+    ///
+    /// As [`DataBus::check_train`]. Nothing is recorded on failure.
+    pub fn transfer_train(
+        &mut self,
+        start: Cycle,
+        step: Cycle,
+        count: usize,
+        bytes: usize,
+        t: &Timing,
+    ) -> Result<(), DramError> {
+        self.check_train(start, step, count, t)?;
+        if count == 0 {
+            return Ok(());
         }
         self.busy_until = start + (count as Cycle - 1) * step + t.t_ccd;
         self.bytes += (count * bytes) as u64;

@@ -383,6 +383,15 @@ impl Channel {
         self.sink.0.is_some() || self.telemetry.is_some()
     }
 
+    /// Whether something attached sees commands one by one (an audit log
+    /// or a trace sink): a train must then expand into single commands.
+    /// The telemetry collector is not one — a train folds into its
+    /// windows exactly.
+    #[inline]
+    fn per_command_observer(&self) -> bool {
+        self.audit.is_some() || self.sink.0.is_some()
+    }
+
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
         if let Some(t) = &mut self.telemetry {
@@ -842,35 +851,56 @@ impl Channel {
         Ok(cycle)
     }
 
-    /// Issues a train of `count` ganged internal column reads in one call:
-    /// command `i` lands at `start + i * step` and reads column `i` of the
-    /// open row on every bank in `banks`. State-equivalent to `count`
-    /// sequential [`Channel::issue_ganged_column_read_internal`] calls with
-    /// a no-op sink, but O(1) in `count * banks` when no per-command
-    /// observer is attached. Data is *not* delivered — callers on this path
-    /// read the open rows from their own functional cache. Returns the
-    /// cycle of the last command.
+    /// Issues a train of `count` ganged internal column reads (Newton's
+    /// COMP stream for one row-set): command `i` lands at
+    /// `start + i * step` and reads column `i` of the open row on every
+    /// bank in `banks`. Observably identical to `count` sequential
+    /// [`Channel::issue_ganged_column_read_internal`] calls with a no-op
+    /// sink — data is *not* delivered; callers on this path read the open
+    /// rows from their own decoded copy. Returns the cycle of the last
+    /// command.
     ///
-    /// When an audit log, trace sink, telemetry collector, or ECC checker
-    /// is active, every command is observable, so the train transparently
-    /// falls back to the sequential loop.
+    /// The train picks its own leg. With an audit log or trace sink
+    /// attached every command is individually observable, so it expands
+    /// into the single-command calls. With ECC on it expands too, unless
+    /// the caller passes `rows_clean`: the proof that the open rows have
+    /// not been mutated since a correction-free drain
+    /// ([`Channel::write_epoch`] unchanged), under which every per-column
+    /// check would be a no-op `Ok(0)`. Otherwise it applies closed-form,
+    /// O(1) in `count * banks`, folding the per-command telemetry events
+    /// into the windowed series.
     ///
     /// # Errors
     ///
-    /// Constraint violations, bank-state errors, or bad indices. On the
-    /// batched path everything is validated before any state mutates.
-    pub fn issue_comp_burst(
+    /// Constraint violations, bank-state errors, or bad indices: the
+    /// whole train is validated before either leg mutates anything. An
+    /// ECC detection on the expanding leg still surfaces at the command
+    /// that hit it, as it would on hardware.
+    pub fn issue_comp_train(
         &mut self,
         start: Cycle,
         step: Cycle,
         count: usize,
         banks: &[usize],
+        rows_clean: bool,
     ) -> Result<Cycle, DramError> {
         if count == 0 {
             return Ok(start);
         }
+        if count > self.config.cols_per_row {
+            return Err(DramError::AddressOutOfRange {
+                kind: "column",
+                index: count,
+                limit: self.config.cols_per_row,
+            });
+        }
+        for &bank in banks {
+            self.check_bank(bank)?;
+            self.banks[bank].check_comp_burst(start, step, count, &self.timing)?;
+        }
+        self.col_bus.check_train(start, step, count, &self.timing)?;
         let last = start + (count as Cycle - 1) * step;
-        if self.audit.is_some() || self.tracing() || self.storage.ecc_enabled() {
+        if self.per_command_observer() || (self.storage.ecc_enabled() && !rows_clean) {
             let mut pairs: Vec<(usize, usize)> = banks.iter().map(|&b| (b, 0)).collect();
             for i in 0..count {
                 for p in &mut pairs {
@@ -884,76 +914,9 @@ impl Channel {
             }
             return Ok(last);
         }
-        if count > self.config.cols_per_row {
-            return Err(DramError::AddressOutOfRange {
-                kind: "column",
-                index: self.config.cols_per_row,
-                limit: self.config.cols_per_row,
-            });
-        }
-        for &bank in banks {
-            self.check_bank(bank)?;
-            // Pre-flight the whole train on this bank (state, first-access
-            // timing, spacing) so a failure leaves the channel untouched.
-            self.banks[bank].check_comp_burst(start, step, count, &self.timing)?;
-        }
-        self.col_bus.issue_train(start, step, count, &self.timing)?;
-        for &bank in banks {
-            self.banks[bank]
-                .comp_burst(start, step, count, &self.timing)
-                .expect("pre-flighted comp burst");
-        }
-        self.stats.col_reads_internal += (count * banks.len()) as u64;
-        if banks.len() > 1 {
-            self.stats.ganged_commands += count as u64;
-        }
-        self.note_activity(start);
-        Ok(last)
-    }
-
-    /// The replay-path COMP train: like the batched leg of
-    /// [`Channel::issue_comp_burst`], but it stays batched when a
-    /// telemetry collector is attached (the per-command events fold
-    /// closed-form into the windowed series) and when ECC is on (the
-    /// caller proves the operand rows are clean via
-    /// [`Channel::write_epoch`], so every per-column check would be a
-    /// no-op `Ok(0)`). Byte-identical in all observable state to the
-    /// sequential expansion under those preconditions.
-    ///
-    /// Must not be called with an audit log or trace sink attached —
-    /// those observers see individual commands, which a fold cannot
-    /// reproduce; the replay engine bypasses the cache instead.
-    ///
-    /// # Errors
-    ///
-    /// Constraint violations, bank-state errors, or bad indices;
-    /// everything is validated before any state mutates.
-    pub fn issue_comp_burst_replay(
-        &mut self,
-        start: Cycle,
-        step: Cycle,
-        count: usize,
-        banks: &[usize],
-    ) -> Result<Cycle, DramError> {
-        debug_assert!(
-            self.audit.is_none() && self.sink.0.is_none(),
-            "replay trains cannot serve per-command observers"
-        );
-        if count == 0 {
-            return Ok(start);
-        }
-        if count > self.config.cols_per_row {
-            return Err(DramError::AddressOutOfRange {
-                kind: "column",
-                index: self.config.cols_per_row,
-                limit: self.config.cols_per_row,
-            });
-        }
-        for &bank in banks {
-            self.check_bank(bank)?;
-            self.banks[bank].check_comp_burst(start, step, count, &self.timing)?;
-        }
-        self.col_bus.issue_train(start, step, count, &self.timing)?;
+        self.col_bus
+            .issue_train(start, step, count, &self.timing)
+            .expect("pre-flighted column-bus train");
         for &bank in banks {
             self.banks[bank]
                 .comp_burst(start, step, count, &self.timing)
@@ -978,19 +941,23 @@ impl Channel {
                 t.series.record_bank_comp_train(bank, count as u64);
             }
         }
-        Ok(start + (count as Cycle - 1) * step)
+        Ok(last)
     }
 
-    /// The replay-path GWRITE train: `count` broadcast writes of `bytes`
-    /// each at `start, start + step, ...`, state-equivalent to the
-    /// sequential [`Channel::issue_broadcast_write`] loop (telemetry
-    /// folded closed-form) but O(windows) instead of O(count). Same
-    /// observer preconditions as [`Channel::issue_comp_burst_replay`].
+    /// Issues a train of `count` broadcast writes of `bytes` each
+    /// (Newton's GWRITE stream for one input chunk) at
+    /// `start, start + step, ...`. Observably identical to the sequential
+    /// [`Channel::issue_broadcast_write`] loop; like
+    /// [`Channel::issue_comp_train`] it expands into that loop when an
+    /// audit log or trace sink is attached and otherwise applies
+    /// closed-form with the telemetry folded (a GWRITE touches no bank,
+    /// so ECC never forces the expansion). Returns the cycle of the last
+    /// command.
     ///
     /// # Errors
     ///
-    /// Command-bus or data-bus violations; validated before any state
-    /// mutates.
+    /// Command-bus or data-bus violations; the whole train is validated
+    /// before either leg mutates anything.
     pub fn issue_broadcast_write_train(
         &mut self,
         start: Cycle,
@@ -998,28 +965,26 @@ impl Channel {
         count: usize,
         bytes: usize,
     ) -> Result<Cycle, DramError> {
-        debug_assert!(
-            self.audit.is_none() && self.sink.0.is_none(),
-            "replay trains cannot serve per-command observers"
-        );
         if count == 0 {
             return Ok(start);
         }
-        // Pre-validate the data-bus leg so a failure leaves the command
-        // bus untouched (the col-bus train validates itself).
         let burst0 = start + self.timing.t_aa;
-        if burst0 < self.data_bus.busy_until() || (count > 1 && step < self.timing.t_ccd) {
-            return Err(DramError::Timing {
-                constraint: "data bus busy",
-                issued: burst0,
-                earliest: self.data_bus.busy_until().max(burst0),
-                bank: None,
-            });
+        self.col_bus.check_train(start, step, count, &self.timing)?;
+        self.data_bus
+            .check_train(burst0, step, count, &self.timing)?;
+        let last = start + (count as Cycle - 1) * step;
+        if self.per_command_observer() {
+            for i in 0..count {
+                self.issue_broadcast_write(start + i as Cycle * step, bytes)?;
+            }
+            return Ok(last);
         }
-        self.col_bus.issue_train(start, step, count, &self.timing)?;
+        self.col_bus
+            .issue_train(start, step, count, &self.timing)
+            .expect("pre-flighted column-bus train");
         self.data_bus
             .transfer_train(burst0, step, count, bytes, &self.timing)
-            .expect("pre-validated data-bus train");
+            .expect("pre-flighted data-bus train");
         self.stats.broadcast_bytes += (count * bytes) as u64;
         self.note_activity(start);
         if let Some(t) = &mut self.telemetry {
@@ -1029,7 +994,7 @@ impl Channel {
             t.series
                 .record_burst_train(burst0, step, count as u64, bytes as u64);
         }
-        Ok(start + (count as Cycle - 1) * step)
+        Ok(last)
     }
 
     /// Folds one schedule-cache outcome (hit / miss / invalidation plus
@@ -1451,137 +1416,220 @@ mod tests {
         assert_eq!(ch.audit().unwrap().validate(&t), vec![]);
     }
 
-    #[test]
-    fn comp_burst_matches_sequential_ganged_reads() {
-        let t = timing();
-        let banks = [0usize, 1, 2, 3];
-        let setup = || {
-            // No audit: the burst channel must take the batched path.
-            let mut ch = Channel::new(DramConfig::hbm2e_like()).unwrap();
-            for &bank in &banks {
-                ch.storage_mut()
-                    .write_row(bank, 3, &vec![bank as u8; 1024])
-                    .unwrap();
+    /// What is attached to both channels of a train-vs-loop comparison.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Observer {
+        None,
+        Telemetry,
+        /// ECC and telemetry on, the caller passing the clean-rows proof.
+        TelemetryEccProof,
+        /// ECC on, no proof: the train must expand and run every check.
+        EccNoProof,
+        Audit,
+        Sink,
+    }
+
+    const OBSERVERS: [Observer; 6] = [
+        Observer::None,
+        Observer::Telemetry,
+        Observer::TelemetryEccProof,
+        Observer::EccNoProof,
+        Observer::Audit,
+        Observer::Sink,
+    ];
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Train {
+        Comp,
+        Gwrite,
+    }
+
+    const TRAIN_BANKS: [usize; 4] = [0, 1, 2, 3];
+
+    /// A channel with `observer` attached, banks 0..4 open on row 3 and
+    /// both buses already used once.
+    fn train_setup(observer: Observer) -> (Channel, newton_trace::SharedRecordingSink) {
+        let mut ch = Channel::new(DramConfig::hbm2e_like()).unwrap();
+        let handle = newton_trace::SharedRecordingSink::new();
+        match observer {
+            Observer::None => {}
+            Observer::Telemetry => ch.enable_telemetry(64),
+            Observer::TelemetryEccProof => {
+                ch.storage_mut().enable_ecc();
+                ch.enable_telemetry(64);
             }
-            ch.issue_ganged_activate(0, &[(0, 3), (1, 3), (2, 3), (3, 3)])
+            Observer::EccNoProof => ch.storage_mut().enable_ecc(),
+            Observer::Audit => ch.enable_audit(),
+            Observer::Sink => ch.set_trace_sink(Box::new(handle.clone())),
+        }
+        for &bank in &TRAIN_BANKS {
+            ch.storage_mut()
+                .write_row(bank, 3, &vec![bank as u8 + 1; 1024])
                 .unwrap();
-            ch
-        };
-        for count in [1usize, 2, 32] {
-            let mut looped = setup();
-            let mut burst = setup();
-            let t0 = looped.earliest_ganged_column_read(0, &banks);
-            let step = t.t_ccd.max(t.t_cmd);
-            let mut last = t0;
-            for i in 0..count {
-                let c = looped.earliest_ganged_column_read(last, &banks);
-                assert_eq!(c, t0 + i as Cycle * step, "cursor invariant");
-                looped
-                    .issue_ganged_column_read_internal(
-                        c,
-                        &[(0, i), (1, i), (2, i), (3, i)],
-                        |_, _| {},
-                    )
-                    .unwrap();
-                last = c;
-            }
-            let burst_last = burst.issue_comp_burst(t0, step, count, &banks).unwrap();
-            assert_eq!(burst_last, last, "count={count}");
-            let end = last + 100;
-            assert_eq!(looped.summary(end), burst.summary(end), "count={count}");
-            for &bank in &banks {
-                assert_eq!(
-                    looped.earliest_ganged_column_read(0, &[bank]),
-                    burst.earliest_ganged_column_read(0, &[bank])
-                );
-                assert_eq!(
-                    looped.earliest_precharge(bank),
-                    burst.earliest_precharge(bank)
-                );
-            }
-            // Future behavior matches: close the row set on both.
-            let p = looped.earliest_precharge(0);
-            looped.issue_precharge_all(p).unwrap();
-            burst.issue_precharge_all(p).unwrap();
-            assert_eq!(looped.summary(p + 50), burst.summary(p + 50));
+        }
+        ch.issue_broadcast_write(0, 32).unwrap();
+        ch.issue_ganged_activate(0, &[(0, 3), (1, 3), (2, 3), (3, 3)])
+            .unwrap();
+        if observer == Observer::EccNoProof {
+            // A correctable fault the activation scrub has not seen: only
+            // a per-column check on the expanding leg can find it.
+            ch.storage_mut().flip_bit(1, 3, 64 * 5 + 9).unwrap();
+        }
+        (ch, handle)
+    }
+
+    /// Everything a train may touch, in comparable form.
+    #[derive(Debug, PartialEq)]
+    struct TrainSurface {
+        summary: RunSummary,
+        floors: SchedulingFloors,
+        bank_gates: Vec<(Cycle, Cycle, Cycle)>,
+        audit: Option<Vec<AuditEvent>>,
+        sink: Vec<TraceEvent>,
+        write_epoch: u64,
+    }
+
+    fn train_surface(
+        ch: &Channel,
+        handle: &newton_trace::SharedRecordingSink,
+        end: Cycle,
+    ) -> TrainSurface {
+        TrainSurface {
+            summary: ch.summary(end),
+            floors: ch.scheduling_floors(),
+            bank_gates: TRAIN_BANKS.iter().map(|&b| ch.bank_gates(b)).collect(),
+            audit: ch.audit().map(|a| a.events().to_vec()),
+            sink: handle.events(),
+            write_epoch: ch.write_epoch(),
         }
     }
 
-    #[test]
-    fn replay_comp_burst_matches_sequential_with_ecc_and_telemetry() {
-        // The replay train must be byte-identical to the per-command
-        // expansion even with ECC and telemetry on, provided storage is
-        // clean — the exact precondition the replay engine proves via
-        // write_epoch before arming.
-        let t = timing();
-        let banks = [0usize, 1, 2, 3];
-        let setup = || {
-            let mut ch = Channel::new(DramConfig::hbm2e_like()).unwrap();
-            ch.storage_mut().enable_ecc();
-            ch.enable_telemetry(64);
-            for &bank in &banks {
-                ch.storage_mut()
-                    .write_row(bank, 3, &vec![bank as u8 + 1; 1024])
-                    .unwrap();
-            }
-            ch.issue_ganged_activate(0, &[(0, 3), (1, 3), (2, 3), (3, 3)])
-                .unwrap();
-            ch
+    /// Runs `count` commands as a sequential single-command loop on one
+    /// channel and as one train on its twin, and compares every surface —
+    /// counters, floors, gates, telemetry series, audit and sink events —
+    /// right after the train and again after closing the row set.
+    fn assert_train_matches_loop(train: Train, observer: Observer, count: usize) {
+        let what = format!("{train:?} {observer:?} count={count}");
+        let (mut looped, looped_sink) = train_setup(observer);
+        let (mut trained, trained_sink) = train_setup(observer);
+        let step = looped.timing().col_step();
+        let earliest = |ch: &Channel, after: Cycle| match train {
+            Train::Comp => ch.earliest_ganged_column_read(after, &TRAIN_BANKS),
+            Train::Gwrite => ch.earliest_broadcast_write(after),
         };
-        for count in [1usize, 2, 32] {
-            let mut looped = setup();
-            let mut replay = setup();
-            let t0 = looped.earliest_ganged_column_read(0, &banks);
-            let step = t.t_ccd.max(t.t_cmd);
-            let mut pairs: Vec<(usize, usize)> = banks.iter().map(|&b| (b, 0)).collect();
-            for i in 0..count {
-                for p in &mut pairs {
-                    p.1 = i;
+        let t0 = earliest(&looped, 7);
+        let mut last = t0;
+        for i in 0..count {
+            let c = earliest(&looped, if i == 0 { 7 } else { 0 });
+            assert_eq!(c, t0 + i as Cycle * step, "{what}: cursor invariant");
+            match train {
+                Train::Comp => {
+                    let pairs: Vec<(usize, usize)> = TRAIN_BANKS.iter().map(|&b| (b, i)).collect();
+                    looped
+                        .issue_ganged_column_read_internal(c, &pairs, |_, _| {})
+                        .unwrap();
                 }
-                looped
-                    .issue_ganged_column_read_internal(t0 + i as Cycle * step, &pairs, |_, _| {})
-                    .unwrap();
+                Train::Gwrite => {
+                    looped.issue_broadcast_write(c, 32).unwrap();
+                }
             }
-            let last = replay
-                .issue_comp_burst_replay(t0, step, count, &banks)
-                .unwrap();
-            assert_eq!(last, t0 + (count as Cycle - 1) * step);
-            let end = last + 100;
-            assert_eq!(looped.summary(end), replay.summary(end), "count={count}");
-            assert_eq!(looped.write_epoch(), replay.write_epoch());
-            // Future behavior matches too.
-            let p = looped.earliest_precharge_all();
-            looped.issue_precharge_all(p).unwrap();
-            replay.issue_precharge_all(p).unwrap();
-            assert_eq!(looped.summary(p + 50), replay.summary(p + 50));
+            last = c;
+        }
+        let train_last = match train {
+            Train::Comp => trained.issue_comp_train(
+                t0,
+                step,
+                count,
+                &TRAIN_BANKS,
+                observer == Observer::TelemetryEccProof,
+            ),
+            Train::Gwrite => trained.issue_broadcast_write_train(t0, step, count, 32),
+        }
+        .unwrap();
+        assert_eq!(train_last, last, "{what}: last command cycle");
+        let end = last + 100;
+        assert_eq!(
+            train_surface(&looped, &looped_sink, end),
+            train_surface(&trained, &trained_sink, end),
+            "{what}"
+        );
+        if observer == Observer::EccNoProof && train == Train::Comp && count > 1 {
+            assert_eq!(trained.stats().ecc_corrected, 1, "{what}: check ran");
+        }
+        if observer == Observer::Audit && train == Train::Comp {
+            let col_reads = trained.audit().unwrap().events().iter().filter(|e| {
+                matches!(
+                    e,
+                    AuditEvent::ColRd {
+                        external: false,
+                        ..
+                    }
+                )
+            });
+            assert_eq!(col_reads.count(), count * TRAIN_BANKS.len(), "{what}");
+            assert_eq!(trained.audit().unwrap().validate(&timing()), vec![]);
+        }
+        // Future behavior matches: close the row set on both.
+        let p = looped.earliest_precharge_all();
+        looped.issue_precharge_all(p).unwrap();
+        trained.issue_precharge_all(p).unwrap();
+        assert_eq!(
+            train_surface(&looped, &looped_sink, p + 50),
+            train_surface(&trained, &trained_sink, p + 50),
+            "{what}: after precharge"
+        );
+    }
+
+    #[test]
+    fn trains_match_the_sequential_loop_under_every_observer() {
+        for train in [Train::Comp, Train::Gwrite] {
+            for observer in OBSERVERS {
+                for count in [1usize, 2, 32] {
+                    assert_train_matches_loop(train, observer, count);
+                }
+            }
         }
     }
 
     #[test]
-    fn broadcast_write_train_matches_sequential_loop() {
-        let mk = || {
-            let mut ch = Channel::new(DramConfig::hbm2e_like()).unwrap();
-            ch.enable_telemetry(64);
-            // Pre-touch the buses so the train starts from a non-virgin state.
-            ch.issue_broadcast_write(0, 32).unwrap();
-            ch
-        };
-        let mut looped = mk();
-        let mut train = mk();
-        let t0 = looped.earliest_broadcast_write(7);
-        let step = looped.timing().t_ccd.max(looped.timing().t_cmd);
-        for i in 0..32u64 {
-            let c = looped.earliest_broadcast_write(if i == 0 { 7 } else { 0 });
-            assert_eq!(c, t0 + i * step, "gwrite cursor invariant");
-            looped.issue_broadcast_write(c, 32).unwrap();
+    fn a_train_that_cannot_issue_whole_leaves_the_channel_untouched() {
+        // Same error and no side effect whichever leg would have run.
+        let mut errors = Vec::new();
+        for observer in [Observer::Audit, Observer::None] {
+            let (mut ch, sink) = train_setup(observer);
+            let step = ch.timing().col_step();
+            let cols = ch.config().cols_per_row;
+            let t0 = ch.earliest_ganged_column_read(0, &TRAIN_BANKS);
+            let g0 = ch.earliest_broadcast_write(0);
+            let before = train_surface(&ch, &sink, 1000);
+            let stats = *ch.stats();
+            let too_long = ch
+                .issue_comp_train(t0, step, cols + 1, &TRAIN_BANKS, false)
+                .unwrap_err();
+            assert_eq!(
+                too_long,
+                DramError::AddressOutOfRange {
+                    kind: "column",
+                    index: cols + 1,
+                    limit: cols
+                }
+            );
+            let too_early = ch
+                .issue_comp_train(t0 - 1, step, 8, &TRAIN_BANKS, false)
+                .unwrap_err();
+            assert!(matches!(too_early, DramError::Timing { .. }));
+            let too_dense = ch
+                .issue_comp_train(t0, 1, 8, &TRAIN_BANKS, false)
+                .unwrap_err();
+            let gwrite_early = ch
+                .issue_broadcast_write_train(g0 - 1, step, 4, 32)
+                .unwrap_err();
+            let gwrite_dense = ch.issue_broadcast_write_train(g0, 1, 4, 32).unwrap_err();
+            assert_eq!(*ch.stats(), stats, "{observer:?}");
+            assert_eq!(train_surface(&ch, &sink, 1000), before, "{observer:?}");
+            errors.push((too_long, too_early, too_dense, gwrite_early, gwrite_dense));
         }
-        let last = train.issue_broadcast_write_train(t0, step, 32, 32).unwrap();
-        assert_eq!(last, t0 + 31 * step);
-        assert_eq!(looped.summary(last + 10), train.summary(last + 10));
-        // An early train is rejected whole, leaving both buses untouched.
-        let before = train.summary(last + 10);
-        assert!(train.issue_broadcast_write_train(last, 1, 4, 32).is_err());
-        assert_eq!(train.summary(last + 10), before);
+        assert_eq!(errors[0], errors[1]);
     }
 
     #[test]
@@ -1608,43 +1656,6 @@ mod tests {
             scrubbed.storage().row(0, 5).unwrap(),
             pristine.storage().row(0, 5).unwrap()
         );
-    }
-
-    #[test]
-    fn comp_burst_with_audit_attached_records_every_command() {
-        // With an observer attached the burst must fall back to the
-        // sequential loop so per-command audit events still appear.
-        let t = timing();
-        let mut ch = channel();
-        for bank in 0..2 {
-            ch.storage_mut()
-                .write_row(bank, 0, &vec![7u8; 1024])
-                .unwrap();
-        }
-        ch.issue_ganged_activate(0, &[(0, 0), (1, 0)]).unwrap();
-        let t0 = ch.earliest_ganged_column_read(0, &[0, 1]);
-        let step = t.t_ccd.max(t.t_cmd);
-        ch.issue_comp_burst(t0, step, 8, &[0, 1]).unwrap();
-        let s = ch.summary(t0 + 8 * step);
-        assert_eq!(s.stats.col_reads_internal, 16);
-        assert_eq!(s.stats.ganged_commands, 1 + 8);
-        assert_eq!(ch.audit().unwrap().validate(&t), vec![]);
-        let col_reads = ch
-            .audit()
-            .unwrap()
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    AuditEvent::ColRd {
-                        external: false,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(col_reads, 16, "per-command audit records survive");
     }
 
     #[test]

@@ -35,10 +35,9 @@
 //!   candidate per primitive class with an early-exit scan, so a round
 //!   costs O(banks) instead of O(queue).
 //!
-//! The `reference-timing` cargo feature flips the default engine, and the
-//! `NEWTON_TIMING_ENGINE` environment variable overrides both — the
-//! reference engine stays available as a byte-identity oracle in any
-//! build.
+//! The engine is chosen by whoever constructs the controller
+//! ([`FrFcfs::with_engine`]; `NewtonConfig::engine` in `newton-core`):
+//! nothing process-wide selects it.
 
 use std::collections::VecDeque;
 
@@ -59,46 +58,15 @@ pub enum PagePolicy {
 /// Which drain algorithm the FR-FCFS controller runs. Both engines emit
 /// byte-identical command streams, completions, and statistics; they
 /// differ only in host-side work per scheduling decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TimingEngine {
     /// Next-event scheduling: shared floors computed once per round plus
     /// per-bank candidate lists with early-exit scans. The default.
+    #[default]
     EventSkipping,
     /// The original full-queue rescan (with memoized `earliest_*`
     /// queries), kept as the byte-identity oracle.
     Reference,
-}
-
-impl TimingEngine {
-    /// The engine picked by build configuration and environment: the
-    /// `reference-timing` cargo feature flips the default to
-    /// [`TimingEngine::Reference`], and the `NEWTON_TIMING_ENGINE`
-    /// environment variable (`"reference"` or `"event-skipping"`,
-    /// case-insensitive; unknown values are ignored) overrides both.
-    #[must_use]
-    pub fn default_engine() -> TimingEngine {
-        let base = if cfg!(feature = "reference-timing") {
-            TimingEngine::Reference
-        } else {
-            TimingEngine::EventSkipping
-        };
-        match std::env::var("NEWTON_TIMING_ENGINE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "reference" => TimingEngine::Reference,
-                "event-skipping" | "event_skipping" | "eventskipping" => {
-                    TimingEngine::EventSkipping
-                }
-                _ => base,
-            },
-            Err(_) => base,
-        }
-    }
-}
-
-impl Default for TimingEngine {
-    fn default() -> TimingEngine {
-        TimingEngine::default_engine()
-    }
 }
 
 /// One host memory request.
@@ -192,7 +160,7 @@ pub struct FrFcfs {
 
 impl FrFcfs {
     /// Creates a controller with the given page policy and the default
-    /// timing engine (see [`TimingEngine::default_engine`]).
+    /// timing engine ([`TimingEngine::EventSkipping`]).
     #[must_use]
     pub fn new(policy: PagePolicy) -> FrFcfs {
         FrFcfs {
@@ -784,7 +752,7 @@ mod tests {
         assert_eq!(mc.engine(), TimingEngine::EventSkipping);
         assert_eq!(
             FrFcfs::new(PagePolicy::Open).engine(),
-            TimingEngine::default_engine()
+            TimingEngine::EventSkipping
         );
     }
 

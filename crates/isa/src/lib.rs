@@ -56,9 +56,6 @@ pub mod interp;
 pub mod mv;
 pub mod program;
 
-/// Alias preserving the spelling used in the tracking issue.
-pub use generate as genarate;
-
 pub use error::IsaError;
 pub use instr::Instr;
 pub use program::{Program, TraceGeometry};

@@ -242,7 +242,7 @@ impl ServeReport {
     }
 
     /// This report with the schedule-cache counters zeroed — the only
-    /// fields allowed to differ between replay-on and replay-off runs
+    /// fields allowed to differ between the two timing engines
     /// (the determinism suite compares sanitized reports for equality).
     #[must_use]
     pub fn sans_schedule_cache(&self) -> ServeReport {

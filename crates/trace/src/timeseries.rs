@@ -335,7 +335,7 @@ impl TimeSeries {
     /// identical to [`TraceEvent::Command`] in [`TimeSeries::record`]),
     /// each optionally carrying `milli_pj` of streamed command energy, in
     /// O(windows touched) instead of O(count) — the closed-form telemetry
-    /// leg of compiled-schedule replay. Value-equivalent to recording each
+    /// leg of a channel command train. Value-equivalent to recording each
     /// `Command` (and, when `milli_pj > 0`, each `CommandEnergy`) event.
     pub fn record_command_train(
         &mut self,
@@ -409,7 +409,7 @@ impl TimeSeries {
     }
 
     /// A copy with the schedule-cache counters zeroed in every window —
-    /// the comparison form for replay-on vs replay-off byte-identity
+    /// the comparison form for production-vs-oracle byte-identity
     /// checks, where the cache's own bookkeeping is the one deliberate
     /// divergence.
     #[must_use]

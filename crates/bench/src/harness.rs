@@ -125,13 +125,9 @@ impl HarnessOptions {
     /// through [`ParallelPolicy::exact`] instead).
     #[must_use]
     pub fn threads(&self) -> usize {
-        let host = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
         self.threads
             .unwrap_or_else(|| ParallelPolicy::default().threads())
-            .min(host)
-            .max(1)
+            .clamp(1, parallel::host_threads())
     }
 }
 

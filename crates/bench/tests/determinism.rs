@@ -121,6 +121,42 @@ fn idle_channels_stay_bit_exact_across_thread_counts() {
     }
 }
 
+/// A system resolves its policy to a thread budget once, when it is
+/// built. Pinned widths and the default policy — whatever
+/// `NEWTON_THREADS` and the host make of it — must agree on everything
+/// observable, on a layer large enough (2^20 MACs a channel) for the
+/// default policy's work threshold to let threads spawn.
+#[test]
+fn default_policy_matches_every_pinned_width() {
+    let (m, n) = (1024, 2048);
+    let matrix = generator::matrix(MvShape::new(m, n), 13);
+    let vector = generator::vector(n, 13);
+    let run_under = |policy: ParallelPolicy| {
+        let mut cfg = NewtonConfig::paper_default();
+        cfg.channels = 2;
+        cfg.parallel = policy;
+        let mut sys = NewtonSystem::new(cfg).expect("system");
+        let loaded = sys.load_matrix(&matrix, m, n).expect("load");
+        sys.run_resident(&loaded, &vector).expect("run")
+    };
+    let serial = run_under(ParallelPolicy::exact(1));
+    let bits = |run: &SystemRun| run.output.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for policy in [
+        ParallelPolicy::exact(2),
+        ParallelPolicy::exact(8),
+        ParallelPolicy::default(),
+    ] {
+        let run = run_under(policy);
+        assert_eq!(bits(&run), bits(&serial), "{policy:?}");
+        assert_eq!(run.cycles, serial.cycles, "{policy:?}");
+        assert_eq!(run.stats, serial.stats, "{policy:?}");
+        assert_eq!(
+            run.channel_summaries, serial.channel_summaries,
+            "{policy:?}"
+        );
+    }
+}
+
 /// `NEWTON_THREADS` parsing and precedence, in one test (env mutation is
 /// process-global, so it is not spread across parallel test threads).
 #[test]

@@ -37,6 +37,17 @@ pub fn env_threads() -> Option<usize> {
         .filter(|&n| n >= 1)
 }
 
+/// The host's available parallelism (1 when it cannot be determined):
+/// the cap on every width that is not pinned. A system call plus, on
+/// Linux, cgroup file reads — ask once and keep the number, never per
+/// unit of work.
+#[must_use]
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
 /// How (and whether) independent simulation work spreads across host
 /// threads.
 ///
@@ -87,43 +98,46 @@ impl ParallelPolicy {
         ParallelPolicy::exact(1)
     }
 
-    /// The resolved thread budget: `NEWTON_THREADS` when respected and
-    /// set, else `max_threads`, else the host's available parallelism.
+    /// The resolved thread budget, from the first of three sources that
+    /// applies: a *pinned* width, `NEWTON_THREADS`, the `max_threads`
+    /// hint (the host's available parallelism when there is none).
     ///
-    /// A policy *pinned* to an explicit width — `respect_env == false`
+    /// A policy pinned to an explicit width — `respect_env == false`
     /// with `max_threads` set, i.e. [`ParallelPolicy::exact`] — returns
-    /// that width untouched; the determinism suite deliberately
+    /// that width untouched, without asking the environment or the
+    /// operating system anything; the determinism suite deliberately
     /// oversubscribes to prove scheduling cannot leak into results. Every
-    /// other source (`NEWTON_THREADS`, a `max_threads` hint,
-    /// auto-detection) is capped at the host's available parallelism:
-    /// oversubscribing scoped workers cannot help cycle-granular
-    /// simulation and measurably hurts (a 1-core host ran `--threads 8`
-    /// 2.4x slower than serial before this cap).
+    /// other source (`NEWTON_THREADS` when respected, a `max_threads`
+    /// hint, auto-detection) is capped at the host's available
+    /// parallelism: oversubscribing scoped workers cannot help
+    /// cycle-granular simulation and measurably hurts (a 1-core host ran
+    /// `--threads 8` 2.4x slower than serial before this cap).
+    ///
+    /// Resolve once and keep the number, as
+    /// [`NewtonSystem`](crate::system::NewtonSystem) does at construction:
+    /// [`host_threads`] is not free.
     #[must_use]
     pub fn threads(&self) -> usize {
-        let host = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        if !self.respect_env {
-            if let Some(n) = self.max_threads {
-                return n.max(1);
-            }
-        } else if let Some(n) = env_threads() {
-            return n.min(host);
+        if let (false, Some(n)) = (self.respect_env, self.max_threads) {
+            return n.max(1);
         }
-        self.max_threads.unwrap_or(host).min(host).max(1)
+        let host = host_threads();
+        let asked = self.respect_env.then(env_threads).flatten();
+        asked.or(self.max_threads).unwrap_or(host).clamp(1, host)
     }
 
-    /// Worker threads for `items` independent tasks whose largest member
-    /// performs `max_item_work` units: 1 (serial) when there is at most
-    /// one item or the work is below [`ParallelPolicy::min_channel_macs`],
-    /// otherwise `min(threads(), items)`.
+    /// The most workers `items` independent tasks can use when the
+    /// largest performs `max_item_work` units: 1 (serial) when there is
+    /// at most one item or the work is below
+    /// [`ParallelPolicy::min_channel_macs`], otherwise `items`. The
+    /// minimum of this and a resolved budget is the width to run at.
     #[must_use]
-    pub fn worker_threads(&self, items: usize, max_item_work: usize) -> usize {
+    pub fn useful_workers(&self, items: usize, max_item_work: usize) -> usize {
         if items <= 1 || max_item_work < self.min_channel_macs {
-            return 1;
+            1
+        } else {
+            items
         }
-        self.threads().min(items)
     }
 }
 
@@ -236,20 +250,20 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_respects_items_and_threshold() {
+    fn useful_workers_respects_items_and_threshold() {
         let p = ParallelPolicy::exact(8);
-        assert_eq!(p.worker_threads(24, 1), 8);
-        assert_eq!(p.worker_threads(3, 1), 3);
-        assert_eq!(p.worker_threads(1, usize::MAX), 1);
-        assert_eq!(p.worker_threads(0, usize::MAX), 1);
+        assert_eq!(p.threads().min(p.useful_workers(24, 1)), 8);
+        assert_eq!(p.threads().min(p.useful_workers(3, 1)), 3);
+        assert_eq!(p.useful_workers(1, usize::MAX), 1);
+        assert_eq!(p.useful_workers(0, usize::MAX), 1);
 
         let gated = ParallelPolicy {
             max_threads: Some(8),
             min_channel_macs: 1_000_000,
             respect_env: false,
         };
-        assert_eq!(gated.worker_threads(24, 999_999), 1);
-        assert_eq!(gated.worker_threads(24, 1_000_000), 8);
+        assert_eq!(gated.useful_workers(24, 999_999), 1);
+        assert_eq!(gated.useful_workers(24, 1_000_000), 24);
     }
 
     #[test]
@@ -262,9 +276,7 @@ mod tests {
 
     #[test]
     fn non_pinned_widths_are_capped_at_host_parallelism() {
-        let host = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
+        let host = host_threads();
         // Auto-detection resolves to the host width exactly.
         let auto = ParallelPolicy {
             max_threads: None,
@@ -283,6 +295,33 @@ mod tests {
         assert!(ParallelPolicy::default().threads() <= host);
         // Pinned exact() still oversubscribes on purpose.
         assert_eq!(ParallelPolicy::exact(host * 4).threads(), host * 4);
+    }
+
+    #[test]
+    fn resolution_order_is_pinned_then_env_then_hint() {
+        // Reads `NEWTON_THREADS` but never sets it (the environment is
+        // process-global; the determinism suite owns the mutating test),
+        // so each expectation is stated for the value found.
+        let host = host_threads();
+        let policy = |max_threads, respect_env| ParallelPolicy {
+            max_threads,
+            min_channel_macs: 0,
+            respect_env,
+        };
+        // 1. A pinned width wins over everything and is never capped.
+        assert_eq!(policy(Some(host + 3), false).threads(), host + 3);
+        // 2. Then the environment, when the policy respects it: it beats
+        //    the hint in either direction, capped at the host.
+        for hint in [Some(1), Some(host + 3), None] {
+            let expected = env_threads().or(hint).unwrap_or(host).min(host);
+            assert_eq!(policy(hint, true).threads(), expected, "hint {hint:?}");
+        }
+        // 3. Then the hint, capped at the host; no hint is the host.
+        assert_eq!(policy(None, false).threads(), host);
+        if env_threads().is_none() {
+            assert_eq!(policy(Some(1), true).threads(), 1);
+            assert_eq!(policy(Some(host + 3), true).threads(), host);
+        }
     }
 
     #[test]

@@ -195,6 +195,11 @@ pub struct NewtonSystem {
     /// built by [`channel_mapping`](NewtonSystem::channel_mapping) route
     /// around them.
     retired: Vec<BTreeSet<usize>>,
+    /// `config.parallel` resolved to a thread budget at construction, so
+    /// that no run asks the environment or the operating system for it:
+    /// the policy cannot change under a live system, and neither do
+    /// `NEWTON_THREADS` or the host's parallelism.
+    threads: usize,
     /// Host-phase self-profiling: wall-clock time this process spent in
     /// each simulation phase (encode / drain / comp / merge / snapshot).
     /// Accumulates across runs; purely observational. Call counts are
@@ -234,6 +239,7 @@ impl NewtonSystem {
             .collect::<Result<Vec<_>, _>>()?;
         let retired = vec![BTreeSet::new(); config.channels];
         Ok(NewtonSystem {
+            threads: config.parallel.threads(),
             config,
             channels,
             activation,
@@ -389,10 +395,11 @@ impl NewtonSystem {
                 .map(|(_, _, map)| map.m() * map.n())
                 .max()
                 .unwrap_or(0);
-            let threads = self
-                .config
-                .parallel
-                .worker_threads(active.len(), per_channel_elems);
+            let threads = self.threads.min(
+                self.config
+                    .parallel
+                    .useful_workers(active.len(), per_channel_elems),
+            );
             parallel::par_map_mut(&mut active, threads, |_, (ch, channel, map)| {
                 channel.load_matrix_strided(map, matrix, *ch, c)
             })
@@ -467,10 +474,11 @@ impl NewtonSystem {
                 .map(|(_, _, plan)| plan.map().m() * plan.map().n())
                 .max()
                 .unwrap_or(0);
-            let threads = self
-                .config
-                .parallel
-                .worker_threads(active.len(), per_channel_macs);
+            let threads = self.threads.min(
+                self.config
+                    .parallel
+                    .useful_workers(active.len(), per_channel_macs),
+            );
             parallel::par_map_mut(&mut active, threads, |_, (ch, channel, plan)| {
                 channel.advance_to(start);
                 (*ch, channel.run_planned(plan, vector, lut_readout))

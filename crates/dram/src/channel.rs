@@ -1304,7 +1304,10 @@ impl Channel {
     // ------------------------------------------------------------------
 
     /// Snapshot of counters, per-bank cycle attribution, and latency
-    /// histograms for the span through `end_cycle`.
+    /// histograms for the span through `end_cycle`. Its cost does not
+    /// depend on the channel's age: the telemetry series in it shares
+    /// storage with the live one ([`TimeSeries::sampled`]) rather than
+    /// copying it.
     #[must_use]
     pub fn summary(&self, end_cycle: Cycle) -> RunSummary {
         RunSummary {

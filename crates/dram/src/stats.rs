@@ -81,6 +81,11 @@ pub struct RunSummary {
     pub ecc: EccCounters,
     /// Windowed telemetry series sampled through `end_cycle`; present
     /// only when the channel ran with streaming telemetry enabled.
+    /// Cumulative since the channel's birth and zero-padded through
+    /// `end_cycle`. The snapshot shares its windows with the channel's
+    /// live series, all but the newest few (`newton_trace::Windows`), so
+    /// it costs the same however old the channel is, and nothing the
+    /// channel records later shows in it.
     pub telemetry: Option<TimeSeries>,
 }
 

@@ -38,7 +38,7 @@ use std::collections::VecDeque;
 
 use newton_bf16::Bf16;
 use newton_core::config::NewtonConfig;
-use newton_core::system::{LoadedMatrix, NewtonSystem, SystemRun};
+use newton_core::system::{LoadedMatrix, NewtonSystem};
 use newton_core::{AimError, RecoveryReport};
 use newton_dram::faults::{self, CampaignSpec};
 use newton_trace::sink::{RequestClass, TraceEvent};
@@ -182,8 +182,10 @@ pub struct ServeReport {
     pub qps: f64,
     /// Simulated span of the whole run, nanoseconds.
     pub span_ns: f64,
-    /// Whole-run DRAM energy (dynamic + refresh) in picojoules, from the
-    /// streamed telemetry; 0 when telemetry is disabled.
+    /// DRAM energy (dynamic + refresh) this call spent, in picojoules:
+    /// the system's streamed telemetry totals at exit less those at entry,
+    /// so refreshes of an idle stretch count and an earlier call on the
+    /// same server does not; 0 when telemetry is disabled.
     pub energy_pj: f64,
     /// `energy_pj` per completed query, in joules.
     pub joules_per_query: f64,
@@ -254,6 +256,19 @@ impl ServeReport {
             ..self.clone()
         }
     }
+}
+
+/// Streamed DRAM energy (dynamic + refresh) since the system's birth, in
+/// milli-pJ, summed over channels; 0 when telemetry is disabled.
+fn streamed_energy_milli_pj(sys: &NewtonSystem) -> u64 {
+    sys.channels()
+        .iter()
+        .filter_map(|ch| ch.channel().telemetry())
+        .map(|series| {
+            let t = series.totals();
+            t.energy_milli_pj + t.refresh_milli_pj
+        })
+        .sum()
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice; 0 for empty.
@@ -424,6 +439,7 @@ impl Server {
             .arrival_times_ns(traffic.seed, traffic.requests)
             .map_err(|e| ServeError::Fatal(AimError::InvalidConfig(e)))?;
         let origin = self.sys.now();
+        let energy_at_origin = streamed_energy_milli_pj(&self.sys);
         let arr: Vec<u64> = arrivals_ns
             .iter()
             .map(|&ns| origin + (ns as f64 / tck).ceil() as u64)
@@ -440,7 +456,6 @@ impl Server {
         let mut fired = vec![false; chaos.events.len()];
         let mut errors: Vec<ServeError> = Vec::new();
         let mut latencies: Vec<u64> = Vec::with_capacity(traffic.requests);
-        let mut last_run: Option<SystemRun> = None;
 
         let (mut shed, mut expired, mut completed, mut late, mut retries) =
             (0u64, 0u64, 0u64, 0u64, 0u64);
@@ -613,7 +628,6 @@ impl Server {
                     .filter(|(v, &g)| v.to_bits() != g)
                     .count() as u64;
                 completed += 1;
-                last_run = Some(run);
             }
         }
 
@@ -627,13 +641,7 @@ impl Server {
         let span_ns = span_cycles as f64 * tck;
         latencies.sort_unstable();
         let to_ns = |c: u64| c as f64 * tck;
-        let energy_pj = last_run
-            .as_ref()
-            .and_then(SystemRun::merged_telemetry)
-            .map_or(0.0, |t| {
-                let tot = t.totals();
-                (tot.energy_milli_pj + tot.refresh_milli_pj) as f64 / 1000.0
-            });
+        let energy_pj = (streamed_energy_milli_pj(&self.sys) - energy_at_origin) as f64 / 1000.0;
         let qps = if span_ns > 0.0 {
             completed as f64 / (span_ns * 1e-9)
         } else {

@@ -9,6 +9,7 @@ use newton_dram::faults::CampaignSpec;
 use newton_serve::{
     ChaosAction, ChaosEvent, ChaosPlan, ConventionalTraffic, ServeError, Server, TrafficConfig,
 };
+use newton_trace::EnergyModel;
 use newton_workloads::arrivals::ArrivalPattern;
 use newton_workloads::{generator, MvShape};
 
@@ -242,4 +243,50 @@ fn reports_are_deterministic_across_runs() {
     let ra = a.serve(&t, &plan).expect("a");
     let rb = b.serve(&t, &plan).expect("b");
     assert_eq!(ra, rb, "same config, same chaos: byte-identical reports");
+}
+
+/// Streamed DRAM energy of the server's system since its birth, milli-pJ.
+fn lifetime_energy_milli_pj(s: &Server) -> u64 {
+    s.system()
+        .channels()
+        .iter()
+        .map(|ch| {
+            let t = ch.channel().telemetry().expect("telemetry on").totals();
+            t.energy_milli_pj + t.refresh_milli_pj
+        })
+        .sum()
+}
+
+#[test]
+fn a_second_serve_reports_its_own_energy_not_the_servers_lifetime() {
+    let mut s = server(2, true);
+    let t = TrafficConfig {
+        deadline_ns: 1e9,
+        ..TrafficConfig::poisson(0.001, 40, 3)
+    };
+    let first = s.serve(&t, &ChaosPlan::none()).expect("first");
+    let after_first = lifetime_energy_milli_pj(&s);
+    let second = s.serve(&t, &ChaosPlan::none()).expect("second");
+    let after_second = lifetime_energy_milli_pj(&s);
+
+    // A load issues no DRAM commands, so the first call starts from zero.
+    assert_eq!(first.energy_pj, after_first as f64 / 1000.0);
+    assert_eq!(
+        second.energy_pj,
+        (after_second - after_first) as f64 / 1000.0,
+        "the second call reports the difference of the lifetime totals"
+    );
+    // The same traffic spends the same energy, up to where the refresh
+    // schedule falls against the call's span: one all-bank refresh a
+    // channel. (The lifetime reading would be twice the first call's.)
+    let cfg = s.system().config();
+    let one_refresh_each =
+        EnergyModel::new().refresh_pj(cfg.dram.banks as u32) * cfg.channels as f64;
+    assert!(
+        (second.energy_pj - first.energy_pj).abs() <= one_refresh_each,
+        "first {} pJ, second {} pJ",
+        first.energy_pj,
+        second.energy_pj
+    );
+    assert_eq!(second.completed, 40);
 }

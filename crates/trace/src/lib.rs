@@ -60,5 +60,6 @@ pub use sink::{
 };
 pub use snapshot::{MetricsSnapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use timeseries::{
-    BankEnergyCounts, TimeSeries, WindowMetrics, DEFAULT_WINDOW_CYCLES, TELEMETRY_SCHEMA_VERSION,
+    BankEnergyCounts, TimeSeries, WindowMetrics, Windows, DEFAULT_WINDOW_CYCLES,
+    TELEMETRY_SCHEMA_VERSION,
 };

@@ -18,6 +18,16 @@
 //! of a run contributes nothing, exactly like
 //! `Bank::open_cycles`. Totals therefore match run-summary counters
 //! field-for-field, which the energy property tests rely on.
+//!
+//! Storage: the windows live in fixed-length chunks, all but the newest
+//! behind [`Arc`] and mutated copy-on-write (see [`Windows`]). A clone or
+//! a [`TimeSeries::sampled`] snapshot therefore costs the same whatever
+//! the series' age, and a later write — including a bank-open span
+//! attributed back into old windows — copies only the chunk it lands in,
+//! leaving every snapshot already handed out as it was.
+
+use std::ops::Index;
+use std::sync::Arc;
 
 use crate::energy::EnergyModel;
 use crate::json::JsonValue;
@@ -93,6 +103,34 @@ pub struct WindowMetrics {
 }
 
 impl WindowMetrics {
+    /// The empty window; equal to `WindowMetrics::default()`.
+    const ZERO: WindowMetrics = WindowMetrics {
+        commands: 0,
+        bus_bytes: 0,
+        bank_open_cycles: 0,
+        activates: 0,
+        ganged_acts: 0,
+        ganged_act_banks: 0,
+        comp_ops: 0,
+        array_accesses: 0,
+        refresh_banks: 0,
+        queue_samples: 0,
+        queue_wait_cycles: 0,
+        ecc_corrected: 0,
+        ecc_uncorrectable: 0,
+        energy_milli_pj: 0,
+        refresh_milli_pj: 0,
+        arrivals: 0,
+        admissions: 0,
+        sheds: 0,
+        deadline_misses: 0,
+        retries: 0,
+        schedule_hits: 0,
+        schedule_misses: 0,
+        schedule_invalidations: 0,
+        replayed_commands: 0,
+    };
+
     /// Element-wise accumulate.
     fn add(&mut self, o: &WindowMetrics) {
         self.commands += o.commands;
@@ -119,6 +157,196 @@ impl WindowMetrics {
         self.schedule_misses += o.schedule_misses;
         self.schedule_invalidations += o.schedule_invalidations;
         self.replayed_commands += o.replayed_commands;
+    }
+}
+
+/// Windows per storage chunk: 32 x 192 B = 6 KiB. A snapshot copies the
+/// newest chunk and nothing else, so shorter is cheaper per run; the
+/// list of sealed chunks is rebuilt once per chunk while a snapshot is
+/// held, so longer is cheaper per window. One run of a small resident
+/// matrix spans one or two windows.
+const CHUNK_WINDOWS: usize = 32;
+
+type Chunk = [WindowMetrics; CHUNK_WINDOWS];
+
+/// What a chunk nobody has written to reads as.
+const ZERO_CHUNK: &Chunk = &[WindowMetrics::ZERO; CHUNK_WINDOWS];
+
+/// The windows of a [`TimeSeries`] (index `i` covers cycles
+/// `i*W .. (i+1)*W`), borrowed through [`TimeSeries::windows`].
+///
+/// Windows `32*c .. 32*(c+1)` live in chunk `c`. The newest chunk is
+/// owned, so recording into it — nearly every write, several per
+/// command when each command is observed — is a plain store. Once a
+/// window past it exists it is sealed behind an [`Arc`] and from then on
+/// shared between a series and its clones, as is the list of sealed
+/// chunks itself: a clone costs two pointers and a copy of the newest
+/// chunk, however long the series. Only a write reaching back into a
+/// sealed chunk (a bank-open span closing at precharge, a merge) pays
+/// for uniqueness, copying the list and the chunk if a clone still
+/// holds them. A sealed `None` is a chunk of zeros, so padding and idle
+/// gaps cost a pointer each and no windows.
+///
+/// `sealed.len() == len.saturating_sub(1) / CHUNK_WINDOWS`, and slots of
+/// `newest` at or past `len` are never written and stay zero.
+#[derive(Clone)]
+pub struct Windows {
+    sealed: Arc<Vec<Option<Arc<Chunk>>>>,
+    newest: Box<Chunk>,
+    len: usize,
+}
+
+fn chunk_ref(chunk: &Option<Arc<Chunk>>) -> &Chunk {
+    chunk.as_deref().unwrap_or(ZERO_CHUNK)
+}
+
+impl Default for Windows {
+    fn default() -> Windows {
+        Windows {
+            sealed: Arc::default(),
+            newest: Box::new(*ZERO_CHUNK),
+            len: 0,
+        }
+    }
+}
+
+impl Windows {
+    /// Number of windows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the series has no window yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The windows in time order.
+    pub fn iter(&self) -> impl Iterator<Item = &WindowMetrics> {
+        self.chunks().flatten().take(self.len)
+    }
+
+    fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        let newest: &Chunk = &self.newest;
+        self.sealed.iter().map(chunk_ref).chain([newest])
+    }
+
+    /// Zero-pads to at least `n` windows, sealing the newest chunk when
+    /// the last window moves past it.
+    fn pad_to(&mut self, n: usize) {
+        if n <= self.len {
+            return;
+        }
+        let last_chunk = (n - 1) / CHUNK_WINDOWS;
+        if last_chunk > self.sealed.len() {
+            let written = *self.newest != *ZERO_CHUNK;
+            let sealed = Arc::make_mut(&mut self.sealed);
+            sealed.push(written.then(|| Arc::new(*self.newest)));
+            sealed.resize(last_chunk, None);
+            *self.newest = *ZERO_CHUNK;
+        }
+        self.len = n;
+    }
+
+    /// Sealed chunk `c` for writing, unshared first.
+    #[cold]
+    fn sealed_mut(&mut self, c: usize) -> &mut Chunk {
+        let chunk = &mut Arc::make_mut(&mut self.sealed)[c];
+        Arc::make_mut(chunk.get_or_insert_with(|| Arc::new(*ZERO_CHUNK)))
+    }
+
+    /// Chunk `c` (at most the newest) for writing. Which one is the
+    /// newest is read off `len`, not `sealed`, to keep the list out of
+    /// the recording path.
+    #[inline]
+    fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
+        if c == self.len.saturating_sub(1) / CHUNK_WINDOWS {
+            &mut self.newest
+        } else {
+            self.sealed_mut(c)
+        }
+    }
+
+    /// Window `idx` for writing, padding up to it.
+    #[inline]
+    fn slot_mut(&mut self, idx: usize) -> &mut WindowMetrics {
+        if idx >= self.len {
+            self.pad_to(idx + 1);
+        }
+        &mut self.chunk_mut(idx / CHUNK_WINDOWS)[idx % CHUNK_WINDOWS]
+    }
+
+    /// Every written chunk for in-place update, unshared first.
+    fn written_chunks_mut(&mut self) -> impl Iterator<Item = &mut Chunk> {
+        let newest: &mut Chunk = &mut self.newest;
+        Arc::make_mut(&mut self.sealed)
+            .iter_mut()
+            .flatten()
+            .map(Arc::make_mut)
+            .chain([newest])
+    }
+
+    /// Element-wise accumulate of `other`, padding to its length.
+    fn add(&mut self, other: &Windows) {
+        self.pad_to(other.len);
+        // After the pad `self` has sealed at least as many chunks.
+        for (dst, src) in Arc::make_mut(&mut self.sealed)
+            .iter_mut()
+            .zip(other.sealed.iter())
+        {
+            let Some(src) = src else { continue };
+            match dst {
+                // Zeros plus a chunk is that chunk: share it.
+                None => *dst = Some(Arc::clone(src)),
+                Some(dst) => add_chunk(Arc::make_mut(dst), src),
+            }
+        }
+        if *other.newest != *ZERO_CHUNK {
+            add_chunk(self.chunk_mut(other.sealed.len()), &other.newest);
+        }
+    }
+}
+
+fn add_chunk(dst: &mut Chunk, src: &Chunk) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.add(s);
+    }
+}
+
+impl Index<usize> for Windows {
+    type Output = WindowMetrics;
+
+    fn index(&self, idx: usize) -> &WindowMetrics {
+        assert!(
+            idx < self.len,
+            "window index {idx} out of range for {} windows",
+            self.len
+        );
+        let chunk = match self.sealed.get(idx / CHUNK_WINDOWS) {
+            None => &self.newest,
+            Some(chunk) => chunk_ref(chunk),
+        };
+        &chunk[idx % CHUNK_WINDOWS]
+    }
+}
+
+/// By value: chunk sharing and how the zeros came about do not matter.
+impl PartialEq for Windows {
+    fn eq(&self, other: &Windows) -> bool {
+        self.len == other.len
+            && self
+                .chunks()
+                .zip(other.chunks())
+                .all(|(a, b)| std::ptr::eq(a, b) || a == b)
+    }
+}
+
+/// Renders as the list of windows.
+impl std::fmt::Debug for Windows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -149,7 +377,7 @@ impl BankEnergyCounts {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     window_cycles: u64,
-    windows: Vec<WindowMetrics>,
+    windows: Windows,
     per_bank: Vec<BankEnergyCounts>,
     /// Open-row start cycle per bank (span attributed at precharge).
     open_since: Vec<Option<u64>>,
@@ -162,7 +390,7 @@ impl TimeSeries {
     pub fn new(window_cycles: u64, banks: usize) -> TimeSeries {
         TimeSeries {
             window_cycles: window_cycles.max(1),
-            windows: Vec::new(),
+            windows: Windows::default(),
             per_bank: vec![BankEnergyCounts::default(); banks],
             open_since: vec![None; banks],
         }
@@ -177,7 +405,7 @@ impl TimeSeries {
     /// The windows accumulated so far (index `i` covers cycles
     /// `i*W .. (i+1)*W`).
     #[must_use]
-    pub fn windows(&self) -> &[WindowMetrics] {
+    pub fn windows(&self) -> &Windows {
         &self.windows
     }
 
@@ -188,11 +416,7 @@ impl TimeSeries {
     }
 
     fn window_mut(&mut self, cycle: u64) -> &mut WindowMetrics {
-        let idx = (cycle / self.window_cycles) as usize;
-        if idx >= self.windows.len() {
-            self.windows.resize(idx + 1, WindowMetrics::default());
-        }
-        &mut self.windows[idx]
+        self.windows.slot_mut((cycle / self.window_cycles) as usize)
     }
 
     /// Attributes a closed bank-open span, split across the windows it
@@ -415,7 +639,7 @@ impl TimeSeries {
     #[must_use]
     pub fn sans_schedule_cache(&self) -> TimeSeries {
         let mut s = self.clone();
-        for w in &mut s.windows {
+        for w in s.windows.written_chunks_mut().flatten() {
             w.schedule_hits = 0;
             w.schedule_misses = 0;
             w.schedule_invalidations = 0;
@@ -428,14 +652,14 @@ impl TimeSeries {
     /// with zeros up to the window containing the last cycle, so two runs
     /// ending at the same cycle render byte-identically regardless of
     /// where their final events fell. Open rows stay unattributed,
-    /// mirroring the bank counters.
+    /// mirroring the bank counters. The snapshot shares every sealed
+    /// chunk of windows with this series and copies the newest; padding
+    /// stores no windows; nothing recorded here afterwards shows in it.
     #[must_use]
     pub fn sampled(&self, end_cycle: u64) -> TimeSeries {
         let mut s = self.clone();
-        let n = (end_cycle.div_ceil(s.window_cycles)).max(1) as usize;
-        if n > s.windows.len() {
-            s.windows.resize(n, WindowMetrics::default());
-        }
+        s.windows
+            .pad_to(end_cycle.div_ceil(s.window_cycles).max(1) as usize);
         s
     }
 
@@ -453,13 +677,7 @@ impl TimeSeries {
             self.window_cycles, other.window_cycles,
             "telemetry merge requires equal window widths"
         );
-        if other.windows.len() > self.windows.len() {
-            self.windows
-                .resize(other.windows.len(), WindowMetrics::default());
-        }
-        for (dst, src) in self.windows.iter_mut().zip(&other.windows) {
-            dst.add(src);
-        }
+        self.windows.add(&other.windows);
         if other.per_bank.len() > self.per_bank.len() {
             self.per_bank
                 .resize(other.per_bank.len(), BankEnergyCounts::default());
@@ -475,7 +693,7 @@ impl TimeSeries {
     #[must_use]
     pub fn totals(&self) -> WindowMetrics {
         let mut t = WindowMetrics::default();
-        for w in &self.windows {
+        for w in self.windows.iter() {
             t.add(w);
         }
         t
@@ -840,6 +1058,99 @@ mod tests {
         assert_eq!(s.totals(), ts.totals());
         // Sampling an empty series still yields one window.
         assert_eq!(TimeSeries::new(100, 1).sampled(0).windows().len(), 1);
+    }
+
+    #[test]
+    fn consecutive_snapshots_share_every_sealed_chunk() {
+        let mut ts = TimeSeries::new(1, 1);
+        for cycle in 0..(3 * CHUNK_WINDOWS as u64 + 5) {
+            ts.record(&act(cycle, 1));
+        }
+        let first = ts.sampled(0);
+        // A run later: a few more windows in the newest chunk, and a span
+        // attributed back into the oldest one.
+        ts.record(&TraceEvent::BankState {
+            cycle: 3,
+            bank: 0,
+            class: BankClass::RowOpen,
+        });
+        ts.record(&TraceEvent::BankState {
+            cycle: 6,
+            bank: 0,
+            class: BankClass::Precharging,
+        });
+        ts.record(&act(3 * CHUNK_WINDOWS as u64 + 9, 1));
+        let second = ts.sampled(0);
+        let third = ts.sampled(0);
+
+        let shared = |a: &TimeSeries, b: &TimeSeries, c: usize| match (
+            &a.windows.sealed[c],
+            &b.windows.sealed[c],
+        ) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        assert_eq!(first.windows.sealed.len(), 3);
+        assert_eq!(second.windows.sealed.len(), 3);
+        // Only the chunk the span reached back into was copied, and the
+        // earlier snapshot kept the original.
+        assert!(!shared(&first, &second, 0));
+        assert_eq!(first.windows()[3].bank_open_cycles, 0);
+        assert_eq!(second.windows()[3].bank_open_cycles, 1);
+        assert!(shared(&first, &second, 1) && shared(&first, &second, 2));
+        // Nothing was written between these two: every sealed chunk is
+        // one allocation, shared with the live series too, and so is the
+        // list of them — what makes a snapshot cost the same at any age.
+        for c in 0..3 {
+            assert!(shared(&second, &third, c) && shared(&third, &ts, c));
+        }
+        assert!(Arc::ptr_eq(&second.windows.sealed, &third.windows.sealed));
+        assert!(Arc::ptr_eq(&third.windows.sealed, &ts.windows.sealed));
+        assert!(!Arc::ptr_eq(&first.windows.sealed, &second.windows.sealed));
+        // Recording on in the newest chunk leaves the list shared.
+        ts.record(&act(3 * CHUNK_WINDOWS as u64 + 11, 1));
+        assert!(Arc::ptr_eq(&third.windows.sealed, &ts.windows.sealed));
+    }
+
+    #[test]
+    fn equality_is_by_value_whatever_the_sharing_and_padding_history() {
+        let w = CHUNK_WINDOWS as u64;
+        // One series written straight through ...
+        let mut straight = TimeSeries::new(1, 1);
+        for cycle in [2, w + 1, 4 * w + 7] {
+            straight.record(&act(cycle, 2));
+        }
+        // ... one that was snapshotted, padded past two idle chunks, then
+        // written backwards into them ...
+        let mut padded = TimeSeries::new(1, 1);
+        padded.record(&act(2, 2));
+        let held = padded.sampled(3 * w);
+        let mut padded = padded.sampled(4 * w + 8);
+        padded.record(&act(4 * w + 7, 2));
+        padded.record(&act(w + 1, 2));
+        // ... and one assembled by merging halves.
+        let mut merged = TimeSeries::new(1, 1);
+        merged.record(&act(4 * w + 7, 2));
+        let mut low = TimeSeries::new(1, 1);
+        low.record(&act(2, 2));
+        low.record(&act(w + 1, 2));
+        merged.merge(&low);
+
+        assert_eq!(straight, padded);
+        assert_eq!(straight, merged);
+        assert_eq!(padded, merged);
+        assert_eq!(format!("{straight:?}"), format!("{padded:?}"));
+        // An untouched chunk and a chunk of written zeros read the same.
+        assert_ne!(straight, held);
+        assert_eq!(held, {
+            let mut s = TimeSeries::new(1, 1);
+            s.record(&act(2, 2));
+            s.record_burst_train(3 * w - 1, 0, 1, 0);
+            s.record_burst_train(w + 5, 0, 1, 0);
+            assert!(s.windows.sealed[1].is_some() && held.windows.sealed[1].is_none());
+            s
+        });
+        assert_eq!(WindowMetrics::ZERO, WindowMetrics::default());
     }
 
     #[test]

@@ -1,0 +1,562 @@
+//! Model-based check of the chunked, structurally shared window storage
+//! behind [`TimeSeries`]: random interleavings of every recording call
+//! with `sampled`, `clone`, `merge` and `sans_schedule_cache`, snapshots
+//! kept alive across later writes, against a flat `Vec<WindowMetrics>`
+//! model that copies where the series shares. The series must read the
+//! same as the model through every accessor and exporter, and a snapshot
+//! must still read as the model's copy taken at the same point however
+//! far the live series has moved on — including when a bank-open span
+//! closes back into windows the snapshot shares.
+//!
+//! Window width 8 keeps cycles small: a chunk (a few tens of windows, the
+//! length is private to the series) is a few hundred cycles.
+
+use newton_trace::{
+    BankClass, BankEnergyCounts, ChromeTraceBuilder, EnergyModel, JsonValue, RequestClass,
+    TimeSeries, TraceBus, TraceEvent, WindowMetrics,
+};
+use proptest::prelude::*;
+
+const W: u64 = 8;
+const BANKS: usize = 4;
+const LABELS: [&str; 7] = ["ACT", "G_ACT", "COMP", "RD", "WR", "REF", "PRE"];
+const REQUESTS: [RequestClass; 5] = [
+    RequestClass::Arrival,
+    RequestClass::Admission,
+    RequestClass::Shed,
+    RequestClass::DeadlineMiss,
+    RequestClass::Retry,
+];
+
+/// Every counter of a window, in declaration order.
+fn counters(w: &mut WindowMetrics) -> [&mut u64; 24] {
+    [
+        &mut w.commands,
+        &mut w.bus_bytes,
+        &mut w.bank_open_cycles,
+        &mut w.activates,
+        &mut w.ganged_acts,
+        &mut w.ganged_act_banks,
+        &mut w.comp_ops,
+        &mut w.array_accesses,
+        &mut w.refresh_banks,
+        &mut w.queue_samples,
+        &mut w.queue_wait_cycles,
+        &mut w.ecc_corrected,
+        &mut w.ecc_uncorrectable,
+        &mut w.energy_milli_pj,
+        &mut w.refresh_milli_pj,
+        &mut w.arrivals,
+        &mut w.admissions,
+        &mut w.sheds,
+        &mut w.deadline_misses,
+        &mut w.retries,
+        &mut w.schedule_hits,
+        &mut w.schedule_misses,
+        &mut w.schedule_invalidations,
+        &mut w.replayed_commands,
+    ]
+}
+
+/// The JSON key each counter is exported under, parallel to
+/// [`counters`]; `None` where the document carries only a derived rate.
+const JSON_KEYS: [Option<&str>; 24] = [
+    Some("commands"),
+    Some("bus_bytes"),
+    Some("bank_open_cycles"),
+    Some("activates"),
+    Some("ganged_acts"),
+    None,
+    Some("comp_ops"),
+    Some("array_accesses"),
+    Some("refresh_banks"),
+    Some("queue_samples"),
+    None,
+    Some("ecc_corrected"),
+    Some("ecc_uncorrectable"),
+    Some("streamed_energy_milli_pj"),
+    Some("refresh_energy_milli_pj"),
+    Some("arrivals"),
+    Some("admissions"),
+    Some("sheds"),
+    Some("deadline_misses"),
+    Some("retries"),
+    Some("schedule_hits"),
+    Some("schedule_misses"),
+    Some("schedule_invalidations"),
+    Some("replayed_commands"),
+];
+
+fn add(dst: &mut WindowMetrics, src: &WindowMetrics) {
+    let mut src = *src;
+    for (d, s) in counters(dst).into_iter().zip(counters(&mut src)) {
+        *d += *s;
+    }
+}
+
+/// The reference: one flat vector of windows, every event folded one at a
+/// time, every snapshot a full copy.
+#[derive(Debug, Clone, PartialEq)]
+struct Flat {
+    windows: Vec<WindowMetrics>,
+    per_bank: Vec<BankEnergyCounts>,
+    open_since: Vec<Option<u64>>,
+}
+
+impl Flat {
+    fn new() -> Flat {
+        Flat {
+            windows: Vec::new(),
+            per_bank: vec![BankEnergyCounts::default(); BANKS],
+            open_since: vec![None; BANKS],
+        }
+    }
+
+    fn at(&mut self, cycle: u64) -> &mut WindowMetrics {
+        let idx = (cycle / W) as usize;
+        if idx >= self.windows.len() {
+            self.windows.resize(idx + 1, WindowMetrics::default());
+        }
+        &mut self.windows[idx]
+    }
+
+    fn record(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::Command {
+                cycle,
+                label,
+                bank_ops,
+                ..
+            } => {
+                let ops = u64::from(bank_ops);
+                let w = self.at(cycle);
+                w.commands += 1;
+                match label {
+                    "ACT" | "G_ACT" => {
+                        w.activates += ops;
+                        if ops > 1 {
+                            w.ganged_acts += 1;
+                            w.ganged_act_banks += ops;
+                        }
+                    }
+                    "COMP" => {
+                        w.comp_ops += ops;
+                        w.array_accesses += ops;
+                    }
+                    "RD" | "WR" => w.array_accesses += 1,
+                    "REF" => w.refresh_banks += ops,
+                    _ => {}
+                }
+            }
+            TraceEvent::BankState { cycle, bank, class } => {
+                let b = bank as usize;
+                if b >= BANKS {
+                    return;
+                }
+                match class {
+                    BankClass::RowOpen => {
+                        self.per_bank[b].activates += 1;
+                        self.open_since[b].get_or_insert(cycle);
+                    }
+                    BankClass::Computing => self.per_bank[b].comp_ops += 1,
+                    BankClass::Refreshing => self.per_bank[b].refreshes += 1,
+                    BankClass::Precharging | BankClass::Idle => {
+                        if let Some(from) = self.open_since[b].take() {
+                            for c in from..cycle {
+                                self.at(c).bank_open_cycles += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            TraceEvent::DataBurst { cycle, bytes } => self.at(cycle).bus_bytes += bytes,
+            TraceEvent::QueueLatency { cycle, waited } => {
+                let w = self.at(cycle);
+                w.queue_samples += 1;
+                w.queue_wait_cycles += waited;
+            }
+            TraceEvent::EccCorrected { cycle, bits, .. } => {
+                self.at(cycle).ecc_corrected += u64::from(bits);
+            }
+            TraceEvent::EccUncorrectable { cycle, .. } => self.at(cycle).ecc_uncorrectable += 1,
+            TraceEvent::CommandEnergy {
+                cycle,
+                label,
+                milli_pj,
+            } => {
+                let w = self.at(cycle);
+                if label == "REF" {
+                    w.refresh_milli_pj += milli_pj;
+                } else {
+                    w.energy_milli_pj += milli_pj;
+                }
+            }
+            TraceEvent::Request { cycle, class } => {
+                let w = self.at(cycle);
+                match class {
+                    RequestClass::Arrival => w.arrivals += 1,
+                    RequestClass::Admission => w.admissions += 1,
+                    RequestClass::Shed => w.sheds += 1,
+                    RequestClass::DeadlineMiss => w.deadline_misses += 1,
+                    RequestClass::Retry => w.retries += 1,
+                }
+            }
+        }
+    }
+
+    fn sampled(&self, end_cycle: u64) -> Flat {
+        let mut s = self.clone();
+        let n = end_cycle.div_ceil(W).max(1) as usize;
+        if n > s.windows.len() {
+            s.windows.resize(n, WindowMetrics::default());
+        }
+        s
+    }
+
+    fn merge(&mut self, other: &Flat) {
+        if other.windows.len() > self.windows.len() {
+            self.windows
+                .resize(other.windows.len(), WindowMetrics::default());
+        }
+        for (d, s) in self.windows.iter_mut().zip(&other.windows) {
+            add(d, s);
+        }
+        for (d, s) in self.per_bank.iter_mut().zip(&other.per_bank) {
+            d.activates += s.activates;
+            d.comp_ops += s.comp_ops;
+            d.refreshes += s.refreshes;
+        }
+    }
+
+    fn sans_schedule_cache(&self) -> Flat {
+        let mut s = self.clone();
+        for w in &mut s.windows {
+            w.schedule_hits = 0;
+            w.schedule_misses = 0;
+            w.schedule_invalidations = 0;
+            w.replayed_commands = 0;
+        }
+        s
+    }
+
+    fn totals(&self) -> WindowMetrics {
+        let mut t = WindowMetrics::default();
+        for w in &self.windows {
+            add(&mut t, w);
+        }
+        t
+    }
+}
+
+/// Every accessor of `series` reads what the model holds.
+fn check_reads(series: &TimeSeries, model: &Flat, what: &str) -> Result<(), TestCaseError> {
+    let windows = series.windows();
+    prop_assert_eq!(windows.len(), model.windows.len(), "{}: len", what);
+    prop_assert_eq!(windows.is_empty(), model.windows.is_empty());
+    for (i, w) in model.windows.iter().enumerate() {
+        prop_assert_eq!(&windows[i], w, "{}: window {}", what, i);
+    }
+    let iterated: Vec<WindowMetrics> = windows.iter().copied().collect();
+    prop_assert_eq!(&iterated, &model.windows, "{}: iter", what);
+    prop_assert_eq!(series.per_bank(), &model.per_bank[..], "{}: per_bank", what);
+    prop_assert_eq!(series.totals(), model.totals(), "{}: totals", what);
+    Ok(())
+}
+
+/// `Debug`, the JSON document and the Perfetto counter tracks carry the
+/// model's windows, in order.
+fn check_exports(series: &TimeSeries, model: &Flat, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        format!("{:?}", series.windows()),
+        format!("{:?}", model.windows),
+        "{}: Debug",
+        what
+    );
+    let energy = EnergyModel::new();
+    // The text is a pure function of this value (`json.rs` tests that).
+    let doc = series.to_json(0.5, &energy);
+    let rows = doc.get("windows").and_then(JsonValue::as_array).unwrap();
+    prop_assert_eq!(rows.len(), model.windows.len(), "{}: JSON windows", what);
+    let num = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64);
+    let mut model_rows = model.windows.clone();
+    model_rows.push(model.totals());
+    let json_rows = rows.iter().chain(doc.get("totals"));
+    for (i, (row, m)) in json_rows.zip(&mut model_rows).enumerate() {
+        let is_window = i < model.windows.len();
+        if is_window {
+            prop_assert_eq!(num(row, "window"), Some(i as f64));
+            prop_assert_eq!(num(row, "start_cycle"), Some((i as u64 * W) as f64));
+        }
+        for (key, value) in JSON_KEYS.iter().zip(counters(m)) {
+            // The totals object carries a subset of the window keys.
+            let Some(key) = key.filter(|k| is_window || row.get(k).is_some()) else {
+                continue;
+            };
+            prop_assert_eq!(
+                num(row, key),
+                Some(*value as f64),
+                "{}: JSON row {} {}",
+                what,
+                i,
+                key
+            );
+        }
+    }
+    let banks = doc.get("per_bank").and_then(JsonValue::as_array).unwrap();
+    prop_assert_eq!(banks.len(), BANKS);
+    for (row, b) in banks.iter().zip(&model.per_bank) {
+        prop_assert_eq!(num(row, "activates"), Some(b.activates as f64));
+        prop_assert_eq!(num(row, "comp_ops"), Some(b.comp_ops as f64));
+        prop_assert_eq!(num(row, "refreshes"), Some(b.refreshes as f64));
+    }
+
+    let mut chrome = ChromeTraceBuilder::new(1.0);
+    series.to_chrome(&mut chrome, 3, &energy);
+    let built = chrome.build();
+    let events = built
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .unwrap();
+    prop_assert_eq!(events.len(), 8 * model.windows.len(), "{}: tracks", what);
+    for (i, (tracks, m)) in events.chunks(8).zip(&model.windows).enumerate() {
+        for e in tracks {
+            prop_assert_eq!(num(e, "pid"), Some(3.0));
+            prop_assert_eq!(num(e, "ts"), Some((i as u64 * W) as f64 / 1000.0));
+        }
+        let arg = |track: usize, key: &str| {
+            tracks[track]
+                .get("args")
+                .and_then(|a| num(a, key))
+                .unwrap_or(f64::NAN)
+        };
+        prop_assert_eq!(arg(0, "bytes_per_cycle"), m.bus_bytes as f64 / W as f64);
+        prop_assert_eq!(
+            arg(1, "open_fraction"),
+            m.bank_open_cycles as f64 / (BANKS as f64 * W as f64)
+        );
+        prop_assert_eq!(arg(2, "mean_depth"), m.queue_wait_cycles as f64 / W as f64);
+        prop_assert_eq!(arg(4, "refresh_pj"), m.refresh_milli_pj as f64 / 1000.0);
+        prop_assert_eq!(arg(5, "corrected"), m.ecc_corrected as f64);
+        prop_assert_eq!(arg(6, "arrivals"), m.arrivals as f64);
+        prop_assert_eq!(arg(6, "retries"), m.retries as f64);
+        prop_assert_eq!(arg(7, "hits"), m.schedule_hits as f64);
+        prop_assert_eq!(arg(7, "replayed_commands"), m.replayed_commands as f64);
+    }
+    Ok(())
+}
+
+/// One step of an interleaving, decoded from four raw draws so that a
+/// failing case prints as plain numbers.
+type RawOp = (u8, u64, u64, u64);
+
+/// A series under test, paired with the model of what it must read as.
+type Pair = (TimeSeries, Flat);
+
+fn apply(op: RawOp, live: &mut Pair, kept: &mut Vec<Pair>) {
+    let (kind, a, b, c) = op;
+    // Cycles span many chunks; most writes reach back into sealed ones.
+    let cycle = a % 3000;
+    let label = LABELS[(b % 7) as usize];
+    let bank = (b % (BANKS as u64 + 1)) as u32; // one bank out of range
+    let event = match kind {
+        0 => Some(TraceEvent::Command {
+            cycle,
+            bus: TraceBus::Column,
+            label,
+            bank_ops: (c % 17) as u32,
+        }),
+        1 => Some(TraceEvent::BankState {
+            cycle,
+            bank,
+            class: BankClass::ALL[(c % 5) as usize],
+        }),
+        2 => Some(TraceEvent::DataBurst {
+            cycle,
+            bytes: b % 100,
+        }),
+        3 => Some(TraceEvent::QueueLatency {
+            cycle,
+            waited: b % 50,
+        }),
+        4 => Some(TraceEvent::EccCorrected {
+            cycle,
+            bank,
+            row: 0,
+            bits: (c % 3) as u32,
+        }),
+        5 => Some(TraceEvent::EccUncorrectable {
+            cycle,
+            bank,
+            row: 0,
+        }),
+        6 => Some(TraceEvent::CommandEnergy {
+            cycle,
+            label,
+            milli_pj: c % 5000,
+        }),
+        7 => Some(TraceEvent::Request {
+            cycle,
+            class: REQUESTS[(b % 5) as usize],
+        }),
+        _ => None,
+    };
+    if let Some(event) = event {
+        live.0.record(&event);
+        live.1.record(&event);
+        return;
+    }
+    let (step, count) = (b % 40, c % 50);
+    match kind {
+        8 => {
+            let (bank_ops, milli_pj) = ((a % 17) as u32, (a >> 8) % 3 * 700);
+            live.0
+                .record_command_train(cycle, step, count, label, bank_ops, milli_pj);
+            for i in 0..count {
+                let cycle = cycle + i * step;
+                live.1.record(&TraceEvent::Command {
+                    cycle,
+                    bus: TraceBus::Column,
+                    label,
+                    bank_ops,
+                });
+                if milli_pj > 0 {
+                    live.1.record(&TraceEvent::CommandEnergy {
+                        cycle,
+                        label,
+                        milli_pj,
+                    });
+                }
+            }
+        }
+        9 => {
+            live.0.record_burst_train(cycle, step, count, 32);
+            for i in 0..count {
+                live.1.record(&TraceEvent::DataBurst {
+                    cycle: cycle + i * step,
+                    bytes: 32,
+                });
+            }
+        }
+        10 => {
+            live.0.record_bank_comp_train(bank as usize, count);
+            for _ in 0..count {
+                live.1.record(&TraceEvent::BankState {
+                    cycle,
+                    bank,
+                    class: BankClass::Computing,
+                });
+            }
+        }
+        11 => {
+            let (hits, misses, invalidations, replayed) = (b % 2, (b >> 1) % 2, c % 2, c % 700);
+            live.0
+                .record_schedule_cache(cycle, hits, misses, invalidations, replayed);
+            let w = live.1.at(cycle);
+            w.schedule_hits += hits;
+            w.schedule_misses += misses;
+            w.schedule_invalidations += invalidations;
+            w.replayed_commands += replayed;
+        }
+        12 | 13 => {
+            let end = a % 4000; // often past the last window: zero padding
+            kept.push((live.0.sampled(end), live.1.sampled(end)));
+        }
+        14 => kept.push(live.clone()),
+        15 => kept.push((live.0.sans_schedule_cache(), live.1.sans_schedule_cache())),
+        // Merge a snapshot into the live series, or the live series into
+        // a snapshot (a write to a series that only holds shared chunks).
+        16 | 17 if !kept.is_empty() => {
+            let i = (a % kept.len() as u64) as usize;
+            if kind == 16 {
+                live.0.merge(&kept[i].0);
+                live.1.merge(&kept[i].1);
+            } else {
+                kept[i].0.merge(&live.0);
+                kept[i].1.merge(&live.1);
+            }
+        }
+        // Carry on recording into a former snapshot; keep the former
+        // live series as the snapshot.
+        18 if !kept.is_empty() => {
+            let i = (a % kept.len() as u64) as usize;
+            std::mem::swap(live, &mut kept[i]);
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn shared_storage_reads_as_the_flat_model(
+        ops in prop::collection::vec((0u8..19, any::<u64>(), any::<u64>(), any::<u64>()), 1..80),
+    ) {
+        let mut live: Pair = (TimeSeries::new(W, BANKS), Flat::new());
+        let mut kept: Vec<Pair> = Vec::new();
+        for op in ops {
+            apply(op, &mut live, &mut kept);
+            prop_assert!(live.0.windows().iter().eq(&live.1.windows), "live after {:?}", op);
+            kept.truncate(6);
+        }
+        // The live series has moved on; every snapshot still reads as the
+        // model's copy taken when it was.
+        check_reads(&live.0, &live.1, "live")?;
+        check_exports(&live.0, &live.1, "live")?;
+        for (i, (snapshot, model)) in kept.iter().enumerate() {
+            let what = format!("snapshot {i}");
+            check_reads(snapshot, model, &what)?;
+            check_exports(snapshot, model, &what)?;
+        }
+        // Equality is by value: two paths to the same windows agree.
+        for (a, ma) in &kept {
+            for (b, mb) in &kept {
+                prop_assert_eq!(a == b, ma == mb);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_span_closing_across_chunk_boundaries_leaves_the_snapshot_alone() {
+    let mut live: Pair = (TimeSeries::new(W, BANKS), Flat::new());
+    let record = |pair: &mut Pair, event: TraceEvent| {
+        pair.0.record(&event);
+        pair.1.record(&event);
+    };
+    let bank_state = |cycle, class| TraceEvent::BankState {
+        cycle,
+        bank: 1,
+        class,
+    };
+    // The row opens in window 62 ...
+    record(&mut live, bank_state(500, BankClass::RowOpen));
+    // ... commands carry the series to window 137, chunks further on ...
+    for cycle in [520, 700, 1100] {
+        record(
+            &mut live,
+            TraceEvent::Command {
+                cycle,
+                bus: TraceBus::Column,
+                label: "COMP",
+                bank_ops: 4,
+            },
+        );
+    }
+    // ... where a snapshot is taken, sharing every chunk but the newest.
+    let snapshot = (live.0.sampled(1200), live.1.sampled(1200));
+    assert_eq!(snapshot.0.totals().bank_open_cycles, 0);
+    // The precharge attributes 650 cycles back across every boundary
+    // between them, into chunks the snapshot holds.
+    record(&mut live, bank_state(1150, BankClass::Precharging));
+    assert_eq!(live.0.totals().bank_open_cycles, 650);
+    assert_eq!(live.0.windows()[62].bank_open_cycles, 4);
+    assert_eq!(live.0.windows()[63].bank_open_cycles, 8);
+    assert_eq!(live.0.windows()[64].bank_open_cycles, 8);
+    assert_eq!(live.0.windows()[143].bank_open_cycles, 6);
+    check_reads(&live.0, &live.1, "live").unwrap();
+    check_reads(&snapshot.0, &snapshot.1, "snapshot").unwrap();
+    check_exports(&snapshot.0, &snapshot.1, "snapshot").unwrap();
+    assert_eq!(snapshot.0.totals().bank_open_cycles, 0);
+    assert_eq!(snapshot.0.windows().len(), 150);
+}

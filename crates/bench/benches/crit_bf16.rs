@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks of the bf16 substrate: scalar conversion,
 //! arithmetic, and the 16-input adder-tree reduction used by every COMP —
-//! including the PR 2 fixed-arity stack-only kernels, with a counting
-//! allocator proving they perform zero heap allocation per call.
+//! the allocating oracle, the stack-only step and the batched folds, with
+//! a counting allocator proving every kernel but the oracle performs zero
+//! heap allocation per call.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use newton_bf16::reduce::TreePrecision;
@@ -72,13 +73,7 @@ fn bench_bf16(c: &mut Criterion) {
         b.iter(|| reduce::tree_reduce_bf16(black_box(weights)))
     });
 
-    // PR 2 fixed-arity kernels: same arithmetic, no heap traffic.
-    c.bench_function("bf16/dot16_wide (stack-only)", |b| {
-        b.iter(|| reduce::dot16_wide(black_box(weights), black_box(inputs)))
-    });
-    c.bench_function("bf16/dot16_per_stage (stack-only)", |b| {
-        b.iter(|| reduce::dot16_per_stage(black_box(weights), black_box(inputs)))
-    });
+    // The stack-only step: same arithmetic, no heap traffic.
     let chunk_w = &bf[..64.min(bf.len())];
     let chunk_v = &bf[64..128];
     c.bench_function("bf16/comp_step_noalloc x64 (one COMP)", |b| {
@@ -93,59 +88,13 @@ fn bench_bf16(c: &mut Criterion) {
     });
 }
 
-/// PR 7 SIMD kernels: lane-array dot products, the batched row fold, and
-/// the gang fold that interleaves per-bank latch chains.
+/// The batched folds that interleave a gang's per-bank latch chains —
+/// row-major and the production lane-major kernel — and the plane decode.
 fn bench_bf16_simd(c: &mut Criterion) {
-    let mut w16 = [Bf16::ZERO; 16];
-    let mut v16 = [Bf16::ZERO; 16];
-    for i in 0..16 {
-        w16[i] = Bf16::from_f32((i as f32 * 0.37).sin());
-        v16[i] = Bf16::from_f32((i as f32 * 0.11).cos());
-    }
-    let w16p = w16.map(|x| x.to_f32());
-    let v16p = v16.map(|x| x.to_f32());
-
-    c.bench_function("bf16/dot16_wide_simd", |b| {
-        b.iter(|| simd::dot16_wide_simd(black_box(&w16), black_box(&v16)))
-    });
-    c.bench_function("bf16/dot16_per_stage_simd", |b| {
-        b.iter(|| simd::dot16_per_stage_simd(black_box(&w16), black_box(&v16)))
-    });
-    c.bench_function("bf16/dot16_wide_planes_simd", |b| {
-        b.iter(|| simd::dot16_wide_planes_simd(black_box(&w16p), black_box(&v16p)))
-    });
-    c.bench_function("bf16/dot16_per_stage_planes_simd", |b| {
-        b.iter(|| simd::dot16_per_stage_planes_simd(black_box(&w16p), black_box(&v16p)))
-    });
-
     // One hbm2e-like row: 32 sub-chunks x 16 elements.
-    let row_w: Vec<f32> = (0..512)
-        .map(|i| Bf16::from_f32((i as f32 * 0.37).sin()).to_f32())
-        .collect();
     let row_v: Vec<f32> = (0..512)
         .map(|i| Bf16::from_f32((i as f32 * 0.11).cos()).to_f32())
         .collect();
-    for (name, prec) in [
-        (
-            "bf16/comp_subchunks16 x32 wide (one bank-row)",
-            TreePrecision::Wide,
-        ),
-        (
-            "bf16/comp_subchunks16 x32 per-stage (one bank-row)",
-            TreePrecision::PerStage,
-        ),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                simd::comp_subchunks16(
-                    black_box(Bf16::ZERO),
-                    black_box(&row_w),
-                    black_box(&row_v),
-                    prec,
-                )
-            })
-        });
-    }
 
     // Full 16-bank gang of one row-set (the event-skipping COMP payload).
     let planes: Vec<Vec<f32>> = (0..16)
@@ -230,20 +179,15 @@ fn lane_plane(row: &[f32]) -> simd::LanePlane {
     simd::LanePlane::from_row(&bf)
 }
 
-/// Not a timing bench: proves the dot16/comp_step kernels never allocate.
+/// Not a timing bench: proves the stack-only step, the batched folds and
+/// the plane decodes never allocate.
 /// Runs under `--test` too, so `cargo test` exercises the assertion.
 fn bench_zero_alloc_proof(c: &mut Criterion) {
     let xs: Vec<f32> = (0..128).map(|i| (i as f32).cos()).collect();
     let bf: Vec<Bf16> = xs.iter().map(|&x| Bf16::from_f32(x)).collect();
-    let (weights, inputs) = (&bf[..16], &bf[16..32]);
     let (chunk_w, chunk_v) = (&bf[..64], &bf[64..128]);
 
-    // SIMD operands (plain slices/arrays built before the counted region).
-    let mut w16 = [Bf16::ZERO; 16];
-    let mut v16 = [Bf16::ZERO; 16];
-    w16.copy_from_slice(&bf[..16]);
-    v16.copy_from_slice(&bf[16..32]);
-    let (w16p, v16p) = (w16.map(|x| x.to_f32()), v16.map(|x| x.to_f32()));
+    // SIMD operands (plain slices built before the counted region).
     let row_w: Vec<f32> = bf.iter().cycle().take(512).map(|x| x.to_f32()).collect();
     let row_v: Vec<f32> = bf
         .iter()
@@ -274,8 +218,6 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
         let mut acc_bits = 0u16;
         let mut latches = [Bf16::ZERO; 16];
         for _ in 0..1_000 {
-            acc += reduce::dot16_wide(black_box(weights), black_box(inputs));
-            acc_bits ^= reduce::dot16_per_stage(black_box(weights), black_box(inputs)).to_bits();
             acc_bits ^= reduce::comp_step_noalloc(
                 Bf16::ZERO,
                 black_box(chunk_w),
@@ -290,36 +232,18 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
                 TreePrecision::PerStage,
             )
             .to_bits();
-            // PR 7 SIMD kernels are stack-only too, batched folds included.
-            acc += simd::dot16_wide_simd(black_box(&w16), black_box(&v16));
-            acc_bits ^= simd::dot16_per_stage_simd(black_box(&w16), black_box(&v16)).to_bits();
-            acc += simd::dot16_wide_planes_simd(black_box(&w16p), black_box(&v16p));
-            acc_bits ^=
-                simd::dot16_per_stage_planes_simd(black_box(&w16p), black_box(&v16p)).to_bits();
-            acc_bits ^= simd::comp_subchunks16(
-                Bf16::ZERO,
-                black_box(&row_w),
-                black_box(&row_v),
-                TreePrecision::Wide,
-            )
-            .to_bits();
-            acc_bits ^= simd::comp_subchunks16(
-                Bf16::ZERO,
-                black_box(&row_w),
-                black_box(&row_v),
-                TreePrecision::PerStage,
-            )
-            .to_bits();
-            simd::comp_subchunks16_multi(
-                black_box(&mut latches),
-                black_box(&planes),
-                black_box(&row_v),
-                TreePrecision::Wide,
-            );
-            acc_bits ^= latches[0].to_bits();
-            // The production lane-major kernel (slow-path redo included:
-            // it reuses the same stack scratch) and the in-place re-decode.
+            // The batched folds are stack-only too: the row-major one the
+            // benchmark probe times, then the production lane-major kernel
+            // (slow-path redo included: it reuses the same stack scratch)
+            // and the in-place re-decode.
             for prec in [TreePrecision::Wide, TreePrecision::PerStage] {
+                simd::comp_subchunks16_multi(
+                    black_box(&mut latches),
+                    black_box(&planes),
+                    black_box(&row_v),
+                    prec,
+                );
+                acc_bits ^= latches[0].to_bits();
                 simd::comp_row_set(
                     black_box(&mut latches),
                     black_box(&lane_planes),
@@ -347,14 +271,22 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
     black_box(sink);
     assert_eq!(
         bytes, 0,
-        "dot16/comp_step/SIMD kernels and streamed row decodes allocated {bytes} heap bytes"
+        "comp_step_noalloc/SIMD kernels and streamed row decodes allocated {bytes} heap bytes"
     );
-    println!(
-        "bf16/zero-alloc proof: 0 heap bytes across 16000 kernel calls and 1024 streamed rows"
-    );
+    println!("bf16/zero-alloc proof: 0 heap bytes across 9000 kernel calls and 1024 streamed rows");
     // Keep the harness aware this 'bench' ran (and give --test a hook).
     c.bench_function("bf16/zero-alloc proof (see assert above)", |b| {
-        b.iter(|| alloc_delta(|| reduce::dot16_wide(black_box(weights), black_box(inputs))).0)
+        b.iter(|| {
+            alloc_delta(|| {
+                reduce::comp_step_noalloc(
+                    Bf16::ZERO,
+                    black_box(chunk_w),
+                    black_box(chunk_v),
+                    TreePrecision::Wide,
+                )
+            })
+            .0
+        })
     });
 }
 

@@ -4,39 +4,46 @@
 //!
 //! | paper | function |
 //! |-------|----------|
-//! | Fig. 7 | [`fig07_command_trace`] |
-//! | Fig. 8 (layers) | [`fig08_layers`] |
-//! | Fig. 8 (end-to-end) | [`fig08_end_to_end`] |
-//! | Fig. 9 | [`fig09_ladder`] |
-//! | Fig. 10 | [`fig10_bank_sweep`] |
+//! | Fig. 7 | [`fig07_command_trace_with`] |
+//! | Fig. 8 (layers) | [`fig08_layers_with`] |
+//! | Fig. 8 (end-to-end) | [`fig08_end_to_end_with`] |
+//! | Fig. 9 | [`fig09_ladder_with`] |
+//! | Fig. 10 | [`fig10_bank_sweep_with`] |
 //! | Fig. 11 | [`fig11_batch_vs_ideal`] |
 //! | Fig. 12 | [`fig12_batch_vs_gpu`] |
 //! | Fig. 13 | [`fig13_power`] |
-//! | Sec. III-F / Table III | [`model_validation`] |
-//! | Sec. III-C ablations | [`ablation_layout`], [`ablation_latches`] |
+//! | Sec. III-F / Table III | [`model_validation_with`] |
+//! | Sec. III-C ablations | [`ablation_layout_with`], [`ablation_latches_with`] |
+//! | Sec. III-E / V-C extensions | [`ext_dram_families_with`], [`ext_channel_sweep_with`] |
+//! | Fault campaign (BER x ECC) | [`campaign_with`] |
+//! | Serving chaos sweep | [`serving_with`] |
+//!
+//! Every `_with` function derives its systems from the base
+//! [`NewtonConfig`] the harness hands down and spreads its independent
+//! simulations over an explicit worker count; results are bit-identical
+//! for every count.
 
 use newton_baselines::{IdealNonPim, TitanVModel};
-use newton_core::config::{NewtonConfig, OptLevel};
+use newton_bf16::Bf16;
+use newton_core::config::{NewtonConfig, OptLevel, TelemetryConfig};
 use newton_core::lut::ActivationKind;
-use newton_core::parallel::{self, ParallelPolicy};
-use newton_core::system::{MvProblem, NewtonSystem, SystemRun};
-use newton_core::AimError;
+use newton_core::parallel;
+use newton_core::system::{LoadedMatrix, MvProblem, NewtonSystem, SystemRun};
+use newton_core::{AimError, RecoveryReport};
+use newton_dram::faults::{self, mix64, CampaignSpec};
 use newton_dram::stats::RunSummary;
+use newton_dram::TimingEngine;
 use newton_model::power::ActivityCounts;
 use newton_model::{PerfModel, PowerModel};
+use newton_serve::{
+    ChaosAction, ChaosEvent, ChaosPlan, ServeError, ServeReport, Server, TrafficConfig,
+};
+use newton_workloads::arrivals::ArrivalPattern;
 use newton_workloads::models::EndToEndModel;
 use newton_workloads::reference::{self, Activation};
 use newton_workloads::{generator, Benchmark};
 
 use crate::report::geomean;
-
-/// The harness-wide default worker count: the [`ParallelPolicy`]
-/// default, so `NEWTON_THREADS` applies to every `*_with`-less entry
-/// point (and `NEWTON_THREADS=1` forces the historical serial order).
-#[must_use]
-pub fn default_threads() -> usize {
-    ParallelPolicy::default().threads()
-}
 
 /// Runs `f(0..n)` on up to `threads` workers and collects index-ordered
 /// results. Merging by index (never completion order) plus surfacing the
@@ -125,19 +132,9 @@ pub fn measure_layer(cfg: &NewtonConfig, b: Benchmark) -> Result<LayerMeasuremen
     })
 }
 
-/// Measures all Table II layers under the full Newton configuration,
-/// using the [`default_threads`] worker count.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn measure_all_layers(cfg: &NewtonConfig) -> Result<Vec<LayerMeasurement>, AimError> {
-    measure_all_layers_with(cfg, default_threads())
-}
-
-/// [`measure_all_layers`] on an explicit worker count. Results are
-/// bit-identical for every `threads` value (layers are independent
-/// simulations merged in benchmark order).
+/// Measures all Table II layers under `cfg`. Results are bit-identical
+/// for every `threads` value (layers are independent simulations merged
+/// in benchmark order).
 ///
 /// # Errors
 ///
@@ -172,19 +169,10 @@ pub struct SpeedupRow {
 /// geometric mean.
 ///
 /// Takes pre-computed full-Newton measurements (from
-/// [`measure_all_layers`]) so the expensive cycle simulations are shared
-/// with the other figures; only the Non-opt runs are measured here.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig08_layers(layers: &[LayerMeasurement]) -> Result<Vec<SpeedupRow>, AimError> {
-    fig08_layers_with(&NewtonConfig::paper_default(), layers, default_threads())
-}
-
-/// [`fig08_layers`] on an explicit base configuration and worker count:
-/// the Non-opt runs (the only simulations this figure adds) derive from
-/// `base`, are measured in parallel and merged in layer order.
+/// [`measure_all_layers_with`]) so the expensive cycle simulations are
+/// shared with the other figures; the Non-opt runs (the only simulations
+/// this figure adds) derive from `base`, are measured in parallel and
+/// merged in layer order.
 ///
 /// # Errors
 ///
@@ -226,14 +214,7 @@ pub fn fig08_layers_with(
 
 /// One prepared layer: the owned weight matrix plus the `MvProblem`
 /// fields (m, n, activation, batch-norm, output-keep).
-type LayerProblem = (
-    Vec<newton_bf16::Bf16>,
-    usize,
-    usize,
-    Activation,
-    bool,
-    Option<usize>,
-);
+type LayerProblem = (Vec<Bf16>, usize, usize, Activation, bool, Option<usize>);
 
 /// Builds the `MvProblem` list (and owned matrices) for an end-to-end
 /// model. Weight matrices are shared per unique benchmark shape (the
@@ -351,16 +332,8 @@ pub fn measure_end_to_end(
 /// Fig. 8, right section: end-to-end speedups for GNMT, BERT, AlexNet and
 /// DLRM, plus the overall mean and the key-target (BERT/GNMT/DLRM) mean.
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig08_end_to_end() -> Result<Vec<SpeedupRow>, AimError> {
-    fig08_end_to_end_with(&NewtonConfig::paper_default(), default_threads())
-}
-
-/// [`fig08_end_to_end`] on an explicit base configuration and worker
-/// count: the Non-opt layer times and the four end-to-end models are
-/// measured in parallel and merged in their canonical order.
+/// The Non-opt layer times and the four end-to-end models are measured
+/// in parallel and merged in their canonical order.
 ///
 /// # Errors
 ///
@@ -423,17 +396,8 @@ pub struct LadderRow {
 }
 
 /// Fig. 9: isolating Newton's optimizations by progressively enabling
-/// them (geomean over the Table II layers at each rung).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig09_ladder() -> Result<Vec<LadderRow>, AimError> {
-    fig09_ladder_with(&NewtonConfig::paper_default(), default_threads())
-}
-
-/// [`fig09_ladder`] on an explicit base configuration and worker count:
-/// all `ladder-rung x layer` simulations run in parallel (48 independent
+/// them (geomean over the Table II layers at each rung). All
+/// `ladder-rung x layer` simulations run in parallel (48 independent
 /// measurements) and fold into per-rung geomeans in ladder order.
 ///
 /// # Errors
@@ -474,18 +438,8 @@ pub struct BankSweepRow {
 }
 
 /// Fig. 10: sensitivity to the number of banks per channel (8/16/32).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig10_bank_sweep() -> Result<Vec<BankSweepRow>, AimError> {
-    fig10_bank_sweep_with(&NewtonConfig::paper_default(), default_threads())
-}
-
-/// [`fig10_bank_sweep`] on an explicit base configuration and worker
-/// count: all `bank-count x layer` simulations run in parallel and fold
-/// into the sweep rows in the serial (bank-count outer, layer inner)
-/// order.
+/// All `bank-count x layer` simulations run in parallel and fold into
+/// the sweep rows in the serial (bank-count outer, layer inner) order.
 ///
 /// # Errors
 ///
@@ -753,16 +707,8 @@ pub fn model_validation_with(base: &NewtonConfig) -> Result<ModelValidation, Aim
 // ----------------------------------------------------------------------
 
 /// Renders the Fig. 7-style command timeline for one DRAM row across all
-/// banks (GWRITEs, 4 G_ACTs, 32 COMPs, READRES).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig07_command_trace() -> Result<String, AimError> {
-    fig07_command_trace_with(&NewtonConfig::paper_default())
-}
-
-/// [`fig07_command_trace`] on a channel derived from `base`.
+/// banks (GWRITEs, 4 G_ACTs, 32 COMPs, READRES) on a channel derived
+/// from `base`.
 ///
 /// # Errors
 ///
@@ -822,16 +768,6 @@ impl AblationRow {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn ablation_layout() -> Result<Vec<AblationRow>, AimError> {
-    ablation_layout_with(&NewtonConfig::paper_default(), default_threads())
-}
-
-/// [`ablation_layout`] on an explicit base configuration and worker
-/// count.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
 pub fn ablation_layout_with(
     base: &NewtonConfig,
     threads: usize,
@@ -882,17 +818,8 @@ pub struct FamilyRow {
 /// Sec. III-E extension: Newton's internal-vs-external bandwidth
 /// advantage on other DRAM families (GDDR6-, LPDDR4-, DDR4-like), with
 /// the refined analytical model's prediction alongside the measurement.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn ext_dram_families() -> Result<Vec<FamilyRow>, AimError> {
-    ext_dram_families_with(&NewtonConfig::paper_default(), default_threads())
-}
-
-/// [`ext_dram_families`] on an explicit base configuration and worker
-/// count: the four family probes run in parallel and merge in the fixed
-/// family order.
+/// The four family probes run in parallel and merge in the fixed family
+/// order.
 ///
 /// # Errors
 ///
@@ -956,19 +883,10 @@ pub struct ChannelSweepRow {
 
 /// Channel-count scaling for one layer (GNMTs1): unlike the bank sweep
 /// of Fig. 10, channel scaling avoids the activation-overhead Amdahl
-/// bottleneck and stays near-linear.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn ext_channel_sweep() -> Result<Vec<ChannelSweepRow>, AimError> {
-    ext_channel_sweep_with(&NewtonConfig::paper_default(), default_threads())
-}
-
-/// [`ext_channel_sweep`] on an explicit base configuration and worker
-/// count: the channel-count points are simulated in parallel;
-/// scaling/efficiency (relative to the first point) are derived
-/// afterwards, so the rows match the serial sweep exactly.
+/// bottleneck and stays near-linear. The channel-count points are
+/// simulated in parallel; scaling/efficiency (relative to the first
+/// point) are derived afterwards, so the rows match a serial sweep
+/// exactly.
 ///
 /// # Errors
 ///
@@ -1010,16 +928,6 @@ pub fn ext_channel_sweep_with(
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn ablation_latches() -> Result<Vec<AblationRow>, AimError> {
-    ablation_latches_with(&NewtonConfig::paper_default(), default_threads())
-}
-
-/// [`ablation_latches`] on an explicit base configuration and worker
-/// count.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
 pub fn ablation_latches_with(
     base: &NewtonConfig,
     threads: usize,
@@ -1028,4 +936,432 @@ pub fn ablation_latches_with(
     four.result_latches_per_bank = 4;
     four.opts.interleaved_reuse = false; // four-latch runs the grouped layout
     ablation_with(base, &four, threads)
+}
+
+// ----------------------------------------------------------------------
+// Fault campaign: raw bit-error rate vs silent data corruption
+// ----------------------------------------------------------------------
+
+/// Shape `(m, n)` of the resident matrix the campaign and serving sweeps
+/// run against.
+pub const SWEEP_SHAPE: (usize, usize) = (64, 1024);
+/// Channels of the systems the campaign and serving sweeps build.
+pub const SWEEP_CHANNELS: usize = 2;
+
+/// The raw bit-error rates the campaign sweeps, as (label, rate) pairs.
+pub const CAMPAIGN_RATES: [(&str, f64); 4] =
+    [("0", 0.0), ("1e-6", 1e-6), ("1e-5", 1e-5), ("1e-4", 1e-4)];
+
+/// Seed of the campaign's fault streams.
+pub const CAMPAIGN_SEED: u64 = 5;
+
+/// One cell of the fault campaign. The recovery ladder's work is kept as
+/// a full [`RecoveryReport`] so the snapshot goes through its shared
+/// `record_into` serialiser.
+#[derive(Debug, Clone)]
+pub struct CampaignRow {
+    /// Label of the raw bit-error rate (a [`CAMPAIGN_RATES`] entry).
+    pub rate: &'static str,
+    /// Whether SECDED ECC was on.
+    pub ecc: bool,
+    /// Faults injected into the resident matrix.
+    pub injected: u64,
+    /// Output elements whose bits differ from the fault-free golden run
+    /// (silent data corruption).
+    pub sdc: u64,
+    /// ECC single-bit corrections, summed over channels.
+    pub corrected: u64,
+    /// ECC uncorrectable detections, summed over channels.
+    pub uncorrectable: u64,
+    /// What the resilient run path had to do.
+    pub report: RecoveryReport,
+}
+
+/// Deterministic pseudo-random bf16 in roughly [-2, 2): the campaign's
+/// operand stream.
+fn det_bf16(seed: u64, i: u64) -> Bf16 {
+    let h = (seed ^ i)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .rotate_left(31)
+        .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let frac = (h >> 40) as f32 / (1u64 << 24) as f32;
+    Bf16::from_f32(frac * 4.0 - 2.0)
+}
+
+/// The fixed workload every campaign cell runs, with the golden output
+/// bits of its fault-free run.
+struct CampaignWorkload {
+    matrix: Vec<Bf16>,
+    vector: Vec<Bf16>,
+    golden: Vec<u32>,
+}
+
+fn campaign_system(
+    base: &NewtonConfig,
+    ecc: bool,
+    matrix: &[Bf16],
+) -> Result<(NewtonSystem, LoadedMatrix), AimError> {
+    let mut sys = NewtonSystem::new(NewtonConfig {
+        channels: SWEEP_CHANNELS,
+        ecc,
+        ..base.clone()
+    })?;
+    let loaded = sys.load_matrix(matrix, SWEEP_SHAPE.0, SWEEP_SHAPE.1)?;
+    Ok((sys, loaded))
+}
+
+fn campaign_cell(
+    base: &NewtonConfig,
+    (label, rate): (&'static str, f64),
+    ecc: bool,
+    cell_seed: u64,
+    w: &CampaignWorkload,
+) -> Result<CampaignRow, AimError> {
+    let (mut sys, loaded) = campaign_system(base, ecc, &w.matrix)?;
+    let mut injected = 0u64;
+    for ch in 0..sys.channels().len() {
+        // The fault universe the rate applies to: this channel's resident
+        // matrix bits.
+        let storage = sys.channels()[ch].channel().storage();
+        let bits = (storage.allocated_row_indices().len() * storage.row_bytes() * 8) as u64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "flip counts are tiny (rate <= 1e-4 of a few Mbit)"
+        )]
+        let singles = (rate * bits as f64).round() as usize;
+        // A slice of the error budget lands as double-bit words, so the
+        // uncorrectable path is exercised at realistic rates too.
+        let doubles = singles / 8;
+        let spec = CampaignSpec {
+            seed: cell_seed,
+            single_bit_flips: singles - 2 * doubles,
+            double_bit_words: doubles,
+            stuck_cells: 0,
+            retention: None,
+        }
+        .for_channel(ch);
+        let now = sys.channels()[ch].now();
+        let faults = faults::inject(sys.channels_mut()[ch].channel_mut(), now, &spec)?;
+        injected += faults.len() as u64;
+    }
+
+    let (run, report) = if ecc {
+        sys.run_resident_resilient(&loaded, &w.matrix, &w.vector)?
+    } else {
+        // Without ECC nothing is detected, so the ladder never engages:
+        // one attempt, nothing scrubbed or retired.
+        let run = sys.run_resident(&loaded, &w.vector)?;
+        (
+            run,
+            RecoveryReport {
+                attempts: 1,
+                scrub_rewrites: 0,
+                retired_banks: Vec::new(),
+                capacity_fraction: 1.0,
+            },
+        )
+    };
+
+    let sdc = run
+        .output
+        .iter()
+        .zip(&w.golden)
+        .filter(|(v, &g)| v.to_bits() != g)
+        .count() as u64;
+    let (mut corrected, mut uncorrectable) = (0u64, 0u64);
+    for ch in sys.channels() {
+        corrected += ch.channel().stats().ecc_corrected;
+        uncorrectable += ch.channel().stats().ecc_uncorrectable;
+    }
+
+    // The campaign's headline guarantees, enforced, not implied.
+    if ecc {
+        assert_eq!(
+            sdc, 0,
+            "rate {label}: ECC must never let corrupted data reach an output"
+        );
+    }
+    if !ecc && rate >= 1e-5 {
+        assert!(
+            sdc > 0,
+            "rate {label}: without ECC the campaign must measure nonzero SDC"
+        );
+    }
+    if rate == 0.0 {
+        assert_eq!(injected, 0, "rate 0 injects nothing");
+        assert_eq!(sdc, 0, "fault-free runs match golden bit for bit");
+    }
+    Ok(CampaignRow {
+        rate: label,
+        ecc,
+        injected,
+        sdc,
+        corrected,
+        uncorrectable,
+        report,
+    })
+}
+
+/// The fault-injection campaign: for each raw bit-error rate, a
+/// deterministic set of faults (single-bit flips plus a proportion of
+/// double-bit words, from the counter stream in [`newton_dram::faults`])
+/// is injected into the resident 64 x 1024 matrix of a freshly loaded
+/// 2-channel system, the same inference runs with SECDED ECC off and on,
+/// and the output bits are compared against the fault-free golden run.
+/// Rows come in [`CAMPAIGN_RATES`] order, ECC off before on.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+///
+/// # Panics
+///
+/// If a cell breaks a guarantee of the simulated machine: any SDC with
+/// ECC on, no SDC without it at 1e-5 and above, or a fault-free cell that
+/// differs from the golden run.
+pub fn campaign_with(base: &NewtonConfig, threads: usize) -> Result<Vec<CampaignRow>, AimError> {
+    let (m, n) = SWEEP_SHAPE;
+    let matrix: Vec<Bf16> = (0..m * n).map(|i| det_bf16(2, i as u64)).collect();
+    let vector: Vec<Bf16> = (0..n).map(|i| det_bf16(3, i as u64)).collect();
+    // ECC on a clean system is output-invariant, so one golden serves
+    // both columns.
+    let (mut sys, loaded) = campaign_system(base, false, &matrix)?;
+    let golden = sys
+        .run_resident(&loaded, &vector)?
+        .output
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let w = CampaignWorkload {
+        matrix,
+        vector,
+        golden,
+    };
+    try_par_indexed(CAMPAIGN_RATES.len() * 2, threads, |k| {
+        let ecc = k % 2 == 1;
+        campaign_cell(
+            base,
+            CAMPAIGN_RATES[k / 2],
+            ecc,
+            mix64(CAMPAIGN_SEED ^ k as u64),
+            &w,
+        )
+    })
+}
+
+// ----------------------------------------------------------------------
+// Serving chaos sweep: open-loop traffic, live faults, deadline SLOs
+// ----------------------------------------------------------------------
+
+/// Seed of the serving sweep's weight, input, arrival and fault streams.
+pub const SERVING_SEED: u64 = 8;
+/// Queries offered to each serving cell.
+pub const SERVING_REQUESTS: usize = 160;
+/// The completion deadline every serving cell runs under, ns.
+pub const SERVING_DEADLINE_NS: f64 = 100_000.0;
+
+/// One cell of the serving sweep.
+#[derive(Debug, Clone)]
+pub struct ServingRow {
+    /// Cell name, `<arrivals>/<chaos>`.
+    pub name: &'static str,
+    /// The server's full accounting of the cell.
+    pub report: ServeReport,
+}
+
+/// One serving cell: a traffic shape plus a chaos plan, and what the
+/// cell must be seen to do.
+struct ServingCell {
+    name: &'static str,
+    traffic: TrafficConfig,
+    chaos: ChaosPlan,
+    expects_faults: bool,
+    expects_retirement: bool,
+}
+
+fn serving_cell(
+    cell: &ServingCell,
+    cfg: &NewtonConfig,
+    matrix: &[Bf16],
+) -> Result<ServingRow, AimError> {
+    let (m, n) = SWEEP_SHAPE;
+    let mut server = Server::new(cfg.clone(), matrix.to_vec(), m, n, 4, mix64(SERVING_SEED))?;
+    let report = server
+        .serve(&cell.traffic, &cell.chaos)
+        .map_err(|e| match e {
+            ServeError::Fatal(e) => e,
+            // Sheds and deadline misses are outcomes in the report;
+            // `serve` never returns them.
+            other => AimError::InvalidConfig(other.to_string()),
+        })?;
+    let name = cell.name;
+
+    // Guarantees of the simulated machine, enforced per cell.
+    assert_eq!(
+        report.sdc, 0,
+        "{name}: ECC on — silent data corruption must be zero"
+    );
+    assert_eq!(
+        report.offered,
+        report.completed + report.shed + report.expired,
+        "{name}: admission accounting must balance"
+    );
+    if cell.expects_faults {
+        assert!(
+            report.injected_faults > 0,
+            "{name}: chaos cell must inject faults"
+        );
+    } else {
+        assert_eq!(report.injected_faults, 0, "{name}: clean cell");
+        assert_eq!(report.retries, 0, "{name}: clean cell never retries");
+    }
+    if cell.expects_retirement {
+        assert!(
+            !report.recovery.retired_banks.is_empty(),
+            "{name}: hard fault must retire a bank"
+        );
+        assert!(
+            report.recovery.capacity_fraction < 1.0,
+            "{name}: retirement must shrink capacity"
+        );
+        assert!(
+            report.completed > report.offered / 2,
+            "{name}: the degraded system must keep serving (completed {} of {})",
+            report.completed,
+            report.offered
+        );
+    }
+    // Facts about the replay cache, a host mechanism that only arms on
+    // the event-skipping engine with no per-command observer attached.
+    if cfg.engine == TimingEngine::EventSkipping && !cfg.audit {
+        assert!(
+            report.schedule_hits > 0,
+            "{name}: resident serving must hit the replay cache"
+        );
+        if cell.expects_faults {
+            // Fault injection moves the weight data epoch, so compiled
+            // entries must be dropped.
+            assert!(
+                report.schedule_invalidations > 0,
+                "{name}: fault injection must invalidate the replay cache"
+            );
+        }
+    }
+    Ok(ServingRow { name, report })
+}
+
+/// The online-serving chaos sweep: open-loop traffic against a resident
+/// 64 x 1024 matrix on 2 channels, SECDED ECC and streaming telemetry on,
+/// under a 100 us deadline with a bounded queue, batched dispatch and
+/// exponential retry backoff. Five cells — steady Poisson and square
+/// bursts, each fault-free and with a BER 1e-5 campaign fired mid-traffic,
+/// plus a Poisson cell where a hard stuck word forces a bank retirement.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+///
+/// # Panics
+///
+/// If a cell breaks a guarantee: any SDC, unbalanced admission
+/// accounting, a chaos cell that injects nothing, a clean cell that
+/// retries, or a degraded cell that retires no bank or stops serving.
+pub fn serving_with(base: &NewtonConfig, threads: usize) -> Result<Vec<ServingRow>, AimError> {
+    let (m, n) = SWEEP_SHAPE;
+    let cfg = NewtonConfig {
+        channels: SWEEP_CHANNELS,
+        ecc: true,
+        telemetry: Some(TelemetryConfig::default()),
+        ..base.clone()
+    };
+    let matrix = generator::matrix(
+        newton_workloads::MvShape::new(m, n),
+        mix64(SERVING_SEED ^ 0xA),
+    );
+
+    let traffic = |pattern: ArrivalPattern, seed: u64| TrafficConfig {
+        pattern,
+        requests: SERVING_REQUESTS,
+        seed,
+        deadline_ns: SERVING_DEADLINE_NS,
+        queue_capacity: 32,
+        max_batch: 8,
+        retry_backoff_cycles: 256,
+        conventional: None,
+    };
+    let poisson = ArrivalPattern::Poisson { rate_per_us: 0.05 };
+    let bursty = ArrivalPattern::Bursty {
+        base_rate_per_us: 0.01,
+        peak_rate_per_us: 1.0,
+        period_us: 200.0,
+        burst_fraction: 0.2,
+    };
+    let fault_after = (SERVING_REQUESTS / 8) as u64;
+    // BER 1e-5 over the resident data bits of one channel (the matrix's
+    // bf16 payload split evenly), with a floor of one double-bit word so
+    // the scrub/retry rung is exercised.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a handful of flips"
+    )]
+    let singles = (1e-5 * (m * n * 16 / SWEEP_CHANNELS) as f64).round() as usize;
+    let doubles = (singles / 8).max(1);
+    let ber_1e5 = CampaignSpec {
+        seed: mix64(SERVING_SEED ^ 0xB),
+        single_bit_flips: singles.saturating_sub(2 * doubles),
+        double_bit_words: doubles,
+        stuck_cells: 0,
+        retention: None,
+    };
+
+    let cells = [
+        ServingCell {
+            name: "poisson/no_fault",
+            traffic: traffic(poisson, SERVING_SEED ^ 1),
+            chaos: ChaosPlan::none(),
+            expects_faults: false,
+            expects_retirement: false,
+        },
+        ServingCell {
+            name: "poisson/ber_1e5_ecc",
+            traffic: traffic(poisson, SERVING_SEED ^ 1),
+            chaos: ChaosPlan::faults_after(fault_after, ber_1e5),
+            expects_faults: true,
+            expects_retirement: false,
+        },
+        ServingCell {
+            name: "bursty/no_fault",
+            traffic: traffic(bursty, SERVING_SEED ^ 2),
+            chaos: ChaosPlan::none(),
+            expects_faults: false,
+            expects_retirement: false,
+        },
+        ServingCell {
+            name: "bursty/ber_1e5_ecc",
+            traffic: traffic(bursty, SERVING_SEED ^ 2),
+            chaos: ChaosPlan::faults_after(fault_after, ber_1e5),
+            expects_faults: true,
+            expects_retirement: false,
+        },
+        ServingCell {
+            name: "degraded/stuck_ecc",
+            traffic: traffic(poisson, SERVING_SEED ^ 3),
+            chaos: ChaosPlan {
+                events: vec![ChaosEvent {
+                    after_completed: fault_after,
+                    action: ChaosAction::StuckWord {
+                        channel: 0,
+                        bank: 2,
+                    },
+                }],
+            },
+            expects_faults: true,
+            expects_retirement: true,
+        },
+    ];
+    try_par_indexed(cells.len(), threads, |i| {
+        serving_cell(&cells[i], &cfg, &matrix)
+    })
 }

@@ -1,10 +1,13 @@
 //! The experiment harness: one function per table/figure of the Newton
-//! paper's evaluation, shared by the `cargo bench` targets, the
-//! `reproduce` binary, and the integration tests.
+//! paper's evaluation ([`experiments`]), and the one runner that renders,
+//! asserts and snapshots them ([`harness`], behind the `reproduce`
+//! binary).
 //!
-//! Every experiment returns plain data rows so callers can print, assert,
-//! or serialize them. See `EXPERIMENTS.md` at the repository root for the
-//! paper-vs-measured record produced by these functions.
+//! Every experiment returns plain data rows; [`harness`] prints them,
+//! checks the shape claim the paper makes about them and serializes them,
+//! and the integration tests call the row functions directly. See
+//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
+//! record produced by these functions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -18,8 +18,8 @@
 use crate::Bf16;
 
 /// Hardware arity of the adder tree: 16 multipliers feed a 16-to-1 tree
-/// (Fig. 4). The fixed-arity [`dot16_wide`]/[`dot16_per_stage`] kernels
-/// accept at most this many elements.
+/// (Fig. 4). The [`simd`](crate::simd) kernels fold sub-chunks of exactly
+/// this many elements.
 pub const TREE_ARITY: usize = 16;
 
 /// Upper bound on the sub-chunk width any caller may reduce through the
@@ -168,95 +168,6 @@ pub fn tree_reduce_bf16_into(level: &mut [Bf16]) -> Bf16 {
     level[0]
 }
 
-/// Fixed-arity COMP kernel, wide discipline: up to [`TREE_ARITY`] products
-/// rounded to bf16, reduced through an `f32` tree held entirely on the
-/// stack. Bit-exact with [`dot_chunk_wide`]; allocates nothing.
-///
-/// # Panics
-///
-/// Panics if the lengths differ or exceed [`TREE_ARITY`].
-///
-/// # Example
-///
-/// ```
-/// use newton_bf16::{Bf16, reduce};
-/// let w = [Bf16::from_f32(2.0); 16];
-/// let v = [Bf16::from_f32(3.0); 16];
-/// assert_eq!(reduce::dot16_wide(&w, &v), 96.0);
-/// ```
-#[must_use]
-pub fn dot16_wide(weights: &[Bf16], inputs: &[Bf16]) -> f32 {
-    assert_eq!(
-        weights.len(),
-        inputs.len(),
-        "dot16_wide: weight/input length mismatch"
-    );
-    assert!(
-        weights.len() <= TREE_ARITY,
-        "dot16_wide: {} elements exceed the tree arity {TREE_ARITY}",
-        weights.len()
-    );
-    let mut products = [0.0f32; TREE_ARITY];
-    for (p, (w, v)) in products.iter_mut().zip(weights.iter().zip(inputs)) {
-        *p = w.mul_round(*v).to_f32();
-    }
-    tree_reduce_wide_into(&mut products[..weights.len()])
-}
-
-/// Fixed-arity COMP kernel over pre-widened weights: `weights` must hold
-/// exactly `bf16.to_f32()` of each weight (the decoded-weight cache's wide
-/// plane), so the multiplier sees the identical `f32` operands and the
-/// result is bit-exact with [`dot16_wide`] on the unwidened weights.
-///
-/// # Panics
-///
-/// Panics if the lengths differ or exceed [`TREE_ARITY`].
-#[must_use]
-pub fn dot16_wide_prewidened(weights: &[f32], inputs: &[Bf16]) -> f32 {
-    assert_eq!(
-        weights.len(),
-        inputs.len(),
-        "dot16_wide_prewidened: weight/input length mismatch"
-    );
-    assert!(
-        weights.len() <= TREE_ARITY,
-        "dot16_wide_prewidened: {} elements exceed the tree arity {TREE_ARITY}",
-        weights.len()
-    );
-    let mut products = [0.0f32; TREE_ARITY];
-    for (p, (w, v)) in products.iter_mut().zip(weights.iter().zip(inputs)) {
-        // mul_round(w, v) == from_f32(w.to_f32() * v.to_f32()), and the
-        // cache stores w.to_f32() exactly, so this is the same multiply.
-        *p = Bf16::from_f32(*w * v.to_f32()).to_f32();
-    }
-    tree_reduce_wide_into(&mut products[..weights.len()])
-}
-
-/// Fixed-arity COMP kernel, per-stage discipline: bf16 products, bf16
-/// adders, stack scratch only. Bit-exact with [`dot_chunk_bf16`].
-///
-/// # Panics
-///
-/// Panics if the lengths differ or exceed [`TREE_ARITY`].
-#[must_use]
-pub fn dot16_per_stage(weights: &[Bf16], inputs: &[Bf16]) -> Bf16 {
-    assert_eq!(
-        weights.len(),
-        inputs.len(),
-        "dot16_per_stage: weight/input length mismatch"
-    );
-    assert!(
-        weights.len() <= TREE_ARITY,
-        "dot16_per_stage: {} elements exceed the tree arity {TREE_ARITY}",
-        weights.len()
-    );
-    let mut products = [Bf16::ZERO; TREE_ARITY];
-    for (p, (w, v)) in products.iter_mut().zip(weights.iter().zip(inputs)) {
-        *p = w.mul_round(*v);
-    }
-    tree_reduce_bf16_into(&mut products[..weights.len()])
-}
-
 /// Allocation-free form of [`comp_step`] for chunks up to [`MAX_CHUNK`]
 /// elements: identical semantics (bf16 products, tree reduction in the
 /// chosen discipline, bf16 rounding at the result latch) with all scratch
@@ -295,52 +206,6 @@ pub fn comp_step_noalloc(
             let mut products = [Bf16::ZERO; MAX_CHUNK];
             for (p, (w, v)) in products.iter_mut().zip(weights.iter().zip(inputs)) {
                 *p = w.mul_round(*v);
-            }
-            latch + tree_reduce_bf16_into(&mut products[..n])
-        }
-    }
-}
-
-/// [`comp_step_noalloc`] over pre-widened weights: `weights[i]` must hold
-/// exactly `w.to_f32()` of the original bf16 weight `w` (the decoded-weight
-/// cache's wide plane). Since `mul_round(w, v)` is defined as
-/// `from_f32(w.to_f32() * v.to_f32())`, every product — and therefore the
-/// whole step — is bit-exact with [`comp_step`] on the unwidened weights,
-/// in both disciplines.
-///
-/// # Panics
-///
-/// Panics if the lengths differ or exceed [`MAX_CHUNK`].
-#[must_use]
-pub fn comp_step_prewidened(
-    latch: Bf16,
-    weights: &[f32],
-    inputs: &[Bf16],
-    precision: TreePrecision,
-) -> Bf16 {
-    assert_eq!(
-        weights.len(),
-        inputs.len(),
-        "comp_step_prewidened: weight/input length mismatch"
-    );
-    assert!(
-        weights.len() <= MAX_CHUNK,
-        "comp_step_prewidened: {} elements exceed MAX_CHUNK {MAX_CHUNK}",
-        weights.len()
-    );
-    let n = weights.len();
-    match precision {
-        TreePrecision::Wide => {
-            let mut products = [0.0f32; MAX_CHUNK];
-            for (p, (w, v)) in products.iter_mut().zip(weights.iter().zip(inputs)) {
-                *p = Bf16::from_f32(*w * v.to_f32()).to_f32();
-            }
-            latch.accumulate_wide(tree_reduce_wide_into(&mut products[..n]))
-        }
-        TreePrecision::PerStage => {
-            let mut products = [Bf16::ZERO; MAX_CHUNK];
-            for (p, (w, v)) in products.iter_mut().zip(weights.iter().zip(inputs)) {
-                *p = Bf16::from_f32(*w * v.to_f32());
             }
             latch + tree_reduce_bf16_into(&mut products[..n])
         }
@@ -553,35 +418,11 @@ mod tests {
     }
 
     #[test]
-    fn dot16_kernels_match_chunk_references() {
-        for n in 0..=TREE_ARITY {
-            let w: Vec<Bf16> = (0..n).map(|i| bf(i as f32 * 0.75 - 4.0)).collect();
-            let v: Vec<Bf16> = (0..n).map(|i| bf(2.5 - i as f32 * 0.3)).collect();
-            assert_eq!(
-                dot16_wide(&w, &v).to_bits(),
-                dot_chunk_wide(&w, &v).to_bits(),
-                "wide mismatch at n={n}"
-            );
-            assert_eq!(
-                dot16_per_stage(&w, &v),
-                dot_chunk_bf16(&w, &v),
-                "per-stage mismatch at n={n}"
-            );
-            let widened: Vec<f32> = w.iter().map(|x| x.to_f32()).collect();
-            assert_eq!(
-                dot16_wide_prewidened(&widened, &v).to_bits(),
-                dot_chunk_wide(&w, &v).to_bits(),
-                "prewidened mismatch at n={n}"
-            );
-        }
-    }
-
-    #[test]
     fn comp_step_noalloc_matches_comp_step() {
-        for n in [0usize, 1, 15, 16, 17, 48, 64] {
+        // Every bypass-lane pattern of one 16-to-1 tree, then wider chunks.
+        for n in (0usize..=17).chain([48, 64]) {
             let w: Vec<Bf16> = (0..n).map(|i| bf((i as f32).sin() * 3.0)).collect();
             let v: Vec<Bf16> = (0..n).map(|i| bf((i as f32).cos() * 2.0)).collect();
-            let widened: Vec<f32> = w.iter().map(|x| x.to_f32()).collect();
             for precision in [TreePrecision::Wide, TreePrecision::PerStage] {
                 let latch = bf(1.625);
                 assert_eq!(
@@ -589,19 +430,8 @@ mod tests {
                     comp_step(latch, &w, &v, precision),
                     "mismatch at n={n}, {precision:?}"
                 );
-                assert_eq!(
-                    comp_step_prewidened(latch, &widened, &v, precision),
-                    comp_step(latch, &w, &v, precision),
-                    "prewidened mismatch at n={n}, {precision:?}"
-                );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed the tree arity")]
-    fn dot16_rejects_oversized_chunks() {
-        let _ = dot16_wide(&[Bf16::ONE; 17], &[Bf16::ONE; 17]);
     }
 
     #[test]

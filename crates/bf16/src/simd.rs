@@ -3,11 +3,10 @@
 //! The scalar kernels in [`reduce`](crate::reduce) walk the 16-wide MAC
 //! tree through `Bf16` values one element at a time, with a data-dependent
 //! branch (the NaN check) inside every rounding step. These kernels compute
-//! the *same arithmetic DAG* over fixed-width lane arrays (`[u32; 8]` /
-//! `[f32; 16]` blocks with straight-line tree levels) and a branchless
-//! rounding select, so the compiler's autovectorizer can emit SIMD code on
-//! stable Rust — no nightly features, no `unsafe`, no target-specific
-//! intrinsics.
+//! the *same arithmetic DAG* over fixed-width blocks of `f32` lanes with
+//! straight-line tree levels and a branchless rounding select, so the
+//! compiler's autovectorizer can emit SIMD code on stable Rust — no nightly
+//! features, no `unsafe`, no target-specific intrinsics.
 //!
 //! Bit-exactness contract: every function here is proven (exhaustively for
 //! the rounding lane, property-tested for the kernels) to produce the same
@@ -15,30 +14,29 @@
 //!
 //! * [`round_bf16_f32`] ≡ `Bf16::from_f32(x).to_f32()` for **all** `f32`
 //!   bit patterns, including NaN quieting and overflow-to-infinity.
-//! * [`dot16_wide_simd`] ≡ [`dot16_wide`](crate::reduce::dot16_wide) —
-//!   identical product rounding and the identical `(0,1)(2,3)…` pairwise
-//!   tree-level structure of
-//!   [`tree_reduce_wide_into`](crate::reduce::tree_reduce_wide_into).
-//! * [`dot16_per_stage_simd`] ≡
-//!   [`dot16_per_stage`](crate::reduce::dot16_per_stage), preserving the
-//!   per-stage bf16 rounding order of the paper's 16-wide adder tree.
-//! * The batched [`comp_subchunks16_wide`] / [`comp_subchunks16_per_stage`]
-//!   fold a whole row of sub-chunk COMPs in one pass and equal the
-//!   corresponding `comp_step_*` loop step for step, latch value included.
-//! * [`comp_row_set`], the kernel the simulator runs, does the same for
-//!   every bank of a row-set over lane-major [`LanePlane`]s.
+//! * [`comp_row_set`], the kernel the simulator runs, folds a whole row of
+//!   sub-chunk COMPs for every bank of a row-set in one pass over
+//!   lane-major [`LanePlane`]s and equals one
+//!   [`comp_step_noalloc`](crate::reduce::comp_step_noalloc) per bank per
+//!   sub-chunk step for step, latch value included: identical product
+//!   rounding, the identical `(0,1)(2,3)…` pairwise tree-level structure of
+//!   [`tree_reduce_wide_into`](crate::reduce::tree_reduce_wide_into), and in
+//!   the per-stage discipline the per-stage bf16 rounding order of the
+//!   paper's 16-wide adder tree.
+//! * [`comp_subchunks16_multi`] does the same over row-major planes.
 //!
 //! Two layouts of the same exact `f32` widenings (`Bf16::to_f32` is exact,
-//! so no information is lost). The row-major kernels
-//! ([`comp_subchunks16`], [`comp_subchunks16_multi`]) take plain slices
-//! with each sub-chunk's 16 elements contiguous, so every adder-tree level
-//! is a horizontal pair-sum the vectorizer must build from shuffles; they
-//! are kept as test references and for the benchmark's kernel probe.
-//! [`comp_row_set`] takes [`LanePlane`]s, which store a block of 32
-//! sub-chunks as `[element][sub-chunk]`: products and all four tree levels
-//! are then vertical passes over 32 contiguous lanes with no shuffle. The
-//! decoded-weight cache and the device global buffer maintain such planes,
-//! and only this module knows their index math.
+//! so no information is lost). The row-major [`comp_subchunks16_multi`]
+//! takes plain slices with each sub-chunk's 16 elements contiguous, so
+//! every adder-tree level is a horizontal pair-sum the vectorizer must
+//! build from shuffles; production code stopped calling it when
+//! [`comp_row_set`] landed, and it is kept only because the benchmark's
+//! kernel probe still times it. [`comp_row_set`] takes [`LanePlane`]s,
+//! which store a block of 32 sub-chunks as `[element][sub-chunk]`: products
+//! and all four tree levels are then vertical passes over 32 contiguous
+//! lanes with no shuffle. The decoded-weight cache and the device global
+//! buffer maintain such planes, and only this module knows their index
+//! math.
 //!
 //! One carve-out: NaN **inputs** are outside the cross-kernel contract.
 //! When both operands of an `f32` addition are NaN, hardware returns one
@@ -54,11 +52,6 @@
 
 use crate::reduce::{TreePrecision, TREE_ARITY};
 use crate::scalar::Bf16;
-
-/// Lane width of the explicit-width rounding blocks. Eight `u32` lanes map
-/// onto two SSE2 vectors or one AVX2 vector without the compiler having to
-/// guess a profitable width.
-pub const LANES: usize = 8;
 
 /// Branchless `Bf16::from_f32(x).to_f32()` on raw `f32` bits.
 ///
@@ -85,178 +78,6 @@ pub fn round_bf16_f32(x: f32) -> f32 {
     f32::from_bits(round_bf16_bits(x.to_bits()))
 }
 
-/// Rounds [`LANES`] packed `f32` bit patterns to bf16-valued bit patterns
-/// in place — the `u32x8`-style block the kernels below are built from.
-#[inline]
-pub fn round_bf16_lanes(lanes: &mut [u32; LANES]) {
-    for lane in lanes.iter_mut() {
-        *lane = round_bf16_bits(*lane);
-    }
-}
-
-/// Rounds every element of an `f32` slice to its bf16 value in place,
-/// processing [`LANES`]-wide blocks (the remainder goes through the same
-/// scalar lane function, so the result is identical for any length).
-#[inline]
-pub fn round_bf16_slice(values: &mut [f32]) {
-    let mut chunks = values.chunks_exact_mut(LANES);
-    for chunk in &mut chunks {
-        let mut lanes = [0u32; LANES];
-        for (l, v) in lanes.iter_mut().zip(chunk.iter()) {
-            *l = v.to_bits();
-        }
-        round_bf16_lanes(&mut lanes);
-        for (v, l) in chunk.iter_mut().zip(lanes.iter()) {
-            *v = f32::from_bits(*l);
-        }
-    }
-    for v in chunks.into_remainder() {
-        *v = round_bf16_f32(*v);
-    }
-}
-
-/// One straight-line pass of the 16-input wide adder tree: the exact
-/// `(0,1)(2,3)…` pairing of
-/// [`tree_reduce_wide_into`](crate::reduce::tree_reduce_wide_into) for a
-/// full 16-element level, unrolled into fixed 8/4/2/1 levels so there is no
-/// loop-carried dependence for the vectorizer to trip over.
-#[inline]
-#[must_use]
-fn tree16_wide(p: &[f32; TREE_ARITY]) -> f32 {
-    let mut l1 = [0f32; 8];
-    for i in 0..8 {
-        l1[i] = p[2 * i] + p[2 * i + 1];
-    }
-    let mut l2 = [0f32; 4];
-    for i in 0..4 {
-        l2[i] = l1[2 * i] + l1[2 * i + 1];
-    }
-    let l3 = [l2[0] + l2[1], l2[2] + l2[3]];
-    l3[0] + l3[1]
-}
-
-/// The same tree with strict per-stage bf16 rounding: every adder output is
-/// rounded back to a bf16 value before feeding the next stage, matching
-/// [`tree_reduce_bf16_into`](crate::reduce::tree_reduce_bf16_into) on a
-/// full 16-element level. Inputs must already be bf16-valued.
-#[inline]
-#[must_use]
-fn tree16_per_stage(p: &[f32; TREE_ARITY]) -> f32 {
-    let mut l1 = [0u32; 8];
-    for i in 0..8 {
-        l1[i] = (p[2 * i] + p[2 * i + 1]).to_bits();
-    }
-    round_bf16_lanes(&mut l1);
-    let mut l2 = [0f32; 4];
-    for i in 0..4 {
-        l2[i] = round_bf16_f32(f32::from_bits(l1[2 * i]) + f32::from_bits(l1[2 * i + 1]));
-    }
-    let l3 = [round_bf16_f32(l2[0] + l2[1]), round_bf16_f32(l2[2] + l2[3])];
-    round_bf16_f32(l3[0] + l3[1])
-}
-
-/// The 16 rounded products `round(w[i] * v[i])` of a COMP step, from exact
-/// `f32` planes. Each product is rounded to its bf16 value exactly as
-/// `Bf16::mul_round` does.
-#[inline]
-#[must_use]
-fn products16(weights: &[f32; TREE_ARITY], inputs: &[f32; TREE_ARITY]) -> [f32; TREE_ARITY] {
-    let mut bits = [[0u32; LANES]; 2];
-    for (half, lanes) in bits.iter_mut().enumerate() {
-        for (i, b) in lanes.iter_mut().enumerate() {
-            let j = half * LANES + i;
-            *b = (weights[j] * inputs[j]).to_bits();
-        }
-        round_bf16_lanes(lanes);
-    }
-    let mut p = [0f32; TREE_ARITY];
-    for (j, v) in p.iter_mut().enumerate() {
-        *v = f32::from_bits(bits[j / LANES][j % LANES]);
-    }
-    p
-}
-
-#[inline]
-fn widen16(values: &[Bf16; TREE_ARITY]) -> [f32; TREE_ARITY] {
-    let mut wide = [0f32; TREE_ARITY];
-    for (w, v) in wide.iter_mut().zip(values.iter()) {
-        *w = v.to_f32();
-    }
-    wide
-}
-
-/// SIMD-friendly [`dot16_wide`](crate::reduce::dot16_wide): one full COMP
-/// step (16 rounded products, wide `f32` tree) over exact `f32` planes.
-#[inline]
-#[must_use]
-pub fn dot16_wide_planes_simd(weights: &[f32; TREE_ARITY], inputs: &[f32; TREE_ARITY]) -> f32 {
-    tree16_wide(&products16(weights, inputs))
-}
-
-/// SIMD-friendly [`dot16_wide`](crate::reduce::dot16_wide) over bf16
-/// operands (widened on entry; `Bf16::to_f32` is exact).
-#[inline]
-#[must_use]
-pub fn dot16_wide_simd(weights: &[Bf16; TREE_ARITY], inputs: &[Bf16; TREE_ARITY]) -> f32 {
-    dot16_wide_planes_simd(&widen16(weights), &widen16(inputs))
-}
-
-/// SIMD-friendly [`dot16_per_stage`](crate::reduce::dot16_per_stage) over
-/// exact `f32` planes: rounded products, then per-stage rounded tree. The
-/// root is a bf16-valued `f32`; `Bf16::from_f32` on it is the identity.
-#[inline]
-#[must_use]
-pub fn dot16_per_stage_planes_simd(
-    weights: &[f32; TREE_ARITY],
-    inputs: &[f32; TREE_ARITY],
-) -> Bf16 {
-    Bf16::from_f32(tree16_per_stage(&products16(weights, inputs)))
-}
-
-/// SIMD-friendly [`dot16_per_stage`](crate::reduce::dot16_per_stage) over
-/// bf16 operands.
-#[inline]
-#[must_use]
-pub fn dot16_per_stage_simd(weights: &[Bf16; TREE_ARITY], inputs: &[Bf16; TREE_ARITY]) -> Bf16 {
-    dot16_per_stage_planes_simd(&widen16(weights), &widen16(inputs))
-}
-
-/// Folds a whole row of 16-wide COMP steps into the result latch in one
-/// pass: for each consecutive 16-element sub-chunk of `weights` × `inputs`
-/// (exact `f32` planes), performs one tree reduction and one latch
-/// accumulation in the given `precision` — step for step identical to
-/// calling [`comp_step_prewidened`](crate::reduce::comp_step_prewidened)
-/// (Wide) or [`comp_step_noalloc`](crate::reduce::comp_step_noalloc)
-/// (PerStage, with the bf16 weights these planes widen) once per sub-chunk,
-/// in sub-chunk order.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or the length is not a multiple
-/// of [`TREE_ARITY`].
-#[must_use]
-pub fn comp_subchunks16(
-    latch: Bf16,
-    weights: &[f32],
-    inputs: &[f32],
-    precision: TreePrecision,
-) -> Bf16 {
-    assert_eq!(
-        weights.len(),
-        inputs.len(),
-        "weight/input planes must pair up"
-    );
-    assert_eq!(
-        weights.len() % TREE_ARITY,
-        0,
-        "batched COMP planes must be whole 16-element sub-chunks"
-    );
-    match precision {
-        TreePrecision::Wide => comp_subchunks16_wide(latch, weights, inputs),
-        TreePrecision::PerStage => comp_subchunks16_per_stage(latch, weights, inputs),
-    }
-}
-
 /// Sub-chunks per batched-fold block: the flat per-level passes below run
 /// over fixed stack scratch of this many sub-chunks at a time (32 × 16
 /// `f32` = 2 KiB — a whole hbm2e-like row), so the fold allocates nothing
@@ -279,9 +100,9 @@ fn tree_level_flat<const ROUND: bool>(input: &[f32], out: &mut [f32], n: usize) 
 
 /// Fused products + first adder level over a block: for each operand pair
 /// `(2i, 2i+1)`, round the two products and emit their sum (rounded when
-/// `ROUND`). Identical arithmetic to a [`products16`]-style pass followed
-/// by [`tree_level_flat`], but the rounded products never round-trip
-/// through memory — the level-1 value is formed in registers.
+/// `ROUND`). Identical arithmetic to a pass that rounds every product
+/// followed by [`tree_level_flat`], but the rounded products never
+/// round-trip through memory — the level-1 value is formed in registers.
 #[inline]
 fn products_level1_flat<const ROUND: bool>(
     weights: &[f32],
@@ -369,57 +190,24 @@ fn block_roots<const ROUND: bool>(wb: &[f32], vb: &[f32], roots: &mut [f32; BLOC
     tree_level_flat::<ROUND>(&l3, roots, elems / 16);
 }
 
-/// Wide-discipline batched fold: `latch ← round(latch + tree(sub))` per
-/// sub-chunk. The latch stays a bf16-valued `f32` across iterations, so
-/// each step is exactly `Bf16::accumulate_wide`. Internally the fold runs
-/// level by level over [`BLOCK_SUBS`]-sub-chunk blocks (products for every
-/// sub-chunk, then each tree level flat across the block) — the same
-/// arithmetic DAG per sub-chunk, so bit-exactness with the per-sub-chunk
-/// scalar steps is preserved, but every pass is a straight-line lane loop.
-#[inline]
-#[must_use]
-fn comp_subchunks16_wide(latch: Bf16, weights: &[f32], inputs: &[f32]) -> Bf16 {
-    let mut acc = latch.to_f32();
-    for (wb, vb) in weights.chunks(BLOCK_ELEMS).zip(inputs.chunks(BLOCK_ELEMS)) {
-        let mut roots = [0f32; BLOCK_SUBS];
-        block_roots::<false>(wb, vb, &mut roots);
-        for &root in roots.iter().take(wb.len() / 16) {
-            acc = round_bf16_f32(acc + root);
-        }
-    }
-    Bf16::from_f32(acc)
-}
-
-/// Per-stage batched fold: `latch ← round(latch + root)` per sub-chunk,
-/// where `root` is the per-stage-rounded tree output — exactly the
-/// `latch + tree` bf16 addition of the scalar per-stage step. Flattened
-/// across [`BLOCK_SUBS`]-sub-chunk blocks like the wide fold, with every
-/// adder output rounded before the next level.
-#[inline]
-#[must_use]
-fn comp_subchunks16_per_stage(latch: Bf16, weights: &[f32], inputs: &[f32]) -> Bf16 {
-    let mut acc = latch.to_f32();
-    for (wb, vb) in weights.chunks(BLOCK_ELEMS).zip(inputs.chunks(BLOCK_ELEMS)) {
-        let mut roots = [0f32; BLOCK_SUBS];
-        block_roots::<true>(wb, vb, &mut roots);
-        for &root in roots.iter().take(wb.len() / 16) {
-            acc = round_bf16_f32(acc + root);
-        }
-    }
-    Bf16::from_f32(acc)
-}
-
-/// Bank gangs larger than this fall back to independent per-bank folds in
-/// [`comp_subchunks16_multi`] (Newton gangs all 16 banks of a channel, so
-/// the interleaved path covers every real configuration).
+/// The most latch chains one gang interleaves; [`comp_subchunks16_multi`]
+/// and [`comp_row_set`] fold a larger gang this many banks at a time
+/// (Newton gangs all 16 banks of a channel, so one pass covers every real
+/// configuration).
 pub const MULTI_MAX_BANKS: usize = 16;
 
-/// Multi-bank batched fold: one [`comp_subchunks16`] per bank, computed
-/// together. `latches[k]` is folded against `weights[k]` (bank `k`'s row
-/// plane) and the shared `inputs` plane — bit-exact with calling
-/// [`comp_subchunks16`] once per bank, because banks never interact: the
-/// per-bank arithmetic DAG is [`block_roots`] plus the same serial latch
-/// chain, only *scheduled* differently.
+/// Multi-bank batched fold over row-major planes: for each consecutive
+/// 16-element sub-chunk of `weights[k]` (bank `k`'s row plane) × the
+/// shared `inputs` plane (exact `f32` widenings), one tree reduction and
+/// one accumulation into `latches[k]` in the given `precision` — step for
+/// step identical to calling
+/// [`comp_step_noalloc`](crate::reduce::comp_step_noalloc) once per bank
+/// per sub-chunk, in sub-chunk order, on the bf16 values the planes widen.
+/// Banks never interact: the per-bank arithmetic DAG is [`block_roots`]
+/// plus the serial latch chain `latch ← round(latch + root)`, which is
+/// `Bf16::accumulate_wide` (Wide) or the bf16 `latch + tree` addition
+/// (PerStage); only the *schedule* is shared. Stack scratch only, whatever
+/// the row width.
 ///
 /// The point of computing banks together is the latch chain. Per bank it
 /// is a true serial dependence — `acc = round(acc + root)` cannot overlap
@@ -463,8 +251,11 @@ pub fn comp_subchunks16_multi(
         return;
     }
     if nb > MULTI_MAX_BANKS {
-        for (latch, plane) in latches.iter_mut().zip(weights) {
-            *latch = comp_subchunks16(*latch, plane, inputs, precision);
+        for (latches, weights) in latches
+            .chunks_mut(MULTI_MAX_BANKS)
+            .zip(weights.chunks(MULTI_MAX_BANKS))
+        {
+            comp_subchunks16_multi(latches, weights, inputs, precision);
         }
         return;
     }
@@ -745,10 +536,9 @@ fn lane_block_roots_checked<const ROUND: bool>(
 /// `latches[k]` pairs with `weights[k]`; all planes are lane-major
 /// ([`LanePlane`]).
 ///
-/// Bit-exact with one [`comp_step_prewidened`](crate::reduce::comp_step_prewidened)
-/// (Wide) or [`comp_step_noalloc`](crate::reduce::comp_step_noalloc)
-/// (PerStage) per bank per sub-chunk in ascending order, and with the
-/// row-major [`comp_subchunks16_multi`]: the per-sub-chunk arithmetic DAG
+/// Bit-exact with one [`comp_step_noalloc`](crate::reduce::comp_step_noalloc)
+/// per bank per sub-chunk in ascending order, and with the row-major
+/// [`comp_subchunks16_multi`]: the per-sub-chunk arithmetic DAG
 /// and the serial latch chain are the same, only laid out so that every
 /// tree level is a vertical add. As there, the latch chains of a gang run
 /// side by side, one flat pass per sub-chunk over up to
@@ -830,9 +620,7 @@ fn comp_gang(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduce::{
-        comp_step_noalloc, comp_step_prewidened, dot16_per_stage, dot16_wide, dot16_wide_prewidened,
-    };
+    use crate::reduce::comp_step_noalloc;
 
     /// Deterministic 64-bit mixer (splitmix64 finalizer) — no external
     /// crates on the bf16 test path.
@@ -858,6 +646,8 @@ mod tests {
     fn bits_of(b: Bf16) -> u16 {
         b.to_bits()
     }
+
+    const BOTH: [TreePrecision; 2] = [TreePrecision::Wide, TreePrecision::PerStage];
 
     #[test]
     fn round_lane_matches_scalar_for_every_high_half_and_tie_pattern() {
@@ -923,218 +713,122 @@ mod tests {
         );
     }
 
-    #[test]
-    fn round_slice_matches_lane_for_ragged_lengths() {
-        let mut state = 7u64;
-        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 64] {
-            let values: Vec<f32> = (0..len)
-                .map(|_| f32::from_bits(mix(&mut state) as u32))
-                .collect();
-            let mut rounded = values.clone();
-            round_bf16_slice(&mut rounded);
-            for (r, v) in rounded.iter().zip(values.iter()) {
-                assert_eq!(r.to_bits(), round_bf16_f32(*v).to_bits());
-            }
-        }
+    fn widen(row: &[Bf16]) -> Vec<f32> {
+        row.iter().map(|x| x.to_f32()).collect()
     }
 
-    #[test]
-    fn dot16_kernels_match_scalar_oracles_on_random_operands() {
-        let mut state = 0xAB5E_11E5u64;
-        for _ in 0..20_000 {
-            let w: [Bf16; 16] = core::array::from_fn(|_| random_bf16(&mut state));
-            let v: [Bf16; 16] = core::array::from_fn(|_| random_bf16(&mut state));
-            let wide = dot16_wide(&w, &v);
-            assert_eq!(dot16_wide_simd(&w, &v).to_bits(), wide.to_bits());
-            let w_plane: [f32; 16] = core::array::from_fn(|i| w[i].to_f32());
-            let v_plane: [f32; 16] = core::array::from_fn(|i| v[i].to_f32());
+    /// The scalar oracle of every batched fold here: one
+    /// [`comp_step_noalloc`] per 16-element sub-chunk, in order.
+    fn scalar_chain(latch: Bf16, row: &[Bf16], inputs: &[Bf16], precision: TreePrecision) -> Bf16 {
+        row.chunks(TREE_ARITY)
+            .zip(inputs.chunks(TREE_ARITY))
+            .fold(latch, |l, (w, v)| comp_step_noalloc(l, w, v, precision))
+    }
+
+    /// Runs one gang through the row-major [`comp_subchunks16_multi`] and
+    /// checks every latch against that bank's scalar chain.
+    fn check_row_major(
+        rows: &[Vec<Bf16>],
+        inputs: &[Bf16],
+        latches0: &[Bf16],
+        precision: TreePrecision,
+        ctx: &str,
+    ) {
+        let planes: Vec<Vec<f32>> = rows.iter().map(|r| widen(r)).collect();
+        let refs: Vec<&[f32]> = planes.iter().map(Vec::as_slice).collect();
+        let mut multi = latches0.to_vec();
+        comp_subchunks16_multi(&mut multi, &refs, &widen(inputs), precision);
+        for (k, row) in rows.iter().enumerate() {
             assert_eq!(
-                dot16_wide_planes_simd(&w_plane, &v_plane).to_bits(),
-                dot16_wide_prewidened(&w_plane, &v).to_bits()
-            );
-            let staged = dot16_per_stage(&w, &v);
-            assert_eq!(bits_of(dot16_per_stage_simd(&w, &v)), bits_of(staged));
-            assert_eq!(
-                bits_of(dot16_per_stage_planes_simd(&w_plane, &v_plane)),
-                bits_of(staged)
+                bits_of(multi[k]),
+                bits_of(scalar_chain(latches0[k], row, inputs, precision)),
+                "bank {k} of {} {precision:?} {ctx}",
+                rows.len()
             );
         }
     }
 
     #[test]
-    fn dot16_kernels_match_scalar_oracles_on_special_values() {
-        // No NaN *inputs* (outside the contract, see module docs) — but
-        // plenty of NaN *creation*: 0 × inf products and inf - inf adder
-        // stages, which canonicalize identically in every path.
-        let specials = [
-            Bf16::ZERO,
-            Bf16::NEG_ZERO,
-            Bf16::ONE,
-            Bf16::INFINITY,
-            Bf16::NEG_INFINITY,
-            Bf16::MAX,
-            Bf16::MIN_POSITIVE,
-            Bf16::from_bits(0x0001), // smallest subnormal
-            Bf16::from_f32(-2.5),
-        ];
-        let mut state = 0x5EEDu64;
-        for _ in 0..5_000 {
-            let w: [Bf16; 16] =
-                core::array::from_fn(|_| specials[(mix(&mut state) as usize) % specials.len()]);
-            let v: [Bf16; 16] =
-                core::array::from_fn(|_| specials[(mix(&mut state) as usize) % specials.len()]);
-            assert_eq!(
-                dot16_wide_simd(&w, &v).to_bits(),
-                dot16_wide(&w, &v).to_bits()
-            );
-            assert_eq!(
-                bits_of(dot16_per_stage_simd(&w, &v)),
-                bits_of(dot16_per_stage(&w, &v))
-            );
-        }
-    }
-
-    #[test]
-    fn batched_wide_fold_matches_per_subchunk_scalar_steps() {
-        let mut state = 0xB47C_4ED0u64;
-        for n_sub in [1usize, 2, 3, 7, 32] {
-            let w: Vec<Bf16> = (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect();
-            let v: Vec<Bf16> = (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect();
-            let w_plane: Vec<f32> = w.iter().map(|x| x.to_f32()).collect();
-            let v_plane: Vec<f32> = v.iter().map(|x| x.to_f32()).collect();
-            let latch0 = random_bf16(&mut state);
-
-            let mut oracle = latch0;
-            for s in 0..n_sub {
-                oracle = comp_step_prewidened(
-                    oracle,
-                    &w_plane[s * 16..(s + 1) * 16],
-                    &v[s * 16..(s + 1) * 16],
-                    TreePrecision::Wide,
-                );
-            }
-            let batched = comp_subchunks16(latch0, &w_plane, &v_plane, TreePrecision::Wide);
-            assert_eq!(bits_of(batched), bits_of(oracle), "n_sub={n_sub}");
-        }
-    }
-
-    #[test]
-    fn batched_per_stage_fold_matches_per_subchunk_scalar_steps() {
-        let mut state = 0x9E15_7A6Eu64;
-        for n_sub in [1usize, 2, 5, 32] {
-            let w: Vec<Bf16> = (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect();
-            let v: Vec<Bf16> = (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect();
-            let w_plane: Vec<f32> = w.iter().map(|x| x.to_f32()).collect();
-            let v_plane: Vec<f32> = v.iter().map(|x| x.to_f32()).collect();
-            let latch0 = random_bf16(&mut state);
-
-            let mut oracle = latch0;
-            for s in 0..n_sub {
-                oracle = comp_step_noalloc(
-                    oracle,
-                    &w[s * 16..(s + 1) * 16],
-                    &v[s * 16..(s + 1) * 16],
-                    TreePrecision::PerStage,
-                );
-            }
-            let batched = comp_subchunks16(latch0, &w_plane, &v_plane, TreePrecision::PerStage);
-            assert_eq!(bits_of(batched), bits_of(oracle), "n_sub={n_sub}");
-        }
-    }
-
-    #[test]
-    fn batched_fold_with_zero_subchunks_returns_the_latch() {
-        let latch = Bf16::from_f32(1.625);
-        assert_eq!(
-            bits_of(comp_subchunks16(latch, &[], &[], TreePrecision::Wide)),
-            bits_of(latch)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "whole 16-element sub-chunks")]
-    fn batched_fold_rejects_ragged_planes() {
-        let _ = comp_subchunks16(Bf16::ZERO, &[0.0; 8], &[0.0; 8], TreePrecision::Wide);
-    }
-
-    #[test]
-    fn multi_bank_fold_matches_per_bank_folds() {
+    fn multi_bank_fold_matches_per_bank_scalar_chains() {
         let mut state = 0x5151_u64;
-        // Cover the interleaved path at gang sizes 1, 3, and the full 16,
-        // plus the >MULTI_MAX_BANKS fallback, at row widths that exercise
-        // partial and multiple blocks.
-        for &nb in &[1usize, 3, 16, MULTI_MAX_BANKS + 2] {
-            for &n_sub in &[1usize, 7, 32, 45] {
-                for &precision in &[TreePrecision::Wide, TreePrecision::PerStage] {
-                    let planes: Vec<Vec<f32>> = (0..nb)
-                        .map(|_| {
-                            (0..n_sub * 16)
-                                .map(|_| random_bf16(&mut state).to_f32())
-                                .collect()
-                        })
+        // A lone bank, gang sizes 3 and the full 16, and 18 banks (folded
+        // sixteen and then two), at row widths that exercise partial and
+        // multiple blocks. Full-range operands, infinities included.
+        for nb in [1usize, 3, 16, MULTI_MAX_BANKS + 2] {
+            for n_sub in [1usize, 2, 3, 5, 7, 32, 45] {
+                for precision in BOTH {
+                    let rows: Vec<Vec<Bf16>> = (0..nb)
+                        .map(|_| (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect())
                         .collect();
-                    let inputs: Vec<f32> = (0..n_sub * 16)
-                        .map(|_| random_bf16(&mut state).to_f32())
-                        .collect();
+                    let inputs: Vec<Bf16> =
+                        (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect();
                     let latches0: Vec<Bf16> = (0..nb).map(|_| random_bf16(&mut state)).collect();
-
-                    let refs: Vec<&[f32]> = planes.iter().map(Vec::as_slice).collect();
-                    let mut multi = latches0.clone();
-                    comp_subchunks16_multi(&mut multi, &refs, &inputs, precision);
-
-                    for k in 0..nb {
-                        let single = comp_subchunks16(latches0[k], &planes[k], &inputs, precision);
-                        assert_eq!(
-                            bits_of(multi[k]),
-                            bits_of(single),
-                            "nb={nb} n_sub={n_sub} bank={k} {precision:?}"
-                        );
-                    }
+                    check_row_major(
+                        &rows,
+                        &inputs,
+                        &latches0,
+                        precision,
+                        &format!("n_sub={n_sub}"),
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn multi_bank_fold_matches_per_bank_folds_on_special_values() {
-        // One bank's plane carries infinities and NaNs (forcing the
-        // full-path redo of its blocks), the neighbours stay finite — the
-        // interleaved schedule must not let the special bank perturb them.
+    fn multi_bank_fold_matches_scalar_chains_on_special_values() {
+        // One bank's plane carries infinities and a NaN (forcing the
+        // full-path redo of its blocks), the neighbours stay tame — the
+        // interleaved schedule must not let the special bank perturb
+        // them. Four banks take the interleaved path; eighteen put the
+        // special bank in the first pass and tame ones in the second.
         let n_sub = 32;
-        let mut state = 0x7272_u64;
-        let mut planes: Vec<Vec<f32>> = (0..4)
-            .map(|_| {
-                (0..n_sub * 16)
-                    .map(|_| random_bf16(&mut state).to_f32())
-                    .collect()
-            })
-            .collect();
-        planes[1][5] = f32::INFINITY;
-        planes[1][100] = f32::NAN;
-        planes[1][300] = f32::NEG_INFINITY;
-        let inputs: Vec<f32> = (0..n_sub * 16)
-            .map(|_| random_bf16(&mut state).to_f32())
-            .collect();
-        let latches0: Vec<Bf16> = (0..4).map(|_| random_bf16(&mut state)).collect();
-
-        for &precision in &[TreePrecision::Wide, TreePrecision::PerStage] {
-            let refs: Vec<&[f32]> = planes.iter().map(Vec::as_slice).collect();
-            let mut multi = latches0.clone();
-            comp_subchunks16_multi(&mut multi, &refs, &inputs, precision);
-            for k in 0..4 {
-                let single = comp_subchunks16(latches0[k], &planes[k], &inputs, precision);
-                assert_eq!(bits_of(multi[k]), bits_of(single), "bank={k} {precision:?}");
+        for nb in [4usize, MULTI_MAX_BANKS + 2] {
+            let mut state = 0x7272_u64;
+            let mut rows: Vec<Vec<Bf16>> = (0..nb)
+                .map(|_| (0..n_sub * 16).map(|_| tame_bf16(&mut state)).collect())
+                .collect();
+            rows[1][5] = Bf16::INFINITY;
+            rows[1][100] = Bf16::NAN;
+            rows[1][300] = Bf16::NEG_INFINITY;
+            let inputs: Vec<Bf16> = (0..n_sub * 16)
+                .map(|_| match tame_bf16(&mut state) {
+                    // Keep the planted products away from `0 x inf`.
+                    v if v.is_zero() => Bf16::ONE,
+                    v => v,
+                })
+                .collect();
+            let latches0: Vec<Bf16> = (0..nb).map(|_| tame_bf16(&mut state)).collect();
+            for precision in BOTH {
+                check_row_major(&rows, &inputs, &latches0, precision, "specials in bank 1");
             }
         }
     }
+
+    #[test]
+    fn multi_bank_fold_with_zero_subchunks_returns_the_latches() {
+        let mut latches = [Bf16::from_f32(1.625), Bf16::NEG_ZERO];
+        comp_subchunks16_multi(&mut latches, &[&[], &[]], &[], TreePrecision::Wide);
+        assert_eq!(bits_of(latches[0]), bits_of(Bf16::from_f32(1.625)));
+        assert_eq!(bits_of(latches[1]), bits_of(Bf16::NEG_ZERO));
+        comp_subchunks16_multi(&mut [], &[], &[0.0; 16], TreePrecision::Wide);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole 16-element sub-chunks")]
+    fn multi_bank_fold_rejects_ragged_planes() {
+        comp_subchunks16_multi(
+            &mut [Bf16::ZERO],
+            &[&[0.0; 8]],
+            &[0.0; 8],
+            TreePrecision::Wide,
+        );
+    }
+
     /// Moderate magnitudes only: no product, sum or latch of these comes
     /// near an overflow, so a planted special is the only one in a run.
     fn tame_bf16(state: &mut u64) -> Bf16 {
         Bf16::from_f32(((mix(state) % 2001) as f32 - 1000.0) / 256.0)
-    }
-
-    fn widen(row: &[Bf16]) -> Vec<f32> {
-        row.iter().map(|x| x.to_f32()).collect()
     }
 
     /// Runs one row-set through [`comp_row_set`] and checks every latch
@@ -1171,21 +865,7 @@ mod tests {
         );
 
         for (k, row) in rows.iter().enumerate() {
-            let mut scalar = latches0[k];
-            for s in 0..n_sub {
-                let span = s * TREE_ARITY..(s + 1) * TREE_ARITY;
-                scalar = match precision {
-                    TreePrecision::Wide => comp_step_prewidened(
-                        scalar,
-                        &wide[k][span.clone()],
-                        &inputs[span],
-                        precision,
-                    ),
-                    TreePrecision::PerStage => {
-                        comp_step_noalloc(scalar, &row[span.clone()], &inputs[span], precision)
-                    }
-                };
-            }
+            let scalar = scalar_chain(latches0[k], &row[..elems], &inputs[..elems], precision);
             assert_eq!(
                 bits_of(lane_major[k]),
                 bits_of(scalar),
@@ -1199,8 +879,6 @@ mod tests {
         }
         lane_major
     }
-
-    const BOTH: [TreePrecision; 2] = [TreePrecision::Wide, TreePrecision::PerStage];
 
     #[test]
     fn lane_plane_holds_rows_of_any_length_in_row_order() {
@@ -1313,6 +991,41 @@ mod tests {
                     if input.is_none() {
                         assert_eq!(bits_of(out[1]), bits_of(clean[1]), "{ctx}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_folds_match_scalar_chains_on_a_palette_of_special_values() {
+        // No NaN *inputs* (outside the contract, see module docs) — but
+        // plenty of NaN *creation*: 0 × inf products and inf - inf adder
+        // stages, which canonicalize identically in every path.
+        let specials = [
+            Bf16::ZERO,
+            Bf16::NEG_ZERO,
+            Bf16::ONE,
+            Bf16::INFINITY,
+            Bf16::NEG_INFINITY,
+            Bf16::MAX,
+            Bf16::MIN_POSITIVE,
+            Bf16::from_bits(0x0001), // smallest subnormal
+            Bf16::from_f32(-2.5),
+        ];
+        let mut state = 0x5EEDu64;
+        let mut pick = |n: usize| -> Vec<Bf16> {
+            (0..n)
+                .map(|_| specials[(mix(&mut state) as usize) % specials.len()])
+                .collect()
+        };
+        for _ in 0..2_500 {
+            // One sub-chunk is a single 16-wide tree; two add a latch
+            // that may already be infinite or NaN.
+            for n_sub in [1usize, 2] {
+                let rows = [pick(n_sub * 16), pick(n_sub * 16)];
+                let (inputs, latches0) = (pick(n_sub * 16), pick(2));
+                for precision in BOTH {
+                    check_row_set(&rows, &inputs, &latches0, n_sub, precision, "palette");
                 }
             }
         }

@@ -19,6 +19,13 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// The counter-based generator a bit-exact parallel fill draws from:
+/// element `k` is a pure function of `(seed, k)`, so the bytes do not
+/// depend on how an index space is cut across workers. Defined in
+/// `newton-dram`, whose fault campaigns draw from it too, and named here
+/// for the generators above this crate (`newton_workloads::rng`).
+pub use newton_dram::faults::{mix64, CounterRng};
+
 /// Name of the environment variable that overrides the thread count.
 pub const THREADS_ENV: &str = "NEWTON_THREADS";
 

@@ -32,15 +32,14 @@ use crate::ecc::{self, WORD_BYTES};
 use crate::error::DramError;
 use crate::timing::Cycle;
 
-/// Fixed-increment constant of the splitmix64 counter stream.
-///
-/// This generator intentionally mirrors `newton_workloads::rng` (same
-/// `mix64` finalizer, same golden-ratio increment); the crate dependency
-/// points the other way (`newton-workloads` sits above `newton-dram`), so
-/// the ~10 lines are replicated here rather than inverting the graph.
+/// The golden-ratio Weyl increment of splitmix64.
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The splitmix64 finalizer: a bijective avalanche mix.
+/// splitmix64's output function: a bijective 64-bit finalizer.
+///
+/// splitmix64 is the public-domain seeding generator of Vigna's xoshiro
+/// family; its output function is a bijective avalanche mix, so distinct
+/// counters never collide for a fixed seed.
 #[inline]
 #[must_use]
 pub fn mix64(mut z: u64) -> u64 {
@@ -49,25 +48,65 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A counter-based random stream: `u64_at(k)` is a pure function of
-/// `(seed, k)`, so any draw can be computed independently of the others.
-#[derive(Debug, Clone, Copy)]
+/// A counter-based RNG: `u64_at(k)` depends only on the seed and `k` —
+/// the splitmix64 output function applied to the `k`-th point of a Weyl
+/// sequence. A sequential generator forces a serial dependency (element
+/// `k` needs elements `0..k` first); here any draw can be computed
+/// independently of the others, so any partition of an index space onto
+/// any number of threads produces identical bytes. Fault campaigns draw
+/// their coordinates from it, and it is the workspace's one generator:
+/// the workload, arrival and trace generators reach it as
+/// `newton_workloads::rng`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterRng {
     key: u64,
 }
 
 impl CounterRng {
-    /// A stream keyed by `seed`.
+    /// A generator for the given seed. Seeds are whitened through
+    /// [`mix64`] so nearby seeds (0, 1, 2, …) yield unrelated streams.
     #[must_use]
     pub fn new(seed: u64) -> CounterRng {
         CounterRng { key: mix64(seed) }
     }
 
-    /// The `k`-th draw of the stream.
+    /// The `k`-th 64-bit value of the stream — the splitmix64 output for
+    /// state `key + (k + 1) · golden`, wrapping at every step (the last
+    /// counter, `u64::MAX`, is as good as any).
     #[inline]
     #[must_use]
     pub fn u64_at(&self, k: u64) -> u64 {
-        mix64(self.key.wrapping_add((k + 1).wrapping_mul(GOLDEN)))
+        mix64(
+            self.key
+                .wrapping_add((k.wrapping_add(1)).wrapping_mul(GOLDEN)),
+        )
+    }
+
+    /// The `k`-th value mapped to `[0, 1)` with 24 bits of mantissa
+    /// (exact in `f32`).
+    #[inline]
+    #[must_use]
+    pub fn unit_f32_at(&self, k: u64) -> f32 {
+        const SCALE: f32 = 1.0 / (1 << 24) as f32;
+        (self.u64_at(k) >> 40) as f32 * SCALE
+    }
+
+    /// The `k`-th value mapped uniformly to `[lo, hi)`.
+    #[inline]
+    #[must_use]
+    pub fn range_f32_at(&self, k: u64, lo: f32, hi: f32) -> f32 {
+        lo + self.unit_f32_at(k) * (hi - lo)
+    }
+
+    /// The `k`-th value mapped to `[0, 1)` with 53 bits of mantissa
+    /// (exact in `f64`) — used where `f32` granularity would quantize a
+    /// continuous distribution too coarsely (e.g. exponential
+    /// inter-arrival gaps).
+    #[inline]
+    #[must_use]
+    pub fn unit_f64_at(&self, k: u64) -> f64 {
+        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
+        (self.u64_at(k) >> 11) as f64 * SCALE
     }
 }
 
@@ -318,17 +357,56 @@ mod tests {
     }
 
     #[test]
-    fn counter_rng_matches_workloads_stream() {
-        // Cross-crate contract: same (seed, k) → same draw as
-        // newton_workloads::rng::CounterRng. Golden values pinned here so
-        // either side drifting breaks a test.
+    fn values_are_pure_functions_of_seed_and_counter() {
+        let a = CounterRng::new(42);
+        let b = CounterRng::new(42);
+        // `u64::MAX` is the counter whose `+ 1` must wrap, not overflow.
+        for k in [0u64, 1, 17, 1 << 40, u64::MAX] {
+            assert_eq!(a.u64_at(k), b.u64_at(k));
+        }
+        assert_ne!(a.u64_at(0), a.u64_at(1));
+        assert_ne!(CounterRng::new(42).u64_at(0), CounterRng::new(43).u64_at(0));
+    }
+
+    #[test]
+    fn nearby_seeds_and_counters_decorrelate() {
+        // Adjacent counters differ in roughly half their bits.
         let rng = CounterRng::new(7);
-        let a = rng.u64_at(0);
-        let b = rng.u64_at(1);
-        assert_ne!(a, b);
-        assert_eq!(a, rng.u64_at(0), "draws are pure functions of (seed, k)");
+        for k in 0..64u64 {
+            let d = (rng.u64_at(k) ^ rng.u64_at(k + 1)).count_ones();
+            assert!((8..=56).contains(&d), "k={k} hamming={d}");
+        }
+    }
+
+    #[test]
+    fn unit_values_cover_the_interval() {
+        let rng = CounterRng::new(3);
+        let vals: Vec<f32> = (0..4096).map(|k| rng.unit_f32_at(k)).collect();
+        assert!(vals.iter().all(|&v| (0.0..1.0).contains(&v)));
+        assert!(vals.iter().any(|&v| v < 0.01));
+        assert!(vals.iter().any(|&v| v > 0.99));
+        let mean = vals.iter().sum::<f32>() / vals.len() as f32;
+        assert!((mean - 0.5).abs() < 0.02, "mean={mean}");
+    }
+
+    #[test]
+    fn range_mapping_is_bounded_and_two_sided() {
+        let rng = CounterRng::new(9);
+        let vals: Vec<f32> = (0..1024)
+            .map(|k| rng.range_f32_at(k, -0.25, 0.25))
+            .collect();
+        assert!(vals.iter().all(|&v| (-0.25..0.25).contains(&v)));
+        assert!(vals.iter().any(|&v| v < 0.0) && vals.iter().any(|&v| v > 0.0));
+    }
+
+    #[test]
+    fn mix64_is_a_bijection_on_samples() {
+        // Spot-check injectivity over a structured sample set.
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..10_000u64 {
+            assert!(seen.insert(mix64(i * 0x1_0001)));
+        }
         assert_eq!(mix64(0), 0, "splitmix finalizer fixes zero");
-        assert_ne!(CounterRng::new(8).u64_at(0), a, "seed changes the stream");
     }
 
     #[test]

@@ -1,135 +1,12 @@
-//! A splittable counter-based random number generator.
+//! The splittable counter-based random number generator the workload,
+//! arrival and trace generators draw from.
 //!
-//! Sequential generators (`StdRng`-style) force a serial dependency:
-//! element `k` requires generating elements `0..k` first, so an N-thread
-//! fill would either serialize or change the byte stream with the thread
-//! count. [`CounterRng`] instead makes element `k` a *pure function* of
-//! `(seed, k)` — the splitmix64 output function applied to the `k`-th
-//! point of a Weyl sequence — so any partition of the index space onto
-//! any number of threads produces identical bytes. That property is the
-//! foundation of the deterministic parallel workload generation contract
-//! (see `newton_core::parallel`).
-//!
-//! splitmix64 is the public-domain seeding generator of Vigna's xoshiro
-//! family; its output function is a bijective avalanche mix, so distinct
-//! counters never collide for a fixed seed.
+//! [`CounterRng`] makes element `k` a *pure function* of `(seed, k)`, so
+//! any partition of the index space onto any number of threads produces
+//! identical bytes — the foundation of the deterministic parallel
+//! workload generation contract (see `newton_core::parallel`). It is
+//! defined once, in `newton_dram::faults`, beside the fault campaigns
+//! that draw from the same stream; this module is its path for everything
+//! above the simulator.
 
-/// The golden-ratio Weyl increment of splitmix64.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// splitmix64's output function: a bijective 64-bit finalizer.
-#[inline]
-#[must_use]
-pub fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A counter-based RNG: `value_at(k)` depends only on the seed and `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterRng {
-    key: u64,
-}
-
-impl CounterRng {
-    /// A generator for the given seed. Seeds are whitened through
-    /// [`mix64`] so nearby seeds (0, 1, 2, …) yield unrelated streams.
-    #[must_use]
-    pub fn new(seed: u64) -> CounterRng {
-        CounterRng { key: mix64(seed) }
-    }
-
-    /// The `k`-th 64-bit value of the stream — the splitmix64 output for
-    /// state `key + (k + 1) · golden`.
-    #[inline]
-    #[must_use]
-    pub fn u64_at(&self, k: u64) -> u64 {
-        mix64(
-            self.key
-                .wrapping_add((k.wrapping_add(1)).wrapping_mul(GOLDEN)),
-        )
-    }
-
-    /// The `k`-th value mapped to `[0, 1)` with 24 bits of mantissa
-    /// (exact in `f32`).
-    #[inline]
-    #[must_use]
-    pub fn unit_f32_at(&self, k: u64) -> f32 {
-        const SCALE: f32 = 1.0 / (1 << 24) as f32;
-        (self.u64_at(k) >> 40) as f32 * SCALE
-    }
-
-    /// The `k`-th value mapped uniformly to `[lo, hi)`.
-    #[inline]
-    #[must_use]
-    pub fn range_f32_at(&self, k: u64, lo: f32, hi: f32) -> f32 {
-        lo + self.unit_f32_at(k) * (hi - lo)
-    }
-
-    /// The `k`-th value mapped to `[0, 1)` with 53 bits of mantissa
-    /// (exact in `f64`) — used where `f32` granularity would quantize a
-    /// continuous distribution too coarsely (e.g. exponential
-    /// inter-arrival gaps).
-    #[inline]
-    #[must_use]
-    pub fn unit_f64_at(&self, k: u64) -> f64 {
-        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        (self.u64_at(k) >> 11) as f64 * SCALE
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn values_are_pure_functions_of_seed_and_counter() {
-        let a = CounterRng::new(42);
-        let b = CounterRng::new(42);
-        for k in [0u64, 1, 17, 1 << 40, u64::MAX] {
-            assert_eq!(a.u64_at(k), b.u64_at(k));
-        }
-        assert_ne!(CounterRng::new(42).u64_at(0), CounterRng::new(43).u64_at(0));
-    }
-
-    #[test]
-    fn nearby_seeds_and_counters_decorrelate() {
-        // Adjacent counters differ in roughly half their bits.
-        let rng = CounterRng::new(7);
-        for k in 0..64u64 {
-            let d = (rng.u64_at(k) ^ rng.u64_at(k + 1)).count_ones();
-            assert!((8..=56).contains(&d), "k={k} hamming={d}");
-        }
-    }
-
-    #[test]
-    fn unit_values_cover_the_interval() {
-        let rng = CounterRng::new(3);
-        let vals: Vec<f32> = (0..4096).map(|k| rng.unit_f32_at(k)).collect();
-        assert!(vals.iter().all(|&v| (0.0..1.0).contains(&v)));
-        assert!(vals.iter().any(|&v| v < 0.01));
-        assert!(vals.iter().any(|&v| v > 0.99));
-        let mean = vals.iter().sum::<f32>() / vals.len() as f32;
-        assert!((mean - 0.5).abs() < 0.02, "mean={mean}");
-    }
-
-    #[test]
-    fn range_mapping_is_bounded_and_two_sided() {
-        let rng = CounterRng::new(9);
-        let vals: Vec<f32> = (0..1024)
-            .map(|k| rng.range_f32_at(k, -0.25, 0.25))
-            .collect();
-        assert!(vals.iter().all(|&v| (-0.25..0.25).contains(&v)));
-        assert!(vals.iter().any(|&v| v < 0.0) && vals.iter().any(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn mix64_is_a_bijection_on_samples() {
-        // Spot-check injectivity over a structured sample set.
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..10_000u64 {
-            assert!(seen.insert(mix64(i * 0x1_0001)));
-        }
-    }
-}
+pub use newton_core::parallel::{mix64, CounterRng};

@@ -39,8 +39,8 @@
 //! ```
 //!
 //! Run `cargo run --release -p newton-bench --bin reproduce` to regenerate
-//! every table and figure of the paper's evaluation, or `cargo bench` for
-//! the per-figure targets. See `DESIGN.md` for the system inventory and
+//! every table and figure of the paper's evaluation (`-- --only fig09`
+//! for one). See `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for paper-vs-measured results.
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,7 @@
 //! Smoke tests for the experiment harness: the cheap experiments run in
 //! debug builds and reproduce the paper's headline *shapes* (full-scale
-//! numbers come from `cargo bench` / the `reproduce` binary in release).
+//! numbers, and every shape assertion, come from the `reproduce` binary
+//! in release).
 
 use newton_aim::bench;
 use newton_aim::core::config::{NewtonConfig, OptLevel};
@@ -17,7 +18,7 @@ fn model_validation_refined_matches_simulator() {
 
 #[test]
 fn fig07_trace_has_the_table_i_commands() {
-    let trace = bench::fig07_command_trace().expect("trace");
+    let trace = bench::fig07_command_trace_with(&NewtonConfig::paper_default()).expect("trace");
     for needle in ["GWRITE", "G_ACT", "COMP", "READRES"] {
         assert!(trace.contains(needle), "missing {needle} in:\n{trace}");
     }
@@ -111,4 +112,41 @@ fn trace_frontend_replay_smoke() {
     assert_eq!(bits(&replayed.output), bits(&direct.output));
     assert_eq!(replayed.cycles, direct.cycles);
     assert_eq!(replayed.stats, direct.stats);
+}
+
+#[test]
+fn campaign_and_serving_run_through_the_harness() {
+    use newton_aim::bench::harness::{run_experiments, HarnessOptions};
+
+    // Both sweeps assert their own guarantees (zero SDC with ECC on,
+    // balanced admission, a bank retired yet serving completed); what is
+    // pinned here are values the EXPERIMENTS.md tables quote.
+    let reports = run_experiments(&HarnessOptions {
+        filter: vec!["campaign".into(), "serving".into()],
+        ..HarnessOptions::default()
+    })
+    .expect("sweeps");
+    let [campaign, serving] = &reports[..] else {
+        panic!("two reports, got {}", reports.len());
+    };
+    let scalar = |report: &newton_aim::bench::harness::ExperimentReport, key: &str| {
+        report
+            .snapshot
+            .to_json()
+            .get("scalars")
+            .and_then(|scalars| scalars.get(key))
+            .and_then(newton_aim::trace::JsonValue::as_f64)
+            .unwrap_or_else(|| panic!("{}: no scalar {key}", report.name))
+    };
+    assert_eq!(campaign.name, "campaign");
+    assert_eq!(scalar(campaign, "rate_1e-4/ecc_on/sdc"), 0.0);
+    assert_eq!(scalar(campaign, "rate_1e-4/ecc_off/sdc"), 33.0);
+    assert_eq!(serving.name, "serving");
+    assert_eq!(scalar(serving, "degraded/stuck_ecc/completed"), 160.0);
+    assert_eq!(scalar(serving, "degraded/stuck_ecc/offered"), 160.0);
+    assert_eq!(
+        scalar(serving, "degraded/stuck_ecc/recovery/retired_banks"),
+        1.0
+    );
+    assert_eq!(scalar(serving, "poisson/no_fault/p99_ns"), 1942.0);
 }

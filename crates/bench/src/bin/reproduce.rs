@@ -35,11 +35,13 @@
 //! experiment validates the streamed energy against the postprocessed
 //! power model: event counts bit-for-bit, picojoules within 0.1%.
 //!
-//! With `--audit`, every channel records its full command stream and
-//! re-validates it against the raw timing constraints (tRCD, tRP, tRAS,
-//! tCCD, tRRD, tFAW, tRTP, tWR, tRFC, tREFI) at the end of each run; a
-//! violation aborts the experiment with a typed error instead of
-//! producing silently-wrong timing numbers.
+//! With `--audit`, every channel logs its command stream and, at the end
+//! of each run, checks what the run added against the raw timing
+//! constraints (tRCD, tRP, tRAS, tCCD, tRRD, tFAW, tRTP, tWR, tRFC,
+//! tREFI); a violation aborts the experiment with a typed error instead
+//! of producing silently-wrong timing numbers. The audit watches the
+//! path that serves traffic — trains and replay stay on — so reports
+//! and snapshots are byte-identical with and without it.
 //!
 //! The experiments run on a bounded worker pool
 //! (`newton_bench::harness`); reports and snapshot files are merged in

@@ -1233,8 +1233,9 @@ fn serving_cell(
         );
     }
     // Facts about the replay cache, a host mechanism that only arms on
-    // the event-skipping engine with no per-command observer attached.
-    if cfg.engine == TimingEngine::EventSkipping && !cfg.audit {
+    // the event-skipping engine — audited or not: observers do not
+    // disarm it.
+    if cfg.engine == TimingEngine::EventSkipping {
         assert!(
             report.schedule_hits > 0,
             "{name}: resident serving must hit the replay cache"

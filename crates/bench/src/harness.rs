@@ -105,10 +105,11 @@ pub struct HarnessOptions {
     /// reports and snapshots are byte-identical for both.
     pub engine: TimingEngine,
     /// Run every experiment with the channel timing audit enabled
-    /// (`reproduce --audit`): each channel records its full command
-    /// stream and re-validates it against the raw timing constraints at
-    /// the end of every run; any violation aborts the experiment with
+    /// (`reproduce --audit`): each channel logs its command stream and,
+    /// at the end of every run, checks what the run added against the
+    /// raw timing constraints; any violation aborts the experiment with
     /// [`AimError::AuditFailed`](newton_core::AimError::AuditFailed).
+    /// Reports and snapshots are byte-identical with and without it.
     pub audit: bool,
     /// Run every experiment with streaming telemetry enabled
     /// (`reproduce --telemetry`): each channel collects a windowed

@@ -494,10 +494,10 @@ proptest! {
     /// interposition in flight, streaming telemetry and command traces on,
     /// at pool widths 1, 2 and 8 — across *every* observable surface:
     /// output bits, cycle counts, AiM stats, rendered traces, telemetry
-    /// windows, and energy totals. A second engine pair runs bare (no
-    /// ECC/trace/telemetry) so the closed-form trains and replay hits are
-    /// compared against the oracle too (modulo the cache's own counters),
-    /// not just the fully-observed cold drain.
+    /// windows, and energy totals (modulo the replay cache's own
+    /// counters: the observed event-skipping systems replay under their
+    /// observers, the oracle never does). A second engine pair runs bare
+    /// (no ECC/trace/telemetry) and is compared the same way.
     #[test]
     fn timing_engines_byte_identical_under_random_interleavings(
         ops in prop::collection::vec(mutation(), 1..10)
@@ -546,7 +546,9 @@ proptest! {
             .collect();
         let row_bytes = observed[0].config().row_elems() * 2;
 
-        let compare_all = |observed: &mut Vec<NewtonSystem>,
+        // Replay hits per observed system over the whole case.
+        let mut observed_hits = vec![0u64; observed.len()];
+        let mut compare_all = |observed: &mut Vec<NewtonSystem>,
                            bare: &mut Vec<NewtonSystem>,
                            loaded_obs: &[LoadedMatrix],
                            loaded_bare: &[LoadedMatrix],
@@ -571,10 +573,20 @@ proptest! {
                         run.cycles,
                         run.stats,
                         traces,
-                        merged,
+                        merged.sans_schedule_cache(),
                         totals.energy_milli_pj,
                         totals.refresh_milli_pj,
                     )
+                })
+                .collect();
+            for (hits, s) in observed_hits.iter_mut().zip(&surfaces) {
+                *hits += s.2.schedule_hits;
+            }
+            let surfaces: Vec<Surface> = surfaces
+                .into_iter()
+                .map(|mut s| {
+                    s.2 = s.2.sans_schedule_cache();
+                    s
                 })
                 .collect();
             for (i, s) in surfaces.iter().enumerate().skip(1) {
@@ -667,6 +679,21 @@ proptest! {
             }
         }
         compare_all(&mut observed, &mut bare, &loaded_obs, &loaded_bare, &vector);
+        // Two more runs on untouched weights: whatever the ops did, the
+        // first drains clean and captures on every channel that has not
+        // yet, so the second replays everywhere — traced, with telemetry
+        // and ECC on.
+        compare_all(&mut observed, &mut bare, &loaded_obs, &loaded_bare, &vector);
+        compare_all(&mut observed, &mut bare, &loaded_obs, &loaded_bare, &vector);
+        // Observed systems: three widths on the event-skipping engine,
+        // then three on the oracle.
+        for (i, &hits) in observed_hits.iter().enumerate() {
+            if i < 3 {
+                prop_assert!(hits > 0, "observed system {i} must replay under its observers");
+            } else {
+                prop_assert_eq!(hits, 0, "oracle system {} never replays", i);
+            }
+        }
     }
 }
 
@@ -800,8 +827,8 @@ fn serving_reports_byte_identical_across_engines_and_widths() {
 // must be byte-identical to the reference engine (the never-cached
 // oracle) on every observable surface — at thread widths {1, 2, 8},
 // through invalidation edges (weight writes, retirement mid-chaos, ECC
-// on/off), engine flips, and observer bypasses (audit logs, conventional
-// traffic).
+// on/off), engine flips, attached audit logs and interleaved
+// conventional traffic.
 // ---------------------------------------------------------------------
 
 /// A resident-matrix pair: the same config on the reference engine (the
@@ -962,13 +989,14 @@ fn replay_invalidation_edges_stay_live_and_byte_identical() {
 }
 
 #[test]
-fn replay_bypasses_for_audit_and_conventional_traffic() {
+fn replay_stays_armed_under_audit_and_conventional_traffic() {
     use newton_serve::{ChaosPlan, ConventionalTraffic, Server, TrafficConfig};
 
-    // Audit log attached: replay must bypass (a folded train cannot
-    // reproduce per-command audit events) while staying byte-identical to
-    // the audited oracle — and the audit stream itself must be identical,
-    // so the observer sees the same command history.
+    // Audit log attached: nothing changes. The event-skipping side
+    // misses, captures and then hits; the oracle never does; and the
+    // audit sees the same command history on both — the production log
+    // holds folded trains and prescrubbed activations where the oracle's
+    // holds single events, and they expand to the same sequence.
     let (m, n) = (32, 512);
     let matrix = generator::matrix(MvShape::new(m, n), 43);
     let vector = generator::vector(n, 43);
@@ -978,22 +1006,31 @@ fn replay_bypasses_for_audit_and_conventional_traffic() {
             ch.channel_mut().enable_audit();
         }
     }
-    for _ in 0..2 {
-        let run = assert_engines_identical(&mut systems, &loaded, &vector, "audit");
-        assert_eq!(run.stats.schedule_hits, 0, "audit must bypass replay");
-        assert_eq!(run.stats.schedule_misses, 2, "audited runs count as misses");
-    }
-    let audits: Vec<Vec<usize>> = systems
-        .iter()
-        .map(|s| {
-            s.channels()
-                .iter()
-                .map(|c| c.channel().audit().expect("audit on").len())
-                .collect()
-        })
-        .collect();
-    assert_eq!(audits[0], audits[1], "audit event streams must agree");
-    assert!(audits[0].iter().sum::<usize>() > 0, "audit must record");
+    let run = assert_engines_identical(&mut systems, &loaded, &vector, "audit, cold");
+    assert_eq!(run.stats.schedule_misses, 2, "first audited run captures");
+    let run = assert_engines_identical(&mut systems, &loaded, &vector, "audit, warm");
+    assert_eq!(
+        run.stats.schedule_hits, 2,
+        "an audit log does not disarm replay"
+    );
+    let audit_of = |s: &NewtonSystem| -> Vec<Vec<newton_dram::audit::AuditEvent>> {
+        s.channels()
+            .iter()
+            .map(|c| {
+                let audit = c.channel().audit().expect("audit on");
+                let events: Vec<_> = audit.events().collect();
+                assert_eq!(events.len(), audit.len(), "len counts expanded events");
+                c.validate_audit().expect("audit is clean");
+                events
+            })
+            .collect()
+    };
+    let (oracle_log, production_log) = (audit_of(&systems[0]), audit_of(&systems[1]));
+    assert!(
+        oracle_log.iter().all(|log| !log.is_empty()),
+        "audit must record"
+    );
+    assert_eq!(oracle_log, production_log, "audit event streams must agree");
 
     // Conventional-DRAM traffic interleaving at the serving layer: the
     // controller advances clocks between AiM batches; replay's per-train

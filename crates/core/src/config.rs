@@ -209,11 +209,13 @@ pub struct NewtonConfig {
     /// and checked singly after a full `earliest_*` rescan, never
     /// replayed. Both produce identical command streams.
     pub engine: TimingEngine,
-    /// Attaches the post-hoc timing audit to every channel: each records
-    /// its full command stream and re-validates it against the raw
-    /// timing constraints at the end of every run; a violation fails the
-    /// run with [`AimError::AuditFailed`]. Off by default (the log costs
-    /// memory proportional to the command count).
+    /// Attaches the post-hoc timing audit to every channel: each logs
+    /// its command stream (trains folded) and, at the end of every run,
+    /// checks what that run added against the raw timing constraints; a
+    /// violation fails the run with [`AimError::AuditFailed`]. It does
+    /// not change which code runs — trains and schedule replay stay on —
+    /// so the audited run is the run users get. Off by default: the log
+    /// grows with the single commands issued.
     pub audit: bool,
 }
 

@@ -26,6 +26,7 @@
 //! [`OptFlags::ganged_act`]: crate::config::OptFlags::ganged_act
 
 use newton_bf16::Bf16;
+use newton_dram::audit::AuditViolation;
 use newton_dram::timing::Cycle;
 use newton_dram::{Channel, TimingEngine};
 
@@ -567,7 +568,12 @@ impl NewtonChannel {
         stats.ecc_uncorrectable = self.channel.stats().ecc_uncorrectable - ecc_uncorrectable_before;
         self.now = self.now.max(end);
         if self.config.audit {
-            self.validate_audit()?;
+            // Every event is checked once: only what this run logged is
+            // fed to the audit's carried checker (which falls back to the
+            // full pass by itself should a run boundary ever fail to be a
+            // clean cut in cycle order).
+            let added = self.channel.audit_new_events().unwrap_or_default();
+            self.audit_verdict(added)?;
         }
         Ok(MvRun {
             outputs,
@@ -581,10 +587,14 @@ impl NewtonChannel {
     /// right now. Replay is what the event-skipping engine does with a
     /// resident plan, so it needs that engine, the batched SIMD ganged
     /// complex-COMP configuration (the one whose train structure a hit
-    /// reuses) with ganged activation, and no per-command observer:
-    /// command traces, audit logs, trace sinks, and queued host (non-AiM)
-    /// traffic all force the cold drain. The `Reference` engine is the
-    /// oracle and never executes a folded train.
+    /// reuses) with ganged activation, and no queued host (non-AiM)
+    /// traffic, which interleaves at row-set boundaries a capture knows
+    /// nothing about. What is watching the run is not a condition: a hit
+    /// goes through the same `drain` loop and issues the same commands
+    /// through the same channel calls, so a command trace, an audit log
+    /// or a trace sink records on a hit what it records on a miss. The
+    /// `Reference` engine is the oracle and never executes a folded
+    /// train.
     fn replay_armable(&self) -> bool {
         self.config.engine == TimingEngine::EventSkipping
             && self.functional_mode == FunctionalMode::Simd
@@ -592,9 +602,6 @@ impl NewtonChannel {
             && self.config.opts.complex_comp
             && self.config.opts.ganged_act
             && self.config.subchunk_elems() == newton_bf16::reduce::TREE_ARITY
-            && !self.trace.is_enabled()
-            && !self.channel.has_audit()
-            && !self.channel.has_trace_sink()
             && self.host_queue.is_empty()
     }
 
@@ -603,8 +610,10 @@ impl NewtonChannel {
     /// the run drains cold (a miss) and — when nothing blocks arming and
     /// the drain was correction-free — captures the entry for the next
     /// run. An entry whose weight epoch moved is dropped and counted as
-    /// an invalidation; a bypass (observer, host traffic, `Reference`
-    /// engine) is a miss that keeps the entry. The plan's [`Residency`]
+    /// an invalidation; a bypass (queued host traffic, the `Reference`
+    /// engine) is a miss that keeps the entry; observers — command trace,
+    /// audit log, trace sink, telemetry — never cause one. The plan's
+    /// [`Residency`]
     /// travels with it: a single-use plan drains the same commands and
     /// reports the same miss, but streams its weight rows through the
     /// decode scratch and captures nothing.
@@ -1105,12 +1114,15 @@ impl NewtonChannel {
         Ok(())
     }
 
-    /// Re-validates the recorded command stream against the raw timing
-    /// constraints (the `--audit` path). tREFI violations are ignored when
-    /// periodic refresh is disabled on the channel — an experiment that
-    /// disables refresh makes the deadline unmeetable by construction, not
-    /// through a controller bug. The reported channel index is `0`; the
-    /// system layer rewrites it to the real index when propagating.
+    /// Re-validates the whole recorded command stream against the raw
+    /// timing constraints, from a fresh checker (runs under
+    /// `NewtonConfig::audit` check only what each run adds; both go
+    /// through the audit's one checker). tREFI violations are ignored
+    /// when periodic refresh is disabled on the channel — an experiment
+    /// that disables refresh makes the deadline unmeetable by
+    /// construction, not through a controller bug. The reported channel
+    /// index is `0`; the system layer rewrites it to the real index when
+    /// propagating.
     ///
     /// # Errors
     ///
@@ -1120,9 +1132,13 @@ impl NewtonChannel {
         let Some(audit) = self.channel.audit() else {
             return Ok(());
         };
+        self.audit_verdict(audit.validate(self.channel.timing()))
+    }
+
+    /// Turns what the audit found into this controller's verdict.
+    fn audit_verdict(&self, found: Vec<AuditViolation>) -> Result<(), AimError> {
         let refresh_enabled = self.channel.refresh_enabled();
-        let violations: Vec<_> = audit
-            .validate(self.channel.timing())
+        let violations: Vec<_> = found
             .into_iter()
             .filter(|v| refresh_enabled || v.constraint != "tREFI")
             .collect();

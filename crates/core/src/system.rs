@@ -1757,12 +1757,16 @@ mod tests {
     }
 
     #[test]
-    fn replay_bypasses_for_observers_and_host_traffic() {
+    fn replay_stays_armed_under_observers_and_bypasses_for_host_traffic() {
         let (m, n) = (32, 512);
         let matrix = vec![bf(0.5); m * n];
         let vector = vec![bf(1.0); n];
+        // Two systems with one history; the twin's last run is forced
+        // cold so the traced hit has a traced miss to be compared with.
         let mut sys = NewtonSystem::new(small_cfg(1)).unwrap();
+        let mut twin = NewtonSystem::new(small_cfg(1)).unwrap();
         let loaded = sys.load_matrix(&matrix, m, n).unwrap();
+        let twin_loaded = twin.load_matrix(&matrix, m, n).unwrap();
         assert_eq!(
             sys.run_resident(&loaded, &vector)
                 .unwrap()
@@ -1780,24 +1784,41 @@ mod tests {
 
         // Queued host traffic must see the live drain (it interleaves at
         // row-set boundaries replay does not re-scan for it).
-        sys.channels_mut()[0].enqueue_host_request(crate::controller::HostRequest {
+        let request = crate::controller::HostRequest {
             bank: 3,
             row: 4000,
             col: 0,
             write: None,
-        });
+        };
+        sys.channels_mut()[0].enqueue_host_request(request.clone());
         let run = sys.run_resident(&loaded, &vector).unwrap();
         assert_eq!(run.stats.schedule_hits, 0);
         assert_eq!(run.stats.schedule_misses, 1, "host traffic bypasses replay");
         assert_eq!(sys.channels_mut()[0].take_host_responses().len(), 1);
         assert!(run.output.iter().all(|&v| v == 256.0));
 
-        // Command tracing bypasses too (per-command events re-expand in
-        // the live drain); the entry survives for later un-observed runs.
+        // A command trace does not: the traced run is a hit, and it
+        // records what a cold traced run at the same point records.
         sys.channels_mut()[0].enable_trace();
         let run = sys.run_resident(&loaded, &vector).unwrap();
-        assert_eq!(run.stats.schedule_misses, 1, "trace bypasses replay");
-        assert!(sys.channels()[0].trace().count(|_| true) > 0);
+        assert_eq!(run.stats.schedule_hits, 1, "a trace does not disarm replay");
+
+        for _ in 0..2 {
+            twin.run_resident(&twin_loaded, &vector).unwrap();
+        }
+        twin.channels_mut()[0].enqueue_host_request(request);
+        twin.run_resident(&twin_loaded, &vector).unwrap();
+        twin.channels_mut()[0].enable_trace();
+        twin.set_timing_engine(newton_dram::TimingEngine::Reference);
+        let cold = twin.run_resident(&twin_loaded, &vector).unwrap();
+        assert_eq!(
+            cold.stats.schedule_misses, 1,
+            "the oracle engine drains cold"
+        );
+        assert_eq!(cold.cycles, run.cycles);
+        let traced = sys.channels()[0].trace();
+        assert!(traced.count(|_| true) > 0);
+        assert_eq!(traced.render(), twin.channels()[0].trace().render());
     }
 
     #[test]

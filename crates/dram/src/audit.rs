@@ -1,13 +1,53 @@
 //! Independent post-hoc timing audit.
 //!
 //! The channel's constraint engine computes earliest-legal cycles
-//! incrementally; the audit re-derives every constraint from the raw event
-//! log with simple quadratic-ish scans. The two implementations share no
-//! code, so agreement is strong evidence the incremental engine is right.
-//! Tests enable the audit on every scenario; long benchmark runs leave it
-//! off.
+//! incrementally and applies whole command trains in closed form; the
+//! audit re-derives every constraint from the raw event log, one event at
+//! a time. The two implementations share no code, so agreement is strong
+//! evidence the incremental engine — closed forms included — is right.
+//!
+//! **Storage.** The log keeps what was recorded: single events, and one
+//! folded record per command train (`start`, `step`, `count` and the bank
+//! list in issue order) and per ganged row command (a G_ACT, a
+//! precharge-all: a train of one). A folded record is expanded only when
+//! the log is read: command `i` becomes an [`AuditEvent::Slot`] at
+//! `start + i * step` followed by one event per listed bank — an
+//! internal [`AuditEvent::ColRd`] for a train (none for a bank-less train
+//! such as GWRITE), an [`AuditEvent::Act`] or an [`AuditEvent::Pre`] for
+//! a gang. [`Audit::len`] and [`Audit::events`] always speak of the
+//! expanded sequence, so a log written folded is indistinguishable from
+//! one written event by event. Records sit in fixed-size chunks and bank
+//! lists are kept once each, so a Newton row-set costs about eight
+//! records whatever its width.
+//!
+//! **Reading.** Validation visits the expanded events in cycle order —
+//! ties broken by recording order, except that a refresh precedes
+//! whatever shares its cycle, because a refresh blocks an activation at
+//! its own cycle whichever was recorded first — through a lazy merge of
+//! the records: an index of the records sorted by first cycle plus a heap
+//! of the trains currently open, so row-bus singles that fall inside a
+//! column-bus train, and a GWRITE train that overlaps the activation
+//! chain, come out where a stable sort of the expanded log would put
+//! them. Every event feeds one checker (last slot per bus, the last four
+//! activations, per-bank `last_act / last_col / last_rd / last_wr /
+//! last_pre / open`, the refreshes still inside tRFC, the tREFI
+//! deadline). All the audit takes on trust from a train is the
+//! arithmetic `start + i * step`; every expanded event is still checked
+//! singly against its neighbours, so a wrong closed form in the channel
+//! surfaces as a tRTP / tRAS / tCCD / tCMD violation between a train's
+//! events and what came before or after.
+//!
+//! **Two entry points, one checker.** [`Audit::validate`] is the full
+//! pass from a fresh checker. [`Audit::validate_new`] carries the
+//! checker between calls and feeds it only the records added since the
+//! last one, so a long audited run checks every event once; it verifies
+//! rather than assumes that the cut is clean — a new event ordered before
+//! one already checked discards the carried state and re-runs the full
+//! pass — so a verdict never depends on where the cuts fell.
 
 use crate::timing::{Cycle, Timing};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One primitive device event, as recorded at issue time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +110,12 @@ pub enum BusKind {
 }
 
 impl AuditEvent {
+    /// Where the event sorts in the audit's reading order, up to
+    /// recording order: by cycle, a refresh first within its cycle.
+    fn position(&self) -> (Cycle, bool) {
+        (self.cycle(), !matches!(self, AuditEvent::Ref { .. }))
+    }
+
     fn cycle(&self) -> Cycle {
         match *self {
             AuditEvent::Act { cycle, .. }
@@ -91,11 +137,123 @@ pub struct AuditViolation {
     pub detail: String,
 }
 
+/// One entry of the log, as recorded.
+#[derive(Debug, Clone, Copy)]
+enum Record {
+    Event(AuditEvent),
+    Train(Train),
+}
+
+/// A folded record: `count` ganged commands, command `i` at
+/// `start + i * step`, each one command-bus slot followed by one `op`
+/// event on every bank of list `banks` (an index into
+/// [`Audit::bank_lists`]). A single ganged command is a train of one.
+#[derive(Debug, Clone, Copy)]
+struct Train {
+    start: Cycle,
+    step: u32,
+    count: u32,
+    banks: u32,
+    op: BankOp,
+}
+
+/// What every listed bank does under each slot of a [`Train`].
+#[derive(Debug, Clone, Copy)]
+enum BankOp {
+    /// An internal column read, slot on the column bus (COMP; a GWRITE
+    /// lists no banks).
+    Read,
+    /// An activation of `row`, slot on the row bus (ACT, G_ACT).
+    Activate { row: u32 },
+    /// A precharge, slot on the row bus (precharge-all).
+    Precharge,
+}
+
+impl Train {
+    fn cycle(&self, command: usize) -> Cycle {
+        self.start + command as Cycle * Cycle::from(self.step)
+    }
+}
+
+/// Narrows a dimension of a folded record; they are bounded by the
+/// device's geometry and timing, so this failing is a bug in the caller.
+fn narrow(value: impl TryInto<u32>) -> u32 {
+    value
+        .try_into()
+        .ok()
+        .expect("folded audit record dimensions fit u32")
+}
+
+impl Record {
+    /// Where the record's first event sorts, up to recording order.
+    fn first(&self) -> (Cycle, bool) {
+        match self {
+            Record::Event(e) => e.position(),
+            Record::Train(t) => (t.start, true),
+        }
+    }
+}
+
+/// The record store: fixed-size chunks, so appending never moves what is
+/// already logged. (A `Vec` that doubles copies the whole log each time
+/// it grows; on a long audited run those copies, not the log, are most
+/// of the fresh memory the audit touches.)
+#[derive(Debug, Default)]
+struct Log {
+    chunks: Vec<Vec<Record>>,
+    len: usize,
+}
+
+/// Records per [`Log`] chunk.
+const LOG_CHUNK: usize = 2048;
+
+impl Log {
+    fn push(&mut self, record: Record) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < LOG_CHUNK => chunk.push(record),
+            _ => {
+                let mut chunk = Vec::with_capacity(LOG_CHUNK);
+                chunk.push(record);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
+    }
+
+    fn get(&self, index: usize) -> Record {
+        self.chunks[index / LOG_CHUNK][index % LOG_CHUNK]
+    }
+
+    /// The records from `index` on, in recording order.
+    fn iter_from(&self, index: usize) -> impl Iterator<Item = &Record> {
+        self.chunks[(index / LOG_CHUNK).min(self.chunks.len())..]
+            .iter()
+            .flatten()
+            .skip(index % LOG_CHUNK)
+    }
+}
+
+/// Where an expanded event sorts in the merged order: by cycle, a
+/// refresh before anything else at its cycle, then in recording order
+/// (record index, command index within a train — the events of one
+/// command share a cycle and stay together).
+type Key = (Cycle, bool, usize, usize);
+
 /// Collects events and re-validates them against the raw constraint
 /// definitions.
 #[derive(Debug, Default)]
 pub struct Audit {
-    events: Vec<AuditEvent>,
+    records: Log,
+    /// The bank lists of the folded records: the banks back to back, and
+    /// where each distinct list starts and how long it is.
+    bank_pool: Vec<usize>,
+    bank_lists: Vec<(usize, usize)>,
+    /// Expanded event count.
+    len: usize,
+    /// The incremental check's state: the checker as the first `checked`
+    /// records left it.
+    carried: Checker,
+    checked: usize,
 }
 
 impl Audit {
@@ -107,248 +265,539 @@ impl Audit {
 
     /// Records one event.
     pub fn record(&mut self, event: AuditEvent) {
-        self.events.push(event);
+        self.records.push(Record::Event(event));
+        self.len += 1;
     }
 
-    /// Number of recorded events.
+    /// Records a train of `count` column-bus commands, command `i` at
+    /// `start + i * step`, each reading one column internally on every
+    /// bank of `banks` (in that order; empty for a bank-less command such
+    /// as GWRITE) — the same log as recording, per command, a column-bus
+    /// [`AuditEvent::Slot`] and then one internal [`AuditEvent::ColRd`]
+    /// per bank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` or `count` exceeds `u32::MAX`.
+    pub fn record_train(&mut self, start: Cycle, step: Cycle, count: usize, banks: &[usize]) {
+        self.fold(start, step, count, BankOp::Read, banks.iter().copied());
+    }
+
+    /// Records a ganged activation: one row-bus slot at `cycle` and an
+    /// ACT per `(bank, row)` pair under it — the same log as recording
+    /// the [`AuditEvent::Slot`] and then each [`AuditEvent::Act`].
+    pub fn record_ganged_activate(&mut self, cycle: Cycle, pairs: &[(usize, usize)]) {
+        let row = pairs.first().map_or(0, |p| p.1);
+        match u32::try_from(row) {
+            // One record when the gang opens one row, as a G_ACT does.
+            Ok(row) if pairs.iter().all(|p| p.1 == row as usize) => {
+                let op = BankOp::Activate { row };
+                self.fold(cycle, 0, 1, op, pairs.iter().map(|p| p.0));
+            }
+            _ => {
+                self.record(AuditEvent::Slot {
+                    cycle,
+                    bus: BusKind::Row,
+                });
+                for &(bank, row) in pairs {
+                    self.record(AuditEvent::Act { bank, row, cycle });
+                }
+            }
+        }
+    }
+
+    /// Records a precharge-all: one row-bus slot at `cycle` and a PRE on
+    /// every bank of `banks` under it — the same log as recording the
+    /// [`AuditEvent::Slot`] and then each [`AuditEvent::Pre`].
+    pub fn record_precharge_all(&mut self, cycle: Cycle, banks: impl IntoIterator<Item = usize>) {
+        self.fold(cycle, 0, 1, BankOp::Precharge, banks);
+    }
+
+    fn fold(
+        &mut self,
+        start: Cycle,
+        step: Cycle,
+        count: usize,
+        op: BankOp,
+        banks: impl IntoIterator<Item = usize>,
+    ) {
+        if count == 0 {
+            return;
+        }
+        // A run names the same few bank lists over and over (the gang of
+        // a COMP stream and of the precharge-all after it, the four G_ACT
+        // clusters): look among the latest before keeping another copy.
+        const LATEST: usize = 8;
+        let at = self.bank_pool.len();
+        self.bank_pool.extend(banks);
+        let listed = self.bank_pool.len() - at;
+        let known = self
+            .bank_lists
+            .iter()
+            .rev()
+            .take(LATEST)
+            .position(|&(a, n)| self.bank_pool[a..a + n] == self.bank_pool[at..]);
+        let list = match known {
+            Some(back) => {
+                self.bank_pool.truncate(at);
+                self.bank_lists.len() - 1 - back
+            }
+            None => {
+                self.bank_lists.push((at, listed));
+                self.bank_lists.len() - 1
+            }
+        };
+        self.records.push(Record::Train(Train {
+            start,
+            step: narrow(step),
+            count: narrow(count),
+            banks: narrow(list),
+            op,
+        }));
+        self.len += count * (1 + listed);
+    }
+
+    /// Number of recorded events, trains counted expanded.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.len
     }
 
     /// Whether the log is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len == 0
     }
 
-    /// Recorded events, in issue order.
+    /// Recorded events in issue order, trains expanded.
+    pub fn events(&self) -> impl Iterator<Item = AuditEvent> + '_ {
+        self.records.iter_from(0).flat_map(move |record| {
+            let (single, train) = match *record {
+                Record::Event(e) => (Some(e), None),
+                Record::Train(t) => (None, Some(t)),
+            };
+            let expanded = train.into_iter().flat_map(move |t| {
+                (0..t.count as usize).flat_map(move |i| self.command_events(t, i))
+            });
+            single.into_iter().chain(expanded)
+        })
+    }
+
+    /// The one place a folded record is expanded: the events of its
+    /// command `command`, a slot and then one event per listed bank.
+    fn command_events(
+        &self,
+        train: Train,
+        command: usize,
+    ) -> impl Iterator<Item = AuditEvent> + '_ {
+        let cycle = train.cycle(command);
+        let (at, listed) = self.bank_lists[train.banks as usize];
+        let slot = AuditEvent::Slot {
+            cycle,
+            bus: match train.op {
+                BankOp::Read => BusKind::Column,
+                BankOp::Activate { .. } | BankOp::Precharge => BusKind::Row,
+            },
+        };
+        let per_bank = self.bank_pool[at..at + listed]
+            .iter()
+            .map(move |&bank| match train.op {
+                BankOp::Read => AuditEvent::ColRd {
+                    bank,
+                    cycle,
+                    external: false,
+                },
+                BankOp::Activate { row } => AuditEvent::Act {
+                    bank,
+                    row: row as usize,
+                    cycle,
+                },
+                BankOp::Precharge => AuditEvent::Pre { bank, cycle },
+            });
+        std::iter::once(slot).chain(per_bank)
+    }
+
+    /// Expanded events the incremental check has visited over the log's
+    /// life. Equal to [`Audit::len`] after a [`Audit::validate_new`] as
+    /// long as every cut so far was clean; larger once a fallback re-ran
+    /// the full pass.
     #[must_use]
-    pub fn events(&self) -> &[AuditEvent] {
-        &self.events
+    pub fn events_visited(&self) -> u64 {
+        self.carried.fed
     }
 
-    /// Re-validates every recorded event. Returns all violations found
-    /// (empty = clean).
+    /// Re-validates every recorded event from a fresh checker. Returns
+    /// all violations found (empty = clean), grouped by constraint: tCMD
+    /// on the row bus, tCMD on the column bus, tFAW, tRRD, the per-bank
+    /// constraints in bank order, tRFC, tREFI.
     #[must_use]
     pub fn validate(&self, t: &Timing) -> Vec<AuditViolation> {
-        let mut violations = Vec::new();
-        let mut events = self.events.clone();
-        events.sort_by_key(AuditEvent::cycle);
-
-        self.check_command_slots(&events, t, &mut violations);
-        self.check_faw(&events, t, &mut violations);
-        self.check_per_bank(&events, t, &mut violations);
-        self.check_refresh(&events, t, &mut violations);
-        violations
+        let mut checker = Checker::default();
+        self.feed_in_cycle_order(0, t, &mut checker);
+        checker.take_found()
     }
 
-    fn check_command_slots(
+    /// Checks the records added since the last call (all of them on the
+    /// first) against the state the earlier ones left behind, and returns
+    /// the violations they add, grouped as [`Audit::validate`] groups
+    /// them. Every event is visited once — unless a new event sorts
+    /// before one already checked (the cut was not clean in cycle
+    /// order): then the carried state is discarded and the call re-runs
+    /// the full pass and returns its whole verdict.
+    pub fn validate_new(&mut self, t: &Timing) -> Vec<AuditViolation> {
+        let mut checker = std::mem::take(&mut self.carried);
+        let earliest = self
+            .records
+            .iter_from(self.checked)
+            .map(Record::first)
+            .min();
+        if matches!((earliest, checker.last), (Some(new), Some(checked)) if new < checked) {
+            checker = Checker {
+                fed: checker.fed,
+                ..Checker::default()
+            };
+            self.checked = 0;
+        }
+        self.feed_in_cycle_order(self.checked, t, &mut checker);
+        self.checked = self.records.len;
+        let found = checker.take_found();
+        self.carried = checker;
+        found
+    }
+
+    /// Feeds `checker` the expanded events of `records[from..]` in merged
+    /// order, without materialising them: the records are visited by
+    /// first cycle, and a train stays open on a heap until the records
+    /// that start inside it have been interleaved.
+    fn feed_in_cycle_order(&self, from: usize, t: &Timing, checker: &mut Checker) {
+        let mut order: Vec<usize> = (from..self.records.len).collect();
+        order.sort_by_key(|&r| self.records.get(r).first());
+        let mut open: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
+        for r in order {
+            let (cycle, not_refresh) = self.records.get(r).first();
+            self.drain_open(&mut open, Some((cycle, not_refresh, r, 0)), t, checker);
+            match self.records.get(r) {
+                Record::Event(e) => checker.feed(e, t),
+                // Its first command is next in line; the rest wait their
+                // turn on the heap.
+                Record::Train(train) => {
+                    for event in self.command_events(train, 0) {
+                        checker.feed(event, t);
+                    }
+                    if train.count > 1 {
+                        open.push(Reverse((train.cycle(1), true, r, 1)));
+                    }
+                }
+            }
+        }
+        self.drain_open(&mut open, None, t, checker);
+    }
+
+    /// Feeds `checker` the commands of the open trains that sort before
+    /// `until` (all of them when `None`).
+    fn drain_open(
         &self,
-        events: &[AuditEvent],
+        open: &mut BinaryHeap<Reverse<Key>>,
+        until: Option<Key>,
         t: &Timing,
-        out: &mut Vec<AuditViolation>,
+        checker: &mut Checker,
     ) {
-        for kind in [BusKind::Row, BusKind::Column] {
-            let slots: Vec<Cycle> = events
-                .iter()
-                .filter_map(|e| match e {
-                    AuditEvent::Slot { cycle, bus } if *bus == kind => Some(*cycle),
-                    _ => None,
-                })
-                .collect();
-            for w in slots.windows(2) {
-                if w[1] < w[0] + t.t_cmd {
-                    out.push(AuditViolation {
-                        constraint: "tCMD",
-                        detail: format!(
-                            "{kind:?}-bus command slots at {} and {} closer than tCMD={}",
-                            w[0], w[1], t.t_cmd
-                        ),
-                    });
+        while let Some(&Reverse(next)) = open.peek() {
+            if until.is_some_and(|u| next >= u) {
+                return;
+            }
+            open.pop();
+            // This train runs until another open one, or `until`, is due.
+            let bound = open
+                .peek()
+                .map(|other| other.0)
+                .into_iter()
+                .chain(until)
+                .min();
+            let (_, _, r, first) = next;
+            let Record::Train(train) = self.records.get(r) else {
+                unreachable!("only trains are held open");
+            };
+            for i in first..train.count as usize {
+                let cycle = train.cycle(i);
+                let key = (cycle, true, r, i);
+                if i > first && bound.is_some_and(|b| key >= b) {
+                    open.push(Reverse(key));
+                    break;
+                }
+                for event in self.command_events(train, i) {
+                    checker.feed(event, t);
+                }
+            }
+        }
+    }
+}
+
+/// What the checker remembers of one bank, and what it found there.
+#[derive(Debug, Default)]
+struct BankTrack {
+    last_act: Option<Cycle>,
+    last_col: Option<Cycle>,
+    last_rd: Option<Cycle>,
+    last_wr: Option<Cycle>,
+    last_pre: Option<Cycle>,
+    open: bool,
+    found: Vec<AuditViolation>,
+}
+
+/// The audit's one checker: a state machine fed expanded events in
+/// merged order. Violations collect per constraint group so that
+/// [`Checker::take_found`] reports them in the documented order however
+/// the events interleaved.
+#[derive(Debug, Default)]
+struct Checker {
+    /// Last command slot per bus (`BusKind as usize`) and the tCMD
+    /// violations found on it.
+    last_slot: [Option<Cycle>; 2],
+    slot_found: [Vec<AuditViolation>; 2],
+    /// The last four activations, oldest first.
+    recent_acts: VecDeque<Cycle>,
+    faw_found: Vec<AuditViolation>,
+    rrd_found: Vec<AuditViolation>,
+    banks: Vec<BankTrack>,
+    /// Refreshes an activation could still fall inside (ordinal, cycle),
+    /// and the tRFC violations by the ordinal of the refresh violated.
+    live_refs: VecDeque<(usize, Cycle)>,
+    refs_seen: usize,
+    rfc_found: Vec<(usize, AuditViolation)>,
+    /// The refresh deadline once a refresh has been seen (tREFI before).
+    deadline: Option<Cycle>,
+    refi_found: Vec<AuditViolation>,
+    /// Position of the last event fed, up to recording order.
+    last: Option<(Cycle, bool)>,
+    /// Events fed over the checker's life.
+    fed: u64,
+}
+
+impl Checker {
+    fn feed(&mut self, event: AuditEvent, t: &Timing) {
+        self.last = Some(event.position());
+        self.fed += 1;
+        match event {
+            AuditEvent::Slot { cycle, bus } => {
+                let kind = bus as usize;
+                if let Some(prev) = self.last_slot[kind] {
+                    if cycle < prev + t.t_cmd {
+                        self.slot_found[kind].push(AuditViolation {
+                            constraint: "tCMD",
+                            detail: format!(
+                                "{bus:?}-bus command slots at {prev} and {cycle} closer than tCMD={}",
+                                t.t_cmd
+                            ),
+                        });
+                    }
+                }
+                self.last_slot[kind] = Some(cycle);
+            }
+            AuditEvent::Act { bank, cycle, .. } => {
+                self.check_activation_spacing(cycle, t);
+                self.check_refresh(cycle, t);
+                self.bank(bank).activate(bank, cycle, t);
+            }
+            AuditEvent::Pre { bank, cycle } => self.bank(bank).precharge(bank, cycle, t),
+            AuditEvent::ColRd { bank, cycle, .. } => {
+                let track = self.bank(bank);
+                track.column(bank, cycle, t);
+                track.last_rd = Some(cycle);
+            }
+            AuditEvent::ColWr { bank, cycle } => {
+                let track = self.bank(bank);
+                track.column(bank, cycle, t);
+                track.last_wr = Some(cycle);
+            }
+            AuditEvent::Ref { cycle } => {
+                if t.t_refi != 0 {
+                    self.live_refs.push_back((self.refs_seen, cycle));
+                    self.refs_seen += 1;
+                    // Pull-in semantics: the next deadline is one tREFI
+                    // after this refresh; a late refresh itself is legal.
+                    self.deadline = Some(cycle + t.t_refi);
                 }
             }
         }
     }
 
-    fn check_faw(&self, events: &[AuditEvent], t: &Timing, out: &mut Vec<AuditViolation>) {
-        let acts: Vec<Cycle> = events
-            .iter()
-            .filter_map(|e| match e {
-                AuditEvent::Act { cycle, .. } => Some(*cycle),
-                _ => None,
-            })
-            .collect();
-        // tFAW: any 5 consecutive activations must span more than tFAW
-        // (i.e. acts[i+4] >= acts[i] + tFAW).
-        for i in 0..acts.len().saturating_sub(4) {
-            if acts[i + 4] < acts[i] + t.t_faw {
-                out.push(AuditViolation {
+    fn bank(&mut self, bank: usize) -> &mut BankTrack {
+        if bank >= self.banks.len() {
+            self.banks.resize_with(bank + 1, BankTrack::default);
+        }
+        &mut self.banks[bank]
+    }
+
+    /// tFAW and tRRD, rank-wide.
+    fn check_activation_spacing(&mut self, cycle: Cycle, t: &Timing) {
+        // tFAW: any 5 consecutive activations must span at least tFAW.
+        if self.recent_acts.len() == 4 {
+            let first = self.recent_acts[0];
+            if cycle < first + t.t_faw {
+                self.faw_found.push(AuditViolation {
                     constraint: "tFAW",
                     detail: format!(
-                        "5th activation at {} within tFAW={} of activation at {}",
-                        acts[i + 4],
-                        t.t_faw,
-                        acts[i]
+                        "5th activation at {cycle} within tFAW={} of activation at {first}",
+                        t.t_faw
                     ),
                 });
             }
+            self.recent_acts.pop_front();
         }
         // tRRD between activations at *different* cycles (ganged
         // activations share a cycle by design).
-        for w in acts.windows(2) {
-            if w[1] != w[0] && w[1] < w[0] + t.t_rrd {
-                out.push(AuditViolation {
+        if let Some(&prev) = self.recent_acts.back() {
+            if cycle != prev && cycle < prev + t.t_rrd {
+                self.rrd_found.push(AuditViolation {
                     constraint: "tRRD",
                     detail: format!(
-                        "activations at {} and {} closer than tRRD={}",
-                        w[0], w[1], t.t_rrd
+                        "activations at {prev} and {cycle} closer than tRRD={}",
+                        t.t_rrd
                     ),
                 });
             }
         }
+        self.recent_acts.push_back(cycle);
     }
 
-    fn check_per_bank(&self, events: &[AuditEvent], t: &Timing, out: &mut Vec<AuditViolation>) {
-        let max_bank = events
-            .iter()
-            .filter_map(|e| match e {
-                AuditEvent::Act { bank, .. }
-                | AuditEvent::Pre { bank, .. }
-                | AuditEvent::ColRd { bank, .. }
-                | AuditEvent::ColWr { bank, .. } => Some(*bank),
-                _ => None,
-            })
-            .max();
-        let Some(max_bank) = max_bank else { return };
-
-        for bank in 0..=max_bank {
-            let mut last_act: Option<Cycle> = None;
-            let mut last_col: Option<Cycle> = None;
-            let mut last_rd: Option<Cycle> = None;
-            let mut last_wr: Option<Cycle> = None;
-            let mut last_pre: Option<Cycle> = None;
-            let mut open = false;
-            for e in events {
-                match *e {
-                    AuditEvent::Act { bank: b, cycle, .. } if b == bank => {
-                        if open {
-                            out.push(AuditViolation {
-                                constraint: "ACT-on-open",
-                                detail: format!(
-                                    "bank {bank}: activate at {cycle} while a row is open"
-                                ),
-                            });
-                        }
-                        if let Some(p) = last_pre {
-                            if cycle < p + t.t_rp {
-                                out.push(AuditViolation {
-                                    constraint: "tRP",
-                                    detail: format!(
-                                        "bank {bank}: ACT at {cycle} < PRE {p} + tRP {}",
-                                        t.t_rp
-                                    ),
-                                });
-                            }
-                        }
-                        if let Some(a) = last_act {
-                            if cycle < a + t.t_rc() {
-                                out.push(AuditViolation {
-                                    constraint: "tRC",
-                                    detail: format!(
-                                        "bank {bank}: ACT at {cycle} < ACT {a} + tRC {}",
-                                        t.t_rc()
-                                    ),
-                                });
-                            }
-                        }
-                        last_act = Some(cycle);
-                        open = true;
-                    }
-                    AuditEvent::Pre { bank: b, cycle } if b == bank => {
-                        if !open {
-                            out.push(AuditViolation {
-                                constraint: "PRE-on-idle",
-                                detail: format!(
-                                    "bank {bank}: precharge at {cycle} with no open row"
-                                ),
-                            });
-                        }
-                        if let Some(a) = last_act {
-                            if cycle < a + t.t_ras {
-                                out.push(AuditViolation {
-                                    constraint: "tRAS",
-                                    detail: format!(
-                                        "bank {bank}: PRE at {cycle} < ACT {a} + tRAS {}",
-                                        t.t_ras
-                                    ),
-                                });
-                            }
-                        }
-                        if let Some(r) = last_rd {
-                            if cycle < r + t.t_rtp {
-                                out.push(AuditViolation {
-                                    constraint: "tRTP",
-                                    detail: format!(
-                                        "bank {bank}: PRE at {cycle} < RD {r} + tRTP {}",
-                                        t.t_rtp
-                                    ),
-                                });
-                            }
-                        }
-                        if let Some(wcyc) = last_wr {
-                            if cycle < wcyc + t.t_aa + t.t_wr {
-                                out.push(AuditViolation {
-                                    constraint: "tWR",
-                                    detail: format!(
-                                        "bank {bank}: PRE at {cycle} < WR {wcyc} + tAA+tWR {}",
-                                        t.t_aa + t.t_wr
-                                    ),
-                                });
-                            }
-                        }
-                        last_pre = Some(cycle);
-                        open = false;
-                        last_col = None;
-                        last_rd = None;
-                        last_wr = None;
-                    }
-                    AuditEvent::ColRd { bank: b, cycle, .. } if b == bank => {
-                        self.check_column(bank, cycle, open, last_act, last_col, t, out);
-                        last_col = Some(cycle);
-                        last_rd = Some(cycle);
-                    }
-                    AuditEvent::ColWr { bank: b, cycle } if b == bank => {
-                        self.check_column(bank, cycle, open, last_act, last_col, t, out);
-                        last_col = Some(cycle);
-                        last_wr = Some(cycle);
-                    }
-                    _ => {}
-                }
-            }
+    /// tRFC and the tREFI deadline for an activation at `cycle`.
+    fn check_refresh(&mut self, cycle: Cycle, t: &Timing) {
+        if t.t_refi == 0 {
+            return;
+        }
+        // During tRFC after a refresh, no activation may occur. Refreshes
+        // expire in the order they arrived (one tRFC for all).
+        while self
+            .live_refs
+            .front()
+            .is_some_and(|&(_, r)| cycle >= r + t.t_rfc)
+        {
+            self.live_refs.pop_front();
+        }
+        for &(ordinal, r) in &self.live_refs {
+            self.rfc_found.push((
+                ordinal,
+                AuditViolation {
+                    constraint: "tRFC",
+                    detail: format!(
+                        "activation at {cycle} during refresh [{r}, {})",
+                        r + t.t_rfc
+                    ),
+                },
+            ));
+        }
+        // tREFI deadline: mirroring the channel's rule, an activation may
+        // not be issued after the current refresh deadline has passed.
+        let deadline = self.deadline.unwrap_or(t.t_refi);
+        if cycle > deadline {
+            self.refi_found.push(AuditViolation {
+                constraint: "tREFI",
+                detail: format!("activation at {cycle} after refresh deadline {deadline}"),
+            });
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn check_column(
-        &self,
-        bank: usize,
-        cycle: Cycle,
-        open: bool,
-        last_act: Option<Cycle>,
-        last_col: Option<Cycle>,
-        t: &Timing,
-        out: &mut Vec<AuditViolation>,
-    ) {
-        if !open {
-            out.push(AuditViolation {
+    /// Everything found since the last call, in the documented order.
+    fn take_found(&mut self) -> Vec<AuditViolation> {
+        let mut out = Vec::new();
+        for found in &mut self.slot_found {
+            out.append(found);
+        }
+        out.append(&mut self.faw_found);
+        out.append(&mut self.rrd_found);
+        for track in &mut self.banks {
+            out.append(&mut track.found);
+        }
+        // Activations arrive in cycle order; the report lists tRFC
+        // violations refresh by refresh.
+        self.rfc_found.sort_by_key(|&(ordinal, _)| ordinal);
+        out.extend(self.rfc_found.drain(..).map(|(_, v)| v));
+        out.append(&mut self.refi_found);
+        out
+    }
+}
+
+impl BankTrack {
+    fn activate(&mut self, bank: usize, cycle: Cycle, t: &Timing) {
+        if self.open {
+            self.found.push(AuditViolation {
+                constraint: "ACT-on-open",
+                detail: format!("bank {bank}: activate at {cycle} while a row is open"),
+            });
+        }
+        if let Some(p) = self.last_pre {
+            if cycle < p + t.t_rp {
+                self.found.push(AuditViolation {
+                    constraint: "tRP",
+                    detail: format!("bank {bank}: ACT at {cycle} < PRE {p} + tRP {}", t.t_rp),
+                });
+            }
+        }
+        if let Some(a) = self.last_act {
+            if cycle < a + t.t_rc() {
+                self.found.push(AuditViolation {
+                    constraint: "tRC",
+                    detail: format!("bank {bank}: ACT at {cycle} < ACT {a} + tRC {}", t.t_rc()),
+                });
+            }
+        }
+        self.last_act = Some(cycle);
+        self.open = true;
+    }
+
+    fn precharge(&mut self, bank: usize, cycle: Cycle, t: &Timing) {
+        if !self.open {
+            self.found.push(AuditViolation {
+                constraint: "PRE-on-idle",
+                detail: format!("bank {bank}: precharge at {cycle} with no open row"),
+            });
+        }
+        if let Some(a) = self.last_act {
+            if cycle < a + t.t_ras {
+                self.found.push(AuditViolation {
+                    constraint: "tRAS",
+                    detail: format!("bank {bank}: PRE at {cycle} < ACT {a} + tRAS {}", t.t_ras),
+                });
+            }
+        }
+        if let Some(r) = self.last_rd {
+            if cycle < r + t.t_rtp {
+                self.found.push(AuditViolation {
+                    constraint: "tRTP",
+                    detail: format!("bank {bank}: PRE at {cycle} < RD {r} + tRTP {}", t.t_rtp),
+                });
+            }
+        }
+        if let Some(w) = self.last_wr {
+            if cycle < w + t.t_aa + t.t_wr {
+                self.found.push(AuditViolation {
+                    constraint: "tWR",
+                    detail: format!(
+                        "bank {bank}: PRE at {cycle} < WR {w} + tAA+tWR {}",
+                        t.t_aa + t.t_wr
+                    ),
+                });
+            }
+        }
+        self.last_pre = Some(cycle);
+        self.open = false;
+        self.last_col = None;
+        self.last_rd = None;
+        self.last_wr = None;
+    }
+
+    /// The checks common to column reads and writes.
+    fn column(&mut self, bank: usize, cycle: Cycle, t: &Timing) {
+        if !self.open {
+            self.found.push(AuditViolation {
                 constraint: "COL-on-idle",
                 detail: format!("bank {bank}: column access at {cycle} with no open row"),
             });
         }
-        if let Some(a) = last_act {
+        if let Some(a) = self.last_act {
             if cycle < a + t.t_rcd {
-                out.push(AuditViolation {
+                self.found.push(AuditViolation {
                     constraint: "tRCD",
                     detail: format!(
                         "bank {bank}: column at {cycle} < ACT {a} + tRCD {}",
@@ -357,9 +806,9 @@ impl Audit {
                 });
             }
         }
-        if let Some(c) = last_col {
+        if let Some(c) = self.last_col {
             if cycle < c + t.t_ccd {
-                out.push(AuditViolation {
+                self.found.push(AuditViolation {
                     constraint: "tCCD",
                     detail: format!(
                         "bank {bank}: column at {cycle} < column {c} + tCCD {}",
@@ -368,55 +817,7 @@ impl Audit {
                 });
             }
         }
-    }
-
-    fn check_refresh(&self, events: &[AuditEvent], t: &Timing, out: &mut Vec<AuditViolation>) {
-        if t.t_refi == 0 {
-            return;
-        }
-        let refs: Vec<Cycle> = events
-            .iter()
-            .filter_map(|e| match e {
-                AuditEvent::Ref { cycle } => Some(*cycle),
-                _ => None,
-            })
-            .collect();
-        // During tRFC after a refresh, no activation may occur.
-        let acts: Vec<Cycle> = events
-            .iter()
-            .filter_map(|e| match e {
-                AuditEvent::Act { cycle, .. } => Some(*cycle),
-                _ => None,
-            })
-            .collect();
-        for &r in &refs {
-            for &a in &acts {
-                if a >= r && a < r + t.t_rfc {
-                    out.push(AuditViolation {
-                        constraint: "tRFC",
-                        detail: format!("activation at {a} during refresh [{r}, {})", r + t.t_rfc),
-                    });
-                }
-            }
-        }
-        // tREFI deadline: mirroring the channel's rule, an activation may
-        // not be issued after the current refresh deadline has passed (the
-        // deadline starts at tREFI and advances to ref + tREFI on each
-        // refresh; a late refresh itself is permitted, pull-in semantics).
-        let mut deadline = t.t_refi;
-        let mut next_ref = 0;
-        for &a in &acts {
-            while next_ref < refs.len() && refs[next_ref] <= a {
-                deadline = refs[next_ref] + t.t_refi;
-                next_ref += 1;
-            }
-            if a > deadline {
-                out.push(AuditViolation {
-                    constraint: "tREFI",
-                    detail: format!("activation at {a} after refresh deadline {deadline}"),
-                });
-            }
-        }
+        self.last_col = Some(cycle);
     }
 }
 
@@ -563,5 +964,303 @@ mod tests {
         });
         let v = audit.validate(&t);
         assert!(v.iter().any(|x| x.constraint == "COL-on-idle"), "{v:?}");
+    }
+
+    /// The same log written event by event and with its trains folded:
+    /// a row-bus activation chain that falls inside a bank-less GWRITE
+    /// train, then a COMP train with a row-bus single (another bank's
+    /// ACT) in the middle of it.
+    fn log_with_trains(t: &Timing, folded: bool) -> Audit {
+        let step = t.t_ccd.max(t.t_cmd);
+        let mut audit = Audit::new();
+        let train = |audit: &mut Audit, start: Cycle, count: usize, banks: &[usize]| {
+            if folded {
+                audit.record_train(start, step, count, banks);
+                return;
+            }
+            for i in 0..count as Cycle {
+                let cycle = start + i * step;
+                audit.record(AuditEvent::Slot {
+                    cycle,
+                    bus: BusKind::Column,
+                });
+                for &bank in banks {
+                    audit.record(AuditEvent::ColRd {
+                        bank,
+                        cycle,
+                        external: false,
+                    });
+                }
+            }
+        };
+        train(&mut audit, 0, 8, &[]);
+        audit.record(AuditEvent::Slot {
+            cycle: 2,
+            bus: BusKind::Row,
+        });
+        for bank in [0, 1] {
+            audit.record(AuditEvent::Act {
+                bank,
+                row: 5,
+                cycle: 2,
+            });
+        }
+        let comp = (8 * step).max(2 + t.t_rcd);
+        train(&mut audit, comp, 6, &[0, 1]);
+        audit.record(AuditEvent::Slot {
+            cycle: comp + step + 1,
+            bus: BusKind::Row,
+        });
+        audit.record(AuditEvent::Act {
+            bank: 2,
+            row: 5,
+            cycle: comp + step + 1,
+        });
+        audit
+    }
+
+    #[test]
+    fn a_folded_train_reads_as_its_expansion() {
+        let t = timing();
+        let singly = log_with_trains(&t, false);
+        let folded = log_with_trains(&t, true);
+        assert_eq!(folded.len(), 8 + 3 + 6 * 3 + 2);
+        assert_eq!(folded.len(), singly.len());
+        assert_eq!(folded.events().count(), folded.len());
+        assert!(folded.events().eq(singly.events()));
+        assert_eq!(folded.validate(&t), vec![]);
+        assert_eq!(singly.validate(&t), vec![]);
+        // Squeeze the COMP train's step below tCCD on both: every event
+        // is still checked singly, so the two verdicts stay equal.
+        let squeeze = |folded: bool| {
+            let mut audit = log_with_trains(&t, folded);
+            let start = audit.events().map(|e| e.cycle()).max().unwrap() + 100;
+            for bank in [3, 4] {
+                audit.record(AuditEvent::Act {
+                    bank,
+                    row: 0,
+                    cycle: start,
+                });
+            }
+            let first = start + t.t_rcd;
+            if folded {
+                audit.record_train(first, t.t_ccd - 1, 3, &[3, 4]);
+            } else {
+                for i in 0..3 {
+                    let cycle = first + i * (t.t_ccd - 1);
+                    audit.record(AuditEvent::Slot {
+                        cycle,
+                        bus: BusKind::Column,
+                    });
+                    for bank in [3, 4] {
+                        audit.record(AuditEvent::ColRd {
+                            bank,
+                            cycle,
+                            external: false,
+                        });
+                    }
+                }
+            }
+            audit.validate(&t)
+        };
+        let found = squeeze(true);
+        assert_eq!(found, squeeze(false));
+        assert_eq!(
+            found.iter().filter(|v| v.constraint == "tCCD").count(),
+            4,
+            "{found:?}"
+        );
+    }
+
+    #[test]
+    fn every_event_is_checked_once_and_a_dirty_cut_falls_back_to_the_full_pass() {
+        let t = timing();
+        let mut audit = log_with_trains(&t, true);
+        assert_eq!(audit.validate_new(&t), vec![]);
+        assert_eq!(audit.events_visited(), audit.len() as u64);
+        assert_eq!(audit.validate_new(&t), vec![], "nothing new, nothing fed");
+        assert_eq!(audit.events_visited(), audit.len() as u64);
+
+        // A clean cut: later events only. One of them closes bank 0 inside
+        // tRTP of the COMP train's last read, which only the state carried
+        // across the cut can show.
+        let last_read = audit.events().map(|e| e.cycle()).max().unwrap();
+        audit.record(AuditEvent::Pre {
+            bank: 0,
+            cycle: last_read + t.t_rtp - 1,
+        });
+        let added = audit.validate_new(&t);
+        assert_eq!(added.len(), 1, "{added:?}");
+        assert_eq!(added[0].constraint, "tRTP");
+        assert_eq!(added, audit.validate(&t));
+        assert_eq!(audit.events_visited(), audit.len() as u64);
+
+        // A dirty cut: an event recorded now that belongs before ones
+        // already checked. Fed to the carried state it would look like a
+        // read on a closed bank; the audit notices the cycle, starts over
+        // and returns what the full pass returns.
+        audit.record(AuditEvent::ColRd {
+            bank: 0,
+            cycle: 2 + t.t_rcd - 1,
+            external: false,
+        });
+        let visited = audit.events_visited();
+        let verdict = audit.validate_new(&t);
+        assert_eq!(verdict, audit.validate(&t));
+        assert!(
+            verdict.iter().any(|v| v.constraint == "tRCD"),
+            "{verdict:?}"
+        );
+        assert!(
+            verdict.iter().all(|v| v.constraint != "COL-on-idle"),
+            "{verdict:?}"
+        );
+        assert_eq!(
+            audit.events_visited(),
+            visited + audit.len() as u64,
+            "the fallback re-read the whole log"
+        );
+        // And the state it leaves is the full pass's: the next clean cut
+        // is incremental again.
+        audit.record(AuditEvent::Ref {
+            cycle: last_read + 1000,
+        });
+        assert_eq!(audit.validate_new(&t), vec![]);
+        assert_eq!(audit.events_visited(), visited + audit.len() as u64);
+    }
+
+    #[test]
+    fn the_report_keeps_its_order_whatever_order_the_log_was_written_in() {
+        // Recorded back to front. The comparison suites write one log
+        // several ways, which cannot see the order of the report, so it
+        // is pinned here: tCMD on the row bus, tCMD on the column bus,
+        // tFAW, tRRD, each bank's findings in bank order, tRFC refresh
+        // by refresh, tREFI.
+        let t = timing();
+        assert!(t.t_refi > 2 * t.t_rfc + 100 && t.t_rfc > 20 && t.t_faw > 16);
+        let late = t.t_refi + t.t_rfc + 100;
+        let mut audit = Audit::new();
+        audit.record(AuditEvent::Act {
+            bank: 3,
+            row: 0,
+            cycle: late + t.t_refi + 1,
+        });
+        // An activation at a refresh's own cycle is inside it, and under
+        // its deadline, even when it was recorded first.
+        audit.record(AuditEvent::Act {
+            bank: 2,
+            row: 0,
+            cycle: late,
+        });
+        audit.record(AuditEvent::Ref { cycle: late });
+        audit.record(AuditEvent::Pre {
+            bank: 1,
+            cycle: 1010,
+        });
+        audit.record(AuditEvent::ColRd {
+            bank: 0,
+            cycle: 1005,
+            external: false,
+        });
+        let acts = [(6, 1018), (5, 1014), (4, 1010), (1, 1003), (0, 1002)];
+        for (bank, cycle) in acts {
+            audit.record(AuditEvent::Act {
+                bank,
+                row: 0,
+                cycle,
+            });
+        }
+        audit.record(AuditEvent::Ref { cycle: 1001 });
+        audit.record(AuditEvent::Ref { cycle: 1000 });
+        for bus in [BusKind::Column, BusKind::Row] {
+            audit.record(AuditEvent::Slot { cycle: 1, bus });
+            audit.record(AuditEvent::Slot { cycle: 0, bus });
+        }
+
+        let found = audit.validate(&t);
+        let names: Vec<&str> = found.iter().map(|v| v.constraint).collect();
+        let mut expected = vec!["tCMD", "tCMD", "tFAW", "tRRD", "tRCD", "tRAS"];
+        expected.extend(["tRFC"; 11]);
+        expected.push("tREFI");
+        assert_eq!(names, expected, "{found:#?}");
+        assert!(
+            found[0].detail.starts_with("Row-bus"),
+            "{}",
+            found[0].detail
+        );
+        assert!(
+            found[1].detail.starts_with("Column-bus"),
+            "{}",
+            found[1].detail
+        );
+        assert!(found[4].detail.starts_with("bank 0"), "{}", found[4].detail);
+        assert!(found[5].detail.starts_with("bank 1"), "{}", found[5].detail);
+        let during: Vec<String> = [1000, 1001]
+            .iter()
+            .flat_map(|r| {
+                acts.iter().rev().map(move |(_, a)| {
+                    format!("activation at {a} during refresh [{r}, {})", r + t.t_rfc)
+                })
+            })
+            .chain([format!(
+                "activation at {late} during refresh [{late}, {})",
+                late + t.t_rfc
+            )])
+            .collect();
+        let reported: Vec<&str> = found[6..17].iter().map(|v| v.detail.as_str()).collect();
+        assert_eq!(reported, during);
+        assert_eq!(
+            found[17].detail,
+            format!(
+                "activation at {} after refresh deadline {}",
+                late + t.t_refi + 1,
+                late + t.t_refi
+            )
+        );
+    }
+
+    #[test]
+    fn ganged_row_commands_fold_into_one_record_each_and_expand_in_place() {
+        let t = timing();
+        let mut folded = Audit::new();
+        let mut singly = Audit::new();
+        let record_gang = |audit: &mut Audit, cycle: Cycle, events: &[AuditEvent]| {
+            audit.record(AuditEvent::Slot {
+                cycle,
+                bus: BusKind::Row,
+            });
+            events.iter().for_each(|e| audit.record(*e));
+        };
+        let mut cycle = 0;
+        for row in 0..6 {
+            for cluster in [[0, 1], [2, 3]] {
+                let pairs = cluster.map(|bank| (bank, row));
+                folded.record_ganged_activate(cycle, &pairs);
+                let acts = cluster.map(|bank| AuditEvent::Act { bank, row, cycle });
+                record_gang(&mut singly, cycle, &acts);
+                cycle += t.t_rrd.max(t.t_cmd);
+            }
+            cycle += t.t_ras;
+            folded.record_precharge_all(cycle, 0..4);
+            let pres = [0, 1, 2, 3].map(|bank| AuditEvent::Pre { bank, cycle });
+            record_gang(&mut singly, cycle, &pres);
+            cycle += t.t_rp;
+        }
+        // A gang that opens two different rows cannot share one record's
+        // row; it is logged event by event and reads the same.
+        folded.record_ganged_activate(cycle, &[(0, 8), (1, 9)]);
+        let acts = [(0, 8), (1, 9)].map(|(bank, row)| AuditEvent::Act { bank, row, cycle });
+        record_gang(&mut singly, cycle, &acts);
+
+        assert_eq!(folded.len(), singly.len());
+        assert!(folded.events().eq(singly.events()));
+        assert_eq!(folded.validate(&t), singly.validate(&t));
+        assert_eq!(folded.validate(&t), vec![]);
+        assert_eq!(folded.records.len, 6 * 3 + 3, "one record a gang");
+        assert_eq!(
+            folded.bank_lists.len(),
+            3,
+            "two clusters and the full gang, each listed once"
+        );
     }
 }

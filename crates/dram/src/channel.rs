@@ -17,7 +17,7 @@
 //! command per tCMD slot; commands on one bus must be issued in
 //! non-decreasing time order.
 
-use crate::audit::{Audit, AuditEvent, BusKind};
+use crate::audit::{Audit, AuditEvent, AuditViolation, BusKind};
 use crate::bank::Bank;
 use crate::bus::{CommandBus, DataBus};
 use crate::config::DramConfig;
@@ -180,9 +180,12 @@ impl Channel {
         &mut self.storage
     }
 
-    /// Enables post-hoc timing auditing (records every event; see
-    /// [`crate::audit`]). Intended for tests — auditing a long benchmark
-    /// run costs memory proportional to the command count.
+    /// Enables post-hoc timing auditing (see [`crate::audit`]): every
+    /// event from here on is logged — a command train, a ganged
+    /// activation or a precharge-all as one folded record — without
+    /// changing which code issues it. The log grows with the commands
+    /// issued outside trains (eight records per Newton row-set), not
+    /// with the bank accesses under them.
     pub fn enable_audit(&mut self) {
         self.audit = Some(Audit::new());
     }
@@ -191,6 +194,13 @@ impl Channel {
     #[must_use]
     pub fn audit(&self) -> Option<&Audit> {
         self.audit.as_ref()
+    }
+
+    /// Audits the events logged since the last call against this
+    /// channel's timing ([`Audit::validate_new`]): the violations they
+    /// add, or `None` when auditing is off.
+    pub fn audit_new_events(&mut self) -> Option<Vec<AuditViolation>> {
+        self.audit.as_mut().map(|a| a.validate_new(&self.timing))
     }
 
     /// Disables refresh-deadline tracking (for micro-tests that span less
@@ -244,13 +254,6 @@ impl Channel {
     #[must_use]
     pub fn write_epoch(&self) -> u64 {
         self.storage.write_epoch()
-    }
-
-    /// Whether an audit log is attached (replay must bypass: the batched
-    /// appliers cannot reproduce per-command audit events).
-    #[must_use]
-    pub fn has_audit(&self) -> bool {
-        self.audit.is_some()
     }
 
     /// Scrubs an entire row against its SECDED check bytes on activation
@@ -383,15 +386,6 @@ impl Channel {
         self.sink.0.is_some() || self.telemetry.is_some()
     }
 
-    /// Whether something attached sees commands one by one (an audit log
-    /// or a trace sink): a train must then expand into single commands.
-    /// The telemetry collector is not one — a train folds into its
-    /// windows exactly.
-    #[inline]
-    fn per_command_observer(&self) -> bool {
-        self.audit.is_some() || self.sink.0.is_some()
-    }
-
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
         if let Some(t) = &mut self.telemetry {
@@ -421,6 +415,61 @@ impl Channel {
                 label,
                 milli_pj,
             });
+        }
+    }
+
+    /// What telemetry prices one command of a train at, in milli-pJ: 0
+    /// without telemetry, since energy is attributed only while it is on.
+    fn train_command_energy(&self, label: &'static str, bank_ops: u32, data_bytes: u64) -> u64 {
+        self.telemetry.as_ref().map_or(0, |t| {
+            to_milli_pj(t.energy.command_pj(label, bank_ops, data_bytes))
+        })
+    }
+
+    /// Tells an attached trace sink about a train that was applied
+    /// closed-form: for each command at `cycles`, in issue order, exactly
+    /// what the single-command issue emits — `Command`, one
+    /// `BankState::Computing` per bank of `banks`, the `DataBurst` at
+    /// `cycle + tAA` when the command moves `burst_bytes`, and
+    /// `CommandEnergy` when telemetry priced it. The telemetry collector
+    /// is not told here: it took the train as one fold, so nothing is
+    /// counted twice.
+    fn emit_train_to_sink(
+        &mut self,
+        cycles: impl Iterator<Item = Cycle>,
+        label: &'static str,
+        banks: &[usize],
+        burst_bytes: Option<u64>,
+        milli_pj: u64,
+    ) {
+        let Some(sink) = &mut self.sink.0 else { return };
+        for cycle in cycles {
+            sink.record(&TraceEvent::Command {
+                cycle,
+                bus: TraceBus::Column,
+                label,
+                bank_ops: banks.len() as u32,
+            });
+            for &bank in banks {
+                sink.record(&TraceEvent::BankState {
+                    cycle,
+                    bank: bank as u32,
+                    class: BankClass::Computing,
+                });
+            }
+            if let Some(bytes) = burst_bytes {
+                sink.record(&TraceEvent::DataBurst {
+                    cycle: cycle + self.timing.t_aa,
+                    bytes,
+                });
+            }
+            if milli_pj > 0 {
+                sink.record(&TraceEvent::CommandEnergy {
+                    cycle,
+                    label,
+                    milli_pj,
+                });
+            }
         }
     }
 
@@ -605,13 +654,11 @@ impl Channel {
             }
         }
         self.row_bus.issue(cycle, &self.timing)?;
-        self.record(AuditEvent::Slot {
-            cycle,
-            bus: BusKind::Row,
-        });
         for &(bank, row) in pairs {
             self.banks[bank].activate(cycle, row, &self.timing)?;
-            self.record(AuditEvent::Act { bank, row, cycle });
+        }
+        if let Some(a) = &mut self.audit {
+            a.record_ganged_activate(cycle, pairs);
         }
         self.faw.record(cycle, pairs.len());
         self.stats.activates += pairs.len() as u64;
@@ -860,15 +907,17 @@ impl Channel {
     /// rows from their own decoded copy. Returns the cycle of the last
     /// command.
     ///
-    /// The train picks its own leg. With an audit log or trace sink
-    /// attached every command is individually observable, so it expands
-    /// into the single-command calls. With ECC on it expands too, unless
-    /// the caller passes `rows_clean`: the proof that the open rows have
-    /// not been mutated since a correction-free drain
-    /// ([`Channel::write_epoch`] unchanged), under which every per-column
-    /// check would be a no-op `Ok(0)`. Otherwise it applies closed-form,
-    /// O(1) in `count * banks`, folding the per-command telemetry events
-    /// into the windowed series.
+    /// Observers are told, not obeyed: the train applies closed-form,
+    /// O(1) in `count * banks`, whatever is attached. The telemetry
+    /// collector takes it as one fold into its windows, an audit log as
+    /// one folded record ([`Audit::record_train`]) and a trace sink
+    /// receives, per command, the events the single-command call emits.
+    /// The one condition that expands the train into single-command
+    /// calls is ECC on without `rows_clean`: there the per-column checks
+    /// do real work and can fail at a particular command. `rows_clean`
+    /// is the caller's proof that the open rows have not been mutated
+    /// since a correction-free drain ([`Channel::write_epoch`]
+    /// unchanged), under which every such check would be a no-op `Ok(0)`.
     ///
     /// # Errors
     ///
@@ -900,7 +949,7 @@ impl Channel {
         }
         self.col_bus.check_train(start, step, count, &self.timing)?;
         let last = start + (count as Cycle - 1) * step;
-        if self.per_command_observer() || (self.storage.ecc_enabled() && !rows_clean) {
+        if self.storage.ecc_enabled() && !rows_clean {
             let mut pairs: Vec<(usize, usize)> = banks.iter().map(|&b| (b, 0)).collect();
             for i in 0..count {
                 for p in &mut pairs {
@@ -927,8 +976,11 @@ impl Channel {
             self.stats.ganged_commands += count as u64;
         }
         self.note_activity(start);
+        if let Some(a) = &mut self.audit {
+            a.record_train(start, step, count, banks);
+        }
+        let milli_pj = self.train_command_energy("COMP", banks.len() as u32, 0);
         if let Some(t) = &mut self.telemetry {
-            let milli_pj = to_milli_pj(t.energy.command_pj("COMP", banks.len() as u32, 0));
             t.series.record_command_train(
                 start,
                 step,
@@ -941,23 +993,25 @@ impl Channel {
                 t.series.record_bank_comp_train(bank, count as u64);
             }
         }
+        let cycles = (0..count as Cycle).map(|i| start + i * step);
+        self.emit_train_to_sink(cycles, "COMP", banks, None, milli_pj);
         Ok(last)
     }
 
     /// Issues a train of `count` broadcast writes of `bytes` each
     /// (Newton's GWRITE stream for one input chunk) at
     /// `start, start + step, ...`. Observably identical to the sequential
-    /// [`Channel::issue_broadcast_write`] loop; like
-    /// [`Channel::issue_comp_train`] it expands into that loop when an
-    /// audit log or trace sink is attached and otherwise applies
-    /// closed-form with the telemetry folded (a GWRITE touches no bank,
-    /// so ECC never forces the expansion). Returns the cycle of the last
-    /// command.
+    /// [`Channel::issue_broadcast_write`] loop. Like
+    /// [`Channel::issue_comp_train`] it always applies closed-form and
+    /// tells whatever is attached — telemetry takes one fold, an audit
+    /// log one bank-less train record, a trace sink the per-command
+    /// events — and since a GWRITE touches no bank, nothing ever expands
+    /// it. Returns the cycle of the last command.
     ///
     /// # Errors
     ///
     /// Command-bus or data-bus violations; the whole train is validated
-    /// before either leg mutates anything.
+    /// before anything mutates.
     pub fn issue_broadcast_write_train(
         &mut self,
         start: Cycle,
@@ -973,12 +1027,6 @@ impl Channel {
         self.data_bus
             .check_train(burst0, step, count, &self.timing)?;
         let last = start + (count as Cycle - 1) * step;
-        if self.per_command_observer() {
-            for i in 0..count {
-                self.issue_broadcast_write(start + i as Cycle * step, bytes)?;
-            }
-            return Ok(last);
-        }
         self.col_bus
             .issue_train(start, step, count, &self.timing)
             .expect("pre-flighted column-bus train");
@@ -987,13 +1035,18 @@ impl Channel {
             .expect("pre-flighted data-bus train");
         self.stats.broadcast_bytes += (count * bytes) as u64;
         self.note_activity(start);
+        if let Some(a) = &mut self.audit {
+            a.record_train(start, step, count, &[]);
+        }
+        let milli_pj = self.train_command_energy("GWRITE", 0, bytes as u64);
         if let Some(t) = &mut self.telemetry {
-            let milli_pj = to_milli_pj(t.energy.command_pj("GWRITE", 0, bytes as u64));
             t.series
                 .record_command_train(start, step, count as u64, "GWRITE", 0, milli_pj);
             t.series
                 .record_burst_train(burst0, step, count as u64, bytes as u64);
         }
+        let cycles = (0..count as Cycle).map(|i| start + i * step);
+        self.emit_train_to_sink(cycles, "GWRITE", &[], Some(bytes as u64), milli_pj);
         Ok(last)
     }
 
@@ -1200,15 +1253,15 @@ impl Channel {
             }
         }
         self.row_bus.issue(cycle, &self.timing)?;
-        self.record(AuditEvent::Slot {
-            cycle,
-            bus: BusKind::Row,
-        });
+        if let Some(a) = &mut self.audit {
+            let open = self.banks.iter().enumerate();
+            let open = open.filter(|(_, b)| b.state().open_row().is_some());
+            a.record_precharge_all(cycle, open.map(|(bank, _)| bank));
+        }
         let mut closed = 0;
         for bank in 0..self.banks.len() {
             if self.banks[bank].state().open_row().is_some() {
                 self.banks[bank].precharge(cycle, &self.timing)?;
-                self.record(AuditEvent::Pre { bank, cycle });
                 if self.tracing() {
                     self.emit(TraceEvent::BankState {
                         cycle,
@@ -1430,15 +1483,19 @@ mod tests {
         EccNoProof,
         Audit,
         Sink,
+        /// All three at once: the sink must also see the energy events
+        /// telemetry prices, and telemetry must count each command once.
+        TelemetryAuditSink,
     }
 
-    const OBSERVERS: [Observer; 6] = [
+    const OBSERVERS: [Observer; 7] = [
         Observer::None,
         Observer::Telemetry,
         Observer::TelemetryEccProof,
         Observer::EccNoProof,
         Observer::Audit,
         Observer::Sink,
+        Observer::TelemetryAuditSink,
     ];
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1464,6 +1521,11 @@ mod tests {
             Observer::EccNoProof => ch.storage_mut().enable_ecc(),
             Observer::Audit => ch.enable_audit(),
             Observer::Sink => ch.set_trace_sink(Box::new(handle.clone())),
+            Observer::TelemetryAuditSink => {
+                ch.enable_telemetry(64);
+                ch.enable_audit();
+                ch.set_trace_sink(Box::new(handle.clone()));
+            }
         }
         for &bank in &TRAIN_BANKS {
             ch.storage_mut()
@@ -1501,7 +1563,7 @@ mod tests {
             summary: ch.summary(end),
             floors: ch.scheduling_floors(),
             bank_gates: TRAIN_BANKS.iter().map(|&b| ch.bank_gates(b)).collect(),
-            audit: ch.audit().map(|a| a.events().to_vec()),
+            audit: ch.audit().map(|a| a.events().collect()),
             sink: handle.events(),
             write_epoch: ch.write_epoch(),
         }
@@ -1560,7 +1622,7 @@ mod tests {
             assert_eq!(trained.stats().ecc_corrected, 1, "{what}: check ran");
         }
         if observer == Observer::Audit && train == Train::Comp {
-            let col_reads = trained.audit().unwrap().events().iter().filter(|e| {
+            let col_reads = trained.audit().unwrap().events().filter(|e| {
                 matches!(
                     e,
                     AuditEvent::ColRd {
@@ -1596,7 +1658,7 @@ mod tests {
 
     #[test]
     fn a_train_that_cannot_issue_whole_leaves_the_channel_untouched() {
-        // Same error and no side effect whichever leg would have run.
+        // Same error and no side effect whatever is attached.
         let mut errors = Vec::new();
         for observer in [Observer::Audit, Observer::None] {
             let (mut ch, sink) = train_setup(observer);
@@ -1787,9 +1849,8 @@ mod tests {
             .audit()
             .unwrap()
             .events()
-            .iter()
             .filter_map(|e| match e {
-                AuditEvent::Act { cycle, .. } => Some(*cycle),
+                AuditEvent::Act { cycle, .. } => Some(cycle),
                 _ => None,
             })
             .collect();

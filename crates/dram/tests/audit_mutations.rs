@@ -6,7 +6,19 @@
 //! asserts the audit rejects it, naming the right constraint. A
 //! validator that waves mutated logs through would make every timing
 //! number in the repo untrustworthy, so each mutation must fail loudly.
+//!
+//! The audit stores command trains folded and expands them when it reads
+//! the log, so every case runs twice: once written event by event and
+//! once with the column events recorded as trains wherever they form one.
+//! The two verdicts must be equal, violation for violation. A second
+//! corpus starts from a Newton-shaped log — a GWRITE train over the
+//! activation chain, a COMP train, a precharge-all — and perturbs the
+//! trains themselves. Its ganged activations and precharge-alls are
+//! recorded the way the channel records them, one folded record each.
 
+mod common;
+
+use common::Item;
 use newton_dram::audit::{Audit, AuditEvent, BusKind};
 use newton_dram::timing::{Cycle, Timing, TimingParams};
 
@@ -95,16 +107,116 @@ fn legal_log(t: &Timing) -> Vec<AuditEvent> {
     ev
 }
 
+/// Folds into trains the column events of `events` that form one: a
+/// command is a column-bus slot followed by the column reads at its
+/// cycle, a train a maximal run of evenly spaced commands on one bank
+/// list. Reads fold whether or not they were external — the audit never
+/// looks at that flag — so the folded log's verdict is comparable to the
+/// original's, not its event list.
+fn fold(events: &[AuditEvent]) -> Vec<Item> {
+    let mut items: Vec<Item> = Vec::new();
+    let mut i = 0;
+    while i < events.len() {
+        let AuditEvent::Slot {
+            cycle,
+            bus: BusKind::Column,
+        } = events[i]
+        else {
+            items.push(Item::Event(events[i]));
+            i += 1;
+            continue;
+        };
+        i += 1;
+        let mut read_banks = Vec::new();
+        while let Some(&AuditEvent::ColRd { bank, cycle: c, .. }) = events.get(i) {
+            if c != cycle {
+                break;
+            }
+            read_banks.push(bank);
+            i += 1;
+        }
+        if let Some(Item::Train {
+            start,
+            step,
+            count,
+            banks,
+        }) = items.last_mut()
+        {
+            let next = *start + *count as Cycle * *step;
+            if *banks == read_banks && cycle >= *start && (*count == 1 || cycle == next) {
+                if *count == 1 {
+                    *step = cycle - *start;
+                }
+                *count += 1;
+                continue;
+            }
+        }
+        items.push(Item::Train {
+            start: cycle,
+            step: 0,
+            count: 1,
+            banks: read_banks,
+        });
+    }
+    items
+}
+
+fn write(items: &[Item], folded: bool) -> Audit {
+    let mut audit = Audit::new();
+    for item in items {
+        item.record(&mut audit, folded);
+    }
+    audit
+}
+
+/// The verdict on `items`, which must not depend on whether the trains
+/// were recorded folded or event by event.
+fn verdict(items: &[Item], t: &Timing) -> Vec<&'static str> {
+    let (folded, singly) = (write(items, true), write(items, false));
+    assert_eq!(folded.len(), singly.len(), "expanded length");
+    assert!(folded.events().eq(singly.events()), "expanded events");
+    let found = folded.validate(t);
+    assert_eq!(found, singly.validate(t), "folded and expanded verdicts");
+    found.into_iter().map(|v| v.constraint).collect()
+}
+
 fn validate(events: &[AuditEvent], t: &Timing) -> Vec<&'static str> {
     let mut audit = Audit::new();
     for e in events {
         audit.record(*e);
     }
-    audit
+    let found: Vec<&str> = audit
         .validate(t)
         .into_iter()
         .map(|v| v.constraint)
-        .collect()
+        .collect();
+    // The second run of the case: the same log, trains folded.
+    assert_eq!(
+        found,
+        verdict(&fold(events), t),
+        "verdict with trains folded"
+    );
+    found
+}
+
+#[test]
+fn the_single_event_corpus_really_folds() {
+    // Bank 0's two reads are one two-command train; the write's slot is
+    // a bank-less command of its own (a `ColWr` is not a train event).
+    let t = timing();
+    let items = fold(&legal_log(&t));
+    assert_eq!(
+        items[2],
+        Item::Train {
+            start: t.t_rcd,
+            step: t.t_ccd,
+            count: 2,
+            banks: vec![0],
+        }
+    );
+    assert!(matches!(&items[3], Item::Train { count: 1, banks, .. } if banks.is_empty()));
+    let expanded: usize = items.iter().map(|item| item.expand().len()).sum();
+    assert_eq!(expanded, legal_log(&t).len());
 }
 
 /// Applies `mutate` to the legal log and asserts the audit reports
@@ -407,4 +519,190 @@ fn every_act_shift_back_is_caught_by_some_constraint() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Train-level mutations: the log is Newton-shaped and the perturbation
+// is applied to a folded train, not to one of its events.
+// ---------------------------------------------------------------------
+
+const GANG: [usize; 4] = [0, 1, 2, 3];
+
+/// A G_ACT of `row` (`Some`) or a precharge-all (`None`) on the gang.
+fn gang(cycle: Cycle, row: Option<usize>) -> Item {
+    match row {
+        Some(row) => Item::Activate {
+            cycle,
+            pairs: GANG.iter().map(|&bank| (bank, row)).collect(),
+        },
+        None => Item::PrechargeAll {
+            cycle,
+            banks: GANG.to_vec(),
+        },
+    }
+}
+
+/// Positions in [`legal_train_log`] the mutations edit.
+const GWRITE: usize = 0;
+const COMP: usize = 2;
+const PRE_ALL: usize = 4;
+const SECOND_COMP: usize = 6;
+
+/// Two Newton row-sets on one gang of four banks: a GWRITE train that
+/// overlaps the ganged activation on the other bus, a COMP train long
+/// enough that tRTP (not tRAS) gates the precharge-all, a READRES slot,
+/// the precharge-all; then the gang reopens and computes again.
+fn legal_train_log(t: &Timing) -> Vec<Item> {
+    let step = t.t_ccd.max(t.t_cmd);
+    let mut items = vec![
+        Item::Train {
+            start: 0,
+            step,
+            count: 4,
+            banks: Vec::new(),
+        },
+        gang(0, Some(3)),
+    ];
+    let comp = (4 * step).max(t.t_rcd);
+    let count = (t.t_ras / step) as usize + 1;
+    items.push(Item::Train {
+        start: comp,
+        step,
+        count,
+        banks: GANG.to_vec(),
+    });
+    let last = comp + (count as Cycle - 1) * step;
+    assert!(last + t.t_rtp > t.t_ras, "tRTP must gate the precharge");
+    items.push(Item::Event(AuditEvent::Slot {
+        cycle: last + step,
+        bus: BusKind::Column,
+    }));
+    let close = last + t.t_rtp;
+    items.push(gang(close, None));
+    let reopen = close + t.t_rp;
+    items.push(gang(reopen, Some(4)));
+    let comp2 = (last + 2 * step).max(reopen + t.t_rcd);
+    items.push(Item::Train {
+        start: comp2,
+        step,
+        count: 4,
+        banks: GANG.to_vec(),
+    });
+    items.push(gang(
+        (reopen + t.t_ras).max(comp2 + 3 * step + t.t_rtp),
+        None,
+    ));
+    assert!(matches!(&items[GWRITE], Item::Train { banks, .. } if banks.is_empty()));
+    assert!(matches!(&items[COMP], Item::Train { banks, .. } if banks[..] == GANG));
+    assert_eq!(items[PRE_ALL], gang(close, None));
+    assert!(matches!(&items[SECOND_COMP], Item::Train { count: 4, .. }));
+    items
+}
+
+/// Applies `mutate` to the Newton-shaped log and asserts the audit
+/// reports `constraint` — with the train folded and, equally, with the
+/// train written out event by event (its expanded twin).
+fn assert_train_mutation_caught(constraint: &str, mutate: impl FnOnce(&Timing, &mut Vec<Item>)) {
+    let t = timing();
+    let mut items = legal_train_log(&t);
+    assert_eq!(
+        verdict(&items, &t),
+        Vec::<&str>::new(),
+        "baseline log must be clean"
+    );
+    mutate(&t, &mut items);
+    let found = verdict(&items, &t);
+    assert!(
+        found.contains(&constraint),
+        "mutation should trip {constraint}, audit reported {found:?}"
+    );
+}
+
+fn train_mut(item: &mut Item) -> (&mut Cycle, &mut Cycle, &mut usize, &mut Vec<usize>) {
+    match item {
+        Item::Train {
+            start,
+            step,
+            count,
+            banks,
+        } => (start, step, count, banks),
+        other => panic!("expected a train, found {other:?}"),
+    }
+}
+
+#[test]
+fn train_step_below_tccd_is_rejected() {
+    assert_train_mutation_caught("tCCD", |t, items| {
+        *train_mut(&mut items[COMP]).1 = t.t_ccd - 1;
+    });
+}
+
+#[test]
+fn bankless_train_step_below_tcmd_is_rejected() {
+    assert_train_mutation_caught("tCMD", |t, items| {
+        *train_mut(&mut items[GWRITE]).1 = t.t_cmd - 1;
+    });
+}
+
+#[test]
+fn train_starting_inside_trcd_is_rejected() {
+    assert_train_mutation_caught("tRCD", |t, items| {
+        // Make room on the column bus first, so that tRCD is what the
+        // early start violates.
+        *train_mut(&mut items[GWRITE]).2 = 1;
+        *train_mut(&mut items[COMP]).0 = t.t_rcd - 1;
+    });
+}
+
+#[test]
+fn precharge_inside_trtp_of_a_trains_last_command_is_rejected() {
+    assert_train_mutation_caught("tRTP", |_, items| {
+        // One more command on the train: its last read now lands one
+        // step later, inside tRTP of the unchanged precharge-all.
+        *train_mut(&mut items[COMP]).2 += 1;
+        // Keep the column bus legal: the READRES slot gives way.
+        items.remove(COMP + 1);
+    });
+}
+
+#[test]
+fn train_on_a_precharged_bank_is_rejected() {
+    assert_train_mutation_caught("COL-on-idle", |_, items| {
+        train_mut(&mut items[SECOND_COMP]).3.push(9);
+    });
+}
+
+#[test]
+fn a_second_train_overlapping_the_first_on_the_column_bus_is_rejected() {
+    assert_train_mutation_caught("tCMD", |_, items| {
+        let (start, step, _, _) = train_mut(&mut items[COMP]);
+        let overlapping = Item::Train {
+            start: *start + 1,
+            step: *step,
+            count: 3,
+            banks: Vec::new(),
+        };
+        items.push(overlapping);
+    });
+}
+
+#[test]
+fn a_train_running_past_the_precharge_is_rejected() {
+    // The closed form the channel applies to a train must agree with the
+    // precharge that follows it; a train three commands too long reads
+    // closed banks, and trips tRTP on the way.
+    assert_train_mutation_caught("COL-on-idle", |_, items| {
+        *train_mut(&mut items[COMP]).2 += 3;
+        items.remove(COMP + 1);
+    });
+}
+
+#[test]
+fn ganged_reactivation_inside_trp_of_the_precharge_all_is_rejected() {
+    // A gang is a folded record too, if a short one: pull the second
+    // G_ACT one cycle into the precharge-all's recovery window.
+    assert_train_mutation_caught("tRP", |_, items| match &mut items[PRE_ALL + 1] {
+        Item::Activate { cycle, .. } => *cycle -= 1,
+        other => panic!("expected the second G_ACT, found {other:?}"),
+    });
 }

@@ -8,10 +8,13 @@
 //! trains' closed-form telemetry fold and the clean-rows proof are on the
 //! compared path. Every surface must agree bit for bit except the replay
 //! cache's own counters, which must show that the two sides really took
-//! different paths.
+//! different paths — also when a command trace and the timing audit are
+//! watching: observers are told what happened, they do not change which
+//! code runs, so the production side still replays under them and the
+//! two logs still read the same.
 
 use newton_aim::core::config::{NewtonConfig, TelemetryConfig};
-use newton_aim::core::controller::FunctionalMode;
+use newton_aim::core::controller::{FunctionalMode, NewtonChannel};
 use newton_aim::core::system::{NewtonSystem, SystemRun};
 use newton_aim::dram::faults::CampaignSpec;
 use newton_aim::dram::TimingEngine;
@@ -110,11 +113,19 @@ fn ragged_run_mv_agrees() {
     assert_eq!(assert_same(&runs, "run_mv 50x700"), (0, 3, 0));
 }
 
-#[test]
-fn resident_runs_agree_through_a_weight_write() {
+/// Load, run, run, weight write, run, run on both sides; with `watched`,
+/// a command trace and an audit log are attached to every channel and
+/// compared after every run as well.
+fn resident_runs_through_a_weight_write(watched: bool) {
     let (channels, shape) = (2, MvShape::new(32, 512));
     let matrix = generator::matrix(shape, 23);
     let mut systems = SIDES.map(|side| system(side, channels));
+    if watched {
+        for ch in systems.iter_mut().flat_map(|sys| sys.channels_mut()) {
+            ch.enable_trace();
+            ch.channel_mut().enable_audit();
+        }
+    }
     let loaded = [0, 1].map(|i| {
         systems[i]
             .load_matrix(&matrix, shape.m, shape.n)
@@ -143,8 +154,22 @@ fn resident_runs_agree_through_a_weight_write() {
                 .run_resident(&loaded[i], &vector)
                 .expect("run_resident")
         });
-        let what = format!("resident token {token}");
+        let what = format!("resident token {token}, watched {watched}");
         assert_eq!(assert_same(&runs, &what), *want, "{what}: cache counters");
+        if watched {
+            let [oracle, production] = &systems;
+            for (a, b) in oracle.channels().iter().zip(production.channels()) {
+                assert!(!a.trace().entries().is_empty(), "{what}: traced");
+                assert_eq!(a.trace().render(), b.trace().render(), "{what}: trace");
+                let log = |ch: &NewtonChannel| {
+                    let audit = ch.channel().audit().expect("audit on");
+                    (audit.len(), audit.events().collect::<Vec<_>>())
+                };
+                assert_eq!(log(a), log(b), "{what}: audit log");
+                assert_eq!(a.validate_audit(), Ok(()), "{what}: oracle audit");
+                assert_eq!(b.validate_audit(), Ok(()), "{what}: production audit");
+            }
+        }
     }
     assert_eq!(
         loaded[0].compiled_channels(),
@@ -152,6 +177,16 @@ fn resident_runs_agree_through_a_weight_write() {
         "the oracle never captures"
     );
     assert_eq!(loaded[1].compiled_channels(), channels);
+}
+
+#[test]
+fn resident_runs_agree_through_a_weight_write() {
+    resident_runs_through_a_weight_write(false);
+}
+
+#[test]
+fn watched_resident_runs_agree_and_still_replay() {
+    resident_runs_through_a_weight_write(true);
 }
 
 #[test]

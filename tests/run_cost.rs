@@ -3,7 +3,9 @@
 //! been alive. The per-channel telemetry series in every `RunSummary` is
 //! cumulative since the channel's birth; it shares its windows with the
 //! live series chunk by chunk, so a summary allocates one chunk, never
-//! the series.
+//! the series. The same goes for a watched system: with a command trace
+//! and the timing audit attached a run allocates for the entries it adds
+//! to the two logs and for checking those entries, not for the logs.
 //!
 //! A count, not a timing: under `ParallelPolicy::exact(1)` everything
 //! runs on the calling thread and its allocations repeat exactly. The
@@ -121,4 +123,61 @@ fn the_same_holds_while_the_previous_run_is_kept_alive() {
 fn without_telemetry_every_run_allocates_the_same() {
     let (early, late) = early_and_late_bytes(false, false);
     assert_eq!(early, late);
+}
+
+/// Heap bytes allocated by each of the first `LATE` runs of the same
+/// system with everything watching it: telemetry, a command trace on
+/// every channel, and `NewtonConfig::audit`, which logs every command
+/// and checks what each run added before the run returns.
+fn watched_bytes_per_run() -> Vec<u64> {
+    let mut cfg = NewtonConfig::paper_default();
+    cfg.channels = 2;
+    cfg.ecc = true;
+    cfg.audit = true;
+    cfg.telemetry = Some(TelemetryConfig::default());
+    cfg.parallel = ParallelPolicy::exact(1);
+    let mut sys = NewtonSystem::new(cfg).expect("config");
+    for ch in sys.channels_mut() {
+        ch.enable_trace();
+    }
+    let matrix = generator::matrix(SHAPE, 7);
+    let loaded = sys.load_matrix(&matrix, SHAPE.m, SHAPE.n).expect("load");
+    let input = generator::vector(SHAPE.n, 8);
+    let bytes: Vec<u64> = (0..LATE)
+        .map(|_| alloc_delta(|| sys.run_resident(&loaded, &input).expect("run")).0)
+        .collect();
+    for ch in sys.channels() {
+        let audit = ch.channel().audit().expect("audit on");
+        assert_eq!(
+            audit.events_visited(),
+            audit.len() as u64,
+            "every run boundary was a clean cut: each event checked once"
+        );
+    }
+    bytes
+}
+
+/// What runs 21..=40 of [`watched_bytes_per_run`] allocated before the
+/// audit folded trains and checked incrementally (PR 19's tree, same
+/// test body): one `AuditEvent` per slot and per bank access, and a
+/// clone of the whole log to validate it after every run.
+const WATCHED_RUNS_21_TO_40_BEFORE: u64 = 206_476_064;
+
+#[test]
+fn a_watched_run_allocates_for_what_it_adds_to_the_logs_not_for_the_logs() {
+    let bytes = watched_bytes_per_run();
+    let window: u64 = bytes[EARLY..2 * EARLY].iter().sum();
+    assert!(
+        window <= WATCHED_RUNS_21_TO_40_BEFORE / 4,
+        "runs 21..=40 allocated {window} B, a quarter of {WATCHED_RUNS_21_TO_40_BEFORE} B is the limit"
+    );
+    // A run in which a log grows its storage pays for that growth (the
+    // trace doubles a `Vec`, the audit adds a chunk); no five runs in a
+    // row do, so the cheapest of five is what a run costs by itself.
+    let steady = |last: usize| *bytes[last - 5..last].iter().min().expect("five runs");
+    let (early, late) = (steady(EARLY), steady(LATE));
+    assert!(
+        late <= early + ONE_CHUNK,
+        "around run {EARLY} a run allocates {early} B, around run {LATE} {late} B"
+    );
 }

@@ -113,21 +113,6 @@ impl AimStats {
         self.schedule_invalidations += other.schedule_invalidations;
         self.replayed_commands += other.replayed_commands;
     }
-
-    /// This run's counters with the replay-cache bookkeeping zeroed — the
-    /// comparison form for production-vs-oracle byte-identity checks (the
-    /// cache counters are *about* the cache, not about the simulated
-    /// machine, and are the only fields allowed to differ).
-    #[must_use]
-    pub fn sans_schedule_cache(&self) -> AimStats {
-        AimStats {
-            schedule_hits: 0,
-            schedule_misses: 0,
-            schedule_invalidations: 0,
-            replayed_commands: 0,
-            ..*self
-        }
-    }
 }
 
 /// The outcome of one channel-local matrix–vector run.
@@ -654,8 +639,6 @@ impl NewtonChannel {
         if let Some(cs) = capture {
             run.stats.schedule_hits = 1;
             run.stats.replayed_commands = cs.train_commands;
-            self.channel
-                .note_schedule_cache(run.end_cycle, 1, 0, 0, cs.train_commands);
             return Ok(run);
         }
         run.stats.schedule_misses = 1;
@@ -675,8 +658,6 @@ impl NewtonChannel {
             // Drop reported in this run's stats; stop re-counting it.
             *slot = ReplaySlot::Cold;
         }
-        self.channel
-            .note_schedule_cache(run.end_cycle, 0, 1, invalidations, 0);
         Ok(run)
     }
 

@@ -1050,23 +1050,6 @@ impl Channel {
         Ok(last)
     }
 
-    /// Folds one schedule-cache outcome (hit / miss / invalidation plus
-    /// closed-form command count) into the telemetry series at `cycle`.
-    /// No-op without telemetry.
-    pub fn note_schedule_cache(
-        &mut self,
-        cycle: Cycle,
-        hits: u64,
-        misses: u64,
-        invalidations: u64,
-        replayed_commands: u64,
-    ) {
-        if let Some(t) = &mut self.telemetry {
-            t.series
-                .record_schedule_cache(cycle, hits, misses, invalidations, replayed_commands);
-        }
-    }
-
     /// Issues a broadcast-class command (e.g. Newton GWRITE): consumes one
     /// column-bus slot and moves `bytes` over the external bus at
     /// `cycle + tAA`, but touches no bank array.

@@ -41,8 +41,8 @@
 //! command stream as `run_mv` — outputs, cycles, `AimStats`, channel
 //! summaries, and telemetry are all byte-identical, for both timing
 //! engines and every host-thread width. The differential suite in
-//! `crates/bench/tests/determinism.rs` proves exactly that on the
-//! Table II shapes.
+//! `tests/oracle_vs_production.rs` proves exactly that on the Table II
+//! BERT layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -242,20 +242,6 @@ impl ServeReport {
         self.recovery
             .record_into(snap, &format!("{prefix}/recovery"));
     }
-
-    /// This report with the schedule-cache counters zeroed — the only
-    /// fields allowed to differ between the two timing engines
-    /// (the determinism suite compares sanitized reports for equality).
-    #[must_use]
-    pub fn sans_schedule_cache(&self) -> ServeReport {
-        ServeReport {
-            schedule_hits: 0,
-            schedule_misses: 0,
-            schedule_invalidations: 0,
-            replayed_commands: 0,
-            ..self.clone()
-        }
-    }
 }
 
 /// Streamed DRAM energy (dynamic + refresh) since the system's birth, in

@@ -11,7 +11,7 @@
 //! ```json
 //! {
 //!   "schema_version": 1,
-//!   "telemetry_schema_version": 1,
+//!   "telemetry_schema_version": 3,
 //!   "experiment": "fig07",
 //!   "generator": "newton-bench",
 //!   "scalars": {"geomean_speedup": 9.8},

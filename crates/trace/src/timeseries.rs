@@ -38,9 +38,10 @@ use crate::sink::{RequestClass, TraceEvent};
 /// the `telemetry_schema_version` key snapshots carry). Bump only for
 /// breaking shape changes; consumers must ignore unknown keys.
 ///
-/// v2: per-window `schedule_{hits,misses,invalidations}` and
-/// `replayed_commands` counters from the compiled-schedule replay cache.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 2;
+/// v3: the replay cache's counters (added in v2) are gone — they describe
+/// the simulator process, not the simulated machine, and live on
+/// `AimStats` / `ServeReport` per run.
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 3;
 
 /// Default telemetry window width, in command-clock cycles.
 pub const DEFAULT_WINDOW_CYCLES: u64 = 1024;
@@ -90,16 +91,6 @@ pub struct WindowMetrics {
     pub deadline_misses: u64,
     /// Run attempts retried after uncorrectable faults.
     pub retries: u64,
-    /// Channel drains served from the compiled-schedule replay cache.
-    pub schedule_hits: u64,
-    /// Channel drains that ran the live scheduler (cold or bypassed).
-    pub schedule_misses: u64,
-    /// Compiled schedules dropped because weights, engine, or bank map
-    /// changed since capture.
-    pub schedule_invalidations: u64,
-    /// DRAM commands applied closed-form (never individually rescanned)
-    /// during replayed drains.
-    pub replayed_commands: u64,
 }
 
 impl WindowMetrics {
@@ -125,10 +116,6 @@ impl WindowMetrics {
         sheds: 0,
         deadline_misses: 0,
         retries: 0,
-        schedule_hits: 0,
-        schedule_misses: 0,
-        schedule_invalidations: 0,
-        replayed_commands: 0,
     };
 
     /// Element-wise accumulate.
@@ -153,14 +140,10 @@ impl WindowMetrics {
         self.sheds += o.sheds;
         self.deadline_misses += o.deadline_misses;
         self.retries += o.retries;
-        self.schedule_hits += o.schedule_hits;
-        self.schedule_misses += o.schedule_misses;
-        self.schedule_invalidations += o.schedule_invalidations;
-        self.replayed_commands += o.replayed_commands;
     }
 }
 
-/// Windows per storage chunk: 32 x 192 B = 6 KiB. A snapshot copies the
+/// Windows per storage chunk: 32 x 160 B = 5 KiB. A snapshot copies the
 /// newest chunk and nothing else, so shorter is cheaper per run; the
 /// list of sealed chunks is rebuilt once per chunk while a snapshot is
 /// held, so longer is cheaper per window. One run of a small resident
@@ -276,16 +259,6 @@ impl Windows {
             self.pad_to(idx + 1);
         }
         &mut self.chunk_mut(idx / CHUNK_WINDOWS)[idx % CHUNK_WINDOWS]
-    }
-
-    /// Every written chunk for in-place update, unshared first.
-    fn written_chunks_mut(&mut self) -> impl Iterator<Item = &mut Chunk> {
-        let newest: &mut Chunk = &mut self.newest;
-        Arc::make_mut(&mut self.sealed)
-            .iter_mut()
-            .flatten()
-            .map(Arc::make_mut)
-            .chain([newest])
     }
 
     /// Element-wise accumulate of `other`, padding to its length.
@@ -613,41 +586,6 @@ impl TimeSeries {
         }
     }
 
-    /// Counts one schedule-cache outcome for the drain starting at
-    /// `cycle`: a replay hit, a live (miss) drain, and/or an invalidation
-    /// of a previously compiled entry, plus the number of commands the
-    /// replayed drain applied closed-form.
-    pub fn record_schedule_cache(
-        &mut self,
-        cycle: u64,
-        hits: u64,
-        misses: u64,
-        invalidations: u64,
-        replayed_commands: u64,
-    ) {
-        let w = self.window_mut(cycle);
-        w.schedule_hits += hits;
-        w.schedule_misses += misses;
-        w.schedule_invalidations += invalidations;
-        w.replayed_commands += replayed_commands;
-    }
-
-    /// A copy with the schedule-cache counters zeroed in every window —
-    /// the comparison form for production-vs-oracle byte-identity
-    /// checks, where the cache's own bookkeeping is the one deliberate
-    /// divergence.
-    #[must_use]
-    pub fn sans_schedule_cache(&self) -> TimeSeries {
-        let mut s = self.clone();
-        for w in s.windows.written_chunks_mut().flatten() {
-            w.schedule_hits = 0;
-            w.schedule_misses = 0;
-            w.schedule_invalidations = 0;
-            w.replayed_commands = 0;
-        }
-        s
-    }
-
     /// A snapshot of the series covering `0..end_cycle`: windows padded
     /// with zeros up to the window containing the last cycle, so two runs
     /// ending at the same cycle render byte-identically regardless of
@@ -769,16 +707,6 @@ impl TimeSeries {
                     ("sheds".into(), JsonValue::from(m.sheds)),
                     ("deadline_misses".into(), JsonValue::from(m.deadline_misses)),
                     ("retries".into(), JsonValue::from(m.retries)),
-                    ("schedule_hits".into(), JsonValue::from(m.schedule_hits)),
-                    ("schedule_misses".into(), JsonValue::from(m.schedule_misses)),
-                    (
-                        "schedule_invalidations".into(),
-                        JsonValue::from(m.schedule_invalidations),
-                    ),
-                    (
-                        "replayed_commands".into(),
-                        JsonValue::from(m.replayed_commands),
-                    ),
                 ])
             })
             .collect();
@@ -841,22 +769,6 @@ impl TimeSeries {
                         JsonValue::from(totals.deadline_misses),
                     ),
                     ("retries".into(), JsonValue::from(totals.retries)),
-                    (
-                        "schedule_hits".into(),
-                        JsonValue::from(totals.schedule_hits),
-                    ),
-                    (
-                        "schedule_misses".into(),
-                        JsonValue::from(totals.schedule_misses),
-                    ),
-                    (
-                        "schedule_invalidations".into(),
-                        JsonValue::from(totals.schedule_invalidations),
-                    ),
-                    (
-                        "replayed_commands".into(),
-                        JsonValue::from(totals.replayed_commands),
-                    ),
                 ]),
             ),
             ("per_bank".into(), JsonValue::Array(per_bank)),
@@ -934,17 +846,6 @@ impl TimeSeries {
                     ("sheds", m.sheds as f64),
                     ("deadline_misses", m.deadline_misses as f64),
                     ("retries", m.retries as f64),
-                ],
-            );
-            builder.counter(
-                pid,
-                "telemetry: schedule cache",
-                cycle,
-                &[
-                    ("hits", m.schedule_hits as f64),
-                    ("misses", m.schedule_misses as f64),
-                    ("invalidations", m.schedule_invalidations as f64),
-                    ("replayed_commands", m.replayed_commands as f64),
                 ],
             );
         }
@@ -1174,6 +1075,29 @@ mod tests {
         assert_eq!(windows[0].get("activates").unwrap().as_f64(), Some(2.0));
         let totals = back.get("totals").unwrap();
         assert_eq!(totals.get("bus_bytes").unwrap().as_f64(), Some(64.0));
+        // The v3 shape, key for key: simulated facts only.
+        let keys = |v: &JsonValue| match v {
+            JsonValue::Object(kv) => kv
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect::<Vec<_>>()
+                .join(" "),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys(&windows[0]),
+            "window start_cycle commands bus_bytes bandwidth_bytes_per_ns \
+             bank_open_cycles bank_utilization activates ganged_acts mean_ganged_width \
+             comp_ops array_accesses refresh_banks queue_samples mean_queue_depth \
+             ecc_corrected ecc_uncorrectable energy_pj streamed_energy_milli_pj \
+             refresh_energy_milli_pj arrivals admissions sheds deadline_misses retries"
+        );
+        assert_eq!(
+            keys(totals),
+            "commands bus_bytes activates comp_ops array_accesses bank_open_cycles \
+             dynamic_energy_pj streamed_energy_milli_pj refresh_energy_milli_pj \
+             arrivals admissions sheds deadline_misses retries"
+        );
     }
 
     #[test]
@@ -1183,8 +1107,9 @@ mod tests {
         ts.record(&act(150, 1));
         let mut b = crate::chrome::ChromeTraceBuilder::new(1.0);
         ts.to_chrome(&mut b, 7, &EnergyModel::new());
-        // Eight counter tracks per window, two windows.
-        assert_eq!(b.len(), 16);
+        // Seven counter tracks per window (bandwidth, bank utilization,
+        // queue depth, ganged width, energy, ecc, requests), two windows.
+        assert_eq!(b.len(), 14);
     }
 
     #[test]
@@ -1258,63 +1183,6 @@ mod tests {
         });
         b2.record_command_train(10, 4, 1, "GWRITE", 0, 0);
         assert_eq!(a, b2);
-    }
-
-    #[test]
-    fn schedule_cache_counters_fold_export_and_sanitize() {
-        let mut ts = TimeSeries::new(100, 1);
-        ts.record_schedule_cache(5, 0, 1, 0, 0);
-        ts.record_schedule_cache(150, 1, 0, 0, 640);
-        ts.record_schedule_cache(250, 0, 1, 1, 0);
-        assert_eq!(ts.windows()[0].schedule_misses, 1);
-        assert_eq!(ts.windows()[1].schedule_hits, 1);
-        assert_eq!(ts.windows()[1].replayed_commands, 640);
-        assert_eq!(ts.windows()[2].schedule_invalidations, 1);
-        let t = ts.totals();
-        assert_eq!(
-            (
-                t.schedule_hits,
-                t.schedule_misses,
-                t.schedule_invalidations,
-                t.replayed_commands
-            ),
-            (1, 2, 1, 640)
-        );
-
-        // Merge sums them like every other field.
-        let mut merged = ts.clone();
-        merged.merge(&ts);
-        assert_eq!(merged.totals().schedule_hits, 2);
-
-        // The v2 JSON document carries them per window and in totals.
-        let doc = ts.to_json(1.0, &EnergyModel::new());
-        let back = JsonValue::parse(&doc.render_pretty()).unwrap();
-        assert_eq!(
-            back.get("telemetry_schema_version").unwrap().as_f64(),
-            Some(2.0)
-        );
-        let w1 = &back.get("windows").unwrap().as_array().unwrap()[1];
-        assert_eq!(w1.get("schedule_hits").unwrap().as_f64(), Some(1.0));
-        assert_eq!(w1.get("replayed_commands").unwrap().as_f64(), Some(640.0));
-        let totals = back.get("totals").unwrap();
-        assert_eq!(totals.get("schedule_misses").unwrap().as_f64(), Some(2.0));
-
-        // Sanitizing zeroes exactly the cache counters.
-        let clean = ts.sans_schedule_cache();
-        let ct = clean.totals();
-        assert_eq!(
-            (
-                ct.schedule_hits,
-                ct.schedule_misses,
-                ct.schedule_invalidations,
-                ct.replayed_commands
-            ),
-            (0, 0, 0, 0)
-        );
-        let mut expect = TimeSeries::new(100, 1);
-        expect.record_schedule_cache(250, 0, 0, 0, 0);
-        assert_eq!(clean.windows().len(), 3);
-        assert_eq!(clean.windows()[2].commands, 0);
     }
 
     #[test]

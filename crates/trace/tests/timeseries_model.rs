@@ -1,6 +1,6 @@
 //! Model-based check of the chunked, structurally shared window storage
 //! behind [`TimeSeries`]: random interleavings of every recording call
-//! with `sampled`, `clone`, `merge` and `sans_schedule_cache`, snapshots
+//! with `sampled`, `clone` and `merge`, snapshots
 //! kept alive across later writes, against a flat `Vec<WindowMetrics>`
 //! model that copies where the series shares. The series must read the
 //! same as the model through every accessor and exporter, and a snapshot
@@ -29,7 +29,7 @@ const REQUESTS: [RequestClass; 5] = [
 ];
 
 /// Every counter of a window, in declaration order.
-fn counters(w: &mut WindowMetrics) -> [&mut u64; 24] {
+fn counters(w: &mut WindowMetrics) -> [&mut u64; 20] {
     [
         &mut w.commands,
         &mut w.bus_bytes,
@@ -51,16 +51,12 @@ fn counters(w: &mut WindowMetrics) -> [&mut u64; 24] {
         &mut w.sheds,
         &mut w.deadline_misses,
         &mut w.retries,
-        &mut w.schedule_hits,
-        &mut w.schedule_misses,
-        &mut w.schedule_invalidations,
-        &mut w.replayed_commands,
     ]
 }
 
 /// The JSON key each counter is exported under, parallel to
 /// [`counters`]; `None` where the document carries only a derived rate.
-const JSON_KEYS: [Option<&str>; 24] = [
+const JSON_KEYS: [Option<&str>; 20] = [
     Some("commands"),
     Some("bus_bytes"),
     Some("bank_open_cycles"),
@@ -81,10 +77,6 @@ const JSON_KEYS: [Option<&str>; 24] = [
     Some("sheds"),
     Some("deadline_misses"),
     Some("retries"),
-    Some("schedule_hits"),
-    Some("schedule_misses"),
-    Some("schedule_invalidations"),
-    Some("replayed_commands"),
 ];
 
 fn add(dst: &mut WindowMetrics, src: &WindowMetrics) {
@@ -228,17 +220,6 @@ impl Flat {
         }
     }
 
-    fn sans_schedule_cache(&self) -> Flat {
-        let mut s = self.clone();
-        for w in &mut s.windows {
-            w.schedule_hits = 0;
-            w.schedule_misses = 0;
-            w.schedule_invalidations = 0;
-            w.replayed_commands = 0;
-        }
-        s
-    }
-
     fn totals(&self) -> WindowMetrics {
         let mut t = WindowMetrics::default();
         for w in &self.windows {
@@ -317,8 +298,8 @@ fn check_exports(series: &TimeSeries, model: &Flat, what: &str) -> Result<(), Te
         .get("traceEvents")
         .and_then(JsonValue::as_array)
         .unwrap();
-    prop_assert_eq!(events.len(), 8 * model.windows.len(), "{}: tracks", what);
-    for (i, (tracks, m)) in events.chunks(8).zip(&model.windows).enumerate() {
+    prop_assert_eq!(events.len(), 7 * model.windows.len(), "{}: tracks", what);
+    for (i, (tracks, m)) in events.chunks(7).zip(&model.windows).enumerate() {
         for e in tracks {
             prop_assert_eq!(num(e, "pid"), Some(3.0));
             prop_assert_eq!(num(e, "ts"), Some((i as u64 * W) as f64 / 1000.0));
@@ -339,8 +320,6 @@ fn check_exports(series: &TimeSeries, model: &Flat, what: &str) -> Result<(), Te
         prop_assert_eq!(arg(5, "corrected"), m.ecc_corrected as f64);
         prop_assert_eq!(arg(6, "arrivals"), m.arrivals as f64);
         prop_assert_eq!(arg(6, "retries"), m.retries as f64);
-        prop_assert_eq!(arg(7, "hits"), m.schedule_hits as f64);
-        prop_assert_eq!(arg(7, "replayed_commands"), m.replayed_commands as f64);
     }
     Ok(())
 }
@@ -447,27 +426,16 @@ fn apply(op: RawOp, live: &mut Pair, kept: &mut Vec<Pair>) {
                 });
             }
         }
-        11 => {
-            let (hits, misses, invalidations, replayed) = (b % 2, (b >> 1) % 2, c % 2, c % 700);
-            live.0
-                .record_schedule_cache(cycle, hits, misses, invalidations, replayed);
-            let w = live.1.at(cycle);
-            w.schedule_hits += hits;
-            w.schedule_misses += misses;
-            w.schedule_invalidations += invalidations;
-            w.replayed_commands += replayed;
-        }
-        12 | 13 => {
+        11 | 12 => {
             let end = a % 4000; // often past the last window: zero padding
             kept.push((live.0.sampled(end), live.1.sampled(end)));
         }
-        14 => kept.push(live.clone()),
-        15 => kept.push((live.0.sans_schedule_cache(), live.1.sans_schedule_cache())),
+        13 => kept.push(live.clone()),
         // Merge a snapshot into the live series, or the live series into
         // a snapshot (a write to a series that only holds shared chunks).
-        16 | 17 if !kept.is_empty() => {
+        14 | 15 if !kept.is_empty() => {
             let i = (a % kept.len() as u64) as usize;
-            if kind == 16 {
+            if kind == 14 {
                 live.0.merge(&kept[i].0);
                 live.1.merge(&kept[i].1);
             } else {
@@ -477,7 +445,7 @@ fn apply(op: RawOp, live: &mut Pair, kept: &mut Vec<Pair>) {
         }
         // Carry on recording into a former snapshot; keep the former
         // live series as the snapshot.
-        18 if !kept.is_empty() => {
+        16 if !kept.is_empty() => {
             let i = (a % kept.len() as u64) as usize;
             std::mem::swap(live, &mut kept[i]);
         }
@@ -490,7 +458,7 @@ proptest! {
 
     #[test]
     fn shared_storage_reads_as_the_flat_model(
-        ops in prop::collection::vec((0u8..19, any::<u64>(), any::<u64>(), any::<u64>()), 1..80),
+        ops in prop::collection::vec((0u8..17, any::<u64>(), any::<u64>(), any::<u64>()), 1..80),
     ) {
         let mut live: Pair = (TimeSeries::new(W, BANKS), Flat::new());
         let mut kept: Vec<Pair> = Vec::new();

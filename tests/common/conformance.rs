@@ -1,0 +1,180 @@
+//! The one oracle-vs-production comparison. The oracle is
+//! `TimingEngine::Reference` with `FunctionalMode::Reference`: scalar
+//! kernels over the bytes each column read returns, every command issued
+//! and checked singly, nothing ever replayed. Production is what a user
+//! gets from the same config by default: the SIMD kernel on the
+//! event-skipping engine, GWRITE and COMP trains, schedule replay for
+//! resident matrices. Every simulated surface must agree bit for bit; the
+//! one carve-out is the replay cache's own counters on `AimStats` (and on
+//! `ServeReport`, which sums them), which count what the host did, not
+//! what the simulated machine did.
+
+// Each suite that includes this file uses part of it.
+#![allow(dead_code)]
+
+use newton_aim::bf16::Bf16;
+use newton_aim::core::config::NewtonConfig;
+use newton_aim::core::controller::{AimStats, FunctionalMode, NewtonChannel};
+use newton_aim::core::system::{LoadedMatrix, NewtonSystem, SystemRun};
+use newton_aim::dram::TimingEngine;
+use newton_serve::ServeReport;
+
+/// `[oracle, production]`, each built from `cfg` by `build` and then put on
+/// its leg through `system`.
+pub fn pair_with<T>(
+    cfg: &NewtonConfig,
+    build: impl Fn(NewtonConfig) -> T,
+    system: impl Fn(&mut T) -> &mut NewtonSystem,
+) -> [T; 2] {
+    let mut oracle = build(NewtonConfig {
+        engine: TimingEngine::Reference,
+        ..cfg.clone()
+    });
+    system(&mut oracle).set_functional_mode(FunctionalMode::Reference);
+    [oracle, build(cfg.clone())]
+}
+
+/// `[oracle, production]` systems from one config.
+pub fn pair(cfg: &NewtonConfig) -> [NewtonSystem; 2] {
+    pair_with(cfg, |c| NewtonSystem::new(c).expect("system"), |s| s)
+}
+
+/// A run's output bits.
+pub fn bits(run: &SystemRun) -> Vec<u32> {
+    run.output.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Makes `matrix` resident on both legs.
+pub fn load(
+    systems: &mut [NewtonSystem; 2],
+    matrix: &[Bf16],
+    m: usize,
+    n: usize,
+) -> [LoadedMatrix; 2] {
+    systems
+        .each_mut()
+        .map(|s| s.load_matrix(matrix, m, n).expect("load"))
+}
+
+/// One resident run on both legs.
+pub fn run_resident(
+    systems: &mut [NewtonSystem; 2],
+    loaded: &[LoadedMatrix; 2],
+    vector: &[Bf16],
+) -> [SystemRun; 2] {
+    let [a, b] = systems;
+    [(a, &loaded[0]), (b, &loaded[1])]
+        .map(|(s, l)| s.run_resident(l, vector).expect("run_resident"))
+}
+
+/// Asserts the two legs' latest runs agree on every simulated surface —
+/// output bits, cycles, `elapsed_ns`, every `RunSummary` and the merged
+/// telemetry with plain `==`, `AimStats` but for the replay counters, and,
+/// on every channel where both legs keep one, the command trace and the
+/// audit log and its verdict — and that the oracle never replayed.
+/// Returns production's `(hits, misses, invalidations)`.
+pub fn assert_conformant(
+    what: &str,
+    systems: &[NewtonSystem; 2],
+    runs: &[SystemRun; 2],
+) -> (u64, u64, u64) {
+    let [oracle, production] = runs;
+    assert_eq!(bits(oracle), bits(production), "{what}: output bits");
+    assert_eq!(oracle.cycles, production.cycles, "{what}: cycles");
+    assert_eq!(
+        oracle.elapsed_ns.to_bits(),
+        production.elapsed_ns.to_bits(),
+        "{what}: elapsed_ns"
+    );
+    assert_eq!(
+        oracle.channel_summaries, production.channel_summaries,
+        "{what}: channel summaries"
+    );
+    assert_eq!(
+        oracle.merged_telemetry(),
+        production.merged_telemetry(),
+        "{what}: merged telemetry"
+    );
+    assert_eq!(
+        sans_schedule_cache(&oracle.stats),
+        sans_schedule_cache(&production.stats),
+        "{what}: AimStats"
+    );
+    let [a, b] = systems.each_ref().map(NewtonSystem::channels);
+    for (ch, (a, b)) in a.iter().zip(b).enumerate() {
+        assert_observers_agree(&format!("{what}, channel {ch}"), a, b);
+    }
+    assert_eq!(
+        (oracle.stats.schedule_hits, oracle.stats.replayed_commands),
+        (0, 0),
+        "{what}: the oracle must never replay"
+    );
+    let s = &production.stats;
+    (s.schedule_hits, s.schedule_misses, s.schedule_invalidations)
+}
+
+/// The one carve-out: `stats` with the replay cache's counters zeroed.
+fn sans_schedule_cache(stats: &AimStats) -> AimStats {
+    AimStats {
+        schedule_hits: 0,
+        schedule_misses: 0,
+        schedule_invalidations: 0,
+        replayed_commands: 0,
+        ..*stats
+    }
+}
+
+/// The command trace and the audit of one channel on both legs, wherever
+/// both keep one.
+fn assert_observers_agree(what: &str, a: &NewtonChannel, b: &NewtonChannel) {
+    if a.trace().is_enabled() && b.trace().is_enabled() {
+        let (ea, eb) = (a.trace().entries(), b.trace().entries());
+        if let Some(i) = (0..ea.len().max(eb.len())).find(|&i| ea.get(i) != eb.get(i)) {
+            panic!(
+                "{what}: command traces diverge at entry {i}: oracle {:?}, production {:?}",
+                ea.get(i),
+                eb.get(i)
+            );
+        }
+    }
+    if let (Some(la), Some(lb)) = (a.channel().audit(), b.channel().audit()) {
+        assert_eq!(la.len(), lb.len(), "{what}: audit len");
+        assert_eq!(
+            la.events().count(),
+            la.len(),
+            "{what}: len counts expanded events"
+        );
+        assert!(
+            la.events().eq(lb.events()),
+            "{what}: audit event streams differ"
+        );
+        assert_eq!(a.validate_audit(), Ok(()), "{what}: oracle audit");
+        assert_eq!(b.validate_audit(), Ok(()), "{what}: production audit");
+    }
+}
+
+/// [`assert_conformant`] for serving: the two reports agree but for the
+/// replay counters they sum, and the oracle never replayed. Returns
+/// production's `(hits, misses, invalidations)`.
+pub fn assert_serve_conformant(what: &str, reports: &[ServeReport; 2]) -> (u64, u64, u64) {
+    let [oracle, production] = reports;
+    let sans_schedule_cache = |r: &ServeReport| ServeReport {
+        schedule_hits: 0,
+        schedule_misses: 0,
+        schedule_invalidations: 0,
+        replayed_commands: 0,
+        ..r.clone()
+    };
+    assert_eq!(
+        sans_schedule_cache(oracle),
+        sans_schedule_cache(production),
+        "{what}: serve reports"
+    );
+    assert_eq!(
+        (oracle.schedule_hits, oracle.replayed_commands),
+        (0, 0),
+        "{what}: the oracle must never replay"
+    );
+    let p = production;
+    (p.schedule_hits, p.schedule_misses, p.schedule_invalidations)
+}

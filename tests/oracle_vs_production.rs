@@ -1,102 +1,46 @@
-//! Tier-1 differential smoke: the two paths the simulator keeps must not
-//! diverge. One side is the oracle — `FunctionalMode::Reference` on
-//! `TimingEngine::Reference`: scalar kernels over the bytes each column
-//! read returns, every command issued and checked singly, nothing ever
-//! replayed. The other is what a user gets by default — the SIMD kernel
-//! on the event-skipping engine: GWRITE and COMP trains, schedule replay
-//! for resident matrices. ECC and telemetry are on everywhere, so the
-//! trains' closed-form telemetry fold and the clean-rows proof are on the
-//! compared path. Every surface must agree bit for bit except the replay
-//! cache's own counters, which must show that the two sides really took
-//! different paths — also when a command trace and the timing audit are
-//! watching: observers are told what happened, they do not change which
-//! code runs, so the production side still replays under them and the
-//! two logs still read the same.
+//! The two paths the simulator keeps must not diverge: the oracle and
+//! production legs of `common/conformance.rs` run the same work — ragged
+//! and Table II-sized layers, resident matrices through weight writes and
+//! fault flips, random write / COMP interleavings, a lowered BERT trace,
+//! serving under chaos and under conventional traffic — at pool widths 1,
+//! 2 and 8, and every simulated surface must agree bit for bit. The
+//! replay cache's counters must show that the two legs really took
+//! different paths: production replays, under a command trace and the
+//! timing audit too (observers are told what happened, they do not change
+//! which code runs), and the oracle never does.
 
+#[path = "common/conformance.rs"]
+mod conformance;
+
+use conformance::{
+    assert_conformant, assert_serve_conformant, bits, load, pair, pair_with, run_resident,
+};
 use newton_aim::core::config::{NewtonConfig, TelemetryConfig};
-use newton_aim::core::controller::{FunctionalMode, NewtonChannel};
 use newton_aim::core::system::{NewtonSystem, SystemRun};
+use newton_aim::core::ParallelPolicy;
 use newton_aim::dram::faults::CampaignSpec;
 use newton_aim::dram::TimingEngine;
 use newton_aim::isa::{generate, mv, Program};
 use newton_aim::workloads::arrivals::ArrivalPattern;
-use newton_aim::workloads::{generator, MvShape};
-use newton_serve::{ChaosAction, ChaosEvent, ChaosPlan, ServeReport, Server, TrafficConfig};
+use newton_aim::workloads::{generator, Benchmark, DecodeStreamSpec, MvShape};
+use newton_serve::{
+    ChaosAction, ChaosEvent, ChaosPlan, ConventionalTraffic, ServeReport, Server, TrafficConfig,
+};
+use proptest::prelude::*;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Side {
-    Oracle,
-    Production,
-}
+/// The pool widths every multi-width case runs at.
+const WIDTHS: [usize; 3] = [1, 2, 8];
 
-const SIDES: [Side; 2] = [Side::Oracle, Side::Production];
-
-fn config(side: Side, channels: usize) -> NewtonConfig {
+/// ECC and telemetry on, so the trains' closed-form telemetry fold and
+/// the clean-rows proof are on the compared path.
+fn config(channels: usize, threads: usize) -> NewtonConfig {
     NewtonConfig {
         channels,
         ecc: true,
         telemetry: Some(TelemetryConfig::default()),
-        engine: match side {
-            Side::Oracle => TimingEngine::Reference,
-            Side::Production => TimingEngine::EventSkipping,
-        },
+        parallel: ParallelPolicy::exact(threads),
         ..NewtonConfig::paper_default()
     }
-}
-
-/// Puts the functional half of `sys` on `side` too.
-fn set_mode(sys: &mut NewtonSystem, side: Side) {
-    if side == Side::Oracle {
-        sys.set_functional_mode(FunctionalMode::Reference);
-    }
-}
-
-fn system(side: Side, channels: usize) -> NewtonSystem {
-    let mut sys = NewtonSystem::new(config(side, channels)).expect("system");
-    set_mode(&mut sys, side);
-    sys
-}
-
-/// Asserts `[oracle, production]` agree on everything but the replay
-/// cache's counters, that the oracle never replayed, and returns the
-/// production side's `(hits, misses, invalidations)`.
-fn assert_same(runs: &[SystemRun], what: &str) -> (u64, u64, u64) {
-    let (oracle, production) = (&runs[0], &runs[1]);
-    let bits = |r: &SystemRun| r.output.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-    assert_eq!(bits(oracle), bits(production), "{what}: output bits");
-    assert_eq!(oracle.cycles, production.cycles, "{what}: cycles");
-    assert_eq!(
-        oracle.stats.sans_schedule_cache(),
-        production.stats.sans_schedule_cache(),
-        "{what}: AimStats"
-    );
-    let telemetry = |r: &SystemRun| {
-        r.merged_telemetry()
-            .expect("telemetry on")
-            .sans_schedule_cache()
-    };
-    assert_eq!(
-        telemetry(oracle),
-        telemetry(production),
-        "{what}: merged telemetry"
-    );
-    for (a, b) in oracle
-        .channel_summaries
-        .iter()
-        .zip(&production.channel_summaries)
-    {
-        let (mut a, mut b) = (a.clone(), b.clone());
-        a.telemetry = a.telemetry.map(|t| t.sans_schedule_cache());
-        b.telemetry = b.telemetry.map(|t| t.sans_schedule_cache());
-        assert_eq!(a, b, "{what}: channel summaries");
-    }
-    assert_eq!(
-        (oracle.stats.schedule_hits, oracle.stats.replayed_commands),
-        (0, 0),
-        "{what}: the oracle must never replay"
-    );
-    let s = &production.stats;
-    (s.schedule_hits, s.schedule_misses, s.schedule_invalidations)
 }
 
 #[test]
@@ -104,33 +48,31 @@ fn ragged_run_mv_agrees() {
     let shape = MvShape::new(50, 700);
     let matrix = generator::matrix(shape, 21);
     let vector = generator::vector(shape.n, 22);
-    let runs = SIDES.map(|side| {
-        system(side, 3)
-            .run_mv(&matrix, shape.m, shape.n, &vector)
+    let mut systems = pair(&config(3, 1));
+    let runs = systems.each_mut().map(|s| {
+        s.run_mv(&matrix, shape.m, shape.n, &vector)
             .expect("run_mv")
     });
-    // A matrix reloaded per query has nothing to replay on either side.
-    assert_eq!(assert_same(&runs, "run_mv 50x700"), (0, 3, 0));
+    // A matrix reloaded per query has nothing to replay on either leg.
+    assert_eq!(
+        assert_conformant("run_mv 50x700", &systems, &runs),
+        (0, 3, 0)
+    );
 }
 
-/// Load, run, run, weight write, run, run on both sides; with `watched`,
-/// a command trace and an audit log are attached to every channel and
-/// compared after every run as well.
+/// Load, run, run, weight write, run, run on both legs; with `watched`,
+/// a command trace and an audit log are attached to every channel.
 fn resident_runs_through_a_weight_write(watched: bool) {
     let (channels, shape) = (2, MvShape::new(32, 512));
     let matrix = generator::matrix(shape, 23);
-    let mut systems = SIDES.map(|side| system(side, channels));
+    let mut systems = pair(&config(channels, 1));
     if watched {
         for ch in systems.iter_mut().flat_map(|sys| sys.channels_mut()) {
             ch.enable_trace();
             ch.channel_mut().enable_audit();
         }
     }
-    let loaded = [0, 1].map(|i| {
-        systems[i]
-            .load_matrix(&matrix, shape.m, shape.n)
-            .expect("load")
-    });
+    let loaded = load(&mut systems, &matrix, shape.m, shape.n);
     let row: Vec<u8> = (0..systems[0].config().row_elems() * 2)
         .map(|i| (i % 7) as u8)
         .collect();
@@ -139,36 +81,24 @@ fn resident_runs_through_a_weight_write(watched: bool) {
     let expected = [(0, c, 0), (c, 0, 0), (0, c, c), (c, 0, 0)];
     for (token, want) in expected.iter().enumerate() {
         if token == 2 {
-            for sys in &mut systems {
-                for ch in sys.channels_mut() {
-                    ch.channel_mut()
-                        .storage_mut()
-                        .write_row(0, 0, &row)
-                        .expect("write_row");
-                }
+            for ch in systems.iter_mut().flat_map(|sys| sys.channels_mut()) {
+                ch.channel_mut()
+                    .storage_mut()
+                    .write_row(0, 0, &row)
+                    .expect("write_row");
             }
         }
         let vector = generator::vector(shape.n, 30 + token as u64);
-        let runs = [0, 1].map(|i| {
-            systems[i]
-                .run_resident(&loaded[i], &vector)
-                .expect("run_resident")
-        });
+        let runs = run_resident(&mut systems, &loaded, &vector);
         let what = format!("resident token {token}, watched {watched}");
-        assert_eq!(assert_same(&runs, &what), *want, "{what}: cache counters");
+        assert_eq!(assert_conformant(&what, &systems, &runs), *want, "{what}");
         if watched {
-            let [oracle, production] = &systems;
-            for (a, b) in oracle.channels().iter().zip(production.channels()) {
-                assert!(!a.trace().entries().is_empty(), "{what}: traced");
-                assert_eq!(a.trace().render(), b.trace().render(), "{what}: trace");
-                let log = |ch: &NewtonChannel| {
-                    let audit = ch.channel().audit().expect("audit on");
-                    (audit.len(), audit.events().collect::<Vec<_>>())
-                };
-                assert_eq!(log(a), log(b), "{what}: audit log");
-                assert_eq!(a.validate_audit(), Ok(()), "{what}: oracle audit");
-                assert_eq!(b.validate_audit(), Ok(()), "{what}: production audit");
-            }
+            let ch = &systems[0].channels()[0];
+            assert!(!ch.trace().entries().is_empty(), "{what}: traced");
+            assert!(
+                ch.channel().audit().is_some_and(|a| !a.is_empty()),
+                "{what}: audited"
+            );
         }
     }
     assert_eq!(
@@ -189,43 +119,144 @@ fn watched_resident_runs_agree_and_still_replay() {
     resident_runs_through_a_weight_write(true);
 }
 
+/// A decode stream through every edge of the replay cache at each width:
+/// a weight flip on one channel (an invalidation there, a hit on the
+/// other; the dirty drain does not capture, the next clean one does), and
+/// production flipped to the oracle engine and back (a bypass is a miss
+/// that keeps the entries). Then, without ECC, a raw row rewrite.
+#[test]
+fn replay_invalidation_edges_agree() {
+    let spec = DecodeStreamSpec::new(32, 512, 8, 41);
+    let matrix = spec.matrix();
+    for threads in WIDTHS {
+        let mut systems = pair(&config(2, threads));
+        let loaded = load(&mut systems, &matrix, 32, 512);
+        let token = |systems: &mut [NewtonSystem; 2], t: usize| {
+            let runs = run_resident(systems, &loaded, &spec.token_input(t));
+            assert_conformant(&format!("threads {threads}, token {t}"), systems, &runs)
+        };
+        assert_eq!(token(&mut systems, 0), (0, 2, 0), "capture");
+        assert_eq!(token(&mut systems, 1), (2, 0, 0), "steady stream hits");
+        for sys in &mut systems {
+            sys.channels_mut()[0]
+                .channel_mut()
+                .storage_mut()
+                .flip_bit(1, 0, 3)
+                .expect("flip");
+        }
+        assert_eq!(
+            token(&mut systems, 2),
+            (1, 1, 1),
+            "weight flip on channel 0"
+        );
+        assert_eq!(token(&mut systems, 3), (1, 1, 0), "re-capture drain");
+        assert_eq!(token(&mut systems, 4), (2, 0, 0), "recovered");
+        systems[1].set_timing_engine(TimingEngine::Reference);
+        assert_eq!(token(&mut systems, 5), (0, 2, 0), "a bypass is a miss");
+        assert_eq!(loaded[1].compiled_channels(), 2, "a bypass keeps");
+        systems[1].set_timing_engine(TimingEngine::EventSkipping);
+        assert_eq!(
+            token(&mut systems, 6),
+            (2, 0, 0),
+            "hits after flipping back"
+        );
+    }
+
+    let mut systems = pair(&NewtonConfig {
+        ecc: false,
+        ..config(2, 1)
+    });
+    let loaded = load(&mut systems, &matrix, 32, 512);
+    for (t, want) in [(0, 2, 0), (2, 0, 0)].into_iter().enumerate() {
+        let runs = run_resident(&mut systems, &loaded, &spec.token_input(t));
+        let what = format!("ecc off, token {t}");
+        assert_eq!(assert_conformant(&what, &systems, &runs), want, "{what}");
+    }
+    let row_bytes = systems[0].config().row_elems() * 2;
+    let data: Vec<u8> = (0..row_bytes).map(|i| (i as u8).wrapping_mul(7)).collect();
+    for sys in &mut systems {
+        sys.channels_mut()[0]
+            .channel_mut()
+            .storage_mut()
+            .write_row(0, 0, &data)
+            .expect("rewrite");
+    }
+    let runs = run_resident(&mut systems, &loaded, &spec.token_input(2));
+    assert_eq!(
+        assert_conformant("ecc off, row rewrite", &systems, &runs),
+        (1, 1, 1)
+    );
+}
+
+/// A Table II layer lowered to `.aim` text, parsed back and physically
+/// replayed agrees on both legs at each width, a miss and then a hit, and
+/// its first run equals the API-driven `run_mv` of the same layer.
 #[test]
 fn lowered_trace_replay_agrees() {
-    let (channels, shape) = (4, MvShape::new(64, 128));
-    let matrix = generator::matrix(shape, 3);
-    let vector = generator::vector(shape.n, 4);
-    let lowered = generate::lower_mv(
-        &config(Side::Production, channels),
-        &matrix,
-        shape.m,
-        shape.n,
-        &vector,
-    )
-    .expect("lower");
+    let b = Benchmark::BertS1;
+    let (shape, channels) = (b.shape(), 8);
+    let matrix = generator::matrix(shape, b.seed());
+    let vector = generator::vector(shape.n, b.seed() + 1);
+    let lowered = generate::lower_mv(&config(channels, 1), &matrix, shape.m, shape.n, &vector)
+        .expect("lower");
+    // The trace under test is the parsed artifact, not the original.
     let program = Program::parse(&lowered.render()).expect("reparse");
     let trace = mv::recognize(&program).expect("recognize");
+    assert_eq!(trace.matrix, matrix, "trace must carry the exact matrix");
+    assert_eq!(trace.vector, vector, "trace must carry the exact vector");
 
-    let mut systems = SIDES.map(|side| system(side, channels));
-    let loaded = [0, 1].map(|i| trace.apply_physical(&mut systems[i]).expect("apply"));
     let c = channels as u64;
-    for (token, want) in [(0, c, 0), (c, 0, 0)].iter().enumerate() {
-        let runs = [0, 1].map(|i| {
-            systems[i]
-                .run_resident(&loaded[i], &trace.vector)
-                .expect("trace run")
+    for threads in WIDTHS {
+        let mut systems = pair(&config(channels, threads));
+        let loaded = systems
+            .each_mut()
+            .map(|s| trace.apply_physical(s).expect("apply"));
+        let first = run_resident(&mut systems, &loaded, &trace.vector);
+        let what = format!("trace, threads {threads}");
+        assert_eq!(assert_conformant(&what, &systems, &first), (0, c, 0));
+        let runs = run_resident(&mut systems, &loaded, &trace.vector);
+        assert_eq!(assert_conformant(&what, &systems, &runs), (c, 0, 0));
+
+        let mut api = pair(&config(channels, threads));
+        let api_runs = api.each_mut().map(|s| {
+            s.run_mv(&matrix, shape.m, shape.n, &vector)
+                .expect("run_mv")
         });
-        let what = format!("trace token {token}");
-        assert_eq!(assert_same(&runs, &what), *want, "{what}: cache counters");
+        assert_conformant(&format!("api, threads {threads}"), &api, &api_runs);
+        for (t, a) in first.iter().zip(&api_runs) {
+            assert_eq!(bits(t), bits(a), "{what}: trace vs API outputs");
+            assert_eq!(t.cycles, a.cycles, "{what}: trace vs API cycles");
+            assert_eq!(t.stats, a.stats, "{what}: trace vs API stats");
+            assert_eq!(
+                t.channel_summaries, a.channel_summaries,
+                "{what}: trace vs API summaries"
+            );
+        }
     }
 }
 
-/// A 25-request bursty cell with mid-traffic BER faults and a stuck word:
-/// scrub, retry, bank retirement and re-plan all execute.
-fn chaos_cell(side: Side) -> ServeReport {
+/// One serving cell on both legs.
+fn serve(
+    cfg: &NewtonConfig,
+    (matrix_seed, input_seed): (u64, u64),
+    traffic: &TrafficConfig,
+    chaos: &ChaosPlan,
+) -> [ServeReport; 2] {
     let shape = MvShape::new(32, 512);
-    let matrix = generator::matrix(shape, 31);
-    let mut server = Server::new(config(side, 4), matrix, shape.m, shape.n, 3, 33).expect("server");
-    set_mode(server.system_mut(), side);
+    let matrix = generator::matrix(shape, matrix_seed);
+    let servers = pair_with(
+        cfg,
+        |c| Server::new(c, matrix.clone(), shape.m, shape.n, 3, input_seed).expect("server"),
+        Server::system_mut,
+    );
+    servers.map(|mut s| s.serve(traffic, chaos).expect("serves"))
+}
+
+/// A 25-request bursty cell with mid-traffic BER faults and a stuck word:
+/// scrub, retry, bank retirement and re-plan all execute, at each width;
+/// each leg's report is the same at every width, cache counters included.
+#[test]
+fn chaos_serving_cell_agrees() {
     let traffic = TrafficConfig {
         pattern: ArrivalPattern::Bursty {
             base_rate_per_us: 0.01,
@@ -262,31 +293,186 @@ fn chaos_cell(side: Side) -> ServeReport {
             },
         ],
     };
-    server.serve(&traffic, &chaos).expect("serves")
-}
-
-#[test]
-fn chaos_serving_cell_agrees() {
-    let oracle = chaos_cell(Side::Oracle);
-    let production = chaos_cell(Side::Production);
-    assert_eq!(
-        oracle.sans_schedule_cache(),
-        production.sans_schedule_cache(),
-        "serve reports"
-    );
+    let serial = serve(&config(4, 1), (31, 33), &traffic, &chaos);
+    let (hits, _, invalidations) = assert_serve_conformant("chaos cell", &serial);
+    let r = &serial[1];
+    assert!(r.retries > 0, "chaos must force retries");
     assert!(
-        !production.recovery.retired_banks.is_empty(),
+        !r.recovery.retired_banks.is_empty(),
         "the stuck word must retire a bank"
     );
-    assert_eq!(production.sdc, 0, "ECC on: zero silent corruption");
-    assert!(production.schedule_hits > 0, "production must replay");
+    assert_eq!(r.sdc, 0, "ECC on: zero silent corruption");
+    assert_eq!(r.offered, r.completed + r.shed + r.expired);
+    assert!(hits > 0, "production must replay");
+    assert!(invalidations > 0, "chaos must invalidate");
+    for threads in &WIDTHS[1..] {
+        let reports = serve(&config(4, *threads), (31, 33), &traffic, &chaos);
+        assert_eq!(reports, serial, "threads {threads}");
+    }
+}
+
+/// Conventional-DRAM bursts interleaved between AiM batches: the
+/// controller advances clocks between batches, replay's per-train
+/// first-command scans absorb that, and the cache stays hot.
+#[test]
+fn conventional_traffic_serving_agrees() {
+    let mut traffic = TrafficConfig::poisson(0.05, 24, 51);
+    traffic.conventional = Some(ConventionalTraffic {
+        interval_ns: 4_000.0,
+        burst_cycles: 64,
+    });
+    let reports = serve(&config(2, 1), (47, 49), &traffic, &ChaosPlan::none());
+    let (hits, _, _) = assert_serve_conformant("conventional traffic", &reports);
     assert!(
-        production.schedule_invalidations > 0,
-        "chaos must invalidate"
+        reports[1].conventional_bursts > 0,
+        "cell must interleave bursts"
     );
-    assert_eq!(
-        (oracle.schedule_hits, oracle.replayed_commands),
-        (0, 0),
-        "the oracle must never replay"
-    );
+    assert!(hits > 0, "replay stays hot across bursts");
+}
+
+/// One step of a random interleaving, applied identically to every system.
+#[derive(Debug, Clone)]
+enum Mutation {
+    WriteRow {
+        channel: usize,
+        bank: usize,
+        seed: u8,
+    },
+    FlipBit {
+        channel: usize,
+        bank: usize,
+        bit: usize,
+    },
+    /// Host-side storage readback of one row.
+    Read {
+        channel: usize,
+        bank: usize,
+    },
+    Comp,
+}
+
+fn mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        2 => (0usize..8, 0usize..16, any::<u8>())
+            .prop_map(|(channel, bank, seed)| Mutation::WriteRow { channel, bank, seed }),
+        1 => (0usize..8, 0usize..16, 0usize..4096)
+            .prop_map(|(channel, bank, bit)| Mutation::FlipBit { channel, bank, bit }),
+        1 => (0usize..8, 0usize..16)
+            .prop_map(|(channel, bank)| Mutation::Read { channel, bank }),
+        3 => Just(Mutation::Comp),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random write / flip / read / COMP interleavings against a resident
+    /// matrix, on a pair per width with ECC, telemetry and command traces
+    /// on, and on a bare pair (no ECC, trace or telemetry). 64x4096 makes
+    /// each run 2.2k-2.8k cycles, so a case's at least three runs cross
+    /// tREFI (3.9k cycles) and refreshes land in about half of them, at a
+    /// different point of the run each time.
+    #[test]
+    fn random_interleavings_agree(ops in prop::collection::vec(mutation(), 1..10)) {
+        let (m, n) = (64, 4096);
+        let matrix = generator::matrix(MvShape::new(m, n), 29);
+        let vector = generator::vector(n, 29);
+
+        let mut pairs: Vec<[NewtonSystem; 2]> = WIDTHS
+            .iter()
+            .map(|&threads| {
+                let mut systems = pair(&config(8, threads));
+                for ch in systems.iter_mut().flat_map(|s| s.channels_mut()) {
+                    ch.enable_trace();
+                }
+                systems
+            })
+            .collect();
+        pairs.push(pair(&NewtonConfig {
+            channels: 8,
+            parallel: ParallelPolicy::exact(1),
+            ..NewtonConfig::paper_default()
+        }));
+        let loaded: Vec<_> = pairs.iter_mut().map(|p| load(p, &matrix, m, n)).collect();
+        let row_bytes = pairs[0][0].config().row_elems() * 2;
+
+        let (mut hits, mut refreshes) = ([0u64; 4], [0u64; 4]);
+        let mut compare = |pairs: &mut Vec<[NewtonSystem; 2]>| {
+            let mut observed: Vec<SystemRun> = Vec::new();
+            for (i, (systems, loaded)) in pairs.iter_mut().zip(&loaded).enumerate() {
+                let runs = run_resident(systems, loaded, &vector);
+                hits[i] += assert_conformant(&format!("pair {i}"), systems, &runs).0;
+                let [_, production] = runs;
+                refreshes[i] += production.stats.refreshes;
+                if i < WIDTHS.len() {
+                    observed.push(production);
+                }
+            }
+            // Production at every width is the machine it is at width 1.
+            for (i, run) in observed.iter().enumerate().skip(1) {
+                let what = format!("threads {}", WIDTHS[i]);
+                assert_eq!(bits(run), bits(&observed[0]), "{what}: output bits");
+                assert_eq!(run.stats, observed[0].stats, "{what}: AimStats");
+                assert_eq!(
+                    run.channel_summaries, observed[0].channel_summaries,
+                    "{what}: channel summaries"
+                );
+                for (a, b) in pairs[i][1].channels().iter().zip(pairs[0][1].channels()) {
+                    assert_eq!(a.trace().entries(), b.trace().entries(), "{what}: trace");
+                }
+            }
+        };
+
+        for op in &ops {
+            match *op {
+                Mutation::Read { channel, bank } => {
+                    let rows: Vec<Option<Vec<u8>>> = pairs
+                        .iter()
+                        .flatten()
+                        .map(|s| {
+                            let storage = s.channels()[channel].channel().storage();
+                            storage.row(bank, 0).ok().map(<[u8]>::to_vec)
+                        })
+                        .collect();
+                    prop_assert!(rows.windows(2).all(|w| w[0] == w[1]));
+                }
+                Mutation::WriteRow { channel, bank, seed } => {
+                    let data: Vec<u8> =
+                        (0..row_bytes).map(|i| (i as u8).wrapping_mul(seed)).collect();
+                    // A write may land on an unallocated row; what matters
+                    // is that every system agrees.
+                    let outcomes: Vec<bool> = pairs
+                        .iter_mut()
+                        .flatten()
+                        .map(|s| {
+                            let storage = s.channels_mut()[channel].channel_mut().storage_mut();
+                            storage.write_row(bank, 0, &data).is_ok()
+                        })
+                        .collect();
+                    prop_assert!(outcomes.windows(2).all(|w| w[0] == w[1]));
+                }
+                Mutation::FlipBit { channel, bank, bit } => {
+                    let outcomes: Vec<bool> = pairs
+                        .iter_mut()
+                        .flatten()
+                        .map(|s| {
+                            let storage = s.channels_mut()[channel].channel_mut().storage_mut();
+                            storage.flip_bit(bank, 0, bit).is_ok()
+                        })
+                        .collect();
+                    prop_assert!(outcomes.windows(2).all(|w| w[0] == w[1]));
+                }
+                Mutation::Comp => compare(&mut pairs),
+            }
+        }
+        // Three more runs on untouched weights: whatever the ops did, the
+        // first drains clean and captures on every channel that has not
+        // yet, so the later ones replay everywhere — traced, with
+        // telemetry and ECC on.
+        for _ in 0..3 {
+            compare(&mut pairs);
+        }
+        prop_assert!(hits.iter().all(|&h| h > 0), "every production leg replays: {:?}", hits);
+        prop_assert!(refreshes.iter().all(|&r| r > 0), "every pair refreshes: {:?}", refreshes);
+    }
 }

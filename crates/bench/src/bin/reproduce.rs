@@ -24,10 +24,8 @@
 //! claim panics, so a clean exit is the check.
 //!
 //! With `--engine reference`, every experiment runs on the oracle engine
-//! (each command issued and checked singly, nothing replayed); reports
-//! and snapshots are byte-identical to the default engine's, except the
-//! `schedule_cache/*` counters of `serving`, which count what the replay
-//! cache of the default engine did.
+//! (each command issued and checked singly, every activation scrubbed);
+//! reports and snapshots are byte-identical to the default engine's.
 //!
 //! With `--telemetry`, every channel collects a windowed time series
 //! (bandwidth, bank utilization, queue depth, ganged-ACT width, ECC
@@ -40,8 +38,8 @@
 //! constraints (tRCD, tRP, tRAS, tCCD, tRRD, tFAW, tRTP, tWR, tRFC,
 //! tREFI); a violation aborts the experiment with a typed error instead
 //! of producing silently-wrong timing numbers. The audit watches the
-//! path that serves traffic — trains and replay stay on — so reports
-//! and snapshots are byte-identical with and without it.
+//! path that serves traffic — trains stay closed-form — so reports and
+//! snapshots are byte-identical with and without it.
 //!
 //! The experiments run on a bounded worker pool
 //! (`newton_bench::harness`); reports and snapshot files are merged in

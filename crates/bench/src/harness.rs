@@ -1020,9 +1020,6 @@ fn report_serving(base: &NewtonConfig, threads: usize) -> Result<ExperimentRepor
         "expired",
         "retries",
         "retired",
-        "sched_hits",
-        "sched_miss",
-        "sched_inv",
         "sdc",
         "p50_ns",
         "p99_ns",
@@ -1040,9 +1037,6 @@ fn report_serving(base: &NewtonConfig, threads: usize) -> Result<ExperimentRepor
             r.expired.to_string(),
             r.retries.to_string(),
             r.recovery.retired_banks.len().to_string(),
-            r.schedule_hits.to_string(),
-            r.schedule_misses.to_string(),
-            r.schedule_invalidations.to_string(),
             r.sdc.to_string(),
             format!("{:.0}", r.p50_ns),
             format!("{:.0}", r.p99_ns),

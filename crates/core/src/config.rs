@@ -204,17 +204,17 @@ pub struct NewtonConfig {
     pub telemetry: Option<TelemetryConfig>,
     /// How the controller schedules: [`TimingEngine::EventSkipping`] (the
     /// default) issues each GWRITE and ganged COMP stream as one train
-    /// and replays a resident matrix's compiled schedule;
+    /// and skips the activation scrub of rows the storage marks verified;
     /// [`TimingEngine::Reference`] is the oracle — every command issued
-    /// and checked singly after a full `earliest_*` rescan, never
-    /// replayed. Both produce identical command streams.
+    /// and checked singly after a full `earliest_*` rescan, every
+    /// activation scrubbed. Both produce identical command streams.
     pub engine: TimingEngine,
     /// Attaches the post-hoc timing audit to every channel: each logs
     /// its command stream (trains folded) and, at the end of every run,
     /// checks what that run added against the raw timing constraints; a
     /// violation fails the run with [`AimError::AuditFailed`]. It does
-    /// not change which code runs — trains and schedule replay stay on —
-    /// so the audited run is the run users get. Off by default: the log
+    /// not change which code runs — trains stay closed-form — so the
+    /// audited run is the run users get. Off by default: the log
     /// grows with the single commands issued.
     pub audit: bool,
 }

@@ -37,7 +37,7 @@ use crate::device::NewtonDevice;
 use crate::error::AimError;
 use crate::layout::MatrixMapping;
 use crate::lut::ActivationKind;
-use crate::replay::{ChannelPlan, CompiledRowSet, CompiledSchedule, ReplaySlot};
+use crate::plan::ChannelPlan;
 use crate::tiling::{RowSet, Schedule};
 
 /// How the channel computes the *functional* half of each COMP. The
@@ -81,18 +81,13 @@ pub struct AimStats {
     /// Uncorrectable ECC detections during this run. Nonzero only when an
     /// error variant also surfaced — the run never silently continues.
     pub ecc_uncorrectable: u64,
-    /// Compiled-schedule replay-cache hits: planned runs served by
-    /// replaying a captured command train (one count per channel per
-    /// run). Always zero on the `Reference` engine.
+    /// Always 0, deleted by the `benchmark` PR (ROADMAP 1).
     pub schedule_hits: u64,
-    /// Replay-cache misses: planned runs that drained cold — nothing
-    /// captured yet, a just-invalidated entry, or a bypass (an observer,
-    /// host traffic, the `Reference` engine).
+    /// Always 0, deleted by the `benchmark` PR (ROADMAP 1).
     pub schedule_misses: u64,
-    /// Compiled entries dropped this run (the weight epoch moved).
+    /// Always 0, deleted by the `benchmark` PR (ROADMAP 1).
     pub schedule_invalidations: u64,
-    /// Commands of the captured GWRITE and COMP trains on a hit; zero on
-    /// cold drains.
+    /// Always 0, deleted by the `benchmark` PR (ROADMAP 1).
     pub replayed_commands: u64,
 }
 
@@ -108,10 +103,6 @@ impl AimStats {
         self.refreshes += other.refreshes;
         self.ecc_corrected += other.ecc_corrected;
         self.ecc_uncorrectable += other.ecc_uncorrectable;
-        self.schedule_hits += other.schedule_hits;
-        self.schedule_misses += other.schedule_misses;
-        self.schedule_invalidations += other.schedule_invalidations;
-        self.replayed_commands += other.replayed_commands;
     }
 }
 
@@ -262,7 +253,8 @@ impl NewtonChannel {
     }
 
     /// Changes [`NewtonConfig::engine`] for subsequent runs (trains and
-    /// replay vs. single commands after full `earliest_*` rescans). Both
+    /// skipped scrubs of verified rows vs. single commands after full
+    /// `earliest_*` rescans and a scrub on every activation). Both
     /// engines issue byte-identical command streams; the choice only
     /// affects host-side work per command.
     pub fn set_timing_engine(&mut self, engine: TimingEngine) {
@@ -442,26 +434,12 @@ impl NewtonChannel {
     ) -> Result<MvRun, AimError> {
         // A caller holding its own mapping and schedule can run them
         // again: decoded rows are retained.
-        self.drain(
-            mapping,
-            schedule,
-            vector,
-            lut_readout,
-            Residency::Resident,
-            None,
-        )
+        self.drain(mapping, schedule, vector, lut_readout, Residency::Resident)
     }
 
     /// The one row-set loop behind [`NewtonChannel::run_mv`] and
     /// [`NewtonChannel::run_planned`]. `residency` only decides whether
-    /// decoded weight rows outlive their row-set. `capture` is the plan's
-    /// compiled entry on a replay hit; it changes three things and
-    /// nothing else: the refresh look-ahead estimate and the G_ACT
-    /// clusters are read from it instead of being recomputed,
-    /// activations skip the row-buffer-fill scrub, and the COMP train
-    /// carries the clean-rows proof (so it stays closed-form with ECC
-    /// on). The caller vouches that the capture is current
-    /// (`replay_armable`, data epoch unchanged).
+    /// decoded weight rows outlive their row-set.
     fn drain(
         &mut self,
         mapping: &MatrixMapping,
@@ -469,7 +447,6 @@ impl NewtonChannel {
         vector: &[Bf16],
         lut_readout: bool,
         residency: Residency,
-        capture: Option<&CompiledSchedule>,
     ) -> Result<MvRun, AimError> {
         if vector.len() != mapping.n() {
             return Err(AimError::Shape {
@@ -487,8 +464,7 @@ impl NewtonChannel {
 
         self.device.reset_latches();
 
-        for (i, rs) in schedule.row_sets().iter().enumerate() {
-            let captured = capture.map(|cs| &cs.row_sets[i]);
+        for rs in schedule.row_sets() {
             // Row-set boundary: all banks are precharged, so queued host
             // (non-AiM) traffic interleaves here (Sec. III-D).
             if !self.host_queue.is_empty() {
@@ -497,10 +473,7 @@ impl NewtonChannel {
 
             // Refresh interposition: if the pending refresh matures within
             // this row-set's (deterministic) latency, wait for it first.
-            let estimate = match captured {
-                Some(crs) => crs.estimate,
-                None => self.row_set_estimate(mapping, rs),
-            };
+            let estimate = self.row_set_estimate(mapping, rs);
             if self.channel.refresh_due() <= self.now + estimate {
                 self.interpose_refresh()?;
             }
@@ -519,10 +492,14 @@ impl NewtonChannel {
                 }
             }
 
-            stats.activate_commands += self.activate_row_set(rs, row_cursor, captured)?;
+            let corrected = self.channel.stats().ecc_corrected;
+            stats.activate_commands += self.activate_row_set(rs, row_cursor)?;
+            // Every open row was scrubbed clean or verified, and nothing
+            // writes storage inside a row-set.
+            let rows_clean = self.channel.stats().ecc_corrected == corrected;
             let comp_started = std::time::Instant::now();
             let (comp_cmds, last_comp) =
-                self.compute_row_set(mapping, rs, residency, captured.is_some())?;
+                self.compute_row_set(mapping, rs, residency, rows_clean)?;
             self.comp_calls += 1;
             self.comp_nanos += comp_started.elapsed().as_nanos() as u64;
             stats.compute_commands += comp_cmds;
@@ -568,40 +545,10 @@ impl NewtonChannel {
         })
     }
 
-    /// Whether the compiled-schedule replay cache may serve this channel
-    /// right now. Replay is what the event-skipping engine does with a
-    /// resident plan, so it needs that engine, the batched SIMD ganged
-    /// complex-COMP configuration (the one whose train structure a hit
-    /// reuses) with ganged activation, and no queued host (non-AiM)
-    /// traffic, which interleaves at row-set boundaries a capture knows
-    /// nothing about. What is watching the run is not a condition: a hit
-    /// goes through the same `drain` loop and issues the same commands
-    /// through the same channel calls, so a command trace, an audit log
-    /// or a trace sink records on a hit what it records on a miss. The
-    /// `Reference` engine is the oracle and never executes a folded
-    /// train.
-    fn replay_armable(&self) -> bool {
-        self.config.engine == TimingEngine::EventSkipping
-            && self.functional_mode == FunctionalMode::Simd
-            && self.config.opts.ganged_comp
-            && self.config.opts.complex_comp
-            && self.config.opts.ganged_act
-            && self.config.subchunk_elems() == newton_bf16::reduce::TREE_ARITY
-            && self.host_queue.is_empty()
-    }
-
-    /// Runs one matrix–vector product through a [`ChannelPlan`]. A valid
-    /// compiled entry on an armable channel replays (a hit); otherwise
-    /// the run drains cold (a miss) and — when nothing blocks arming and
-    /// the drain was correction-free — captures the entry for the next
-    /// run. An entry whose weight epoch moved is dropped and counted as
-    /// an invalidation; a bypass (queued host traffic, the `Reference`
-    /// engine) is a miss that keeps the entry; observers — command trace,
-    /// audit log, trace sink, telemetry — never cause one. The plan's
-    /// [`Residency`]
-    /// travels with it: a single-use plan drains the same commands and
-    /// reports the same miss, but streams its weight rows through the
-    /// decode scratch and captures nothing.
+    /// Runs one matrix–vector product through a [`ChannelPlan`]: its
+    /// mapping and schedule, and its [`Residency`] — a single-use plan
+    /// drains the same commands but streams its weight rows through the
+    /// decode scratch instead of keeping them.
     ///
     /// # Errors
     ///
@@ -612,81 +559,13 @@ impl NewtonChannel {
         vector: &[Bf16],
         lut_readout: bool,
     ) -> Result<MvRun, AimError> {
-        let residency = plan.residency();
-        let mut slot = plan.slot();
-        if let ReplaySlot::Ready(cs) = &*slot {
-            if cs.data_epoch != self.channel.write_epoch() {
-                // Tombstone, not Cold: if the fallback drain below aborts
-                // (its stats die with the error), the next completed run
-                // still reports this drop exactly once.
-                *slot = ReplaySlot::Invalidated;
-            }
-        }
-        let invalidations = u64::from(matches!(*slot, ReplaySlot::Invalidated));
-        let armable = self.replay_armable();
-        let capture = match &*slot {
-            ReplaySlot::Ready(cs) if armable => Some(cs),
-            _ => None,
-        };
-        let mut run = self.drain(
+        self.drain(
             plan.map(),
             plan.schedule(),
             vector,
             lut_readout,
-            residency,
-            capture,
-        )?;
-        if let Some(cs) = capture {
-            run.stats.schedule_hits = 1;
-            run.stats.replayed_commands = cs.train_commands;
-            return Ok(run);
-        }
-        run.stats.schedule_misses = 1;
-        run.stats.schedule_invalidations = invalidations;
-        // Capture only from a correction-free drain: with ECC on, that
-        // cleanliness (plus the unchanged data epoch) is the proof that
-        // skipping per-command checks and per-activation scrubs on replay
-        // is observationally identical. A single-use plan is dropped
-        // before anything could replay it, so it captures nothing.
-        if armable
-            && residency == Residency::Resident
-            && run.stats.ecc_corrected == 0
-            && run.stats.ecc_uncorrectable == 0
-        {
-            *slot = ReplaySlot::Ready(self.compile_schedule(plan.map(), plan.schedule()));
-        } else if invalidations != 0 {
-            // Drop reported in this run's stats; stop re-counting it.
-            *slot = ReplaySlot::Cold;
-        }
-        Ok(run)
-    }
-
-    /// Compiles what a hit reuses of `schedule` — a pure function of
-    /// (shape, kind, bank map, timing config) stamped with the current
-    /// storage data epoch.
-    fn compile_schedule(&self, mapping: &MatrixMapping, schedule: &Schedule) -> CompiledSchedule {
-        let sub = self.config.subchunk_elems();
-        let mut train_commands = 0u64;
-        let row_sets = schedule
-            .row_sets()
-            .iter()
-            .map(|rs| {
-                let n_sub = mapping.chunk_elems(rs.chunk).div_ceil(sub);
-                train_commands += (n_sub * (1 + usize::from(rs.load_chunk))) as u64;
-                CompiledRowSet {
-                    estimate: self.row_set_estimate(mapping, rs),
-                    clusters: (0..cluster_count(rs))
-                        .map(|c| cluster_pairs(rs, c).collect::<Vec<_>>())
-                        .filter(|pairs| !pairs.is_empty())
-                        .collect(),
-                }
-            })
-            .collect();
-        CompiledSchedule {
-            data_epoch: self.channel.write_epoch(),
-            train_commands,
-            row_sets,
-        }
+            plan.residency(),
+        )
     }
 
     /// Loads input chunk `chunk` into the global buffer, one GWRITE per
@@ -738,46 +617,42 @@ impl NewtonChannel {
 
     /// Opens `rs.dram_row` in every active bank, ganged or staggered,
     /// starting no earlier than `cursor` (which may precede `self.now`
-    /// when a concurrent GWRITE phase runs on the column bus). On a
-    /// replay hit the G_ACT clusters come from `captured` and skip the
-    /// row-buffer-fill scrub (the rows are proven clean). Returns the
+    /// when a concurrent GWRITE phase runs on the column bus). On the
+    /// event-skipping engine a G_ACT whose rows are all verified skips
+    /// the row-buffer-fill scrub, which would find nothing. Returns the
     /// number of activation commands issued.
-    fn activate_row_set(
-        &mut self,
-        rs: &RowSet,
-        cursor: Cycle,
-        captured: Option<&CompiledRowSet>,
-    ) -> Result<u64, AimError> {
+    fn activate_row_set(&mut self, rs: &RowSet, cursor: Cycle) -> Result<u64, AimError> {
         let mut cmds = 0;
         if self.config.opts.ganged_act {
-            let clusters = captured.map_or_else(|| cluster_count(rs), |crs| crs.clusters.len());
-            for k in 0..clusters {
-                let pairs: &[(usize, usize)] = match captured {
-                    Some(crs) => &crs.clusters[k],
-                    None => {
-                        self.scratch_pairs.clear();
-                        self.scratch_pairs.extend(cluster_pairs(rs, k));
-                        &self.scratch_pairs
-                    }
-                };
-                let Some(&(first_bank, _)) = pairs.first() else {
-                    continue;
-                };
+            let skip_verified = self.config.engine == TimingEngine::EventSkipping;
+            // Banks 4c..4c + 4 share one G_ACT; `rs.work` is in ascending
+            // bank order because every bank map is.
+            for cluster in rs.work.chunk_by(|a, b| a.bank / 4 == b.bank / 4) {
+                self.scratch_pairs.clear();
+                self.scratch_pairs
+                    .extend(cluster.iter().map(|w| (w.bank, rs.dram_row)));
                 self.scratch_banks.clear();
-                self.scratch_banks.extend(pairs.iter().map(|p| p.0));
+                self.scratch_banks.extend(cluster.iter().map(|w| w.bank));
                 let t = self
                     .channel
                     .earliest_ganged_activate(&self.scratch_banks)
                     .max(cursor);
-                if captured.is_some() {
-                    self.channel.issue_ganged_activate_prescrubbed(t, pairs)?;
+                let storage = self.channel.storage();
+                if skip_verified
+                    && self
+                        .scratch_pairs
+                        .iter()
+                        .all(|&(bank, row)| storage.row_verified(bank, row))
+                {
+                    self.channel
+                        .issue_ganged_activate_prescrubbed(t, &self.scratch_pairs)?;
                 } else {
-                    self.channel.issue_ganged_activate(t, pairs)?;
+                    self.channel.issue_ganged_activate(t, &self.scratch_pairs)?;
                 }
                 self.trace.record(
                     t,
                     AimCommand::GAct {
-                        cluster: first_bank / 4,
+                        cluster: cluster[0].bank / 4,
                         row: rs.dram_row,
                     },
                 );
@@ -800,10 +675,10 @@ impl NewtonChannel {
         Ok(cmds)
     }
 
-    /// Streams the COMP commands for a row-set. `rows_clean` is the
-    /// replay hit's proof that the open rows are unchanged since a
-    /// correction-free drain. Returns (commands issued, issue cycle of
-    /// the last column access).
+    /// Streams the COMP commands for a row-set. `rows_clean` says the
+    /// row-set's activation corrected nothing, which proves the open rows
+    /// hold no error. Returns (commands issued, issue cycle of the last
+    /// column access).
     fn compute_row_set(
         &mut self,
         mapping: &MatrixMapping,
@@ -1181,21 +1056,6 @@ impl NewtonChannel {
         let reads = rs.read_after.len() as Cycle * t.t_cmd + self.config.adder_tree_latency;
         gwrite + act + comp + reads + t.t_rtp + t.t_rp + 4 * t.t_cmd
     }
-}
-
-/// The `(bank, dram_row)` activations of `rs` in hardware bank cluster
-/// `cluster`: banks `4c..4c + 4` share one G_ACT.
-fn cluster_pairs(rs: &RowSet, cluster: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-    rs.work
-        .iter()
-        .filter(move |w| w.bank / 4 == cluster)
-        .map(|w| (w.bank, rs.dram_row))
-}
-
-/// Bank clusters `rs` may touch (some can be empty under a bank map that
-/// routes around retired banks).
-fn cluster_count(rs: &RowSet) -> usize {
-    rs.work.iter().map(|w| w.bank).max().unwrap_or(0) / 4 + 1
 }
 
 /// The functional half of one COMP under the selected mode. `data` is the
@@ -1631,7 +1491,7 @@ mod tests {
     }
 
     #[test]
-    fn single_use_plan_counts_the_miss_but_keeps_nothing() {
+    fn single_use_plan_drains_the_same_but_keeps_nothing() {
         let cfg = cfg1(OptLevel::Full);
         let matrix: Vec<Bf16> = (0..32 * 512).map(|k| bf((k % 9) as f32 / 4.0)).collect();
         let vector = vec![bf(0.5); 512];
@@ -1648,14 +1508,13 @@ mod tests {
             ch.run_mv(plan.map(), plan.schedule(), &vector, false)
                 .unwrap();
             let hits = ch.weight_cache().hit_count();
-            (run, plan.is_compiled(), hits, decodes)
+            (run, hits, decodes)
         };
-        let (resident, compiled, hits, decodes) = run(Residency::Resident);
-        assert!(compiled && hits == 32 && decodes == 32);
-        let (single, compiled, hits, decodes) = run(Residency::SingleUse);
-        assert!(!compiled && hits == 0 && decodes == 32);
+        let (resident, hits, decodes) = run(Residency::Resident);
+        assert!(hits == 32 && decodes == 32);
+        let (single, hits, decodes) = run(Residency::SingleUse);
+        assert!(hits == 0 && decodes == 32);
         assert_eq!(single.stats, resident.stats);
-        assert_eq!(single.stats.schedule_misses, 1);
         assert_eq!(single.outputs, resident.outputs);
         assert_eq!(single.end_cycle, resident.end_cycle);
     }

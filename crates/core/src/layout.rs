@@ -72,12 +72,14 @@ impl MatrixMapping {
     /// Creates a mapping over an explicit set of physical banks: logical
     /// bank `l` lives in physical bank `bank_map[l]`. This is the
     /// degraded-mode constructor — after retiring a bank, the system
-    /// rebuilds the mapping over the survivors.
+    /// rebuilds the mapping over the survivors. The map is strictly
+    /// ascending, so every row-set's banks are in ascending order and
+    /// each 4-bank activation cluster is one contiguous run of them.
     ///
     /// # Errors
     ///
-    /// [`AimError::Shape`] for zero dimensions, an empty bank map, or
-    /// duplicate physical banks.
+    /// [`AimError::Shape`] for zero dimensions, an empty bank map, or a
+    /// bank map that is not strictly ascending.
     pub fn with_bank_map(
         layout: Layout,
         m: usize,
@@ -98,12 +100,10 @@ impl MatrixMapping {
                 detail: format!("banks={}, row_elems={row_elems}", bank_map.len()),
             });
         }
-        let mut seen = bank_map.clone();
-        seen.sort_unstable();
-        if seen.windows(2).any(|w| w[0] == w[1]) {
+        if bank_map.windows(2).any(|w| w[0] >= w[1]) {
             return Err(AimError::Shape {
                 what: "bank map",
-                detail: format!("duplicate physical bank in {bank_map:?}"),
+                detail: format!("physical banks not strictly ascending in {bank_map:?}"),
             });
         }
         Ok(MatrixMapping {
@@ -527,9 +527,10 @@ mod tests {
         assert_eq!(map.extract(&ch).unwrap(), matrix);
         assert!(ch.storage().row(3, 0).unwrap().iter().all(|&b| b == 0));
         // Degenerate maps rejected.
-        let dup =
-            MatrixMapping::with_bank_map(Layout::ChunkInterleaved, 4, 512, vec![0, 1, 1], 512, 0);
-        assert!(dup.is_err());
+        for bad in [vec![0, 1, 1], vec![0, 2, 1]] {
+            let map = MatrixMapping::with_bank_map(Layout::ChunkInterleaved, 4, 512, bad, 512, 0);
+            assert!(map.is_err());
+        }
         let empty = MatrixMapping::with_bank_map(Layout::ChunkInterleaved, 4, 512, vec![], 512, 0);
         assert!(empty.is_err());
     }

@@ -27,8 +27,8 @@
 //! * [`parallel`]: the deterministic host-thread execution layer —
 //!   [`ParallelPolicy`](parallel::ParallelPolicy), the `NEWTON_THREADS`
 //!   override, and index-ordered scoped-thread map helpers.
-//! * [`replay`]: the compiled-schedule replay cache — plan once per
-//!   resident matrix, replay the captured command train on later runs.
+//! * [`plan`]: one channel's share of a loaded matrix — its mapping and
+//!   tiled schedule, built once per resident matrix.
 //! * [`system`]: multi-channel execution, layer and end-to-end model runs,
 //!   host-side reduction/activation/batch-norm.
 //! * [`export`]: Chrome trace-event (Perfetto) export of command traces.
@@ -68,7 +68,7 @@ pub mod export;
 pub mod layout;
 pub mod lut;
 pub mod parallel;
-pub mod replay;
+pub mod plan;
 pub mod system;
 pub mod tiling;
 pub mod timeline;

@@ -25,7 +25,7 @@ use crate::error::AimError;
 use crate::layout::MatrixMapping;
 use crate::lut::ActivationKind;
 use crate::parallel;
-use crate::replay::ChannelPlan;
+use crate::plan::ChannelPlan;
 use crate::tiling::ScheduleKind;
 
 /// One matrix–vector problem for [`NewtonSystem::run_model`].
@@ -93,9 +93,8 @@ impl SystemRun {
 /// reloading (run it with [`NewtonSystem::run_resident`]).
 ///
 /// The handle carries one [`ChannelPlan`] per channel: the bank mapping
-/// and tiled schedule, built once here rather than once per run, plus
-/// the compiled-schedule replay cache that later runs hit. Clones share
-/// the plans (and the cache) through an [`Arc`].
+/// and tiled schedule, built once here rather than once per run. Clones
+/// share the plans through an [`Arc`].
 #[derive(Debug, Clone)]
 pub struct LoadedMatrix {
     plans: Arc<Vec<Option<ChannelPlan>>>,
@@ -120,17 +119,6 @@ impl LoadedMatrix {
     #[must_use]
     pub fn plans(&self) -> &[Option<ChannelPlan>] {
         &self.plans
-    }
-
-    /// Channels whose compiled command train is currently captured
-    /// (observability for benches and tests).
-    #[must_use]
-    pub fn compiled_channels(&self) -> usize {
-        self.plans
-            .iter()
-            .flatten()
-            .filter(|p| p.is_compiled())
-            .count()
     }
 }
 
@@ -419,7 +407,7 @@ impl NewtonSystem {
     /// run path goes through plans; none rebuilds the schedule per run).
     /// The caller knows whether it will run the plans more than once, and
     /// says so with `residency`.
-    fn compile_plans(
+    fn build_plans(
         &self,
         mappings: Vec<Option<MatrixMapping>>,
         residency: Residency,
@@ -567,7 +555,7 @@ impl NewtonSystem {
     ) -> Result<LoadedMatrix, AimError> {
         let (mappings, _) = self.load_matrix_at(matrix, m, n, 0)?;
         Ok(LoadedMatrix {
-            plans: Arc::new(self.compile_plans(mappings, Residency::Resident)),
+            plans: Arc::new(self.build_plans(mappings, Residency::Resident)),
             m,
             n,
         })
@@ -581,7 +569,7 @@ impl NewtonSystem {
     /// explicit `WR_SBK` instructions and then needs the same
     /// [`LoadedMatrix`] handle the API path would have produced; because
     /// this goes through the identical `channel_mapping` +
-    /// `compile_plans` pipeline, a subsequent
+    /// `build_plans` pipeline, a subsequent
     /// [`NewtonSystem::run_resident`] is byte-identical to the API-driven
     /// [`NewtonSystem::run_mv`] whenever the deposited bytes match.
     ///
@@ -596,7 +584,7 @@ impl NewtonSystem {
             mappings.push(self.channel_mapping(ch, m, n, 0)?);
         }
         Ok(LoadedMatrix {
-            plans: Arc::new(self.compile_plans(mappings, Residency::Resident)),
+            plans: Arc::new(self.build_plans(mappings, Residency::Resident)),
             m,
             n,
         })
@@ -640,8 +628,8 @@ impl NewtonSystem {
     ) -> Result<SystemRun, AimError> {
         let (mappings, _) = self.load_matrix_at(matrix, m, n, 0)?;
         // The plans die with this call and the next call rewrites the
-        // weights: nothing decoded or compiled here is worth keeping.
-        let plans = self.compile_plans(mappings, Residency::SingleUse);
+        // weights: nothing decoded here is worth keeping.
+        let plans = self.build_plans(mappings, Residency::SingleUse);
         self.run_loaded(&plans, m, vector, false)
     }
 
@@ -803,20 +791,14 @@ impl NewtonSystem {
         // Every (channel, bank) pair fails at most twice (scrub, then
         // retire), so this bound is unreachable without a logic error.
         let max_attempts = (1 + 2 * self.config.channels * banks) as u64;
-        // The happy path runs straight off the handle's shared plans (and
-        // their replay cache); only a recovery re-plan allocates.
+        // The happy path runs straight off the handle's shared plans; only
+        // a recovery re-plan allocates.
         let mut replans: Option<Vec<Option<ChannelPlan>>> = None;
-        let mut recovery_invalidations = 0u64;
         loop {
             report.attempts += 1;
             let plans = replans.as_deref().unwrap_or(&loaded.plans);
             match self.run_loaded(plans, m, vector, false) {
-                Ok(mut run) => {
-                    // Compiled entries dropped by recovery re-plans below
-                    // would otherwise go unreported: the aborted attempt's
-                    // stats died with its error and the replaced plans
-                    // never run again.
-                    run.stats.schedule_invalidations += recovery_invalidations;
+                Ok(run) => {
                     report.capacity_fraction = self.capacity_fraction();
                     return Ok((run, report));
                 }
@@ -824,13 +806,6 @@ impl NewtonSystem {
                     if report.attempts >= max_attempts {
                         return Err(err);
                     }
-                    // The re-plan below retires this attempt's plans; any
-                    // compiled (or tombstoned) entries on them are dead.
-                    recovery_invalidations += plans
-                        .iter()
-                        .flatten()
-                        .map(ChannelPlan::purge_for_replan)
-                        .sum::<u64>();
                     // Quiesce all channels: the failing one aborted
                     // mid-row-set with banks open.
                     self.recover_all()?;
@@ -849,11 +824,9 @@ impl NewtonSystem {
                     // current (possibly reduced) bank mapping and re-plan.
                     // Rewriting re-encodes every check word, clearing
                     // transient faults; stuck cells reassert and fail
-                    // again. The rewrite also moves the storage data
-                    // epoch, so any stale compiled entries on the old
-                    // plans can never replay.
+                    // again.
                     let mappings = self.load_matrix_at(matrix, m, n, 0)?.0;
-                    replans = Some(self.compile_plans(mappings, Residency::Resident));
+                    replans = Some(self.build_plans(mappings, Residency::Resident));
                 }
                 Err(e) => return Err(e),
             }
@@ -887,9 +860,8 @@ impl NewtonSystem {
             });
         }
         let (mappings, _) = self.load_matrix_at(matrix, m, n, 0)?;
-        // One plan (and one Schedule::build) for the whole batch: item 0
-        // captures and items 1.. replay.
-        let plans = self.compile_plans(mappings, Residency::Resident);
+        // One plan (and one Schedule::build) for the whole batch.
+        let plans = self.build_plans(mappings, Residency::Resident);
         vectors
             .iter()
             .map(|v| self.run_loaded(&plans, m, v, false))
@@ -998,7 +970,7 @@ impl NewtonSystem {
         for layer in layers {
             let (mappings, rows) = self.load_matrix_at(layer.matrix, layer.m, layer.n, base_row)?;
             base_row += rows;
-            all_plans.push(self.compile_plans(mappings, Residency::SingleUse));
+            all_plans.push(self.build_plans(mappings, Residency::SingleUse));
         }
 
         let start = self
@@ -1613,64 +1585,11 @@ mod tests {
         assert_eq!(plain.host_phases().total_nanos(), 0);
     }
 
-    /// Byte-identity with the oracle is `tests/oracle_vs_production.rs`'s
-    /// job; these three check the cache's own counters.
+    /// Which rows a run may skip scrubbing is a fact the storage keeps;
+    /// byte-identity with the oracle is `tests/oracle_vs_production.rs`'s
+    /// job.
     #[test]
-    fn replay_counts_hits_and_the_reference_engine_never_captures() {
-        let (m, n) = (48, 700);
-        let matrix: Vec<Bf16> = (0..m * n)
-            .map(|k| bf(((k % 19) as f32 - 9.0) / 8.0))
-            .collect();
-        let vectors: Vec<Vec<Bf16>> = (0..4)
-            .map(|t| {
-                (0..n)
-                    .map(|k| bf((((k + t) % 7) as f32 - 3.0) / 2.0))
-                    .collect()
-            })
-            .collect();
-        let mut cfg = small_cfg(3);
-        cfg.ecc = true;
-
-        let run_all = |engine: newton_dram::TimingEngine| {
-            let mut sys = NewtonSystem::new(NewtonConfig {
-                engine,
-                ..cfg.clone()
-            })
-            .unwrap();
-            let loaded = sys.load_matrix(&matrix, m, n).unwrap();
-            let runs: Vec<SystemRun> = vectors
-                .iter()
-                .map(|v| sys.run_resident(&loaded, v).unwrap())
-                .collect();
-            (runs, loaded)
-        };
-        let (live, live_loaded) = run_all(newton_dram::TimingEngine::Reference);
-        let (replayed, loaded) = run_all(newton_dram::TimingEngine::EventSkipping);
-
-        // The oracle never replays and never captures: every run is a
-        // bypass, counted as a miss.
-        assert_eq!(live_loaded.compiled_channels(), 0);
-        for r in &live {
-            assert_eq!(r.stats.schedule_hits, 0);
-            assert_eq!(r.stats.replayed_commands, 0);
-            assert_eq!(r.stats.schedule_misses, 3);
-            assert_eq!(r.stats.schedule_invalidations, 0);
-        }
-
-        // Production: run 0 misses and captures on every active channel;
-        // runs 1.. replay the captured trains.
-        assert_eq!(loaded.compiled_channels(), 3);
-        assert_eq!(replayed[0].stats.schedule_misses, 3);
-        assert_eq!(replayed[0].stats.schedule_hits, 0);
-        for r in &replayed[1..] {
-            assert_eq!(r.stats.schedule_hits, 3);
-            assert_eq!(r.stats.schedule_misses, 0);
-            assert!(r.stats.replayed_commands > 0);
-        }
-    }
-
-    #[test]
-    fn replay_invalidates_on_weight_writes_and_bypasses_on_the_reference_engine() {
+    fn clean_runs_verify_the_matrix_rows_and_writes_unverify_theirs() {
         let (m, n) = (32, 512);
         let matrix: Vec<Bf16> = (0..m * n)
             .map(|k| bf(((k % 13) as f32 - 6.0) / 4.0))
@@ -1680,106 +1599,47 @@ mod tests {
         cfg.ecc = true;
         let mut sys = NewtonSystem::new(cfg).unwrap();
         let loaded = sys.load_matrix(&matrix, m, n).unwrap();
-        assert_eq!(
-            sys.run_resident(&loaded, &vector)
-                .unwrap()
-                .stats
-                .schedule_misses,
-            2
-        );
-        assert_eq!(
-            sys.run_resident(&loaded, &vector)
-                .unwrap()
-                .stats
-                .schedule_hits,
-            2
-        );
+        let verified = |sys: &NewtonSystem, ch: usize| {
+            let storage = sys.channels()[ch].channel().storage();
+            let rows = storage.allocated_row_indices();
+            rows.iter()
+                .filter(|&&(b, r)| storage.row_verified(b, r))
+                .count()
+        };
+        assert_eq!((verified(&sys, 0), verified(&sys, 1)), (0, 0), "loading");
+        let clean = sys.run_resident(&loaded, &vector).unwrap();
+        assert_eq!(clean.stats.ecc_corrected, 0);
+        assert_eq!((verified(&sys, 0), verified(&sys, 1)), (16, 16));
 
-        // A weight-epoch move (fault injection) on channel 0 drops only
-        // that channel's entry; the live fallback corrects through ECC.
-        sys.channels_mut()[0]
-            .channel_mut()
-            .storage_mut()
-            .flip_bit(1, 0, 7)
-            .unwrap();
+        // A flip unverifies its row only; the next run corrects it, and the
+        // one after that verifies it again.
+        let storage = sys.channels_mut()[0].channel_mut().storage_mut();
+        storage.flip_bit(1, 0, 7).unwrap();
+        assert!(!storage.row_verified(1, 0));
+        assert_eq!((verified(&sys, 0), verified(&sys, 1)), (15, 16));
         let run = sys.run_resident(&loaded, &vector).unwrap();
-        assert_eq!(run.stats.schedule_invalidations, 1);
-        assert_eq!(run.stats.schedule_misses, 1);
-        assert_eq!(run.stats.schedule_hits, 1);
-        assert_eq!(run.stats.ecc_corrected, 1, "fallback drain sees the fault");
-
-        // The corrected-but-dirty drain must not have recaptured; the
-        // next clean drain does, and service returns to full hits.
+        assert_eq!(run.stats.ecc_corrected, 1, "the flipped row is scrubbed");
+        assert_eq!(run.output, clean.output);
+        assert!(!sys.channels()[0].channel().storage().row_verified(1, 0));
         let run = sys.run_resident(&loaded, &vector).unwrap();
-        assert_eq!(run.stats.schedule_misses, 1, "re-capture drain");
-        assert_eq!(
-            sys.run_resident(&loaded, &vector)
-                .unwrap()
-                .stats
-                .schedule_hits,
-            2
-        );
+        assert_eq!((run.stats.ecc_corrected, verified(&sys, 0)), (0, 16));
 
-        // A flip to the reference engine is a bypass, not an
-        // invalidation: the oracle drains cold and the entries survive.
+        // The oracle engine scrubs every row and keeps them verified; a
+        // host write unverifies the row it lands in, not the matrix's.
         sys.set_timing_engine(newton_dram::TimingEngine::Reference);
         let run = sys.run_resident(&loaded, &vector).unwrap();
-        assert_eq!(run.stats.schedule_hits, 0);
-        assert_eq!(run.stats.replayed_commands, 0);
-        assert_eq!(run.stats.schedule_misses, 2);
-        assert_eq!(run.stats.schedule_invalidations, 0);
-        assert_eq!(loaded.compiled_channels(), 2);
-
-        // Flipping back hits at once.
+        assert_eq!((run.output, verified(&sys, 0)), (clean.output.clone(), 16));
         sys.set_timing_engine(newton_dram::TimingEngine::EventSkipping);
-        let run = sys.run_resident(&loaded, &vector).unwrap();
-        assert_eq!(run.stats.schedule_hits, 2);
-        assert_eq!(run.stats.schedule_invalidations, 0);
-    }
-
-    #[test]
-    fn replay_stays_armed_under_observers_and_bypasses_for_host_traffic() {
-        let (m, n) = (32, 512);
-        let matrix = vec![bf(0.5); m * n];
-        let vector = vec![bf(1.0); n];
-        let mut sys = NewtonSystem::new(small_cfg(1)).unwrap();
-        let loaded = sys.load_matrix(&matrix, m, n).unwrap();
-        assert_eq!(
-            sys.run_resident(&loaded, &vector)
-                .unwrap()
-                .stats
-                .schedule_misses,
-            1
-        );
-        assert_eq!(
-            sys.run_resident(&loaded, &vector)
-                .unwrap()
-                .stats
-                .schedule_hits,
-            1
-        );
-
-        // Queued host traffic must see the live drain (it interleaves at
-        // row-set boundaries replay does not re-scan for it).
-        let request = crate::controller::HostRequest {
+        sys.channels_mut()[0].enqueue_host_request(crate::controller::HostRequest {
             bank: 3,
             row: 4000,
             col: 0,
-            write: None,
-        };
-        sys.channels_mut()[0].enqueue_host_request(request);
+            write: Some(vec![0x5A; 32]),
+        });
         let run = sys.run_resident(&loaded, &vector).unwrap();
-        assert_eq!(run.stats.schedule_hits, 0);
-        assert_eq!(run.stats.schedule_misses, 1, "host traffic bypasses replay");
-        assert_eq!(sys.channels_mut()[0].take_host_responses().len(), 1);
-        assert!(run.output.iter().all(|&v| v == 256.0));
-
-        // A command trace does not: the traced run is a hit, and it
-        // records.
-        sys.channels_mut()[0].enable_trace();
-        let run = sys.run_resident(&loaded, &vector).unwrap();
-        assert_eq!(run.stats.schedule_hits, 1, "a trace does not disarm replay");
-        assert!(sys.channels()[0].trace().count(|_| true) > 0);
+        assert_eq!(run.output, clean.output);
+        let storage = sys.channels()[0].channel().storage();
+        assert!(!storage.row_verified(3, 4000) && storage.row_verified(3, 0));
     }
 
     #[test]

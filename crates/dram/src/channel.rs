@@ -248,14 +248,6 @@ impl Channel {
         &self.ecc
     }
 
-    /// The storage data-mutation epoch (see [`Storage::write_epoch`]) —
-    /// the compiled-schedule replay cache's "weights untouched since
-    /// capture" witness.
-    #[must_use]
-    pub fn write_epoch(&self) -> u64 {
-        self.storage.write_epoch()
-    }
-
     /// Scrubs an entire row against its SECDED check bytes on activation
     /// (the row-buffer fill is where a real on-die ECC engine sees the
     /// whole row). No-op while ECC is off.
@@ -590,11 +582,10 @@ impl Channel {
     }
 
     /// [`Channel::issue_ganged_activate`] without the row-buffer-fill ECC
-    /// scrub — the replay-path variant. Only legal when the caller can
-    /// prove the activated rows are clean (no mutation since a
-    /// correction-free drain, witnessed by [`Channel::write_epoch`]): a
-    /// clean scrub is observable-state-free, so skipping it is
-    /// byte-identical while avoiding the per-row syndrome sweep.
+    /// scrub. Only legal when every activated row is verified
+    /// ([`Storage::row_verified`]): a scrub of a verified row finds
+    /// nothing and changes nothing, so skipping it is byte-identical
+    /// while avoiding the per-row syndrome sweep.
     ///
     /// # Errors
     ///
@@ -915,9 +906,10 @@ impl Channel {
     /// The one condition that expands the train into single-command
     /// calls is ECC on without `rows_clean`: there the per-column checks
     /// do real work and can fail at a particular command. `rows_clean`
-    /// is the caller's proof that the open rows have not been mutated
-    /// since a correction-free drain ([`Channel::write_epoch`]
-    /// unchanged), under which every such check would be a no-op `Ok(0)`.
+    /// is the caller's proof that the open rows hold no error — their
+    /// activation scrub (or the verified flags that let it be skipped)
+    /// found nothing, and nothing has written them since — under which
+    /// every such check would be a no-op `Ok(0)`.
     ///
     /// # Errors
     ///
@@ -1534,7 +1526,7 @@ mod tests {
         bank_gates: Vec<(Cycle, Cycle, Cycle)>,
         audit: Option<Vec<AuditEvent>>,
         sink: Vec<TraceEvent>,
-        write_epoch: u64,
+        verified: Vec<bool>,
     }
 
     fn train_surface(
@@ -1548,7 +1540,10 @@ mod tests {
             bank_gates: TRAIN_BANKS.iter().map(|&b| ch.bank_gates(b)).collect(),
             audit: ch.audit().map(|a| a.events().collect()),
             sink: handle.events(),
-            write_epoch: ch.write_epoch(),
+            verified: TRAIN_BANKS
+                .iter()
+                .map(|&b| ch.storage().row_verified(b, 3))
+                .collect(),
         }
     }
 
@@ -1681,13 +1676,16 @@ mod tests {
     }
 
     #[test]
-    fn prescrubbed_activate_matches_scrubbing_activate_on_clean_rows() {
+    fn prescrubbed_activate_matches_scrubbing_activate_on_verified_rows() {
         let mk = || {
             let mut ch = Channel::new(DramConfig::hbm2e_like()).unwrap();
             ch.storage_mut().enable_ecc();
             ch.enable_telemetry(64);
-            ch.storage_mut().write_row(0, 5, &vec![9u8; 1024]).unwrap();
-            ch.storage_mut().write_row(1, 5, &vec![8u8; 1024]).unwrap();
+            for bank in [0, 1] {
+                let storage = ch.storage_mut();
+                storage.write_row(bank, 5, &vec![9u8; 1024]).unwrap();
+                assert_eq!(storage.scrub_row(bank, 5), Ok(0));
+            }
             ch
         };
         let mut scrubbed = mk();
@@ -1699,11 +1697,9 @@ mod tests {
             .issue_ganged_activate_prescrubbed(0, &[(0, 5), (1, 5)])
             .unwrap();
         assert_eq!(scrubbed.summary(100), pristine.summary(100));
-        assert_eq!(scrubbed.write_epoch(), pristine.write_epoch());
-        assert_eq!(
-            scrubbed.storage().row(0, 5).unwrap(),
-            pristine.storage().row(0, 5).unwrap()
-        );
+        for ch in [&scrubbed, &pristine] {
+            assert!(ch.storage().row_verified(0, 5) && ch.storage().row_verified(1, 5));
+        }
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! *not* — they are the fault primitives whose damage the scrub paths
 //! ([`scrub_row`](Storage::scrub_row),
 //! [`check_column`](Storage::check_column)) must catch.
+//!
+//! A row also carries a *verified* flag ([`row_verified`](Storage::row_verified)):
+//! a full-row scrub that corrects nothing sets it, and every change to a
+//! stored byte or a check byte clears it. While it is set, a scrub of
+//! the row would find nothing, so a caller may skip one.
 
 use std::collections::BTreeMap;
 
@@ -27,6 +32,10 @@ use crate::error::DramError;
 struct RowSlot {
     data: Box<[u8]>,
     generation: u64,
+    /// The last full-row scrub corrected nothing and no stored or check
+    /// byte changed since. Kept beside `generation`, which the COMP after
+    /// the activation that reads this flag reads from the same slot.
+    verified: bool,
     /// SECDED check bytes, one per 64-bit word; present iff ECC is on.
     check: Option<Box<[u8]>>,
 }
@@ -59,12 +68,6 @@ pub struct Storage {
     /// Monotonic counter handing out fresh generations across all rows, so
     /// a row rewritten after a cache snapshot never reuses an old value.
     next_generation: u64,
-    /// Monotonic counter of *data mutations* (writes, fault injections,
-    /// scrub corrections). Unlike `next_generation` — which reserves a
-    /// value on every ECC scrub, even a clean one — this only moves when
-    /// stored bytes actually change, so compiled-schedule replay can use
-    /// it as a whole-channel "weights untouched since capture" witness.
-    data_epoch: u64,
     /// Whether rows carry SECDED check bytes.
     ecc: bool,
     /// Persistent stuck-at cells, re-asserted after every legitimate write
@@ -85,7 +88,6 @@ impl Storage {
             cols_per_row: config.cols_per_row,
             zero_row: vec![0u8; config.row_bytes()].into_boxed_slice(),
             next_generation: 0,
-            data_epoch: 0,
             ecc: false,
             stuck: BTreeMap::new(),
         }
@@ -129,17 +131,7 @@ impl Storage {
 
     fn bump_generation(&mut self) -> u64 {
         self.next_generation += 1;
-        self.data_epoch += 1;
         self.next_generation
-    }
-
-    /// Current data-mutation epoch: bumped by every legitimate write,
-    /// fault injection, and ECC scrub *correction* — but **not** by clean
-    /// scrubs or reads. Two observations of the same value prove no stored
-    /// byte in this channel changed in between.
-    #[must_use]
-    pub fn write_epoch(&self) -> u64 {
-        self.data_epoch
     }
 
     fn check_bank_row(&self, bank: usize, row: usize) -> Result<(), DramError> {
@@ -194,6 +186,20 @@ impl Storage {
         Ok(self.slot(bank, row).map_or(0, |slot| slot.generation))
     }
 
+    /// Whether a scrub of `(bank, row)` is known to find nothing: ECC is
+    /// on, and either the row was never written (all zeros is a valid
+    /// codeword) or its last full-row [`scrub_row`](Storage::scrub_row)
+    /// corrected nothing and no stored or check byte of it changed since.
+    /// `false` with ECC off and for out-of-range indices.
+    #[inline]
+    #[must_use]
+    pub fn row_verified(&self, bank: usize, row: usize) -> bool {
+        self.ecc
+            && bank < self.banks.len()
+            && row < self.rows_per_bank
+            && self.slot(bank, row).is_none_or(|slot| slot.verified)
+    }
+
     /// Overwrites an entire row. With ECC on, the row is re-encoded;
     /// stuck-at cells then re-assert themselves (a rewrite cannot heal
     /// them, and their damage stays visible to the check bytes).
@@ -221,6 +227,7 @@ impl Storage {
             // the whole matrix; it should not also free and reallocate it).
             Some(slot) => {
                 slot.generation = generation;
+                slot.verified = false;
                 slot.data.copy_from_slice(data);
                 if let Some(check) = &mut slot.check {
                     for (w, c) in check.iter_mut().enumerate() {
@@ -232,6 +239,7 @@ impl Storage {
                 *empty = Some(RowSlot {
                     data: data.into(),
                     generation,
+                    verified: false,
                     check: ecc.then(|| encode_checks(data)),
                 });
             }
@@ -287,11 +295,9 @@ impl Storage {
                 actual: data.len(),
             });
         }
-        let generation = self.bump_generation();
         let start = col * self.col_bytes;
         let end = start + self.col_bytes;
-        let slot = self.slot_mut(bank, row, generation);
-        slot.generation = generation;
+        let slot = self.slot_mut(bank, row);
         slot.data[start..end].copy_from_slice(data);
         if let Some(check) = &mut slot.check {
             for w in start / WORD_BYTES..end / WORD_BYTES {
@@ -325,9 +331,7 @@ impl Storage {
                 limit: self.row_bytes * 8,
             });
         }
-        let generation = self.bump_generation();
-        let slot = self.slot_mut(bank, row, generation);
-        slot.generation = generation;
+        let slot = self.slot_mut(bank, row);
         slot.data[bit / 8] ^= 1 << (bit % 8);
         Ok(())
     }
@@ -361,9 +365,7 @@ impl Storage {
             Some(c) => c.value = value,
             None => cells.push(StuckBit { bit, value }),
         }
-        let generation = self.bump_generation();
-        let slot = self.slot_mut(bank, row, generation);
-        slot.generation = generation;
+        let slot = self.slot_mut(bank, row);
         set_bit(&mut slot.data, bit, value);
         Ok(())
     }
@@ -377,7 +379,9 @@ impl Storage {
     /// Checks and corrects an entire row against its check bytes (the
     /// row-buffer-fill scrub performed on activation). Returns the number
     /// of corrected single-bit errors; corrections that change data bits
-    /// bump the row generation so derived caches re-decode.
+    /// bump the row generation so derived caches re-decode. A scrub that
+    /// corrects nothing marks the row verified; one that corrects anything
+    /// leaves it unverified until the next clean scrub.
     ///
     /// No-op (`Ok(0)`) when ECC is off or the row was never allocated (an
     /// all-zero row is a valid codeword).
@@ -389,12 +393,13 @@ impl Storage {
     /// multi-bit error.
     pub fn scrub_row(&mut self, bank: usize, row: usize) -> Result<u32, DramError> {
         let words = self.row_bytes / WORD_BYTES;
-        self.scrub_words(bank, row, 0, words)
+        self.scrub_words(bank, row, 0..words, true)
     }
 
     /// Checks and corrects the words backing one column (the per-fetch
     /// check on reads and COMP operand fetches). Semantics match
-    /// [`scrub_row`](Storage::scrub_row) restricted to the column.
+    /// [`scrub_row`](Storage::scrub_row) restricted to the column, except
+    /// that a clean check never marks the row verified.
     ///
     /// # Errors
     ///
@@ -410,24 +415,20 @@ impl Storage {
         }
         let start = col * self.col_bytes / WORD_BYTES;
         let end = (col + 1) * self.col_bytes / WORD_BYTES;
-        self.scrub_words(bank, row, start, end)
+        self.scrub_words(bank, row, start..end, false)
     }
 
     fn scrub_words(
         &mut self,
         bank: usize,
         row: usize,
-        word_start: usize,
-        word_end: usize,
+        words: std::ops::Range<usize>,
+        full_row: bool,
     ) -> Result<u32, DramError> {
         self.check_bank_row(bank, row)?;
         if !self.ecc {
             return Ok(0);
         }
-        // Reserve a generation up front (disjoint-field borrow of the slot
-        // below); unused reservations just leave a gap in the sequence.
-        self.next_generation += 1;
-        let generation = self.next_generation;
         let Some(slot) = self.banks[bank].get_mut(row).and_then(Option::as_mut) else {
             return Ok(0);
         };
@@ -437,7 +438,7 @@ impl Storage {
             .expect("ECC-enabled rows always carry check bytes");
         let mut corrected = 0u32;
         let mut data_fixed = false;
-        for w in word_start..word_end {
+        for w in words {
             let word = word_at(&slot.data, w);
             match ecc::decode(word, check[w]) {
                 Secded::Clean => {}
@@ -457,10 +458,13 @@ impl Storage {
             }
         }
         if data_fixed {
-            slot.generation = generation;
+            self.next_generation += 1;
+            slot.generation = self.next_generation;
         }
         if corrected > 0 {
-            self.data_epoch += 1;
+            slot.verified = false;
+        } else if full_row {
+            slot.verified = true;
         }
         Ok(corrected)
     }
@@ -489,19 +493,26 @@ impl Storage {
         out
     }
 
-    /// The row slot, materialized with zeros (a valid codeword: ECC check
-    /// bytes of a zero word are zero) if it was never written.
-    fn slot_mut(&mut self, bank: usize, row: usize, generation: u64) -> &mut RowSlot {
+    /// The row slot a mutation is about to change: materialized with
+    /// zeros (a valid codeword: ECC check bytes of a zero word are zero)
+    /// if it was never written, given a fresh generation and marked
+    /// unverified.
+    fn slot_mut(&mut self, bank: usize, row: usize) -> &mut RowSlot {
+        let generation = self.bump_generation();
         let row_bytes = self.row_bytes;
         let ecc = self.ecc;
         if self.banks[bank].len() <= row {
             self.banks[bank].resize_with(row + 1, || None);
         }
-        self.banks[bank][row].get_or_insert_with(|| RowSlot {
+        let slot = self.banks[bank][row].get_or_insert_with(|| RowSlot {
             data: vec![0u8; row_bytes].into_boxed_slice(),
             generation,
+            verified: false,
             check: ecc.then(|| vec![0u8; row_bytes / WORD_BYTES].into_boxed_slice()),
-        })
+        });
+        slot.generation = generation;
+        slot.verified = false;
+        slot
     }
 
     /// Forces every stuck cell of `(bank, row)` whose bit lies in byte
@@ -657,40 +668,53 @@ mod tests {
     }
 
     #[test]
-    fn write_epoch_moves_only_on_data_mutations() {
+    fn a_row_is_verified_only_by_a_clean_full_row_scrub() {
         let mut s = storage();
-        s.enable_ecc();
-        let e0 = s.write_epoch();
-        // Reads and clean scrubs leave the epoch alone.
-        let _ = s.row(0, 1).unwrap();
-        assert_eq!(s.scrub_row(0, 1).unwrap(), 0);
-        assert_eq!(s.write_epoch(), e0);
-
+        // With ECC off no row is ever verified, scrubbed or not.
         s.write_row(0, 1, &vec![0x3Cu8; 1024]).unwrap();
-        let e1 = s.write_epoch();
-        assert!(e1 > e0, "write_row mutates");
-        // Clean scrub of an allocated row: reserves a generation but must
-        // not move the data epoch.
         assert_eq!(s.scrub_row(0, 1).unwrap(), 0);
+        assert!(!s.row_verified(0, 1) && !s.row_verified(0, 2));
+
+        s.enable_ecc();
+        // An unallocated row is a valid all-zero codeword.
+        assert!(s.row_verified(0, 2));
+        assert!(!s.row_verified(16, 0) && !s.row_verified(0, 32_768));
+        // Reads and clean column checks do not verify; a clean scrub does.
+        let _ = s.row(0, 1).unwrap();
         assert_eq!(s.check_column(0, 1, 0).unwrap(), 0);
-        assert_eq!(s.write_epoch(), e1);
-
-        s.flip_bit(0, 1, 9).unwrap();
-        let e2 = s.write_epoch();
-        assert!(e2 > e1, "fault injection mutates");
-        // The correcting scrub mutates too (it rewrites the faulty word).
-        assert_eq!(s.scrub_row(0, 1).unwrap(), 1);
-        let e3 = s.write_epoch();
-        assert!(e3 > e2, "scrub correction mutates");
-        // Once clean again, scrubs are epoch-stable.
+        assert!(!s.row_verified(0, 1));
         assert_eq!(s.scrub_row(0, 1).unwrap(), 0);
-        assert_eq!(s.write_epoch(), e3);
+        assert!(s.row_verified(0, 1));
 
-        s.write_column(0, 1, 2, &[0u8; 32]).unwrap();
-        assert!(s.write_epoch() > e3, "write_column mutates");
-        let e4 = s.write_epoch();
-        s.set_stuck(0, 1, 5, true).unwrap();
-        assert!(s.write_epoch() > e4, "stuck-cell declaration mutates");
+        // A correcting scrub leaves the row unverified; the next clean
+        // one verifies it.
+        s.flip_bit(0, 1, 9).unwrap();
+        assert!(!s.row_verified(0, 1), "fault injection clears");
+        assert_eq!(s.scrub_row(0, 1).unwrap(), 1);
+        assert!(!s.row_verified(0, 1), "a correcting scrub does not verify");
+        assert_eq!(s.scrub_row(0, 1).unwrap(), 0);
+        assert!(s.row_verified(0, 1));
+
+        // Every other mutator clears the flag, on an allocated row and on
+        // one it allocates.
+        type Mutator = fn(&mut Storage, usize) -> Result<(), DramError>;
+        let mutators: [Mutator; 4] = [
+            |s, row| s.write_row(0, row, &[0x11u8; 1024]),
+            |s, row| s.write_column(0, row, 2, &[0u8; 32]),
+            |s, row| s.flip_bit(0, row, 77),
+            |s, row| s.set_stuck(0, row, 5, true),
+        ];
+        for (i, mutate) in mutators.iter().enumerate() {
+            s.scrub_row(0, 1).unwrap();
+            s.scrub_row(0, 1).unwrap();
+            assert!(s.row_verified(0, 1));
+            mutate(&mut s, 1).unwrap();
+            assert!(!s.row_verified(0, 1), "mutator {i} on a written row");
+            let fresh = 10 + i;
+            assert!(s.row_verified(0, fresh));
+            mutate(&mut s, fresh).unwrap();
+            assert!(!s.row_verified(0, fresh), "mutator {i} on a fresh row");
+        }
     }
 
     #[test]
@@ -845,7 +869,6 @@ mod tests {
         s.set_stuck(4, 6, 8, false).unwrap();
         let at = s.row(4, 6).unwrap().as_ptr();
         let g1 = s.row_generation(4, 6).unwrap();
-        let e1 = s.write_epoch();
 
         s.write_row(4, 6, &[0x77u8; 1024]).unwrap();
         let row = s.row(4, 6).unwrap();
@@ -855,7 +878,6 @@ mod tests {
             s.row_generation(4, 6).unwrap() > g1,
             "generation strictly increases"
         );
-        assert!(s.write_epoch() > e1);
         // Checks were re-encoded over the new bytes, then the stuck cell
         // reasserted itself: exactly that one defect is visible to ECC.
         assert_eq!(s.scrub_row(4, 6).unwrap(), 1);

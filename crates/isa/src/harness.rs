@@ -135,10 +135,6 @@ pub fn conformance_snapshot(run: &SystemRun) -> MetricsSnapshot {
         .count("refreshes", s.refreshes)
         .count("ecc_corrected", s.ecc_corrected)
         .count("ecc_uncorrectable", s.ecc_uncorrectable)
-        .count("schedule_hits", s.schedule_hits)
-        .count("schedule_misses", s.schedule_misses)
-        .count("schedule_invalidations", s.schedule_invalidations)
-        .count("replayed_commands", s.replayed_commands)
         .count("channels", run.channel_summaries.len() as u64);
     snap
 }

@@ -91,30 +91,35 @@ impl Interp {
         }
     }
 
-    /// Builds the system on first use (CFR channel override applies).
+    /// The system, built on first use (CFR channel override applies).
     fn system(&mut self) -> Result<&mut NewtonSystem, IsaError> {
-        if self.system.is_none() {
-            let mut cfg = self.base.clone();
-            let declared = self.cfrs[cfr::CHANNELS];
-            if declared != 0 {
-                if declared > 64 {
-                    return Err(IsaError::Geometry(format!(
-                        "CFR CHANNELS = {declared} must be in 1..=64"
-                    )));
-                }
-                cfg.channels = declared as usize;
-            }
-            if cfg.dram.col_bytes() != GPR_BYTES {
+        let system = match self.system.take() {
+            Some(system) => system,
+            None => self.build_system()?,
+        };
+        Ok(self.system.get_or_insert(system))
+    }
+
+    fn build_system(&mut self) -> Result<NewtonSystem, IsaError> {
+        let mut cfg = self.base.clone();
+        let declared = self.cfrs[cfr::CHANNELS];
+        if declared != 0 {
+            if declared > 64 {
                 return Err(IsaError::Geometry(format!(
-                    "ISA frontend requires {GPR_BYTES}-byte column IO, config has {}",
-                    cfg.dram.col_bytes()
+                    "CFR CHANNELS = {declared} must be in 1..=64"
                 )));
             }
-            let system = NewtonSystem::new(cfg).map_err(IsaError::from)?;
-            self.cursors = system.channels().iter().map(|c| c.now()).collect();
-            self.system = Some(system);
+            cfg.channels = declared as usize;
         }
-        Ok(self.system.as_mut().expect("just built"))
+        if cfg.dram.col_bytes() != GPR_BYTES {
+            return Err(IsaError::Geometry(format!(
+                "ISA frontend requires {GPR_BYTES}-byte column IO, config has {}",
+                cfg.dram.col_bytes()
+            )));
+        }
+        let system = NewtonSystem::new(cfg).map_err(IsaError::from)?;
+        self.cursors = system.channels().iter().map(|c| c.now()).collect();
+        Ok(system)
     }
 
     fn channels_of(&mut self, mask: u64) -> Result<Vec<usize>, IsaError> {
@@ -175,12 +180,13 @@ impl Interp {
             return Ok(());
         }
         self.pending_hosts = false;
-        let system = self.system.as_mut().expect("pending implies system");
-        for ch in 0..system.config().channels {
-            let nc = &mut system.channels_mut()[ch];
-            nc.advance_to(self.cursors[ch]);
+        for ch in 0..self.system()?.config().channels {
+            let cursor = self.cursors[ch];
+            let nc = &mut self.system()?.channels_mut()[ch];
+            nc.advance_to(cursor);
             nc.service_host_requests()?;
-            for resp in nc.take_host_responses() {
+            let (responses, now) = (nc.take_host_responses(), nc.now());
+            for resp in responses {
                 self.host_ops += 1;
                 let kind = if resp.request.write.is_some() {
                     "WR"
@@ -200,13 +206,14 @@ impl Interp {
                 line.push('\n');
                 self.log.push_str(&line);
             }
-            self.cursors[ch] = self.cursors[ch].max(nc.now());
+            self.cursors[ch] = self.cursors[ch].max(now);
         }
         Ok(())
     }
 
-    fn gpr_elems(&self, gpr: usize) -> Vec<Bf16> {
-        slice::unpack(&self.gprs[gpr]).expect("GPR payload is 32 aligned bytes")
+    fn gpr_elems(&self, gpr: usize) -> [Bf16; GPR_ELEMS] {
+        let bytes = &self.gprs[gpr];
+        std::array::from_fn(|i| Bf16::from_le_bytes([bytes[2 * i], bytes[2 * i + 1]]))
     }
 
     fn log_readout(&mut self, op: &str, ch: usize, gpr: usize, values: &[Bf16]) {
@@ -286,8 +293,7 @@ impl Interp {
                 self.check_addr(*bank, Some(*row), Some(*col))?;
                 let data = self.gprs[*gpr];
                 for ch in self.channels_of(*channels)? {
-                    let system = self.system.as_mut().expect("built");
-                    system.channels_mut()[ch]
+                    self.system()?.channels_mut()[ch]
                         .channel_mut()
                         .storage_mut()
                         .write_column(*bank, *row, *col, &data)?;
@@ -304,8 +310,9 @@ impl Interp {
                 let data = self.gprs[*gpr];
                 let banks = self.system()?.config().dram.banks;
                 for ch in self.channels_of(*channels)? {
-                    let system = self.system.as_mut().expect("built");
-                    let storage = system.channels_mut()[ch].channel_mut().storage_mut();
+                    let storage = self.system()?.channels_mut()[ch]
+                        .channel_mut()
+                        .storage_mut();
                     for bank in 0..banks {
                         storage.write_column(bank, *row, *col, &data)?;
                     }
@@ -336,8 +343,7 @@ impl Interp {
                 self.staged[*offset * GPR_ELEMS..(*offset + 1) * GPR_ELEMS].copy_from_slice(&elems);
                 if *offset < subchunks {
                     for ch in self.channels_of(*channels)? {
-                        let system = self.system.as_mut().expect("built");
-                        system.channels_mut()[ch]
+                        self.system()?.channels_mut()[ch]
                             .device_mut()
                             .global_buffer_mut()
                             .write_subchunk(*offset, &elems)?;
@@ -349,8 +355,7 @@ impl Interp {
                 let banks = self.system()?.config().dram.banks;
                 let elems = self.gpr_elems(*gpr);
                 for ch in self.channels_of(*channels)? {
-                    let system = self.system.as_mut().expect("built");
-                    let device = system.channels_mut()[ch].device_mut();
+                    let device = self.system()?.channels_mut()[ch].device_mut();
                     for (bank, &bias) in elems.iter().take(banks).enumerate() {
                         device.preload_bias(bank, 0, bias);
                     }
@@ -426,15 +431,14 @@ impl Interp {
                 let mut first = true;
                 for ch in targets {
                     let cur = self.cursors[ch];
-                    let system = self.system.as_mut().expect("built");
-                    let nc = &mut system.channels_mut()[ch];
+                    let nc = &mut self.system()?.channels_mut()[ch];
                     let at = nc.channel().earliest_result_read(cur);
                     let end = nc.channel_mut().issue_result_read(at, banks * 2)?;
-                    self.cursors[ch] = end;
                     nc.advance_to(end);
                     let values: Vec<Bf16> = (0..banks)
                         .map(|b| nc.device().read_result(b, *latch, through_lut))
                         .collect();
+                    self.cursors[ch] = end;
                     if first {
                         let mut fixed = [0u8; GPR_BYTES];
                         slice::pack_into(&values[..GPR_ELEMS.min(values.len())], &mut fixed);
@@ -457,8 +461,7 @@ impl Interp {
                 let targets = self.channels_of(*channels)?;
                 let mut first = true;
                 for ch in targets {
-                    let system = self.system.as_mut().expect("built");
-                    let bytes = system.channels_mut()[ch]
+                    let bytes = self.system()?.channels()[ch]
                         .channel()
                         .storage()
                         .column(*bank, *row, *col)?
@@ -512,8 +515,7 @@ impl Interp {
                 self.check_addr(*bank, Some(*row), Some(*col))?;
                 let data = self.gprs[*gpr].to_vec();
                 for ch in self.channels_of(*channels)? {
-                    let system = self.system.as_mut().expect("built");
-                    system.channels_mut()[ch].enqueue_host_request(HostRequest {
+                    self.system()?.channels_mut()[ch].enqueue_host_request(HostRequest {
                         bank: *bank,
                         row: *row,
                         col: *col,
@@ -530,8 +532,7 @@ impl Interp {
             } => {
                 self.check_addr(*bank, Some(*row), Some(*col))?;
                 for ch in self.channels_of(*channels)? {
-                    let system = self.system.as_mut().expect("built");
-                    system.channels_mut()[ch].enqueue_host_request(HostRequest {
+                    self.system()?.channels_mut()[ch].enqueue_host_request(HostRequest {
                         bank: *bank,
                         row: *row,
                         col: *col,
@@ -585,10 +586,22 @@ impl Interp {
         reset_latch: bool,
     ) -> Result<(), IsaError> {
         let row_elems = self.system()?.config().row_elems();
-        let system = self.system.as_mut().expect("built");
+        // The `L` flag's broadcast: the chunk's staged vector slice, zero
+        // past its end.
+        let broadcast: Vec<[Bf16; GPR_ELEMS]> = if load_chunk && !self.staged.is_empty() {
+            (0..n_sub)
+                .map(|sub| {
+                    let start = chunk * row_elems + sub * GPR_ELEMS;
+                    std::array::from_fn(|k| self.staged.get(start + k).copied().unwrap_or_default())
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut cur = self.cursors[ch];
+        let system = self.system()?;
         let ganged_act = system.config().opts.ganged_act && banks.len() > 1;
         let nc = &mut system.channels_mut()[ch];
-        let mut cur = self.cursors[ch];
 
         // Functional operands first (storage reads don't touch timing).
         let mut rows: Vec<Vec<u8>> = Vec::with_capacity(banks.len());
@@ -632,24 +645,14 @@ impl Interp {
             .max(last_col + timing.t_rtp);
         channel.issue_precharge_all(p)?;
         cur = p + timing.t_rp;
-        self.cursors[ch] = cur;
         nc.advance_to(cur);
 
         // Functional fold: each bank multiply-accumulates its row's
-        // sub-chunks against the global buffer into `latch`. The `L`
-        // flag first broadcasts the chunk's staged vector slice.
+        // sub-chunks against the global buffer into `latch`, after the
+        // `L` flag's broadcast.
         let device = nc.device_mut();
-        if load_chunk && !self.staged.is_empty() {
-            for sub in 0..n_sub {
-                let mut inputs = [Bf16::ZERO; GPR_ELEMS];
-                let start = chunk * row_elems + sub * GPR_ELEMS;
-                for (k, slot) in inputs.iter_mut().enumerate() {
-                    if let Some(v) = self.staged.get(start + k) {
-                        *slot = *v;
-                    }
-                }
-                device.global_buffer_mut().write_subchunk(sub, &inputs)?;
-            }
+        for (sub, inputs) in broadcast.iter().enumerate() {
+            device.global_buffer_mut().write_subchunk(sub, inputs)?;
         }
         for (&bank, bytes) in banks.iter().zip(&rows) {
             if reset_latch {
@@ -664,6 +667,7 @@ impl Interp {
                 );
             }
         }
+        self.cursors[ch] = cur;
         Ok(())
     }
 
@@ -676,9 +680,8 @@ impl Interp {
         offset: usize,
         n_sub: usize,
     ) -> Result<(), IsaError> {
-        let system = self.system.as_mut().expect("built");
-        let nc = &mut system.channels_mut()[ch];
         let mut cur = self.cursors[ch];
+        let nc = &mut self.system()?.channels_mut()[ch];
         let bytes = nc.channel().storage().row(bank, row)?.to_vec();
         let timing = *nc.channel().timing();
         let channel = nc.channel_mut();
@@ -693,7 +696,6 @@ impl Interp {
         let p = channel.earliest_precharge(bank).max(cur + timing.t_rtp);
         channel.issue_precharge(p, bank)?;
         cur = p + timing.t_rp;
-        self.cursors[ch] = cur;
         nc.advance_to(cur);
         let device = nc.device_mut();
         for sub in 0..n_sub {
@@ -703,6 +705,7 @@ impl Interp {
                 .global_buffer_mut()
                 .write_subchunk(offset + sub, &elems)?;
         }
+        self.cursors[ch] = cur;
         Ok(())
     }
 
@@ -715,9 +718,8 @@ impl Interp {
         offset: usize,
         n_sub: usize,
     ) -> Result<(), IsaError> {
-        let system = self.system.as_mut().expect("built");
-        let nc = &mut system.channels_mut()[ch];
         let mut cur = self.cursors[ch];
+        let nc = &mut self.system()?.channels_mut()[ch];
         let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(n_sub);
         for sub in 0..n_sub {
             payloads.push(slice::pack(
@@ -737,8 +739,8 @@ impl Interp {
         let p = channel.earliest_precharge(bank).max(cur + timing.t_wr);
         channel.issue_precharge(p, bank)?;
         cur = p + timing.t_rp;
-        self.cursors[ch] = cur;
         nc.advance_to(cur);
+        self.cursors[ch] = cur;
         Ok(())
     }
 }

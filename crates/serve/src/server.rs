@@ -156,16 +156,13 @@ pub struct ServeReport {
     pub injected_faults: u64,
     /// Matrix re-plans after bank retirements.
     pub replans: u64,
-    /// Dispatches served from the compiled-schedule replay cache
-    /// (summed per-channel hits across all completed runs).
+    /// Always 0, deleted by the `benchmark` PR (ROADMAP 1).
     pub schedule_hits: u64,
-    /// Dispatches that drained live (cold cache, invalidated entry, or
-    /// observer bypass), summed per channel.
+    /// Always 0, deleted by the `benchmark` PR (ROADMAP 1).
     pub schedule_misses: u64,
-    /// Compiled entries dropped by weight writes, engine flips, or
-    /// re-plans, summed per channel.
+    /// Always 0, deleted by the `benchmark` PR (ROADMAP 1).
     pub schedule_invalidations: u64,
-    /// Commands applied via folded replay trains instead of live issue.
+    /// Always 0, deleted by the `benchmark` PR (ROADMAP 1).
     pub replayed_commands: u64,
     /// Output words differing from the pristine golden (silent data
     /// corruption; must be 0 with ECC on).
@@ -217,19 +214,6 @@ impl ServeReport {
             )
             .count(&format!("{prefix}/injected_faults"), self.injected_faults)
             .count(&format!("{prefix}/replans"), self.replans)
-            .count(&format!("{prefix}/schedule_cache/hits"), self.schedule_hits)
-            .count(
-                &format!("{prefix}/schedule_cache/misses"),
-                self.schedule_misses,
-            )
-            .count(
-                &format!("{prefix}/schedule_cache/invalidations"),
-                self.schedule_invalidations,
-            )
-            .count(
-                &format!("{prefix}/schedule_cache/replayed_commands"),
-                self.replayed_commands,
-            )
             .count(&format!("{prefix}/sdc"), self.sdc)
             .scalar(&format!("{prefix}/p50_ns"), self.p50_ns)
             .scalar(&format!("{prefix}/p99_ns"), self.p99_ns)
@@ -448,8 +432,6 @@ impl Server {
         let (mut attempts_total, mut scrub_rewrites, mut replans) = (0u64, 0u64, 0u64);
         let mut retired: Vec<(usize, usize)> = Vec::new();
         let (mut conventional_bursts, mut injected_faults, mut sdc) = (0u64, 0u64, 0u64);
-        let (mut sched_hits, mut sched_misses, mut sched_invalidations, mut replayed_cmds) =
-            (0u64, 0u64, 0u64, 0u64);
 
         loop {
             let now = self.sys.now();
@@ -565,10 +547,6 @@ impl Server {
                     .map_err(ServeError::Fatal)?;
                 attempts_total += rep.attempts;
                 scrub_rewrites += rep.scrub_rewrites;
-                sched_hits += run.stats.schedule_hits;
-                sched_misses += run.stats.schedule_misses;
-                sched_invalidations += run.stats.schedule_invalidations;
-                replayed_cmds += run.stats.replayed_commands;
                 if rep.attempts > 1 {
                     let extra = rep.attempts - 1;
                     retries += extra;
@@ -649,10 +627,10 @@ impl Server {
             conventional_bursts,
             injected_faults,
             replans,
-            schedule_hits: sched_hits,
-            schedule_misses: sched_misses,
-            schedule_invalidations: sched_invalidations,
-            replayed_commands: replayed_cmds,
+            schedule_hits: 0,
+            schedule_misses: 0,
+            schedule_invalidations: 0,
+            replayed_commands: 0,
             sdc,
             p50_ns: to_ns(percentile_sorted(&latencies, 0.50)),
             p99_ns: to_ns(percentile_sorted(&latencies, 0.99)),

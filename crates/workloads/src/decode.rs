@@ -2,14 +2,13 @@
 //! resident weight matrix.
 //!
 //! Token generation in a decoder-only model is a stream of matrix–vector
-//! products against weights that never change between tokens — the
-//! workload the compiled-schedule replay cache exists for: the command
-//! schedule is identical for every token, only the input-vector bits
-//! differ. A [`DecodeStreamSpec`] pins that stream down reproducibly:
-//! one seeded weight matrix, one seeded input per token position, and an
-//! `f64` reference oracle for every token so a full-stream run can be
-//! checked token-by-token regardless of replay mode, timing engine, or
-//! thread width.
+//! products against weights that never change between tokens: the
+//! command schedule is identical for every token, only the input-vector
+//! bits differ. A [`DecodeStreamSpec`] pins that stream down
+//! reproducibly: one seeded weight matrix, one seeded input per token
+//! position, and an `f64` reference oracle for every token so a
+//! full-stream run can be checked token-by-token regardless of timing
+//! engine or thread width.
 
 use newton_bf16::Bf16;
 

@@ -18,8 +18,7 @@
 //! * [`arrivals`]: deterministic open-loop arrival traces
 //!   (Poisson/bursty/diurnal via thinning) for the online serving layer;
 //! * [`decode`]: autoregressive decode streams — N per-token GEMVs
-//!   against one resident matrix, with a per-token `f64` oracle (the
-//!   compiled-schedule replay cache's target workload).
+//!   against one resident matrix, with a per-token `f64` oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -1,20 +1,18 @@
 //! The one oracle-vs-production comparison. The oracle is
 //! `TimingEngine::Reference` with `FunctionalMode::Reference`: scalar
 //! kernels over the bytes each column read returns, every command issued
-//! and checked singly, nothing ever replayed. Production is what a user
-//! gets from the same config by default: the SIMD kernel on the
-//! event-skipping engine, GWRITE and COMP trains, schedule replay for
-//! resident matrices. Every simulated surface must agree bit for bit; the
-//! one carve-out is the replay cache's own counters on `AimStats` (and on
-//! `ServeReport`, which sums them), which count what the host did, not
-//! what the simulated machine did.
+//! and checked singly, every activation scrubbed. Production is what a
+//! user gets from the same config by default: the SIMD kernel on the
+//! event-skipping engine, GWRITE and COMP trains, no scrub of a row the
+//! storage marks verified. Every simulated surface must agree bit for
+//! bit, with plain `==`.
 
 // Each suite that includes this file uses part of it.
 #![allow(dead_code)]
 
 use newton_aim::bf16::Bf16;
 use newton_aim::core::config::NewtonConfig;
-use newton_aim::core::controller::{AimStats, FunctionalMode, NewtonChannel};
+use newton_aim::core::controller::{FunctionalMode, NewtonChannel};
 use newton_aim::core::system::{LoadedMatrix, NewtonSystem, SystemRun};
 use newton_aim::dram::TimingEngine;
 use newton_serve::ServeReport;
@@ -68,16 +66,10 @@ pub fn run_resident(
 }
 
 /// Asserts the two legs' latest runs agree on every simulated surface —
-/// output bits, cycles, `elapsed_ns`, every `RunSummary` and the merged
-/// telemetry with plain `==`, `AimStats` but for the replay counters, and,
-/// on every channel where both legs keep one, the command trace and the
-/// audit log and its verdict — and that the oracle never replayed.
-/// Returns production's `(hits, misses, invalidations)`.
-pub fn assert_conformant(
-    what: &str,
-    systems: &[NewtonSystem; 2],
-    runs: &[SystemRun; 2],
-) -> (u64, u64, u64) {
+/// output bits, cycles, `elapsed_ns`, every `RunSummary`, the merged
+/// telemetry and `AimStats`, and, on every channel where both legs keep
+/// one, the command trace and the audit log and its verdict.
+pub fn assert_conformant(what: &str, systems: &[NewtonSystem; 2], runs: &[SystemRun; 2]) {
     let [oracle, production] = runs;
     assert_eq!(bits(oracle), bits(production), "{what}: output bits");
     assert_eq!(oracle.cycles, production.cycles, "{what}: cycles");
@@ -95,38 +87,26 @@ pub fn assert_conformant(
         production.merged_telemetry(),
         "{what}: merged telemetry"
     );
-    assert_eq!(
-        sans_schedule_cache(&oracle.stats),
-        sans_schedule_cache(&production.stats),
-        "{what}: AimStats"
-    );
+    assert_eq!(oracle.stats, production.stats, "{what}: AimStats");
     let [a, b] = systems.each_ref().map(NewtonSystem::channels);
     for (ch, (a, b)) in a.iter().zip(b).enumerate() {
         assert_observers_agree(&format!("{what}, channel {ch}"), a, b);
     }
-    assert_eq!(
-        (oracle.stats.schedule_hits, oracle.stats.replayed_commands),
-        (0, 0),
-        "{what}: the oracle must never replay"
-    );
-    let s = &production.stats;
-    (s.schedule_hits, s.schedule_misses, s.schedule_invalidations)
-}
-
-/// The one carve-out: `stats` with the replay cache's counters zeroed.
-fn sans_schedule_cache(stats: &AimStats) -> AimStats {
-    AimStats {
-        schedule_hits: 0,
-        schedule_misses: 0,
-        schedule_invalidations: 0,
-        replayed_commands: 0,
-        ..*stats
-    }
 }
 
 /// The command trace and the audit of one channel on both legs, wherever
-/// both keep one.
+/// both keep one, and which stored rows each leg's storage marks verified:
+/// the oracle scrubs every activation, so a row production skipped must
+/// be one whose scrub would have found nothing.
 fn assert_observers_agree(what: &str, a: &NewtonChannel, b: &NewtonChannel) {
+    let verified = |ch: &NewtonChannel| {
+        let storage = ch.channel().storage();
+        let rows = storage.allocated_row_indices();
+        rows.into_iter()
+            .filter(|&(bank, row)| storage.row_verified(bank, row))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(verified(a), verified(b), "{what}: verified rows");
     if a.trace().is_enabled() && b.trace().is_enabled() {
         let (ea, eb) = (a.trace().entries(), b.trace().entries());
         if let Some(i) = (0..ea.len().max(eb.len())).find(|&i| ea.get(i) != eb.get(i)) {
@@ -153,28 +133,7 @@ fn assert_observers_agree(what: &str, a: &NewtonChannel, b: &NewtonChannel) {
     }
 }
 
-/// [`assert_conformant`] for serving: the two reports agree but for the
-/// replay counters they sum, and the oracle never replayed. Returns
-/// production's `(hits, misses, invalidations)`.
-pub fn assert_serve_conformant(what: &str, reports: &[ServeReport; 2]) -> (u64, u64, u64) {
-    let [oracle, production] = reports;
-    let sans_schedule_cache = |r: &ServeReport| ServeReport {
-        schedule_hits: 0,
-        schedule_misses: 0,
-        schedule_invalidations: 0,
-        replayed_commands: 0,
-        ..r.clone()
-    };
-    assert_eq!(
-        sans_schedule_cache(oracle),
-        sans_schedule_cache(production),
-        "{what}: serve reports"
-    );
-    assert_eq!(
-        (oracle.schedule_hits, oracle.replayed_commands),
-        (0, 0),
-        "{what}: the oracle must never replay"
-    );
-    let p = production;
-    (p.schedule_hits, p.schedule_misses, p.schedule_invalidations)
+/// [`assert_conformant`] for serving: the two reports agree.
+pub fn assert_serve_conformant(what: &str, reports: &[ServeReport; 2]) {
+    assert_eq!(reports[0], reports[1], "{what}: serve reports");
 }

@@ -40,8 +40,8 @@ fn assert_simd_matches_reference(channels: usize, shape: MvShape) {
     let loaded = load(&mut resident, &matrix, shape.m, shape.n);
     let resident_runs = run_resident(&mut resident, &loaded, &vector);
     assert_conformant(&format!("{shape:?} resident"), &resident, &resident_runs);
-    // Both are a first run, a miss on every channel, so even the replay
-    // counters agree.
+    // Both are a first run on freshly written rows, so every activation
+    // scrubs on both and the whole `AimStats` agrees.
     let (s, r) = (&runs[1], &resident_runs[1]);
     assert_eq!(bits(s), bits(r), "{shape:?}: decodes");
     assert_eq!(s.cycles, r.cycles, "{shape:?}: streamed vs resident cycles");

@@ -22,7 +22,8 @@ use newton_isa::generate;
 use newton_isa::harness;
 use newton_isa::interp;
 use newton_isa::mv;
-use newton_isa::Program;
+use newton_isa::{IsaError, Program};
+use newton_workloads::rng::{mix64, CounterRng};
 use newton_workloads::{Benchmark, MvShape};
 
 fn usage() -> ExitCode {
@@ -265,6 +266,7 @@ fn cmd_fuzz(mut args: Vec<String>) -> Result<ExitCode, String> {
     let mut cfg = NewtonConfig::paper_default();
     cfg.channels = 2; // keep fuzz systems small and fast
     let mut errors = 0usize;
+    let mut mutants_rejected = 0usize;
     for i in 0..cases as u64 {
         let program = generate::random_program(&cfg, seed.wrapping_add(i), 24);
         let text = program.render();
@@ -277,7 +279,93 @@ fn cmd_fuzz(mut args: Vec<String>) -> Result<ExitCode, String> {
         if interp::interpret(&program, cfg.clone()).is_err() {
             errors += 1;
         }
+        let (mutant, mutated_line) = mutate(&text, &CounterRng::new(mix64(seed.wrapping_add(i))));
+        match Program::parse(&mutant) {
+            Ok(_) => {}
+            Err(IsaError::Parse { line, .. }) if line == mutated_line => mutants_rejected += 1,
+            Err(e) => {
+                return Err(format!(
+                    "case {i}: mutant of line {mutated_line} failed with {e:?}: {mutant:?}"
+                ))
+            }
+        }
     }
-    println!("fuzz ok: {cases} cases, {errors} rejected with typed errors, 0 panics");
+    println!(
+        "fuzz ok: {cases} cases, {errors} rejected with typed errors, {cases} mutants \
+         ({mutants_rejected} rejected at the mutated line, {} parsed), 0 panics",
+        cases - mutants_rejected
+    );
     Ok(ExitCode::SUCCESS)
+}
+
+/// Multi-byte characters the splice mutation writes: 2, 3 and 4 bytes
+/// long, and one is whitespace outside ASCII.
+const SPLICES: [&str; 4] = ["é", "€", "\u{3000}", "𝟘"];
+
+/// One mutation of an instruction line of the rendered (ASCII) `text`,
+/// and that line's 1-based number: truncate the text at a byte,
+/// overwrite a byte, overwrite payload bytes in place with a multi-byte
+/// character, or duplicate a token. A mutant must parse, or fail with a
+/// parse error on that line.
+fn mutate(text: &str, rng: &CounterRng) -> (String, usize) {
+    let mut draw = (1..).map(|k| rng.u64_at(k));
+    let mut pick = |n: usize| (draw.next().expect("endless draws") % n as u64) as usize;
+    // Byte ranges of the instruction lines, without their '\n'.
+    let mut lines = Vec::new();
+    let mut start = 0;
+    for (at, _) in text.match_indices('\n') {
+        lines.push(start..at);
+        start = at + 1;
+    }
+    let body = lines.split_off(1); // the magic's own errors are unit-tested
+    let line_of = |at: usize| 1 + text[..at].matches('\n').count();
+    match rng.u64_at(0) % 4 {
+        0 => {
+            let at = body[0].start + pick(text.len() + 1 - body[0].start);
+            (text[..at].to_string(), line_of(at))
+        }
+        1 => {
+            let at = body[0].start + pick(text.len() - body[0].start);
+            let byte = if pick(16) == 0 {
+                b'\t'
+            } else {
+                b' ' + pick(95) as u8
+            };
+            let mut bytes = text.as_bytes().to_vec();
+            bytes[at] = byte;
+            let mutant = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            (mutant, line_of(at))
+        }
+        2 => {
+            let ch = SPLICES[pick(SPLICES.len())];
+            let payloads: Vec<_> = body
+                .iter()
+                .filter(|r| text[r.start..r.end].starts_with("WR_GPR"))
+                .collect();
+            let (line, first) = if payloads.is_empty() {
+                let long: Vec<_> = body.iter().filter(|r| r.len() >= ch.len()).collect();
+                let line = long[pick(long.len())];
+                (line, line.start)
+            } else {
+                let line = payloads[pick(payloads.len())];
+                (line, line.end - 2 * newton_isa::instr::GPR_BYTES)
+            };
+            let at = first + pick(line.end - ch.len() + 1 - first);
+            let mutant = format!("{}{ch}{}", &text[..at], &text[at + ch.len()..]);
+            (mutant, line_of(at))
+        }
+        _ => {
+            let line = body[pick(body.len())].clone();
+            let mut tokens: Vec<&str> = text[line.clone()].split(' ').collect();
+            let dup = pick(tokens.len());
+            tokens.insert(dup, tokens[dup]);
+            let mutant = format!(
+                "{}{}{}",
+                &text[..line.start],
+                tokens.join(" "),
+                &text[line.end..]
+            );
+            (mutant, line_of(line.start))
+        }
+    }
 }

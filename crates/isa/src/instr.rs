@@ -28,9 +28,28 @@
 //! elements. `MAC_ABK` flags are two characters — `L`/`-` (load the
 //! input chunk via GWRITE) then `R`/`-` (reset the latch first).
 //!
+//! # Lexical grammar
+//!
+//! * A line ends at `\n`; a `\r` before it is a separator like any other.
+//! * Tokens are separated by runs of the ASCII separators space, tab,
+//!   `\r`, vertical tab and form feed.
+//! * `#` starts a comment that runs to the end of its line, inside a
+//!   token or not.
+//! * Decimal operands are `[0-9]+` and must fit in 64 bits; leading zeros
+//!   are allowed.
+//! * Channel masks are `0x` followed by one or more hex digits of either
+//!   case, at most 64 bits of value.
+//! * A GPR payload is exactly 64 hex digits of either case.
+//!
+//! Forms the earlier, library-routine-based parser accepted and this one
+//! rejects: a leading `+` on a decimal or a mask (`+5`, `0x+3`), non-ASCII
+//! whitespace (no-break space, ideographic space, …), which is now part
+//! of a token, and a `+` inside a payload's hex pair (`+f`).
+//!
 //! Rendering ([`fmt::Display`]) and parsing ([`Instr::parse_line`]) are
 //! exact inverses: `Instr → text → Instr` is lossless, property-tested
-//! by the fuzzer.
+//! by the fuzzer. [`crate::Program::parse`] runs the same lexer over a
+//! whole trace in one pass, with no allocation per instruction.
 
 use std::fmt;
 
@@ -231,47 +250,108 @@ pub enum Instr {
     Eoc,
 }
 
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a byte that is not a hex digit in [`NIBBLE`].
+const NOT_HEX: u8 = 0xff;
+
+/// The value of every byte read as a hex digit of either case.
+const NIBBLE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// 32 bytes as 64 lowercase hex characters, formatted without allocating.
+struct Hex32<'a>(&'a [u8; GPR_BYTES]);
+
+impl fmt::Display for Hex32<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut digits = [0u8; GPR_BYTES * 2];
+        for (pair, b) in digits.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+            pair[1] = HEX_DIGITS[usize::from(b & 0xf)];
+        }
+        f.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
+    }
+}
+
 /// Renders 32 bytes as 64 lowercase hex characters in storage order.
 #[must_use]
 pub fn hex32(data: &[u8; GPR_BYTES]) -> String {
-    let mut s = String::with_capacity(GPR_BYTES * 2);
-    for b in data {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
+    Hex32(data).to_string()
 }
 
 fn parse_hex32(tok: &str) -> Result<[u8; GPR_BYTES], String> {
-    if tok.len() != GPR_BYTES * 2 {
+    let digits = tok.as_bytes();
+    if digits.len() != GPR_BYTES * 2 {
         return Err(format!(
             "GPR payload must be {} hex chars, got {}",
             GPR_BYTES * 2,
-            tok.len()
+            digits.len()
         ));
     }
     let mut out = [0u8; GPR_BYTES];
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = u8::from_str_radix(&tok[2 * i..2 * i + 2], 16)
-            .map_err(|_| format!("bad hex byte {:?}", &tok[2 * i..2 * i + 2]))?;
+    for (slot, pair) in out.iter_mut().zip(digits.chunks_exact(2)) {
+        let (hi, lo) = (NIBBLE[usize::from(pair[0])], NIBBLE[usize::from(pair[1])]);
+        if hi == NOT_HEX || lo == NOT_HEX {
+            // A pair may split a multi-byte character, so it is shown
+            // lossily rather than sliced out of `tok`.
+            return Err(format!("bad hex byte {:?}", String::from_utf8_lossy(pair)));
+        }
+        *slot = hi << 4 | lo;
     }
     Ok(out)
 }
 
+/// `[0-9]+` as a `u64`; `None` for anything else or on overflow.
+fn decimal(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() {
+        return None;
+    }
+    let mut value = 0u64;
+    for &c in digits {
+        let d = c.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        value = value.checked_mul(10)?.checked_add(u64::from(d))?;
+    }
+    Some(value)
+}
+
 fn parse_usize(tok: &str, what: &str) -> Result<usize, String> {
-    tok.parse::<usize>()
-        .map_err(|_| format!("bad {what} {tok:?}"))
+    decimal(tok.as_bytes())
+        .and_then(|v| usize::try_from(v).ok())
+        .ok_or_else(|| format!("bad {what} {tok:?}"))
 }
 
 fn parse_u64(tok: &str, what: &str) -> Result<u64, String> {
-    tok.parse::<u64>()
-        .map_err(|_| format!("bad {what} {tok:?}"))
+    decimal(tok.as_bytes()).ok_or_else(|| format!("bad {what} {tok:?}"))
 }
 
 fn parse_mask(tok: &str) -> Result<u64, String> {
     let hex = tok
         .strip_prefix("0x")
         .ok_or_else(|| format!("channel mask must be 0x-hex, got {tok:?}"))?;
-    u64::from_str_radix(hex, 16).map_err(|_| format!("bad channel mask {tok:?}"))
+    let bad = || format!("bad channel mask {tok:?}");
+    if hex.is_empty() {
+        return Err(bad());
+    }
+    let mut mask = 0u64;
+    for &c in hex.as_bytes() {
+        let d = NIBBLE[usize::from(c)];
+        if d == NOT_HEX || mask >> 60 != 0 {
+            return Err(bad());
+        }
+        mask = mask << 4 | u64::from(d);
+    }
+    Ok(mask)
 }
 
 fn parse_flags(tok: &str) -> Result<(bool, bool), String> {
@@ -282,23 +362,126 @@ fn parse_flags(tok: &str) -> Result<(bool, bool), String> {
     Ok((b[0] == b'L', b[1] == b'R'))
 }
 
+/// [`CLASS`] of the token separators (`\n` ends a line instead).
+const SEPARATOR: u8 = 1;
+/// [`CLASS`] of the bytes that end a line's tokens: `\n` and `#`.
+const LINE_END: u8 = 2;
+
+/// The lexical class of every byte; 0 for the bytes of a token.
+const CLASS: [u8; 256] = {
+    let mut table = [0; 256];
+    table[b' ' as usize] = SEPARATOR;
+    table[b'\t' as usize] = SEPARATOR;
+    table[b'\r' as usize] = SEPARATOR;
+    table[0x0b] = SEPARATOR;
+    table[0x0c] = SEPARATOR;
+    table[b'\n' as usize] = LINE_END;
+    table[b'#' as usize] = LINE_END;
+    table
+};
+
+fn is_separator(b: u8) -> bool {
+    CLASS[usize::from(b)] == SEPARATOR
+}
+
+/// A cursor over `.aim` text that hands out the tokens of one line at a
+/// time, in a single forward pass over the bytes.
+#[derive(Debug)]
+pub(crate) struct Lexer<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(text: &'a str) -> Lexer<'a> {
+        Lexer { text, pos: 0 }
+    }
+
+    /// The next token of the current line, or `None` once the line's
+    /// `\n`, its `#` comment or the end of the text is reached (the
+    /// cursor then stays there).
+    pub(crate) fn token(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        let mut i = self.pos;
+        while i < bytes.len() && is_separator(bytes[i]) {
+            i += 1;
+        }
+        let start = i;
+        while i < bytes.len() && CLASS[usize::from(bytes[i])] == 0 {
+            i += 1;
+        }
+        self.pos = i;
+        // Both ends sit next to an ASCII byte or at an end of the text,
+        // so they are character boundaries.
+        (i > start).then(|| &self.text[start..i])
+    }
+
+    /// The rest of the current line up to its `#` comment, separators
+    /// trimmed; the cursor moves to the comment or the line's end.
+    pub(crate) fn rest_of_line(&mut self) -> &'a str {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        while self.pos < bytes.len() && CLASS[usize::from(bytes[self.pos])] != LINE_END {
+            self.pos += 1;
+        }
+        self.text[start..self.pos].trim_matches(|c| u8::try_from(c).is_ok_and(is_separator))
+    }
+
+    /// Moves to the start of the next line; `false` when the text holds
+    /// no further `\n`.
+    pub(crate) fn next_line(&mut self) -> bool {
+        match self.text.as_bytes()[self.pos..]
+            .iter()
+            .position(|&b| b == b'\n')
+        {
+            Some(at) => {
+                self.pos += at + 1;
+                true
+            }
+            None => {
+                self.pos = self.text.len();
+                false
+            }
+        }
+    }
+}
+
 impl Instr {
-    /// Parses one instruction line (no comments, already trimmed).
+    /// Parses one instruction line; a trailing `#` comment is allowed.
     ///
     /// # Errors
     ///
     /// A human-readable description of the malformation; the caller
     /// ([`crate::Program::parse`]) attaches the source line number.
     pub fn parse_line(line: &str) -> Result<Instr, String> {
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        let Some((&op, args)) = toks.split_first() else {
-            return Err("empty instruction".into());
-        };
+        let mut lex = Lexer::new(line);
+        let op = lex.token().ok_or_else(|| "empty instruction".to_string())?;
+        let instr = Instr::lex(op, &mut lex)?;
+        while lex.next_line() {
+            if lex.token().is_some() {
+                return Err("more than one line".into());
+            }
+        }
+        Ok(instr)
+    }
+
+    /// Reads the operands of `op` from the rest of `lex`'s current line.
+    pub(crate) fn lex(op: &str, lex: &mut Lexer<'_>) -> Result<Instr, String> {
+        // No instruction takes more than six operands; extra ones are
+        // only counted, for the error message.
+        let mut args = [""; 6];
+        let mut count = 0;
+        while let Some(tok) = lex.token() {
+            if let Some(slot) = args.get_mut(count) {
+                *slot = tok;
+            }
+            count += 1;
+        }
         let want = |n: usize| -> Result<(), String> {
-            if args.len() == n {
+            if count == n {
                 Ok(())
             } else {
-                Err(format!("{op} takes {n} operands, got {}", args.len()))
+                Err(format!("{op} takes {n} operands, got {count}"))
             }
         };
         match op {
@@ -465,7 +648,7 @@ impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Instr::WrCfr { idx, value } => write!(f, "WR_CFR {idx} {value}"),
-            Instr::WrGpr { gpr, data } => write!(f, "WR_GPR {gpr} {}", hex32(data)),
+            Instr::WrGpr { gpr, data } => write!(f, "WR_GPR {gpr} {}", Hex32(data)),
             Instr::WrSbk {
                 gpr,
                 channels,
@@ -649,21 +832,42 @@ mod tests {
             },
             Instr::Eoc,
         ];
-        for i in &samples {
-            let text = i.to_string();
-            let back = Instr::parse_line(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-            assert_eq!(&back, i, "{text}");
+        let mut texts: Vec<(String, &Instr)> = samples.iter().map(|i| (i.to_string(), i)).collect();
+        // Uppercase hex, leading zeros and a trailing comment read as the
+        // canonical text does.
+        texts.push((
+            format!("WR_GPR 063 {}", "AB".repeat(GPR_BYTES)),
+            &samples[1],
+        ));
+        texts.push((
+            "MAC_ABK 0x00FfFFff 007 01 00 032 L- # c".into(),
+            &samples[6],
+        ));
+        for (text, i) in &texts {
+            let back = Instr::parse_line(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(&back, *i, "{text}");
         }
     }
 
     #[test]
     fn malformed_lines_rejected() {
+        let multi_byte = format!("WR_GPR 0 {}a", "€".repeat(21)); // 64 bytes
+        let plus_pair = format!("WR_GPR 0 +f{}", "0".repeat(62));
         for bad in [
             "FROB 1 2",
             "WR_GPR 0 zz",
+            &multi_byte,
+            &plus_pair,
+            "WR_CFR 0 18446744073709551616", // u64::MAX + 1
+            "WR_CFR +0 1",
+            "WR_BIAS 0 0x+1",
+            "WR_BIAS 0 0x",
+            "WR_BIAS 0 0x10000000000000000",
+            "WR_CFR\u{a0}0 1",
             "WR_SBK 0 3 0 0 0", // mask missing 0x
             "MAC_ABK 0x1 0 0 0 4 X-",
             "EOC now",
+            "EOC\nEOC",
             "",
         ] {
             assert!(Instr::parse_line(bad).is_err(), "{bad:?}");

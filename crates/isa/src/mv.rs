@@ -22,8 +22,6 @@
 //! compute stream disagrees with what the controller would issue is
 //! rejected with [`IsaError::ScheduleMismatch`].
 
-use std::collections::BTreeMap;
-
 use newton_bf16::{slice, Bf16};
 use newton_core::layout::MatrixMapping;
 use newton_core::system::{LoadedMatrix, NewtonSystem};
@@ -41,10 +39,10 @@ pub const GPR_ELEMS: usize = GPR_BYTES / 2;
 pub struct MvTrace {
     /// The declared origin geometry.
     pub geometry: TraceGeometry,
-    /// Deposited row bytes, keyed by `(channel, bank, dram_row)`; rows
-    /// never written stay logically zero (fresh DRAM arrays materialize
-    /// zero rows, and `load_strided` zero-fills its staging buffer).
-    rows: BTreeMap<(usize, usize, usize), Vec<u8>>,
+    /// Deposited row bytes, one table per channel; rows never written
+    /// stay zero (fresh DRAM arrays materialize zero rows, and
+    /// `load_strided` zero-fills its staging buffer).
+    rows: Vec<RowTable>,
     /// The recovered logical `m x n` matrix (row-major).
     pub matrix: Vec<Bf16>,
     /// The recovered input vector (length `n`).
@@ -53,14 +51,45 @@ pub struct MvTrace {
     pub mac_sets: usize,
 }
 
-/// Iterates the channels named by a mask, validating the bound.
-fn mask_channels(mask: u64, channels: usize) -> Result<Vec<usize>, IsaError> {
+/// The row bytes one channel's `WR_SBK` stream deposits, dense over
+/// `(bank, dram_row)` for the rows the channel's mapping uses.
+#[derive(Debug, Clone)]
+struct RowTable {
+    rows_per_bank: usize,
+    row_bytes: usize,
+    bytes: Vec<u8>,
+}
+
+impl RowTable {
+    fn new(banks: usize, rows_per_bank: usize, row_bytes: usize) -> Result<RowTable, IsaError> {
+        let len = banks
+            .checked_mul(rows_per_bank)
+            .and_then(|rows| rows.checked_mul(row_bytes))
+            .ok_or_else(|| IsaError::Geometry("row table size overflows".into()))?;
+        Ok(RowTable {
+            rows_per_bank,
+            row_bytes,
+            bytes: vec![0; len],
+        })
+    }
+
+    fn row(&self, bank: usize, row: usize) -> &[u8] {
+        let at = (bank * self.rows_per_bank + row) * self.row_bytes;
+        &self.bytes[at..at + self.row_bytes]
+    }
+
+    fn row_mut(&mut self, bank: usize, row: usize) -> &mut [u8] {
+        let at = (bank * self.rows_per_bank + row) * self.row_bytes;
+        &mut self.bytes[at..at + self.row_bytes]
+    }
+}
+
+/// Rejects a mask naming a channel at or beyond `channels`.
+fn check_mask(mask: u64, channels: usize) -> Result<(), IsaError> {
     if channels < 64 && mask >> channels != 0 {
         return Err(IsaError::ChannelMaskOutOfRange { mask, channels });
     }
-    Ok((0..channels.min(64))
-        .filter(|c| mask >> c & 1 == 1)
-        .collect())
+    Ok(())
 }
 
 /// Recognizes a lowered MV program.
@@ -76,14 +105,17 @@ pub fn recognize(program: &Program) -> Result<MvTrace, IsaError> {
     let row_bytes = geometry.row_elems * 2;
     let cols_per_row = row_bytes / GPR_BYTES;
     let mut mappings: Vec<Option<MatrixMapping>> = Vec::with_capacity(geometry.channels);
+    let mut rows = Vec::with_capacity(geometry.channels);
     for ch in 0..geometry.channels {
-        mappings.push(geometry.mapping(ch)?);
+        let mapping = geometry.mapping(ch)?;
+        let rows_per_bank = mapping.as_ref().map_or(0, MatrixMapping::rows_per_bank);
+        rows.push(RowTable::new(geometry.banks, rows_per_bank, row_bytes)?);
+        mappings.push(mapping);
     }
 
     let mut gprs = vec![[0u8; GPR_BYTES]; GPR_COUNT];
-    let mut rows: BTreeMap<(usize, usize, usize), Vec<u8>> = BTreeMap::new();
     let mut vector = vec![Bf16::ZERO; geometry.n];
-    let mut mac_stream: Vec<(usize, Instr)> = Vec::new();
+    let mut mac_stream: Vec<&Instr> = Vec::new();
     for (index, instr) in program.instrs.iter().enumerate() {
         match instr {
             Instr::WrCfr { .. } => {}
@@ -121,20 +153,19 @@ pub fn recognize(program: &Program) -> Result<MvTrace, IsaError> {
                         cols: cols_per_row,
                     });
                 }
-                for ch in mask_channels(*channels, geometry.channels)? {
-                    let rows_used = mappings[ch]
-                        .as_ref()
-                        .map_or(0, MatrixMapping::rows_per_bank);
-                    if *row >= rows_used {
+                check_mask(*channels, geometry.channels)?;
+                let mut mask = *channels;
+                while mask != 0 {
+                    let table = &mut rows[mask.trailing_zeros() as usize];
+                    mask &= mask - 1;
+                    if *row >= table.rows_per_bank {
                         return Err(IsaError::RowOutOfRange {
                             row: *row,
-                            rows: rows_used,
+                            rows: table.rows_per_bank,
                         });
                     }
-                    let slot = rows
-                        .entry((ch, *bank, *row))
-                        .or_insert_with(|| vec![0u8; row_bytes]);
-                    slot[col * GPR_BYTES..(col + 1) * GPR_BYTES].copy_from_slice(&gprs[*gpr]);
+                    table.row_mut(*bank, *row)[col * GPR_BYTES..][..GPR_BYTES]
+                        .copy_from_slice(&gprs[*gpr]);
                 }
             }
             Instr::WrGb {
@@ -148,7 +179,7 @@ pub fn recognize(program: &Program) -> Result<MvTrace, IsaError> {
                         count: GPR_COUNT,
                     });
                 }
-                mask_channels(*channels, geometry.channels)?;
+                check_mask(*channels, geometry.channels)?;
                 let subchunks = geometry.n.div_ceil(GPR_ELEMS);
                 if *offset >= subchunks {
                     return Err(IsaError::GbOffsetOutOfRange {
@@ -162,7 +193,7 @@ pub fn recognize(program: &Program) -> Result<MvTrace, IsaError> {
                 let len = GPR_ELEMS.min(geometry.n - start);
                 vector[start..start + len].copy_from_slice(&elems[..len]);
             }
-            Instr::MacAbk { .. } => mac_stream.push((index, instr.clone())),
+            Instr::MacAbk { .. } => mac_stream.push(instr),
             Instr::RdMac { .. } | Instr::Eoc => break,
             other => {
                 return Err(IsaError::NotMv(format!(
@@ -189,7 +220,7 @@ pub fn recognize(program: &Program) -> Result<MvTrace, IsaError> {
 fn verify_mac_stream(
     geometry: &TraceGeometry,
     mappings: &[Option<MatrixMapping>],
-    stream: &[(usize, Instr)],
+    stream: &[&Instr],
 ) -> Result<(), IsaError> {
     let Some(mapping0) = mappings.first().and_then(Option::as_ref) else {
         return Ok(());
@@ -206,7 +237,7 @@ fn verify_mac_stream(
             ),
         });
     }
-    for (i, ((_, instr), rs)) in stream.iter().zip(row_sets).enumerate() {
+    for (i, (instr, rs)) in stream.iter().zip(row_sets).enumerate() {
         let Instr::MacAbk {
             row,
             chunk,
@@ -249,20 +280,17 @@ fn verify_mac_stream(
 fn recover_matrix(
     geometry: &TraceGeometry,
     mappings: &[Option<MatrixMapping>],
-    rows: &BTreeMap<(usize, usize, usize), Vec<u8>>,
+    rows: &[RowTable],
 ) -> Result<Vec<Bf16>, IsaError> {
     let (m, n, c) = (geometry.m, geometry.n, geometry.channels);
     let mut matrix = vec![Bf16::ZERO; m * n];
-    let zero_row = vec![0u8; geometry.row_elems * 2];
-    for (ch, mapping) in mappings.iter().enumerate() {
+    for (ch, (mapping, table)) in mappings.iter().zip(rows).enumerate() {
         let Some(map) = mapping else { continue };
         for li in 0..map.m() {
             let gi = ch + li * c;
             for chunk in 0..map.num_chunks() {
                 let (bank, dram_row, offset) = map.location(li, chunk * map.row_elems())?;
-                let bytes = rows
-                    .get(&(ch, bank, dram_row))
-                    .map_or(zero_row.as_slice(), Vec::as_slice);
+                let bytes = table.row(bank, dram_row);
                 let len = map.chunk_elems(chunk);
                 let elems = slice::unpack(&bytes[offset * 2..(offset + len) * 2])
                     .map_err(|e| IsaError::Geometry(format!("stored row bytes: {e:?}")))?;
@@ -302,9 +330,7 @@ impl MvTrace {
                 system.config().row_elems()
             )));
         }
-        let row_bytes = self.geometry.row_elems * 2;
-        let mut buf = vec![0u8; row_bytes];
-        for ch in 0..self.geometry.channels {
+        for (ch, table) in self.rows.iter().enumerate() {
             let Some(map) = self.geometry.mapping(ch)? else {
                 continue;
             };
@@ -312,14 +338,11 @@ impl MvTrace {
             for li in 0..map.m() {
                 for chunk in 0..map.num_chunks() {
                     let (bank, dram_row, _) = map.location(li, chunk * map.row_elems())?;
-                    buf.fill(0);
-                    if let Some(bytes) = self.rows.get(&(ch, bank, dram_row)) {
-                        buf.copy_from_slice(bytes);
-                    }
-                    channel
-                        .channel_mut()
-                        .storage_mut()
-                        .write_row(bank, dram_row, &buf)?;
+                    channel.channel_mut().storage_mut().write_row(
+                        bank,
+                        dram_row,
+                        table.row(bank, dram_row),
+                    )?;
                 }
             }
         }

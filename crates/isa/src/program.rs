@@ -3,9 +3,9 @@
 //! An `.aim` file is line-oriented text: `#` starts a comment, blank
 //! lines are ignored, and the first effective line must be the magic
 //! `AIM 1`. Everything after is one instruction per line
-//! (see [`crate::instr`]).
+//! (see [`crate::instr`] for the lexical grammar).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
 use newton_core::config::NewtonConfig;
@@ -13,7 +13,7 @@ use newton_core::layout::MatrixMapping;
 use newton_core::tiling::ScheduleKind;
 
 use crate::error::IsaError;
-use crate::instr::{cfr, Instr, CFR_COUNT};
+use crate::instr::{cfr, Instr, Lexer, CFR_COUNT};
 
 /// Trace format magic and version.
 pub const MAGIC: &str = "AIM 1";
@@ -33,36 +33,33 @@ impl Program {
     /// [`IsaError::Parse`] with the 1-based source line of the first
     /// malformed line (or a missing/wrong magic header).
     pub fn parse(text: &str) -> Result<Program, IsaError> {
-        let mut instrs = Vec::new();
-        let mut saw_magic = false;
-        for (i, raw) in text.lines().enumerate() {
-            let line = match raw.find('#') {
-                Some(at) => &raw[..at],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            if !saw_magic {
-                if line != MAGIC {
+        let mut lex = Lexer::new(text);
+        let mut line = 1;
+        loop {
+            let header = lex.rest_of_line();
+            if !header.is_empty() {
+                if header != MAGIC {
                     return Err(IsaError::Parse {
-                        line: i + 1,
-                        msg: format!("expected header {MAGIC:?}, got {line:?}"),
+                        line,
+                        msg: format!("expected header {MAGIC:?}, got {header:?}"),
                     });
                 }
-                saw_magic = true;
-                continue;
+                break;
             }
-            let instr =
-                Instr::parse_line(line).map_err(|msg| IsaError::Parse { line: i + 1, msg })?;
-            instrs.push(instr);
+            if !lex.next_line() {
+                return Err(IsaError::Parse {
+                    line: 1,
+                    msg: format!("empty trace: expected header {MAGIC:?}"),
+                });
+            }
+            line += 1;
         }
-        if !saw_magic {
-            return Err(IsaError::Parse {
-                line: 1,
-                msg: format!("empty trace: expected header {MAGIC:?}"),
-            });
+        let mut instrs = Vec::new();
+        while lex.next_line() {
+            line += 1;
+            if let Some(op) = lex.token() {
+                instrs.push(Instr::lex(op, &mut lex).map_err(|msg| IsaError::Parse { line, msg })?);
+            }
         }
         Ok(Program { instrs })
     }
@@ -74,8 +71,7 @@ impl Program {
         let mut out = String::from(MAGIC);
         out.push('\n');
         for i in &self.instrs {
-            out.push_str(&i.to_string());
-            out.push('\n');
+            writeln!(out, "{i}").expect("formatting into a String cannot fail");
         }
         out
     }
@@ -292,10 +288,24 @@ mod tests {
 
     #[test]
     fn parse_reports_line_numbers() {
-        let text = "AIM 1\nWR_CFR 0 8\nBOGUS\n";
-        match Program::parse(text) {
-            Err(IsaError::Parse { line, .. }) => assert_eq!(line, 3),
-            other => panic!("{other:?}"),
+        for (text, bad_line) in [
+            ("AIM 1\nWR_CFR 0 8\nBOGUS\n", 3),
+            ("AIM 1\r\nWR_CFR 0 8\r\nBOGUS\r\n", 3),
+            (
+                "# comment only\n\n \t\nAIM 1 # magic\r\n\tWR_CFR\t0  8# trailing\n#\nBOGUS",
+                7,
+            ),
+        ] {
+            match Program::parse(text) {
+                Err(IsaError::Parse { line, .. }) => assert_eq!(line, bad_line, "{text:?}"),
+                other => panic!("{text:?}: {other:?}"),
+            }
+            let good = text.replace("BOGUS", "EOC # done");
+            assert_eq!(
+                Program::parse(&good).unwrap().instrs,
+                [Instr::WrCfr { idx: 0, value: 8 }, Instr::Eoc],
+                "{good:?}"
+            );
         }
     }
 

@@ -55,15 +55,24 @@ proptest! {
         let program = generate::random_program(&small_config(), seed, len);
         let text = program.render();
         let lines: Vec<&str> = text.lines().collect();
-        // Corrupt the last instruction body line (never the magic).
+        // An instruction line (never the magic) cut in half with an ASCII tail.
         let victim = 1 + (seed as usize % (lines.len() - 1));
-        let mut mutated: Vec<String> = lines.iter().map(ToString::to_string).collect();
-        mutated[victim] = format!("{}garbage!", &mutated[victim][..mutated[victim].len() / 2]);
-        let mutated = mutated.join("\n");
-        match Program::parse(&mutated) {
-            Ok(p) => prop_assert_eq!(p.instrs.len(), len + 7), // corrupted into a comment-free valid line is impossible: '!' parses nowhere
-            Err(IsaError::Parse { line, .. }) => prop_assert_eq!(line, victim + 1),
-            Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+        let cut = format!("{}garbage!", &lines[victim][..lines[victim].len() / 2]);
+        // A 3-byte character overwriting payload bytes in place, so the
+        // payload keeps its 64-byte length (any line when no WR_GPR exists).
+        let target = lines.iter().rposition(|l| l.starts_with("WR_GPR")).unwrap_or(victim);
+        let line = lines[target];
+        let first = line.len().saturating_sub(64);
+        let at = first + seed as usize % (line.len() - 2 - first);
+        let spliced = format!("{}€{}", &line[..at], &line[at + 3..]);
+        for (bad, replacement) in [(victim, cut), (target, spliced)] {
+            let mut mutated: Vec<&str> = lines.clone();
+            mutated[bad] = &replacement;
+            match Program::parse(&mutated.join("\n")) {
+                Err(IsaError::Parse { line, .. }) => prop_assert_eq!(line, bad + 1),
+                // '!' and '€' parse nowhere, so the line cannot stay valid.
+                other => prop_assert!(false, "{replacement:?}: expected a parse error, got {other:?}"),
+            }
         }
     }
 

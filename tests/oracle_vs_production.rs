@@ -173,6 +173,7 @@ fn lowered_trace_replay_agrees() {
         .expect("lower");
     // The trace under test is the parsed artifact, not the original.
     let program = Program::parse(&lowered.render()).expect("reparse");
+    assert_eq!(program, lowered, "parse(render(p)) must be p");
     let trace = mv::recognize(&program).expect("recognize");
     assert_eq!(trace.matrix, matrix, "trace must carry the exact matrix");
     assert_eq!(trace.vector, vector, "trace must carry the exact vector");

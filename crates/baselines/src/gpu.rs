@@ -67,12 +67,6 @@ impl TitanVModel {
         TitanVModel::default()
     }
 
-    /// Creates the model with explicit calibration constants.
-    #[must_use]
-    pub fn with_calibration(cal: GpuCalibration) -> TitanVModel {
-        TitanVModel { cal }
-    }
-
     /// The calibration in use.
     #[must_use]
     pub fn calibration(&self) -> &GpuCalibration {

@@ -23,9 +23,10 @@
 //! / `serving` their zero-SDC and accounting guarantees): a violated
 //! claim panics, so a clean exit is the check.
 //!
-//! With `--engine reference`, every experiment runs on the oracle engine
-//! (each command issued and checked singly, every activation scrubbed);
-//! reports and snapshots are byte-identical to the default engine's.
+//! With `--engine reference`, every experiment runs on the oracle (each
+//! command issued and checked singly, every activation scrubbed, every
+//! COMP computed by the scalar kernels); reports and snapshots are
+//! byte-identical to the default engine's.
 //!
 //! With `--telemetry`, every channel collects a windowed time series
 //! (bandwidth, bank utilization, queue depth, ganged-ACT width, ECC
@@ -53,7 +54,7 @@
 
 use newton_bench::harness::{run_experiments, HarnessOptions, EXPERIMENTS};
 use newton_bench::snapshot::SnapshotWriter;
-use newton_dram::TimingEngine;
+use newton_core::config::TimingEngine;
 use std::path::PathBuf;
 
 /// What the command line asked for.

@@ -21,10 +21,9 @@
 
 use std::fmt::Write as _;
 
-use newton_core::config::{NewtonConfig, TelemetryConfig};
+use newton_core::config::{NewtonConfig, TelemetryConfig, TimingEngine};
 use newton_core::parallel::{self, ParallelPolicy};
 use newton_core::AimError;
-use newton_dram::TimingEngine;
 use newton_trace::MetricsSnapshot;
 use newton_workloads::Benchmark;
 
@@ -101,8 +100,9 @@ pub struct HarnessOptions {
     /// [`ParallelPolicy`], so `NEWTON_THREADS` applies; `Some(n)` pins
     /// the width regardless of the environment.
     pub threads: Option<usize>,
-    /// The timing engine every experiment runs on (`reproduce --engine`);
-    /// reports and snapshots are byte-identical for both.
+    /// The engine every experiment runs on (`reproduce --engine`):
+    /// production or the oracle, COMP kernel included; reports and
+    /// snapshots are byte-identical for both.
     pub engine: TimingEngine,
     /// Run every experiment with the channel timing audit enabled
     /// (`reproduce --audit`): each channel logs its command stream and,

@@ -163,7 +163,7 @@ impl DecodedWeightCache {
             .lanes
     }
 
-    /// Drops every decoded row (e.g. when switching functional modes).
+    /// Drops every decoded row (e.g. after a recovery rewrote them).
     pub fn clear(&mut self) {
         for lane in &mut self.banks {
             lane.clear();

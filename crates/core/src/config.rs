@@ -18,7 +18,7 @@
 
 use newton_bf16::reduce::TreePrecision;
 use newton_dram::timing::Cycle;
-use newton_dram::{DramConfig, TimingEngine};
+use newton_dram::DramConfig;
 
 use crate::error::AimError;
 use crate::parallel::ParallelPolicy;
@@ -38,6 +38,27 @@ impl Default for TelemetryConfig {
             window_cycles: newton_trace::DEFAULT_WINDOW_CYCLES,
         }
     }
+}
+
+/// Which of the simulator's two paths a [`NewtonChannel`] runs: the
+/// production path or the oracle it is checked against. Both produce
+/// byte-identical command streams, cycles, statistics and outputs; they
+/// differ only in host-side work per command.
+///
+/// [`NewtonChannel`]: crate::controller::NewtonChannel
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum TimingEngine {
+    /// Production: each GWRITE and ganged COMP stream issues as one
+    /// closed-form train, activations skip the scrub of rows the storage
+    /// marks verified, and COMP folds decoded weight planes through the
+    /// SIMD kernel. The default.
+    #[default]
+    EventSkipping,
+    /// The oracle: every command issued and checked singly after its
+    /// `earliest_*` query, every activation scrubbed, and every COMP
+    /// computed by the scalar kernels from the bytes its column read
+    /// returned.
+    Reference,
 }
 
 /// The five independently switchable Newton optimizations (Sec. V-B).
@@ -171,9 +192,6 @@ pub struct NewtonConfig {
     /// Number of (pseudo-)channels in the system (the paper's GPU-class
     /// configuration uses 24).
     pub channels: usize,
-    /// Multipliers per bank; rate-matched to one column I/O of bf16
-    /// elements (16 for 256-bit columns).
-    pub multipliers_per_bank: usize,
     /// Latency of the pipelined adder tree from last column access to a
     /// readable result latch, in cycles. The tree's initiation interval is
     /// tCCD (it accepts a new set every column access); the paper notes
@@ -202,12 +220,11 @@ pub struct NewtonConfig {
     /// time series (and per-command energy attributions) with the given
     /// window width. `None` (the default) collects nothing.
     pub telemetry: Option<TelemetryConfig>,
-    /// How the controller schedules: [`TimingEngine::EventSkipping`] (the
-    /// default) issues each GWRITE and ganged COMP stream as one train
-    /// and skips the activation scrub of rows the storage marks verified;
-    /// [`TimingEngine::Reference`] is the oracle — every command issued
-    /// and checked singly after a full `earliest_*` rescan, every
-    /// activation scrubbed. Both produce identical command streams.
+    /// Production or oracle ([`TimingEngine`]): the event-skipping
+    /// default runs trains, skips verified scrubs and computes COMP with
+    /// the SIMD kernel; [`TimingEngine::Reference`] issues every command
+    /// singly, scrubs every activation and computes COMP with the scalar
+    /// kernels. Both produce identical results.
     pub engine: TimingEngine,
     /// Attaches the post-hoc timing audit to every channel: each logs
     /// its command stream (trains folded) and, at the end of every run,
@@ -221,14 +238,15 @@ pub struct NewtonConfig {
 
 impl NewtonConfig {
     /// The paper's evaluation configuration: 24 channels of the Table III
-    /// HBM2E-like device, all optimizations on, 16 multipliers per bank.
+    /// HBM2E-like device, all optimizations on. Each bank has one
+    /// multiplier per bf16 element of a column I/O (16 for 256-bit
+    /// columns), rate-matched to the column-access bandwidth.
     #[must_use]
     pub fn paper_default() -> NewtonConfig {
         NewtonConfig {
             dram: DramConfig::hbm2e_like(),
             opts: OptFlags::all(),
             channels: 24,
-            multipliers_per_bank: 16,
             adder_tree_latency: 12,
             result_latches_per_bank: 1,
             tree_precision: TreePrecision::Wide,
@@ -288,7 +306,8 @@ impl NewtonConfig {
         self.dram.row_bytes() / 2
     }
 
-    /// Elements of one column I/O (the sub-chunk width).
+    /// Elements of one column I/O (the sub-chunk width), which is also
+    /// the number of multipliers per bank.
     #[must_use]
     pub fn subchunk_elems(&self) -> usize {
         self.dram.col_bytes() / 2
@@ -304,23 +323,15 @@ impl NewtonConfig {
     ///
     /// # Errors
     ///
-    /// [`AimError::InvalidConfig`] when a field is zero, the multiplier
-    /// count is not rate-matched to the column width, or the result-latch
-    /// count is not 1 or 4 (the two design points the paper discusses).
+    /// [`AimError::InvalidConfig`] when a field is zero or the
+    /// result-latch count is not 1 or 4 (the two design points the paper
+    /// discusses).
     pub fn validate(&self) -> Result<(), AimError> {
         self.dram
             .validate()
             .map_err(|e| AimError::InvalidConfig(e.to_string()))?;
         if self.channels == 0 {
             return Err(AimError::InvalidConfig("channels must be > 0".into()));
-        }
-        if self.multipliers_per_bank != self.subchunk_elems() {
-            return Err(AimError::InvalidConfig(format!(
-                "multipliers_per_bank ({}) must equal bf16 elements per column I/O ({}) — \
-                 Newton rate-matches compute to the column-access bandwidth",
-                self.multipliers_per_bank,
-                self.subchunk_elems()
-            )));
         }
         if !matches!(self.result_latches_per_bank, 1 | 4) {
             return Err(AimError::InvalidConfig(format!(
@@ -358,7 +369,6 @@ mod tests {
         let cfg = NewtonConfig::paper_default();
         cfg.validate().unwrap();
         assert_eq!(cfg.channels, 24);
-        assert_eq!(cfg.multipliers_per_bank, 16);
         assert_eq!(cfg.row_elems(), 512);
         assert_eq!(cfg.subchunk_elems(), 16);
         assert_eq!(cfg.total_banks(), 384);
@@ -406,10 +416,6 @@ mod tests {
     fn invalid_configs_rejected() {
         let mut cfg = NewtonConfig::paper_default();
         cfg.channels = 0;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = NewtonConfig::paper_default();
-        cfg.multipliers_per_bank = 8; // not rate-matched
         assert!(cfg.validate().is_err());
 
         let mut cfg = NewtonConfig::paper_default();

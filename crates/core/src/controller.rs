@@ -28,36 +28,17 @@
 use newton_bf16::Bf16;
 use newton_dram::audit::AuditViolation;
 use newton_dram::timing::Cycle;
-use newton_dram::{Channel, TimingEngine};
+use newton_dram::Channel;
 
 use crate::cache::{DecodedWeightCache, Residency};
 use crate::command::{AimCommand, CommandTrace};
-use crate::config::NewtonConfig;
+use crate::config::{NewtonConfig, TimingEngine};
 use crate::device::NewtonDevice;
 use crate::error::AimError;
 use crate::layout::MatrixMapping;
 use crate::lut::ActivationKind;
 use crate::plan::ChannelPlan;
 use crate::tiling::{RowSet, Schedule};
-
-/// How the channel computes the *functional* half of each COMP. The
-/// timing half — command stream, cycle counts, stats, audit, trace — is
-/// identical across modes; both produce bit-identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FunctionalMode {
-    /// The oracle: per-COMP byte decode through the allocating scalar
-    /// reduction kernels.
-    Reference,
-    /// The lane-major SIMD kernel (`newton_bf16::simd::comp_row_set`) over
-    /// the decoded cache's and the global buffer's `f32` planes: the
-    /// ganged COMP stream of a whole row-set is folded for all banks in
-    /// one batched pass; configurations that kernel does not cover step
-    /// per sub-chunk over the same decoded plane. Bit-exact with the
-    /// oracle (the timing half is shared; the functional half is proven
-    /// against the scalar kernels). The default.
-    #[default]
-    Simd,
-}
 
 /// AiM-specific command counters for one channel run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -165,7 +146,6 @@ pub struct NewtonChannel {
     trace: CommandTrace,
     host_queue: Vec<HostRequest>,
     host_responses: Vec<HostResponse>,
-    functional_mode: FunctionalMode,
     weight_cache: DecodedWeightCache,
     /// Reusable scratch for the per-row-set command loops (ganged
     /// activate clusters, the ganged COMP stream, READRES latch dedup),
@@ -220,7 +200,6 @@ impl NewtonChannel {
             trace: CommandTrace::new(),
             host_queue: Vec::new(),
             host_responses: Vec::new(),
-            functional_mode: FunctionalMode::default(),
             weight_cache,
             scratch_pairs: Vec::new(),
             scratch_banks: Vec::new(),
@@ -240,31 +219,14 @@ impl NewtonChannel {
         out
     }
 
-    /// Selects how the functional half of COMP is computed (timing is
-    /// unaffected; both modes are bit-identical). See [`FunctionalMode`].
-    pub fn set_functional_mode(&mut self, mode: FunctionalMode) {
-        self.functional_mode = mode;
-    }
-
-    /// The channel's current functional COMP mode.
-    #[must_use]
-    pub fn functional_mode(&self) -> FunctionalMode {
-        self.functional_mode
-    }
-
-    /// Changes [`NewtonConfig::engine`] for subsequent runs (trains and
-    /// skipped scrubs of verified rows vs. single commands after full
-    /// `earliest_*` rescans and a scrub on every activation). Both
-    /// engines issue byte-identical command streams; the choice only
+    /// Changes [`NewtonConfig::engine`] for subsequent runs: production
+    /// (trains, skipped scrubs of verified rows, the SIMD kernel) or the
+    /// oracle (single commands after their `earliest_*` queries, a scrub
+    /// on every activation, the scalar kernels). Both produce
+    /// byte-identical command streams and results; the choice only
     /// affects host-side work per command.
     pub fn set_timing_engine(&mut self, engine: TimingEngine) {
         self.config.engine = engine;
-    }
-
-    /// The channel's current timing engine.
-    #[must_use]
-    pub fn timing_engine(&self) -> TimingEngine {
-        self.config.engine
     }
 
     /// The decoded-weight cache (hit/decode counters for perf reporting).
@@ -690,7 +652,8 @@ impl NewtonChannel {
         let n_sub = mapping.chunk_elems(rs.chunk).div_ceil(sub_elems);
         self.scratch_banks.clear();
         self.scratch_banks.extend(rs.work.iter().map(|w| w.bank));
-        if self.functional_mode == FunctionalMode::Simd {
+        let engine = self.config.engine;
+        if engine == TimingEngine::EventSkipping {
             // Pin every active (bank, row) as a decoded plane before the
             // COMP stream. Nothing writes storage inside a row-set, so the
             // pinned decodes stay current until the next boundary.
@@ -704,7 +667,6 @@ impl NewtonChannel {
                 )?;
             }
         }
-        let mode = self.functional_mode;
         let row = rs.dram_row;
         let latch = rs.latch;
         let mut cmds = 0u64;
@@ -713,62 +675,39 @@ impl NewtonChannel {
         // Batched SIMD fast path: under ganged complex COMP with the
         // paper's 16-wide sub-chunks, the command stream of a row-set is
         // n_sub ganged column reads whose *functional* work factors into
-        // one independent fold per bank. Issue the identical command
-        // stream first (same cycles, stats, audit records, ECC checks, and
-        // trace events — the sink is the only thing removed), then fold
-        // each bank's whole row against the global buffer's f32 plane in
-        // one batched kernel pass. Bit-exact because nothing inside a
-        // row-set observes device latch state, per-bank sub-chunk order is
-        // preserved, and the batched kernel equals the per-sub steps
-        // (`newton_bf16::simd::comp_row_set`).
-        if mode == FunctionalMode::Simd
+        // one independent fold per bank. Inside that stream no other
+        // command touches the column bus or these banks, so after the
+        // first scanned slot every successive COMP lands exactly one
+        // `col_step` later: issue it as one train (same cycles, stats,
+        // audit records, ECC checks and telemetry as the per-command
+        // loop), then fold each bank's whole row against the global
+        // buffer's f32 plane in one batched kernel pass. Bit-exact because
+        // nothing inside a row-set observes device latch state, per-bank
+        // sub-chunk order is preserved, and the batched kernel equals the
+        // per-sub steps (`newton_bf16::simd::comp_row_set`).
+        if engine == TimingEngine::EventSkipping
             && self.config.opts.ganged_comp
             && self.config.opts.complex_comp
             && sub_elems == newton_bf16::reduce::TREE_ARITY
         {
-            if self.config.engine == TimingEngine::EventSkipping {
-                // Inside a ganged complex COMP stream no other command
-                // touches the column bus or these banks, so after the
-                // first scanned slot every successive COMP lands exactly
-                // one `col_step` later: the stream is one train. The
-                // reference engine keeps the per-command scan.
-                let col_step = self.channel.timing().col_step();
-                let t0 = self
-                    .channel
-                    .earliest_ganged_column_read(self.now, &self.scratch_banks);
-                let last = self.channel.issue_comp_train(
-                    t0,
-                    col_step,
-                    n_sub,
-                    &self.scratch_banks,
-                    rows_clean,
-                )?;
-                self.trace
-                    .record_train(t0, col_step, n_sub, |sub| AimCommand::Comp {
-                        subchunk: sub,
-                    });
-                self.now = last;
-                last_col = last;
-                cmds += n_sub as u64;
-            } else {
-                for sub in 0..n_sub {
-                    self.scratch_pairs.clear();
-                    self.scratch_pairs
-                        .extend(self.scratch_banks.iter().map(|&b| (b, sub)));
-                    let t = self
-                        .channel
-                        .earliest_ganged_column_read(self.now, &self.scratch_banks);
-                    self.channel.issue_ganged_column_read_internal(
-                        t,
-                        &self.scratch_pairs,
-                        |_, _| {},
-                    )?;
-                    self.trace.record(t, AimCommand::Comp { subchunk: sub });
-                    self.now = t;
-                    last_col = t;
-                    cmds += 1;
-                }
-            }
+            let col_step = self.channel.timing().col_step();
+            let t0 = self
+                .channel
+                .earliest_ganged_column_read(self.now, &self.scratch_banks);
+            let last = self.channel.issue_comp_train(
+                t0,
+                col_step,
+                n_sub,
+                &self.scratch_banks,
+                rows_clean,
+            )?;
+            self.trace
+                .record_train(t0, col_step, n_sub, |sub| AimCommand::Comp {
+                    subchunk: sub,
+                });
+            self.now = last;
+            last_col = last;
+            cmds += n_sub as u64;
             // Whole-gang fold: the device takes all banks' planes at once
             // so their (independent) serial latch chains interleave
             // instead of running back to back.
@@ -806,7 +745,7 @@ impl NewtonChannel {
                     &self.scratch_pairs,
                     |bank, data| {
                         functional_comp(
-                            device, cache, mode, sub_elems, row, latch, sub, bank, data,
+                            device, cache, engine, sub_elems, row, latch, sub, bank, data,
                         );
                     },
                 )?;
@@ -858,7 +797,7 @@ impl NewtonChannel {
                     self.channel
                         .issue_ganged_column_read_internal(t, &pair, |bank, data| {
                             functional_comp(
-                                device, cache, mode, sub_elems, row, latch, sub, bank, data,
+                                device, cache, engine, sub_elems, row, latch, sub, bank, data,
                             );
                         })?;
                     self.trace.record(
@@ -1058,16 +997,17 @@ impl NewtonChannel {
     }
 }
 
-/// The functional half of one COMP under the selected mode. `data` is the
-/// raw column-read payload the timing model produced; `Simd` ignores it
-/// (the cache holds the same bytes decoded as a plane), so the column read
-/// — and with it all timing, stats, audit, and trace behavior — happens
-/// identically in both modes.
+/// The functional half of one COMP, with the kernel the engine implies.
+/// `data` is the raw column-read payload the timing model produced: the
+/// oracle decodes it through the allocating scalar kernels, production
+/// ignores it (the cache holds the same bytes decoded as a plane), so the
+/// column read — and with it all timing, stats, audit, and trace
+/// behavior — happens identically on both engines.
 #[expect(clippy::too_many_arguments, reason = "flat hot-path dispatch")]
 fn functional_comp(
     device: &mut NewtonDevice,
     cache: &DecodedWeightCache,
-    mode: FunctionalMode,
+    engine: TimingEngine,
     sub_elems: usize,
     row: usize,
     latch: usize,
@@ -1075,13 +1015,13 @@ fn functional_comp(
     bank: usize,
     data: &[u8],
 ) {
-    match mode {
-        FunctionalMode::Reference => device.comp_bank_reference(bank, latch, sub, data),
+    match engine {
+        TimingEngine::Reference => device.comp_bank_reference(bank, latch, sub, data),
         // Per-sub-chunk step over the decoded row: the configurations the
         // batched fast path in `compute_row_set` does not cover
         // (non-ganged or simple commands, sub-chunk widths other than the
         // 16-wide MAC tree).
-        FunctionalMode::Simd => {
+        TimingEngine::EventSkipping => {
             // `NewtonDevice::new` bounds the sub-chunk width by MAX_CHUNK.
             let mut weights = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
             let weights = &mut weights[..sub_elems];

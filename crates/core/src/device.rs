@@ -190,8 +190,8 @@ impl MacUnit {
     }
 
     /// The reference (allocating) form of [`MacUnit::comp`]: identical
-    /// arithmetic through `reduce::comp_step`, kept as the test oracle and
-    /// the `FunctionalMode::Reference` baseline for perf comparisons.
+    /// arithmetic through `reduce::comp_step`: the COMP kernel of the
+    /// `TimingEngine::Reference` oracle.
     pub fn comp_reference(&mut self, latch: usize, weights: &[Bf16], inputs: &[Bf16]) {
         let v = reduce::comp_step(self.latches[latch], weights, inputs, self.precision);
         self.latches[latch] = v;

@@ -19,7 +19,7 @@ use newton_dram::DramError;
 use newton_trace::{HostProfiler, TimeSeries};
 
 use crate::cache::Residency;
-use crate::config::NewtonConfig;
+use crate::config::{NewtonConfig, TimingEngine};
 use crate::controller::{AimStats, NewtonChannel};
 use crate::error::AimError;
 use crate::layout::MatrixMapping;
@@ -267,19 +267,10 @@ impl NewtonSystem {
         &mut self.channels
     }
 
-    /// Sets the functional COMP mode on every channel (timing and results
-    /// are identical across modes; see
-    /// [`FunctionalMode`](crate::controller::FunctionalMode)).
-    pub fn set_functional_mode(&mut self, mode: crate::controller::FunctionalMode) {
-        for ch in &mut self.channels {
-            ch.set_functional_mode(mode);
-        }
-    }
-
     /// Changes [`NewtonConfig::engine`] on the system and every channel
     /// (command streams, cycles, and results are byte-identical across
-    /// engines; see [`TimingEngine`](newton_dram::TimingEngine)).
-    pub fn set_timing_engine(&mut self, engine: newton_dram::TimingEngine) {
+    /// engines; see [`TimingEngine`]).
+    pub fn set_timing_engine(&mut self, engine: TimingEngine) {
         self.config.engine = engine;
         for ch in &mut self.channels {
             ch.set_timing_engine(engine);
@@ -1626,10 +1617,10 @@ mod tests {
 
         // The oracle engine scrubs every row and keeps them verified; a
         // host write unverifies the row it lands in, not the matrix's.
-        sys.set_timing_engine(newton_dram::TimingEngine::Reference);
+        sys.set_timing_engine(TimingEngine::Reference);
         let run = sys.run_resident(&loaded, &vector).unwrap();
         assert_eq!((run.output, verified(&sys, 0)), (clean.output.clone(), 16));
-        sys.set_timing_engine(newton_dram::TimingEngine::EventSkipping);
+        sys.set_timing_engine(TimingEngine::EventSkipping);
         sys.channels_mut()[0].enqueue_host_request(crate::controller::HostRequest {
             bank: 3,
             row: 4000,

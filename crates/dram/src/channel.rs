@@ -23,50 +23,12 @@ use crate::bus::{CommandBus, DataBus};
 use crate::config::DramConfig;
 use crate::ecc::EccCounters;
 use crate::error::DramError;
-use crate::faw::{FawTracker, FAW_LIMIT};
+use crate::faw::FawTracker;
 use crate::stats::{ChannelStats, RunSummary};
 use crate::storage::Storage;
 use crate::timing::{Cycle, Timing};
 use newton_trace::energy::to_milli_pj;
-use newton_trace::{
-    BankClass, EnergyModel, Log2Histogram, TimeSeries, TraceBus, TraceEvent, TraceSink,
-};
-
-/// Request-independent scheduling floors shared by every candidate in one
-/// scheduler round, computed in a single pass by
-/// [`Channel::scheduling_floors`]. An event-skipping scheduler combines
-/// them with the per-bank gates from [`Channel::bank_gates`] instead of
-/// calling the full `earliest_*` queries once per queued request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulingFloors {
-    /// Next free row-command-bus slot (0 when the bus is untouched).
-    pub row_slot: Cycle,
-    /// Next free column-command-bus slot.
-    pub col_slot: Cycle,
-    /// Earliest cycle an *external* column read may issue as far as the
-    /// data bus is concerned: the bus busy-until minus tAA (data appears
-    /// tAA after the command), saturating at 0.
-    pub col_data: Cycle,
-    /// Rank-wide activation floors per gang size: `act[n - 1]` is the
-    /// earliest cycle `n` simultaneous activations clear tRRD and the
-    /// tFAW window.
-    pub act: [Cycle; FAW_LIMIT],
-}
-
-/// Holder for the optional trace sink; manual `Debug` because trait
-/// objects have none.
-#[derive(Default)]
-struct SinkSlot(Option<Box<dyn TraceSink>>);
-
-impl std::fmt::Debug for SinkSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "SinkSlot(attached)"
-        } else {
-            "SinkSlot(none)"
-        })
-    }
-}
+use newton_trace::{BankClass, EnergyModel, Log2Histogram, TimeSeries, TraceBus, TraceEvent};
 
 /// Streaming-telemetry state: the windowed series plus the energy model
 /// consulted at command-issue time. Boxed in the channel so the disabled
@@ -100,9 +62,6 @@ pub struct Channel {
     /// Per-bank ECC event counters (all zero while ECC is off).
     ecc: EccCounters,
     audit: Option<Audit>,
-    /// Optional structured-trace consumer; `None` (the default) keeps the
-    /// instrumented issue paths to one branch per site.
-    sink: SinkSlot,
     /// Optional windowed telemetry collector + per-command energy model.
     telemetry: Option<Box<TelemetryState>>,
     /// Cycle of the first command issued, if any (drives the summary's
@@ -139,7 +98,6 @@ impl Channel {
             last_refresh: 0,
             ecc: EccCounters::new(config.banks),
             audit: None,
-            sink: SinkSlot::default(),
             telemetry: None,
             first_activity: None,
             last_act: None,
@@ -242,12 +200,6 @@ impl Channel {
         self.last_refresh
     }
 
-    /// Per-bank ECC correction/detection counters.
-    #[must_use]
-    pub fn ecc_counters(&self) -> &EccCounters {
-        &self.ecc
-    }
-
     /// Scrubs an entire row against its SECDED check bytes on activation
     /// (the row-buffer fill is where a real on-die ECC engine sees the
     /// whole row). No-op while ECC is off.
@@ -333,27 +285,6 @@ impl Channel {
         }
     }
 
-    /// Attaches a trace sink; every subsequent command, bank-state change,
-    /// data burst, and queue-latency sample is reported to it.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink.0 = Some(sink);
-    }
-
-    /// Whether a trace sink is currently attached.
-    #[must_use]
-    pub fn has_trace_sink(&self) -> bool {
-        self.sink.0.is_some()
-    }
-
-    /// Detaches and returns the trace sink (flushed), if one was attached.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        let mut sink = self.sink.0.take();
-        if let Some(s) = &mut sink {
-            s.flush();
-        }
-        sink
-    }
-
     /// Enables streaming telemetry: every subsequent event also folds
     /// into a windowed [`TimeSeries`], and energy-bearing commands emit
     /// [`TraceEvent::CommandEnergy`] attributions priced by the Fig. 13
@@ -371,20 +302,17 @@ impl Channel {
         self.telemetry.as_deref().map(|t| &t.series)
     }
 
-    /// Whether any event consumer (trace sink or telemetry collector) is
-    /// attached — the gate the per-command instrumentation sites check.
+    /// Whether telemetry is on — the gate the per-command instrumentation
+    /// sites check before they build any event.
     #[inline]
     fn tracing(&self) -> bool {
-        self.sink.0.is_some() || self.telemetry.is_some()
+        self.telemetry.is_some()
     }
 
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
         if let Some(t) = &mut self.telemetry {
             t.series.record(&event);
-        }
-        if let Some(s) = &mut self.sink.0 {
-            s.record(&event);
         }
     }
 
@@ -410,61 +338,6 @@ impl Channel {
         }
     }
 
-    /// What telemetry prices one command of a train at, in milli-pJ: 0
-    /// without telemetry, since energy is attributed only while it is on.
-    fn train_command_energy(&self, label: &'static str, bank_ops: u32, data_bytes: u64) -> u64 {
-        self.telemetry.as_ref().map_or(0, |t| {
-            to_milli_pj(t.energy.command_pj(label, bank_ops, data_bytes))
-        })
-    }
-
-    /// Tells an attached trace sink about a train that was applied
-    /// closed-form: for each command at `cycles`, in issue order, exactly
-    /// what the single-command issue emits — `Command`, one
-    /// `BankState::Computing` per bank of `banks`, the `DataBurst` at
-    /// `cycle + tAA` when the command moves `burst_bytes`, and
-    /// `CommandEnergy` when telemetry priced it. The telemetry collector
-    /// is not told here: it took the train as one fold, so nothing is
-    /// counted twice.
-    fn emit_train_to_sink(
-        &mut self,
-        cycles: impl Iterator<Item = Cycle>,
-        label: &'static str,
-        banks: &[usize],
-        burst_bytes: Option<u64>,
-        milli_pj: u64,
-    ) {
-        let Some(sink) = &mut self.sink.0 else { return };
-        for cycle in cycles {
-            sink.record(&TraceEvent::Command {
-                cycle,
-                bus: TraceBus::Column,
-                label,
-                bank_ops: banks.len() as u32,
-            });
-            for &bank in banks {
-                sink.record(&TraceEvent::BankState {
-                    cycle,
-                    bank: bank as u32,
-                    class: BankClass::Computing,
-                });
-            }
-            if let Some(bytes) = burst_bytes {
-                sink.record(&TraceEvent::DataBurst {
-                    cycle: cycle + self.timing.t_aa,
-                    bytes,
-                });
-            }
-            if milli_pj > 0 {
-                sink.record(&TraceEvent::CommandEnergy {
-                    cycle,
-                    label,
-                    milli_pj,
-                });
-            }
-        }
-    }
-
     /// Marks `cycle` as simulation activity (for the activity-span start).
     #[inline]
     fn note_activity(&mut self, cycle: Cycle) {
@@ -475,45 +348,10 @@ impl Channel {
 
     /// Reports that a scheduling controller issued a request at `cycle`
     /// after it waited `waited` cycles in queue. Folded into the summary's
-    /// queue-latency histogram and traced when a sink is attached.
+    /// queue-latency histogram and into telemetry when it is on.
     pub fn record_queue_latency(&mut self, cycle: Cycle, waited: Cycle) {
         self.queue_latency.record(waited);
         self.emit(TraceEvent::QueueLatency { cycle, waited });
-    }
-
-    // ------------------------------------------------------------------
-    // Batched scheduling floors (event-skipping scheduler hooks)
-    // ------------------------------------------------------------------
-
-    /// Computes the request-independent [`SchedulingFloors`] shared by
-    /// every candidate in one scheduler round: one pass over the buses
-    /// and the tFAW window instead of one `earliest_*` query per
-    /// candidate. The floors stay exact until the next `issue_*` call
-    /// (every issue can only move them forward, so a stale copy is a
-    /// valid lower bound but no longer the exact gate).
-    #[must_use]
-    pub fn scheduling_floors(&self) -> SchedulingFloors {
-        SchedulingFloors {
-            row_slot: self.row_bus.slot_floor(&self.timing),
-            col_slot: self.col_bus.slot_floor(&self.timing),
-            col_data: self.data_bus.busy_until().saturating_sub(self.timing.t_aa),
-            act: self.faw.activate_floors(&self.timing),
-        }
-    }
-
-    /// The per-bank earliest-legal gates `(activate, column, precharge)`
-    /// — the bank-local half of the `earliest_*` queries. Combining a
-    /// gate with the matching [`SchedulingFloors`] component reproduces
-    /// the full query: e.g. `max(gates.0, floors.act[0], floors.row_slot)`
-    /// equals [`Channel::earliest_activate`].
-    #[must_use]
-    pub fn bank_gates(&self, bank: usize) -> (Cycle, Cycle, Cycle) {
-        let b = &self.banks[bank];
-        (
-            b.earliest_activate(),
-            b.earliest_column(),
-            b.earliest_precharge(),
-        )
     }
 
     // ------------------------------------------------------------------
@@ -900,10 +738,8 @@ impl Channel {
     ///
     /// Observers are told, not obeyed: the train applies closed-form,
     /// O(1) in `count * banks`, whatever is attached. The telemetry
-    /// collector takes it as one fold into its windows, an audit log as
-    /// one folded record ([`Audit::record_train`]) and a trace sink
-    /// receives, per command, the events the single-command call emits.
-    /// The one condition that expands the train into single-command
+    /// collector takes it as one fold into its windows and an audit log
+    /// as one folded record ([`Audit::record_train`]). The one condition that expands the train into single-command
     /// calls is ECC on without `rows_clean`: there the per-column checks
     /// do real work and can fail at a particular command. `rows_clean`
     /// is the caller's proof that the open rows hold no error — their
@@ -971,8 +807,8 @@ impl Channel {
         if let Some(a) = &mut self.audit {
             a.record_train(start, step, count, banks);
         }
-        let milli_pj = self.train_command_energy("COMP", banks.len() as u32, 0);
         if let Some(t) = &mut self.telemetry {
+            let milli_pj = to_milli_pj(t.energy.command_pj("COMP", banks.len() as u32, 0));
             t.series.record_command_train(
                 start,
                 step,
@@ -985,8 +821,6 @@ impl Channel {
                 t.series.record_bank_comp_train(bank, count as u64);
             }
         }
-        let cycles = (0..count as Cycle).map(|i| start + i * step);
-        self.emit_train_to_sink(cycles, "COMP", banks, None, milli_pj);
         Ok(last)
     }
 
@@ -996,9 +830,8 @@ impl Channel {
     /// [`Channel::issue_broadcast_write`] loop. Like
     /// [`Channel::issue_comp_train`] it always applies closed-form and
     /// tells whatever is attached — telemetry takes one fold, an audit
-    /// log one bank-less train record, a trace sink the per-command
-    /// events — and since a GWRITE touches no bank, nothing ever expands
-    /// it. Returns the cycle of the last command.
+    /// log one bank-less train record — and since a GWRITE touches no
+    /// bank, nothing ever expands it. Returns the cycle of the last command.
     ///
     /// # Errors
     ///
@@ -1030,15 +863,13 @@ impl Channel {
         if let Some(a) = &mut self.audit {
             a.record_train(start, step, count, &[]);
         }
-        let milli_pj = self.train_command_energy("GWRITE", 0, bytes as u64);
         if let Some(t) = &mut self.telemetry {
+            let milli_pj = to_milli_pj(t.energy.command_pj("GWRITE", 0, bytes as u64));
             t.series
                 .record_command_train(start, step, count as u64, "GWRITE", 0, milli_pj);
             t.series
                 .record_burst_train(burst0, step, count as u64, bytes as u64);
         }
-        let cycles = (0..count as Cycle).map(|i| start + i * step);
-        self.emit_train_to_sink(cycles, "GWRITE", &[], Some(bytes as u64), milli_pj);
         Ok(last)
     }
 
@@ -1457,20 +1288,18 @@ mod tests {
         /// ECC on, no proof: the train must expand and run every check.
         EccNoProof,
         Audit,
-        Sink,
-        /// All three at once: the sink must also see the energy events
-        /// telemetry prices, and telemetry must count each command once.
-        TelemetryAuditSink,
+        /// Both at once: telemetry must count each command once and the
+        /// audit must log the same events as under the loop.
+        TelemetryAudit,
     }
 
-    const OBSERVERS: [Observer; 7] = [
+    const OBSERVERS: [Observer; 6] = [
         Observer::None,
         Observer::Telemetry,
         Observer::TelemetryEccProof,
         Observer::EccNoProof,
         Observer::Audit,
-        Observer::Sink,
-        Observer::TelemetryAuditSink,
+        Observer::TelemetryAudit,
     ];
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1483,9 +1312,8 @@ mod tests {
 
     /// A channel with `observer` attached, banks 0..4 open on row 3 and
     /// both buses already used once.
-    fn train_setup(observer: Observer) -> (Channel, newton_trace::SharedRecordingSink) {
+    fn train_setup(observer: Observer) -> Channel {
         let mut ch = Channel::new(DramConfig::hbm2e_like()).unwrap();
-        let handle = newton_trace::SharedRecordingSink::new();
         match observer {
             Observer::None => {}
             Observer::Telemetry => ch.enable_telemetry(64),
@@ -1495,11 +1323,9 @@ mod tests {
             }
             Observer::EccNoProof => ch.storage_mut().enable_ecc(),
             Observer::Audit => ch.enable_audit(),
-            Observer::Sink => ch.set_trace_sink(Box::new(handle.clone())),
-            Observer::TelemetryAuditSink => {
+            Observer::TelemetryAudit => {
                 ch.enable_telemetry(64);
                 ch.enable_audit();
-                ch.set_trace_sink(Box::new(handle.clone()));
             }
         }
         for &bank in &TRAIN_BANKS {
@@ -1515,31 +1341,34 @@ mod tests {
             // a per-column check on the expanding leg can find it.
             ch.storage_mut().flip_bit(1, 3, 64 * 5 + 9).unwrap();
         }
-        (ch, handle)
+        ch
     }
 
-    /// Everything a train may touch, in comparable form.
+    /// Everything a train may touch, in comparable form. The `earliest_*`
+    /// answers stand for the bank gates, the bus slots, the data bus and
+    /// the tFAW window the next command would be checked against.
     #[derive(Debug, PartialEq)]
     struct TrainSurface {
         summary: RunSummary,
-        floors: SchedulingFloors,
-        bank_gates: Vec<(Cycle, Cycle, Cycle)>,
+        earliest_activate: Vec<Cycle>,
+        earliest_ganged_column_read: Cycle,
+        earliest_broadcast_write: Cycle,
+        earliest_precharge_all: Cycle,
         audit: Option<Vec<AuditEvent>>,
-        sink: Vec<TraceEvent>,
         verified: Vec<bool>,
     }
 
-    fn train_surface(
-        ch: &Channel,
-        handle: &newton_trace::SharedRecordingSink,
-        end: Cycle,
-    ) -> TrainSurface {
+    fn train_surface(ch: &Channel, end: Cycle) -> TrainSurface {
         TrainSurface {
             summary: ch.summary(end),
-            floors: ch.scheduling_floors(),
-            bank_gates: TRAIN_BANKS.iter().map(|&b| ch.bank_gates(b)).collect(),
+            earliest_activate: TRAIN_BANKS
+                .iter()
+                .map(|&b| ch.earliest_activate(b))
+                .collect(),
+            earliest_ganged_column_read: ch.earliest_ganged_column_read(0, &TRAIN_BANKS),
+            earliest_broadcast_write: ch.earliest_broadcast_write(0),
+            earliest_precharge_all: ch.earliest_precharge_all(),
             audit: ch.audit().map(|a| a.events().collect()),
-            sink: handle.events(),
             verified: TRAIN_BANKS
                 .iter()
                 .map(|&b| ch.storage().row_verified(b, 3))
@@ -1549,12 +1378,12 @@ mod tests {
 
     /// Runs `count` commands as a sequential single-command loop on one
     /// channel and as one train on its twin, and compares every surface —
-    /// counters, floors, gates, telemetry series, audit and sink events —
+    /// counters, `earliest_*` answers, telemetry series and audit events —
     /// right after the train and again after closing the row set.
     fn assert_train_matches_loop(train: Train, observer: Observer, count: usize) {
         let what = format!("{train:?} {observer:?} count={count}");
-        let (mut looped, looped_sink) = train_setup(observer);
-        let (mut trained, trained_sink) = train_setup(observer);
+        let mut looped = train_setup(observer);
+        let mut trained = train_setup(observer);
         let step = looped.timing().col_step();
         let earliest = |ch: &Channel, after: Cycle| match train {
             Train::Comp => ch.earliest_ganged_column_read(after, &TRAIN_BANKS),
@@ -1592,8 +1421,8 @@ mod tests {
         assert_eq!(train_last, last, "{what}: last command cycle");
         let end = last + 100;
         assert_eq!(
-            train_surface(&looped, &looped_sink, end),
-            train_surface(&trained, &trained_sink, end),
+            train_surface(&looped, end),
+            train_surface(&trained, end),
             "{what}"
         );
         if observer == Observer::EccNoProof && train == Train::Comp && count > 1 {
@@ -1617,8 +1446,8 @@ mod tests {
         looped.issue_precharge_all(p).unwrap();
         trained.issue_precharge_all(p).unwrap();
         assert_eq!(
-            train_surface(&looped, &looped_sink, p + 50),
-            train_surface(&trained, &trained_sink, p + 50),
+            train_surface(&looped, p + 50),
+            train_surface(&trained, p + 50),
             "{what}: after precharge"
         );
     }
@@ -1639,12 +1468,12 @@ mod tests {
         // Same error and no side effect whatever is attached.
         let mut errors = Vec::new();
         for observer in [Observer::Audit, Observer::None] {
-            let (mut ch, sink) = train_setup(observer);
+            let mut ch = train_setup(observer);
             let step = ch.timing().col_step();
             let cols = ch.config().cols_per_row;
             let t0 = ch.earliest_ganged_column_read(0, &TRAIN_BANKS);
             let g0 = ch.earliest_broadcast_write(0);
-            let before = train_surface(&ch, &sink, 1000);
+            let before = train_surface(&ch, 1000);
             let stats = *ch.stats();
             let too_long = ch
                 .issue_comp_train(t0, step, cols + 1, &TRAIN_BANKS, false)
@@ -1669,7 +1498,7 @@ mod tests {
                 .unwrap_err();
             let gwrite_dense = ch.issue_broadcast_write_train(g0, 1, 4, 32).unwrap_err();
             assert_eq!(*ch.stats(), stats, "{observer:?}");
-            assert_eq!(train_surface(&ch, &sink, 1000), before, "{observer:?}");
+            assert_eq!(train_surface(&ch, 1000), before, "{observer:?}");
             errors.push((too_long, too_early, too_dense, gwrite_early, gwrite_dense));
         }
         assert_eq!(errors[0], errors[1]);
@@ -1835,49 +1664,6 @@ mod tests {
             .collect();
         assert_eq!(acts.len(), 16);
         assert!(acts[15] >= 3 * t.t_faw);
-    }
-
-    #[test]
-    fn trace_sink_sees_commands_bank_states_and_bursts() {
-        use newton_trace::{SharedRecordingSink, TraceEvent};
-        let mut ch = channel();
-        let t = timing();
-        let handle = SharedRecordingSink::new();
-        ch.set_trace_sink(Box::new(handle.clone()));
-        assert!(ch.has_trace_sink());
-        ch.issue_ganged_activate(0, &[(0, 0), (1, 0)]).unwrap();
-        ch.issue_ganged_column_read_internal(t.t_rcd, &[(0, 0), (1, 0)], |_, _| {})
-            .unwrap();
-        ch.issue_column_read_external(t.t_rcd + t.t_ccd, 0, 1)
-            .unwrap();
-        ch.record_queue_latency(t.t_rcd + t.t_ccd, 7);
-        assert!(ch.take_trace_sink().is_some());
-        assert!(!ch.has_trace_sink());
-
-        let events = handle.events();
-        let commands: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Command {
-                    label, bank_ops, ..
-                } => Some((*label, *bank_ops)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(commands, vec![("G_ACT", 2), ("COMP", 2), ("RD", 1)]);
-        let bursts = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::DataBurst { .. }))
-            .count();
-        assert_eq!(bursts, 1, "only the external read crosses the PHY");
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::QueueLatency { waited: 7, .. })));
-        // Detached: further commands are not traced.
-        let before = handle.len();
-        ch.issue_column_read_external(t.t_rcd + 2 * t.t_ccd, 1, 1)
-            .unwrap();
-        assert_eq!(handle.len(), before);
     }
 
     #[test]

@@ -108,27 +108,6 @@ impl FawTracker {
     pub fn last_activate(&self) -> Option<Cycle> {
         self.last_act
     }
-
-    /// One-pass batch of [`FawTracker::earliest_activate`] floors at
-    /// `hint = 0` for every gang size: `floors[n - 1]` is the earliest
-    /// cycle `n` simultaneous activations may issue. A scheduler that
-    /// evaluates many banks (or several gang sizes) per decision reads
-    /// the sliding window once per round instead of re-walking it per
-    /// candidate.
-    #[must_use]
-    pub fn activate_floors(&self, t: &Timing) -> [Cycle; FAW_LIMIT] {
-        let rrd = self.last_act.map_or(0, |last| last + t.t_rrd);
-        let mut floors = [rrd; FAW_LIMIT];
-        let len = self.recent.len();
-        for (i, floor) in floors.iter_mut().enumerate() {
-            let allowed_inside = FAW_LIMIT - (i + 1);
-            if len > allowed_inside {
-                let must_expire_idx = len - allowed_inside - 1;
-                *floor = (*floor).max(self.recent[must_expire_idx] + t.t_faw);
-            }
-        }
-        floors
-    }
 }
 
 #[cfg(test)]
@@ -213,23 +192,5 @@ mod tests {
         let t = timing();
         let faw = FawTracker::new();
         assert_eq!(faw.earliest_activate(12345, 4, &t), 12345);
-    }
-
-    #[test]
-    fn activate_floors_agree_with_per_size_queries() {
-        let t = timing();
-        let mut faw = FawTracker::new();
-        // Exercise empty, partial, and full windows, mixed gang sizes.
-        for (cycle, n) in [(0, 1), (6, 2), (40, 4), (80, 1), (85, 3)] {
-            let floors = faw.activate_floors(&t);
-            for (i, &floor) in floors.iter().enumerate() {
-                assert_eq!(floor, faw.earliest_activate(0, i + 1, &t), "n = {}", i + 1);
-            }
-            faw.record(cycle, n);
-        }
-        let floors = faw.activate_floors(&t);
-        for (i, &floor) in floors.iter().enumerate() {
-            assert_eq!(floor, faw.earliest_activate(0, i + 1, &t));
-        }
     }
 }

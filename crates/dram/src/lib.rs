@@ -23,6 +23,8 @@
 //!   single command slot.
 //! * [`storage`]: functional row storage (lazily allocated; rows hold real
 //!   bytes so compute-in-memory models produce real numbers).
+//! * [`controller`]: a conventional FR-FCFS controller (open or closed
+//!   page, refresh interposed) for host traffic beside the AiM stream.
 //! * [`stream`]: a streaming read controller used to model the paper's
 //!   *Ideal Non-PIM* baseline (external-bandwidth-bound, activations hidden).
 //! * [`address`]: physical address mapping and super-page allocation
@@ -79,7 +81,6 @@ pub mod timing;
 
 pub use channel::Channel;
 pub use config::DramConfig;
-pub use controller::TimingEngine;
 pub use ecc::{EccCounters, Secded};
 pub use error::DramError;
 pub use faults::{CampaignSpec, FaultKind, InjectedFault, RetentionSpec};

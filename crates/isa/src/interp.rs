@@ -324,11 +324,23 @@ impl Interp {
                 offset,
             } => {
                 self.check_gpr(*gpr)?;
-                let subchunks = self.system()?.config().row_elems() / GPR_ELEMS;
+                let cfg = self.system()?.config();
+                let row_elems = cfg.row_elems();
+                let subchunks = row_elems / GPR_ELEMS;
                 // Staging may extend past one physical GB window when the
                 // trace declares a wider logical vector (CFR N); the MAC
-                // `L` flag later broadcasts the right slice per chunk.
-                let declared_n = usize::try_from(self.cfrs[cfr::N]).unwrap_or(0);
+                // `L` flag later broadcasts the right slice per chunk. No
+                // vector is longer than one chunk per row of a bank.
+                let limit = cfg.dram.rows_per_bank * row_elems;
+                let declared_n = self.cfrs[cfr::N];
+                let declared_n = usize::try_from(declared_n)
+                    .ok()
+                    .filter(|&n| n <= limit)
+                    .ok_or_else(|| {
+                        IsaError::Geometry(format!(
+                            "CFR N = {declared_n} exceeds the {limit} elements a bank's rows hold"
+                        ))
+                    })?;
                 let bound = subchunks.max(declared_n.div_ceil(GPR_ELEMS));
                 if *offset >= bound {
                     return Err(IsaError::GbOffsetOutOfRange {
@@ -589,9 +601,18 @@ impl Interp {
         // The `L` flag's broadcast: the chunk's staged vector slice, zero
         // past its end.
         let broadcast: Vec<[Bf16; GPR_ELEMS]> = if load_chunk && !self.staged.is_empty() {
+            let base = chunk
+                .checked_mul(row_elems)
+                .filter(|base| base.checked_add(n_sub * GPR_ELEMS).is_some())
+                .ok_or_else(|| {
+                    IsaError::Geometry(format!(
+                        "MAC_ABK chunk {chunk} has no staged-vector offset \
+                         ({row_elems} elements a chunk)"
+                    ))
+                })?;
             (0..n_sub)
                 .map(|sub| {
-                    let start = chunk * row_elems + sub * GPR_ELEMS;
+                    let start = base + sub * GPR_ELEMS;
                     std::array::from_fn(|k| self.staged.get(start + k).copied().unwrap_or_default())
                 })
                 .collect()

@@ -8,9 +8,12 @@
 //! 2. The decoder/interpreter never panics: any outcome is `Ok` or a
 //!    typed [`IsaError`].
 //! 3. Out-of-range operands (banks, rows, columns, GPRs, latches,
-//!    channel masks) are rejected with the matching typed variant.
+//!    channel masks, a declared vector length the device cannot hold, a
+//!    chunk whose staged-vector offset overflows) are rejected with the
+//!    matching typed variant.
 
 use newton_core::config::NewtonConfig;
+use newton_isa::instr::cfr;
 use newton_isa::{generate, interp, Instr, IsaError, Program};
 use proptest::prelude::*;
 
@@ -22,12 +25,21 @@ fn small_config() -> NewtonConfig {
 
 /// A trace with the geometry header plus one arbitrary instruction.
 fn one_instr_program(instr: Instr) -> Program {
+    instrs_program(vec![instr])
+}
+
+/// A trace with the geometry header plus `instrs`, in order.
+fn instrs_program(instrs: Vec<Instr>) -> Program {
     let cfg = small_config();
     let mut program = generate::random_program(&cfg, 0, 0);
-    // random_program ends with EOC; splice the probe before it.
-    program.instrs.insert(program.instrs.len() - 1, instr);
+    // random_program ends with EOC; splice the probes before it.
+    let eoc = program.instrs.len() - 1;
+    program.instrs.splice(eoc..eoc, instrs);
     program
 }
+
+/// Elements the device's rows can hold: 32,768 rows of 512 per bank.
+const MAX_VECTOR_ELEMS: u64 = 32_768 * 512;
 
 proptest! {
     /// Random well-formed programs survive render -> parse unchanged.
@@ -124,6 +136,46 @@ proptest! {
         match interp::interpret(&p, small_config()) {
             Err(IsaError::ChannelMaskOutOfRange { channels: 2, .. }) => {}
             other => panic!("expected ChannelMaskOutOfRange, got {other:?}"),
+        }
+    }
+
+    /// A declared vector length (CFR N) longer than the device can hold is
+    /// a typed rejection at the `WR_GB` that would stage it, even at the
+    /// last offset that length implies — never a staging buffer sized by
+    /// an unchecked register.
+    #[test]
+    fn declared_n_out_of_range_is_typed(n in MAX_VECTOR_ELEMS + 1..u64::MAX) {
+        let offset = usize::try_from(n.div_ceil(16) - 1).unwrap();
+        let p = instrs_program(vec![
+            Instr::WrCfr { idx: cfr::N, value: n },
+            Instr::WrGb { gpr: 0, channels: 0x1, offset },
+        ]);
+        match interp::interpret(&p, small_config()) {
+            Err(IsaError::Geometry(msg)) => assert!(msg.contains(&n.to_string()), "{msg}"),
+            other => panic!("expected Geometry, got {other:?}"),
+        }
+    }
+
+    /// A `MAC_ABK` chunk whose staged-vector offset (`chunk * row_elems`)
+    /// overflows is a typed rejection, not a wrapped offset that
+    /// broadcasts zeros.
+    #[test]
+    fn chunk_offset_overflow_is_typed(chunk in usize::MAX / 512 + 1..usize::MAX) {
+        let p = instrs_program(vec![
+            Instr::WrGb { gpr: 0, channels: 0x1, offset: 0 },
+            Instr::MacAbk {
+                channels: 0x1,
+                row: 5,
+                chunk,
+                latch: 0,
+                n_sub: 1,
+                load_chunk: true,
+                reset_latch: true,
+            },
+        ]);
+        match interp::interpret(&p, small_config()) {
+            Err(IsaError::Geometry(msg)) => assert!(msg.contains(&chunk.to_string()), "{msg}"),
+            other => panic!("expected Geometry, got {other:?}"),
         }
     }
 

@@ -1,9 +1,9 @@
 //! The golden `.aim` corpus: each checked-in trace's interpreter log is
 //! pinned byte-for-byte against its `.expected` sibling.
 //!
-//! The interpreter never branches on `TimingEngine` or thread width, so
-//! these logs are stable across every simulator configuration the suite
-//! sweeps. Regenerate (after an intentional semantic change) with:
+//! The interpreter issues its commands through the channel itself and
+//! never reads `NewtonConfig::engine` or the thread width, so these logs
+//! are stable across every simulator configuration the suite sweeps. Regenerate (after an intentional semantic change) with:
 //!
 //! ```text
 //! cargo run -p newton-isa --bin newton -- run crates/isa/tests/traces/<name>.aim \

@@ -318,12 +318,6 @@ impl Server {
         &self.sys
     }
 
-    /// Mutable access to the underlying system (tests and harnesses:
-    /// timing-engine selection, out-of-band fault injection).
-    pub fn system_mut(&mut self) -> &mut NewtonSystem {
-        &mut self.sys
-    }
-
     /// Injects a fault campaign into every channel at the current
     /// simulated time (chaos path; also usable out of band).
     ///

@@ -7,7 +7,7 @@
 //! from run summaries); this module owns the same coefficients as
 //! *per-command energies* so the DRAM channel can attribute picojoules to
 //! every ACT/COMP/READRES/refresh as it issues, feeding the windowed
-//! [`TimeSeries`](crate::timeseries::TimeSeries) and the trace sink.
+//! [`TimeSeries`](crate::timeseries::TimeSeries).
 //!
 //! Units: energies are picojoules in the paper-normalized unit system
 //! (conventional peak-read streaming power ≡ 1.0, so 1 pJ here is one

@@ -5,10 +5,10 @@
 //! beats each design variant spends per inference. This crate provides the
 //! plumbing every other crate uses to answer those questions:
 //!
-//! * [`sink`] — the [`TraceSink`] trait plus no-op, in-memory, and
-//!   streaming implementations. Substrates hold an
-//!   `Option<Box<dyn TraceSink + Send>>`; `None` (the default) costs one
-//!   branch per event site.
+//! * [`sink`] — the [`TraceEvent`] vocabulary (commands, bank states,
+//!   data bursts, queue latency, ECC, energy, serving requests) that
+//!   [`timeseries`] folds into windows. Nothing is built per event while
+//!   telemetry is off.
 //! * [`residency`] — per-bank cycle attribution across five states (idle,
 //!   row-open, precharging, refreshing, computing) with a
 //!   sum-equals-elapsed invariant.
@@ -54,10 +54,7 @@ pub use histogram::Log2Histogram;
 pub use hostprof::{HostPhase, HostProfiler};
 pub use json::{JsonError, JsonValue};
 pub use residency::{BankClass, Residency, ResidencyTracker};
-pub use sink::{
-    NullSink, RecordingSink, RequestClass, SharedRecordingSink, StreamingSink, TraceBus,
-    TraceEvent, TraceSink,
-};
+pub use sink::{RequestClass, TraceBus, TraceEvent};
 pub use snapshot::{MetricsSnapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use timeseries::{
     BankEnergyCounts, TimeSeries, WindowMetrics, Windows, DEFAULT_WINDOW_CYCLES,

@@ -1,17 +1,14 @@
-//! The [`TraceSink`] abstraction: where instrumentation events go.
+//! The instrumentation event vocabulary: [`TraceEvent`] and its parts.
 //!
-//! Simulation substrates (the DRAM channel, the Newton controller) emit
-//! [`TraceEvent`]s through a `TraceSink`. The default is *no sink at all*
-//! (an `Option<Box<dyn TraceSink>>` left `None`), so the instrumented hot
-//! paths cost one branch when tracing is off. [`NullSink`] exists for
-//! callers that want an explicit do-nothing sink; [`RecordingSink`] keeps
-//! events in memory for inspection and export; [`StreamingSink`] writes
-//! newline-delimited JSON to any `io::Write` so arbitrarily long runs
-//! trace in constant memory.
+//! Events have one consumer, the windowed [`TimeSeries`]. The DRAM
+//! channel folds every command, bank-state change, data burst,
+//! queue-latency sample, ECC event and energy attribution into its series
+//! while telemetry is on and builds no event at all while it is off; the
+//! serving layer records its [`TraceEvent::Request`] series the same way.
+//!
+//! [`TimeSeries`]: crate::timeseries::TimeSeries
 
-use crate::json::JsonValue;
 use crate::residency::BankClass;
-use std::io::Write;
 
 /// Which command bus carried a traced command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,249 +156,7 @@ impl TraceEvent {
             | TraceEvent::Request { cycle, .. } => cycle,
         }
     }
-
-    /// A flat JSON object describing the event (used by
-    /// [`StreamingSink`]).
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        let mut obj = Vec::new();
-        match *self {
-            TraceEvent::Command {
-                cycle,
-                bus,
-                label,
-                bank_ops,
-            } => {
-                obj.push(("type".into(), JsonValue::from("command")));
-                obj.push(("cycle".into(), JsonValue::from(cycle)));
-                obj.push(("bus".into(), JsonValue::from(bus.name())));
-                obj.push(("label".into(), JsonValue::from(label)));
-                obj.push(("bank_ops".into(), JsonValue::from(u64::from(bank_ops))));
-            }
-            TraceEvent::BankState { cycle, bank, class } => {
-                obj.push(("type".into(), JsonValue::from("bank_state")));
-                obj.push(("cycle".into(), JsonValue::from(cycle)));
-                obj.push(("bank".into(), JsonValue::from(u64::from(bank))));
-                obj.push(("class".into(), JsonValue::from(class.name())));
-            }
-            TraceEvent::DataBurst { cycle, bytes } => {
-                obj.push(("type".into(), JsonValue::from("data_burst")));
-                obj.push(("cycle".into(), JsonValue::from(cycle)));
-                obj.push(("bytes".into(), JsonValue::from(bytes)));
-            }
-            TraceEvent::QueueLatency { cycle, waited } => {
-                obj.push(("type".into(), JsonValue::from("queue_latency")));
-                obj.push(("cycle".into(), JsonValue::from(cycle)));
-                obj.push(("waited".into(), JsonValue::from(waited)));
-            }
-            TraceEvent::EccCorrected {
-                cycle,
-                bank,
-                row,
-                bits,
-            } => {
-                obj.push(("type".into(), JsonValue::from("ecc_corrected")));
-                obj.push(("cycle".into(), JsonValue::from(cycle)));
-                obj.push(("bank".into(), JsonValue::from(u64::from(bank))));
-                obj.push(("row".into(), JsonValue::from(u64::from(row))));
-                obj.push(("bits".into(), JsonValue::from(u64::from(bits))));
-            }
-            TraceEvent::EccUncorrectable { cycle, bank, row } => {
-                obj.push(("type".into(), JsonValue::from("ecc_uncorrectable")));
-                obj.push(("cycle".into(), JsonValue::from(cycle)));
-                obj.push(("bank".into(), JsonValue::from(u64::from(bank))));
-                obj.push(("row".into(), JsonValue::from(u64::from(row))));
-            }
-            TraceEvent::CommandEnergy {
-                cycle,
-                label,
-                milli_pj,
-            } => {
-                obj.push(("type".into(), JsonValue::from("command_energy")));
-                obj.push(("cycle".into(), JsonValue::from(cycle)));
-                obj.push(("label".into(), JsonValue::from(label)));
-                obj.push(("milli_pj".into(), JsonValue::from(milli_pj)));
-            }
-            TraceEvent::Request { cycle, class } => {
-                obj.push(("type".into(), JsonValue::from("request")));
-                obj.push(("cycle".into(), JsonValue::from(cycle)));
-                obj.push(("class".into(), JsonValue::from(class.name())));
-            }
-        }
-        JsonValue::Object(obj)
-    }
 }
-
-/// A consumer of [`TraceEvent`]s.
-///
-/// Implementations must be cheap per call; substrates invoke `record` on
-/// hot paths. `Send` is required because channels run inside scoped
-/// threads in the multi-channel system simulator.
-pub trait TraceSink: Send {
-    /// Consumes one event.
-    fn record(&mut self, event: &TraceEvent);
-
-    /// Flushes any buffered output (no-op by default).
-    fn flush(&mut self) {}
-}
-
-/// A sink that drops everything (an explicit stand-in for "tracing off").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: &TraceEvent) {}
-}
-
-/// A sink that keeps every event in memory, in arrival order.
-#[derive(Debug, Clone, Default)]
-pub struct RecordingSink {
-    events: Vec<TraceEvent>,
-}
-
-impl RecordingSink {
-    /// An empty recording sink.
-    #[must_use]
-    pub fn new() -> RecordingSink {
-        RecordingSink::default()
-    }
-
-    /// Recorded events.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Consumes the sink, returning its events.
-    #[must_use]
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-}
-
-impl TraceSink for RecordingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.events.push(event.clone());
-    }
-}
-
-/// A recording sink backed by a shared buffer: clone one handle into the
-/// substrate via `Box<dyn TraceSink>`, keep the other, and read the
-/// events back after the run (the pattern the exporters use).
-#[derive(Debug, Clone, Default)]
-pub struct SharedRecordingSink {
-    events: std::sync::Arc<std::sync::Mutex<Vec<TraceEvent>>>,
-}
-
-impl SharedRecordingSink {
-    /// An empty shared recording sink.
-    #[must_use]
-    pub fn new() -> SharedRecordingSink {
-        SharedRecordingSink::default()
-    }
-
-    /// A copy of the events recorded so far, in arrival order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the buffer panicked mid-record.
-    #[must_use]
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().unwrap().clone()
-    }
-
-    /// Number of recorded events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the buffer panicked mid-record.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
-    }
-
-    /// Whether nothing has been recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the buffer panicked mid-record.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().unwrap().is_empty()
-    }
-}
-
-impl TraceSink for SharedRecordingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.events.lock().unwrap().push(event.clone());
-    }
-}
-
-/// A sink that serializes each event as one JSON line to a writer.
-#[derive(Debug)]
-pub struct StreamingSink<W: Write + Send> {
-    out: W,
-    lines: u64,
-}
-
-impl<W: Write + Send> StreamingSink<W> {
-    /// Streams events to `out` as newline-delimited JSON.
-    pub fn new(out: W) -> StreamingSink<W> {
-        StreamingSink { out, lines: 0 }
-    }
-
-    /// Lines written so far.
-    #[must_use]
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write + Send> TraceSink for StreamingSink<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        // I/O errors intentionally do not panic the simulation; the line
-        // counter lets callers detect truncation.
-        if writeln!(self.out, "{}", event.to_json().render()).is_ok() {
-            self.lines += 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-// Compile-time guarantees for the parallel system simulator: every
-// provided sink crosses thread boundaries (`Send`), and the shared
-// recording sink can additionally be read from other threads while a
-// simulation holds a handle (`Sync`).
-const _: () = {
-    const fn require_send<T: Send>() {}
-    const fn require_sync<T: Sync>() {}
-    require_send::<NullSink>();
-    require_send::<RecordingSink>();
-    require_send::<SharedRecordingSink>();
-    require_sync::<SharedRecordingSink>();
-    require_send::<StreamingSink<std::io::Sink>>();
-    require_send::<Box<dyn TraceSink>>();
-};
 
 #[cfg(test)]
 mod tests {
@@ -429,48 +184,6 @@ mod tests {
                 waited: 6,
             },
         ]
-    }
-
-    #[test]
-    fn recording_sink_keeps_order() {
-        let mut sink = RecordingSink::new();
-        for e in sample() {
-            sink.record(&e);
-        }
-        assert_eq!(sink.len(), 4);
-        assert_eq!(
-            sink.events()[2],
-            TraceEvent::DataBurst {
-                cycle: 20,
-                bytes: 32
-            }
-        );
-        assert_eq!(sink.into_events().len(), 4);
-    }
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut sink = NullSink;
-        for e in sample() {
-            sink.record(&e);
-        }
-    }
-
-    #[test]
-    fn streaming_sink_writes_one_json_line_per_event() {
-        let mut sink = StreamingSink::new(Vec::new());
-        for e in sample() {
-            sink.record(&e);
-        }
-        assert_eq!(sink.lines(), 4);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        for line in lines {
-            crate::json::JsonValue::parse(line).unwrap();
-        }
-        assert!(text.contains("\"label\": \"ACT\""));
-        assert!(text.contains("\"class\": \"row_open\""));
     }
 
     #[test]

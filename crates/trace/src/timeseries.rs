@@ -1,7 +1,7 @@
 //! Windowed time-series telemetry over the trace-event stream.
 //!
-//! A [`TimeSeries`] folds the same [`TraceEvent`]s a
-//! [`TraceSink`](crate::sink::TraceSink) would see into fixed-width
+//! A [`TimeSeries`] folds the [`TraceEvent`]s a DRAM channel (or the
+//! serving layer) emits while telemetry is on into fixed-width
 //! simulated-time windows (default [`DEFAULT_WINDOW_CYCLES`]) of pure
 //! integer counters, answering "what was the bandwidth, bank occupancy,
 //! queue depth, ganged-ACT width, ECC correction rate, and energy at

@@ -19,7 +19,9 @@ fn main() -> Result<(), AimError> {
     let cfg = NewtonConfig::paper_default();
     println!(
         "Newton system: {} channels x {} banks, {} multipliers/bank",
-        cfg.channels, cfg.dram.banks, cfg.multipliers_per_bank
+        cfg.channels,
+        cfg.dram.banks,
+        cfg.subchunk_elems()
     );
 
     // A BERT-attention-sized layer: 1024 x 1024 bf16 weights.

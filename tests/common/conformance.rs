@@ -1,7 +1,7 @@
 //! The one oracle-vs-production comparison. The oracle is
-//! `TimingEngine::Reference` with `FunctionalMode::Reference`: scalar
-//! kernels over the bytes each column read returns, every command issued
-//! and checked singly, every activation scrubbed. Production is what a
+//! `TimingEngine::Reference`: scalar kernels over the bytes each column
+//! read returns, every command issued and checked singly, every
+//! activation scrubbed. Production is what a
 //! user gets from the same config by default: the SIMD kernel on the
 //! event-skipping engine, GWRITE and COMP trains, no scrub of a row the
 //! storage marks verified. Every simulated surface must agree bit for
@@ -12,29 +12,24 @@
 
 use newton_aim::bf16::Bf16;
 use newton_aim::core::config::NewtonConfig;
-use newton_aim::core::controller::{FunctionalMode, NewtonChannel};
+use newton_aim::core::config::TimingEngine;
+use newton_aim::core::controller::NewtonChannel;
 use newton_aim::core::system::{LoadedMatrix, NewtonSystem, SystemRun};
-use newton_aim::dram::TimingEngine;
 use newton_serve::ServeReport;
 
-/// `[oracle, production]`, each built from `cfg` by `build` and then put on
-/// its leg through `system`.
-pub fn pair_with<T>(
-    cfg: &NewtonConfig,
-    build: impl Fn(NewtonConfig) -> T,
-    system: impl Fn(&mut T) -> &mut NewtonSystem,
-) -> [T; 2] {
-    let mut oracle = build(NewtonConfig {
+/// `[oracle, production]`, each built from `cfg` by `build`: the oracle
+/// on `TimingEngine::Reference`, production on the engine `cfg` names.
+pub fn pair_with<T>(cfg: &NewtonConfig, build: impl Fn(NewtonConfig) -> T) -> [T; 2] {
+    let oracle = build(NewtonConfig {
         engine: TimingEngine::Reference,
         ..cfg.clone()
     });
-    system(&mut oracle).set_functional_mode(FunctionalMode::Reference);
     [oracle, build(cfg.clone())]
 }
 
 /// `[oracle, production]` systems from one config.
 pub fn pair(cfg: &NewtonConfig) -> [NewtonSystem; 2] {
-    pair_with(cfg, |c| NewtonSystem::new(c).expect("system"), |s| s)
+    pair_with(cfg, |c| NewtonSystem::new(c).expect("system"))
 }
 
 /// A run's output bits.

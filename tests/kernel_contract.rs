@@ -1,5 +1,5 @@
 //! Tier-1 smoke for the COMP kernel contract: production's functional
-//! path (`FunctionalMode::Simd`, the lane-major batched kernel) must be
+//! path (the event-skipping engine's lane-major batched kernel) must be
 //! indistinguishable from the oracle of `common/conformance.rs` through
 //! `run_mv` and through a resident matrix, including when the weights in
 //! storage hold an infinity and a NaN, which send the kernel down its

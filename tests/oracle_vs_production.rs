@@ -15,11 +15,10 @@ mod conformance;
 use conformance::{
     assert_conformant, assert_serve_conformant, bits, load, pair, pair_with, run_resident,
 };
-use newton_aim::core::config::{NewtonConfig, TelemetryConfig};
+use newton_aim::core::config::{NewtonConfig, TelemetryConfig, TimingEngine};
 use newton_aim::core::system::{NewtonSystem, SystemRun};
 use newton_aim::core::ParallelPolicy;
 use newton_aim::dram::faults::CampaignSpec;
-use newton_aim::dram::TimingEngine;
 use newton_aim::isa::{generate, mv, Program};
 use newton_aim::workloads::arrivals::ArrivalPattern;
 use newton_aim::workloads::{generator, Benchmark, DecodeStreamSpec, MvShape};
@@ -216,11 +215,9 @@ fn serve(
 ) -> [ServeReport; 2] {
     let shape = MvShape::new(32, 512);
     let matrix = generator::matrix(shape, matrix_seed);
-    let servers = pair_with(
-        cfg,
-        |c| Server::new(c, matrix.clone(), shape.m, shape.n, 3, input_seed).expect("server"),
-        Server::system_mut,
-    );
+    let servers = pair_with(cfg, |c| {
+        Server::new(c, matrix.clone(), shape.m, shape.n, 3, input_seed).expect("server")
+    });
     servers.map(|mut s| s.serve(traffic, chaos).expect("serves"))
 }
 

@@ -21,6 +21,14 @@
 //! the banks return, so every timing experiment doubles as a numerical
 //! correctness check.
 //!
+//! AiM commands reach the channel only through the row-set operations
+//! ([`NewtonChannel::open_row_set`], [`NewtonChannel::read_latch`],
+//! [`NewtonChannel::close_row_set`], [`NewtonChannel::finish`]) and the
+//! two COPY operations beside them. The drain behind
+//! [`NewtonChannel::run_mv`] calls them in schedule order; the ISA
+//! interpreter of `newton-isa` maps instructions onto them, so both get
+//! the same command order, refresh interposition and optimizations.
+//!
 //! [`OptFlags::ganged_comp`]: crate::config::OptFlags::ganged_comp
 //! [`OptFlags::complex_comp`]: crate::config::OptFlags::complex_comp
 //! [`OptFlags::ganged_act`]: crate::config::OptFlags::ganged_act
@@ -147,11 +155,24 @@ pub struct NewtonChannel {
     host_queue: Vec<HostRequest>,
     host_responses: Vec<HostResponse>,
     weight_cache: DecodedWeightCache,
+    /// The issue cycle of the last COMP of the row-set
+    /// [`NewtonChannel::open_row_set`] left open, if one is open.
+    open_comp: Option<Cycle>,
+    /// When the adder tree has drained the latest COMP: the earliest a
+    /// READRES may read its latch.
+    tree_done: Cycle,
+    /// The cycle every READRES data burst and row-set precharge issued so
+    /// far has completed by.
+    done: Cycle,
+    /// What the row-set operations issued since the current run began.
+    tally: AimStats,
     /// Reusable scratch for the per-row-set command loops (ganged
-    /// activate clusters, the ganged COMP stream, READRES latch dedup),
-    /// so the steady state issues no per-row-set allocations.
+    /// activate clusters, the ganged COMP stream, the latch values one
+    /// READRES returns), so the steady state issues no per-row-set
+    /// allocations.
     scratch_pairs: Vec<(usize, usize)>,
     scratch_banks: Vec<usize>,
+    scratch_values: Vec<Bf16>,
     /// Host-side self-profiling of the COMP phase: calls to and wall-clock
     /// nanoseconds spent inside `compute_row_set` (the MAC hot path).
     /// Drained by the system layer via
@@ -201,8 +222,13 @@ impl NewtonChannel {
             host_queue: Vec::new(),
             host_responses: Vec::new(),
             weight_cache,
+            open_comp: None,
+            tree_done: 0,
+            done: 0,
+            tally: AimStats::default(),
             scratch_pairs: Vec::new(),
             scratch_banks: Vec::new(),
+            scratch_values: Vec::new(),
             comp_calls: 0,
             comp_nanos: 0,
         })
@@ -236,9 +262,10 @@ impl NewtonChannel {
     }
 
     /// Queues a host (non-AiM) request. It is serviced at the next
-    /// row-set boundary inside [`NewtonChannel::run_mv`] (all banks
-    /// precharged — Sec. III-D's interleaving rule), or immediately by
-    /// [`NewtonChannel::service_host_requests`] when the channel is idle.
+    /// row-set boundary ([`NewtonChannel::open_row_set`] or a COPY, with
+    /// all banks precharged — Sec. III-D's interleaving rule), or
+    /// immediately by [`NewtonChannel::service_host_requests`] when the
+    /// channel is idle.
     pub fn enqueue_host_request(&mut self, request: HostRequest) {
         self.host_queue.push(request);
     }
@@ -307,12 +334,6 @@ impl NewtonChannel {
         &mut self.channel
     }
 
-    /// The AiM device state.
-    #[must_use]
-    pub fn device(&self) -> &NewtonDevice {
-        &self.device
-    }
-
     /// Mutable access to the AiM device state (the trace frontend's
     /// `WR_GB` / `WR_BIAS` data paths write the global buffer and MAC
     /// latches directly from host GPRs).
@@ -328,7 +349,7 @@ impl NewtonChannel {
 
     /// Advances the cursor (models exposed host latency between layers,
     /// e.g. first-tile batch normalization).
-    pub fn advance_to(&mut self, cycle: Cycle) {
+    pub(crate) fn advance_to(&mut self, cycle: Cycle) {
         self.now = self.now.max(cycle);
     }
 
@@ -400,8 +421,10 @@ impl NewtonChannel {
     }
 
     /// The one row-set loop behind [`NewtonChannel::run_mv`] and
-    /// [`NewtonChannel::run_planned`]. `residency` only decides whether
-    /// decoded weight rows outlive their row-set.
+    /// [`NewtonChannel::run_planned`]: each row-set of `schedule` opened,
+    /// its latches read, and the last one closed by
+    /// [`NewtonChannel::finish`]. `residency` only decides whether decoded
+    /// weight rows outlive their row-set.
     fn drain(
         &mut self,
         mapping: &MatrixMapping,
@@ -417,94 +440,279 @@ impl NewtonChannel {
             });
         }
         let start_cycle = self.now;
-        let mut stats = AimStats::default();
+        // A run ends when what it issues has completed.
+        self.done = self.now;
+        self.tally = AimStats::default();
         let refreshes_before = self.channel.stats().refreshes;
         let ecc_corrected_before = self.channel.stats().ecc_corrected;
         let ecc_uncorrectable_before = self.channel.stats().ecc_uncorrectable;
         let mut outputs = vec![0.0f32; mapping.m()];
-        let mut end = self.now;
 
         self.device.reset_latches();
 
+        let sub = self.config.subchunk_elems();
         for rs in schedule.row_sets() {
-            // Row-set boundary: all banks are precharged, so queued host
-            // (non-AiM) traffic interleaves here (Sec. III-D).
-            if !self.host_queue.is_empty() {
-                self.service_host_requests()?;
-            }
-
-            // Refresh interposition: if the pending refresh matures within
-            // this row-set's (deterministic) latency, wait for it first.
-            let estimate = self.row_set_estimate(mapping, rs);
-            if self.channel.refresh_due() <= self.now + estimate {
-                self.interpose_refresh()?;
-            }
-
-            // The GWRITE phase (column bus) and the activation chain (row
-            // bus) use disjoint buses and disjoint resources, so they
-            // overlap; COMP waits for both via the bank/bus gates.
-            let row_cursor = self.now;
-            if rs.load_chunk {
-                stats.gwrite_commands += self.gwrite_phase(mapping, rs.chunk, vector)?;
-            }
-
-            if rs.reset_latch {
-                for w in &rs.work {
-                    self.device.reset_latch(w.bank, rs.latch);
+            let base = rs.chunk * mapping.row_elems();
+            let input = &vector[base..base + mapping.chunk_elems(rs.chunk)];
+            self.open_row_set(rs, input, input.len().div_ceil(sub), residency)?;
+            for reads in rs.read_after.chunk_by(|a, b| a.latch == b.latch) {
+                let banks = reads.iter().map(|r| r.bank);
+                let values = self.read_latch(banks, reads[0].latch, lut_readout)?;
+                for (r, v) in reads.iter().zip(values) {
+                    outputs[r.matrix_row] += v.to_f32();
                 }
             }
-
-            let corrected = self.channel.stats().ecc_corrected;
-            stats.activate_commands += self.activate_row_set(rs, row_cursor)?;
-            // Every open row was scrubbed clean or verified, and nothing
-            // writes storage inside a row-set.
-            let rows_clean = self.channel.stats().ecc_corrected == corrected;
-            let comp_started = std::time::Instant::now();
-            let (comp_cmds, last_comp) =
-                self.compute_row_set(mapping, rs, residency, rows_clean)?;
-            self.comp_calls += 1;
-            self.comp_nanos += comp_started.elapsed().as_nanos() as u64;
-            stats.compute_commands += comp_cmds;
-
-            if !rs.read_after.is_empty() {
-                let (readres_cmds, read_end) =
-                    self.read_results(rs, last_comp, lut_readout, &mut outputs)?;
-                stats.readres_commands += readres_cmds;
-                end = end.max(read_end);
-            }
-
-            // Close the row-set: precharge-all overlaps the next row-set's
-            // activation chain on the row bus.
-            let t = *self.channel.timing();
-            let p = self
-                .channel
-                .earliest_precharge_all()
-                .max(last_comp + t.t_rtp);
-            self.channel.issue_precharge_all(p)?;
-            self.trace.record(p, AimCommand::PreAll);
-            self.now = last_comp + t.t_ccd;
-            end = end.max(p + t.t_rp);
-            stats.row_sets += 1;
         }
+        let end = self.finish()?;
 
+        let mut stats = std::mem::take(&mut self.tally);
         stats.refreshes = self.channel.stats().refreshes - refreshes_before;
         stats.ecc_corrected = self.channel.stats().ecc_corrected - ecc_corrected_before;
         stats.ecc_uncorrectable = self.channel.stats().ecc_uncorrectable - ecc_uncorrectable_before;
-        self.now = self.now.max(end);
-        if self.config.audit {
-            // Every event is checked once: only what this run logged is
-            // fed to the audit's carried checker (which falls back to the
-            // full pass by itself should a run boundary ever fail to be a
-            // clean cut in cycle order).
-            let added = self.channel.audit_new_events().unwrap_or_default();
-            self.audit_verdict(added)?;
-        }
         Ok(MvRun {
             outputs,
             end_cycle: end,
             start_cycle,
             stats,
         })
+    }
+
+    /// Opens row-set `rs`, the one way AiM compute reaches the channel:
+    /// closes any open row-set, services queued host requests while every
+    /// bank is precharged (Sec. III-D), interposes the pending refresh if
+    /// it would mature inside the row-set, GWRITEs `input` into the global
+    /// buffer when `rs.load_chunk`, clears latch `rs.latch` of the working
+    /// banks when `rs.reset_latch`, activates `rs.dram_row` in every bank
+    /// of `rs.work`, and streams `n_sub` COMPs into `rs.latch`.
+    /// `rs.read_after` only sizes the refresh look-ahead; its latches are
+    /// read by [`NewtonChannel::read_latch`]. The row-set stays open until
+    /// [`NewtonChannel::close_row_set`] or the next row-set boundary.
+    ///
+    /// # Errors
+    ///
+    /// [`AimError::Shape`] if `input` does not fit the global buffer;
+    /// substrate errors (addresses, ECC, timing) otherwise.
+    pub fn open_row_set(
+        &mut self,
+        rs: &RowSet,
+        input: &[Bf16],
+        n_sub: usize,
+        residency: Residency,
+    ) -> Result<(), AimError> {
+        self.boundary(self.row_set_estimate(rs, n_sub))?;
+
+        // The GWRITE phase (column bus) and the activation chain (row
+        // bus) use disjoint buses and disjoint resources, so they
+        // overlap; COMP waits for both via the bank/bus gates.
+        let row_cursor = self.now;
+        if rs.load_chunk {
+            self.tally.gwrite_commands += self.gwrite_phase(input)?;
+        }
+        if rs.reset_latch {
+            for w in &rs.work {
+                self.device.reset_latch(w.bank, rs.latch);
+            }
+        }
+
+        let corrected = self.channel.stats().ecc_corrected;
+        self.tally.activate_commands += self.activate_row_set(rs, row_cursor)?;
+        // Every open row was scrubbed clean or verified, and nothing
+        // writes storage inside a row-set.
+        let rows_clean = self.channel.stats().ecc_corrected == corrected;
+        let comp_started = std::time::Instant::now();
+        let (comp_cmds, last_comp) = self.compute_row_set(rs, n_sub, residency, rows_clean)?;
+        self.comp_calls += 1;
+        self.comp_nanos += comp_started.elapsed().as_nanos() as u64;
+        self.tally.compute_commands += comp_cmds;
+        self.open_comp = Some(last_comp);
+        self.tree_done = last_comp + self.config.adder_tree_latency;
+        Ok(())
+    }
+
+    /// Reads result latch `latch` of `banks`, in that order, once the
+    /// adder tree has drained the latest COMP: one ganged READRES carries
+    /// every bank's latch, or, with ganged compute off, each bank takes a
+    /// READRES of its own. `through_lut` applies the channel's activation
+    /// LUT. Returns the values in `banks` order.
+    ///
+    /// # Errors
+    ///
+    /// Command- or data-bus violations (a controller bug — surfaced).
+    pub fn read_latch(
+        &mut self,
+        banks: impl IntoIterator<Item = usize>,
+        latch: usize,
+        through_lut: bool,
+    ) -> Result<&[Bf16], AimError> {
+        // One READRES moves every bank's 16-bit latch when ganged.
+        let ganged = self.config.opts.ganged_comp;
+        self.scratch_values.clear();
+        if ganged {
+            self.result_read(self.config.dram.banks * 2, AimCommand::ReadRes)?;
+        }
+        for bank in banks {
+            if !ganged {
+                self.result_read(2, AimCommand::ReadResBank { bank })?;
+            }
+            let value = self.device.read_result(bank, latch, through_lut);
+            self.scratch_values.push(value);
+        }
+        Ok(&self.scratch_values)
+    }
+
+    /// One READRES of `bytes` at the earliest slot after the adder tree.
+    fn result_read(&mut self, bytes: usize, cmd: AimCommand) -> Result<(), AimError> {
+        let t = *self.channel.timing();
+        let at = self
+            .channel
+            .earliest_result_read(self.now.max(self.tree_done));
+        self.channel.issue_result_read(at, bytes)?;
+        self.trace.record(at, cmd);
+        self.now = at;
+        self.done = self.done.max(at + t.t_aa + t.t_ccd);
+        self.tally.readres_commands += 1;
+        Ok(())
+    }
+
+    /// Closes the open row-set, if one is open: precharge-all once the
+    /// last COMP allows it (tRTP), with the cursor moved to last COMP +
+    /// tCCD so the next row-set's GWRITE and activation chain overlap the
+    /// precharge.
+    ///
+    /// # Errors
+    ///
+    /// Substrate errors from the precharge (a controller bug — surfaced).
+    pub fn close_row_set(&mut self) -> Result<(), AimError> {
+        let Some(last_comp) = self.open_comp.take() else {
+            return Ok(());
+        };
+        let t = *self.channel.timing();
+        let p = self
+            .channel
+            .earliest_precharge_all()
+            .max(last_comp + t.t_rtp);
+        self.channel.issue_precharge_all(p)?;
+        self.trace.record(p, AimCommand::PreAll);
+        self.now = last_comp + t.t_ccd;
+        self.done = self.done.max(p + t.t_rp);
+        self.tally.row_sets += 1;
+        Ok(())
+    }
+
+    /// Closes any open row-set and moves the cursor to the cycle every
+    /// READRES burst and precharge issued so far has completed by, then,
+    /// under [`NewtonConfig::audit`], checks what the audit logged since
+    /// its last check. Returns the cursor.
+    ///
+    /// # Errors
+    ///
+    /// [`AimError::AuditFailed`] on a violation; substrate errors from
+    /// the precharge.
+    pub fn finish(&mut self) -> Result<Cycle, AimError> {
+        self.close_row_set()?;
+        self.now = self.now.max(self.done);
+        if self.config.audit {
+            // Every event is checked once: only what was logged since the
+            // last check is fed to the audit's carried checker (which
+            // falls back to the full pass by itself should a boundary
+            // ever fail to be a clean cut in cycle order).
+            let added = self.channel.audit_new_events().unwrap_or_default();
+            self.audit_verdict(added)?;
+        }
+        Ok(self.now)
+    }
+
+    /// `COPY_BKGB`: copies columns `0..n_sub` of `(bank, row)` into
+    /// global-buffer sub-chunks `offset..offset + n_sub` through internal
+    /// column reads, at a row-set boundary: activate, read, precharge.
+    ///
+    /// # Errors
+    ///
+    /// [`AimError::Shape`] when the sub-chunks run past the global
+    /// buffer; substrate errors for bad addresses.
+    pub fn copy_row_to_buffer(
+        &mut self,
+        bank: usize,
+        row: usize,
+        offset: usize,
+        n_sub: usize,
+    ) -> Result<(), AimError> {
+        let t = *self.channel.timing();
+        self.copy_boundary(offset, n_sub)?;
+        let mut cur = self.channel.earliest_activate(bank).max(self.now);
+        self.channel.issue_activate(cur, bank, row)?;
+        let mut bytes = Vec::with_capacity(n_sub * self.config.dram.col_bytes());
+        for sub in 0..n_sub {
+            cur = self.channel.earliest_ganged_column_read(cur, &[bank]);
+            self.channel
+                .issue_ganged_column_read_internal(cur, &[(bank, sub)], |_, data| {
+                    bytes.extend_from_slice(data);
+                })?;
+        }
+        self.precharge_bank(bank, cur + t.t_rtp)?;
+        let gb = self.device.global_buffer_mut();
+        for (sub, column) in bytes.chunks(self.config.dram.col_bytes()).enumerate() {
+            let elems: Vec<Bf16> = column
+                .chunks_exact(2)
+                .map(|b| Bf16::from_le_bytes([b[0], b[1]]))
+                .collect();
+            gb.write_subchunk(offset + sub, &elems)?;
+        }
+        Ok(())
+    }
+
+    /// `COPY_GBBK`: copies global-buffer sub-chunks `offset..offset +
+    /// n_sub` into columns `0..n_sub` of `(bank, row)` through external
+    /// column writes, at a row-set boundary: activate, write, precharge.
+    ///
+    /// # Errors
+    ///
+    /// As [`NewtonChannel::copy_row_to_buffer`].
+    pub fn copy_buffer_to_row(
+        &mut self,
+        bank: usize,
+        row: usize,
+        offset: usize,
+        n_sub: usize,
+    ) -> Result<(), AimError> {
+        let t = *self.channel.timing();
+        self.copy_boundary(offset, n_sub)?;
+        let payloads: Vec<Vec<u8>> = (offset..offset + n_sub)
+            .map(|s| newton_bf16::slice::pack(self.device.global_buffer().subchunk(s)))
+            .collect();
+        let mut cur = self.channel.earliest_activate(bank).max(self.now);
+        self.channel.issue_activate(cur, bank, row)?;
+        for (col, data) in payloads.iter().enumerate() {
+            cur = self.channel.earliest_column_read(cur, bank);
+            self.channel
+                .issue_column_write_external(cur, bank, col, data)?;
+        }
+        self.precharge_bank(bank, cur + t.t_wr)
+    }
+
+    /// Closes the one bank a COPY opened, no earlier than `after`; the
+    /// cursor waits out tRP.
+    fn precharge_bank(&mut self, bank: usize, after: Cycle) -> Result<(), AimError> {
+        let p = self.channel.earliest_precharge(bank).max(after);
+        self.channel.issue_precharge(p, bank)?;
+        self.now = p + self.channel.timing().t_rp;
+        self.done = self.done.max(self.now);
+        Ok(())
+    }
+
+    /// A row-set boundary: closes any open row-set, services queued host
+    /// (non-AiM) requests while every bank is precharged (Sec. III-D),
+    /// and, if the pending refresh matures within the `estimate` cycles
+    /// the next AiM operation occupies, waits for it and refreshes first.
+    fn boundary(&mut self, estimate: Cycle) -> Result<(), AimError> {
+        self.close_row_set()?;
+        if !self.host_queue.is_empty() {
+            self.service_host_requests()?;
+        }
+        if self.channel.refresh_due() <= self.now + estimate {
+            self.interpose_refresh()?;
+        }
+        Ok(())
     }
 
     /// Runs one matrix–vector product through a [`ChannelPlan`]: its
@@ -530,18 +738,11 @@ impl NewtonChannel {
         )
     }
 
-    /// Loads input chunk `chunk` into the global buffer, one GWRITE per
+    /// Loads input chunk `input` into the global buffer, one GWRITE per
     /// sub-chunk. Returns the number of commands issued.
-    fn gwrite_phase(
-        &mut self,
-        mapping: &MatrixMapping,
-        chunk: usize,
-        vector: &[Bf16],
-    ) -> Result<u64, AimError> {
+    fn gwrite_phase(&mut self, input: &[Bf16]) -> Result<u64, AimError> {
         let sub = self.config.subchunk_elems();
-        let chunk_elems = mapping.chunk_elems(chunk);
-        let base = chunk * mapping.row_elems();
-        let n_gwrites = chunk_elems.div_ceil(sub);
+        let n_gwrites = input.len().div_ceil(sub);
         let col_bytes = self.config.dram.col_bytes();
         if self.config.engine == TimingEngine::EventSkipping {
             // Nothing else touches the column or data bus inside a GWRITE
@@ -563,12 +764,8 @@ impl NewtonChannel {
                 self.now = self.now.max(t);
             }
         }
-        for g in 0..n_gwrites {
-            let lo = base + g * sub;
-            let hi = (lo + sub).min(base + chunk_elems);
-            self.device
-                .global_buffer_mut()
-                .write_subchunk(g, &vector[lo..hi])?;
+        for (g, piece) in input.chunks(sub).enumerate() {
+            self.device.global_buffer_mut().write_subchunk(g, piece)?;
         }
         // Zero any stale tail sub-chunks from a previous (longer) chunk.
         for g in n_gwrites..self.device.global_buffer().subchunks() {
@@ -637,19 +834,18 @@ impl NewtonChannel {
         Ok(cmds)
     }
 
-    /// Streams the COMP commands for a row-set. `rows_clean` says the
-    /// row-set's activation corrected nothing, which proves the open rows
-    /// hold no error. Returns (commands issued, issue cycle of the last
-    /// column access).
+    /// Streams the `n_sub` COMP commands of a row-set. `rows_clean` says
+    /// the row-set's activation corrected nothing, which proves the open
+    /// rows hold no error. Returns (commands issued, issue cycle of the
+    /// last column access).
     fn compute_row_set(
         &mut self,
-        mapping: &MatrixMapping,
         rs: &RowSet,
+        n_sub: usize,
         residency: Residency,
         rows_clean: bool,
     ) -> Result<(u64, Cycle), AimError> {
         let sub_elems = self.config.subchunk_elems();
-        let n_sub = mapping.chunk_elems(rs.chunk).div_ceil(sub_elems);
         self.scratch_banks.clear();
         self.scratch_banks.extend(rs.work.iter().map(|w| w.bank));
         let engine = self.config.engine;
@@ -829,72 +1025,13 @@ impl NewtonChannel {
         Ok((cmds, last_col))
     }
 
-    /// Reads the result latches named by `rs.read_after` and accumulates
-    /// them into `outputs`. Returns (commands issued, completion cycle of
-    /// the last readout data).
-    fn read_results(
-        &mut self,
-        rs: &RowSet,
-        last_comp: Cycle,
-        lut_readout: bool,
-        outputs: &mut [f32],
-    ) -> Result<(u64, Cycle), AimError> {
-        let t = *self.channel.timing();
-        let tree_done = last_comp + self.config.adder_tree_latency;
-        let banks = self.config.dram.banks;
-        let mut cmds = 0u64;
-        let mut end = self.now;
-
-        if self.config.opts.ganged_comp {
-            // Ganged READRES: one command per latch reads all banks
-            // concatenated (16 x 16-bit = 256 bits).
-            self.scratch_banks.clear();
-            self.scratch_banks
-                .extend(rs.read_after.iter().map(|r| r.latch));
-            self.scratch_banks.sort_unstable();
-            self.scratch_banks.dedup();
-            for i in 0..self.scratch_banks.len() {
-                let latch = self.scratch_banks[i];
-                let at = self.channel.earliest_result_read(self.now.max(tree_done));
-                self.channel.issue_result_read(at, banks * 2)?;
-                self.trace.record(at, AimCommand::ReadRes);
-                self.now = at;
-                end = end.max(at + t.t_aa + t.t_ccd);
-                cmds += 1;
-                for r in rs.read_after.iter().filter(|r| r.latch == latch) {
-                    let v = self.device.read_result(r.bank, r.latch, lut_readout);
-                    outputs[r.matrix_row] += v.to_f32();
-                }
-            }
-        } else {
-            // One command per bank per latch.
-            for r in &rs.read_after {
-                let at = self.channel.earliest_result_read(self.now.max(tree_done));
-                self.channel.issue_result_read(at, 2)?;
-                self.trace
-                    .record(at, AimCommand::ReadResBank { bank: r.bank });
-                self.now = at;
-                end = end.max(at + t.t_aa + t.t_ccd);
-                cmds += 1;
-                let v = self.device.read_result(r.bank, r.latch, lut_readout);
-                outputs[r.matrix_row] += v.to_f32();
-            }
-        }
-        Ok((cmds, end))
-    }
-
     /// Waits for the pending refresh to mature, issues it, and advances
     /// past tRFC (paper Sec. III-E policy).
     fn interpose_refresh(&mut self) -> Result<(), AimError> {
         let t = *self.channel.timing();
-        // Banks are idle between row-sets by construction; if not (first
-        // call with look-ahead rows open), close them.
-        let any_open = (0..self.config.dram.banks).any(|b| self.channel.open_row(b).is_some());
-        if any_open {
-            let p = self.channel.earliest_precharge_all().max(self.now);
-            self.channel.issue_precharge_all(p)?;
-            self.now = p + t.t_rp;
-        }
+        // Banks are idle at a row-set boundary, unless an error abandoned
+        // the last row-set.
+        self.precharge_open_banks()?;
         // Wait until the refresh matures (periodic refresh, no pull-in),
         // bounded below by the row-bus slot and our cursor.
         let due = self.channel.refresh_due();
@@ -957,30 +1094,33 @@ impl NewtonChannel {
     /// Substrate errors from the precharge (none are expected: the cycle
     /// is chosen at the earliest legal slot).
     pub fn recover(&mut self) -> Result<(), AimError> {
-        let t = *self.channel.timing();
-        let any_open = (0..self.config.dram.banks).any(|b| self.channel.open_row(b).is_some());
-        if any_open {
+        self.precharge_open_banks()?;
+        self.open_comp = None;
+        self.weight_cache.clear();
+        Ok(())
+    }
+
+    /// Closes every open bank with one PREA; the cursor waits out tRP.
+    fn precharge_open_banks(&mut self) -> Result<(), AimError> {
+        if (0..self.config.dram.banks).any(|b| self.channel.open_row(b).is_some()) {
             let p = self.channel.earliest_precharge_all().max(self.now);
             self.channel.issue_precharge_all(p)?;
-            self.now = p + t.t_rp;
+            self.now = p + self.channel.timing().t_rp;
         }
-        self.weight_cache.clear();
         Ok(())
     }
 
     /// Conservative upper bound on the cycles the next row-set occupies
     /// (for the refresh look-ahead). Overestimating only refreshes one
     /// row-set earlier; underestimating would trip the overdue check.
-    fn row_set_estimate(&self, mapping: &MatrixMapping, rs: &RowSet) -> Cycle {
+    fn row_set_estimate(&self, rs: &RowSet, n_sub: usize) -> Cycle {
         let t = self.channel.timing();
         let opts = &self.config.opts;
         let banks = rs.work.len().max(1) as Cycle;
-        let n_sub = mapping
-            .chunk_elems(rs.chunk)
-            .div_ceil(self.config.subchunk_elems()) as Cycle;
+        let n_sub = n_sub as Cycle;
 
         let gwrite = if rs.load_chunk {
-            (mapping.row_elems() as Cycle / self.config.subchunk_elems() as Cycle) * t.t_cmd
+            (self.config.row_elems() as Cycle / self.config.subchunk_elems() as Cycle) * t.t_cmd
         } else {
             0
         };
@@ -994,6 +1134,23 @@ impl NewtonChannel {
         let comp = n_sub * per_comp_cmds * t.t_cmd.max(t.t_ccd);
         let reads = rs.read_after.len() as Cycle * t.t_cmd + self.config.adder_tree_latency;
         gwrite + act + comp + reads + t.t_rtp + t.t_rp + 4 * t.t_cmd
+    }
+
+    /// The row-set boundary before a COPY of global-buffer sub-chunks
+    /// `offset..offset + n_sub`, which must exist, through one bank; the
+    /// refresh look-ahead bounds it like a row-set.
+    fn copy_boundary(&mut self, offset: usize, n_sub: usize) -> Result<(), AimError> {
+        let subchunks = self.device.global_buffer().subchunks();
+        if offset.saturating_add(n_sub) > subchunks {
+            return Err(AimError::Shape {
+                what: "COPY global-buffer span",
+                detail: format!("{n_sub} sub-chunks from {offset} exceed {subchunks}"),
+            });
+        }
+        let t = self.channel.timing();
+        let estimate =
+            t.t_rcd + n_sub as Cycle * t.col_step() + t.t_wr.max(t.t_rtp) + t.t_rp + 4 * t.t_cmd;
+        self.boundary(estimate)
     }
 }
 
@@ -1457,6 +1614,32 @@ mod tests {
         assert_eq!(single.stats, resident.stats);
         assert_eq!(single.outputs, resident.outputs);
         assert_eq!(single.end_cycle, resident.end_cycle);
+    }
+
+    #[test]
+    fn copies_round_trip_and_reject_spans_past_the_global_buffer() {
+        let cfg = cfg1(OptLevel::Full);
+        let mut ch = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
+        ch.channel_mut().enable_audit();
+        let elems: Vec<Bf16> = (0..16).map(|i| bf(i as f32 - 3.5)).collect();
+        let gb = ch.device_mut().global_buffer_mut();
+        gb.write_subchunk(30, &elems).unwrap();
+        ch.copy_buffer_to_row(2, 7, 30, 2).unwrap();
+        let stored = ch.channel().storage().column(2, 7, 0).unwrap();
+        assert_eq!(stored, &newton_bf16::slice::pack(&elems)[..]);
+        ch.copy_row_to_buffer(2, 7, 0, 1).unwrap();
+        assert_eq!(ch.device.global_buffer().subchunk(0), &elems[..]);
+
+        let (now, audited) = (ch.now(), ch.channel().audit().unwrap().len());
+        for err in [
+            ch.copy_buffer_to_row(2, 7, 31, 2),
+            ch.copy_row_to_buffer(2, 7, usize::MAX, 1),
+        ] {
+            assert!(matches!(err, Err(AimError::Shape { .. })), "{err:?}");
+        }
+        assert_eq!(ch.now(), now, "a rejected COPY issues nothing");
+        assert_eq!(ch.channel().audit().unwrap().len(), audited);
+        assert_eq!(ch.validate_audit(), Ok(()));
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl GlobalBuffer {
     /// Panics if `index` is out of range (device-internal path; the
     /// controller validates indices).
     #[must_use]
-    pub fn subchunk(&self, index: usize) -> &[Bf16] {
+    pub(crate) fn subchunk(&self, index: usize) -> &[Bf16] {
         let start = index * self.subchunk;
         &self.elems[start..start + self.subchunk]
     }
@@ -246,7 +246,7 @@ impl NewtonDevice {
     /// [`AimError::Shape`] if `subchunk` exceeds [`reduce::MAX_CHUNK`]:
     /// the COMP data path reduces a sub-chunk through fixed stack scratch
     /// of that width, so a wider configuration must be rejected here
-    /// rather than panicking mid-run in `comp_bank`.
+    /// rather than panicking mid-run in the controller's COMP.
     pub fn new(
         banks: usize,
         row_elems: usize,
@@ -276,7 +276,7 @@ impl NewtonDevice {
 
     /// The global input buffer.
     #[must_use]
-    pub fn global_buffer(&self) -> &GlobalBuffer {
+    pub(crate) fn global_buffer(&self) -> &GlobalBuffer {
         &self.global
     }
 
@@ -300,7 +300,7 @@ impl NewtonDevice {
 
     /// Clears a single latch on one bank (start of an accumulation scope
     /// in schedules that interleave latches across row groups).
-    pub fn reset_latch(&mut self, bank: usize, latch: usize) {
+    pub(crate) fn reset_latch(&mut self, bank: usize, latch: usize) {
         self.macs[bank].reset_one(latch);
     }
 
@@ -310,34 +310,16 @@ impl NewtonDevice {
         self.macs[bank].preload(latch, value);
     }
 
-    /// Executes the compute half of a COMP on `bank`: the matrix sub-chunk
-    /// bytes (as read from the bank's open row) are unpacked and
+    /// Executes the compute half of a COMP on `bank` through the reference
+    /// (allocating) reduction, the oracle's data path: the matrix
+    /// sub-chunk bytes (as read from the bank's open row) are unpacked and
     /// multiply-accumulated against global-buffer sub-chunk `subchunk`
-    /// into latch `latch`. `NewtonDevice::new` guarantees the sub-chunk
-    /// width fits the stack scratch ([`reduce::MAX_CHUNK`]).
+    /// into latch `latch`.
     ///
     /// # Panics
     ///
     /// Panics on malformed byte length (must be `2 * subchunk` bytes) —
     /// a wiring bug, not a runtime condition.
-    pub fn comp_bank(&mut self, bank: usize, latch: usize, subchunk: usize, row_bytes: &[u8]) {
-        debug_assert_eq!(row_bytes.len(), 2 * self.subchunk);
-        let mut weights = [Bf16::ZERO; reduce::MAX_CHUNK];
-        let weights = &mut weights[..self.subchunk];
-        for (w, c) in weights.iter_mut().zip(row_bytes.chunks_exact(2)) {
-            *w = Bf16::from_le_bytes([c[0], c[1]]);
-        }
-        let inputs = self.global.subchunk(subchunk);
-        self.macs[bank].comp(latch, weights, inputs);
-    }
-
-    /// [`comp_bank`](NewtonDevice::comp_bank) over bytes, through the
-    /// reference (allocating) reduction — the pre-optimization data path,
-    /// kept as an oracle and perf baseline.
-    ///
-    /// # Panics
-    ///
-    /// As [`comp_bank`](NewtonDevice::comp_bank).
     pub fn comp_bank_reference(
         &mut self,
         bank: usize,
@@ -354,9 +336,9 @@ impl NewtonDevice {
         self.macs[bank].comp_reference(latch, &weights, inputs);
     }
 
-    /// [`comp_bank`](NewtonDevice::comp_bank) over weights already decoded
-    /// to [`Bf16`] (the decoded-weight cache path in the per-stage
-    /// discipline) — skips the per-COMP byte unpack.
+    /// The compute half of a COMP over weights already decoded to
+    /// [`Bf16`] (the decoded-weight cache's), through the production
+    /// reduction.
     ///
     /// # Panics
     ///
@@ -429,7 +411,7 @@ impl NewtonDevice {
     /// Reads bank `bank`'s latch `latch`, optionally through the channel's
     /// activation LUT (the Newton-no-reuse readout path).
     #[must_use]
-    pub fn read_result(&self, bank: usize, latch: usize, through_lut: bool) -> Bf16 {
+    pub(crate) fn read_result(&self, bank: usize, latch: usize, through_lut: bool) -> Bf16 {
         let raw = self.macs[bank].result(latch);
         if through_lut {
             self.lut.apply(raw)
@@ -533,20 +515,13 @@ mod tests {
     }
 
     #[test]
-    fn decoded_comp_path_matches_byte_paths() {
+    fn decoded_comp_path_matches_byte_path() {
         let mk = || {
             NewtonDevice::new(2, 512, 16, 1, TreePrecision::Wide, ActivationKind::Identity).unwrap()
         };
         let weights: Vec<Bf16> = (0..16).map(|i| bf(i as f32 * 0.375 - 2.0)).collect();
         let bytes = newton_bf16::slice::pack(&weights);
         let inputs = [bf(1.5); 16];
-
-        let mut byte_dev = mk();
-        byte_dev
-            .global_buffer_mut()
-            .write_subchunk(0, &inputs)
-            .unwrap();
-        byte_dev.comp_bank(0, 0, 0, &bytes);
 
         let mut ref_dev = mk();
         ref_dev
@@ -562,9 +537,12 @@ mod tests {
             .unwrap();
         dec_dev.comp_bank_decoded(0, 0, 0, &weights);
 
-        let expect = byte_dev.read_result(0, 0, false);
-        assert_eq!(ref_dev.read_result(0, 0, false), expect);
-        assert_eq!(dec_dev.read_result(0, 0, false), expect);
+        let expect: f64 = weights.iter().map(|w| w.to_f64() * 1.5).sum();
+        assert_eq!(ref_dev.read_result(0, 0, false).to_f64(), expect);
+        assert_eq!(
+            dec_dev.read_result(0, 0, false),
+            ref_dev.read_result(0, 0, false)
+        );
         assert_eq!(dec_dev.total_comps(), 1);
     }
 
@@ -651,7 +629,7 @@ mod tests {
             .write_subchunk(0, &[bf(2.0); 16])
             .unwrap();
         let weights = newton_bf16::slice::pack(&[bf(-1.0); 16]);
-        dev.comp_bank(1, 0, 0, &weights);
+        dev.comp_bank_reference(1, 0, 0, &weights);
         assert_eq!(dev.read_result(1, 0, false).to_f32(), -32.0);
         // Through the ReLU LUT the negative result clamps to zero.
         assert_eq!(dev.read_result(1, 0, true), Bf16::ZERO);

@@ -89,7 +89,8 @@ pub struct RowSet {
     pub load_chunk: bool,
     /// Active banks and their matrix rows.
     pub work: Vec<BankWork>,
-    /// Latches to read out (READRES) after this row-set; empty when the
+    /// Latches to read out (READRES) after this row-set, each latch's
+    /// readouts together and latches in ascending order; empty when the
     /// accumulation continues into the next row-set.
     pub read_after: Vec<ReadOut>,
 }
@@ -300,6 +301,10 @@ mod tests {
         // scope: interleaved reads per (row, chunk); the others per row.
         let mut reads = vec![0u32; m];
         for rs in sched.row_sets() {
+            assert!(
+                rs.read_after.is_sorted_by_key(|r| r.latch),
+                "{kind:?}: one READRES per latch needs each latch's readouts together"
+            );
             for r in &rs.read_after {
                 reads[r.matrix_row] += 1;
             }

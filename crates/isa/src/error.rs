@@ -79,10 +79,11 @@ pub enum IsaError {
     },
     /// The trace declared no (or an inconsistent) geometry header.
     Geometry(String),
-    /// The trace's `MAC_ABK` stream disagrees with the schedule the
-    /// declared geometry implies — the conformance teeth of the MV path.
+    /// The trace's `MAC_ABK` / `RD_MAC` stream disagrees with the
+    /// schedule the declared geometry implies — the conformance teeth of
+    /// the MV path.
     ScheduleMismatch {
-        /// Index of the offending `MAC_ABK` in the stream.
+        /// Position of the first offending instruction in the stream.
         index: usize,
         /// What differed.
         detail: String,

@@ -5,8 +5,8 @@
 //! residency stream in **exactly** the order `MatrixMapping::load_strided`
 //! writes storage (so physical replay is byte-identical to the API
 //! path), the `WR_GB` vector staging stream, the `MAC_ABK` stream read
-//! off the same `Schedule` the system compiles, and the `RD_MAC`/`EOC`
-//! epilogue.
+//! off the same `Schedule` the system compiles, each row-set followed by
+//! one `RD_MAC` per latch it reads out, and `EOC`.
 //!
 //! `random_program` derives well-formed-but-arbitrary instruction
 //! sequences from a [`CounterRng`] seed for the fuzzer and the CLI's
@@ -14,6 +14,7 @@
 
 use newton_bf16::{slice, Bf16};
 use newton_core::config::NewtonConfig;
+use newton_core::layout::MatrixMapping;
 use newton_core::tiling::Schedule;
 use newton_workloads::generator;
 use newton_workloads::rng::CounterRng;
@@ -36,7 +37,9 @@ fn gpr_image(elems: &[Bf16]) -> [u8; GPR_BYTES] {
 /// The emitted program satisfies [`crate::mv::recognize`] and, replayed
 /// on a system with the same geometry, produces byte-identical outputs,
 /// cycle counts, and stats to `NewtonSystem::run_mv` on the same
-/// operands (the differential conformance suite pins this).
+/// operands (the differential conformance suite pins this). Interpreted,
+/// it issues the same commands too, wherever every channel's schedule
+/// equals channel 0's and every row-set works all banks.
 ///
 /// # Errors
 ///
@@ -108,11 +111,7 @@ pub fn lower_mv(
     }
 
     // Vector staging, broadcast to every channel.
-    let all = if geometry.channels == 64 {
-        u64::MAX
-    } else {
-        (1u64 << geometry.channels) - 1
-    };
+    let all = geometry.all_channels();
     for (offset, piece) in vector.chunks(GPR_ELEMS).enumerate() {
         let g = alloc_gpr();
         instrs.push(Instr::WrGpr {
@@ -131,10 +130,21 @@ pub fn lower_mv(
     let mapping0 = geometry
         .mapping(0)?
         .ok_or_else(|| IsaError::Geometry("channel 0 has no rows".into()))?;
-    let schedule = Schedule::build(geometry.schedule, &mapping0);
-    for rs in schedule.row_sets() {
-        instrs.push(Instr::MacAbk {
-            channels: all,
+    instrs.extend(mac_stream(&geometry, &mapping0));
+    instrs.push(Instr::Eoc);
+    Ok(Program { instrs })
+}
+
+/// The compute stream of a lowered trace: each row-set of the schedule
+/// `mapping0` implies, as a `MAC_ABK` to every channel followed by one
+/// `RD_MAC` (into GPR 0) per latch the row-set reads out.
+/// [`crate::mv::recognize`] requires a trace to carry exactly this.
+pub(crate) fn mac_stream(geometry: &TraceGeometry, mapping0: &MatrixMapping) -> Vec<Instr> {
+    let channels = geometry.all_channels();
+    let mut stream = Vec::new();
+    for rs in Schedule::build(geometry.schedule, mapping0).row_sets() {
+        stream.push(Instr::MacAbk {
+            channels,
             row: rs.dram_row,
             chunk: rs.chunk,
             latch: rs.latch,
@@ -142,15 +152,14 @@ pub fn lower_mv(
             load_chunk: rs.load_chunk,
             reset_latch: rs.reset_latch,
         });
+        let latches = rs.read_after.chunk_by(|a, b| a.latch == b.latch);
+        stream.extend(latches.map(|reads| Instr::RdMac {
+            gpr: 0,
+            channels,
+            latch: reads[0].latch,
+        }));
     }
-
-    instrs.push(Instr::RdMac {
-        gpr: alloc_gpr(),
-        channels: all,
-        latch: 0,
-    });
-    instrs.push(Instr::Eoc);
-    Ok(Program { instrs })
+    stream
 }
 
 /// Lowers one Table II benchmark with its canonical seeded operands.
@@ -178,11 +187,7 @@ pub fn random_program(cfg: &NewtonConfig, seed: u64, len: usize) -> Program {
     let cols = cfg.dram.cols_per_row;
     let subchunks = cfg.row_elems() / GPR_ELEMS;
     let latches = cfg.result_latches_per_bank;
-    let mask_all = if cfg.channels == 64 {
-        u64::MAX
-    } else {
-        (1u64 << cfg.channels) - 1
-    };
+    let mask_all = g.all_channels();
     let mut k = 0u64;
     let mut next = |modulus: u64| -> u64 {
         let v = rng.u64_at(k);

@@ -1,14 +1,25 @@
 //! The free-form timed interpreter behind `newton run`.
 //!
 //! Executes an arbitrary (not necessarily MV-shaped) `.aim` program on a
-//! `NewtonSystem`, unrolling each instruction into the existing command
-//! stream: MAC instructions issue real ACT / ganged-column-read /
-//! precharge commands through the DRAM constraint engine, result reads
-//! spend READRES slots, and conventional `WR`/`RD` requests ride the
-//! controller's host queue. The **serialization rule** modeled in
-//! `newton-serve` is honored literally: queued conventional requests
-//! drain (timed, with refresh interposition) before the next AiM
-//! instruction may issue.
+//! `NewtonSystem` by mapping each instruction onto the controller's
+//! row-set operations, the code the API path's drain runs:
+//!
+//! * `MAC_ABK` / `MAC_SBK` open a row-set
+//!   (`NewtonChannel::open_row_set`) over all banks or one bank; the
+//!   `RD_MAC` / `RD_AF` instructions right after a MAC are its row-set's
+//!   readouts, which size the refresh look-ahead;
+//! * `RD_MAC` / `RD_AF` read a latch (`NewtonChannel::read_latch`);
+//! * `COPY_BKGB` / `COPY_GBBK` are the controller's COPY operations;
+//! * an open row-set is closed before queued conventional traffic drains
+//!   and at `EOC` (`close_row_set`, `finish`).
+//!
+//! Command order, refresh interposition, `OptFlags` and
+//! `NewtonConfig::engine` are therefore the controller's, and a lowered
+//! matrix–vector trace interprets to the command stream `run_resident`
+//! issues for it. The **serialization rule** modeled in `newton-serve`
+//! is honored literally: queued conventional `WR`/`RD` requests drain
+//! (timed, with refresh interposition) before the next AiM instruction
+//! may issue.
 //!
 //! Register/storage deposits (`WR_GPR`, `WR_SBK`, `WR_GB`, `WR_BIAS`,
 //! `RD_SBK`) are *untimed*, mirroring the API path where matrix
@@ -17,14 +28,17 @@
 //! cycles.
 //!
 //! Every readout appends a deterministic log line; golden traces under
-//! `tests/traces/` pin these logs byte-for-byte.
+//! `tests/traces/` pin these logs byte-for-byte on both timing engines.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 
 use newton_bf16::{slice, Bf16};
+use newton_core::cache::Residency;
 use newton_core::config::NewtonConfig;
-use newton_core::controller::HostRequest;
+use newton_core::controller::{HostRequest, NewtonChannel};
 use newton_core::system::NewtonSystem;
+use newton_core::tiling::{BankWork, ReadOut, RowSet};
 use newton_dram::timing::Cycle;
 
 use crate::error::IsaError;
@@ -33,16 +47,18 @@ use crate::mv::GPR_ELEMS;
 use crate::program::Program;
 
 /// Outcome of interpreting one program.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct InterpRun {
     /// The deterministic readout log, one event per line.
     pub log: String,
-    /// Final cycle cursor of every channel.
+    /// Final cycle cursor of every channel: when everything it issued
+    /// has completed.
     pub end_cycles: Vec<Cycle>,
     /// AiM-class instructions executed.
     pub aim_ops: u64,
-    /// Conventional host requests serviced.
-    pub host_ops: u64,
+    /// The system the program ran on, with every channel's stats, audit
+    /// and command trace; `None` when no instruction reached a device.
+    pub system: Option<NewtonSystem>,
 }
 
 /// Interprets `program` on a system derived from `base`: if the trace
@@ -61,13 +77,11 @@ pub fn interpret(program: &Program, base: NewtonConfig) -> Result<InterpRun, Isa
 struct Interp {
     base: NewtonConfig,
     system: Option<NewtonSystem>,
-    /// Per-channel command cursor for directly issued commands.
-    cursors: Vec<Cycle>,
     gprs: Vec<[u8; GPR_BYTES]>,
     cfrs: [u64; CFR_COUNT],
     /// Logical input-vector staging written by `WR_GB`; `MAC_ABK`'s `L`
-    /// flag broadcasts the addressed chunk's slice into the physical
-    /// global buffer (exactly what the API path's chunk broadcast does).
+    /// flag GWRITEs the addressed chunk's slice into the physical global
+    /// buffer (exactly what the API path's chunk broadcast does).
     staged: Vec<Bf16>,
     pending_hosts: bool,
     log: String,
@@ -80,7 +94,6 @@ impl Interp {
         Interp {
             base,
             system: None,
-            cursors: Vec::new(),
             gprs: vec![[0u8; GPR_BYTES]; GPR_COUNT],
             cfrs: [0; CFR_COUNT],
             staged: Vec::new(),
@@ -117,9 +130,7 @@ impl Interp {
                 cfg.dram.col_bytes()
             )));
         }
-        let system = NewtonSystem::new(cfg).map_err(IsaError::from)?;
-        self.cursors = system.channels().iter().map(|c| c.now()).collect();
-        Ok(system)
+        NewtonSystem::new(cfg).map_err(IsaError::from)
     }
 
     fn channels_of(&mut self, mask: u64) -> Result<Vec<usize>, IsaError> {
@@ -136,6 +147,14 @@ impl Interp {
                 gpr,
                 count: GPR_COUNT,
             });
+        }
+        Ok(())
+    }
+
+    fn check_latch(&mut self, latch: usize) -> Result<(), IsaError> {
+        let latches = self.system()?.config().result_latches_per_bank;
+        if latch >= latches {
+            return Err(IsaError::LatchOutOfRange { latch, latches });
         }
         Ok(())
     }
@@ -173,20 +192,19 @@ impl Interp {
         Ok(())
     }
 
-    /// The serialization fence: every queued conventional request drains
-    /// (timed) before an AiM instruction may issue.
+    /// The serialization fence: every channel's open row-set closes and
+    /// every queued conventional request drains (timed) before an AiM
+    /// instruction may issue.
     fn fence(&mut self) -> Result<(), IsaError> {
         if !self.pending_hosts {
             return Ok(());
         }
         self.pending_hosts = false;
         for ch in 0..self.system()?.config().channels {
-            let cursor = self.cursors[ch];
             let nc = &mut self.system()?.channels_mut()[ch];
-            nc.advance_to(cursor);
+            nc.close_row_set()?;
             nc.service_host_requests()?;
-            let (responses, now) = (nc.take_host_responses(), nc.now());
-            for resp in responses {
+            for resp in nc.take_host_responses() {
                 self.host_ops += 1;
                 let kind = if resp.request.write.is_some() {
                     "WR"
@@ -206,7 +224,6 @@ impl Interp {
                 line.push('\n');
                 self.log.push_str(&line);
             }
-            self.cursors[ch] = self.cursors[ch].max(now);
         }
         Ok(())
     }
@@ -216,7 +233,9 @@ impl Interp {
         std::array::from_fn(|i| Bf16::from_le_bytes([bytes[2 * i], bytes[2 * i + 1]]))
     }
 
-    fn log_readout(&mut self, op: &str, ch: usize, gpr: usize, values: &[Bf16]) {
+    /// Logs one channel's readout into `gpr`; the first channel's
+    /// (`first`) also lands in the GPR.
+    fn readout(&mut self, op: &str, ch: usize, gpr: usize, values: &[Bf16], first: bool) {
         let floats: Vec<f32> = values.iter().map(|v| v.to_f32()).collect();
         let mut fixed = [0u8; GPR_BYTES];
         slice::pack_into(&values[..GPR_ELEMS.min(values.len())], &mut fixed);
@@ -225,27 +244,29 @@ impl Interp {
             "{op} ch={ch} gpr={gpr} data={} values={floats:?}",
             hex32(&fixed)
         );
+        if first {
+            self.gprs[gpr] = fixed;
+        }
     }
 
     fn run(mut self, program: &Program) -> Result<InterpRun, IsaError> {
-        for instr in &program.instrs {
+        for (i, instr) in program.instrs.iter().enumerate() {
             if instr.is_aim() {
                 self.fence()?;
                 self.aim_ops += 1;
             }
-            self.step(instr)?;
+            self.step(instr, &program.instrs[i + 1..])?;
             if matches!(instr, Instr::Eoc) {
                 break;
             }
         }
         self.fence()?;
-        let end_cycles = match &self.system {
+        let end_cycles = match &mut self.system {
             Some(system) => system
-                .channels()
-                .iter()
-                .zip(&self.cursors)
-                .map(|(c, cur)| c.now().max(*cur))
-                .collect(),
+                .channels_mut()
+                .iter_mut()
+                .map(NewtonChannel::finish)
+                .collect::<Result<_, _>>()?,
             None => Vec::new(),
         };
         let _ = writeln!(
@@ -257,12 +278,13 @@ impl Interp {
             log: self.log,
             end_cycles,
             aim_ops: self.aim_ops,
-            host_ops: self.host_ops,
+            system: self.system,
         })
     }
 
+    /// Executes `instr`; `next` is the program after it.
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, instr: &Instr) -> Result<(), IsaError> {
+    fn step(&mut self, instr: &Instr, next: &[Instr]) -> Result<(), IsaError> {
         match instr {
             Instr::WrCfr { idx, value } => {
                 if *idx >= CFR_COUNT {
@@ -380,10 +402,9 @@ impl Interp {
                 n_sub,
             } => {
                 self.check_addr(*bank, Some(*row), None)?;
-                self.check_subchunks(*n_sub)?;
-                for ch in self.channels_of(*channels)? {
-                    self.mac_banks(ch, &[*bank], *row, 0, 0, *n_sub, false, false)?;
-                }
+                self.check_span(0, *n_sub)?;
+                let rs = row_set(*bank..*bank + 1, *row);
+                self.mac(*channels, rs, &[], *n_sub, next)?;
             }
             Instr::MacAbk {
                 channels,
@@ -395,28 +416,22 @@ impl Interp {
                 reset_latch,
             } => {
                 self.check_addr(0, Some(*row), None)?;
-                self.check_subchunks(*n_sub)?;
-                let cfg = self.system()?.config();
-                let banks: Vec<usize> = (0..cfg.dram.banks).collect();
-                let latches = cfg.result_latches_per_bank;
-                if *latch >= latches {
-                    return Err(IsaError::LatchOutOfRange {
-                        latch: *latch,
-                        latches,
-                    });
-                }
-                for ch in self.channels_of(*channels)? {
-                    self.mac_banks(
-                        ch,
-                        &banks,
-                        *row,
-                        *chunk,
-                        *latch,
-                        *n_sub,
-                        *load_chunk,
-                        *reset_latch,
-                    )?;
-                }
+                self.check_span(0, *n_sub)?;
+                self.check_latch(*latch)?;
+                let banks = self.system()?.config().dram.banks;
+                let input = if *load_chunk {
+                    self.staged_chunk(*chunk, *n_sub)?
+                } else {
+                    Vec::new()
+                };
+                let rs = RowSet {
+                    chunk: *chunk,
+                    latch: *latch,
+                    reset_latch: *reset_latch,
+                    load_chunk: *load_chunk,
+                    ..row_set(0..banks, *row)
+                };
+                self.mac(*channels, rs, &input, *n_sub, next)?;
             }
             Instr::RdMac {
                 gpr,
@@ -429,36 +444,14 @@ impl Interp {
                 latch,
             } => {
                 let through_lut = matches!(instr, Instr::RdAf { .. });
+                let op = if through_lut { "RD_AF" } else { "RD_MAC" };
                 self.check_gpr(*gpr)?;
-                let cfg = self.system()?.config();
-                let banks = cfg.dram.banks;
-                let latches = cfg.result_latches_per_bank;
-                if *latch >= latches {
-                    return Err(IsaError::LatchOutOfRange {
-                        latch: *latch,
-                        latches,
-                    });
-                }
-                let targets = self.channels_of(*channels)?;
-                let mut first = true;
-                for ch in targets {
-                    let cur = self.cursors[ch];
+                self.check_latch(*latch)?;
+                let banks = self.system()?.config().dram.banks;
+                for (i, ch) in self.channels_of(*channels)?.into_iter().enumerate() {
                     let nc = &mut self.system()?.channels_mut()[ch];
-                    let at = nc.channel().earliest_result_read(cur);
-                    let end = nc.channel_mut().issue_result_read(at, banks * 2)?;
-                    nc.advance_to(end);
-                    let values: Vec<Bf16> = (0..banks)
-                        .map(|b| nc.device().read_result(b, *latch, through_lut))
-                        .collect();
-                    self.cursors[ch] = end;
-                    if first {
-                        let mut fixed = [0u8; GPR_BYTES];
-                        slice::pack_into(&values[..GPR_ELEMS.min(values.len())], &mut fixed);
-                        self.gprs[*gpr] = fixed;
-                        first = false;
-                    }
-                    let op = if through_lut { "RD_AF" } else { "RD_MAC" };
-                    self.log_readout(op, ch, *gpr, &values);
+                    let values = nc.read_latch(0..banks, *latch, through_lut)?.to_vec();
+                    self.readout(op, ch, *gpr, &values, i == 0);
                 }
             }
             Instr::RdSbk {
@@ -470,24 +463,11 @@ impl Interp {
             } => {
                 self.check_gpr(*gpr)?;
                 self.check_addr(*bank, Some(*row), Some(*col))?;
-                let targets = self.channels_of(*channels)?;
-                let mut first = true;
-                for ch in targets {
-                    let bytes = self.system()?.channels()[ch]
-                        .channel()
-                        .storage()
-                        .column(*bank, *row, *col)?
-                        .to_vec();
-                    let values = slice::unpack(&bytes)
+                for (i, ch) in self.channels_of(*channels)?.into_iter().enumerate() {
+                    let storage = self.system()?.channels()[ch].channel().storage();
+                    let values = slice::unpack(storage.column(*bank, *row, *col)?)
                         .map_err(|e| IsaError::Geometry(format!("stored column: {e:?}")))?;
-                    if first {
-                        let mut fixed = [0u8; GPR_BYTES];
-                        let n = bytes.len().min(GPR_BYTES);
-                        fixed[..n].copy_from_slice(&bytes[..n]);
-                        self.gprs[*gpr] = fixed;
-                        first = false;
-                    }
-                    self.log_readout("RD_SBK", ch, *gpr, &values);
+                    self.readout("RD_SBK", ch, *gpr, &values, i == 0);
                 }
             }
             Instr::CopyBkGb {
@@ -498,9 +478,10 @@ impl Interp {
                 n_sub,
             } => {
                 self.check_addr(*bank, Some(*row), None)?;
-                self.check_copy_span(*offset, *n_sub)?;
+                self.check_span(*offset, *n_sub)?;
                 for ch in self.channels_of(*channels)? {
-                    self.copy_bk_gb(ch, *bank, *row, *offset, *n_sub)?;
+                    self.system()?.channels_mut()[ch]
+                        .copy_row_to_buffer(*bank, *row, *offset, *n_sub)?;
                 }
             }
             Instr::CopyGbBk {
@@ -511,9 +492,10 @@ impl Interp {
                 n_sub,
             } => {
                 self.check_addr(*bank, Some(*row), None)?;
-                self.check_copy_span(*offset, *n_sub)?;
+                self.check_span(*offset, *n_sub)?;
                 for ch in self.channels_of(*channels)? {
-                    self.copy_gb_bk(ch, *bank, *row, *offset, *n_sub)?;
+                    self.system()?.channels_mut()[ch]
+                        .copy_buffer_to_row(*bank, *row, *offset, *n_sub)?;
                 }
             }
             Instr::WrHost {
@@ -558,210 +540,102 @@ impl Interp {
         Ok(())
     }
 
-    fn check_subchunks(&mut self, n_sub: usize) -> Result<(), IsaError> {
+    /// Rejects an empty run of `n_sub` global-buffer sub-chunks from
+    /// `offset`, or one past the buffer's end (MACs start at 0).
+    fn check_span(&mut self, offset: usize, n_sub: usize) -> Result<(), IsaError> {
         let subchunks = self.system()?.config().row_elems() / GPR_ELEMS;
-        if n_sub == 0 || n_sub > subchunks {
+        let end = offset.saturating_add(n_sub);
+        if n_sub == 0 || end > subchunks {
             return Err(IsaError::GbOffsetOutOfRange {
-                offset: n_sub,
+                offset: end,
                 subchunks,
             });
         }
         Ok(())
     }
 
-    fn check_copy_span(&mut self, offset: usize, n_sub: usize) -> Result<(), IsaError> {
-        let subchunks = self.system()?.config().row_elems() / GPR_ELEMS;
-        if n_sub == 0 || offset + n_sub > subchunks {
-            return Err(IsaError::GbOffsetOutOfRange {
-                offset: offset + n_sub,
-                subchunks,
-            });
-        }
-        Ok(())
-    }
-
-    /// One timed COMP row-set over `banks`: activate (ganged in 4-bank
-    /// clusters when the config gangs activations), stream `n_sub`
-    /// ganged internal column reads, precharge — then fold the
-    /// functional MACs against the global buffer. The `L` flag first
-    /// broadcasts chunk `chunk` of the staged vector into the GB.
-    #[allow(clippy::too_many_arguments)]
-    fn mac_banks(
-        &mut self,
-        ch: usize,
-        banks: &[usize],
-        row: usize,
-        chunk: usize,
-        latch: usize,
-        n_sub: usize,
-        load_chunk: bool,
-        reset_latch: bool,
-    ) -> Result<(), IsaError> {
+    /// The `L` flag's GWRITE payload: the first `n_sub` sub-chunks of
+    /// staged-vector chunk `chunk`, zero past the staged vector's end.
+    fn staged_chunk(&mut self, chunk: usize, n_sub: usize) -> Result<Vec<Bf16>, IsaError> {
         let row_elems = self.system()?.config().row_elems();
-        // The `L` flag's broadcast: the chunk's staged vector slice, zero
-        // past its end.
-        let broadcast: Vec<[Bf16; GPR_ELEMS]> = if load_chunk && !self.staged.is_empty() {
-            let base = chunk
-                .checked_mul(row_elems)
-                .filter(|base| base.checked_add(n_sub * GPR_ELEMS).is_some())
-                .ok_or_else(|| {
-                    IsaError::Geometry(format!(
-                        "MAC_ABK chunk {chunk} has no staged-vector offset \
-                         ({row_elems} elements a chunk)"
-                    ))
-                })?;
-            (0..n_sub)
-                .map(|sub| {
-                    let start = base + sub * GPR_ELEMS;
-                    std::array::from_fn(|k| self.staged.get(start + k).copied().unwrap_or_default())
+        let len = n_sub * GPR_ELEMS;
+        let base = chunk
+            .checked_mul(row_elems)
+            .filter(|base| base.checked_add(len).is_some())
+            .ok_or_else(|| {
+                IsaError::Geometry(format!(
+                    "MAC_ABK chunk {chunk} has no staged-vector offset \
+                     ({row_elems} elements a chunk)"
+                ))
+            })?;
+        Ok((base..base + len)
+            .map(|i| self.staged.get(i).copied().unwrap_or_default())
+            .collect())
+    }
+
+    /// Opens row-set `rs` (COMP of `n_sub` sub-chunks, after a GWRITE of
+    /// `input` when `rs.load_chunk`) on every channel of `mask`. The
+    /// `RD_MAC` / `RD_AF` instructions right after it in `next` that name
+    /// a channel are that channel's readouts of the row-set, one per
+    /// bank each: they size the controller's refresh look-ahead exactly
+    /// as a schedule's `read_after` does.
+    fn mac(
+        &mut self,
+        mask: u64,
+        mut rs: RowSet,
+        input: &[Bf16],
+        n_sub: usize,
+        next: &[Instr],
+    ) -> Result<(), IsaError> {
+        let banks = self.system()?.config().dram.banks;
+        for ch in self.channels_of(mask)? {
+            rs.read_after = next
+                .iter()
+                .map_while(|instr| match instr {
+                    Instr::RdMac {
+                        channels, latch, ..
+                    }
+                    | Instr::RdAf {
+                        channels, latch, ..
+                    } => Some((*channels, *latch)),
+                    _ => None,
                 })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut cur = self.cursors[ch];
-        let system = self.system()?;
-        let ganged_act = system.config().opts.ganged_act && banks.len() > 1;
-        let nc = &mut system.channels_mut()[ch];
-
-        // Functional operands first (storage reads don't touch timing).
-        let mut rows: Vec<Vec<u8>> = Vec::with_capacity(banks.len());
-        for &bank in banks {
-            rows.push(nc.channel().storage().row(bank, row)?.to_vec());
+                .filter(|(channels, _)| channels >> ch & 1 == 1)
+                .flat_map(|(_, latch)| {
+                    (0..banks).map(move |bank| ReadOut {
+                        bank,
+                        latch,
+                        matrix_row: 0,
+                    })
+                })
+                .collect();
+            self.system()?.channels_mut()[ch].open_row_set(
+                &rs,
+                input,
+                n_sub,
+                Residency::SingleUse,
+            )?;
         }
-
-        let timing = *nc.channel().timing();
-        let channel = nc.channel_mut();
-        if load_chunk {
-            for _ in 0..n_sub {
-                let t = channel.earliest_broadcast_write(cur);
-                channel.issue_broadcast_write(t, GPR_BYTES)?;
-                cur = t;
-            }
-        }
-        if ganged_act {
-            for cluster in banks.chunks(4) {
-                let t = channel.earliest_ganged_activate(cluster).max(cur);
-                let pairs: Vec<(usize, usize)> = cluster.iter().map(|&b| (b, row)).collect();
-                channel.issue_ganged_activate(t, &pairs)?;
-                cur = t;
-            }
-        } else {
-            for &bank in banks {
-                let t = channel.earliest_activate(bank).max(cur);
-                channel.issue_activate(t, bank, row)?;
-                cur = t;
-            }
-        }
-        let mut last_col = cur;
-        for sub in 0..n_sub {
-            let pairs: Vec<(usize, usize)> = banks.iter().map(|&b| (b, sub)).collect();
-            let t = channel.earliest_ganged_column_read(cur, banks);
-            channel.issue_ganged_column_read_internal(t, &pairs, |_, _| {})?;
-            cur = t;
-            last_col = t;
-        }
-        let p = channel
-            .earliest_precharge_all()
-            .max(last_col + timing.t_rtp);
-        channel.issue_precharge_all(p)?;
-        cur = p + timing.t_rp;
-        nc.advance_to(cur);
-
-        // Functional fold: each bank multiply-accumulates its row's
-        // sub-chunks against the global buffer into `latch`, after the
-        // `L` flag's broadcast.
-        let device = nc.device_mut();
-        for (sub, inputs) in broadcast.iter().enumerate() {
-            device.global_buffer_mut().write_subchunk(sub, inputs)?;
-        }
-        for (&bank, bytes) in banks.iter().zip(&rows) {
-            if reset_latch {
-                device.reset_latch(bank, latch);
-            }
-            for sub in 0..n_sub {
-                device.comp_bank(
-                    bank,
-                    latch,
-                    sub,
-                    &bytes[sub * GPR_BYTES..(sub + 1) * GPR_BYTES],
-                );
-            }
-        }
-        self.cursors[ch] = cur;
         Ok(())
     }
+}
 
-    /// Timed bank-row → global-buffer copy (internal column reads).
-    fn copy_bk_gb(
-        &mut self,
-        ch: usize,
-        bank: usize,
-        row: usize,
-        offset: usize,
-        n_sub: usize,
-    ) -> Result<(), IsaError> {
-        let mut cur = self.cursors[ch];
-        let nc = &mut self.system()?.channels_mut()[ch];
-        let bytes = nc.channel().storage().row(bank, row)?.to_vec();
-        let timing = *nc.channel().timing();
-        let channel = nc.channel_mut();
-        let t = channel.earliest_activate(bank).max(cur);
-        channel.issue_activate(t, bank, row)?;
-        cur = t;
-        for sub in 0..n_sub {
-            let t = channel.earliest_ganged_column_read(cur, &[bank]);
-            channel.issue_ganged_column_read_internal(t, &[(bank, sub)], |_, _| {})?;
-            cur = t;
-        }
-        let p = channel.earliest_precharge(bank).max(cur + timing.t_rtp);
-        channel.issue_precharge(p, bank)?;
-        cur = p + timing.t_rp;
-        nc.advance_to(cur);
-        let device = nc.device_mut();
-        for sub in 0..n_sub {
-            let elems = slice::unpack(&bytes[sub * GPR_BYTES..(sub + 1) * GPR_BYTES])
-                .map_err(|e| IsaError::Geometry(format!("stored row bytes: {e:?}")))?;
-            device
-                .global_buffer_mut()
-                .write_subchunk(offset + sub, &elems)?;
-        }
-        self.cursors[ch] = cur;
-        Ok(())
-    }
-
-    /// Timed global-buffer → bank-row copy (external column writes).
-    fn copy_gb_bk(
-        &mut self,
-        ch: usize,
-        bank: usize,
-        row: usize,
-        offset: usize,
-        n_sub: usize,
-    ) -> Result<(), IsaError> {
-        let mut cur = self.cursors[ch];
-        let nc = &mut self.system()?.channels_mut()[ch];
-        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(n_sub);
-        for sub in 0..n_sub {
-            payloads.push(slice::pack(
-                nc.device().global_buffer().subchunk(offset + sub),
-            ));
-        }
-        let timing = *nc.channel().timing();
-        let channel = nc.channel_mut();
-        let t = channel.earliest_activate(bank).max(cur);
-        channel.issue_activate(t, bank, row)?;
-        cur = t;
-        for (sub, data) in payloads.iter().enumerate() {
-            let t = channel.earliest_column_read(cur, bank);
-            channel.issue_column_write_external(t, bank, sub, data)?;
-            cur = t;
-        }
-        let p = channel.earliest_precharge(bank).max(cur + timing.t_wr);
-        channel.issue_precharge(p, bank)?;
-        cur = p + timing.t_rp;
-        nc.advance_to(cur);
-        self.cursors[ch] = cur;
-        Ok(())
+/// A row-set opening `dram_row` in `banks` into latch 0, with neither a
+/// GWRITE nor a latch reset: a `MAC_SBK`, and a `MAC_ABK` before its
+/// operands. It works no matrix row; the interpreter reads latches.
+fn row_set(banks: Range<usize>, dram_row: usize) -> RowSet {
+    RowSet {
+        chunk: 0,
+        dram_row,
+        latch: 0,
+        reset_latch: false,
+        load_chunk: false,
+        work: banks
+            .map(|bank| BankWork {
+                bank,
+                matrix_row: 0,
+            })
+            .collect(),
+        read_after: Vec::new(),
     }
 }

@@ -18,9 +18,11 @@
 //!   ([`MvTrace`](mv::MvTrace)) and its *physical* replay into channel
 //!   storage — the path that is byte-identical to the API-driven
 //!   `NewtonSystem::run_mv`.
-//! * [`interp`]: the free-form timed interpreter (`newton run`): every
-//!   instruction unrolls into `newton-core`/`newton-dram` commands,
-//!   honoring the AiM-vs-conventional serialization rule modeled in
+//! * [`interp`]: the free-form timed interpreter (`newton run`): MAC,
+//!   readout and COPY instructions map onto the `newton-core`
+//!   controller's row-set operations, the ones the API path's drain
+//!   runs, so refresh, `OptFlags` and the engine are the controller's;
+//!   it honors the AiM-vs-conventional serialization rule modeled in
 //!   `newton-serve` (queued conventional requests drain before the next
 //!   AiM instruction may issue).
 //! * [`generate`]: the trace-generation library — lowers Table II

@@ -3,8 +3,9 @@
 //! [`crate::generate::lower_mv`] emits a canonical instruction sequence:
 //! a CFR geometry header, a `WR_GPR`/`WR_SBK` stream depositing the
 //! matrix, a `WR_GPR`/`WR_GB` stream carrying the input vector, the
-//! `MAC_ABK` row-set stream, then `RD_MAC` + `EOC`. This module walks
-//! that sequence back into an executable workload:
+//! `MAC_ABK` row-set stream with one `RD_MAC` after each row-set per
+//! latch it reads out, then `EOC`. This module walks that sequence back
+//! into an executable workload:
 //!
 //! * the **physical** path ([`MvTrace::apply_physical`]) deposits the
 //!   trace's bytes into channel storage in exactly the order and
@@ -17,17 +18,18 @@
 //!   backends with *different* geometry (GDDR6/AiM, Ideal, GPU) can run
 //!   the same trace.
 //!
-//! Recognition also re-verifies the trace's `MAC_ABK` stream against a
-//! freshly built [`Schedule`] for the declared geometry — a trace whose
-//! compute stream disagrees with what the controller would issue is
-//! rejected with [`IsaError::ScheduleMismatch`].
+//! Recognition also re-verifies the trace's `MAC_ABK` / `RD_MAC` stream
+//! against the one `lower_mv` derives from a freshly built schedule for
+//! the declared geometry — a trace whose compute or readout stream
+//! disagrees with what the controller would issue is rejected with
+//! [`IsaError::ScheduleMismatch`].
 
 use newton_bf16::{slice, Bf16};
 use newton_core::layout::MatrixMapping;
 use newton_core::system::{LoadedMatrix, NewtonSystem};
-use newton_core::tiling::Schedule;
 
 use crate::error::IsaError;
+use crate::generate;
 use crate::instr::{Instr, GPR_BYTES, GPR_COUNT};
 use crate::program::{Program, TraceGeometry};
 
@@ -193,8 +195,8 @@ pub fn recognize(program: &Program) -> Result<MvTrace, IsaError> {
                 let len = GPR_ELEMS.min(geometry.n - start);
                 vector[start..start + len].copy_from_slice(&elems[..len]);
             }
-            Instr::MacAbk { .. } => mac_stream.push(instr),
-            Instr::RdMac { .. } | Instr::Eoc => break,
+            Instr::MacAbk { .. } | Instr::RdMac { .. } => mac_stream.push(instr),
+            Instr::Eoc => break,
             other => {
                 return Err(IsaError::NotMv(format!(
                     "instruction {index} ({other}) is outside the lowered-MV vocabulary"
@@ -203,76 +205,33 @@ pub fn recognize(program: &Program) -> Result<MvTrace, IsaError> {
         }
     }
 
-    verify_mac_stream(&geometry, &mappings, &mac_stream)?;
+    let mapping0 = mappings[0]
+        .as_ref()
+        .ok_or_else(|| IsaError::Geometry("channel 0 has no rows".into()))?;
+    let want = generate::mac_stream(&geometry, mapping0);
+    let show = |instr: Option<&Instr>| instr.map_or_else(|| "nothing".into(), Instr::to_string);
+    let len = mac_stream.len().max(want.len());
+    if let Some(index) = (0..len).find(|&i| mac_stream.get(i).copied() != want.get(i)) {
+        return Err(IsaError::ScheduleMismatch {
+            index,
+            detail: format!(
+                "trace has {}, the schedule implies {}",
+                show(mac_stream.get(index).copied()),
+                show(want.get(index))
+            ),
+        });
+    }
     let matrix = recover_matrix(&geometry, &mappings, &rows)?;
     Ok(MvTrace {
         geometry,
         rows,
         matrix,
         vector,
-        mac_sets: mac_stream.len(),
+        mac_sets: want
+            .iter()
+            .filter(|i| matches!(i, Instr::MacAbk { .. }))
+            .count(),
     })
-}
-
-/// Checks the trace's `MAC_ABK` stream 1:1 against the schedule the
-/// declared geometry implies (built for the widest channel, channel 0 —
-/// all channels share the traversal structure).
-fn verify_mac_stream(
-    geometry: &TraceGeometry,
-    mappings: &[Option<MatrixMapping>],
-    stream: &[&Instr],
-) -> Result<(), IsaError> {
-    let Some(mapping0) = mappings.first().and_then(Option::as_ref) else {
-        return Ok(());
-    };
-    let schedule = Schedule::build(geometry.schedule, mapping0);
-    let row_sets = schedule.row_sets();
-    if stream.len() != row_sets.len() {
-        return Err(IsaError::ScheduleMismatch {
-            index: stream.len().min(row_sets.len()),
-            detail: format!(
-                "trace carries {} MAC_ABK row-sets, schedule has {}",
-                stream.len(),
-                row_sets.len()
-            ),
-        });
-    }
-    for (i, (instr, rs)) in stream.iter().zip(row_sets).enumerate() {
-        let Instr::MacAbk {
-            row,
-            chunk,
-            latch,
-            n_sub,
-            load_chunk,
-            reset_latch,
-            ..
-        } = instr
-        else {
-            unreachable!("stream holds only MacAbk");
-        };
-        let want_sub = mapping0.chunk_elems(rs.chunk).div_ceil(GPR_ELEMS);
-        if (*row, *chunk, *latch, *n_sub, *load_chunk, *reset_latch)
-            != (
-                rs.dram_row,
-                rs.chunk,
-                rs.latch,
-                want_sub,
-                rs.load_chunk,
-                rs.reset_latch,
-            )
-        {
-            return Err(IsaError::ScheduleMismatch {
-                index: i,
-                detail: format!(
-                    "trace (row {row}, chunk {chunk}, latch {latch}, n_sub {n_sub}, \
-                     flags {load_chunk}/{reset_latch}) vs schedule (row {}, chunk {}, \
-                     latch {}, n_sub {want_sub}, flags {}/{})",
-                    rs.dram_row, rs.chunk, rs.latch, rs.load_chunk, rs.reset_latch
-                ),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Rebuilds the logical row-major matrix from the deposited bytes

@@ -205,6 +205,12 @@ impl TraceGeometry {
             && self.schedule == config_schedule_kind(cfg)
     }
 
+    /// The channel mask naming every channel.
+    #[must_use]
+    pub(crate) fn all_channels(&self) -> u64 {
+        u64::MAX >> (64 - self.channels.clamp(1, 64))
+    }
+
     /// Matrix rows assigned to `channel` (round-robin, exactly as
     /// `NewtonSystem` distributes them).
     #[must_use]

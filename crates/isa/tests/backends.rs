@@ -128,3 +128,46 @@ fn tampered_mac_stream_is_rejected() {
         other => panic!("expected ScheduleMismatch, got {other:?}"),
     }
 }
+
+/// A lowered trace reads each row-set's latches right after its
+/// `MAC_ABK`; a readout dropped, moved past the next row-set or aimed at
+/// another latch is a schedule mismatch at the readout's position.
+#[test]
+fn tampered_readout_stream_is_rejected() {
+    use newton_isa::Instr;
+    let cfg = NewtonConfig {
+        channels: 2,
+        ..NewtonConfig::paper_default()
+    };
+    let matrix = generator::matrix(MvShape::new(64, 64), 3);
+    let vector = generator::vector(64, 4);
+    let lowered = generate::lower_mv(&cfg, &matrix, 64, 64, &vector).unwrap();
+    let first_read = lowered
+        .instrs
+        .iter()
+        .position(|i| matches!(i, Instr::RdMac { .. }))
+        .unwrap();
+    assert!(matches!(
+        lowered.instrs[first_read - 1],
+        Instr::MacAbk { .. }
+    ));
+    let mut dropped = lowered.clone();
+    dropped.instrs.remove(first_read);
+    let mut moved = lowered.clone();
+    moved.instrs.swap(first_read, first_read + 1);
+    let mut relatched = lowered.clone();
+    if let Instr::RdMac { latch, .. } = &mut relatched.instrs[first_read] {
+        *latch = 1;
+    }
+    for (what, program) in [
+        ("dropped", dropped),
+        ("moved", moved),
+        ("relatched", relatched),
+    ] {
+        match mv::recognize(&program) {
+            Err(newton_isa::IsaError::ScheduleMismatch { index: 1, .. }) => {}
+            other => panic!("{what}: expected ScheduleMismatch at 1, got {other:?}"),
+        }
+    }
+    assert_eq!(mv::recognize(&lowered).unwrap().mac_sets, 2);
+}

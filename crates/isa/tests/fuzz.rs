@@ -1,6 +1,6 @@
 //! Property-based ISA fuzzing (satellite of the trace frontend).
 //!
-//! Three contracts, seeded through the offline proptest shim's
+//! Four contracts, seeded through the offline proptest shim's
 //! counter-mode RNG so every failure reproduces from its case number:
 //!
 //! 1. Well-formed random programs round-trip `Instr -> text -> Instr`
@@ -11,8 +11,12 @@
 //!    channel masks, a declared vector length the device cannot hold, a
 //!    chunk whose staged-vector offset overflows) are rejected with the
 //!    matching typed variant.
+//! 4. Programs that run past several tREFI deadlines interpret without a
+//!    refresh falling overdue.
 
 use newton_core::config::NewtonConfig;
+use newton_core::AimError;
+use newton_dram::DramError;
 use newton_isa::instr::cfr;
 use newton_isa::{generate, interp, Instr, IsaError, Program};
 use proptest::prelude::*;
@@ -187,6 +191,30 @@ proptest! {
         match interp::interpret(&p, small_config()) {
             Err(IsaError::LatchOutOfRange { latch: l, latches: 1 }) => assert_eq!(l, latch),
             other => panic!("expected LatchOutOfRange, got {other:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A program that runs past two tREFI deadlines or more never lets a
+    /// refresh fall overdue: MACs and conventional traffic both reach the
+    /// channel through the controller, which interposes the refresh.
+    #[test]
+    fn long_programs_never_miss_a_refresh(seed in any::<u64>()) {
+        let cfg = small_config();
+        let t_refi = cfg.dram.timing.to_cycles().unwrap().t_refi;
+        let program = generate::random_program(&cfg, seed, 512);
+        match interp::interpret(&program, cfg) {
+            Ok(run) => {
+                let end = run.end_cycles.iter().copied().max().unwrap_or(0);
+                prop_assert!(end > 2 * t_refi, "ends at {end}, under 2 x tREFI = {t_refi}");
+            }
+            Err(IsaError::Core(AimError::Dram(e @ DramError::RefreshOverdue { .. }))) => {
+                prop_assert!(false, "seed {seed}: {e}");
+            }
+            Err(e) => prop_assert!(false, "seed {seed}: unexpected {e}"),
         }
     }
 }

@@ -1,16 +1,18 @@
 //! The golden `.aim` corpus: each checked-in trace's interpreter log is
 //! pinned byte-for-byte against its `.expected` sibling.
 //!
-//! The interpreter issues its commands through the channel itself and
-//! never reads `NewtonConfig::engine` or the thread width, so these logs
-//! are stable across every simulator configuration the suite sweeps. Regenerate (after an intentional semantic change) with:
+//! The interpreter issues its commands through the controller's row-set
+//! operations, which run on `NewtonConfig::engine`; the engines are
+//! byte-identical by contract, so every trace runs on both and both logs
+//! must equal the one `.expected` file. Regenerate (after an intentional
+//! semantic change) with:
 //!
 //! ```text
 //! cargo run -p newton-isa --bin newton -- run crates/isa/tests/traces/<name>.aim \
 //!     > crates/isa/tests/traces/<name>.expected
 //! ```
 
-use newton_core::config::NewtonConfig;
+use newton_core::config::{NewtonConfig, TimingEngine};
 use newton_isa::{interp, IsaError, Program};
 
 fn golden(name: &str) {
@@ -18,8 +20,17 @@ fn golden(name: &str) {
     let trace = std::fs::read_to_string(format!("{dir}/{name}.aim")).unwrap();
     let expected = std::fs::read_to_string(format!("{dir}/{name}.expected")).unwrap();
     let program = Program::parse(&trace).unwrap();
-    let run = interp::interpret(&program, NewtonConfig::paper_default()).unwrap();
-    assert_eq!(run.log, expected, "golden log drift for {name}.aim");
+    for engine in [TimingEngine::Reference, TimingEngine::default()] {
+        let cfg = NewtonConfig {
+            engine,
+            ..NewtonConfig::paper_default()
+        };
+        let run = interp::interpret(&program, cfg).unwrap();
+        assert_eq!(
+            run.log, expected,
+            "golden log drift for {name}.aim on {engine:?}"
+        );
+    }
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! The two paths the simulator keeps must not diverge: the oracle and
 //! production legs of `common/conformance.rs` run the same work — ragged
 //! and Table II-sized layers, resident matrices through weight writes and
-//! fault flips, random write / COMP interleavings, a lowered BERT trace,
-//! serving under chaos and under conventional traffic — at pool widths 1,
-//! 2 and 8, and every simulated surface must agree bit for bit, under a
-//! command trace and the timing audit too (observers are told what
-//! happened, they do not change which code runs). Production skips the
+//! fault flips, random write / COMP interleavings, a lowered BERT trace
+//! replayed and interpreted, serving under chaos and under conventional
+//! traffic — at pool widths 1, 2 and 8, and every simulated surface must
+//! agree bit for bit, under a command trace and the timing audit too
+//! (observers are told what happened, they do not change which code
+//! runs). Production skips the
 //! activation scrub of rows the storage marks verified and the oracle
 //! never does, so the tests also pin when a row is verified.
 
@@ -19,7 +20,7 @@ use newton_aim::core::config::{NewtonConfig, TelemetryConfig, TimingEngine};
 use newton_aim::core::system::{NewtonSystem, SystemRun};
 use newton_aim::core::ParallelPolicy;
 use newton_aim::dram::faults::CampaignSpec;
-use newton_aim::isa::{generate, mv, Program};
+use newton_aim::isa::{generate, interp, mv, Program};
 use newton_aim::workloads::arrivals::ArrivalPattern;
 use newton_aim::workloads::{generator, Benchmark, DecodeStreamSpec, MvShape};
 use newton_serve::{
@@ -204,6 +205,87 @@ fn lowered_trace_replay_agrees() {
             );
         }
     }
+}
+
+/// Interpreting a lowered trace is the resident run of the recognised
+/// one, because the interpreter issues through the controller's row-set
+/// operations: on each leg and each channel, the same audit event stream
+/// (which validates) and the same end cycle; and the `RD_MAC` values,
+/// summed per matrix row in row-set order, are `run_mv`'s output bits.
+/// This holds when every channel's schedule equals channel 0's (the
+/// trace carries channel 0's `MAC_ABK` stream to every channel) and
+/// every row-set works all banks (a `MAC_ABK` does): BERT S1's 1024 rows
+/// fill every row group of both channels.
+#[test]
+fn interpreted_lowered_trace_is_the_resident_run() {
+    let b = Benchmark::BertS1;
+    let (shape, channels) = (b.shape(), 2);
+    let matrix = generator::matrix(shape, b.seed());
+    let vector = generator::vector(shape.n, b.seed() + 1);
+    let cfg = NewtonConfig {
+        audit: true,
+        ..config(channels, 1)
+    };
+    let program = generate::lower_mv(&cfg, &matrix, shape.m, shape.n, &vector).expect("lower");
+    let trace = mv::recognize(&program).expect("recognize");
+    let mut api = NewtonSystem::new(cfg.clone()).expect("system");
+    let api = api
+        .run_mv(&matrix, shape.m, shape.n, &vector)
+        .expect("run_mv");
+
+    let interpreted = pair_with(&cfg, |c| interp::interpret(&program, c).expect("interpret"));
+    let resident = pair_with(&cfg, |c| {
+        let mut sys = NewtonSystem::new(c).expect("system");
+        let loaded = trace.apply_physical(&mut sys).expect("apply");
+        let run = sys
+            .run_resident(&loaded, &trace.vector)
+            .expect("run_resident");
+        (sys, loaded, run)
+    });
+    for (leg, (run, (sys, loaded, resident))) in ["oracle", "production"]
+        .iter()
+        .zip(interpreted.iter().zip(&resident))
+    {
+        let interp_sys = run.system.as_ref().expect("the trace reaches the device");
+        let mut sums = vec![0.0f32; shape.m];
+        for ch in 0..channels {
+            let what = format!("{leg}, channel {ch}");
+            let (a, b) = (&interp_sys.channels()[ch], &sys.channels()[ch]);
+            assert_eq!(a.validate_audit(), Ok(()), "{what}: interpreter audit");
+            let (la, lb) = (a.channel().audit(), b.channel().audit());
+            let (la, lb) = (la.expect("audited"), lb.expect("audited"));
+            assert_eq!(la.len(), lb.len(), "{what}: audit len");
+            assert!(
+                la.events().eq(lb.events()),
+                "{what}: audit event streams differ"
+            );
+            assert_eq!(run.end_cycles[ch], resident.cycles, "{what}: end cycle");
+
+            let prefix = format!("RD_MAC ch={ch} ");
+            let mut lines = run.log.lines().filter(|l| l.starts_with(&prefix));
+            let plan = loaded.plans()[ch].as_ref().expect("channel holds rows");
+            for rs in plan.schedule().row_sets() {
+                for reads in rs.read_after.chunk_by(|a, b| a.latch == b.latch) {
+                    let values = latch_values(lines.next().expect("an RD_MAC per readout"));
+                    for r in reads {
+                        sums[ch + r.matrix_row * channels] += values[r.bank];
+                    }
+                }
+            }
+            assert_eq!(lines.next(), None, "{what}: RD_MAC past the schedule");
+        }
+        let sums: Vec<u32> = sums.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(sums, bits(&api), "{leg}: RD_MAC sums vs run_mv output bits");
+    }
+}
+
+/// The `values=[...]` list of an interpreter readout line.
+fn latch_values(line: &str) -> Vec<f32> {
+    let list = line.split("values=[").nth(1).expect("values list");
+    list.trim_end_matches(']')
+        .split(", ")
+        .map(|v| v.parse().expect("f32"))
+        .collect()
 }
 
 /// One serving cell on both legs.

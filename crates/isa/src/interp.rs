@@ -104,13 +104,13 @@ impl Interp {
         }
     }
 
-    /// The system, built on first use (CFR channel override applies).
+    /// The system, built on first use (CFR channel override applies) and
+    /// borrowed in place after that.
     fn system(&mut self) -> Result<&mut NewtonSystem, IsaError> {
-        let system = match self.system.take() {
-            Some(system) => system,
-            None => self.build_system()?,
-        };
-        Ok(self.system.get_or_insert(system))
+        if self.system.is_none() {
+            self.system = Some(self.build_system()?);
+        }
+        Ok(self.system.as_mut().expect("the system is built above"))
     }
 
     fn build_system(&mut self) -> Result<NewtonSystem, IsaError> {
@@ -133,12 +133,19 @@ impl Interp {
         NewtonSystem::new(cfg).map_err(IsaError::from)
     }
 
-    fn channels_of(&mut self, mask: u64) -> Result<Vec<usize>, IsaError> {
+    /// The channels `mask` names, lowest first, once every one of them
+    /// is checked to exist.
+    fn channels_of(&mut self, mask: u64) -> Result<impl Iterator<Item = usize>, IsaError> {
         let n = self.system()?.config().channels;
         if n < 64 && mask >> n != 0 {
             return Err(IsaError::ChannelMaskOutOfRange { mask, channels: n });
         }
-        Ok((0..n.min(64)).filter(|c| mask >> c & 1 == 1).collect())
+        let mut rest = mask;
+        Ok(std::iter::from_fn(move || {
+            let ch = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (ch < 64).then_some(ch)
+        }))
     }
 
     fn check_gpr(&self, gpr: usize) -> Result<(), IsaError> {
@@ -166,27 +173,19 @@ impl Interp {
         row: Option<usize>,
         col: Option<usize>,
     ) -> Result<(), IsaError> {
-        let cfg = self.system()?.config().dram.clone();
-        if bank >= cfg.banks {
-            return Err(IsaError::BankOutOfRange {
-                bank,
-                banks: cfg.banks,
-            });
+        let dram = &self.system()?.config().dram;
+        let (banks, rows, cols) = (dram.banks, dram.rows_per_bank, dram.cols_per_row);
+        if bank >= banks {
+            return Err(IsaError::BankOutOfRange { bank, banks });
         }
         if let Some(row) = row {
-            if row >= cfg.rows_per_bank {
-                return Err(IsaError::RowOutOfRange {
-                    row,
-                    rows: cfg.rows_per_bank,
-                });
+            if row >= rows {
+                return Err(IsaError::RowOutOfRange { row, rows });
             }
         }
         if let Some(col) = col {
-            if col >= cfg.cols_per_row {
-                return Err(IsaError::ColOutOfRange {
-                    col,
-                    cols: cfg.cols_per_row,
-                });
+            if col >= cols {
+                return Err(IsaError::ColOutOfRange { col, cols });
             }
         }
         Ok(())
@@ -448,7 +447,7 @@ impl Interp {
                 self.check_gpr(*gpr)?;
                 self.check_latch(*latch)?;
                 let banks = self.system()?.config().dram.banks;
-                for (i, ch) in self.channels_of(*channels)?.into_iter().enumerate() {
+                for (i, ch) in self.channels_of(*channels)?.enumerate() {
                     let nc = &mut self.system()?.channels_mut()[ch];
                     let values = nc.read_latch(0..banks, *latch, through_lut)?.to_vec();
                     self.readout(op, ch, *gpr, &values, i == 0);
@@ -463,7 +462,7 @@ impl Interp {
             } => {
                 self.check_gpr(*gpr)?;
                 self.check_addr(*bank, Some(*row), Some(*col))?;
-                for (i, ch) in self.channels_of(*channels)?.into_iter().enumerate() {
+                for (i, ch) in self.channels_of(*channels)?.enumerate() {
                     let storage = self.system()?.channels()[ch].channel().storage();
                     let values = slice::unpack(storage.column(*bank, *row, *col)?)
                         .map_err(|e| IsaError::Geometry(format!("stored column: {e:?}")))?;

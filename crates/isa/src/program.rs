@@ -5,7 +5,7 @@
 //! `AIM 1`. Everything after is one instruction per line
 //! (see [`crate::instr`] for the lexical grammar).
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::str::FromStr;
 
 use newton_core::config::NewtonConfig;
@@ -68,12 +68,17 @@ impl Program {
     /// is the identity; property-tested by the fuzzer).
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::from(MAGIC);
-        out.push('\n');
+        // The text is measured first, so the one buffer never grows.
+        let len = MAGIC.len() + 1 + self.instrs.iter().map(|i| i.text_len() + 1).sum::<usize>();
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(MAGIC.as_bytes());
+        out.push(b'\n');
         for i in &self.instrs {
-            writeln!(out, "{i}").expect("formatting into a String cannot fail");
+            i.write_text(&mut out);
+            out.push(b'\n');
         }
-        out
+        debug_assert_eq!(out.len(), len, "text_len disagrees with write_text");
+        String::from_utf8(out).expect("canonical text is ASCII")
     }
 
     /// The geometry declared by the leading `WR_CFR` header, if all six

@@ -13,7 +13,8 @@
 //! ```
 
 use newton_core::config::{NewtonConfig, TimingEngine};
-use newton_isa::{interp, IsaError, Program};
+use newton_isa::{generate, interp, IsaError, Program};
+use newton_workloads::Benchmark;
 
 fn golden(name: &str) {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/traces");
@@ -81,4 +82,33 @@ fn serialization_rule_orders_host_before_mac() {
     let host = log.find("HOST ch=0 RD").expect("host read logged");
     let mac = log.find("RD_MAC").expect("mac readout logged");
     assert!(host < mac, "host queue must drain before the MAC readout");
+}
+
+/// FNV-1a 64-bit over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The lowered Table II BERT S1 layer on 2 channels, the trace
+/// `newton lower --bench BERTs1 --channels 2` writes, renders to the
+/// exact bytes the `fmt`-based renderer wrote (CI checks the same file's
+/// sha256 through the CLI) and parses back to itself.
+#[test]
+fn lowered_bert_s1_text_is_canonical() {
+    let cfg = NewtonConfig {
+        channels: 2,
+        ..NewtonConfig::paper_default()
+    };
+    let program = generate::lower_benchmark(Benchmark::BertS1, &cfg).unwrap();
+    let text = program.render();
+    assert_eq!(text.len(), 6_338_797);
+    assert_eq!(fnv1a(text.as_bytes()), 0xc0de_f8f8_00b7_9cc2);
+    assert_eq!(
+        text.capacity(),
+        text.len(),
+        "render sizes its buffer exactly"
+    );
+    assert_eq!(Program::parse(&text).unwrap(), program);
 }

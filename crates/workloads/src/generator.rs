@@ -24,11 +24,18 @@ use crate::suite::MvShape;
 const PAR_FILL_MIN_ELEMS: usize = 1 << 18;
 
 /// Fills `len` bf16 values where element `k = f(rng, k)`, splitting the
-/// index space across `threads` workers. Identical output for every
-/// thread count by construction.
-fn fill(len: usize, threads: usize, f: impl Fn(u64) -> Bf16 + Sync) -> Vec<Bf16> {
+/// index space across the workers `policy` allows. Identical output for
+/// every thread count by construction. The thread budget is resolved
+/// only for a fill large enough to split: resolving it asks the
+/// environment and the operating system.
+fn fill(len: usize, policy: ParallelPolicy, f: impl Fn(u64) -> Bf16 + Sync) -> Vec<Bf16> {
     let mut out = vec![Bf16::ZERO; len];
-    if threads <= 1 || len < PAR_FILL_MIN_ELEMS {
+    let threads = if len < PAR_FILL_MIN_ELEMS {
+        1
+    } else {
+        policy.threads()
+    };
+    if threads <= 1 {
         for (k, x) in out.iter_mut().enumerate() {
             *x = f(k as u64);
         }
@@ -67,18 +74,16 @@ fn fill(len: usize, threads: usize, f: impl Fn(u64) -> Bf16 + Sync) -> Vec<Bf16>
 pub fn matrix(shape: MvShape, seed: u64) -> Vec<Bf16> {
     let rng = CounterRng::new(seed);
     let scale = 1.0 / (shape.n as f32).sqrt();
-    fill(
-        shape.m * shape.n,
-        ParallelPolicy::default().threads(),
-        |k| Bf16::from_f32(rng.range_f32_at(k, -scale, scale)),
-    )
+    fill(shape.m * shape.n, ParallelPolicy::default(), |k| {
+        Bf16::from_f32(rng.range_f32_at(k, -scale, scale))
+    })
 }
 
 /// Generates a length-`n` bf16 input vector with entries in `[-1, 1]`.
 #[must_use]
 pub fn vector(n: usize, seed: u64) -> Vec<Bf16> {
     let rng = CounterRng::new(seed ^ 0x5eed_0000_0000_0001);
-    fill(n, ParallelPolicy::default().threads(), |k| {
+    fill(n, ParallelPolicy::default(), |k| {
         Bf16::from_f32(rng.range_f32_at(k, -1.0, 1.0))
     })
 }
@@ -142,12 +147,16 @@ mod tests {
         let rng = CounterRng::new(77);
         let len = PAR_FILL_MIN_ELEMS + 1234;
         let gen = |k: u64| Bf16::from_f32(rng.range_f32_at(k, -0.5, 0.5));
-        let serial = fill(len, 1, gen);
+        let serial = fill(len, ParallelPolicy::serial(), gen);
         for threads in [2, 3, 8] {
-            assert_eq!(fill(len, threads, gen), serial, "threads={threads}");
+            let policy = ParallelPolicy::exact(threads);
+            assert_eq!(fill(len, policy, gen), serial, "threads={threads}");
         }
         // Below the threshold the serial path is taken; same function,
         // same bytes.
-        assert_eq!(fill(100, 8, gen), fill(100, 1, gen));
+        assert_eq!(
+            fill(100, ParallelPolicy::exact(8), gen),
+            fill(100, ParallelPolicy::serial(), gen)
+        );
     }
 }

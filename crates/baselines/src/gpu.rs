@@ -67,15 +67,9 @@ impl TitanVModel {
         TitanVModel::default()
     }
 
-    /// The calibration in use.
-    #[must_use]
-    pub fn calibration(&self) -> &GpuCalibration {
-        &self.cal
-    }
-
     /// Achieved-bandwidth fraction for a working set of `bytes`.
     #[must_use]
-    pub fn efficiency(&self, bytes: f64) -> f64 {
+    pub(crate) fn efficiency(&self, bytes: f64) -> f64 {
         self.cal.eff_max * bytes / (bytes + self.cal.s_half_bytes)
     }
 
@@ -134,7 +128,7 @@ mod tests {
     #[test]
     fn calibration_reproduces_the_published_ideal_vs_gpu_gap() {
         let gpu = TitanVModel::new();
-        let bw = gpu.calibration().bandwidth_bytes_per_ns;
+        let bw = gpu.cal.bandwidth_bytes_per_ns;
         let mut ratios = Vec::new();
         let mut dlrm_ratio = 0.0;
         for b in Benchmark::all() {
@@ -158,7 +152,7 @@ mod tests {
     fn efficiency_grows_with_working_set() {
         let gpu = TitanVModel::new();
         assert!(gpu.efficiency(1e6) < gpu.efficiency(1e8));
-        assert!(gpu.efficiency(1e12) <= gpu.calibration().eff_max);
+        assert!(gpu.efficiency(1e12) <= gpu.cal.eff_max);
     }
 
     #[test]
@@ -170,7 +164,7 @@ mod tests {
         let t1024 = gpu.per_inference_ns(s, 1024);
         assert!(t8 < t1 / 6.0, "near-linear at small k: {t1} -> {t8}");
         // Compute floor: 2mn / flops.
-        let floor = 2.0 * s.macs() as f64 / gpu.calibration().compute_flops_per_ns;
+        let floor = 2.0 * s.macs() as f64 / gpu.cal.compute_flops_per_ns;
         assert!(t1024 >= floor && t1024 < floor * 1.5, "{t1024} vs {floor}");
     }
 
@@ -191,7 +185,7 @@ mod tests {
         let gpu = TitanVModel::new();
         let dlrm = gpu.mv_time_ns(Benchmark::DlrmS1.shape(), 1);
         let big = gpu.mv_time_ns(Benchmark::AlexNetL6.shape(), 1);
-        let oh = gpu.calibration().kernel_overhead_ns;
+        let oh = gpu.cal.kernel_overhead_ns;
         assert!(oh / dlrm > 0.05, "overhead visible on DLRM");
         assert!(oh / big < 0.01, "overhead negligible on AlexNetL6");
     }

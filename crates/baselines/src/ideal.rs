@@ -48,18 +48,6 @@ impl IdealNonPim {
         IdealNonPim::new(DramConfig::hbm2e_like(), 24)
     }
 
-    /// Number of channels.
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// Peak external bandwidth of the whole system, bytes per ns.
-    #[must_use]
-    pub fn system_bandwidth(&self) -> f64 {
-        self.dram.external_bandwidth_bytes_per_ns() * self.channels as f64
-    }
-
     /// DRAM rows the worst channel must stream for an `m x n` bf16 matrix.
     fn rows_for(&self, m: usize, n: usize) -> usize {
         let m_c = m.div_ceil(self.channels);
@@ -155,14 +143,6 @@ impl IdealNonPim {
             refreshes,
         })
     }
-
-    /// The closed-form lower bound `bytes / external bandwidth` (Sec.
-    /// III-F's `col * tCCD` per row), for model-vs-measurement checks.
-    #[must_use]
-    pub fn analytic_time_ns(&self, m: usize, n: usize) -> f64 {
-        let rows = self.rows_for(m, n);
-        rows as f64 * self.dram.cols_per_row as f64 * self.dram.timing.t_ccd_ns
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +154,10 @@ mod tests {
         let ideal = IdealNonPim::paper_default();
         // GNMTs1-sized layer.
         let out = ideal.run_layer(4096, 1024).unwrap();
-        let bound = ideal.analytic_time_ns(4096, 1024);
+        // The closed-form bound `bytes / external bandwidth`: Sec.
+        // III-F's `col * tCCD` per row.
+        let rows = ideal.rows_for(4096, 1024);
+        let bound = rows as f64 * ideal.dram.cols_per_row as f64 * ideal.dram.timing.t_ccd_ns;
         assert!(out.time_ns >= bound, "{} < {}", out.time_ns, bound);
         // Within a few percent: pipeline fill + refresh only.
         assert!(out.time_ns <= bound * 1.15, "{} vs {}", out.time_ns, bound);
@@ -204,7 +187,6 @@ mod tests {
         let tb = b.run_layer(4096, 1024).unwrap().time_ns;
         let ratio = ta / tb;
         assert!((20.0..28.0).contains(&ratio), "{ratio}");
-        assert_eq!(b.system_bandwidth(), 24.0 * 8.0);
     }
 
     #[test]

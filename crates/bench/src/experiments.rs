@@ -5,18 +5,18 @@
 //! | paper | function |
 //! |-------|----------|
 //! | Fig. 7 | [`fig07_command_trace_with`] |
-//! | Fig. 8 (layers) | [`fig08_layers_with`] |
-//! | Fig. 8 (end-to-end) | [`fig08_end_to_end_with`] |
-//! | Fig. 9 | [`fig09_ladder_with`] |
-//! | Fig. 10 | [`fig10_bank_sweep_with`] |
-//! | Fig. 11 | [`fig11_batch_vs_ideal`] |
-//! | Fig. 12 | [`fig12_batch_vs_gpu`] |
-//! | Fig. 13 | [`fig13_power`] |
-//! | Sec. III-F / Table III | [`model_validation_with`] |
-//! | Sec. III-C ablations | [`ablation_layout_with`], [`ablation_latches_with`] |
-//! | Sec. III-E / V-C extensions | [`ext_dram_families_with`], [`ext_channel_sweep_with`] |
-//! | Fault campaign (BER x ECC) | [`campaign_with`] |
-//! | Serving chaos sweep | [`serving_with`] |
+//! | Fig. 8 (layers) | `fig08_layers_with` |
+//! | Fig. 8 (end-to-end) | `fig08_end_to_end_with` |
+//! | Fig. 9 | `fig09_ladder_with` |
+//! | Fig. 10 | `fig10_bank_sweep_with` |
+//! | Fig. 11 | `fig11_batch_vs_ideal` |
+//! | Fig. 12 | `fig12_batch_vs_gpu` |
+//! | Fig. 13 | `fig13_power` |
+//! | Sec. III-F / Table III | `model_validation_with` |
+//! | Sec. III-C ablations | `ablation_layout_with`, `ablation_latches_with` |
+//! | Sec. III-E / V-C extensions | `ext_dram_families_with`, `ext_channel_sweep_with` |
+//! | Fault campaign (BER x ECC) | `campaign_with` |
+//! | Serving chaos sweep | `serving_with` |
 //!
 //! Every `_with` function derives its systems from the base
 //! [`NewtonConfig`] the harness hands down and spreads its independent
@@ -138,7 +138,7 @@ pub fn measure_layer(cfg: &NewtonConfig, b: Benchmark) -> Result<LayerMeasuremen
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn measure_all_layers_with(
+pub(crate) fn measure_all_layers_with(
     cfg: &NewtonConfig,
     threads: usize,
 ) -> Result<Vec<LayerMeasurement>, AimError> {
@@ -176,7 +176,7 @@ pub struct SpeedupRow {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig08_layers_with(
+pub(crate) fn fig08_layers_with(
     base: &NewtonConfig,
     layers: &[LayerMeasurement],
     threads: usize,
@@ -262,7 +262,7 @@ pub struct EndToEndMeasurement {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn measure_end_to_end(
+fn measure_end_to_end(
     cfg: &NewtonConfig,
     model: &EndToEndModel,
     nonopt_layer_times: &[(Benchmark, f64)],
@@ -337,7 +337,7 @@ pub fn measure_end_to_end(
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig08_end_to_end_with(
+pub(crate) fn fig08_end_to_end_with(
     base: &NewtonConfig,
     threads: usize,
 ) -> Result<Vec<SpeedupRow>, AimError> {
@@ -402,7 +402,10 @@ pub struct LadderRow {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig09_ladder_with(base: &NewtonConfig, threads: usize) -> Result<Vec<LadderRow>, AimError> {
+pub(crate) fn fig09_ladder_with(
+    base: &NewtonConfig,
+    threads: usize,
+) -> Result<Vec<LadderRow>, AimError> {
     let levels = OptLevel::ladder();
     let benches = Benchmark::all();
     let speedups = try_par_indexed(levels.len() * benches.len(), threads, |k| {
@@ -443,7 +446,7 @@ pub struct BankSweepRow {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig10_bank_sweep_with(
+pub(crate) fn fig10_bank_sweep_with(
     base: &NewtonConfig,
     threads: usize,
 ) -> Result<Vec<BankSweepRow>, AimError> {
@@ -482,7 +485,7 @@ pub fn fig10_bank_sweep_with(
 // ----------------------------------------------------------------------
 
 /// The batch sizes both batch figures sweep.
-pub const BATCH_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 64];
+pub(crate) const BATCH_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 64];
 
 /// One benchmark's batch sweep: performance normalized to the GPU at
 /// batch 1 (higher is better), for Newton and a comparison architecture.
@@ -502,7 +505,7 @@ pub struct BatchRow {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig11_batch_vs_ideal(layers: &[LayerMeasurement]) -> Result<Vec<BatchRow>, AimError> {
+pub(crate) fn fig11_batch_vs_ideal(layers: &[LayerMeasurement]) -> Result<Vec<BatchRow>, AimError> {
     let cfg = NewtonConfig::paper_default();
     let ideal = IdealNonPim::new(cfg.dram.clone(), cfg.channels);
     let mut rows = Vec::new();
@@ -524,7 +527,7 @@ pub fn fig11_batch_vs_ideal(layers: &[LayerMeasurement]) -> Result<Vec<BatchRow>
 
 /// Fig. 12: batch-size sensitivity against the Titan-V-like GPU.
 #[must_use]
-pub fn fig12_batch_vs_gpu(layers: &[LayerMeasurement]) -> Vec<BatchRow> {
+pub(crate) fn fig12_batch_vs_gpu(layers: &[LayerMeasurement]) -> Vec<BatchRow> {
     let gpu = TitanVModel::new();
     layers
         .iter()
@@ -558,7 +561,7 @@ pub struct PowerRow {
 
 /// Fig. 13: Newton's average power normalized to conventional DRAM.
 #[must_use]
-pub fn fig13_power(layers: &[LayerMeasurement]) -> Vec<PowerRow> {
+pub(crate) fn fig13_power(layers: &[LayerMeasurement]) -> Vec<PowerRow> {
     let model = PowerModel::new();
     let mut rows = Vec::new();
     let mut vals = Vec::new();
@@ -608,7 +611,9 @@ pub struct EnergyValidationRow {
 /// when the measurements carry no telemetry (the harness ran without
 /// `--telemetry`).
 #[must_use]
-pub fn fig13_energy_validation(layers: &[LayerMeasurement]) -> Option<Vec<EnergyValidationRow>> {
+pub(crate) fn fig13_energy_validation(
+    layers: &[LayerMeasurement],
+) -> Option<Vec<EnergyValidationRow>> {
     let model = newton_trace::EnergyModel::new();
     let mut rows = Vec::new();
     for m in layers {
@@ -672,7 +677,7 @@ pub fn model_validation() -> Result<ModelValidation, AimError> {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn model_validation_with(base: &NewtonConfig) -> Result<ModelValidation, AimError> {
+pub(crate) fn model_validation_with(base: &NewtonConfig) -> Result<ModelValidation, AimError> {
     let model = PerfModel::paper_default();
 
     // A large single-chunk matrix on one channel isolates the steady-state
@@ -756,7 +761,7 @@ pub struct AblationRow {
 impl AblationRow {
     /// Variant slowdown relative to full Newton (>1 = variant slower).
     #[must_use]
-    pub fn slowdown(&self) -> f64 {
+    pub(crate) fn slowdown(&self) -> f64 {
         self.variant_ns / self.newton_ns
     }
 }
@@ -767,7 +772,7 @@ impl AblationRow {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn ablation_layout_with(
+pub(crate) fn ablation_layout_with(
     base: &NewtonConfig,
     threads: usize,
 ) -> Result<Vec<AblationRow>, AimError> {
@@ -823,7 +828,7 @@ pub struct FamilyRow {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn ext_dram_families_with(
+pub(crate) fn ext_dram_families_with(
     base: &NewtonConfig,
     threads: usize,
 ) -> Result<Vec<FamilyRow>, AimError> {
@@ -890,7 +895,7 @@ pub struct ChannelSweepRow {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn ext_channel_sweep_with(
+pub(crate) fn ext_channel_sweep_with(
     base: &NewtonConfig,
     threads: usize,
 ) -> Result<Vec<ChannelSweepRow>, AimError> {
@@ -927,7 +932,7 @@ pub fn ext_channel_sweep_with(
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn ablation_latches_with(
+pub(crate) fn ablation_latches_with(
     base: &NewtonConfig,
     threads: usize,
 ) -> Result<Vec<AblationRow>, AimError> {
@@ -943,23 +948,23 @@ pub fn ablation_latches_with(
 
 /// Shape `(m, n)` of the resident matrix the campaign and serving sweeps
 /// run against.
-pub const SWEEP_SHAPE: (usize, usize) = (64, 1024);
+pub(crate) const SWEEP_SHAPE: (usize, usize) = (64, 1024);
 /// Channels of the systems the campaign and serving sweeps build.
-pub const SWEEP_CHANNELS: usize = 2;
+pub(crate) const SWEEP_CHANNELS: usize = 2;
 
 /// The raw bit-error rates the campaign sweeps, as (label, rate) pairs.
-pub const CAMPAIGN_RATES: [(&str, f64); 4] =
+const CAMPAIGN_RATES: [(&str, f64); 4] =
     [("0", 0.0), ("1e-6", 1e-6), ("1e-5", 1e-5), ("1e-4", 1e-4)];
 
 /// Seed of the campaign's fault streams.
-pub const CAMPAIGN_SEED: u64 = 5;
+pub(crate) const CAMPAIGN_SEED: u64 = 5;
 
 /// One cell of the fault campaign. The recovery ladder's work is kept as
 /// a full [`RecoveryReport`] so the snapshot goes through its shared
 /// `record_into` serialiser.
 #[derive(Debug, Clone)]
 pub struct CampaignRow {
-    /// Label of the raw bit-error rate (a [`CAMPAIGN_RATES`] entry).
+    /// Label of the raw bit-error rate (a `CAMPAIGN_RATES` entry).
     pub rate: &'static str,
     /// Whether SECDED ECC was on.
     pub ecc: bool,
@@ -1119,7 +1124,10 @@ fn campaign_cell(
 /// If a cell breaks a guarantee of the simulated machine: any SDC with
 /// ECC on, no SDC without it at 1e-5 and above, or a fault-free cell that
 /// differs from the golden run.
-pub fn campaign_with(base: &NewtonConfig, threads: usize) -> Result<Vec<CampaignRow>, AimError> {
+pub(crate) fn campaign_with(
+    base: &NewtonConfig,
+    threads: usize,
+) -> Result<Vec<CampaignRow>, AimError> {
     let (m, n) = SWEEP_SHAPE;
     let matrix: Vec<Bf16> = (0..m * n).map(|i| det_bf16(2, i as u64)).collect();
     let vector: Vec<Bf16> = (0..n).map(|i| det_bf16(3, i as u64)).collect();
@@ -1154,11 +1162,11 @@ pub fn campaign_with(base: &NewtonConfig, threads: usize) -> Result<Vec<Campaign
 // ----------------------------------------------------------------------
 
 /// Seed of the serving sweep's weight, input, arrival and fault streams.
-pub const SERVING_SEED: u64 = 8;
+pub(crate) const SERVING_SEED: u64 = 8;
 /// Queries offered to each serving cell.
-pub const SERVING_REQUESTS: usize = 160;
+pub(crate) const SERVING_REQUESTS: usize = 160;
 /// The completion deadline every serving cell runs under, ns.
-pub const SERVING_DEADLINE_NS: f64 = 100_000.0;
+pub(crate) const SERVING_DEADLINE_NS: f64 = 100_000.0;
 
 /// One cell of the serving sweep.
 #[derive(Debug, Clone)]
@@ -1250,7 +1258,10 @@ fn serving_cell(
 /// If a cell breaks a guarantee: any SDC, unbalanced admission
 /// accounting, a chaos cell that injects nothing, a clean cell that
 /// retries, or a degraded cell that retires no bank or stops serving.
-pub fn serving_with(base: &NewtonConfig, threads: usize) -> Result<Vec<ServingRow>, AimError> {
+pub(crate) fn serving_with(
+    base: &NewtonConfig,
+    threads: usize,
+) -> Result<Vec<ServingRow>, AimError> {
     let (m, n) = SWEEP_SHAPE;
     let cfg = NewtonConfig {
         channels: SWEEP_CHANNELS,

@@ -108,7 +108,7 @@ pub struct HarnessOptions {
     /// (`reproduce --audit`): each channel logs its command stream and,
     /// at the end of every run, checks what the run added against the
     /// raw timing constraints; any violation aborts the experiment with
-    /// [`AimError::AuditFailed`](newton_core::AimError::AuditFailed).
+    /// [`AimError::AuditFailed`].
     /// Reports and snapshots are byte-identical with and without it.
     pub audit: bool,
     /// Run every experiment with streaming telemetry enabled
@@ -122,7 +122,7 @@ pub struct HarnessOptions {
 impl HarnessOptions {
     /// Whether `name` passes the filter.
     #[must_use]
-    pub fn wants(&self, name: &str) -> bool {
+    fn wants(&self, name: &str) -> bool {
         self.filter.is_empty() || self.filter.iter().any(|f| name.contains(f.as_str()))
     }
 
@@ -141,7 +141,7 @@ impl HarnessOptions {
     /// paper's evaluation point with this run's engine, audit and
     /// telemetry choices.
     #[must_use]
-    pub fn base_config(&self) -> NewtonConfig {
+    pub(crate) fn base_config(&self) -> NewtonConfig {
         NewtonConfig {
             engine: self.engine,
             audit: self.audit,
@@ -180,7 +180,7 @@ impl HarnessOptions {
 /// reference, if an experiment's rows violate the shape claim the paper
 /// makes about them, or if a `campaign` / `serving` cell breaks a
 /// guarantee of the simulated machine (see
-/// [`campaign_with`] and [`serving_with`]).
+/// `campaign_with` and `serving_with` in [`crate::experiments`]).
 pub fn run_experiments(opts: &HarnessOptions) -> Result<Vec<ExperimentReport>, AimError> {
     let base = &opts.base_config();
     let names = opts.selected();

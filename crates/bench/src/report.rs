@@ -1,15 +1,8 @@
 //! Table rendering and small statistics helpers for experiment output.
 
 /// Geometric mean of positive values; 0 for an empty slice.
-///
-/// # Example
-///
-/// ```
-/// let g = newton_bench::report::geomean(&[1.0, 4.0]);
-/// assert!((g - 2.0).abs() < 1e-12);
-/// ```
 #[must_use]
-pub fn geomean(values: &[f64]) -> f64 {
+pub(crate) fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -26,7 +19,7 @@ pub struct Table {
 impl Table {
     /// Creates a table with the given column headers.
     #[must_use]
-    pub fn new(header: &[&str]) -> Table {
+    pub(crate) fn new(header: &[&str]) -> Table {
         Table {
             header: header.iter().map(|s| (*s).to_string()).collect(),
             rows: Vec::new(),
@@ -34,26 +27,26 @@ impl Table {
     }
 
     /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: &[String]) -> &mut Table {
+    pub(crate) fn row(&mut self, cells: &[String]) -> &mut Table {
         self.rows.push(cells.to_vec());
         self
     }
 
     /// The column headers.
     #[must_use]
-    pub fn header(&self) -> &[String] {
+    pub(crate) fn header(&self) -> &[String] {
         &self.header
     }
 
     /// The rows appended so far.
     #[must_use]
-    pub fn rows(&self) -> &[Vec<String>] {
+    pub(crate) fn rows(&self) -> &[Vec<String>] {
         &self.rows
     }
 
     /// Renders with column alignment: first column left, rest right.
     #[must_use]
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self
             .header
             .len()
@@ -93,13 +86,13 @@ impl Table {
 
 /// Formats a speedup as `12.3x`.
 #[must_use]
-pub fn fx(v: f64) -> String {
+pub(crate) fn fx(v: f64) -> String {
     format!("{v:.2}x")
 }
 
 /// Formats nanoseconds with an adaptive unit.
 #[must_use]
-pub fn fns(ns: f64) -> String {
+pub(crate) fn fns(ns: f64) -> String {
     if ns >= 1e6 {
         format!("{:.2} ms", ns / 1e6)
     } else if ns >= 1e3 {

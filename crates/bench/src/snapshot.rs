@@ -12,7 +12,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Adds a rendered [`Table`] to `snap` under `title`.
-pub fn add_table(snap: &mut MetricsSnapshot, title: &str, table: &Table) {
+pub(crate) fn add_table(snap: &mut MetricsSnapshot, title: &str, table: &Table) {
     snap.table(title, table.header(), table.rows());
 }
 

@@ -9,7 +9,7 @@
 //! * **Wide** ([`dot_chunk_wide`], [`tree_reduce_wide`]): multipliers round
 //!   products to bf16 but the tree carries `f32` (wide carry-save adders),
 //!   rounding only at the result latch. This is the simulator's default.
-//! * **Per-stage** ([`dot_chunk_bf16`], [`tree_reduce_bf16`]): every adder
+//! * **Per-stage** (`dot_chunk_bf16`, [`tree_reduce_bf16`]): every adder
 //!   output is rounded back to bf16, the most conservative hardware model.
 //!
 //! Both disciplines reduce in *tree order* (pairwise), which differs from a
@@ -249,7 +249,7 @@ pub fn dot_chunk_wide(weights: &[Bf16], inputs: &[Bf16]) -> f32 {
 ///
 /// Panics if `weights` and `inputs` have different lengths.
 #[must_use]
-pub fn dot_chunk_bf16(weights: &[Bf16], inputs: &[Bf16]) -> Bf16 {
+fn dot_chunk_bf16(weights: &[Bf16], inputs: &[Bf16]) -> Bf16 {
     assert_eq!(
         weights.len(),
         inputs.len(),

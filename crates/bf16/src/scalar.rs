@@ -39,8 +39,6 @@ impl Bf16 {
     pub const NEG_ZERO: Bf16 = Bf16(0x8000);
     /// One.
     pub const ONE: Bf16 = Bf16(0x3F80);
-    /// Negative one.
-    pub const NEG_ONE: Bf16 = Bf16(0xBF80);
     /// Positive infinity.
     pub const INFINITY: Bf16 = Bf16(0x7F80);
     /// Negative infinity.
@@ -51,13 +49,6 @@ impl Bf16 {
     pub const MAX: Bf16 = Bf16(0x7F7F);
     /// The smallest finite value (`-MAX`).
     pub const MIN: Bf16 = Bf16(0xFF7F);
-    /// The smallest positive normal value, `2^-126` ≈ 1.1755e-38.
-    pub const MIN_POSITIVE: Bf16 = Bf16(0x0080);
-    /// The difference between 1.0 and the next larger representable value,
-    /// `2^-7`.
-    pub const EPSILON: Bf16 = Bf16(0x3C00);
-    /// Number of explicit significand digits (the leading 1 is implicit).
-    pub const MANTISSA_DIGITS: u32 = 8;
 
     /// Creates a `Bf16` from its raw bit pattern.
     ///
@@ -234,22 +225,6 @@ impl Bf16 {
         r ^= (((r >> 15) as u16) >> 1) as i16;
         l.cmp(&r)
     }
-
-    /// Returns the larger of two values, propagating numbers over NaN (like
-    /// [`f32::max`]).
-    #[inline]
-    #[must_use]
-    pub fn max(self, other: Bf16) -> Bf16 {
-        Bf16::from_f32(self.to_f32().max(other.to_f32()))
-    }
-
-    /// Returns the smaller of two values, propagating numbers over NaN (like
-    /// [`f32::min`]).
-    #[inline]
-    #[must_use]
-    pub fn min(self, other: Bf16) -> Bf16 {
-        Bf16::from_f32(self.to_f32().min(other.to_f32()))
-    }
 }
 
 impl fmt::Debug for Bf16 {
@@ -411,12 +386,9 @@ mod tests {
         assert!(Bf16::ZERO.to_f32().is_sign_positive());
         assert!(Bf16::NEG_ZERO.to_f32().is_sign_negative());
         assert_eq!(Bf16::ONE.to_f32(), 1.0);
-        assert_eq!(Bf16::NEG_ONE.to_f32(), -1.0);
         assert_eq!(Bf16::INFINITY.to_f32(), f32::INFINITY);
         assert_eq!(Bf16::NEG_INFINITY.to_f32(), f32::NEG_INFINITY);
         assert!(Bf16::NAN.is_nan());
-        assert_eq!(Bf16::EPSILON.to_f32(), 2.0_f32.powi(-7));
-        assert_eq!(Bf16::MIN_POSITIVE.to_f32(), 2.0_f32.powi(-126));
         assert_eq!(Bf16::MAX.to_f32(), 3.389_531_4e38);
         assert_eq!(Bf16::MIN.to_f32(), -Bf16::MAX.to_f32());
     }
@@ -490,7 +462,7 @@ mod tests {
         assert!(Bf16::ZERO.is_zero() && Bf16::NEG_ZERO.is_zero());
         assert!(Bf16::INFINITY.is_infinite() && !Bf16::INFINITY.is_finite());
         assert!(Bf16::ONE.is_finite() && !Bf16::ONE.is_nan());
-        assert!(Bf16::NEG_ONE.is_sign_negative());
+        assert!((-Bf16::ONE).is_sign_negative());
         assert!(!Bf16::NAN.is_infinite());
         assert_eq!(Bf16::from_f32(-7.0).abs(), Bf16::from_f32(7.0));
     }
@@ -500,10 +472,10 @@ mod tests {
         let samples = [
             Bf16::NEG_INFINITY,
             Bf16::MIN,
-            Bf16::NEG_ONE,
+            -Bf16::ONE,
             Bf16::NEG_ZERO,
             Bf16::ZERO,
-            Bf16::MIN_POSITIVE,
+            Bf16::from_bits(0x0080),
             Bf16::ONE,
             Bf16::MAX,
             Bf16::INFINITY,

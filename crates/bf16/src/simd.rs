@@ -12,7 +12,7 @@
 //! the rounding lane, property-tested for the kernels) to produce the same
 //! bits as its scalar oracle in [`reduce`](crate::reduce):
 //!
-//! * [`round_bf16_f32`] ≡ `Bf16::from_f32(x).to_f32()` for **all** `f32`
+//! * `round_bf16_f32` ≡ `Bf16::from_f32(x).to_f32()` for **all** `f32`
 //!   bit patterns, including NaN quieting and overflow-to-infinity.
 //! * [`comp_row_set`], the kernel the simulator runs, folds a whole row of
 //!   sub-chunk COMPs for every bank of a row-set in one pass over
@@ -63,7 +63,7 @@ use crate::scalar::Bf16;
 /// vectorizes.
 #[inline]
 #[must_use]
-pub fn round_bf16_bits(bits: u32) -> u32 {
+fn round_bf16_bits(bits: u32) -> u32 {
     let is_nan = u32::from((bits & 0x7FFF_FFFF) > 0x7F80_0000).wrapping_neg();
     let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1)) & 0xFFFF_0000;
     let quiet = ((bits >> 16) | 0x0040) << 16;
@@ -74,7 +74,7 @@ pub fn round_bf16_bits(bits: u32) -> u32 {
 /// in a bf16 register and read back.
 #[inline]
 #[must_use]
-pub fn round_bf16_f32(x: f32) -> f32 {
+fn round_bf16_f32(x: f32) -> f32 {
     f32::from_bits(round_bf16_bits(x.to_bits()))
 }
 
@@ -203,7 +203,7 @@ pub const MULTI_MAX_BANKS: usize = 16;
 /// step identical to calling
 /// [`comp_step_noalloc`](crate::reduce::comp_step_noalloc) once per bank
 /// per sub-chunk, in sub-chunk order, on the bf16 values the planes widen.
-/// Banks never interact: the per-bank arithmetic DAG is [`block_roots`]
+/// Banks never interact: the per-bank arithmetic DAG is `block_roots`
 /// plus the serial latch chain `latch ← round(latch + root)`, which is
 /// `Bf16::accumulate_wide` (Wide) or the bf16 `latch + tree` addition
 /// (PerStage); only the *schedule* is shared. Stack scratch only, whatever
@@ -1008,7 +1008,7 @@ mod tests {
             Bf16::INFINITY,
             Bf16::NEG_INFINITY,
             Bf16::MAX,
-            Bf16::MIN_POSITIVE,
+            Bf16::from_bits(0x0080), // smallest positive normal
             Bf16::from_bits(0x0001), // smallest subnormal
             Bf16::from_f32(-2.5),
         ];
@@ -1036,7 +1036,7 @@ mod tests {
         // A `-0.0` latch fed only `-0.0` roots must stay `-0.0`; folding a
         // single padded lane (root `+0.0`) would flip it to `+0.0`.
         let neg_zero_products = |elems: usize| -> (Vec<Bf16>, Vec<Bf16>) {
-            (vec![Bf16::NEG_ONE; elems], vec![Bf16::ZERO; elems])
+            (vec![-Bf16::ONE; elems], vec![Bf16::ZERO; elems])
         };
         for n_sub in [1usize, 7, 31, 33, 45] {
             for precision in BOTH {

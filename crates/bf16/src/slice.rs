@@ -42,52 +42,6 @@ pub fn from_f32(values: &[f32]) -> Vec<Bf16> {
     values.iter().copied().map(Bf16::from_f32).collect()
 }
 
-/// Converts a slice of [`Bf16`] to a vector of `f32` (exact).
-#[must_use]
-pub fn to_f32(values: &[Bf16]) -> Vec<f32> {
-    values.iter().map(|v| v.to_f32()).collect()
-}
-
-/// Converts `f32` values into a caller-provided [`Bf16`] buffer, the
-/// allocation-free form of [`from_f32`] for hot loops that reuse scratch.
-///
-/// # Panics
-///
-/// Panics if the buffers have different lengths.
-pub fn from_f32_into(values: &[f32], out: &mut [Bf16]) {
-    assert_eq!(
-        values.len(),
-        out.len(),
-        "from_f32_into: input/output length mismatch"
-    );
-    for (o, v) in out.iter_mut().zip(values) {
-        *o = Bf16::from_f32(*v);
-    }
-}
-
-/// Converts [`Bf16`] values into a caller-provided `f32` buffer, the
-/// allocation-free form of [`to_f32`] for hot loops that reuse scratch.
-///
-/// # Panics
-///
-/// Panics if the buffers have different lengths.
-pub fn to_f32_into(values: &[Bf16], out: &mut [f32]) {
-    assert_eq!(
-        values.len(),
-        out.len(),
-        "to_f32_into: input/output length mismatch"
-    );
-    for (o, v) in out.iter_mut().zip(values) {
-        *o = v.to_f32();
-    }
-}
-
-/// Converts a slice of [`Bf16`] to a vector of `f64` (exact).
-#[must_use]
-pub fn to_f64(values: &[Bf16]) -> Vec<f64> {
-    values.iter().map(|v| v.to_f64()).collect()
-}
-
 /// Packs bf16 elements into little-endian bytes, the layout DRAM rows use.
 ///
 /// # Example
@@ -145,24 +99,6 @@ pub fn unpack(bytes: &[u8]) -> Result<Vec<Bf16>, DecodeBytesError> {
         .collect())
 }
 
-/// Maximum absolute difference between a bf16 buffer and an `f64` reference.
-///
-/// Returns `None` when the buffers have different lengths (a shape bug the
-/// caller should surface, not silently clamp).
-#[must_use]
-pub fn max_abs_error(values: &[Bf16], reference: &[f64]) -> Option<f64> {
-    if values.len() != reference.len() {
-        return None;
-    }
-    Some(
-        values
-            .iter()
-            .zip(reference)
-            .map(|(v, r)| (v.to_f64() - r).abs())
-            .fold(0.0, f64::max),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,28 +107,8 @@ mod tests {
     fn f32_roundtrip_preserves_representable_values() {
         let input = [0.0_f32, 1.0, -2.5, 0.15625, 1024.0];
         let bf = from_f32(&input);
-        assert_eq!(to_f32(&bf), input.to_vec());
-        assert_eq!(
-            to_f64(&bf),
-            input.iter().map(|&x| x as f64).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn into_conversions_match_allocating_forms() {
-        let input = [0.0_f32, 1.0, -2.5, 0.15625, 1024.0];
-        let mut bf_buf = [Bf16::ZERO; 5];
-        from_f32_into(&input, &mut bf_buf);
-        assert_eq!(bf_buf.to_vec(), from_f32(&input));
-        let mut f32_buf = [0.0f32; 5];
-        to_f32_into(&bf_buf, &mut f32_buf);
-        assert_eq!(f32_buf.to_vec(), to_f32(&bf_buf));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn into_conversions_reject_mismatched_lengths() {
-        from_f32_into(&[1.0], &mut [Bf16::ZERO; 2]);
+        let back: Vec<f32> = bf.iter().map(|v| v.to_f32()).collect();
+        assert_eq!(back, input.to_vec());
     }
 
     #[test]
@@ -205,7 +121,7 @@ mod tests {
 
     #[test]
     fn pack_into_writes_exact_region() {
-        let values = [Bf16::ONE, Bf16::NEG_ONE];
+        let values = [Bf16::ONE, -Bf16::ONE];
         let mut buf = [0u8; 4];
         pack_into(&values, &mut buf);
         assert_eq!(unpack(&buf).unwrap(), values.to_vec());
@@ -221,13 +137,5 @@ mod tests {
     fn unpack_rejects_odd_lengths() {
         let err = unpack(&[1, 2, 3]).unwrap_err();
         assert!(err.to_string().contains("not a multiple of 2"));
-    }
-
-    #[test]
-    fn max_abs_error_detects_shape_mismatch_and_errors() {
-        let vals = from_f32(&[1.0, 2.0]);
-        assert_eq!(max_abs_error(&vals, &[1.0]), None);
-        let err = max_abs_error(&vals, &[1.0, 2.5]).unwrap();
-        assert_eq!(err, 0.5);
     }
 }

@@ -164,7 +164,7 @@ impl DecodedWeightCache {
     }
 
     /// Drops every decoded row (e.g. after a recovery rewrote them).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for lane in &mut self.banks {
             lane.clear();
         }

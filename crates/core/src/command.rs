@@ -136,13 +136,13 @@ pub struct CommandTrace {
 impl CommandTrace {
     /// Creates a disabled (zero-cost) trace.
     #[must_use]
-    pub fn new() -> CommandTrace {
+    pub(crate) fn new() -> CommandTrace {
         CommandTrace::default()
     }
 
     /// Creates an enabled trace.
     #[must_use]
-    pub fn enabled() -> CommandTrace {
+    pub(crate) fn enabled() -> CommandTrace {
         CommandTrace {
             entries: Vec::new(),
             enabled: true,
@@ -156,7 +156,7 @@ impl CommandTrace {
     }
 
     /// Records a command at a cycle (no-op when disabled).
-    pub fn record(&mut self, cycle: Cycle, cmd: AimCommand) {
+    pub(crate) fn record(&mut self, cycle: Cycle, cmd: AimCommand) {
         if self.enabled {
             self.entries.push((cycle, cmd));
         }
@@ -164,7 +164,7 @@ impl CommandTrace {
 
     /// Records the `count` commands of a train at
     /// `start, start + step, ...` (no-op when disabled).
-    pub fn record_train(
+    pub(crate) fn record_train(
         &mut self,
         start: Cycle,
         step: Cycle,
@@ -181,12 +181,6 @@ impl CommandTrace {
     #[must_use]
     pub fn entries(&self) -> &[(Cycle, AimCommand)] {
         &self.entries
-    }
-
-    /// Counts commands matching a predicate.
-    #[must_use]
-    pub fn count(&self, pred: impl Fn(&AimCommand) -> bool) -> usize {
-        self.entries.iter().filter(|(_, c)| pred(c)).count()
     }
 
     /// Renders a compact textual timeline (one line per command), the
@@ -236,7 +230,11 @@ mod tests {
         t.record(4, AimCommand::Comp { subchunk: 0 });
         t.record(8, AimCommand::Comp { subchunk: 1 });
         assert_eq!(t.entries().len(), 3);
-        assert_eq!(t.count(|c| matches!(c, AimCommand::Comp { .. })), 2);
+        let comps = t
+            .entries()
+            .iter()
+            .filter(|(_, c)| matches!(c, AimCommand::Comp { .. }));
+        assert_eq!(comps.count(), 2);
         let rendered = t.render();
         assert!(rendered.contains("G_ACT0"));
         assert!(rendered.contains("COMP1"));

@@ -26,8 +26,7 @@ use crate::parallel::ParallelPolicy;
 /// Streaming-telemetry configuration for a Newton system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TelemetryConfig {
-    /// Telemetry window width in command-clock cycles (0 is promoted to
-    /// 1 by the collector).
+    /// Telemetry window width in command-clock cycles.
     pub window_cycles: u64,
 }
 
@@ -81,7 +80,7 @@ pub struct OptFlags {
 impl OptFlags {
     /// All optimizations on — full Newton.
     #[must_use]
-    pub fn all() -> OptFlags {
+    pub(crate) fn all() -> OptFlags {
         OptFlags {
             ganged_comp: true,
             complex_comp: true,
@@ -93,7 +92,7 @@ impl OptFlags {
 
     /// All optimizations off — the paper's `Non-opt-Newton`.
     #[must_use]
-    pub fn none() -> OptFlags {
+    pub(crate) fn none() -> OptFlags {
         OptFlags {
             ganged_comp: false,
             complex_comp: false,
@@ -313,12 +312,6 @@ impl NewtonConfig {
         self.dram.col_bytes() / 2
     }
 
-    /// Total banks across all channels.
-    #[must_use]
-    pub fn total_banks(&self) -> usize {
-        self.channels * self.dram.banks
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -326,7 +319,7 @@ impl NewtonConfig {
     /// [`AimError::InvalidConfig`] when a field is zero or the
     /// result-latch count is not 1 or 4 (the two design points the paper
     /// discusses).
-    pub fn validate(&self) -> Result<(), AimError> {
+    pub(crate) fn validate(&self) -> Result<(), AimError> {
         self.dram
             .validate()
             .map_err(|e| AimError::InvalidConfig(e.to_string()))?;
@@ -342,6 +335,11 @@ impl NewtonConfig {
         if self.adder_tree_latency == 0 {
             return Err(AimError::InvalidConfig(
                 "adder_tree_latency must be > 0 (the tree takes more than 4 cycles)".into(),
+            ));
+        }
+        if self.telemetry.is_some_and(|t| t.window_cycles == 0) {
+            return Err(AimError::InvalidConfig(
+                "telemetry window_cycles must be > 0".into(),
             ));
         }
         if self.opts.ganged_act && !self.dram.banks.is_multiple_of(4) {
@@ -371,7 +369,6 @@ mod tests {
         assert_eq!(cfg.channels, 24);
         assert_eq!(cfg.row_elems(), 512);
         assert_eq!(cfg.subchunk_elems(), 16);
-        assert_eq!(cfg.total_banks(), 384);
     }
 
     #[test]
@@ -429,6 +426,18 @@ mod tests {
         let mut cfg = NewtonConfig::paper_default();
         cfg.dram.banks = 6; // not divisible by 4 with ganged_act
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn zero_width_telemetry_window_is_an_error_not_one_cycle() {
+        let mut cfg = NewtonConfig::paper_default();
+        cfg.telemetry = Some(TelemetryConfig { window_cycles: 0 });
+        match cfg.validate() {
+            Err(AimError::InvalidConfig(msg)) => assert!(msg.contains("window_cycles"), "{msg}"),
+            other => panic!("a 0-cycle window must be rejected, got {other:?}"),
+        }
+        cfg.telemetry = Some(TelemetryConfig { window_cycles: 1 });
+        cfg.validate().unwrap();
     }
 
     #[test]

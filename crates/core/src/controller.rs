@@ -83,7 +83,7 @@ pub struct AimStats {
 impl AimStats {
     /// Accumulates another run's counters into this one (the system layer
     /// merges per-channel stats in channel-index order).
-    pub fn merge(&mut self, other: &AimStats) {
+    pub(crate) fn merge(&mut self, other: &AimStats) {
         self.gwrite_commands += other.gwrite_commands;
         self.compute_commands += other.compute_commands;
         self.readres_commands += other.readres_commands;
@@ -238,7 +238,7 @@ impl NewtonChannel {
     /// `(calls, wall_nanos)` spent inside the MAC hot path since the last
     /// call. Wall time is host-side observability only — it never feeds
     /// back into simulated state.
-    pub fn take_comp_profile(&mut self) -> (u64, u64) {
+    pub(crate) fn take_comp_profile(&mut self) -> (u64, u64) {
         let out = (self.comp_calls, self.comp_nanos);
         self.comp_calls = 0;
         self.comp_nanos = 0;
@@ -251,7 +251,7 @@ impl NewtonChannel {
     /// on every activation, the scalar kernels). Both produce
     /// byte-identical command streams and results; the choice only
     /// affects host-side work per command.
-    pub fn set_timing_engine(&mut self, engine: TimingEngine) {
+    pub(crate) fn set_timing_engine(&mut self, engine: TimingEngine) {
         self.config.engine = engine;
     }
 
@@ -387,7 +387,7 @@ impl NewtonChannel {
     /// # Errors
     ///
     /// Shape/capacity/storage errors from [`MatrixMapping::load_strided`].
-    pub fn load_matrix_strided(
+    pub(crate) fn load_matrix_strided(
         &mut self,
         mapping: &MatrixMapping,
         matrix: &[Bf16],
@@ -718,24 +718,14 @@ impl NewtonChannel {
     /// Runs one matrix–vector product through a [`ChannelPlan`]: its
     /// mapping and schedule, and its [`Residency`] — a single-use plan
     /// drains the same commands but streams its weight rows through the
-    /// decode scratch instead of keeping them.
+    /// decode scratch instead of keeping them. Results are read raw: the
+    /// host applies each layer's activation.
     ///
     /// # Errors
     ///
     /// As [`NewtonChannel::run_mv`].
-    pub fn run_planned(
-        &mut self,
-        plan: &ChannelPlan,
-        vector: &[Bf16],
-        lut_readout: bool,
-    ) -> Result<MvRun, AimError> {
-        self.drain(
-            plan.map(),
-            plan.schedule(),
-            vector,
-            lut_readout,
-            plan.residency(),
-        )
+    pub fn run_planned(&mut self, plan: &ChannelPlan, vector: &[Bf16]) -> Result<MvRun, AimError> {
+        self.drain(plan.map(), plan.schedule(), vector, false, plan.residency())
     }
 
     /// Loads input chunk `input` into the global buffer, one GWRITE per
@@ -1087,13 +1077,14 @@ impl NewtonChannel {
     /// Returns the channel to a quiescent, all-banks-precharged state
     /// after an error abandoned a run mid-row-set, and invalidates the
     /// decoded-weight cache (a recovery rewrite changes row contents).
-    /// Used by `NewtonSystem::run_mv_resilient` between retry attempts.
+    /// Used by `NewtonSystem::run_resident_resilient` between retry
+    /// attempts.
     ///
     /// # Errors
     ///
     /// Substrate errors from the precharge (none are expected: the cycle
     /// is chosen at the earliest legal slot).
-    pub fn recover(&mut self) -> Result<(), AimError> {
+    pub(crate) fn recover(&mut self) -> Result<(), AimError> {
         self.precharge_open_banks()?;
         self.open_comp = None;
         self.weight_cache.clear();
@@ -1599,7 +1590,7 @@ mod tests {
             let plan = ChannelPlan::new(ScheduleKind::InterleavedFullReuse, mapping, residency);
             let mut ch = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
             ch.load_matrix(plan.map(), &matrix).unwrap();
-            let run = ch.run_planned(&plan, &vector, false).unwrap();
+            let run = ch.run_planned(&plan, &vector).unwrap();
             let decodes = ch.weight_cache().decode_count();
             // A second touch of the same rows tells the two apart.
             ch.run_mv(plan.map(), plan.schedule(), &vector, false)
@@ -1655,10 +1646,12 @@ mod tests {
         ch.run_mv(&mapping, &schedule, &vec![bf(1.0); 512], false)
             .unwrap();
         let trace = ch.trace();
-        assert_eq!(trace.count(|c| matches!(c, AimCommand::Gwrite { .. })), 32);
-        assert_eq!(trace.count(|c| matches!(c, AimCommand::GAct { .. })), 4);
-        assert_eq!(trace.count(|c| matches!(c, AimCommand::Comp { .. })), 32);
-        assert_eq!(trace.count(|c| matches!(c, AimCommand::ReadRes)), 1);
+        let count =
+            |pred: fn(&AimCommand) -> bool| trace.entries().iter().filter(|(_, c)| pred(c)).count();
+        assert_eq!(count(|c| matches!(c, AimCommand::Gwrite { .. })), 32);
+        assert_eq!(count(|c| matches!(c, AimCommand::GAct { .. })), 4);
+        assert_eq!(count(|c| matches!(c, AimCommand::Comp { .. })), 32);
+        assert_eq!(count(|c| matches!(c, AimCommand::ReadRes)), 1);
         // Commands appear in nondecreasing time order per kind, G_ACTs
         // spaced by tFAW.
         let gacts: Vec<_> = trace

@@ -37,7 +37,7 @@ impl GlobalBuffer {
     ///
     /// Panics if `subchunk` is zero or does not divide `row_elems`.
     #[must_use]
-    pub fn new(row_elems: usize, subchunk: usize) -> GlobalBuffer {
+    pub(crate) fn new(row_elems: usize, subchunk: usize) -> GlobalBuffer {
         assert!(
             subchunk > 0 && row_elems.is_multiple_of(subchunk),
             "sub-chunk width {subchunk} must divide the row width {row_elems}"
@@ -51,21 +51,8 @@ impl GlobalBuffer {
 
     /// Number of sub-chunk slots (GWRITE commands to fill the buffer).
     #[must_use]
-    pub fn subchunks(&self) -> usize {
+    pub(crate) fn subchunks(&self) -> usize {
         self.elems.len() / self.subchunk
-    }
-
-    /// Total element capacity.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.elems.len()
-    }
-
-    /// Whether the buffer holds zero elements (never true in practice; the
-    /// conventional emptiness check).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
     }
 
     /// Executes one `GWRITE#`: writes `data` into sub-chunk slot `index`.
@@ -115,13 +102,6 @@ impl GlobalBuffer {
         let start = index * self.subchunk;
         &self.elems[start..start + self.subchunk]
     }
-
-    /// The whole buffer as the batched COMP kernel's lane-major plane
-    /// (element `i` is `elems[i].to_f32()` always).
-    #[must_use]
-    pub fn lanes(&self) -> &LanePlane {
-        &self.lanes
-    }
 }
 
 /// One bank's compute unit: 16 multipliers, the pipelined adder tree, and
@@ -134,7 +114,6 @@ impl GlobalBuffer {
 pub struct MacUnit {
     latches: Vec<Bf16>,
     precision: TreePrecision,
-    comps: u64,
 }
 
 impl MacUnit {
@@ -144,17 +123,16 @@ impl MacUnit {
     ///
     /// Panics if `latches` is zero.
     #[must_use]
-    pub fn new(latches: usize, precision: TreePrecision) -> MacUnit {
+    pub(crate) fn new(latches: usize, precision: TreePrecision) -> MacUnit {
         assert!(latches > 0, "a MAC unit needs at least one result latch");
         MacUnit {
             latches: vec![Bf16::ZERO; latches],
             precision,
-            comps: 0,
         }
     }
 
     /// Clears every latch (start of a new accumulation scope).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for l in &mut self.latches {
             *l = Bf16::ZERO;
         }
@@ -165,7 +143,7 @@ impl MacUnit {
     /// # Panics
     ///
     /// Panics if `latch` is out of range.
-    pub fn reset_one(&mut self, latch: usize) {
+    fn reset_one(&mut self, latch: usize) {
         self.latches[latch] = Bf16::ZERO;
     }
 
@@ -179,23 +157,21 @@ impl MacUnit {
     ///
     /// Panics if `latch` is out of range or the operand lengths differ
     /// (device-internal invariants; the controller guarantees them).
-    pub fn comp(&mut self, latch: usize, weights: &[Bf16], inputs: &[Bf16]) {
+    pub(crate) fn comp(&mut self, latch: usize, weights: &[Bf16], inputs: &[Bf16]) {
         let v = if weights.len() <= reduce::MAX_CHUNK {
             reduce::comp_step_noalloc(self.latches[latch], weights, inputs, self.precision)
         } else {
             reduce::comp_step(self.latches[latch], weights, inputs, self.precision)
         };
         self.latches[latch] = v;
-        self.comps += 1;
     }
 
     /// The reference (allocating) form of [`MacUnit::comp`]: identical
     /// arithmetic through `reduce::comp_step`: the COMP kernel of the
     /// `TimingEngine::Reference` oracle.
-    pub fn comp_reference(&mut self, latch: usize, weights: &[Bf16], inputs: &[Bf16]) {
+    fn comp_reference(&mut self, latch: usize, weights: &[Bf16], inputs: &[Bf16]) {
         let v = reduce::comp_step(self.latches[latch], weights, inputs, self.precision);
         self.latches[latch] = v;
-        self.comps += 1;
     }
 
     /// Preloads latch `latch` with a bias value (the AiM `WR_BIAS` data
@@ -205,26 +181,14 @@ impl MacUnit {
     /// # Panics
     ///
     /// Panics if `latch` is out of range.
-    pub fn preload(&mut self, latch: usize, value: Bf16) {
+    fn preload(&mut self, latch: usize, value: Bf16) {
         self.latches[latch] = value;
     }
 
     /// Reads latch `latch` (the `READRES` data path).
     #[must_use]
-    pub fn result(&self, latch: usize) -> Bf16 {
+    pub(crate) fn result(&self, latch: usize) -> Bf16 {
         self.latches[latch]
-    }
-
-    /// Number of latches.
-    #[must_use]
-    pub fn latch_count(&self) -> usize {
-        self.latches.len()
-    }
-
-    /// Total COMP steps executed (for energy accounting).
-    #[must_use]
-    pub fn comp_count(&self) -> u64 {
-        self.comps
     }
 }
 
@@ -247,7 +211,7 @@ impl NewtonDevice {
     /// the COMP data path reduces a sub-chunk through fixed stack scratch
     /// of that width, so a wider configuration must be rejected here
     /// rather than panicking mid-run in the controller's COMP.
-    pub fn new(
+    pub(crate) fn new(
         banks: usize,
         row_elems: usize,
         subchunk: usize,
@@ -285,14 +249,8 @@ impl NewtonDevice {
         &mut self.global
     }
 
-    /// The per-bank MAC units.
-    #[must_use]
-    pub fn macs(&self) -> &[MacUnit] {
-        &self.macs
-    }
-
     /// Resets every bank's latches.
-    pub fn reset_latches(&mut self) {
+    pub(crate) fn reset_latches(&mut self) {
         for m in &mut self.macs {
             m.reset();
         }
@@ -320,7 +278,7 @@ impl NewtonDevice {
     ///
     /// Panics on malformed byte length (must be `2 * subchunk` bytes) —
     /// a wiring bug, not a runtime condition.
-    pub fn comp_bank_reference(
+    pub(crate) fn comp_bank_reference(
         &mut self,
         bank: usize,
         latch: usize,
@@ -343,7 +301,7 @@ impl NewtonDevice {
     /// # Panics
     ///
     /// Panics if `weights.len()` is not the device sub-chunk width.
-    pub fn comp_bank_decoded(
+    pub(crate) fn comp_bank_decoded(
         &mut self,
         bank: usize,
         latch: usize,
@@ -372,7 +330,7 @@ impl NewtonDevice {
     /// at the paper's 16-wide MAC tree; the controller takes the
     /// per-sub-chunk paths for other widths) or a plane is shorter than
     /// `n_sub` sub-chunks.
-    pub fn comp_banks_row_simd<'a>(
+    pub(crate) fn comp_banks_row_simd<'a>(
         &mut self,
         banks: &[usize],
         latch: usize,
@@ -403,7 +361,6 @@ impl NewtonDevice {
             );
             for (&bank, &l) in gang.iter().zip(&latches) {
                 self.macs[bank].latches[latch] = l;
-                self.macs[bank].comps += n_sub as u64;
             }
         }
     }
@@ -419,12 +376,6 @@ impl NewtonDevice {
             raw
         }
     }
-
-    /// Total COMP steps across all banks.
-    #[must_use]
-    pub fn total_comps(&self) -> u64 {
-        self.macs.iter().map(MacUnit::comp_count).sum()
-    }
 }
 
 #[cfg(test)]
@@ -439,8 +390,7 @@ mod tests {
     fn global_buffer_gwrite_fills_subchunks() {
         let mut g = GlobalBuffer::new(512, 16);
         assert_eq!(g.subchunks(), 32);
-        assert_eq!(g.len(), 512);
-        assert!(!g.is_empty());
+        assert_eq!(g.elems.len(), 512);
         g.write_subchunk(2, &[bf(1.5); 16]).unwrap();
         assert_eq!(g.subchunk(2), &vec![bf(1.5); 16][..]);
         assert_eq!(g.subchunk(1), &vec![Bf16::ZERO; 16][..]);
@@ -477,10 +427,8 @@ mod tests {
         m.comp(0, &w, &v);
         m.comp(0, &w, &v);
         assert_eq!(m.result(0).to_f32(), 32.0);
-        assert_eq!(m.comp_count(), 2);
         m.reset();
         assert_eq!(m.result(0), Bf16::ZERO);
-        assert_eq!(m.comp_count(), 2, "reset clears latches, not counters");
     }
 
     #[test]
@@ -492,7 +440,6 @@ mod tests {
         for latch in 0..4 {
             assert_eq!(m.result(latch).to_f32(), 16.0 * (latch as f32 + 1.0));
         }
-        assert_eq!(m.latch_count(), 4);
     }
 
     #[test]
@@ -543,7 +490,6 @@ mod tests {
             dec_dev.read_result(0, 0, false),
             ref_dev.read_result(0, 0, false)
         );
-        assert_eq!(dec_dev.total_comps(), 1);
     }
 
     #[test]
@@ -596,7 +542,6 @@ mod tests {
                     "bank {b} precision {precision:?}"
                 );
             }
-            assert_eq!(batch_dev.total_comps(), step_dev.total_comps());
         }
     }
 
@@ -606,18 +551,18 @@ mod tests {
         g.write_subchunk(1, &[bf(-3.25); 10]).unwrap();
         for i in 0..64 {
             assert_eq!(
-                g.lanes().get(i).to_bits(),
+                g.lanes.get(i).to_bits(),
                 g.subchunk(i / 16)[i % 16].to_f32().to_bits()
             );
         }
-        assert_eq!(g.lanes().get(16), -3.25);
-        assert_eq!(g.lanes().get(26), 0.0);
+        assert_eq!(g.lanes.get(16), -3.25);
+        assert_eq!(g.lanes.get(26), 0.0);
         // A non-16 write granularity keeps the plane in row order too.
         let mut g = GlobalBuffer::new(64, 32);
         g.write_subchunk(1, &[bf(2.0); 20]).unwrap();
         for i in 0..64 {
             let expect = if (32..52).contains(&i) { 2.0 } else { 0.0 };
-            assert_eq!(g.lanes().get(i), expect, "element {i}");
+            assert_eq!(g.lanes.get(i), expect, "element {i}");
         }
     }
 
@@ -635,6 +580,5 @@ mod tests {
         assert_eq!(dev.read_result(1, 0, true), Bf16::ZERO);
         // Bank 0 untouched.
         assert_eq!(dev.read_result(0, 0, false), Bf16::ZERO);
-        assert_eq!(dev.total_comps(), 1);
     }
 }

@@ -31,7 +31,7 @@ pub enum AimError {
     /// The ECC scrub detected an uncorrectable multi-bit error in resident
     /// matrix data. The device reported it instead of computing on
     /// garbage; recovery (scrub-rewrite, then bank retirement) is the
-    /// system's job — see `NewtonSystem::run_mv_resilient`.
+    /// system's job — see `NewtonSystem::run_resident_resilient`.
     Uncorrectable {
         /// Channel holding the damaged row.
         channel: usize,

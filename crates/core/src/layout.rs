@@ -118,7 +118,7 @@ impl MatrixMapping {
 
     /// The layout scheme.
     #[must_use]
-    pub fn layout(&self) -> Layout {
+    pub(crate) fn layout(&self) -> Layout {
         self.layout
     }
 
@@ -130,21 +130,15 @@ impl MatrixMapping {
 
     /// Matrix columns.
     #[must_use]
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
-    }
-
-    /// First DRAM row used.
-    #[must_use]
-    pub fn base_row(&self) -> usize {
-        self.base_row
     }
 
     /// Logical banks the mapping spreads across (the length of the bank
     /// map; physical-bank count of the channel may be larger after
     /// retirement).
     #[must_use]
-    pub fn banks(&self) -> usize {
+    pub(crate) fn banks(&self) -> usize {
         self.bank_map.len()
     }
 
@@ -154,7 +148,7 @@ impl MatrixMapping {
     ///
     /// Panics if `logical >= self.banks()`.
     #[must_use]
-    pub fn physical_bank(&self, logical: usize) -> usize {
+    pub(crate) fn physical_bank(&self, logical: usize) -> usize {
         self.bank_map[logical]
     }
 
@@ -174,7 +168,7 @@ impl MatrixMapping {
     /// Row groups: `ceil(m / banks)` (Algorithm 1's `r`, the vertical tile
     /// positions).
     #[must_use]
-    pub fn row_groups(&self) -> usize {
+    pub(crate) fn row_groups(&self) -> usize {
         self.m.div_ceil(self.banks())
     }
 
@@ -226,7 +220,7 @@ impl MatrixMapping {
     /// `g` (same row index in every active bank, by construction of both
     /// layouts).
     #[must_use]
-    pub fn group_dram_row(&self, g: usize, c: usize) -> usize {
+    pub(crate) fn group_dram_row(&self, g: usize, c: usize) -> usize {
         match self.layout {
             Layout::ChunkInterleaved => self.base_row + c * self.row_groups() + g,
             Layout::NoReuse => self.base_row + g * self.num_chunks() + c,
@@ -237,7 +231,7 @@ impl MatrixMapping {
     /// if any (the last group may leave trailing banks idle — Sec. III-D
     /// issue (3)).
     #[must_use]
-    pub fn matrix_row_for(&self, g: usize, bank: usize) -> Option<usize> {
+    pub(crate) fn matrix_row_for(&self, g: usize, bank: usize) -> Option<usize> {
         let i = g * self.banks() + bank;
         (i < self.m).then_some(i)
     }
@@ -285,7 +279,7 @@ impl MatrixMapping {
     /// (`offset + (m - 1) * stride`) lies outside `matrix`;
     /// [`AimError::CapacityExceeded`] if the mapping overflows the bank;
     /// [`AimError::Dram`] on storage failures.
-    pub fn load_strided(
+    pub(crate) fn load_strided(
         &self,
         channel: &mut Channel,
         matrix: &[Bf16],

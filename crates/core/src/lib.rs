@@ -25,7 +25,7 @@
 //!   command stream for one channel under any optimization configuration,
 //!   with refresh interposition.
 //! * [`parallel`]: the deterministic host-thread execution layer —
-//!   [`ParallelPolicy`](parallel::ParallelPolicy), the `NEWTON_THREADS`
+//!   [`ParallelPolicy`], the `NEWTON_THREADS`
 //!   override, and index-ordered scoped-thread map helpers.
 //! * [`plan`]: one channel's share of a loaded matrix — its mapping and
 //!   tiled schedule, built once per resident matrix.
@@ -77,4 +77,4 @@ pub use config::{NewtonConfig, OptFlags, OptLevel, TelemetryConfig};
 pub use error::AimError;
 pub use export::export_chrome_trace;
 pub use parallel::ParallelPolicy;
-pub use system::{RecoveryReport, HOST_PHASES};
+pub use system::RecoveryReport;

@@ -26,7 +26,7 @@ pub enum ActivationKind {
 impl ActivationKind {
     /// Applies the function in `f32` (the host-side reference path).
     #[must_use]
-    pub fn apply_f32(self, x: f32) -> f32 {
+    pub(crate) fn apply_f32(self, x: f32) -> f32 {
         match self {
             ActivationKind::Identity => x,
             ActivationKind::Relu => x.max(0.0),
@@ -55,7 +55,7 @@ impl std::fmt::Debug for ActivationLut {
 impl ActivationLut {
     /// Builds the table for `kind` by evaluating every bf16 bit pattern.
     #[must_use]
-    pub fn new(kind: ActivationKind) -> ActivationLut {
+    pub(crate) fn new(kind: ActivationKind) -> ActivationLut {
         let mut table = Box::new([0u16; 65536]);
         for (bits, slot) in table.iter_mut().enumerate() {
             let x = Bf16::from_bits(bits as u16);
@@ -64,15 +64,9 @@ impl ActivationLut {
         ActivationLut { kind, table }
     }
 
-    /// The function this table implements.
-    #[must_use]
-    pub fn kind(&self) -> ActivationKind {
-        self.kind
-    }
-
     /// Looks up the activation of `x` (exact for every input).
     #[must_use]
-    pub fn apply(&self, x: Bf16) -> Bf16 {
+    pub(crate) fn apply(&self, x: Bf16) -> Bf16 {
         Bf16::from_bits(self.table[x.to_bits() as usize])
     }
 }
@@ -87,7 +81,7 @@ mod tests {
         for bits in [0u16, 0x3F80, 0xBF80, 0x7F80, 0x0001] {
             assert_eq!(lut.apply(Bf16::from_bits(bits)).to_bits(), bits);
         }
-        assert_eq!(lut.kind(), ActivationKind::Identity);
+        assert_eq!(lut.kind, ActivationKind::Identity);
     }
 
     #[test]

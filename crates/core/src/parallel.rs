@@ -19,20 +19,13 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The counter-based generator a bit-exact parallel fill draws from:
-/// element `k` is a pure function of `(seed, k)`, so the bytes do not
-/// depend on how an index space is cut across workers. Defined in
-/// `newton-dram`, whose fault campaigns draw from it too, and named here
-/// for the generators above this crate (`newton_workloads::rng`).
-pub use newton_dram::faults::{mix64, CounterRng};
-
 /// Name of the environment variable that overrides the thread count.
 pub const THREADS_ENV: &str = "NEWTON_THREADS";
 
 /// Work threshold (in per-channel MAC operations) below which layer
 /// simulation stays serial by default: thread spawn and cache effects
 /// dominate for small layers.
-pub const DEFAULT_MIN_CHANNEL_MACS: usize = 1_000_000;
+const DEFAULT_MIN_CHANNEL_MACS: usize = 1_000_000;
 
 /// Reads `NEWTON_THREADS`, returning `Some(n)` for a valid positive
 /// integer and `None` otherwise (unset, empty, unparsable, or `0`).
@@ -139,7 +132,7 @@ impl ParallelPolicy {
     /// [`ParallelPolicy::min_channel_macs`], otherwise `items`. The
     /// minimum of this and a resolved budget is the width to run at.
     #[must_use]
-    pub fn useful_workers(&self, items: usize, max_item_work: usize) -> usize {
+    pub(crate) fn useful_workers(&self, items: usize, max_item_work: usize) -> usize {
         if items <= 1 || max_item_work < self.min_channel_macs {
             1
         } else {

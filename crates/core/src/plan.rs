@@ -47,13 +47,13 @@ impl ChannelPlan {
     /// Whether this plan will be run again ([`Residency::Resident`]) or
     /// is dropped after one run.
     #[must_use]
-    pub fn residency(&self) -> Residency {
+    pub(crate) fn residency(&self) -> Residency {
         self.residency
     }
 
     /// The channel-local matrix mapping.
     #[must_use]
-    pub fn map(&self) -> &MatrixMapping {
+    pub(crate) fn map(&self) -> &MatrixMapping {
         &self.map
     }
 

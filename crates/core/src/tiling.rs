@@ -39,15 +39,6 @@ impl ScheduleKind {
             ScheduleKind::NoReuse | ScheduleKind::FourLatch => Layout::NoReuse,
         }
     }
-
-    /// Result latches per bank this traversal needs.
-    #[must_use]
-    pub fn latches(self) -> usize {
-        match self {
-            ScheduleKind::FourLatch => 4,
-            _ => 1,
-        }
-    }
 }
 
 /// The work one bank performs in a row-set.
@@ -258,24 +249,22 @@ impl Schedule {
     pub fn row_sets(&self) -> &[RowSet] {
         &self.row_sets
     }
-
-    /// Number of GWRITE chunk loads the schedule performs (input traffic).
-    #[must_use]
-    pub fn chunk_loads(&self) -> usize {
-        self.row_sets.iter().filter(|r| r.load_chunk).count()
-    }
-
-    /// Number of result readouts (output traffic, in latch reads).
-    #[must_use]
-    pub fn total_readouts(&self) -> usize {
-        self.row_sets.iter().map(|r| r.read_after.len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::MatrixMapping;
+
+    /// GWRITE chunk loads the schedule performs (input traffic).
+    fn chunk_loads(sched: &Schedule) -> usize {
+        sched.row_sets().iter().filter(|r| r.load_chunk).count()
+    }
+
+    /// Result readouts (output traffic, in latch reads).
+    fn total_readouts(sched: &Schedule) -> usize {
+        sched.row_sets().iter().map(|r| r.read_after.len()).sum()
+    }
 
     fn map(kind: ScheduleKind, m: usize, n: usize) -> MatrixMapping {
         MatrixMapping::new(kind.layout(), m, n, 16, 512, 0).unwrap()
@@ -344,7 +333,7 @@ mod tests {
         let kind = ScheduleKind::InterleavedFullReuse;
         let mapping = map(kind, 64, 1024);
         let sched = Schedule::build(kind, &mapping);
-        assert_eq!(sched.chunk_loads(), 2, "one GWRITE phase per chunk");
+        assert_eq!(chunk_loads(&sched), 2, "one GWRITE phase per chunk");
         // Column-major: all groups of chunk 0, then all of chunk 1.
         let chunks: Vec<usize> = sched.row_sets().iter().map(|r| r.chunk).collect();
         assert_eq!(chunks, vec![0, 0, 0, 0, 1, 1, 1, 1]);
@@ -363,14 +352,14 @@ mod tests {
         let chunks: Vec<usize> = sched.row_sets().iter().map(|r| r.chunk).collect();
         assert_eq!(chunks, vec![0, 1, 0, 1, 0, 1, 0, 1]);
         // Input reloaded on every chunk switch: 8 loads vs interleaved's 2.
-        assert_eq!(sched.chunk_loads(), 8);
+        assert_eq!(chunk_loads(&sched), 8);
         // Latch resets only at group starts; reads only at group ends.
         let resets: Vec<bool> = sched.row_sets().iter().map(|r| r.reset_latch).collect();
         assert_eq!(
             resets,
             vec![true, false, true, false, true, false, true, false]
         );
-        assert_eq!(sched.total_readouts(), 64);
+        assert_eq!(total_readouts(&sched), 64);
     }
 
     #[test]
@@ -380,7 +369,7 @@ mod tests {
         let kind = ScheduleKind::NoReuse;
         let mapping = map(kind, 64, 512);
         let sched = Schedule::build(kind, &mapping);
-        assert_eq!(sched.chunk_loads(), 1);
+        assert_eq!(chunk_loads(&sched), 1);
     }
 
     #[test]
@@ -390,7 +379,7 @@ mod tests {
         let sched = Schedule::build(kind, &mapping);
         // Per super-group: chunks loaded once each => 2 chunks x 2
         // super-groups = 4 loads (vs 16 for plain no-reuse).
-        assert_eq!(sched.chunk_loads(), 4);
+        assert_eq!(chunk_loads(&sched), 4);
         // Latches rotate 0..4 within a super-group.
         let latches: Vec<usize> = sched.row_sets().iter().take(8).map(|r| r.latch).collect();
         assert_eq!(latches, vec![0, 1, 2, 3, 0, 1, 2, 3]);

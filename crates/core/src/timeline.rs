@@ -52,20 +52,6 @@ fn lane_of(cmd: &AimCommand) -> (Lane, char) {
 /// # Panics
 ///
 /// Panics if `slot_cycles` is zero.
-///
-/// # Example
-///
-/// ```
-/// use newton_core::command::{AimCommand, CommandTrace};
-/// use newton_core::timeline::render_gantt;
-///
-/// let mut trace = CommandTrace::enabled();
-/// trace.record(0, AimCommand::GAct { cluster: 0, row: 0 });
-/// trace.record(8, AimCommand::Comp { subchunk: 0 });
-/// let chart = render_gantt(&trace, 4, 80);
-/// assert!(chart.contains("G_ACT"));
-/// assert!(chart.contains("COMP"));
-/// ```
 #[must_use]
 pub fn render_gantt(trace: &CommandTrace, slot_cycles: Cycle, max_width: usize) -> String {
     assert!(slot_cycles > 0, "slot width must be positive");

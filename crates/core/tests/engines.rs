@@ -317,7 +317,7 @@ proptest! {
                     let s = if *retain {
                         streamed.run_mv(&mapping, &schedule, &vector, false).unwrap()
                     } else {
-                        streamed.run_planned(&single_use, &vector, false).unwrap()
+                        streamed.run_planned(&single_use, &vector).unwrap()
                     };
                     let r = reference.run_mv(&mapping, &schedule, &vector, false).unwrap();
                     for run in [&a, &s] {
@@ -330,7 +330,7 @@ proptest! {
         }
         // Always end on a COMP so trailing writes are exercised.
         let a = retained.run_mv(&mapping, &schedule, &vector, false).unwrap();
-        let s = streamed.run_planned(&single_use, &vector, false).unwrap();
+        let s = streamed.run_planned(&single_use, &vector).unwrap();
         let r = reference.run_mv(&mapping, &schedule, &vector, false).unwrap();
         prop_assert_eq!(bits_sans_nan_payload(&a), bits_sans_nan_payload(&r));
         prop_assert_eq!(bits_sans_nan_payload(&s), bits_sans_nan_payload(&r));

@@ -62,7 +62,7 @@ impl AddressMapper {
 
     /// Total mappable bytes.
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.banks * self.rows_per_bank * self.row_bytes
     }
 
@@ -136,68 +136,6 @@ impl AddressMapper {
             Interleave::BankSequential => loc.bank * self.rows_per_bank + loc.row,
         };
         Ok(row_block * self.row_bytes + loc.col * self.col_bytes + loc.offset)
-    }
-}
-
-/// A physically contiguous allocation, in row-sized units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuperPage {
-    /// First physical byte address of the allocation.
-    pub base: usize,
-    /// Length in bytes (a multiple of the row size).
-    pub len: usize,
-}
-
-/// Bump allocator handing out physically contiguous super pages.
-///
-/// Models the paper's use of super pages "to allocate the matrix
-/// guaranteeing physical address contiguity" (Sec. III-E); it never splits
-/// an allocation, so a matrix mapped through [`AddressMapper`] lands on the
-/// interleaved layout the AiM schedule expects.
-#[derive(Debug, Clone)]
-pub struct SuperPageAllocator {
-    row_bytes: usize,
-    capacity: usize,
-    next: usize,
-}
-
-impl SuperPageAllocator {
-    /// Creates an allocator over the whole channel.
-    #[must_use]
-    pub fn new(config: &DramConfig) -> SuperPageAllocator {
-        SuperPageAllocator {
-            row_bytes: config.row_bytes(),
-            capacity: config.banks * config.rows_per_bank * config.row_bytes(),
-            next: 0,
-        }
-    }
-
-    /// Allocates `bytes` rounded up to whole rows.
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::AddressOutOfRange`] when the channel is exhausted.
-    pub fn allocate(&mut self, bytes: usize) -> Result<SuperPage, DramError> {
-        let len = bytes.div_ceil(self.row_bytes) * self.row_bytes;
-        if self.next + len > self.capacity {
-            return Err(DramError::AddressOutOfRange {
-                kind: "super-page allocation",
-                index: self.next + len,
-                limit: self.capacity,
-            });
-        }
-        let page = SuperPage {
-            base: self.next,
-            len,
-        };
-        self.next += len;
-        Ok(page)
-    }
-
-    /// Bytes still available.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.capacity - self.next
     }
 }
 
@@ -285,24 +223,5 @@ mod tests {
         let m = mapper(Interleave::BankInterleaved);
         let loc = m.decode(3 * 32 + 7).unwrap();
         assert_eq!((loc.bank, loc.row, loc.col, loc.offset), (0, 0, 3, 7));
-    }
-
-    #[test]
-    fn super_pages_are_contiguous_and_row_aligned() {
-        let cfg = DramConfig::hbm2e_like();
-        let mut alloc = SuperPageAllocator::new(&cfg);
-        let a = alloc.allocate(1000).unwrap(); // rounds to 1 KB
-        assert_eq!((a.base, a.len), (0, 1024));
-        let b = alloc.allocate(4096).unwrap();
-        assert_eq!(b.base, 1024);
-        assert_eq!(alloc.remaining(), cfg.capacity_bytes() - 5 * 1024);
-    }
-
-    #[test]
-    fn allocator_exhaustion_is_an_error() {
-        let cfg = DramConfig::hbm2e_like();
-        let mut alloc = SuperPageAllocator::new(&cfg);
-        alloc.allocate(cfg.capacity_bytes()).unwrap();
-        assert!(alloc.allocate(1).is_err());
     }
 }

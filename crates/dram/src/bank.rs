@@ -24,7 +24,7 @@ pub enum BankState {
 impl BankState {
     /// The open row, if any.
     #[must_use]
-    pub fn open_row(self) -> Option<usize> {
+    pub(crate) fn open_row(self) -> Option<usize> {
         match self {
             BankState::Idle => None,
             BankState::Active { row } => Some(row),
@@ -63,7 +63,7 @@ pub struct Bank {
 impl Bank {
     /// Creates an idle bank with the given index (used in error reports).
     #[must_use]
-    pub fn new(index: usize) -> Bank {
+    pub(crate) fn new(index: usize) -> Bank {
         Bank {
             index,
             state: BankState::Idle,
@@ -78,38 +78,38 @@ impl Bank {
 
     /// Current FSM state.
     #[must_use]
-    pub fn state(&self) -> BankState {
+    pub(crate) fn state(&self) -> BankState {
         self.state
     }
 
     /// Cycles spent with a row open, up to the last precharge.
     #[must_use]
-    pub fn open_cycles(&self) -> Cycle {
+    pub(crate) fn open_cycles(&self) -> Cycle {
         self.open_cycles
     }
 
     /// Cycle attribution from cycle 0 through `end`, with every cycle in
     /// exactly one [`BankClass`] (so the classes sum to `end`).
     #[must_use]
-    pub fn residency(&self, end: Cycle) -> Residency {
+    pub(crate) fn residency(&self, end: Cycle) -> Residency {
         self.residency.snapshot(end)
     }
 
     /// Earliest legal cycle for an ACT, assuming the bank is idle.
     #[must_use]
-    pub fn earliest_activate(&self) -> Cycle {
+    pub(crate) fn earliest_activate(&self) -> Cycle {
         self.earliest_act
     }
 
     /// Earliest legal cycle for a column command (the bank must be active).
     #[must_use]
-    pub fn earliest_column(&self) -> Cycle {
+    pub(crate) fn earliest_column(&self) -> Cycle {
         self.earliest_col
     }
 
     /// Earliest legal cycle for a PRE.
     #[must_use]
-    pub fn earliest_precharge(&self) -> Cycle {
+    pub(crate) fn earliest_precharge(&self) -> Cycle {
         self.earliest_pre
     }
 
@@ -119,7 +119,12 @@ impl Bank {
     ///
     /// [`DramError::BankState`] if a row is already open;
     /// [`DramError::Timing`] if `cycle` precedes the earliest legal ACT.
-    pub fn activate(&mut self, cycle: Cycle, row: usize, t: &Timing) -> Result<(), DramError> {
+    pub(crate) fn activate(
+        &mut self,
+        cycle: Cycle,
+        row: usize,
+        t: &Timing,
+    ) -> Result<(), DramError> {
         if let BankState::Active { row: open } = self.state {
             return Err(DramError::BankState {
                 bank: self.index,
@@ -155,7 +160,7 @@ impl Bank {
     ///
     /// [`DramError::BankState`] if no row is open; [`DramError::Timing`]
     /// if tRCD/tCCD would be violated.
-    pub fn column_access(
+    pub(crate) fn column_access(
         &mut self,
         cycle: Cycle,
         is_write: bool,
@@ -204,7 +209,7 @@ impl Bank {
     ///
     /// [`DramError::BankState`] if no row is open; [`DramError::Timing`]
     /// if tRAS/tRTP/tWR would be violated.
-    pub fn precharge(&mut self, cycle: Cycle, t: &Timing) -> Result<(), DramError> {
+    pub(crate) fn precharge(&mut self, cycle: Cycle, t: &Timing) -> Result<(), DramError> {
         match self.state {
             BankState::Active { .. } => {}
             BankState::Idle => {
@@ -244,7 +249,11 @@ impl Bank {
     /// # Errors
     ///
     /// [`DramError::BankState`] if a row is open when refresh starts.
-    pub fn block_for_refresh(&mut self, cycle: Cycle, until: Cycle) -> Result<(), DramError> {
+    pub(crate) fn block_for_refresh(
+        &mut self,
+        cycle: Cycle,
+        until: Cycle,
+    ) -> Result<(), DramError> {
         if let BankState::Active { row } = self.state {
             return Err(DramError::BankState {
                 bank: self.index,
@@ -261,7 +270,7 @@ impl Bank {
     /// Marks an AiM-internal column access (COMP/MAC) at `cycle`: the bank
     /// counts as *computing* for the tCCD burst, then returns to row-open.
     /// Called by the channel after a successful internal `column_access`.
-    pub fn note_internal_access(&mut self, cycle: Cycle, t: &Timing) {
+    pub(crate) fn note_internal_access(&mut self, cycle: Cycle, t: &Timing) {
         self.residency.transient(
             cycle,
             BankClass::Computing,
@@ -277,7 +286,7 @@ impl Bank {
     /// # Errors
     ///
     /// As [`comp_burst`](Bank::comp_burst).
-    pub fn check_comp_burst(
+    pub(crate) fn check_comp_burst(
         &self,
         start: Cycle,
         step: Cycle,
@@ -327,7 +336,7 @@ impl Bank {
     /// if the first access is before tRCD/tCCD allows or (for multi-access
     /// trains) `step` is below tCCD. Unlike the loop, nothing is applied on
     /// failure.
-    pub fn comp_burst(
+    pub(crate) fn comp_burst(
         &mut self,
         start: Cycle,
         step: Cycle,

@@ -29,13 +29,13 @@ pub struct CommandBus {
 impl CommandBus {
     /// Creates an idle command bus.
     #[must_use]
-    pub fn new() -> CommandBus {
+    pub(crate) fn new() -> CommandBus {
         CommandBus::default()
     }
 
     /// Earliest cycle `>= hint` at which the next command may issue.
     #[must_use]
-    pub fn earliest_slot(&self, hint: Cycle, t: &Timing) -> Cycle {
+    pub(crate) fn earliest_slot(&self, hint: Cycle, t: &Timing) -> Cycle {
         hint.max(self.slot_floor(t))
     }
 
@@ -44,7 +44,7 @@ impl CommandBus {
     /// comparing many candidates fold this in once per round instead of
     /// calling [`CommandBus::earliest_slot`] per candidate.
     #[must_use]
-    pub fn slot_floor(&self, t: &Timing) -> Cycle {
+    fn slot_floor(&self, t: &Timing) -> Cycle {
         match self.last_issue {
             Some(last) => last + t.t_cmd,
             None => 0,
@@ -57,7 +57,7 @@ impl CommandBus {
     ///
     /// [`DramError::Timing`] if `cycle` is earlier than the slot spacing
     /// allows or would reorder the command stream.
-    pub fn issue(&mut self, cycle: Cycle, t: &Timing) -> Result<(), DramError> {
+    pub(crate) fn issue(&mut self, cycle: Cycle, t: &Timing) -> Result<(), DramError> {
         let earliest = self.earliest_slot(0, t);
         if cycle < earliest {
             return Err(DramError::Timing {
@@ -84,7 +84,7 @@ impl CommandBus {
     ///
     /// [`DramError::Timing`] if the first slot is earlier than the bus
     /// allows or (for multi-slot trains) `step` is below tCMD.
-    pub fn check_train(
+    pub(crate) fn check_train(
         &self,
         start: Cycle,
         step: Cycle,
@@ -123,7 +123,7 @@ impl CommandBus {
     ///
     /// As [`CommandBus::check_train`]. Unlike the sequential loop,
     /// nothing is recorded on failure.
-    pub fn issue_train(
+    pub(crate) fn issue_train(
         &mut self,
         start: Cycle,
         step: Cycle,
@@ -146,20 +146,14 @@ impl CommandBus {
     /// Total commands issued (the denominator of command-bandwidth
     /// utilization).
     #[must_use]
-    pub fn issued(&self) -> u64 {
+    pub(crate) fn issued(&self) -> u64 {
         self.issued
-    }
-
-    /// Cycle of the most recent command, if any.
-    #[must_use]
-    pub fn last_issue(&self) -> Option<Cycle> {
-        self.last_issue
     }
 
     /// Distribution of inter-slot gaps (cycles between consecutive
     /// commands). Empty until at least two commands have issued.
     #[must_use]
-    pub fn slot_gaps(&self) -> &Log2Histogram {
+    pub(crate) fn slot_gaps(&self) -> &Log2Histogram {
         &self.gaps
     }
 }
@@ -174,13 +168,13 @@ pub struct DataBus {
 impl DataBus {
     /// Creates an idle data bus.
     #[must_use]
-    pub fn new() -> DataBus {
+    pub(crate) fn new() -> DataBus {
         DataBus::default()
     }
 
     /// Earliest cycle `>= hint` at which a new burst may start.
     #[must_use]
-    pub fn earliest_transfer(&self, hint: Cycle) -> Cycle {
+    pub(crate) fn earliest_transfer(&self, hint: Cycle) -> Cycle {
         hint.max(self.busy_until)
     }
 
@@ -191,7 +185,12 @@ impl DataBus {
     /// # Errors
     ///
     /// [`DramError::Timing`] if the bus is still busy at `start`.
-    pub fn transfer(&mut self, start: Cycle, bytes: usize, t: &Timing) -> Result<(), DramError> {
+    pub(crate) fn transfer(
+        &mut self,
+        start: Cycle,
+        bytes: usize,
+        t: &Timing,
+    ) -> Result<(), DramError> {
         if start < self.busy_until {
             return Err(DramError::Timing {
                 constraint: "data bus busy",
@@ -214,7 +213,7 @@ impl DataBus {
     /// [`DramError::Timing`] if the bus is still busy at `start` or (for
     /// multi-burst trains) `step` is below tCCD, which would make later
     /// bursts overlap.
-    pub fn check_train(
+    pub(crate) fn check_train(
         &self,
         start: Cycle,
         step: Cycle,
@@ -250,7 +249,7 @@ impl DataBus {
     /// # Errors
     ///
     /// As [`DataBus::check_train`]. Nothing is recorded on failure.
-    pub fn transfer_train(
+    pub(crate) fn transfer_train(
         &mut self,
         start: Cycle,
         step: Cycle,
@@ -269,14 +268,8 @@ impl DataBus {
 
     /// Total bytes moved over the external interface.
     #[must_use]
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// The cycle the bus becomes free.
-    #[must_use]
-    pub fn busy_until(&self) -> Cycle {
-        self.busy_until
     }
 }
 
@@ -299,7 +292,7 @@ mod tests {
         assert!(bus.issue(t.t_cmd - 1, &t).is_err());
         bus.issue(t.t_cmd, &t).unwrap();
         assert_eq!(bus.issued(), 2);
-        assert_eq!(bus.last_issue(), Some(t.t_cmd));
+        assert_eq!(bus.last_issue, Some(t.t_cmd));
     }
 
     #[test]
@@ -353,7 +346,7 @@ mod tests {
             }
             batched.issue_train(start, step, count, &t).unwrap();
             assert_eq!(looped.issued(), batched.issued());
-            assert_eq!(looped.last_issue(), batched.last_issue());
+            assert_eq!(looped.last_issue, batched.last_issue);
             assert_eq!(looped.slot_gaps(), batched.slot_gaps());
         }
         // Trains on a virgin bus record no leading gap, like the loop.
@@ -374,7 +367,7 @@ mod tests {
         let t = timing();
         let mut bus = DataBus::new();
         bus.transfer(10, 32, &t).unwrap();
-        assert_eq!(bus.busy_until(), 10 + t.t_ccd);
+        assert_eq!(bus.busy_until, 10 + t.t_ccd);
         assert!(bus.transfer(10 + t.t_ccd - 1, 32, &t).is_err());
         bus.transfer(10 + t.t_ccd, 32, &t).unwrap();
         assert_eq!(bus.bytes(), 64);
@@ -397,7 +390,7 @@ mod tests {
             }
             batched.transfer_train(start, step, count, 32, &t).unwrap();
             assert_eq!(looped.bytes(), batched.bytes());
-            assert_eq!(looped.busy_until(), batched.busy_until());
+            assert_eq!(looped.busy_until, batched.busy_until);
         }
         // Under-spaced or early trains are rejected whole.
         let mut bus = DataBus::new();
@@ -417,7 +410,7 @@ mod tests {
             bus.transfer(c, 32, &t).unwrap();
         }
         // 100 bursts x tCCD, ending exactly at 100 * tCCD.
-        assert_eq!(bus.busy_until(), 100 * t.t_ccd);
+        assert_eq!(bus.busy_until, 100 * t.t_ccd);
         assert_eq!(bus.bytes(), 3200);
     }
 }

@@ -196,7 +196,7 @@ impl Channel {
 
     /// Cycle of the most recent all-bank refresh (0 before the first).
     #[must_use]
-    pub fn last_refresh(&self) -> Cycle {
+    pub(crate) fn last_refresh(&self) -> Cycle {
         self.last_refresh
     }
 
@@ -349,7 +349,7 @@ impl Channel {
     /// Reports that a scheduling controller issued a request at `cycle`
     /// after it waited `waited` cycles in queue. Folded into the summary's
     /// queue-latency histogram and into telemetry when it is on.
-    pub fn record_queue_latency(&mut self, cycle: Cycle, waited: Cycle) {
+    pub(crate) fn record_queue_latency(&mut self, cycle: Cycle, waited: Cycle) {
         self.queue_latency.record(waited);
         self.emit(TraceEvent::QueueLatency { cycle, waited });
     }

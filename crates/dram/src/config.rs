@@ -113,12 +113,6 @@ impl DramConfig {
         self.cols_per_row * self.col_bytes()
     }
 
-    /// Total channel capacity in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.banks * self.rows_per_bank * self.row_bytes()
-    }
-
     /// Peak external data bandwidth in bytes per nanosecond: one column I/O
     /// per tCCD through the single global bus (Sec. II-A: "the data
     /// retrieval from different banks are serialized through the global
@@ -126,13 +120,6 @@ impl DramConfig {
     #[must_use]
     pub fn external_bandwidth_bytes_per_ns(&self) -> f64 {
         self.col_bytes() as f64 / self.timing.t_ccd_ns
-    }
-
-    /// Peak internal data bandwidth: all banks retrieving a column per tCCD
-    /// in parallel — the bandwidth PIM exposes (Sec. II-A).
-    #[must_use]
-    pub fn internal_bandwidth_bytes_per_ns(&self) -> f64 {
-        self.external_bandwidth_bytes_per_ns() * self.banks as f64
     }
 
     /// Validates geometry and timing.
@@ -185,17 +172,14 @@ mod tests {
         assert_eq!(cfg.col_bytes(), 32);
         assert_eq!(cfg.row_bytes() / 2, 512);
         // Per-channel capacity: 16 banks x 32 K rows x 1 KB = 512 MiB.
-        assert_eq!(cfg.capacity_bytes(), 512 << 20);
+        assert_eq!(cfg.banks * cfg.rows_per_bank * cfg.row_bytes(), 512 << 20);
         cfg.validate().unwrap();
     }
 
     #[test]
-    fn bandwidth_ratio_is_bank_count() {
+    fn external_bandwidth_is_one_column_per_tccd() {
         let cfg = DramConfig::hbm2e_like();
-        let ext = cfg.external_bandwidth_bytes_per_ns();
-        let int = cfg.internal_bandwidth_bytes_per_ns();
-        assert_eq!(ext, 8.0); // 32 B / 4 ns
-        assert_eq!(int / ext, cfg.banks as f64);
+        assert_eq!(cfg.external_bandwidth_bytes_per_ns(), 8.0); // 32 B / 4 ns
     }
 
     #[test]

@@ -118,24 +118,12 @@ impl FrFcfs {
         }
     }
 
-    /// The page policy in use.
-    #[must_use]
-    pub fn policy(&self) -> PagePolicy {
-        self.policy
-    }
-
     /// Enqueues a request.
     pub fn enqueue(&mut self, request: Request) {
         self.queue.push_back(Pending {
             req: request,
             first_step: None,
         });
-    }
-
-    /// Pending request count.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Scheduler statistics so far.

@@ -25,7 +25,7 @@
 use crate::timing::Cycle;
 
 /// Bytes of data protected by one check byte.
-pub const WORD_BYTES: usize = 8;
+pub(crate) const WORD_BYTES: usize = 8;
 
 /// Codeword position of data bit `i`: the `(i+1)`-th non-power-of-two
 /// position in `1..=71`.
@@ -83,7 +83,7 @@ const REV: [i8; 128] = position_to_bit();
 /// Encodes one 64-bit word into its SECDED check byte.
 #[inline]
 #[must_use]
-pub fn encode(data: u64) -> u8 {
+pub(crate) fn encode(data: u64) -> u8 {
     let mut check = 0u8;
     let mut ones = data.count_ones();
     for (j, mask) in MASKS.iter().enumerate() {
@@ -122,7 +122,7 @@ pub enum Secded {
 /// Decodes a received `(data, check)` pair.
 #[inline]
 #[must_use]
-pub fn decode(data: u64, check: u8) -> Secded {
+pub(crate) fn decode(data: u64, check: u8) -> Secded {
     let mut syndrome = 0u8;
     for (j, mask) in MASKS.iter().enumerate() {
         let p = ((data & mask).count_ones() & 1) as u8;
@@ -173,7 +173,7 @@ pub struct EccCounters {
 impl EccCounters {
     /// Zeroed counters for `banks` banks.
     #[must_use]
-    pub fn new(banks: usize) -> EccCounters {
+    pub(crate) fn new(banks: usize) -> EccCounters {
         EccCounters {
             corrected: vec![0; banks],
             uncorrectable: vec![0; banks],
@@ -185,7 +185,7 @@ impl EccCounters {
 /// `refi_multiple × tREFI` are considered stale (candidates for decay
 /// under a fault campaign).
 #[must_use]
-pub fn retention_deadline(last_refresh: Cycle, t_refi: Cycle, refi_multiple: u64) -> Cycle {
+pub(crate) fn retention_deadline(last_refresh: Cycle, t_refi: Cycle, refi_multiple: u64) -> Cycle {
     last_refresh.saturating_add(t_refi.saturating_mul(refi_multiple))
 }
 

@@ -55,8 +55,7 @@ pub fn mix64(mut z: u64) -> u64 {
 /// independently of the others, so any partition of an index space onto
 /// any number of threads produces identical bytes. Fault campaigns draw
 /// their coordinates from it, and it is the workspace's one generator:
-/// the workload, arrival and trace generators reach it as
-/// `newton_workloads::rng`.
+/// the workload, arrival and trace generators import it from here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterRng {
     key: u64,
@@ -86,7 +85,7 @@ impl CounterRng {
     /// (exact in `f32`).
     #[inline]
     #[must_use]
-    pub fn unit_f32_at(&self, k: u64) -> f32 {
+    fn unit_f32_at(&self, k: u64) -> f32 {
         const SCALE: f32 = 1.0 / (1 << 24) as f32;
         (self.u64_at(k) >> 40) as f32 * SCALE
     }
@@ -136,18 +135,6 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// A quiet campaign: nothing injected.
-    #[must_use]
-    pub fn none(seed: u64) -> CampaignSpec {
-        CampaignSpec {
-            seed,
-            single_bit_flips: 0,
-            double_bit_words: 0,
-            stuck_cells: 0,
-            retention: None,
-        }
-    }
-
     /// The same campaign re-keyed for one channel of a multi-channel
     /// system: decorrelates the streams while keeping the whole system a
     /// pure function of the base seed.

@@ -12,24 +12,9 @@
 use crate::timing::{Cycle, Timing};
 
 /// Maximum activations allowed inside one tFAW window.
-pub const FAW_LIMIT: usize = 4;
+const FAW_LIMIT: usize = 4;
 
 /// Sliding-window tracker for rank-wide activation constraints.
-///
-/// # Example
-///
-/// ```
-/// use newton_dram::faw::FawTracker;
-/// use newton_dram::TimingParams;
-///
-/// let t = TimingParams::hbm2e_like().to_cycles().unwrap();
-/// let mut faw = FawTracker::new();
-/// // A ganged 4-bank activation at cycle 0 ...
-/// assert_eq!(faw.earliest_activate(0, 4, &t), 0);
-/// faw.record(0, 4);
-/// // ... forces the next ganged activation a full tFAW later.
-/// assert_eq!(faw.earliest_activate(0, 4, &t), t.t_faw);
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct FawTracker {
     /// Timestamps of the most recent activations, oldest first. At most
@@ -42,7 +27,7 @@ pub struct FawTracker {
 impl FawTracker {
     /// Creates a tracker with no activation history.
     #[must_use]
-    pub fn new() -> FawTracker {
+    pub(crate) fn new() -> FawTracker {
         FawTracker::default()
     }
 
@@ -54,7 +39,7 @@ impl FawTracker {
     /// Panics if `n == 0` or `n > 4` (no DRAM allows more than four
     /// activations per window, so requesting more can never succeed).
     #[must_use]
-    pub fn earliest_activate(&self, hint: Cycle, n: usize, t: &Timing) -> Cycle {
+    pub(crate) fn earliest_activate(&self, hint: Cycle, n: usize, t: &Timing) -> Cycle {
         assert!(
             (1..=FAW_LIMIT).contains(&n),
             "activation gang size must be 1..=4, got {n}"
@@ -82,7 +67,7 @@ impl FawTracker {
     ///
     /// Panics if `n == 0` or `n > 4`, or if `cycle` precedes an already
     /// recorded activation (history must be appended in time order).
-    pub fn record(&mut self, cycle: Cycle, n: usize) {
+    pub(crate) fn record(&mut self, cycle: Cycle, n: usize) {
         assert!(
             (1..=FAW_LIMIT).contains(&n),
             "activation gang size must be 1..=4, got {n}"
@@ -101,12 +86,6 @@ impl FawTracker {
             self.recent.drain(..len - FAW_LIMIT);
         }
         self.last_act = Some(cycle);
-    }
-
-    /// The most recent activation timestamp, if any.
-    #[must_use]
-    pub fn last_activate(&self) -> Option<Cycle> {
-        self.last_act
     }
 }
 
@@ -127,7 +106,7 @@ mod tests {
         faw.record(0, 1);
         assert_eq!(faw.earliest_activate(0, 1, &t), t.t_rrd);
         faw.record(t.t_rrd, 1);
-        assert_eq!(faw.last_activate(), Some(t.t_rrd));
+        assert_eq!(faw.last_act, Some(t.t_rrd));
     }
 
     #[test]

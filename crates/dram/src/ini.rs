@@ -92,35 +92,6 @@ pub fn parse_config(text: &str) -> Result<DramConfig, DramError> {
     Ok(cfg)
 }
 
-/// Renders a [`DramConfig`] back to the INI format (round-trip support
-/// and a way to snapshot a programmatic configuration to a file).
-#[must_use]
-pub fn render_config(cfg: &DramConfig) -> String {
-    format!(
-        "; newton-dram device configuration\n\
-         NUM_BANKS={}\nNUM_ROWS={}\nNUM_COLS={}\nCOL_IO_BITS={}\n\
-         tCK={}\ntRCD={}\ntRP={}\ntRAS={}\ntCCD={}\ntRRD={}\ntFAW={}\n\
-         tRTP={}\ntWR={}\ntAA={}\ntREFI={}\ntRFC={}\ntCMD={}\n",
-        cfg.banks,
-        cfg.rows_per_bank,
-        cfg.cols_per_row,
-        cfg.col_io_bits,
-        cfg.timing.tck_ns,
-        cfg.timing.t_rcd_ns,
-        cfg.timing.t_rp_ns,
-        cfg.timing.t_ras_ns,
-        cfg.timing.t_ccd_ns,
-        cfg.timing.t_rrd_ns,
-        cfg.timing.t_faw_ns,
-        cfg.timing.t_rtp_ns,
-        cfg.timing.t_wr_ns,
-        cfg.timing.t_aa_ns,
-        cfg.timing.t_refi_ns,
-        cfg.timing.t_rfc_ns,
-        cfg.timing.t_cmd_ns,
-    )
-}
-
 fn strip_comment(line: &str) -> &str {
     match line.find([';', '#']) {
         Some(i) => &line[..i],
@@ -179,19 +150,5 @@ mod tests {
         // tRAS < tRCD is caught by the existing validator.
         let err = parse_config("tRAS=5\n").unwrap_err();
         assert!(err.to_string().contains("tRAS"), "{err}");
-    }
-
-    #[test]
-    fn render_parse_roundtrip() {
-        for cfg in [
-            DramConfig::hbm2e_like(),
-            DramConfig::gddr6_like(),
-            DramConfig::lpddr4_like(),
-            DramConfig::ddr4_like(),
-        ] {
-            let text = render_config(&cfg);
-            let back = parse_config(&text).unwrap();
-            assert_eq!(back, cfg);
-        }
     }
 }

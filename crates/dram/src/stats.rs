@@ -36,14 +36,6 @@ pub struct ChannelStats {
     pub ecc_uncorrectable: u64,
 }
 
-impl ChannelStats {
-    /// Total column accesses of any kind.
-    #[must_use]
-    pub fn total_columns(&self) -> u64 {
-        self.col_reads_external + self.col_writes_external + self.col_reads_internal
-    }
-}
-
 /// A completed-run summary: counters plus the time span they cover.
 ///
 /// Holds per-bank cycle attribution and latency histograms, so it is
@@ -99,7 +91,7 @@ impl RunSummary {
     /// Cycles between the first command and completion — the span actual
     /// work occupied, excluding any leading idle prefix.
     #[must_use]
-    pub fn activity_span(&self) -> Cycle {
+    fn activity_span(&self) -> Cycle {
         self.end_cycle.saturating_sub(self.activity_start)
     }
 
@@ -135,16 +127,7 @@ mod tests {
 
     #[test]
     fn totals_and_bandwidth() {
-        let stats = ChannelStats {
-            col_reads_external: 10,
-            col_writes_external: 5,
-            col_reads_internal: 100,
-            ..ChannelStats::default()
-        };
-        assert_eq!(stats.total_columns(), 115);
-
         let summary = RunSummary {
-            stats,
             commands: 50,
             external_bytes: 4800,
             end_cycle: 600,

@@ -11,8 +11,7 @@
 //! [`write_column`](Storage::write_column)) encode, while
 //! [`flip_bit`](Storage::flip_bit) and stuck-at cells deliberately do
 //! *not* — they are the fault primitives whose damage the scrub paths
-//! ([`scrub_row`](Storage::scrub_row),
-//! [`check_column`](Storage::check_column)) must catch.
+//! (`Storage::scrub_row`, `Storage::check_column`) must catch.
 //!
 //! A row also carries a *verified* flag ([`row_verified`](Storage::row_verified)):
 //! a full-row scrub that corrects nothing sets it, and every change to a
@@ -125,7 +124,7 @@ impl Storage {
 
     /// Whether the ECC model is enabled.
     #[must_use]
-    pub fn ecc_enabled(&self) -> bool {
+    pub(crate) fn ecc_enabled(&self) -> bool {
         self.ecc
     }
 
@@ -188,7 +187,7 @@ impl Storage {
 
     /// Whether a scrub of `(bank, row)` is known to find nothing: ECC is
     /// on, and either the row was never written (all zeros is a valid
-    /// codeword) or its last full-row [`scrub_row`](Storage::scrub_row)
+    /// codeword) or its last full-row scrub (`Storage::scrub_row`)
     /// corrected nothing and no stored or check byte of it changed since.
     /// `false` with ECC off and for out-of-range indices.
     #[inline]
@@ -370,12 +369,6 @@ impl Storage {
         Ok(())
     }
 
-    /// Number of declared stuck-at cells.
-    #[must_use]
-    pub fn stuck_cells(&self) -> usize {
-        self.stuck.values().map(Vec::len).sum()
-    }
-
     /// Checks and corrects an entire row against its check bytes (the
     /// row-buffer-fill scrub performed on activation). Returns the number
     /// of corrected single-bit errors; corrections that change data bits
@@ -391,7 +384,7 @@ impl Storage {
     /// [`DramError::AddressOutOfRange`] for bad indices;
     /// [`DramError::Uncorrectable`] when any word has a detected
     /// multi-bit error.
-    pub fn scrub_row(&mut self, bank: usize, row: usize) -> Result<u32, DramError> {
+    pub(crate) fn scrub_row(&mut self, bank: usize, row: usize) -> Result<u32, DramError> {
         let words = self.row_bytes / WORD_BYTES;
         self.scrub_words(bank, row, 0..words, true)
     }
@@ -405,7 +398,12 @@ impl Storage {
     ///
     /// [`DramError::AddressOutOfRange`] for bad indices;
     /// [`DramError::Uncorrectable`] on a detected multi-bit error.
-    pub fn check_column(&mut self, bank: usize, row: usize, col: usize) -> Result<u32, DramError> {
+    pub(crate) fn check_column(
+        &mut self,
+        bank: usize,
+        row: usize,
+        col: usize,
+    ) -> Result<u32, DramError> {
         if col >= self.cols_per_row {
             return Err(DramError::AddressOutOfRange {
                 kind: "column",
@@ -467,15 +465,6 @@ impl Storage {
             slot.verified = true;
         }
         Ok(corrected)
-    }
-
-    /// Number of rows that have been materialized (allocated) so far.
-    #[must_use]
-    pub fn allocated_rows(&self) -> usize {
-        self.banks
-            .iter()
-            .map(|b| b.iter().filter(|r| r.is_some()).count())
-            .sum()
     }
 
     /// Every materialized `(bank, row)` pair, in (bank, row) order — the
@@ -573,7 +562,6 @@ mod tests {
         let s = storage();
         assert!(s.row(3, 100).unwrap().iter().all(|&b| b == 0));
         assert!(s.column(3, 100, 31).unwrap().iter().all(|&b| b == 0));
-        assert_eq!(s.allocated_rows(), 0);
     }
 
     #[test]
@@ -584,7 +572,6 @@ mod tests {
         assert_eq!(s.row(0, 5).unwrap(), &data[..]);
         // Column 2 covers bytes 64..96.
         assert_eq!(s.column(0, 5, 2).unwrap(), &data[64..96]);
-        assert_eq!(s.allocated_rows(), 1);
     }
 
     #[test]
@@ -841,7 +828,7 @@ mod tests {
         let data = vec![0xFFu8; 1024];
         s.write_row(3, 2, &data).unwrap();
         s.set_stuck(3, 2, 8, false).unwrap();
-        assert_eq!(s.stuck_cells(), 1);
+        assert_eq!(s.stuck.values().map(Vec::len).sum::<usize>(), 1);
         assert_eq!(s.row(3, 2).unwrap()[1], 0xFE, "cell forced low");
         // The scrub sees (and corrects the read value of) the defect...
         assert_eq!(s.scrub_row(3, 2).unwrap(), 1);
@@ -858,7 +845,7 @@ mod tests {
         );
         // Redeclaring a cell updates it in place.
         s.set_stuck(3, 2, 9, true).unwrap();
-        assert_eq!(s.stuck_cells(), 2);
+        assert_eq!(s.stuck.values().map(Vec::len).sum::<usize>(), 2);
     }
 
     #[test]

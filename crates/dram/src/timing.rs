@@ -100,7 +100,7 @@ impl TimingParams {
     /// 22 ns reproduces the paper's analytical-model speedup of ≈ 9.8×
     /// over Ideal Non-PIM at 16 banks (see `newton-model::perf`).
     #[must_use]
-    pub fn hbm2e_like_aggressive_tfaw() -> TimingParams {
+    pub(crate) fn hbm2e_like_aggressive_tfaw() -> TimingParams {
         TimingParams {
             t_faw_ns: 22.0,
             ..TimingParams::hbm2e_like()
@@ -114,7 +114,7 @@ impl TimingParams {
     /// Values are public-datasheet-class, for the Sec. III-E "other DRAM
     /// families" what-if — not a calibrated GDDR6-AiM model.
     #[must_use]
-    pub fn gddr6_like() -> TimingParams {
+    pub(crate) fn gddr6_like() -> TimingParams {
         TimingParams {
             tck_ns: 1.0,
             t_rcd_ns: 18.0,
@@ -135,7 +135,7 @@ impl TimingParams {
     /// An LPDDR4-class device: fewer banks, slower column cadence, longer
     /// activation-rate windows (mobile power limits).
     #[must_use]
-    pub fn lpddr4_like() -> TimingParams {
+    pub(crate) fn lpddr4_like() -> TimingParams {
         TimingParams {
             tck_ns: 1.0,
             t_rcd_ns: 18.0,
@@ -155,7 +155,7 @@ impl TimingParams {
 
     /// A DDR4-class device.
     #[must_use]
-    pub fn ddr4_like() -> TimingParams {
+    pub(crate) fn ddr4_like() -> TimingParams {
         TimingParams {
             tck_ns: 1.0,
             t_rcd_ns: 14.0,
@@ -178,8 +178,9 @@ impl TimingParams {
     /// # Errors
     ///
     /// Returns [`DramError::InvalidConfig`] if any parameter is negative,
-    /// non-finite, or if `tck_ns` is not strictly positive, or if derived
-    /// relationships are inconsistent (e.g. `t_ras < t_rcd`).
+    /// non-finite, or if `tck_ns`, tCCD, tRRD or tCMD is not strictly
+    /// positive, or if derived relationships are inconsistent (e.g.
+    /// `t_ras < t_rcd`).
     pub fn to_cycles(&self) -> Result<Timing, DramError> {
         if !(self.tck_ns.is_finite() && self.tck_ns > 0.0) {
             return Err(DramError::InvalidConfig(format!(
@@ -195,19 +196,30 @@ impl TimingParams {
             }
             Ok((ns / self.tck_ns).ceil() as Cycle)
         };
+        // The spacing between two column commands, two activations or two
+        // command-bus slots: zero would let both share a cycle. Any
+        // positive value rounds up to at least one cycle.
+        let spacing = |name: &str, ns: f64| -> Result<Cycle, DramError> {
+            match conv(name, ns)? {
+                0 => Err(DramError::InvalidConfig(format!(
+                    "{name} must be positive, got {ns}"
+                ))),
+                cycles => Ok(cycles),
+            }
+        };
         let t = Timing {
             t_rcd: conv("tRCD", self.t_rcd_ns)?,
             t_rp: conv("tRP", self.t_rp_ns)?,
             t_ras: conv("tRAS", self.t_ras_ns)?,
-            t_ccd: conv("tCCD", self.t_ccd_ns)?.max(1),
-            t_rrd: conv("tRRD", self.t_rrd_ns)?.max(1),
+            t_ccd: spacing("tCCD", self.t_ccd_ns)?,
+            t_rrd: spacing("tRRD", self.t_rrd_ns)?,
             t_faw: conv("tFAW", self.t_faw_ns)?,
             t_rtp: conv("tRTP", self.t_rtp_ns)?,
             t_wr: conv("tWR", self.t_wr_ns)?,
             t_aa: conv("tAA", self.t_aa_ns)?,
             t_refi: conv("tREFI", self.t_refi_ns)?,
             t_rfc: conv("tRFC", self.t_rfc_ns)?,
-            t_cmd: conv("tCMD", self.t_cmd_ns)?.max(1),
+            t_cmd: spacing("tCMD", self.t_cmd_ns)?,
             tck_ns: self.tck_ns,
         };
         if t.t_ras < t.t_rcd {
@@ -278,18 +290,6 @@ impl Timing {
     pub fn col_step(&self) -> Cycle {
         self.t_ccd.max(self.t_cmd)
     }
-
-    /// Converts a cycle count to nanoseconds.
-    #[must_use]
-    pub fn cycles_to_ns(&self, cycles: Cycle) -> f64 {
-        cycles as f64 * self.tck_ns
-    }
-
-    /// Converts a cycle count to seconds.
-    #[must_use]
-    pub fn cycles_to_seconds(&self, cycles: Cycle) -> f64 {
-        self.cycles_to_ns(cycles) * 1e-9
-    }
 }
 
 #[cfg(test)]
@@ -352,11 +352,46 @@ mod tests {
     }
 
     #[test]
-    fn derived_trc_and_time_conversions() {
+    fn zero_command_spacings_are_errors_not_one_cycle() {
+        let base = TimingParams::hbm2e_like();
+        for (name, p) in [
+            (
+                "tCCD",
+                TimingParams {
+                    t_ccd_ns: 0.0,
+                    ..base
+                },
+            ),
+            (
+                "tRRD",
+                TimingParams {
+                    t_rrd_ns: 0.0,
+                    ..base
+                },
+            ),
+            (
+                "tCMD",
+                TimingParams {
+                    t_cmd_ns: 0.0,
+                    ..base
+                },
+            ),
+        ] {
+            match p.to_cycles() {
+                Err(DramError::InvalidConfig(msg)) => assert!(msg.contains(name), "{msg}"),
+                other => panic!("{name} = 0 ns must be rejected, got {other:?}"),
+            }
+        }
+        // The smallest positive spacing is one cycle, not an error.
+        let mut p = TimingParams::hbm2e_like();
+        p.t_cmd_ns = 1e-3;
+        assert_eq!(p.to_cycles().unwrap().t_cmd, 1);
+    }
+
+    #[test]
+    fn derived_trc() {
         let t = TimingParams::hbm2e_like().to_cycles().unwrap();
         assert_eq!(t.t_rc(), t.t_ras + t.t_rp);
-        assert_eq!(t.cycles_to_ns(100), 100.0);
-        assert_eq!(t.cycles_to_seconds(1_000_000_000), 1.0);
     }
 
     #[test]

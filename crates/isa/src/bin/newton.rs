@@ -17,13 +17,13 @@ use std::process::ExitCode;
 
 use newton_core::config::NewtonConfig;
 use newton_core::system::NewtonSystem;
+use newton_dram::faults::{mix64, CounterRng};
 use newton_isa::backend::{self, Backend};
 use newton_isa::generate;
 use newton_isa::harness;
 use newton_isa::interp;
 use newton_isa::mv;
 use newton_isa::{IsaError, Program};
-use newton_workloads::rng::{mix64, CounterRng};
 use newton_workloads::{Benchmark, MvShape};
 
 fn usage() -> ExitCode {

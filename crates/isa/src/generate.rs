@@ -16,8 +16,8 @@ use newton_bf16::{slice, Bf16};
 use newton_core::config::NewtonConfig;
 use newton_core::layout::MatrixMapping;
 use newton_core::tiling::Schedule;
+use newton_dram::faults::CounterRng;
 use newton_workloads::generator;
-use newton_workloads::rng::CounterRng;
 use newton_workloads::Benchmark;
 
 use crate::error::IsaError;

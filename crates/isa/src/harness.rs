@@ -2,11 +2,11 @@
 //!
 //! Two snapshot shapes ship:
 //!
-//! * [`snapshot`] — the multi-backend comparison (`isa_backends`): one
-//!   table row per backend plus the max absolute error of each backend's
-//!   outputs against a host f64 reference.
+//! * [`run_backends`] — the multi-backend comparison (`isa_backends`):
+//!   one table row per backend plus the max absolute error of each
+//!   backend's outputs against a host f64 reference.
 //! * [`conformance_snapshot`] — the byte-identity probe
-//!   (`isa_conformance`): cycles, every [`AimStats`] counter, and an
+//!   (`isa_conformance`): cycles, every `AimStats` counter, and an
 //!   FNV-1a digest of the output bits. The CLI's `diff` subcommand
 //!   renders this snapshot for the trace-driven and API-driven paths
 //!   into two directories and `diff -r` proves them identical.
@@ -102,7 +102,7 @@ impl BackendReport {
 
 /// FNV-1a 64-bit over the exact little-endian f32 bit patterns.
 #[must_use]
-pub fn output_digest(outputs: &[f32]) -> u64 {
+fn output_digest(outputs: &[f32]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
     for v in outputs {
         for b in v.to_bits().to_le_bytes() {

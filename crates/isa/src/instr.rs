@@ -52,7 +52,7 @@
 //! digits a step) or counts them. [`crate::Program::render`] counts
 //! first, sizes one buffer exactly and writes every line into it;
 //! [`fmt::Display`] writes one line through the same sink. Rendering
-//! and parsing ([`Instr::parse_line`]) are exact inverses:
+//! and parsing are exact inverses:
 //! `Instr → text → Instr` is lossless, property-tested by the fuzzer and
 //! pinned at boundary operands by this module's tests.
 //! [`crate::Program::parse`] runs the same lexer over a whole trace in
@@ -63,26 +63,26 @@
 use std::fmt;
 
 /// Host general-purpose registers (256-bit each).
-pub const GPR_COUNT: usize = 64;
+pub(crate) const GPR_COUNT: usize = 64;
 /// Configuration registers.
-pub const CFR_COUNT: usize = 16;
+pub(crate) const CFR_COUNT: usize = 16;
 /// Bytes in one GPR (256 bits).
 pub const GPR_BYTES: usize = 32;
 
 /// Well-known CFR indices: the trace geometry header.
 pub mod cfr {
     /// Matrix rows of the lowered workload.
-    pub const M: usize = 0;
+    pub(crate) const M: usize = 0;
     /// Matrix columns of the lowered workload.
     pub const N: usize = 1;
     /// Channels of the origin device.
-    pub const CHANNELS: usize = 2;
+    pub(crate) const CHANNELS: usize = 2;
     /// Banks per channel of the origin device.
-    pub const BANKS: usize = 3;
+    pub(crate) const BANKS: usize = 3;
     /// Elements per DRAM row of the origin device.
-    pub const ROW_ELEMS: usize = 4;
+    pub(crate) const ROW_ELEMS: usize = 4;
     /// Schedule kind: 0 interleaved-full-reuse, 1 no-reuse, 2 four-latch.
-    pub const SCHEDULE: usize = 5;
+    pub(crate) const SCHEDULE: usize = 5;
 }
 
 /// One AiM host instruction.
@@ -430,7 +430,7 @@ fn hex_digits(bytes: u32) -> u64 {
 
 /// Renders 32 bytes as 64 lowercase hex characters in storage order.
 #[must_use]
-pub fn hex32(data: &[u8; GPR_BYTES]) -> String {
+pub(crate) fn hex32(data: &[u8; GPR_BYTES]) -> String {
     let mut out = Vec::with_capacity(2 * GPR_BYTES);
     write_payload(&mut out, data);
     String::from_utf8(out).expect("hex digits are ASCII")
@@ -669,24 +669,6 @@ impl<'a> Lexer<'a> {
 }
 
 impl Instr {
-    /// Parses one instruction line; a trailing `#` comment is allowed.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the malformation; the caller
-    /// ([`crate::Program::parse`]) attaches the source line number.
-    pub fn parse_line(line: &str) -> Result<Instr, String> {
-        let mut lex = Lexer::new(line);
-        let op = lex.token().ok_or_else(|| "empty instruction".to_string())?;
-        let instr = Instr::lex(op, &mut lex)?;
-        while lex.next_line() {
-            if lex.token().is_some() {
-                return Err("more than one line".into());
-            }
-        }
-        Ok(instr)
-    }
-
     /// Reads the operands of `op` from the rest of `lex`'s current line.
     pub(crate) fn lex(op: &str, lex: &mut Lexer<'_>) -> Result<Instr, String> {
         // No instruction takes more than six operands; extra ones are
@@ -854,7 +836,7 @@ impl Instr {
     /// (and must therefore wait for queued conventional traffic — the
     /// serialization rule).
     #[must_use]
-    pub fn is_aim(&self) -> bool {
+    pub(crate) fn is_aim(&self) -> bool {
         !matches!(
             self,
             Instr::WrCfr { .. }
@@ -1065,6 +1047,20 @@ impl fmt::Display for Instr {
 mod tests {
     use super::*;
 
+    /// Parses one instruction line (a trailing `#` comment is allowed)
+    /// with the lexer `Program::parse` runs over a whole trace.
+    fn parse_line(line: &str) -> Result<Instr, String> {
+        let mut lex = Lexer::new(line);
+        let op = lex.token().ok_or_else(|| "empty instruction".to_string())?;
+        let instr = Instr::lex(op, &mut lex)?;
+        while lex.next_line() {
+            if lex.token().is_some() {
+                return Err("more than one line".into());
+            }
+        }
+        Ok(instr)
+    }
+
     #[test]
     fn round_trip_every_variant() {
         let samples = [
@@ -1168,7 +1164,7 @@ mod tests {
             &samples[6],
         ));
         for (text, i) in &texts {
-            let back = Instr::parse_line(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            let back = parse_line(text).unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_eq!(&back, *i, "{text}");
         }
     }
@@ -1194,7 +1190,7 @@ mod tests {
             "EOC\nEOC",
             "",
         ] {
-            assert!(Instr::parse_line(bad).is_err(), "{bad:?}");
+            assert!(parse_line(bad).is_err(), "{bad:?}");
         }
     }
 
@@ -1414,7 +1410,7 @@ EOC
             assert_eq!(line, want, "{instr:?}");
             assert_eq!(instr.to_string(), want, "{instr:?}");
             assert_eq!(instr.text_len(), want.len(), "{instr:?}");
-            assert_eq!(&Instr::parse_line(want).unwrap(), instr, "{want}");
+            assert_eq!(&parse_line(want).unwrap(), instr, "{want}");
         }
     }
 
@@ -1447,7 +1443,7 @@ EOC
                 let mut digits = vec![b'0'; 2 * GPR_BYTES];
                 digits[at] = b;
                 let line = format!("WR_GPR 0 {}", std::str::from_utf8(&digits).unwrap());
-                match Instr::parse_line(&line) {
+                match parse_line(&line) {
                     Ok(Instr::WrGpr { data, .. }) => {
                         assert!(b.is_ascii_hexdigit(), "{line:?} parsed");
                         let nibble = NIBBLE[usize::from(b)];
@@ -1470,7 +1466,7 @@ EOC
                 "0".repeat(start),
                 "0".repeat(2 * GPR_BYTES - 2 - start)
             );
-            let msg = Instr::parse_line(&line).unwrap_err();
+            let msg = parse_line(&line).unwrap_err();
             assert_eq!(msg, payload_error(start, "\u{e9}".as_bytes()), "{line:?}");
         }
     }

@@ -10,9 +10,9 @@
 //!
 //! Module map:
 //!
-//! * [`instr`]: the typed [`Instr`](instr::Instr) enum, its canonical
+//! * [`instr`]: the typed [`Instr`] enum, its canonical
 //!   text rendering, and the lossless line parser.
-//! * [`program`]: whole-trace parsing ([`Program`](program::Program))
+//! * [`program`]: whole-trace parsing ([`Program`])
 //!   and the CFR-declared trace geometry.
 //! * [`mv`]: recognition of a lowered matrix–vector trace
 //!   ([`MvTrace`](mv::MvTrace)) and its *physical* replay into channel

@@ -34,7 +34,7 @@ use crate::instr::{Instr, GPR_BYTES, GPR_COUNT};
 use crate::program::{Program, TraceGeometry};
 
 /// Sub-chunk elements carried by one GPR (16 bf16 in 256 bits).
-pub const GPR_ELEMS: usize = GPR_BYTES / 2;
+pub(crate) const GPR_ELEMS: usize = GPR_BYTES / 2;
 
 /// A recognized matrix–vector trace.
 #[derive(Debug, Clone)]

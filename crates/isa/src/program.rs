@@ -16,7 +16,7 @@ use crate::error::IsaError;
 use crate::instr::{cfr, Instr, Lexer, CFR_COUNT};
 
 /// Trace format magic and version.
-pub const MAGIC: &str = "AIM 1";
+pub(crate) const MAGIC: &str = "AIM 1";
 
 /// A parsed `.aim` program.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -89,7 +89,7 @@ impl Program {
     ///
     /// [`IsaError::Geometry`] when a required register is missing or
     /// holds an unrepresentable value.
-    pub fn geometry(&self) -> Result<TraceGeometry, IsaError> {
+    pub(crate) fn geometry(&self) -> Result<TraceGeometry, IsaError> {
         let mut cfrs = [None::<u64>; CFR_COUNT];
         for i in &self.instrs {
             if let Instr::WrCfr { idx, value } = i {
@@ -168,7 +168,7 @@ pub struct TraceGeometry {
 impl TraceGeometry {
     /// The geometry a configuration implies for an `m x n` workload.
     #[must_use]
-    pub fn from_config(cfg: &NewtonConfig, m: usize, n: usize) -> TraceGeometry {
+    pub(crate) fn from_config(cfg: &NewtonConfig, m: usize, n: usize) -> TraceGeometry {
         TraceGeometry {
             m,
             n,
@@ -181,7 +181,7 @@ impl TraceGeometry {
 
     /// The CFR header encoding this geometry (render these first).
     #[must_use]
-    pub fn header(&self) -> Vec<Instr> {
+    pub(crate) fn header(&self) -> Vec<Instr> {
         let sched = match self.schedule {
             ScheduleKind::InterleavedFullReuse => 0,
             ScheduleKind::NoReuse => 1,
@@ -219,7 +219,7 @@ impl TraceGeometry {
     /// Matrix rows assigned to `channel` (round-robin, exactly as
     /// `NewtonSystem` distributes them).
     #[must_use]
-    pub fn channel_rows(&self, channel: usize) -> usize {
+    pub(crate) fn channel_rows(&self, channel: usize) -> usize {
         self.m / self.channels + usize::from(self.m % self.channels > channel)
     }
 
@@ -230,7 +230,7 @@ impl TraceGeometry {
     /// # Errors
     ///
     /// Shape errors from the layout layer.
-    pub fn mapping(&self, channel: usize) -> Result<Option<MatrixMapping>, IsaError> {
+    pub(crate) fn mapping(&self, channel: usize) -> Result<Option<MatrixMapping>, IsaError> {
         let local_m = self.channel_rows(channel);
         if local_m == 0 {
             return Ok(None);
@@ -274,7 +274,7 @@ impl TraceGeometry {
 /// The schedule kind a configuration implies (mirrors
 /// `NewtonSystem::schedule_kind`, usable without constructing a system).
 #[must_use]
-pub fn config_schedule_kind(cfg: &NewtonConfig) -> ScheduleKind {
+fn config_schedule_kind(cfg: &NewtonConfig) -> ScheduleKind {
     if cfg.result_latches_per_bank == 4 {
         ScheduleKind::FourLatch
     } else if cfg.opts.interleaved_reuse {

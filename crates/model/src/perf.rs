@@ -39,14 +39,14 @@ impl PerfModel {
 
     /// `t_ideal` per DRAM row: `col * tCCD`, in nanoseconds.
     #[must_use]
-    pub fn t_ideal_ns(&self) -> f64 {
+    fn t_ideal_ns(&self) -> f64 {
         self.dram.cols_per_row as f64 * self.dram.timing.t_ccd_ns
     }
 
     /// The activation-phase overhead `max(tRRD, tFAW) * (n/4 - 1) + tACT`
     /// in nanoseconds (tACT = tRCD: last G_ACT to first column command).
     #[must_use]
-    pub fn activation_overhead_ns(&self) -> f64 {
+    fn activation_overhead_ns(&self) -> f64 {
         let t = &self.dram.timing;
         let gangs = (self.dram.banks as f64 / 4.0).ceil();
         t.t_rrd_ns.max(t.t_faw_ns) * (gangs - 1.0) + t.t_rcd_ns
@@ -54,13 +54,13 @@ impl PerfModel {
 
     /// `t_newton` per DRAM row across all banks (paper formula), ns.
     #[must_use]
-    pub fn t_newton_ns(&self) -> f64 {
+    fn t_newton_ns(&self) -> f64 {
         self.activation_overhead_ns() + self.t_ideal_ns()
     }
 
     /// The overhead ratio `o`.
     #[must_use]
-    pub fn overhead_ratio(&self) -> f64 {
+    fn overhead_ratio(&self) -> f64 {
         self.activation_overhead_ns() / self.t_ideal_ns()
     }
 
@@ -75,7 +75,7 @@ impl PerfModel {
     /// that consecutive row-sets in the same banks expose in a
     /// non-double-buffered design.
     #[must_use]
-    pub fn t_newton_refined_ns(&self) -> f64 {
+    fn t_newton_refined_ns(&self) -> f64 {
         let t = &self.dram.timing;
         self.t_newton_ns() + t.t_rtp_ns + t.t_rp_ns - t.t_ccd_ns
     }
@@ -84,12 +84,6 @@ impl PerfModel {
     #[must_use]
     pub fn speedup_vs_ideal_refined(&self) -> f64 {
         self.dram.banks as f64 * self.t_ideal_ns() / self.t_newton_refined_ns()
-    }
-
-    /// The same model at a different bank count (Fig. 10's sweep).
-    #[must_use]
-    pub fn with_banks(&self, banks: usize) -> PerfModel {
-        PerfModel::new(self.dram.clone().with_banks(banks))
     }
 }
 
@@ -124,9 +118,9 @@ mod tests {
     #[test]
     fn amdahl_dampens_bank_scaling() {
         let model = PerfModel::paper_default();
-        let s8 = model.with_banks(8).speedup_vs_ideal();
-        let s16 = model.with_banks(16).speedup_vs_ideal();
-        let s32 = model.with_banks(32).speedup_vs_ideal();
+        let s8 = PerfModel::new(model.dram.clone().with_banks(8)).speedup_vs_ideal();
+        let s16 = PerfModel::new(model.dram.clone().with_banks(16)).speedup_vs_ideal();
+        let s32 = PerfModel::new(model.dram.clone().with_banks(32)).speedup_vs_ideal();
         assert!(s8 < s16 && s16 < s32);
         // Sub-linear: doubling banks less than doubles speedup.
         assert!(s16 / s8 < 2.0);

@@ -41,7 +41,7 @@ use newton_core::config::NewtonConfig;
 use newton_core::system::{LoadedMatrix, NewtonSystem};
 use newton_core::{AimError, RecoveryReport};
 use newton_dram::faults::{self, CampaignSpec};
-use newton_trace::sink::{RequestClass, TraceEvent};
+use newton_trace::event::{RequestClass, TraceEvent};
 use newton_trace::{MetricsSnapshot, TimeSeries, DEFAULT_WINDOW_CYCLES};
 use newton_workloads::arrivals::ArrivalPattern;
 use newton_workloads::generator;
@@ -192,7 +192,8 @@ pub struct ServeReport {
     /// Per-window request-event series (arrivals, admissions, sheds,
     /// deadline misses, retries) for JSON/Perfetto export.
     pub request_series: TimeSeries,
-    /// First [`ERROR_SAMPLE_CAP`] typed errors, in occurrence order.
+    /// The first typed errors (at most `ERROR_SAMPLE_CAP`), in occurrence
+    /// order.
     pub errors: Vec<ServeError>,
 }
 
@@ -324,7 +325,7 @@ impl Server {
     /// # Errors
     ///
     /// Fault-plane errors from [`faults::inject`].
-    pub fn inject_faults(&mut self, spec: &CampaignSpec) -> Result<u64, AimError> {
+    fn inject_faults(&mut self, spec: &CampaignSpec) -> Result<u64, AimError> {
         let mut injected = 0u64;
         for ch in 0..self.sys.config().channels {
             let per = spec.for_channel(ch);
@@ -345,7 +346,7 @@ impl Server {
     ///
     /// [`AimError::InvalidConfig`] when the bank holds no allocated rows;
     /// storage errors for out-of-range targets.
-    pub fn plant_stuck_word(&mut self, channel: usize, bank: usize) -> Result<u64, AimError> {
+    fn plant_stuck_word(&mut self, channel: usize, bank: usize) -> Result<u64, AimError> {
         if channel >= self.sys.config().channels {
             return Err(AimError::InvalidConfig(format!(
                 "stuck-word channel {channel} out of range"

@@ -100,20 +100,8 @@ impl ChromeTraceBuilder {
         self.events.push(JsonValue::Object(obj));
     }
 
-    /// Adds an instant ("i") event on track `(pid, tid)`.
-    pub fn instant(&mut self, pid: u64, tid: u64, name: &str, cycle: u64) {
-        self.events.push(JsonValue::Object(vec![
-            ("ph".into(), JsonValue::from("i")),
-            ("name".into(), JsonValue::from(name)),
-            ("pid".into(), JsonValue::from(pid)),
-            ("tid".into(), JsonValue::from(tid)),
-            ("ts".into(), JsonValue::from(self.cycles_to_us(cycle))),
-            ("s".into(), JsonValue::from("t")),
-        ]));
-    }
-
     /// Adds a counter ("C") sample named `name` on process `pid`.
-    pub fn counter(&mut self, pid: u64, name: &str, cycle: u64, series: &[(&str, f64)]) {
+    pub(crate) fn counter(&mut self, pid: u64, name: &str, cycle: u64, series: &[(&str, f64)]) {
         self.events.push(JsonValue::Object(vec![
             ("ph".into(), JsonValue::from("C")),
             ("name".into(), JsonValue::from(name)),
@@ -129,18 +117,6 @@ impl ChromeTraceBuilder {
                 ),
             ),
         ]));
-    }
-
-    /// Number of events added so far (metadata included).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events have been added.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Finishes the document:
@@ -170,12 +146,11 @@ mod tests {
         b.process_name(1, "channel 0");
         b.thread_name(1, 2, "bank 2");
         b.complete(1, 2, "ACT", 100, 14, &[("row", JsonValue::from(7u64))]);
-        b.instant(1, 2, "REF", 500);
         b.counter(1, "bandwidth", 500, &[("bytes_per_ns", 6.5)]);
         let text = b.render();
         let doc = JsonValue::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), 5);
+        assert_eq!(events.len(), 4);
         assert_eq!(doc.get("displayTimeUnit").unwrap().as_str(), Some("ns"));
         let slice = &events[2];
         assert_eq!(slice.get("ph").unwrap().as_str(), Some("X"));

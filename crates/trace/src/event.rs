@@ -19,17 +19,6 @@ pub enum TraceBus {
     Column,
 }
 
-impl TraceBus {
-    /// Stable lowercase name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceBus::Row => "row",
-            TraceBus::Column => "column",
-        }
-    }
-}
-
 /// One instrumentation event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
@@ -125,69 +114,4 @@ pub enum RequestClass {
     DeadlineMiss,
     /// A run attempt failed on an uncorrectable fault and was retried.
     Retry,
-}
-
-impl RequestClass {
-    /// Stable lowercase name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            RequestClass::Arrival => "arrival",
-            RequestClass::Admission => "admission",
-            RequestClass::Shed => "shed",
-            RequestClass::DeadlineMiss => "deadline_miss",
-            RequestClass::Retry => "retry",
-        }
-    }
-}
-
-impl TraceEvent {
-    /// The event's cycle stamp.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        match *self {
-            TraceEvent::Command { cycle, .. }
-            | TraceEvent::BankState { cycle, .. }
-            | TraceEvent::DataBurst { cycle, .. }
-            | TraceEvent::QueueLatency { cycle, .. }
-            | TraceEvent::EccCorrected { cycle, .. }
-            | TraceEvent::EccUncorrectable { cycle, .. }
-            | TraceEvent::CommandEnergy { cycle, .. }
-            | TraceEvent::Request { cycle, .. } => cycle,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::Command {
-                cycle: 0,
-                bus: TraceBus::Row,
-                label: "ACT",
-                bank_ops: 1,
-            },
-            TraceEvent::BankState {
-                cycle: 0,
-                bank: 3,
-                class: BankClass::RowOpen,
-            },
-            TraceEvent::DataBurst {
-                cycle: 20,
-                bytes: 32,
-            },
-            TraceEvent::QueueLatency {
-                cycle: 20,
-                waited: 6,
-            },
-        ]
-    }
-
-    #[test]
-    fn event_cycles_are_reported() {
-        assert_eq!(sample()[2].cycle(), 20);
-    }
 }

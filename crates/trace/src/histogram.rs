@@ -75,57 +75,21 @@ impl Log2Histogram {
     pub fn max(&self) -> u64 {
         self.max
     }
-
-    /// Mean sample, or 0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Whether any sample has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Non-empty buckets as `(lower_bound, upper_bound_exclusive, count)`.
-    /// Bucket 0 is reported as `(0, 1, n)`.
-    #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(k, &n)| {
-                if k == 0 {
-                    (0, 1, n)
-                } else {
-                    let lo = 1u64 << (k - 1);
-                    let hi = if k == 64 { u64::MAX } else { 1u64 << k };
-                    (lo, hi, n)
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(bucket index, count)` of every non-empty bucket.
+    fn nonzero(h: &Log2Histogram) -> Vec<(usize, u64)> {
+        h.buckets
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, n)| n > 0)
+            .collect()
+    }
 
     #[test]
     fn buckets_follow_powers_of_two() {
@@ -139,33 +103,16 @@ mod tests {
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1033);
         assert_eq!(h.max(), 1023);
-        let buckets = h.nonzero_buckets();
-        assert_eq!(
-            buckets,
-            vec![(0, 1, 1), (1, 2, 1), (2, 4, 2), (4, 8, 1), (512, 1024, 1)]
-        );
+        // 0 | 1 | 2..4 | 4..8 | 512..1024
+        assert_eq!(nonzero(&h), vec![(0, 1), (1, 1), (2, 2), (3, 1), (10, 1)]);
     }
 
     #[test]
     fn empty_histogram_reports_zeroes() {
         let h = Log2Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.count(), 0);
         assert_eq!(h.max(), 0);
-        assert!(h.nonzero_buckets().is_empty());
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Log2Histogram::new();
-        let mut b = Log2Histogram::new();
-        a.record(5);
-        b.record(7);
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 112);
-        assert_eq!(a.max(), 100);
+        assert!(nonzero(&h).is_empty());
     }
 
     #[test]
@@ -193,8 +140,6 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), u64::MAX, "sum saturates");
-        let buckets = h.nonzero_buckets();
-        assert_eq!(buckets.len(), 1);
-        assert_eq!(buckets[0].2, 2);
+        assert_eq!(nonzero(&h), vec![(64, 2)]);
     }
 }

@@ -10,11 +10,7 @@
 //! host-dependent by nature and are only ever *reported*, never compared.
 //!
 //! The registry is deliberately dumb — a `Vec` in registration order, no
-//! globals, no interior mutability — so profiles from worker threads
-//! merge deterministically by name, the same way channel results merge by
-//! index.
-
-use crate::json::JsonValue;
+//! globals, no interior mutability.
 
 /// One named host phase: how often it ran and how long it took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,23 +58,10 @@ impl HostProfiler {
         }
     }
 
-    /// Merges another profiler's counts into this one, phase by phase.
-    pub fn merge(&mut self, other: &HostProfiler) {
-        for p in &other.phases {
-            self.add(p.name, p.calls, p.nanos);
-        }
-    }
-
     /// The phases, in registration order.
     #[must_use]
     pub fn phases(&self) -> &[HostPhase] {
         &self.phases
-    }
-
-    /// Total nanoseconds across every phase.
-    #[must_use]
-    pub fn total_nanos(&self) -> u64 {
-        self.phases.iter().map(|p| p.nanos).sum()
     }
 
     /// The simulation-deterministic part of the report — phase names and
@@ -97,24 +80,6 @@ impl HostProfiler {
         }
         s
     }
-
-    /// JSON report: `[{"phase", "calls", "seconds"}, ...]` in
-    /// registration order.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Array(
-            self.phases
-                .iter()
-                .map(|p| {
-                    JsonValue::Object(vec![
-                        ("phase".into(), JsonValue::from(p.name)),
-                        ("calls".into(), JsonValue::from(p.calls)),
-                        ("seconds".into(), JsonValue::from(p.nanos as f64 / 1e9)),
-                    ])
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -132,21 +97,8 @@ mod tests {
         assert_eq!(names, ["encode", "drain", "merge", "late"]);
         assert_eq!(p.phases()[1].calls, 3);
         assert_eq!(p.phases()[1].nanos, 2000);
-        assert_eq!(p.total_nanos(), 2109);
-    }
-
-    #[test]
-    fn merge_adds_by_name_not_position() {
-        let mut a = HostProfiler::new(&["encode", "drain"]);
-        a.add("drain", 1, 10);
-        let mut b = HostProfiler::new(&["drain", "comp"]);
-        b.add("drain", 2, 20);
-        b.add("comp", 4, 40);
-        a.merge(&b);
-        assert_eq!(a.phases()[1].name, "drain");
-        assert_eq!(a.phases()[1].calls, 3);
-        assert_eq!(a.phases()[2].name, "comp");
-        assert_eq!(a.phases()[2].calls, 4);
+        assert_eq!(p.phases()[0].nanos, 100);
+        assert_eq!(p.phases()[3].nanos, 9);
     }
 
     #[test]
@@ -159,17 +111,5 @@ mod tests {
         assert_eq!(a.digest(), "encode:0;drain:3");
         b.add("drain", 1, 0);
         assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn json_report_is_parseable() {
-        let mut p = HostProfiler::new(&["drain"]);
-        p.add("drain", 2, 1_500_000_000);
-        let text = p.to_json().render_pretty();
-        let doc = JsonValue::parse(&text).unwrap();
-        let rows = doc.as_array().unwrap();
-        assert_eq!(rows[0].get("phase").unwrap().as_str(), Some("drain"));
-        assert_eq!(rows[0].get("calls").unwrap().as_f64(), Some(2.0));
-        assert_eq!(rows[0].get("seconds").unwrap().as_f64(), Some(1.5));
     }
 }

@@ -5,7 +5,7 @@
 //! beats each design variant spends per inference. This crate provides the
 //! plumbing every other crate uses to answer those questions:
 //!
-//! * [`sink`] — the [`TraceEvent`] vocabulary (commands, bank states,
+//! * [`event`] — the [`TraceEvent`] vocabulary (commands, bank states,
 //!   data bursts, queue latency, ECC, energy, serving requests) that
 //!   [`timeseries`] folds into windows. Nothing is built per event while
 //!   telemetry is off.
@@ -40,23 +40,20 @@
 
 pub mod chrome;
 pub mod energy;
+pub mod event;
 pub mod histogram;
 pub mod hostprof;
 pub mod json;
 pub mod residency;
-pub mod sink;
 pub mod snapshot;
 pub mod timeseries;
 
 pub use chrome::ChromeTraceBuilder;
 pub use energy::EnergyModel;
+pub use event::{RequestClass, TraceBus, TraceEvent};
 pub use histogram::Log2Histogram;
 pub use hostprof::{HostPhase, HostProfiler};
 pub use json::{JsonError, JsonValue};
 pub use residency::{BankClass, Residency, ResidencyTracker};
-pub use sink::{RequestClass, TraceBus, TraceEvent};
 pub use snapshot::{MetricsSnapshot, SNAPSHOT_SCHEMA_VERSION};
-pub use timeseries::{
-    BankEnergyCounts, TimeSeries, WindowMetrics, Windows, DEFAULT_WINDOW_CYCLES,
-    TELEMETRY_SCHEMA_VERSION,
-};
+pub use timeseries::{BankEnergyCounts, TimeSeries, WindowMetrics, Windows, DEFAULT_WINDOW_CYCLES};

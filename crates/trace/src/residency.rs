@@ -86,7 +86,7 @@ impl Residency {
     }
 
     /// Adds `cycles` to `class`.
-    pub fn add(&mut self, class: BankClass, cycles: u64) {
+    pub(crate) fn add(&mut self, class: BankClass, cycles: u64) {
         match class {
             BankClass::Idle => self.idle += cycles,
             BankClass::RowOpen => self.row_open += cycles,
@@ -103,28 +103,11 @@ impl Residency {
         self.idle + self.row_open + self.precharging + self.refreshing + self.computing
     }
 
-    /// Fraction of the total in `class` (0 when the total is 0).
-    #[must_use]
-    pub fn fraction(&self, class: BankClass) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.get(class) as f64 / total as f64
-        }
-    }
-
     /// Folds another residency into this one.
     pub fn merge(&mut self, other: &Residency) {
         for class in BankClass::ALL {
             self.add(class, other.get(class));
         }
-    }
-
-    /// Non-idle cycles.
-    #[must_use]
-    pub fn busy(&self) -> u64 {
-        self.total() - self.idle
     }
 }
 
@@ -156,12 +139,6 @@ impl ResidencyTracker {
             revert: None,
             totals: Residency::default(),
         }
-    }
-
-    /// The state live at the most recent transition.
-    #[must_use]
-    pub fn current(&self) -> BankClass {
-        self.current
     }
 
     /// Resolves a due self-expiry at or before `cycle`.
@@ -363,17 +340,14 @@ mod tests {
     }
 
     #[test]
-    fn fractions_and_merge() {
+    fn totals_and_merge() {
         let mut a = Residency::default();
         a.add(BankClass::Idle, 25);
         a.add(BankClass::RowOpen, 75);
-        assert_eq!(a.fraction(BankClass::RowOpen), 0.75);
-        assert_eq!(a.busy(), 75);
         let mut b = Residency::default();
         b.add(BankClass::Computing, 100);
         a.merge(&b);
         assert_eq!(a.total(), 200);
-        assert_eq!(a.fraction(BankClass::Computing), 0.5);
-        assert_eq!(Residency::default().fraction(BankClass::Idle), 0.0);
+        assert_eq!(a.get(BankClass::Computing), 100);
     }
 }

@@ -30,9 +30,9 @@ use std::ops::Index;
 use std::sync::Arc;
 
 use crate::energy::EnergyModel;
+use crate::event::{RequestClass, TraceEvent};
 use crate::json::JsonValue;
 use crate::residency::BankClass;
-use crate::sink::{RequestClass, TraceEvent};
 
 /// Version of the telemetry JSON documents ([`TimeSeries::to_json`] and
 /// the `telemetry_schema_version` key snapshots carry). Bump only for
@@ -41,7 +41,7 @@ use crate::sink::{RequestClass, TraceEvent};
 /// v3: the replay cache's counters (added in v2) are gone — they describe
 /// the simulator process, not the simulated machine, and live on
 /// `AimStats` / `ServeReport` per run.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 3;
+pub(crate) const TELEMETRY_SCHEMA_VERSION: u64 = 3;
 
 /// Default telemetry window width, in command-clock cycles.
 pub const DEFAULT_WINDOW_CYCLES: u64 = 1024;
@@ -338,7 +338,7 @@ impl BankEnergyCounts {
     /// Dynamic energy this bank's counted events represent, pJ
     /// (refresh included, reported per bank only).
     #[must_use]
-    pub fn energy_pj(&self, model: &EnergyModel) -> f64 {
+    pub(crate) fn energy_pj(&self, model: &EnergyModel) -> f64 {
         model.e_act * self.activates as f64
             + (model.e_array + model.e_mac) * self.comp_ops as f64
             + model.e_act * self.refreshes as f64
@@ -855,7 +855,7 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::TraceBus;
+    use crate::event::TraceBus;
 
     fn act(cycle: u64, bank_ops: u32) -> TraceEvent {
         TraceEvent::Command {
@@ -1109,7 +1109,11 @@ mod tests {
         ts.to_chrome(&mut b, 7, &EnergyModel::new());
         // Seven counter tracks per window (bandwidth, bank utilization,
         // queue depth, ganged width, energy, ecc, requests), two windows.
-        assert_eq!(b.len(), 14);
+        let doc = b.build();
+        assert_eq!(
+            doc.get("traceEvents").unwrap().as_array().unwrap().len(),
+            14
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use newton_core::parallel::{par_map_mut, ParallelPolicy};
 
-use crate::rng::CounterRng;
+use newton_dram::faults::CounterRng;
 
 /// Seed-space tag so arrival streams never collide with weight/input
 /// generation streams derived from the same user seed.
@@ -102,7 +102,7 @@ impl ArrivalPattern {
     /// The peak rate `λ_max` in queries per nanosecond (the thinning
     /// envelope).
     #[must_use]
-    pub fn peak_rate_per_ns(&self) -> f64 {
+    fn peak_rate_per_ns(&self) -> f64 {
         match *self {
             ArrivalPattern::Poisson { rate_per_us } => rate_per_us / 1000.0,
             ArrivalPattern::Bursty {
@@ -121,7 +121,7 @@ impl ArrivalPattern {
     /// The time-averaged rate in queries per microsecond (what an
     /// empirical-rate check should converge to over whole periods).
     #[must_use]
-    pub fn mean_rate_per_us(&self) -> f64 {
+    pub(crate) fn mean_rate_per_us(&self) -> f64 {
         match *self {
             ArrivalPattern::Poisson { rate_per_us } => rate_per_us,
             ArrivalPattern::Bursty {

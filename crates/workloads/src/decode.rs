@@ -5,15 +5,13 @@
 //! products against weights that never change between tokens: the
 //! command schedule is identical for every token, only the input-vector
 //! bits differ. A [`DecodeStreamSpec`] pins that stream down
-//! reproducibly: one seeded weight matrix, one seeded input per token
-//! position, and an `f64` reference oracle for every token so a
-//! full-stream run can be checked token-by-token regardless of timing
-//! engine or thread width.
+//! reproducibly: one seeded weight matrix and one seeded input per token
+//! position, so a full-stream run can be checked token-by-token
+//! regardless of timing engine or thread width.
 
 use newton_bf16::Bf16;
 
 use crate::generator;
-use crate::reference;
 use crate::suite::MvShape;
 
 /// One decode stream: `tokens` GEMVs of the same `m x n` resident
@@ -70,28 +68,6 @@ impl DecodeStreamSpec {
     pub fn token_inputs(&self) -> Vec<Vec<Bf16>> {
         (0..self.tokens).map(|t| self.token_input(t)).collect()
     }
-
-    /// The `f64` reference oracle: exact per-token MV products of the
-    /// stream's matrix and inputs, for error-bound checks on simulator
-    /// outputs.
-    #[must_use]
-    pub fn reference_outputs(&self) -> Vec<Vec<f64>> {
-        let matrix = self.matrix();
-        (0..self.tokens)
-            .map(|t| reference::mv_f64(&matrix, self.m, self.n, &self.token_input(t)))
-            .collect()
-    }
-
-    /// Per-output-element absolute error tolerance against the oracle:
-    /// bf16 relative epsilon times the dot-product length, times the
-    /// worst-case partial magnitude (inputs are in `[-1, 1]` and weights
-    /// in `[-1/sqrt(n), 1/sqrt(n)]`, so partials are O(sqrt(n))).
-    #[must_use]
-    pub fn tolerance(&self) -> f64 {
-        let sqrt_n = (self.n as f64).sqrt();
-        // bf16 has an 8-bit significand: eps = 2^-8.
-        (self.n as f64) * sqrt_n.max(1.0) * (1.0 / 256.0) * 0.25
-    }
 }
 
 #[cfg(test)]
@@ -108,17 +84,6 @@ mod tests {
         for w in inputs.windows(2) {
             assert_ne!(w[0], w[1], "token inputs must differ");
         }
-    }
-
-    #[test]
-    fn oracle_matches_direct_reference() {
-        let spec = DecodeStreamSpec::new(8, 64, 3, 5);
-        let oracle = spec.reference_outputs();
-        assert_eq!(oracle.len(), 3);
-        let matrix = spec.matrix();
-        let direct = reference::mv_f64(&matrix, 8, 64, &spec.token_input(1));
-        assert_eq!(oracle[1], direct);
-        assert!(spec.tolerance() > 0.0);
     }
 
     #[test]

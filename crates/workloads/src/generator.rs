@@ -16,8 +16,8 @@
 use newton_bf16::Bf16;
 use newton_core::parallel::{par_map_mut, ParallelPolicy};
 
-use crate::rng::CounterRng;
 use crate::suite::MvShape;
+use newton_dram::faults::CounterRng;
 
 /// Element count below which a fill stays serial (thread spawn would
 /// dominate).
@@ -89,9 +89,7 @@ pub fn vector(n: usize, seed: u64) -> Vec<Bf16> {
 }
 
 /// Generates a `k`-way batch of distinct input vectors (Figs. 11/12
-/// sweeps and [`run_mv_batch`]-style measured batching).
-///
-/// [`run_mv_batch`]: https://docs.rs/newton-core
+/// sweeps).
 #[must_use]
 pub fn batch(n: usize, k: usize, seed: u64) -> Vec<Vec<Bf16>> {
     (0..k)

@@ -11,14 +11,15 @@
 //!   the conv-dominated non-FC fraction Newton does not accelerate);
 //! * [`generator`]: deterministic, seeded synthetic weights and inputs
 //!   (performance is data-independent; numerics are checked against
-//!   references), built on the splittable counter-based [`rng`] so
-//!   parallel generation is bit-identical to serial;
+//!   references), built on the splittable counter-based
+//!   `newton_dram::faults::CounterRng` so parallel generation is
+//!   bit-identical to serial;
 //! * [`mod@reference`]: `f64`/`f32` reference implementations of the MV
 //!   product, activations, normalization, and chained model execution;
 //! * [`arrivals`]: deterministic open-loop arrival traces
 //!   (Poisson/bursty/diurnal via thinning) for the online serving layer;
 //! * [`decode`]: autoregressive decode streams — N per-token GEMVs
-//!   against one resident matrix, with a per-token `f64` oracle.
+//!   against one resident matrix.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -29,7 +30,6 @@ pub mod generator;
 pub mod models;
 pub mod postprocess;
 pub mod reference;
-pub mod rng;
 pub mod suite;
 
 pub use arrivals::ArrivalPattern;

@@ -186,16 +186,6 @@ impl EndToEndModel {
     pub fn input_len(&self) -> usize {
         self.layers[0].shape.n
     }
-
-    /// Checks that consecutive layers chain: each layer's kept output
-    /// length equals the next layer's input length.
-    #[must_use]
-    pub fn chains(&self) -> bool {
-        self.layers.windows(2).all(|w| {
-            let out = w[0].output_keep.unwrap_or(w[0].shape.m);
-            out == w[1].shape.n
-        })
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +195,12 @@ mod tests {
     #[test]
     fn all_models_chain_dimensionally() {
         for model in EndToEndModel::all() {
-            assert!(model.chains(), "{} does not chain", model.name);
+            // Each layer's kept output length is the next layer's input.
+            let chains = model
+                .layers
+                .windows(2)
+                .all(|w| w[0].output_keep.unwrap_or(w[0].shape.m) == w[1].shape.n);
+            assert!(chains, "{} does not chain", model.name);
             assert!(!model.layers.is_empty());
         }
     }

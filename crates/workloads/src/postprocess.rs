@@ -1,49 +1,10 @@
-//! Host-side output post-processing: the operations the host applies to
-//! Newton's reduced output vectors after the final layer — softmax over
-//! logits, arg-max / top-k selection for classification (AlexNet) and
-//! ranking (DLRM recommendation scores).
+//! Host-side output post-processing: the top-k selection the host applies
+//! to Newton's reduced output vector after the final layer to rank
+//! recommendation scores (DLRM).
 //!
-//! These run on the host CPU in both the Newton and baseline systems
-//! (they are tiny vector ops, not matrix products), so they affect
-//! neither side of any speedup — but a usable inference library needs
-//! them, and the examples use them to produce human-readable results.
-
-/// Numerically stable softmax (subtracts the max before exponentiation).
-///
-/// Returns an empty vector for empty input. All-`-inf` rows of a real
-/// workload do not occur; NaN inputs propagate.
-///
-/// # Example
-///
-/// ```
-/// let p = newton_workloads::postprocess::softmax(&[1.0, 1.0]);
-/// assert!((p[0] - 0.5).abs() < 1e-6);
-/// ```
-#[must_use]
-pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    if logits.is_empty() {
-        return Vec::new();
-    }
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.iter().map(|&e| e / sum).collect()
-}
-
-/// Index of the largest value (ties resolve to the first). `None` for
-/// empty input.
-#[must_use]
-pub fn argmax(values: &[f32]) -> Option<usize> {
-    let mut best: Option<(usize, f32)> = None;
-    for (i, &v) in values.iter().enumerate() {
-        // Strictly-greater keeps the first index on ties (Rust's max_by
-        // would keep the last).
-        if best.is_none_or(|(_, bv)| v > bv) {
-            best = Some((i, v));
-        }
-    }
-    best.map(|(i, _)| i)
-}
+//! It runs on the host CPU in both the Newton and baseline systems (a
+//! tiny vector op, not a matrix product), so it affects neither side of
+//! any speedup; the examples use it to produce human-readable results.
 
 /// Indices of the `k` largest values, descending (the recommendation
 /// ranking step). Returns fewer than `k` when the input is shorter.
@@ -60,32 +21,6 @@ pub fn top_k(values: &[f32], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn softmax_is_a_probability_distribution() {
-        let p = softmax(&[1.0, 2.0, 3.0]);
-        let sum: f32 = p.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6);
-        assert!(p[2] > p[1] && p[1] > p[0]);
-        assert!(softmax(&[]).is_empty());
-    }
-
-    #[test]
-    fn softmax_is_shift_invariant_and_stable_for_large_logits() {
-        let a = softmax(&[1.0, 2.0, 3.0]);
-        let b = softmax(&[1001.0, 1002.0, 1003.0]);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-6);
-        }
-        assert!(b.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn argmax_handles_ties_and_empty() {
-        assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), Some(1));
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmax(&[-5.0]), Some(0));
-    }
 
     #[test]
     fn top_k_orders_descending_with_stable_ties() {

@@ -42,7 +42,7 @@ pub enum Activation {
 impl Activation {
     /// Applies the function.
     #[must_use]
-    pub fn apply(self, x: f64) -> f64 {
+    pub(crate) fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Identity => x,
             Activation::Relu => x.max(0.0),
@@ -54,7 +54,7 @@ impl Activation {
 
 /// Range-based batch normalization (divide by the max absolute value),
 /// matching the simulator's host-side normalization.
-pub fn normalize_range(values: &mut [f64]) {
+fn normalize_range(values: &mut [f64]) {
     let max_abs = values.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
     if max_abs > 0.0 {
         for v in values {

@@ -104,14 +104,6 @@ impl Benchmark {
         }
     }
 
-    /// Whether this layer belongs to the paper's "key target
-    /// applications" (BERT, GNMT and DLRM — Sec. V-A; AlexNet's FC layers
-    /// are a free benefit, not a target).
-    #[must_use]
-    pub fn is_key_target(self) -> bool {
-        !matches!(self, Benchmark::AlexNetL6 | Benchmark::AlexNetL7)
-    }
-
     /// A stable per-benchmark RNG seed for data generation.
     #[must_use]
     pub fn seed(self) -> u64 {
@@ -155,17 +147,6 @@ mod tests {
             assert_eq!(b.shape(), MvShape::new(m, n));
             assert_eq!(b.to_string(), name);
         }
-    }
-
-    #[test]
-    fn key_targets_exclude_alexnet() {
-        let keys: Vec<_> = Benchmark::all()
-            .into_iter()
-            .filter(|b| b.is_key_target())
-            .collect();
-        assert_eq!(keys.len(), 6);
-        assert!(!Benchmark::AlexNetL6.is_key_target());
-        assert!(!Benchmark::AlexNetL7.is_key_target());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   remove (scheduling, L2 warmup), which dominates only for tiny
 //!   matrices — "especially pronounced in DLRMs1" (Sec. V-A).
 //!
-//! [`GpuCalibration`] holds the only tuned constants in this repository.
+//! `GpuCalibration` holds the only tuned constants in this repository.
 //! They are set once so the Ideal-Non-PIM-to-GPU geomean gap over the
 //! Table II layers matches the paper's published 5.4×; every Newton
 //! number is then produced by the cycle simulator, not by fiat.
@@ -26,20 +26,20 @@ use newton_workloads::MvShape;
 /// Tuned constants of the GPU model (see module docs; DESIGN.md §2 and
 /// §6 document the calibration procedure).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GpuCalibration {
+pub(crate) struct GpuCalibration {
     /// Peak external DRAM bandwidth in bytes/ns (24 channels of the
     /// Table III device: 24 x 32 B / 4 ns = 192 B/ns).
-    pub bandwidth_bytes_per_ns: f64,
+    bandwidth_bytes_per_ns: f64,
     /// Asymptotic achieved-bandwidth fraction for large streaming GEMV.
-    pub eff_max: f64,
+    eff_max: f64,
     /// Working-set size (bytes) at which half of `eff_max` is achieved.
-    pub s_half_bytes: f64,
+    s_half_bytes: f64,
     /// Residual per-kernel cost (ns) after the paper's constant-overhead
     /// subtraction.
-    pub kernel_overhead_ns: f64,
+    kernel_overhead_ns: f64,
     /// Sustained fp16 FLOP/ns on skinny batched GEMM (well below the
     /// 110 TFLOP/s tensor-core peak).
-    pub compute_flops_per_ns: f64,
+    compute_flops_per_ns: f64,
 }
 
 impl Default for GpuCalibration {

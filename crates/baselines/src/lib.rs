@@ -21,5 +21,5 @@
 pub mod gpu;
 pub mod ideal;
 
-pub use gpu::{GpuCalibration, TitanVModel};
+pub use gpu::TitanVModel;
 pub use ideal::IdealNonPim;

@@ -744,7 +744,7 @@ impl NewtonChannel {
                 .channel
                 .issue_broadcast_write_train(t0, col_step, n_gwrites, col_bytes)?;
             self.trace
-                .record_train(t0, col_step, n_gwrites, |g| AimCommand::Gwrite { index: g });
+                .record_train(t0, col_step, n_gwrites, AimCommand::Gwrite { index: 0 });
             self.now = self.now.max(last);
         } else {
             for g in 0..n_gwrites {
@@ -888,9 +888,7 @@ impl NewtonChannel {
                 rows_clean,
             )?;
             self.trace
-                .record_train(t0, col_step, n_sub, |sub| AimCommand::Comp {
-                    subchunk: sub,
-                });
+                .record_train(t0, col_step, n_sub, AimCommand::Comp { subchunk: 0 });
             self.now = last;
             last_col = last;
             cmds += n_sub as u64;
@@ -1633,6 +1631,39 @@ mod tests {
         assert_eq!(ch.validate_audit(), Ok(()));
     }
 
+    /// The trace of a watched BERT S1 (1024 x 1024) channel holds runs,
+    /// not commands: at most five records a row-set, on both engines.
+    #[test]
+    fn a_traced_row_set_is_at_most_five_records() {
+        for engine in [TimingEngine::EventSkipping, TimingEngine::Reference] {
+            let mut cfg = cfg1(OptLevel::Full);
+            cfg.engine = engine;
+            cfg.telemetry = Some(crate::config::TelemetryConfig::default());
+            let (m, n) = (1024, 1024);
+            let mapping = MatrixMapping::new(
+                ScheduleKind::InterleavedFullReuse.layout(),
+                m,
+                n,
+                cfg.dram.banks,
+                cfg.row_elems(),
+                0,
+            )
+            .unwrap();
+            let schedule = Schedule::build(ScheduleKind::InterleavedFullReuse, &mapping);
+            let mut ch = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
+            ch.enable_trace();
+            ch.channel_mut().enable_audit();
+            ch.load_matrix(&mapping, &vec![bf(0.5); m * n]).unwrap();
+            let mut row_sets = 0;
+            for _ in 0..2 {
+                let run = ch.run_mv(&mapping, &schedule, &vec![bf(1.0); n], false);
+                row_sets += run.unwrap().stats.row_sets as usize;
+            }
+            let records = ch.trace().runs();
+            assert!(records <= 5 * row_sets, "{engine:?}: {records} records");
+        }
+    }
+
     #[test]
     fn trace_records_the_fig7_command_sequence() {
         let cfg = cfg1(OptLevel::Full);
@@ -1647,7 +1678,7 @@ mod tests {
             .unwrap();
         let trace = ch.trace();
         let count =
-            |pred: fn(&AimCommand) -> bool| trace.entries().iter().filter(|(_, c)| pred(c)).count();
+            |pred: fn(&AimCommand) -> bool| trace.entries().filter(|(_, c)| pred(c)).count();
         assert_eq!(count(|c| matches!(c, AimCommand::Gwrite { .. })), 32);
         assert_eq!(count(|c| matches!(c, AimCommand::GAct { .. })), 4);
         assert_eq!(count(|c| matches!(c, AimCommand::Comp { .. })), 32);
@@ -1656,9 +1687,8 @@ mod tests {
         // spaced by tFAW.
         let gacts: Vec<_> = trace
             .entries()
-            .iter()
             .filter(|(_, c)| matches!(c, AimCommand::GAct { .. }))
-            .map(|(t, _)| *t)
+            .map(|(t, _)| t)
             .collect();
         let t_faw = ch.channel().timing().t_faw;
         for w in gacts.windows(2) {

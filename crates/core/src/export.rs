@@ -66,10 +66,10 @@ fn bank_duration(cmd: &AimCommand, t: &Timing) -> u64 {
 /// Exports `trace` as a Chrome trace-event JSON document.
 ///
 /// `timing` supplies the cycle-to-nanosecond conversion and slice widths;
-/// `banks` is the channel's bank count (track layout). Every recorded
-/// command becomes exactly one slice on its bus track (so the number of
-/// `"X"` events with `pid == 1` equals `trace.entries().len()`), plus one
-/// slice per touched bank on the bank tracks.
+/// `banks` is the channel's bank count (track layout). Every command the
+/// trace expands to becomes exactly one slice on its bus track (so the
+/// `"X"` events with `pid == 1` are as many as [`CommandTrace::entries`]
+/// yields), plus one slice per touched bank on the bank tracks.
 #[must_use]
 pub fn export_chrome_trace(trace: &CommandTrace, timing: &Timing, banks: usize) -> String {
     let mut b = ChromeTraceBuilder::new(timing.tck_ns);
@@ -81,9 +81,9 @@ pub fn export_chrome_trace(trace: &CommandTrace, timing: &Timing, banks: usize) 
         b.thread_name(PID_BANKS, bank as u64, &format!("bank {bank}"));
     }
 
-    for &(cycle, ref cmd) in trace.entries() {
+    for (cycle, cmd) in trace.entries() {
         let label = cmd.to_string();
-        let tid = if is_row_bus(cmd) {
+        let tid = if is_row_bus(&cmd) {
             TID_ROW_BUS
         } else {
             TID_COL_BUS
@@ -96,8 +96,8 @@ pub fn export_chrome_trace(trace: &CommandTrace, timing: &Timing, banks: usize) 
             timing.t_cmd,
             &[("cycle", JsonValue::from(cycle))],
         );
-        if let Some((lo, hi)) = banks_of(cmd, banks) {
-            let dur = bank_duration(cmd, timing);
+        if let Some((lo, hi)) = banks_of(&cmd, banks) {
+            let dur = bank_duration(&cmd, timing);
             for bank in lo..hi {
                 b.complete(PID_BANKS, bank as u64, &label, cycle, dur, &[]);
             }

@@ -55,24 +55,22 @@ fn lane_of(cmd: &AimCommand) -> (Lane, char) {
 #[must_use]
 pub fn render_gantt(trace: &CommandTrace, slot_cycles: Cycle, max_width: usize) -> String {
     assert!(slot_cycles > 0, "slot width must be positive");
-    let entries = trace.entries();
-    if entries.is_empty() {
+    let cycles = || trace.entries().map(|(c, _)| c);
+    let (Some(start), Some(end)) = (cycles().min(), cycles().max()) else {
         return String::from("(empty trace)\n");
-    }
-    let start = entries.iter().map(|(c, _)| *c).min().unwrap_or(0);
-    let end = entries.iter().map(|(c, _)| *c).max().unwrap_or(0);
+    };
     let total_slots = ((end - start) / slot_cycles + 1) as usize;
     let width = total_slots.min(max_width.max(1));
 
     let mut rows: Vec<Vec<char>> = vec![vec!['.'; width]; LANES.len()];
     let mut clipped = false;
-    for (cycle, cmd) in entries {
+    for (cycle, cmd) in trace.entries() {
         let slot = ((cycle - start) / slot_cycles) as usize;
         if slot >= width {
             clipped = true;
             continue;
         }
-        let (lane, ch) = lane_of(cmd);
+        let (lane, ch) = lane_of(&cmd);
         let lane_idx = LANES.iter().position(|(l, _)| *l == lane).expect("lane");
         rows[lane_idx][slot] = ch;
     }

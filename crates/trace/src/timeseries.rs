@@ -388,18 +388,33 @@ impl TimeSeries {
         &self.per_bank
     }
 
+    /// The index of the window holding `cycle`. Events nearly always land
+    /// in the newest window, whose index the series already keeps, so the
+    /// division runs only for an event outside it.
+    #[inline]
+    fn locate(&self, cycle: u64) -> usize {
+        let newest = self.windows.len().saturating_sub(1);
+        // Wraps for a cycle before the newest window's start.
+        if cycle.wrapping_sub(newest as u64 * self.window_cycles) < self.window_cycles {
+            newest
+        } else {
+            (cycle / self.window_cycles) as usize
+        }
+    }
+
     fn window_mut(&mut self, cycle: u64) -> &mut WindowMetrics {
-        self.windows.slot_mut((cycle / self.window_cycles) as usize)
+        let idx = self.locate(cycle);
+        self.windows.slot_mut(idx)
     }
 
     /// Attributes a closed bank-open span, split across the windows it
     /// covers.
     fn add_open_span(&mut self, from: u64, to: u64) {
-        let w = self.window_cycles;
         let mut a = from;
         while a < to {
-            let b = ((a / w + 1) * w).min(to);
-            self.window_mut(a).bank_open_cycles += b - a;
+            let idx = self.locate(a);
+            let b = ((idx as u64 + 1) * self.window_cycles).min(to);
+            self.windows.slot_mut(idx).bank_open_cycles += b - a;
             a = b;
         }
     }
@@ -516,14 +531,13 @@ impl TimeSeries {
             f(self.window_mut(start), count);
             return;
         }
-        let w = self.window_cycles;
         let mut i = 0u64;
         while i < count {
-            let cycle = start + i * step;
-            let window_end = (cycle / w + 1) * w;
+            let idx = self.locate(start + i * step);
+            let window_end = (idx as u64 + 1) * self.window_cycles;
             // First train index at or past the window boundary.
             let bound = (window_end - start).div_ceil(step).min(count);
-            f(self.window_mut(cycle), bound - i);
+            f(self.windows.slot_mut(idx), bound - i);
             i = bound;
         }
     }
@@ -897,6 +911,27 @@ mod tests {
         let t = ts.totals();
         assert_eq!(t.commands, 2);
         assert_eq!(t.activates, 4);
+    }
+
+    /// Cycles that stay in the newest window, step back into an earlier
+    /// one, land on a window's first and last cycle, and skip windows:
+    /// each event still lands in window `cycle / 100`.
+    #[test]
+    fn events_land_in_their_windows_in_any_order() {
+        let cycles = [5, 99, 100, 7, 199, 0, 450, 399, 400, 250, 251, 1000];
+        let mut ts = TimeSeries::new(100, 1);
+        let mut want = [0u64; 11];
+        for cycle in cycles {
+            ts.record(&act(cycle, 1));
+            want[(cycle / 100) as usize] += 1;
+        }
+        let got: Vec<u64> = ts.windows().iter().map(|w| w.activates).collect();
+        assert_eq!(got, want);
+        assert_eq!(ts, {
+            let mut fresh = TimeSeries::new(100, 1);
+            cycles.iter().rev().for_each(|&c| fresh.record(&act(c, 1)));
+            fresh
+        });
     }
 
     #[test]

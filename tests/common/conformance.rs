@@ -102,15 +102,18 @@ fn assert_observers_agree(what: &str, a: &NewtonChannel, b: &NewtonChannel) {
             .collect::<Vec<_>>()
     };
     assert_eq!(verified(a), verified(b), "{what}: verified rows");
-    if a.trace().is_enabled() && b.trace().is_enabled() {
-        let (ea, eb) = (a.trace().entries(), b.trace().entries());
-        if let Some(i) = (0..ea.len().max(eb.len())).find(|&i| ea.get(i) != eb.get(i)) {
-            panic!(
-                "{what}: command traces diverge at entry {i}: oracle {:?}, production {:?}",
-                ea.get(i),
-                eb.get(i)
-            );
-        }
+    let (ta, tb) = (a.trace(), b.trace());
+    if ta.is_enabled() && tb.is_enabled() && ta != tb {
+        let i = ta
+            .entries()
+            .zip(tb.entries())
+            .position(|(x, y)| x != y)
+            .unwrap_or(ta.entries().len().min(tb.entries().len()));
+        panic!(
+            "{what}: command traces diverge at entry {i}: oracle {:?}, production {:?}",
+            ta.entries().nth(i),
+            tb.entries().nth(i)
+        );
     }
     if let (Some(la), Some(lb)) = (a.channel().audit(), b.channel().audit()) {
         assert_eq!(la.len(), lb.len(), "{what}: audit len");

@@ -127,9 +127,10 @@ fn without_telemetry_every_run_allocates_the_same() {
 
 /// Heap bytes allocated by each of the first `LATE` runs of the same
 /// system with everything watching it: telemetry, a command trace on
-/// every channel, and `NewtonConfig::audit`, which logs every command
-/// and checks what each run added before the run returns.
-fn watched_bytes_per_run() -> Vec<u64> {
+/// every channel (unless `trace` is off), and `NewtonConfig::audit`,
+/// which logs every command and checks what each run added before the
+/// run returns.
+fn watched_bytes_per_run(trace: bool) -> Vec<u64> {
     let mut cfg = NewtonConfig::paper_default();
     cfg.channels = 2;
     cfg.ecc = true;
@@ -137,8 +138,10 @@ fn watched_bytes_per_run() -> Vec<u64> {
     cfg.telemetry = Some(TelemetryConfig::default());
     cfg.parallel = ParallelPolicy::exact(1);
     let mut sys = NewtonSystem::new(cfg).expect("config");
-    for ch in sys.channels_mut() {
-        ch.enable_trace();
+    if trace {
+        for ch in sys.channels_mut() {
+            ch.enable_trace();
+        }
     }
     let matrix = generator::matrix(SHAPE, 7);
     let loaded = sys.load_matrix(&matrix, SHAPE.m, SHAPE.n).expect("load");
@@ -165,19 +168,36 @@ const WATCHED_RUNS_21_TO_40_BEFORE: u64 = 206_476_064;
 
 #[test]
 fn a_watched_run_allocates_for_what_it_adds_to_the_logs_not_for_the_logs() {
-    let bytes = watched_bytes_per_run();
+    let bytes = watched_bytes_per_run(true);
     let window: u64 = bytes[EARLY..2 * EARLY].iter().sum();
     assert!(
         window <= WATCHED_RUNS_21_TO_40_BEFORE / 4,
         "runs 21..=40 allocated {window} B, a quarter of {WATCHED_RUNS_21_TO_40_BEFORE} B is the limit"
     );
     // A run in which a log grows its storage pays for that growth (the
-    // trace doubles a `Vec`, the audit adds a chunk); no five runs in a
-    // row do, so the cheapest of five is what a run costs by itself.
+    // trace and the audit add a chunk); no five runs in a row do, so the
+    // cheapest of five is what a run costs by itself.
     let steady = |last: usize| *bytes[last - 5..last].iter().min().expect("five runs");
     let (early, late) = (steady(EARLY), steady(LATE));
     assert!(
         late <= early + ONE_CHUNK,
         "around run {EARLY} a run allocates {early} B, around run {LATE} {late} B"
+    );
+}
+
+/// What the command traces of [`watched_bytes_per_run`] allocated over
+/// all `LATE` runs (the bytes with them minus the bytes without) when a
+/// trace kept one 40-byte entry per command in a doubling `Vec` (this
+/// test body, run on that tree).
+const WATCHED_TRACE_BYTES_BEFORE: u64 = 83_883_520;
+
+#[test]
+fn a_command_trace_allocates_for_its_runs_not_its_commands() {
+    let traced: u64 = watched_bytes_per_run(true).iter().sum();
+    let untraced: u64 = watched_bytes_per_run(false).iter().sum();
+    let trace = traced - untraced;
+    assert!(
+        trace <= WATCHED_TRACE_BYTES_BEFORE / 5,
+        "the traces allocated {trace} B over {LATE} runs, a fifth of {WATCHED_TRACE_BYTES_BEFORE} B is the limit"
     );
 }

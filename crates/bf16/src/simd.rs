@@ -25,16 +25,20 @@
 //!   paper's 16-wide adder tree.
 //! * [`comp_subchunks16_multi`] does the same over row-major planes.
 //!
-//! Two layouts of the same exact `f32` widenings (`Bf16::to_f32` is exact,
-//! so no information is lost). The row-major [`comp_subchunks16_multi`]
-//! takes plain slices with each sub-chunk's 16 elements contiguous, so
-//! every adder-tree level is a horizontal pair-sum the vectorizer must
-//! build from shuffles; production code stopped calling it when
-//! [`comp_row_set`] landed, and it is kept only because the benchmark's
-//! kernel probe still times it. [`comp_row_set`] takes [`LanePlane`]s,
-//! which store a block of 32 sub-chunks as `[element][sub-chunk]`: products
-//! and all four tree levels are then vertical passes over 32 contiguous
-//! lanes with no shuffle. The decoded-weight cache and the device global
+//! The row-major [`comp_subchunks16_multi`] takes plain slices of exact
+//! `f32` widenings (`Bf16::to_f32` is exact) with each sub-chunk's 16
+//! elements contiguous, so every adder-tree level is a horizontal pair-sum
+//! the vectorizer must build from shuffles; production code stopped calling
+//! it when [`comp_row_set`] landed, and it is kept only because the
+//! benchmark's kernel probe still times it. [`comp_row_set`] takes
+//! [`LanePlane`]s, which keep the bf16 bits (2 bytes an element, as the
+//! modelled DRAM row holds them) and store a block of 32 sub-chunks as
+//! `[element][sub-chunk]`: products and all four tree levels are then
+//! vertical passes over 32 contiguous lanes with no shuffle. The kernel
+//! widens as it loads — each input block once per gang into a stack block
+//! of `f32`, each weight inside the product loop (a shift into the high
+//! half, which is exact) — so products and sums round exactly as they
+//! would on `f32` planes. The decoded-weight cache and the device global
 //! buffer maintain such planes, and only this module knows their index
 //! math.
 //!
@@ -136,6 +140,12 @@ fn products_level1_flat<const ROUND: bool>(
 #[must_use]
 fn round_bf16_bits_finite(bits: u32) -> u32 {
     bits.wrapping_add(0x7FFF + ((bits >> 16) & 1)) & 0xFFFF_0000
+}
+
+/// A bf16 bit pattern as the `f32` it widens to exactly.
+#[inline(always)]
+fn widen(bits: u16) -> f32 {
+    f32::from_bits(u32::from(bits) << 16)
 }
 
 /// The clean-block variant of [`products_level1_flat`]: rounds products
@@ -298,8 +308,8 @@ pub fn comp_subchunks16_multi(
     }
 }
 
-/// A row of bf16 values, exactly widened to `f32` and stored **lane-major**
-/// for [`comp_row_set`].
+/// A row of bf16 values, stored as their bits **lane-major** for
+/// [`comp_row_set`].
 ///
 /// The row is cut into 16-element sub-chunks and the sub-chunks into
 /// blocks of 32. Inside a block the layout is
@@ -308,13 +318,12 @@ pub fn comp_subchunks16_multi(
 /// are contiguous. The last block is padded with `+0.0` to full size.
 /// This module is the only place that knows the index math.
 ///
-/// A plane can only be filled from [`Bf16`] values or their little-endian
-/// bytes, so every lane is an exact widening (low 16 bits zero) — the
-/// precondition of the kernel's hoisted inf/NaN test, and what makes
-/// [`read`](LanePlane::read) lossless.
+/// Each element costs 2 bytes, as in the DRAM row; the kernel widens it
+/// to `f32` exactly (low 16 bits zero, the precondition of its hoisted
+/// inf/NaN test) as it loads.
 #[derive(Debug, Clone)]
 pub struct LanePlane {
-    lanes: Box<[f32]>,
+    lanes: Box<[u16]>,
     n_sub: usize,
 }
 
@@ -326,7 +335,7 @@ impl LanePlane {
         let n_sub = elems.div_ceil(TREE_ARITY);
         let blocks = n_sub.div_ceil(BLOCK_SUBS);
         LanePlane {
-            lanes: vec![0.0; blocks * BLOCK_ELEMS].into_boxed_slice(),
+            lanes: vec![0; blocks * BLOCK_ELEMS].into_boxed_slice(),
             n_sub,
         }
     }
@@ -352,12 +361,12 @@ impl LanePlane {
     ///
     /// Panics if `row` is longer than the plane.
     pub fn fill(&mut self, row: &[Bf16]) {
-        self.fill_with(row, Bf16::to_f32);
+        self.fill_with(row, Bf16::to_bits);
     }
 
     /// [`fill`](LanePlane::fill) from the row as DRAM stores it:
     /// little-endian bf16 pairs, decoded straight into the plane with no
-    /// intermediate [`Bf16`] row. Every lane is still an exact widening.
+    /// intermediate [`Bf16`] row.
     ///
     /// # Panics
     ///
@@ -365,15 +374,15 @@ impl LanePlane {
     pub fn fill_le_bytes(&mut self, bytes: &[u8]) {
         let (row, odd) = bytes.as_chunks::<2>();
         assert!(odd.is_empty(), "{} bytes are not bf16 pairs", bytes.len());
-        self.fill_with(row, |pair| Bf16::from_le_bytes(pair).to_f32());
+        self.fill_with(row, u16::from_le_bytes);
     }
 
-    /// The one transposing fill; `widen` must be an exact bf16 widening.
+    /// The one transposing fill; `bits` gives an element's bf16 bits.
     /// Whole blocks are transposed with sequential writes and no
     /// per-element index arithmetic (rows are decoded cold on the
     /// weight-reload path, so this loop is paid per use there).
     #[inline]
-    fn fill_with<T: Copy>(&mut self, row: &[T], widen: impl Fn(T) -> f32) {
+    fn fill_with<T: Copy>(&mut self, row: &[T], bits: impl Fn(T) -> u16) {
         assert!(
             row.len() <= self.n_sub * TREE_ARITY,
             "row of {} elements exceeds the plane's {} sub-chunks",
@@ -385,11 +394,11 @@ impl LanePlane {
             for (j, lane_row) in lanes.chunks_exact_mut(BLOCK_SUBS).enumerate() {
                 if block.len() == BLOCK_ELEMS {
                     for (lane, sub) in lane_row.iter_mut().zip(block.chunks_exact(TREE_ARITY)) {
-                        *lane = widen(sub[j]);
+                        *lane = bits(sub[j]);
                     }
                 } else {
                     for (s, lane) in lane_row.iter_mut().enumerate() {
-                        *lane = block.get(s * TREE_ARITY + j).map_or(0.0, |&e| widen(e));
+                        *lane = block.get(s * TREE_ARITY + j).map_or(0, |&e| bits(e));
                     }
                 }
             }
@@ -403,35 +412,34 @@ impl LanePlane {
     /// Panics if the range runs past the plane.
     pub fn write(&mut self, start: usize, values: &[Bf16]) {
         for (elem, v) in (start..).zip(values) {
-            self.lanes[lane_index(elem)] = v.to_f32();
+            self.lanes[lane_index(elem)] = v.to_bits();
         }
     }
 
     /// Reads elements `start..start + out.len()` (row order) back as
-    /// [`Bf16`] — the inverse of [`write`](LanePlane::write), exact because
-    /// every lane's low 16 bits are zero.
+    /// [`Bf16`] — the inverse of [`write`](LanePlane::write).
     ///
     /// # Panics
     ///
     /// Panics if the range runs past the plane.
     pub fn read(&self, start: usize, out: &mut [Bf16]) {
         for (elem, o) in (start..).zip(out) {
-            *o = Bf16::from_bits((self.lanes[lane_index(elem)].to_bits() >> 16) as u16);
+            *o = Bf16::from_bits(self.lanes[lane_index(elem)]);
         }
     }
 
-    /// Element `elem` (row order) as stored.
+    /// Element `elem` (row order), widened to `f32`.
     ///
     /// # Panics
     ///
     /// Panics if `elem` is past the plane.
     #[must_use]
     pub fn get(&self, elem: usize) -> f32 {
-        self.lanes[lane_index(elem)]
+        widen(self.lanes[lane_index(elem)])
     }
 
     #[inline]
-    fn block(&self, b: usize) -> &[f32; BLOCK_ELEMS] {
+    fn block(&self, b: usize) -> &[u16; BLOCK_ELEMS] {
         self.lanes[b * BLOCK_ELEMS..][..BLOCK_ELEMS]
             .try_into()
             .expect("sliced to one block")
@@ -451,13 +459,15 @@ type LaneRow = [f32; BLOCK_SUBS];
 /// reduced through four levels of vertical adds, every pass a straight
 /// loop over 32 contiguous lanes. Per sub-chunk (= per lane) this is the
 /// arithmetic DAG of [`block_roots`]: products rounded to bf16, the
-/// `(0,1)(2,3)…` pairing, per-level rounding when `ROUND`.
+/// `(0,1)(2,3)…` pairing, per-level rounding when `ROUND`. The weights
+/// `w` are bf16 bits, widened as they are multiplied; the inputs `v` come
+/// widened already.
 ///
 /// With `FULL` unset every rounding is [`round_bf16_bits_finite`], which
 /// is only trusted when no root comes out inf/NaN (see [`comp_row_set`]).
 #[inline]
 fn lane_block_roots<const ROUND: bool, const FULL: bool>(
-    w: &[f32; BLOCK_ELEMS],
+    w: &[u16; BLOCK_ELEMS],
     v: &[f32; BLOCK_ELEMS],
     roots: &mut LaneRow,
 ) {
@@ -477,7 +487,7 @@ fn lane_block_roots<const ROUND: bool, const FULL: bool>(
         );
         let mut out = [0f32; BLOCK_SUBS];
         for ((o, &x), &y) in out.iter_mut().zip(wj).zip(vj) {
-            *o = round::<FULL>(x * y);
+            *o = round::<FULL>(widen(x) * y);
         }
         out
     };
@@ -516,7 +526,7 @@ fn lane_block_roots<const ROUND: bool, const FULL: bool>(
 /// the slow path and gets the same bits.
 #[inline]
 fn lane_block_roots_checked<const ROUND: bool>(
-    w: &[f32; BLOCK_ELEMS],
+    w: &[u16; BLOCK_ELEMS],
     v: &[f32; BLOCK_ELEMS],
     n: usize,
     roots: &mut LaneRow,
@@ -593,14 +603,17 @@ fn comp_gang(
     // contiguous rows of independent accumulators.
     let mut roots_t = [0f32; BLOCK_SUBS * MULTI_MAX_BANKS];
     let mut roots = [0f32; BLOCK_SUBS];
+    let mut vb = [0f32; BLOCK_ELEMS];
     for b in 0..n_sub.div_ceil(BLOCK_SUBS) {
         let n = (n_sub - b * BLOCK_SUBS).min(BLOCK_SUBS);
-        let vb = inputs.block(b);
+        for (v, &bits) in vb.iter_mut().zip(inputs.block(b)) {
+            *v = widen(bits);
+        }
         for (k, plane) in weights.iter().enumerate() {
             let wb = plane.block(b);
             match precision {
-                TreePrecision::Wide => lane_block_roots_checked::<false>(wb, vb, n, &mut roots),
-                TreePrecision::PerStage => lane_block_roots_checked::<true>(wb, vb, n, &mut roots),
+                TreePrecision::Wide => lane_block_roots_checked::<false>(wb, &vb, n, &mut roots),
+                TreePrecision::PerStage => lane_block_roots_checked::<true>(wb, &vb, n, &mut roots),
             }
             for (sub, &r) in roots[..n].iter().enumerate() {
                 roots_t[sub * nb + k] = r;
@@ -713,7 +726,7 @@ mod tests {
         );
     }
 
-    fn widen(row: &[Bf16]) -> Vec<f32> {
+    fn widen_row(row: &[Bf16]) -> Vec<f32> {
         row.iter().map(|x| x.to_f32()).collect()
     }
 
@@ -734,10 +747,10 @@ mod tests {
         precision: TreePrecision,
         ctx: &str,
     ) {
-        let planes: Vec<Vec<f32>> = rows.iter().map(|r| widen(r)).collect();
+        let planes: Vec<Vec<f32>> = rows.iter().map(|r| widen_row(r)).collect();
         let refs: Vec<&[f32]> = planes.iter().map(Vec::as_slice).collect();
         let mut multi = latches0.to_vec();
-        comp_subchunks16_multi(&mut multi, &refs, &widen(inputs), precision);
+        comp_subchunks16_multi(&mut multi, &refs, &widen_row(inputs), precision);
         for (k, row) in rows.iter().enumerate() {
             assert_eq!(
                 bits_of(multi[k]),
@@ -854,13 +867,13 @@ mod tests {
         );
 
         let elems = n_sub * TREE_ARITY;
-        let wide: Vec<Vec<f32>> = rows.iter().map(|r| widen(&r[..elems])).collect();
+        let wide: Vec<Vec<f32>> = rows.iter().map(|r| widen_row(&r[..elems])).collect();
         let wide_refs: Vec<&[f32]> = wide.iter().map(Vec::as_slice).collect();
         let mut row_major = latches0.to_vec();
         comp_subchunks16_multi(
             &mut row_major,
             &wide_refs,
-            &widen(&inputs[..elems]),
+            &widen_row(&inputs[..elems]),
             precision,
         );
 

@@ -5,8 +5,10 @@
 //! written once per layer and re-decodes them from little-endian bf16
 //! pairs — pure overhead for the *simulator* (the modeled hardware reads
 //! the open row buffer directly). The COMP kernel wants a whole row as a
-//! lane-major [`LanePlane`]; this module decodes storage bytes into one
-//! and decides how long it lives ([`Residency`]):
+//! lane-major [`LanePlane`] (the row's bf16 bits, transposed: 2 bytes an
+//! element, like the storage row itself, with the kernel widening to
+//! `f32` as it loads); this module decodes storage bytes into one and
+//! decides how long it lives ([`Residency`]):
 //!
 //! * A **resident** matrix is run many times, so its rows are retained,
 //!   keyed by (bank, DRAM row), and stay coherent through the storage
@@ -40,8 +42,9 @@ pub enum Residency {
     SingleUse,
 }
 
-/// One retained row: the COMP kernel's lane-major `f32` plane and the
-/// storage generation the decode observed.
+/// One retained row: the COMP kernel's lane-major plane of bf16 bits
+/// (as many bytes as the storage row) and the storage generation the
+/// decode observed.
 #[derive(Debug)]
 struct CachedRow {
     generation: u64,

@@ -316,13 +316,25 @@ impl NewtonConfig {
     ///
     /// # Errors
     ///
-    /// [`AimError::InvalidConfig`] when a field is zero or the
+    /// [`AimError::InvalidConfig`] when a field is zero, the
     /// result-latch count is not 1 or 4 (the two design points the paper
-    /// discusses).
+    /// discusses), a column does not hold whole bf16 elements, or `ecc` is
+    /// on and a column does not hold whole 64-bit SECDED words.
     pub(crate) fn validate(&self) -> Result<(), AimError> {
         self.dram
             .validate()
             .map_err(|e| AimError::InvalidConfig(e.to_string()))?;
+        let col_bits = self.dram.col_io_bits;
+        if !col_bits.is_multiple_of(16) {
+            return Err(AimError::InvalidConfig(format!(
+                "a {col_bits}-bit column does not hold whole bf16 elements: col_io_bits must be a multiple of 16"
+            )));
+        }
+        if self.ecc && !col_bits.is_multiple_of(64) {
+            return Err(AimError::InvalidConfig(format!(
+                "ECC protects 64-bit words: with ecc on, col_io_bits must be a multiple of 64, got {col_bits}"
+            )));
+        }
         if self.channels == 0 {
             return Err(AimError::InvalidConfig("channels must be > 0".into()));
         }

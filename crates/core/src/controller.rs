@@ -196,7 +196,7 @@ impl NewtonChannel {
         let dram = config.effective_dram();
         let mut channel = Channel::new(dram)?;
         if config.ecc {
-            channel.storage_mut().enable_ecc();
+            channel.storage_mut().enable_ecc()?;
         }
         if config.audit {
             channel.enable_audit();
@@ -867,7 +867,7 @@ impl NewtonChannel {
         // `col_step` later: issue it as one train (same cycles, stats,
         // audit records, ECC checks and telemetry as the per-command
         // loop), then fold each bank's whole row against the global
-        // buffer's f32 plane in one batched kernel pass. Bit-exact because
+        // buffer's plane in one batched kernel pass. Bit-exact because
         // nothing inside a row-set observes device latch state, per-bank
         // sub-chunk order is preserved, and the batched kernel equals the
         // per-sub steps (`newton_bf16::simd::comp_row_set`).

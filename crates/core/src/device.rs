@@ -19,9 +19,9 @@ use crate::lut::{ActivationKind, ActivationLut};
 /// for a 1 KB row), loaded one sub-chunk at a time by `GWRITE#`.
 ///
 /// Alongside the bf16 elements the buffer maintains the same elements as
-/// the batched COMP kernel's lane-major `f32` plane (exact widenings), so
-/// a row-set COMP needs no per-COMP widening pass. The plane is updated on
-/// every write and can never go stale.
+/// the batched COMP kernel's lane-major plane, so a row-set COMP needs no
+/// per-COMP transposing pass (the kernel widens each block to `f32` once
+/// per gang). The plane is updated on every write and can never go stale.
 #[derive(Debug, Clone)]
 pub struct GlobalBuffer {
     elems: Vec<Bf16>,

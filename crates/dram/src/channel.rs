@@ -1318,10 +1318,10 @@ mod tests {
             Observer::None => {}
             Observer::Telemetry => ch.enable_telemetry(64),
             Observer::TelemetryEccProof => {
-                ch.storage_mut().enable_ecc();
+                ch.storage_mut().enable_ecc().unwrap();
                 ch.enable_telemetry(64);
             }
-            Observer::EccNoProof => ch.storage_mut().enable_ecc(),
+            Observer::EccNoProof => ch.storage_mut().enable_ecc().unwrap(),
             Observer::Audit => ch.enable_audit(),
             Observer::TelemetryAudit => {
                 ch.enable_telemetry(64);
@@ -1508,7 +1508,7 @@ mod tests {
     fn prescrubbed_activate_matches_scrubbing_activate_on_verified_rows() {
         let mk = || {
             let mut ch = Channel::new(DramConfig::hbm2e_like()).unwrap();
-            ch.storage_mut().enable_ecc();
+            ch.storage_mut().enable_ecc().unwrap();
             ch.enable_telemetry(64);
             for bank in [0, 1] {
                 let storage = ch.storage_mut();

@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn single_flips_are_correctable_doubles_are_not() {
         let mut ch = loaded_channel();
-        ch.storage_mut().enable_ecc();
+        ch.storage_mut().enable_ecc().unwrap();
         let spec = CampaignSpec {
             seed: 1,
             single_bit_flips: 8,
@@ -454,7 +454,7 @@ mod tests {
         assert_eq!(corrected, 8);
 
         let mut ch = loaded_channel();
-        ch.storage_mut().enable_ecc();
+        ch.storage_mut().enable_ecc().unwrap();
         let spec = CampaignSpec {
             seed: 1,
             single_bit_flips: 0,

@@ -102,17 +102,21 @@ impl Storage {
     /// is encoded now, and every subsequent legitimate write keeps its
     /// check bytes current. Idempotent.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the geometry is not word-aligned (row and column sizes
-    /// must be multiples of 8 bytes; every built-in preset is).
-    pub fn enable_ecc(&mut self) {
-        assert!(
-            self.row_bytes.is_multiple_of(WORD_BYTES) && self.col_bytes.is_multiple_of(WORD_BYTES),
-            "SECDED model requires 8-byte-aligned rows and columns"
-        );
+    /// [`DramError::InvalidConfig`] if the geometry is not word-aligned
+    /// (row and column sizes must be multiples of 8 bytes; every built-in
+    /// preset is). ECC then stays off.
+    pub fn enable_ecc(&mut self) -> Result<(), DramError> {
+        if !(self.row_bytes.is_multiple_of(WORD_BYTES) && self.col_bytes.is_multiple_of(WORD_BYTES))
+        {
+            return Err(DramError::InvalidConfig(format!(
+                "the SECDED model protects {WORD_BYTES}-byte words: a {}-byte column and a {}-byte row do not hold whole words",
+                self.col_bytes, self.row_bytes
+            )));
+        }
         if self.ecc {
-            return;
+            return Ok(());
         }
         self.ecc = true;
         for bank in &mut self.banks {
@@ -120,6 +124,7 @@ impl Storage {
                 slot.check = Some(encode_checks(&slot.data));
             }
         }
+        Ok(())
     }
 
     /// Whether the ECC model is enabled.
@@ -662,7 +667,7 @@ mod tests {
         assert_eq!(s.scrub_row(0, 1).unwrap(), 0);
         assert!(!s.row_verified(0, 1) && !s.row_verified(0, 2));
 
-        s.enable_ecc();
+        s.enable_ecc().unwrap();
         // An unallocated row is a valid all-zero codeword.
         assert!(s.row_verified(0, 2));
         assert!(!s.row_verified(16, 0) && !s.row_verified(0, 32_768));
@@ -730,7 +735,7 @@ mod tests {
         s.write_row(0, 1, &data).unwrap();
         // ECC off: scrub never touches anything.
         assert_eq!(s.scrub_row(0, 1).unwrap(), 0);
-        s.enable_ecc();
+        s.enable_ecc().unwrap();
         assert!(s.ecc_enabled());
         // Clean rows (encoded on enable) scrub clean, generation unchanged.
         let g = s.row_generation(0, 1).unwrap();
@@ -740,14 +745,23 @@ mod tests {
         assert_eq!(s.scrub_row(5, 99).unwrap(), 0);
         assert_eq!(s.check_column(5, 99, 0).unwrap(), 0);
         // enable_ecc is idempotent.
-        s.enable_ecc();
+        s.enable_ecc().unwrap();
         assert_eq!(s.scrub_row(0, 1).unwrap(), 0);
+    }
+
+    #[test]
+    fn ecc_on_columns_of_part_words_is_a_typed_error() {
+        let mut cfg = DramConfig::hbm2e_like();
+        cfg.col_io_bits = 32;
+        let mut s = Storage::new(&cfg);
+        assert!(matches!(s.enable_ecc(), Err(DramError::InvalidConfig(_))));
+        assert!(!s.ecc_enabled());
     }
 
     #[test]
     fn ecc_corrects_single_bit_and_bumps_generation() {
         let mut s = storage();
-        s.enable_ecc();
+        s.enable_ecc().unwrap();
         let data: Vec<u8> = (0..1024).map(|i| (i * 7 % 256) as u8).collect();
         s.write_row(2, 9, &data).unwrap();
         s.flip_bit(2, 9, 1234).unwrap();
@@ -766,7 +780,7 @@ mod tests {
     #[test]
     fn ecc_check_column_corrects_only_the_covered_words() {
         let mut s = storage();
-        s.enable_ecc();
+        s.enable_ecc().unwrap();
         s.write_row(0, 0, &vec![0x5Au8; 1024]).unwrap();
         // Column 3 covers bytes 96..128 = bits 768..1024.
         s.flip_bit(0, 0, 800).unwrap();
@@ -781,7 +795,7 @@ mod tests {
     #[test]
     fn ecc_detects_double_bit_as_uncorrectable() {
         let mut s = storage();
-        s.enable_ecc();
+        s.enable_ecc().unwrap();
         s.write_row(1, 4, &vec![0xC3u8; 1024]).unwrap();
         // Two flips in the same 64-bit word (word 0 = bits 0..64).
         s.flip_bit(1, 4, 3).unwrap();
@@ -796,7 +810,7 @@ mod tests {
         );
         // Flips in *different* words are each corrected.
         let mut s = storage();
-        s.enable_ecc();
+        s.enable_ecc().unwrap();
         s.write_row(1, 4, &vec![0xC3u8; 1024]).unwrap();
         s.flip_bit(1, 4, 3).unwrap();
         s.flip_bit(1, 4, 100).unwrap();
@@ -806,7 +820,7 @@ mod tests {
     #[test]
     fn legitimate_writes_reencode_faulty_rows() {
         let mut s = storage();
-        s.enable_ecc();
+        s.enable_ecc().unwrap();
         let data = vec![0x11u8; 1024];
         s.write_row(0, 7, &data).unwrap();
         s.flip_bit(0, 7, 64).unwrap();
@@ -824,7 +838,7 @@ mod tests {
     #[test]
     fn stuck_cells_survive_rewrites_and_stay_visible_to_ecc() {
         let mut s = storage();
-        s.enable_ecc();
+        s.enable_ecc().unwrap();
         let data = vec![0xFFu8; 1024];
         s.write_row(3, 2, &data).unwrap();
         s.set_stuck(3, 2, 8, false).unwrap();
@@ -851,7 +865,7 @@ mod tests {
     #[test]
     fn rewriting_a_row_reuses_its_buffer() {
         let mut s = storage();
-        s.enable_ecc();
+        s.enable_ecc().unwrap();
         s.write_row(4, 6, &[0xFFu8; 1024]).unwrap();
         s.set_stuck(4, 6, 8, false).unwrap();
         let at = s.row(4, 6).unwrap().as_ptr();

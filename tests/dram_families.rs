@@ -1,11 +1,14 @@
 //! Integration coverage for the Sec. III-E "other DRAM families"
 //! extension: the full Newton stack (layout, schedule, controller,
 //! numerics, timing audit) must work unchanged on GDDR6-, LPDDR4-, and
-//! DDR4-like channels, and on devices loaded from INI text.
+//! DDR4-like channels, and on devices loaded from INI text. A geometry the
+//! stack cannot hold (a column of part bf16 elements, or of part SECDED
+//! words with ECC on) is a typed config error from `NewtonSystem::new`.
 
 use newton_aim::bf16::reduce::dot_error_bound;
 use newton_aim::core::config::NewtonConfig;
 use newton_aim::core::system::NewtonSystem;
+use newton_aim::core::AimError;
 use newton_aim::dram::{ini, DramConfig};
 use newton_aim::workloads::{generator, reference, MvShape};
 
@@ -86,4 +89,49 @@ fn family_speedup_ordering_follows_bank_count() {
     let lp = measure(DramConfig::lpddr4_like());
     assert!(hbm > lp, "hbm {hbm} vs lpddr {lp}");
     assert!(lp > 4.0, "even LPDDR4 keeps a solid PIM advantage: {lp}");
+}
+
+/// `NewtonSystem::new` on a one-channel paper device whose columns are
+/// `col_io_bits` wide, with ECC on or off.
+fn new_with_columns(col_io_bits: usize, ecc: bool) -> Result<NewtonSystem, AimError> {
+    let mut cfg = NewtonConfig::paper_default();
+    cfg.channels = 1;
+    cfg.dram.col_io_bits = col_io_bits;
+    cfg.ecc = ecc;
+    NewtonSystem::new(cfg)
+}
+
+fn assert_invalid_config(result: Result<NewtonSystem, AimError>, needle: &str) {
+    match result {
+        Err(AimError::InvalidConfig(msg)) => assert!(msg.contains(needle), "{msg}"),
+        Err(other) => panic!("expected InvalidConfig naming {needle:?}, got {other}"),
+        Ok(_) => panic!("expected InvalidConfig naming {needle:?}, got a system"),
+    }
+}
+
+#[test]
+fn a_column_narrower_than_one_bf16_element_is_a_config_error() {
+    assert_invalid_config(new_with_columns(8, false), "bf16");
+}
+
+#[test]
+fn a_column_of_one_and_a_half_bf16_elements_is_a_config_error() {
+    assert_invalid_config(new_with_columns(24, false), "bf16");
+}
+
+#[test]
+fn ecc_on_a_column_of_part_words_is_a_config_error() {
+    assert_invalid_config(new_with_columns(32, true), "64-bit");
+    // The same column without ECC holds two whole elements and runs.
+    let mut sys = new_with_columns(32, false).expect("two bf16 elements a column");
+    let shape = MvShape::new(8, 64);
+    let run = sys
+        .run_mv(
+            &generator::matrix(shape, 3),
+            shape.m,
+            shape.n,
+            &generator::vector(shape.n, 3),
+        )
+        .expect("run");
+    assert_eq!(run.output.len(), shape.m);
 }

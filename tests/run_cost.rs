@@ -7,6 +7,10 @@
 //! and the timing audit attached a run allocates for the entries it adds
 //! to the two logs and for checking those entries, not for the logs.
 //!
+//! The first query on a freshly loaded resident matrix is the exception
+//! by design: it decodes every weight row into the plane the decoded-weight
+//! cache keeps, and what that costs is pinned here too.
+//!
 //! A count, not a timing: under `ParallelPolicy::exact(1)` everything
 //! runs on the calling thread and its allocations repeat exactly. The
 //! counter is thread-local, so the tests in this file do not see each
@@ -20,7 +24,7 @@ use newton_aim::core::parallel::ParallelPolicy;
 use newton_aim::core::system::{NewtonSystem, SystemRun};
 use newton_aim::core::TelemetryConfig;
 use newton_aim::trace::WindowMetrics;
-use newton_aim::workloads::{generator, MvShape};
+use newton_aim::workloads::{generator, Benchmark, MvShape};
 
 /// Counts the bytes each thread asks the system allocator for.
 struct CountingAlloc;
@@ -199,5 +203,35 @@ fn a_command_trace_allocates_for_its_runs_not_its_commands() {
     assert!(
         trace <= WATCHED_TRACE_BYTES_BEFORE / 5,
         "the traces allocated {trace} B over {LATE} runs, a fifth of {WATCHED_TRACE_BYTES_BEFORE} B is the limit"
+    );
+}
+
+/// Heap bytes the first `run_resident` allocates on a freshly loaded
+/// one-channel BERT S1 (1024 x 1024, 2,048 DRAM rows). That query decodes
+/// every weight row into the plane the decoded-weight cache retains.
+fn first_resident_bert_query_bytes() -> u64 {
+    let mut cfg = NewtonConfig::paper_default();
+    cfg.channels = 1;
+    cfg.parallel = ParallelPolicy::exact(1);
+    let mut sys = NewtonSystem::new(cfg).expect("config");
+    let shape = Benchmark::BertS1.shape();
+    let matrix = generator::matrix(shape, 7);
+    let loaded = sys.load_matrix(&matrix, shape.m, shape.n).expect("load");
+    let input = generator::vector(shape.n, 8);
+    alloc_delta(|| sys.run_resident(&loaded, &input).expect("run")).0
+}
+
+/// What [`first_resident_bert_query_bytes`] measured when a retained plane
+/// widened every weight to a 4-byte `f32` (this test body, run on that
+/// tree).
+const FIRST_RESIDENT_BERT_QUERY_BYTES_BEFORE: u64 = 4_304_256;
+
+#[test]
+fn retained_planes_cost_two_bytes_a_weight() {
+    let bytes = first_resident_bert_query_bytes();
+    let limit = FIRST_RESIDENT_BERT_QUERY_BYTES_BEFORE * 55 / 100;
+    assert!(
+        bytes <= limit,
+        "the first query allocated {bytes} B, 55 % of {FIRST_RESIDENT_BERT_QUERY_BYTES_BEFORE} B is the limit"
     );
 }

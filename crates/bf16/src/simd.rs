@@ -405,14 +405,25 @@ impl LanePlane {
         }
     }
 
-    /// Overwrites elements `start..start + values.len()` (row order).
+    /// Overwrites elements `start..start + values.len()` (row order). The
+    /// part of the range in one sub-chunk is one lane of as many
+    /// contiguous lane rows: one index computation, then strided stores.
     ///
     /// # Panics
     ///
     /// Panics if the range runs past the plane.
     pub fn write(&mut self, start: usize, values: &[Bf16]) {
-        for (elem, v) in (start..).zip(values) {
-            self.lanes[lane_index(elem)] = v.to_bits();
+        let (mut elem, mut rest) = (start, values);
+        while !rest.is_empty() {
+            let in_sub = (TREE_ARITY - elem % TREE_ARITY).min(rest.len());
+            let (piece, tail) = rest.split_at(in_sub);
+            let lanes = self.lanes[lane_index(elem)..]
+                .iter_mut()
+                .step_by(BLOCK_SUBS);
+            for (lane, v) in lanes.zip(piece) {
+                *lane = v.to_bits();
+            }
+            (elem, rest) = (elem + in_sub, tail);
         }
     }
 
@@ -1105,5 +1116,35 @@ mod tests {
     fn row_set_kernel_rejects_n_sub_past_a_plane() {
         let (short, long) = (LanePlane::zeroed(16), LanePlane::zeroed(512));
         comp_row_set(&mut [Bf16::ZERO], &[&short], &long, 2, TreePrecision::Wide);
+    }
+
+    /// `write` then `read` round-trips any range, and leaves the plane as
+    /// `from_row` of the row holding just that range would: every start
+    /// and length over one whole block and a ragged part of a second, so
+    /// ranges begin and end on and off sub-chunk and block boundaries.
+    #[test]
+    fn write_stores_any_range_as_from_row_would() {
+        let n = BLOCK_ELEMS + 2 * TREE_ARITY + 8;
+        let row: Vec<Bf16> = (1..=n).map(|i| Bf16::from_bits(i as u16)).collect();
+        // A range's plane is `full` with the lanes outside the range zero.
+        let full = LanePlane::from_row(&row);
+        let mut expected = vec![0u16; full.lanes.len()];
+        let mut plane = LanePlane::zeroed(n);
+        let mut out = vec![Bf16::ZERO; n];
+        for start in 0..=n {
+            for end in start..=n {
+                plane.lanes.fill(0);
+                plane.write(start, &row[start..end]);
+                plane.read(start, &mut out[..end - start]);
+                assert_eq!(out[..end - start], row[start..end], "{start}..{end}");
+                for e in start..end {
+                    expected[lane_index(e)] = full.lanes[lane_index(e)];
+                }
+                assert!(plane.lanes[..] == expected[..], "{start}..{end}");
+                for e in start..end {
+                    expected[lane_index(e)] = 0;
+                }
+            }
+        }
     }
 }

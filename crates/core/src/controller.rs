@@ -151,7 +151,8 @@ pub struct NewtonChannel {
     device: NewtonDevice,
     config: NewtonConfig,
     now: Cycle,
-    trace: CommandTrace,
+    /// Whether [`NewtonChannel::trace`] reads the channel's command log.
+    traced: bool,
     host_queue: Vec<HostRequest>,
     host_responses: Vec<HostResponse>,
     weight_cache: DecodedWeightCache,
@@ -218,7 +219,7 @@ impl NewtonChannel {
             device,
             config: config.clone(),
             now: 0,
-            trace: CommandTrace::new(),
+            traced: false,
             host_queue: Vec::new(),
             host_responses: Vec::new(),
             weight_cache,
@@ -353,15 +354,20 @@ impl NewtonChannel {
         self.now = self.now.max(cycle);
     }
 
-    /// Enables command tracing (Fig. 7-style timelines).
+    /// Enables command tracing (Fig. 7-style timelines): starts the
+    /// channel's command log if the audit has not, and lets
+    /// [`NewtonChannel::trace`] read it.
     pub fn enable_trace(&mut self) {
-        self.trace = CommandTrace::enabled();
+        self.traced = true;
+        self.channel.enable_command_log();
     }
 
-    /// The recorded command trace.
+    /// The command trace: the AiM commands of the channel's command log,
+    /// disabled and empty unless [`NewtonChannel::enable_trace`] was
+    /// called.
     #[must_use]
-    pub fn trace(&self) -> &CommandTrace {
-        &self.trace
+    pub fn trace(&self) -> CommandTrace<'_> {
+        CommandTrace::new(self.channel.command_log().filter(|_| self.traced))
     }
 
     /// Loads a matrix into DRAM per `mapping` (functional path; the matrix
@@ -566,8 +572,8 @@ impl NewtonChannel {
         let at = self
             .channel
             .earliest_result_read(self.now.max(self.tree_done));
-        self.channel.issue_result_read(at, bytes)?;
-        self.trace.record(at, cmd);
+        self.channel
+            .issue_as(cmd, |ch| ch.issue_result_read(at, bytes))?;
         self.now = at;
         self.done = self.done.max(at + t.t_aa + t.t_ccd);
         self.tally.readres_commands += 1;
@@ -591,8 +597,8 @@ impl NewtonChannel {
             .channel
             .earliest_precharge_all()
             .max(last_comp + t.t_rtp);
-        self.channel.issue_precharge_all(p)?;
-        self.trace.record(p, AimCommand::PreAll);
+        self.channel
+            .issue_as(AimCommand::PreAll, |ch| ch.issue_precharge_all(p))?;
         self.now = last_comp + t.t_ccd;
         self.done = self.done.max(p + t.t_rp);
         self.tally.row_sets += 1;
@@ -743,14 +749,14 @@ impl NewtonChannel {
             let last = self
                 .channel
                 .issue_broadcast_write_train(t0, col_step, n_gwrites, col_bytes)?;
-            self.trace
-                .record_train(t0, col_step, n_gwrites, AimCommand::Gwrite { index: 0 });
             self.now = self.now.max(last);
         } else {
             for g in 0..n_gwrites {
                 let t = self.channel.earliest_broadcast_write(self.now);
-                self.channel.issue_broadcast_write(t, col_bytes)?;
-                self.trace.record(t, AimCommand::Gwrite { index: g });
+                self.channel
+                    .issue_as(AimCommand::Gwrite { index: g }, |ch| {
+                        ch.issue_broadcast_write(t, col_bytes)
+                    })?;
                 self.now = self.now.max(t);
             }
         }
@@ -787,37 +793,32 @@ impl NewtonChannel {
                     .earliest_ganged_activate(&self.scratch_banks)
                     .max(cursor);
                 let storage = self.channel.storage();
-                if skip_verified
+                let verified = skip_verified
                     && self
                         .scratch_pairs
                         .iter()
-                        .all(|&(bank, row)| storage.row_verified(bank, row))
-                {
-                    self.channel
-                        .issue_ganged_activate_prescrubbed(t, &self.scratch_pairs)?;
-                } else {
-                    self.channel.issue_ganged_activate(t, &self.scratch_pairs)?;
-                }
-                self.trace.record(
-                    t,
-                    AimCommand::GAct {
-                        cluster: cluster[0].bank / 4,
-                        row: rs.dram_row,
-                    },
-                );
+                        .all(|&(bank, row)| storage.row_verified(bank, row));
+                let gact = AimCommand::GAct {
+                    cluster: cluster[0].bank / 4,
+                    row: rs.dram_row,
+                };
+                let pairs = &self.scratch_pairs;
+                self.channel.issue_as(gact, |ch| {
+                    if verified {
+                        ch.issue_ganged_activate_prescrubbed(t, pairs)
+                    } else {
+                        ch.issue_ganged_activate(t, pairs)
+                    }
+                })?;
                 cmds += 1;
             }
         } else {
             for w in &rs.work {
                 let t = self.channel.earliest_activate(w.bank).max(cursor);
-                self.channel.issue_activate(t, w.bank, rs.dram_row)?;
-                self.trace.record(
-                    t,
-                    AimCommand::Act {
-                        bank: w.bank,
-                        row: rs.dram_row,
-                    },
-                );
+                let (bank, row) = (w.bank, rs.dram_row);
+                self.channel.issue_as(AimCommand::Act { bank, row }, |ch| {
+                    ch.issue_activate(t, bank, row)
+                })?;
                 cmds += 1;
             }
         }
@@ -887,8 +888,6 @@ impl NewtonChannel {
                 &self.scratch_banks,
                 rows_clean,
             )?;
-            self.trace
-                .record_train(t0, col_step, n_sub, AimCommand::Comp { subchunk: 0 });
             self.now = last;
             last_col = last;
             cmds += n_sub as u64;
@@ -903,114 +902,68 @@ impl NewtonChannel {
             return Ok((cmds, last_col));
         }
 
+        // One command set per sub-chunk drives every bank when ganged;
+        // otherwise each bank gets its own. Simple commands wrap each
+        // column read in a broadcast and a multiply-add trigger.
+        let (ganged, complex) = (self.config.opts.ganged_comp, self.config.opts.complex_comp);
         for sub in 0..n_sub {
-            if self.config.opts.ganged_comp {
-                if !self.config.opts.complex_comp {
-                    // Simple expansion step 1: broadcast the input
-                    // sub-chunk from the global buffer.
-                    let t = self.channel.earliest_control_command(self.now);
-                    self.channel.issue_control_command(t)?;
-                    self.trace
-                        .record(t, AimCommand::BroadcastInput { subchunk: sub });
-                    self.now = t;
+            for k in 0..if ganged { 1 } else { rs.work.len() } {
+                let target = (!ganged).then(|| rs.work[k].bank);
+                if !complex {
+                    self.control_command(AimCommand::BroadcastInput { subchunk: sub })?;
                     cmds += 1;
                 }
-                // Column read (+ multiply-add when complex).
+                let banks = match &target {
+                    Some(bank) => std::slice::from_ref(bank),
+                    None => &self.scratch_banks[..],
+                };
                 self.scratch_pairs.clear();
-                self.scratch_pairs
-                    .extend(self.scratch_banks.iter().map(|&b| (b, sub)));
-                let t = self
-                    .channel
-                    .earliest_ganged_column_read(self.now, &self.scratch_banks);
-                let device = &mut self.device;
-                let cache = &self.weight_cache;
-                self.channel.issue_ganged_column_read_internal(
-                    t,
-                    &self.scratch_pairs,
-                    |bank, data| {
+                self.scratch_pairs.extend(banks.iter().map(|&b| (b, sub)));
+                let t = self.channel.earliest_ganged_column_read(self.now, banks);
+                let cmd = match target {
+                    Some(bank) => AimCommand::CompBank {
+                        bank,
+                        subchunk: sub,
+                    },
+                    None if complex => AimCommand::Comp { subchunk: sub },
+                    None => AimCommand::ColumnRead {
+                        subchunk: sub,
+                        bank: None,
+                    },
+                };
+                let (device, cache) = (&mut self.device, &self.weight_cache);
+                let pairs = &self.scratch_pairs;
+                self.channel.issue_as(cmd, |ch| {
+                    ch.issue_ganged_column_read_internal(t, pairs, |bank, data| {
                         functional_comp(
                             device, cache, engine, sub_elems, row, latch, sub, bank, data,
                         );
-                    },
-                )?;
-                self.trace.record(
-                    t,
-                    if self.config.opts.complex_comp {
-                        AimCommand::Comp { subchunk: sub }
-                    } else {
-                        AimCommand::ColumnRead {
-                            subchunk: sub,
-                            bank: None,
-                        }
-                    },
-                );
+                    })
+                })?;
                 self.now = t;
-                last_col = t;
+                last_col = last_col.max(t);
                 cmds += 1;
-                if !self.config.opts.complex_comp {
-                    // Simple expansion step 3: the multiply-add trigger.
-                    let t = self.channel.earliest_control_command(self.now);
-                    self.channel.issue_control_command(t)?;
-                    self.trace.record(
-                        t,
-                        AimCommand::MultiplyAdd {
-                            subchunk: sub,
-                            bank: None,
-                        },
-                    );
-                    self.now = t;
+                if !complex {
+                    let bank = target;
+                    self.control_command(AimCommand::MultiplyAdd {
+                        subchunk: sub,
+                        bank,
+                    })?;
                     cmds += 1;
-                }
-            } else {
-                // No ganging: every bank needs its own command set.
-                for w in &rs.work {
-                    if !self.config.opts.complex_comp {
-                        let t = self.channel.earliest_control_command(self.now);
-                        self.channel.issue_control_command(t)?;
-                        self.trace
-                            .record(t, AimCommand::BroadcastInput { subchunk: sub });
-                        self.now = t;
-                        cmds += 1;
-                    }
-                    let pair = [(w.bank, sub)];
-                    let t = self
-                        .channel
-                        .earliest_ganged_column_read(self.now, &[w.bank]);
-                    let device = &mut self.device;
-                    let cache = &self.weight_cache;
-                    self.channel
-                        .issue_ganged_column_read_internal(t, &pair, |bank, data| {
-                            functional_comp(
-                                device, cache, engine, sub_elems, row, latch, sub, bank, data,
-                            );
-                        })?;
-                    self.trace.record(
-                        t,
-                        AimCommand::CompBank {
-                            bank: w.bank,
-                            subchunk: sub,
-                        },
-                    );
-                    self.now = t;
-                    last_col = last_col.max(t);
-                    cmds += 1;
-                    if !self.config.opts.complex_comp {
-                        let t = self.channel.earliest_control_command(self.now);
-                        self.channel.issue_control_command(t)?;
-                        self.trace.record(
-                            t,
-                            AimCommand::MultiplyAdd {
-                                subchunk: sub,
-                                bank: Some(w.bank),
-                            },
-                        );
-                        self.now = t;
-                        cmds += 1;
-                    }
                 }
             }
         }
         Ok((cmds, last_col))
+    }
+
+    /// Issues `cmd`, a BCAST or MAC of the simple-command expansion, as a
+    /// control-only command at the next column-bus slot.
+    fn control_command(&mut self, cmd: AimCommand) -> Result<(), AimError> {
+        let t = self.channel.earliest_control_command(self.now);
+        self.channel
+            .issue_as(cmd, |ch| ch.issue_control_command(t))?;
+        self.now = t;
+        Ok(())
     }
 
     /// Waits for the pending refresh to mature, issues it, and advances
@@ -1028,8 +981,8 @@ impl NewtonChannel {
             .earliest_precharge_all() // just the row-bus slot when idle
             .max(self.now)
             .max(due);
-        self.channel.issue_refresh_all(at)?;
-        self.trace.record(at, AimCommand::Refresh);
+        self.channel
+            .issue_as(AimCommand::Refresh, |ch| ch.issue_refresh_all(at))?;
         self.now = at + t.t_rfc;
         Ok(())
     }
@@ -1631,10 +1584,12 @@ mod tests {
         assert_eq!(ch.validate_audit(), Ok(()));
     }
 
-    /// The trace of a watched BERT S1 (1024 x 1024) channel holds runs,
-    /// not commands: at most five records a row-set, on both engines.
+    /// A watched BERT S1 (1024 x 1024) channel logs each command or
+    /// train once, in the one log its trace and its audit read: at most
+    /// eight records a row-set, on both engines (the oracle's single
+    /// GWRITEs and COMPs fold into runs as they are named).
     #[test]
-    fn a_traced_row_set_is_at_most_five_records() {
+    fn a_watched_row_set_is_at_most_eight_records() {
         for engine in [TimingEngine::EventSkipping, TimingEngine::Reference] {
             let mut cfg = cfg1(OptLevel::Full);
             cfg.engine = engine;
@@ -1659,9 +1614,45 @@ mod tests {
                 let run = ch.run_mv(&mapping, &schedule, &vec![bf(1.0); n], false);
                 row_sets += run.unwrap().stats.row_sets as usize;
             }
-            let records = ch.trace().runs();
-            assert!(records <= 5 * row_sets, "{engine:?}: {records} records");
+            let log = ch.channel().command_log().expect("watched");
+            let records = log.records();
+            assert!(records <= 8 * row_sets, "{engine:?}: {records} records");
+            assert!(ch.trace().entries().eq(log.aim_commands()));
         }
+    }
+
+    /// Each view is on only when asked for, whichever started the log.
+    #[test]
+    fn the_trace_and_the_audit_are_armed_separately() {
+        let cfg = cfg1(OptLevel::Full);
+        let mapping =
+            MatrixMapping::new(crate::layout::Layout::ChunkInterleaved, 16, 512, 16, 512, 0)
+                .unwrap();
+        let schedule = Schedule::build(ScheduleKind::InterleavedFullReuse, &mapping);
+        let run = |trace: bool, audit: bool| {
+            let mut ch = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
+            if trace {
+                ch.enable_trace();
+            }
+            if audit {
+                ch.channel_mut().enable_audit();
+            }
+            ch.load_matrix(&mapping, &vec![bf(1.0); 16 * 512]).unwrap();
+            ch.run_mv(&mapping, &schedule, &vec![bf(1.0); 512], false)
+                .unwrap();
+            let entries: Vec<_> = ch.trace().entries().collect();
+            let events: Option<Vec<_>> = ch.channel().audit().map(|a| a.events().collect());
+            (ch.trace().is_enabled(), entries, events)
+        };
+        let (traced, entries, events) = run(true, false);
+        assert!(traced && !entries.is_empty() && events.is_none());
+        let (traced, none, audit_events) = run(false, true);
+        assert!(!traced && none.is_empty() && audit_events.is_some());
+        let (traced, both_entries, both_events) = run(true, true);
+        assert!(traced);
+        assert_eq!(both_entries, entries);
+        assert_eq!(both_events, audit_events);
+        assert_eq!(run(false, false), (false, Vec::new(), None));
     }
 
     #[test]

@@ -109,26 +109,35 @@ pub fn export_chrome_trace(trace: &CommandTrace, timing: &Timing, banks: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::fixture::logged;
     use newton_dram::timing::TimingParams;
+    use newton_dram::Channel;
     use newton_trace::JsonValue;
 
     fn timing() -> Timing {
         TimingParams::hbm2e_like().to_cycles().unwrap()
     }
 
-    fn sample_trace() -> CommandTrace {
-        let mut tr = CommandTrace::enabled();
-        tr.record(0, AimCommand::Gwrite { index: 0 });
-        tr.record(4, AimCommand::GAct { cluster: 0, row: 3 });
-        tr.record(20, AimCommand::Comp { subchunk: 0 });
-        tr.record(24, AimCommand::ReadRes);
-        tr.record(40, AimCommand::PreAll);
-        tr
+    /// A channel that logged one small row-set.
+    fn sample_channel() -> Channel {
+        logged(&[
+            (0, AimCommand::Gwrite { index: 0 }),
+            (4, AimCommand::GAct { cluster: 0, row: 3 }),
+            (20, AimCommand::Comp { subchunk: 0 }),
+            (24, AimCommand::ReadRes),
+            (40, AimCommand::PreAll),
+        ])
+    }
+
+    fn sample_export() -> String {
+        let ch = sample_channel();
+        export_chrome_trace(&CommandTrace::new(ch.command_log()), &timing(), 16)
     }
 
     #[test]
     fn export_parses_and_roundtrips_command_count() {
-        let tr = sample_trace();
+        let ch = sample_channel();
+        let tr = CommandTrace::new(ch.command_log());
         let text = export_chrome_trace(&tr, &timing(), 16);
         let doc = JsonValue::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
@@ -139,12 +148,12 @@ mod tests {
                     && e.get("pid").and_then(JsonValue::as_f64) == Some(PID_BUSES as f64)
             })
             .count();
-        assert_eq!(bus_slices, tr.entries().len());
+        assert_eq!(bus_slices, tr.entries().count());
     }
 
     #[test]
     fn tracks_exist_for_buses_and_every_bank() {
-        let text = export_chrome_trace(&sample_trace(), &timing(), 16);
+        let text = sample_export();
         let doc = JsonValue::parse(&text).unwrap();
         let names: Vec<String> = doc
             .get("traceEvents")
@@ -164,7 +173,7 @@ mod tests {
 
     #[test]
     fn row_and_column_commands_land_on_their_buses() {
-        let text = export_chrome_trace(&sample_trace(), &timing(), 16);
+        let text = sample_export();
         let doc = JsonValue::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         let tid_of = |label: &str| -> f64 {

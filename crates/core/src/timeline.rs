@@ -95,37 +95,28 @@ pub fn render_gantt(trace: &CommandTrace, slot_cycles: Cycle, max_width: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::fixture::logged;
+    use newton_dram::audit::Audit;
+    use newton_dram::Channel;
 
-    fn demo_trace() -> CommandTrace {
-        let mut t = CommandTrace::enabled();
-        for i in 0..4u64 {
-            t.record(4 * i, AimCommand::Gwrite { index: i as usize });
-        }
-        for c in 0..4u64 {
-            t.record(
-                22 * c,
-                AimCommand::GAct {
-                    cluster: c as usize,
-                    row: 0,
-                },
-            );
-        }
-        for s in 0..8u64 {
-            t.record(
-                80 + 4 * s,
-                AimCommand::Comp {
-                    subchunk: s as usize,
-                },
-            );
-        }
-        t.record(124, AimCommand::ReadRes);
-        t.record(120, AimCommand::PreAll);
-        t
+    /// A channel that logged one row-set's commands.
+    fn demo_channel() -> Channel {
+        let gwrites = (0..4).map(|i| (4 * i as Cycle, AimCommand::Gwrite { index: i }));
+        let gacts = (0..4).map(|c| (22 * c as Cycle, AimCommand::GAct { cluster: c, row: 0 }));
+        let comps = (0..8).map(|s| (80 + 4 * s as Cycle, AimCommand::Comp { subchunk: s }));
+        let tail = [(124, AimCommand::ReadRes), (120, AimCommand::PreAll)];
+        let entries: Vec<_> = gwrites.chain(gacts).chain(comps).chain(tail).collect();
+        logged(&entries)
+    }
+
+    fn demo_chart(max_width: usize) -> String {
+        let ch = demo_channel();
+        render_gantt(&CommandTrace::new(ch.command_log()), 4, max_width)
     }
 
     #[test]
     fn lanes_show_the_fig7_structure() {
-        let chart = render_gantt(&demo_trace(), 4, 200);
+        let chart = demo_chart(200);
         let lines: Vec<&str> = chart.lines().collect();
         assert_eq!(lines.len(), 6, "header + 5 lanes");
         let gwrite = lines[1];
@@ -146,7 +137,7 @@ mod tests {
 
     #[test]
     fn gacts_land_in_tfaw_spaced_columns() {
-        let chart = render_gantt(&demo_trace(), 4, 200);
+        let chart = demo_chart(200);
         let gact_lane = chart.lines().nth(2).unwrap();
         let body = &gact_lane["G_ACT   ".len()..];
         let positions: Vec<usize> = body
@@ -160,14 +151,15 @@ mod tests {
 
     #[test]
     fn clipping_reports_hidden_slots() {
-        let chart = render_gantt(&demo_trace(), 4, 10);
+        let chart = demo_chart(10);
         assert!(chart.contains("clipped to 10"));
     }
 
     #[test]
     fn empty_trace_renders_placeholder() {
+        let log = Audit::new();
         assert_eq!(
-            render_gantt(&CommandTrace::enabled(), 4, 80),
+            render_gantt(&CommandTrace::new(Some(&log)), 4, 80),
             "(empty trace)\n"
         );
     }
@@ -175,28 +167,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "slot width")]
     fn zero_slot_width_panics() {
-        let _ = render_gantt(&CommandTrace::enabled(), 0, 80);
+        let _ = render_gantt(&CommandTrace::new(None), 0, 80);
     }
 
     #[test]
     fn simple_command_expansion_uses_distinct_glyphs() {
-        let mut t = CommandTrace::enabled();
-        t.record(0, AimCommand::BroadcastInput { subchunk: 0 });
-        t.record(
-            4,
-            AimCommand::ColumnRead {
-                subchunk: 0,
-                bank: None,
-            },
-        );
-        t.record(
-            8,
-            AimCommand::MultiplyAdd {
-                subchunk: 0,
-                bank: None,
-            },
-        );
-        let chart = render_gantt(&t, 4, 80);
+        let ch = logged(&[
+            (0, AimCommand::BroadcastInput { subchunk: 0 }),
+            (
+                4,
+                AimCommand::ColumnRead {
+                    subchunk: 0,
+                    bank: None,
+                },
+            ),
+            (
+                8,
+                AimCommand::MultiplyAdd {
+                    subchunk: 0,
+                    bank: None,
+                },
+            ),
+        ]);
+        let chart = render_gantt(&CommandTrace::new(ch.command_log()), 4, 80);
         let comp = chart.lines().nth(3).unwrap();
         assert!(comp.contains('b') && comp.contains('r') && comp.contains('m'));
     }

@@ -1,26 +1,36 @@
-//! Independent post-hoc timing audit.
+//! A channel's command log, and the independent post-hoc timing audit
+//! that reads it.
 //!
 //! The channel's constraint engine computes earliest-legal cycles
 //! incrementally and applies whole command trains in closed form; the
-//! audit re-derives every constraint from the raw event log, one event at
-//! a time. The two implementations share no code, so agreement is strong
-//! evidence the incremental engine — closed forms included — is right.
+//! audit re-derives every constraint from the log, one event at a time.
+//! The two share no code, so agreement is strong evidence the
+//! incremental engine — closed forms included — is right.
 //!
-//! **Storage.** The log keeps what was recorded: single events, and one
-//! folded record per command train (`start`, `step`, `count` and the bank
-//! list in issue order) and per ganged row command (a G_ACT, a
-//! precharge-all: a train of one). A folded record is expanded only when
-//! the log is read: command `i` becomes an [`AuditEvent::Slot`] at
-//! `start + i * step` followed by one event per listed bank — an
-//! internal [`AuditEvent::ColRd`] for a train (none for a bank-less train
-//! such as GWRITE), an [`AuditEvent::Act`] or an [`AuditEvent::Pre`] for
-//! a gang. [`Audit::len`] and [`Audit::events`] always speak of the
-//! expanded sequence, so a log written folded is indistinguishable from
-//! one written event by event. Records sit in fixed-size chunks and bank
-//! lists are kept once each, so a Newton row-set costs about eight
-//! records whatever its width.
+//! **Storage.** One log per channel records each issued command or train
+//! once, as a folded record: `start`, `step`, `count`, the bank list in
+//! issue order and what each listed bank does. A single command, ganged
+//! or not, is a train of one. A record the AiM controller issued also
+//! names its [`AimCommand`] (a train: its first; the rest follow by
+//! index); conventional traffic (ACT, PRE, RD, WR, REF) is unnamed.
+//! Records sit in fixed-size chunks and bank lists and names are kept
+//! once each, so a Newton row-set — a GWRITE train, four G_ACTs, the
+//! COMP train, a READRES, a precharge-all — is eight records whatever
+//! its width. A train whose step or count does not fit a record's 32-bit
+//! fields is stored as several records. Single events
+//! ([`Audit::record`]) are kept as they come.
 //!
-//! **Reading.** Validation visits the expanded events in cycle order —
+//! **Reading.** Two views read the log. The audit's lowers command `i`
+//! of a record to an [`AuditEvent::Slot`] at `start + i * step` and one
+//! event per listed bank (a [`AuditEvent::ColRd`], [`AuditEvent::ColWr`],
+//! [`AuditEvent::Act`] or [`AuditEvent::Pre`]; after a refresh's slot, an
+//! [`AuditEvent::Ref`]). [`Audit::len`] and [`Audit::events`] speak of
+//! that expanded sequence, so a log written folded is indistinguishable
+//! from one written event by event. The AiM view,
+//! [`Audit::aim_commands`], lists the named records' commands in
+//! recording order; the command trace of `newton-core` is that view.
+//!
+//! **Checking.** Validation visits the expanded events in cycle order —
 //! ties broken by recording order, except that a refresh precedes
 //! whatever shares its cycle, because a refresh blocks an activation at
 //! its own cycle whichever was recorded first — through a lazy merge of
@@ -45,9 +55,10 @@
 //! one already checked discards the carried state and re-runs the full
 //! pass — so a verdict never depends on where the cuts fell.
 
+use crate::command::AimCommand;
 use crate::timing::{Cycle, Timing};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// One primitive device event, as recorded at issue time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,47 +152,46 @@ pub struct AuditViolation {
 #[derive(Debug, Clone, Copy)]
 enum Record {
     Event(AuditEvent),
-    Train(Train),
+    Command(Command),
 }
 
-/// A folded record: `count` ganged commands, command `i` at
-/// `start + i * step`, each one command-bus slot followed by one `op`
-/// event on every bank of list `banks` (an index into
-/// [`Audit::bank_lists`]). A single ganged command is a train of one.
+/// A folded record: `count` commands, command `i` at `start + i * step`,
+/// each one bus slot followed by one `op` event on every bank of list
+/// `banks` (an index into [`Audit::bank_lists`]), named by
+/// [`Audit::names`]`[name]` or [`UNNAMED`].
 #[derive(Debug, Clone, Copy)]
-struct Train {
+struct Command {
     start: Cycle,
     step: u32,
     count: u32,
     banks: u32,
+    name: u32,
     op: BankOp,
 }
 
-/// What every listed bank does under each slot of a [`Train`].
-#[derive(Debug, Clone, Copy)]
-enum BankOp {
-    /// An internal column read, slot on the column bus (COMP; a GWRITE
-    /// lists no banks).
-    Read,
-    /// An activation of `row`, slot on the row bus (ACT, G_ACT).
+/// The `name` of a record that carries no [`AimCommand`].
+const UNNAMED: u32 = u32::MAX;
+
+/// What every listed bank does under each slot of a [`Command`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BankOp {
+    /// A column read, `external` over the PHY; column bus (COMP, RD; a
+    /// GWRITE, READRES or control command lists no banks).
+    Read { external: bool },
+    /// A column write; column bus (WR).
+    Write,
+    /// An activation of `row`; row bus (ACT, G_ACT).
     Activate { row: u32 },
-    /// A precharge, slot on the row bus (precharge-all).
+    /// A precharge; row bus (PRE, precharge-all).
     Precharge,
+    /// An all-bank refresh after the slot; row bus, no banks listed.
+    Refresh,
 }
 
-impl Train {
+impl Command {
     fn cycle(&self, command: usize) -> Cycle {
         self.start + command as Cycle * Cycle::from(self.step)
     }
-}
-
-/// Narrows a dimension of a folded record; they are bounded by the
-/// device's geometry and timing, so this failing is a bug in the caller.
-fn narrow(value: impl TryInto<u32>) -> u32 {
-    value
-        .try_into()
-        .ok()
-        .expect("folded audit record dimensions fit u32")
 }
 
 impl Record {
@@ -189,15 +199,15 @@ impl Record {
     fn first(&self) -> (Cycle, bool) {
         match self {
             Record::Event(e) => e.position(),
-            Record::Train(t) => (t.start, true),
+            Record::Command(c) => (c.start, c.op != BankOp::Refresh),
         }
     }
 }
 
 /// The record store: fixed-size chunks, so appending never moves what is
 /// already logged. (A `Vec` that doubles copies the whole log each time
-/// it grows; on a long audited run those copies, not the log, are most
-/// of the fresh memory the audit touches.)
+/// it grows; on a long watched run those copies, not the log, are most
+/// of the fresh memory the log touches.)
 #[derive(Debug, Default)]
 struct Log {
     chunks: Vec<Vec<Record>>,
@@ -224,6 +234,18 @@ impl Log {
         self.chunks[index / LOG_CHUNK][index % LOG_CHUNK]
     }
 
+    fn get_mut(&mut self, index: usize) -> &mut Record {
+        &mut self.chunks[index / LOG_CHUNK][index % LOG_CHUNK]
+    }
+
+    /// Drops the last record.
+    fn pop(&mut self) {
+        if let Some(chunk) = self.chunks.last_mut() {
+            chunk.pop();
+            self.len -= 1;
+        }
+    }
+
     /// The records from `index` on, in recording order.
     fn iter_from(&self, index: usize) -> impl Iterator<Item = &Record> {
         self.chunks[(index / LOG_CHUNK).min(self.chunks.len())..]
@@ -239,7 +261,8 @@ impl Log {
 /// command share a cycle and stay together).
 type Key = (Cycle, bool, usize, usize);
 
-/// Collects events and re-validates them against the raw constraint
+/// A channel's command log, and the timing audit over it: collects
+/// commands and events and re-validates them against the raw constraint
 /// definitions.
 #[derive(Debug, Default)]
 pub struct Audit {
@@ -248,6 +271,9 @@ pub struct Audit {
     /// where each distinct list starts and how long it is.
     bank_pool: Vec<usize>,
     bank_lists: Vec<(usize, usize)>,
+    /// The distinct AiM commands records are named by, and where each is.
+    names: Vec<AimCommand>,
+    name_index: HashMap<AimCommand, u32>,
     /// Expanded event count.
     len: usize,
     /// The incremental check's state: the checker as the first `checked`
@@ -257,7 +283,7 @@ pub struct Audit {
 }
 
 impl Audit {
-    /// Creates an empty audit log.
+    /// Creates an empty log.
     #[must_use]
     pub fn new() -> Audit {
         Audit::default()
@@ -275,12 +301,9 @@ impl Audit {
     /// as GWRITE) — the same log as recording, per command, a column-bus
     /// [`AuditEvent::Slot`] and then one internal [`AuditEvent::ColRd`]
     /// per bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` or `count` exceeds `u32::MAX`.
     pub fn record_train(&mut self, start: Cycle, step: Cycle, count: usize, banks: &[usize]) {
-        self.fold(start, step, count, BankOp::Read, banks.iter().copied());
+        let op = BankOp::Read { external: false };
+        self.fold(start, step, count, op, banks.iter().copied());
     }
 
     /// Records a ganged activation: one row-bus slot at `cycle` and an
@@ -313,7 +336,9 @@ impl Audit {
         self.fold(cycle, 0, 1, BankOp::Precharge, banks);
     }
 
-    fn fold(
+    /// Records `count` commands, command `i` at `start + i * step`: its
+    /// slot, then `op` on each bank of `banks`.
+    pub(crate) fn fold(
         &mut self,
         start: Cycle,
         step: Cycle,
@@ -347,14 +372,90 @@ impl Audit {
                 self.bank_lists.len() - 1
             }
         };
-        self.records.push(Record::Train(Train {
-            start,
-            step: narrow(step),
-            count: narrow(count),
-            banks: narrow(list),
-            op,
-        }));
-        self.len += count * (1 + listed);
+        let banks = u32::try_from(list).expect("invariant: a log holds fewer than 2^32 bank lists");
+        // A step past 32 bits stores the train command by command, a
+        // count past 32 bits in pieces.
+        let (step32, piece) = u32::try_from(step).map_or((0, 1), |s| (s, u32::MAX as usize));
+        for done in (0..count).step_by(piece) {
+            self.records.push(Record::Command(Command {
+                start: start + done as Cycle * step,
+                step: step32,
+                count: (count - done).min(piece) as u32,
+                banks,
+                name: UNNAMED,
+                op,
+            }));
+        }
+        let refresh = usize::from(op == BankOp::Refresh);
+        self.len += count * (1 + listed + refresh);
+    }
+
+    /// Number of records the log holds: one a train or single command,
+    /// several for a train too wide for one.
+    #[must_use]
+    pub fn records(&self) -> usize {
+        self.records.len
+    }
+
+    /// Names the commands recorded since the log held `from` records as
+    /// the run of AiM commands `first, next(first), ...` (past the run's
+    /// end, `first`); single events stay unnamed. One named command that
+    /// continues the record before it, unread by the incremental check,
+    /// folds into it: the oracle's one-at-a-time GWRITEs and COMPs log as
+    /// the trains production issues.
+    pub(crate) fn name_since(&mut self, from: usize, first: AimCommand) {
+        let mut done = 0;
+        for r in from..self.records.len {
+            if let Record::Command(c) = self.records.get(r) {
+                let cmd = first.nth_in_run(done).unwrap_or(first);
+                let next = u32::try_from(self.names.len())
+                    .expect("invariant: a log names fewer than 2^32 commands");
+                let name = *self.name_index.entry(cmd).or_insert_with(|| {
+                    self.names.push(cmd);
+                    next
+                });
+                if let Record::Command(c) = self.records.get_mut(r) {
+                    c.name = name;
+                }
+                done += c.count as usize;
+            }
+        }
+        if self.records.len == from + 1
+            && from > self.checked
+            && self.extend(from - 1, self.records.get(from))
+        {
+            self.records.pop();
+        }
+    }
+
+    /// Folds `record`, one named command, into record `prev` if it is
+    /// that record's next command at its step (a record of one takes the
+    /// step of its second command); says whether it did.
+    fn extend(&mut self, prev: usize, record: Record) -> bool {
+        let (Record::Command(p), Record::Command(c)) = (self.records.get(prev), record) else {
+            return false;
+        };
+        let step = match p.count {
+            1 => c
+                .start
+                .checked_sub(p.start)
+                .and_then(|s| u32::try_from(s).ok()),
+            _ => (c.start == p.cycle(p.count as usize)).then_some(p.step),
+        };
+        let continues = c.count == 1
+            && p.count < u32::MAX
+            && (p.op, p.banks) == (c.op, c.banks)
+            && p.name != UNNAMED
+            && self.names[p.name as usize].nth_in_run(p.count as usize)
+                == Some(self.names[c.name as usize]);
+        match (step, self.records.get_mut(prev)) {
+            (Some(step), Record::Command(p)) if continues => {
+                p.step = step;
+                p.count += 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Number of recorded events, trains counted expanded.
@@ -372,49 +473,67 @@ impl Audit {
     /// Recorded events in issue order, trains expanded.
     pub fn events(&self) -> impl Iterator<Item = AuditEvent> + '_ {
         self.records.iter_from(0).flat_map(move |record| {
-            let (single, train) = match *record {
+            let (single, command) = match *record {
                 Record::Event(e) => (Some(e), None),
-                Record::Train(t) => (None, Some(t)),
+                Record::Command(c) => (None, Some(c)),
             };
-            let expanded = train.into_iter().flat_map(move |t| {
-                (0..t.count as usize).flat_map(move |i| self.command_events(t, i))
+            let expanded = command.into_iter().flat_map(move |c| {
+                (0..c.count as usize).flat_map(move |i| self.command_events(c, i))
             });
             single.into_iter().chain(expanded)
         })
     }
 
+    /// The AiM commands of the log in recording order, each named record
+    /// expanded into its `(cycle, command)` pairs.
+    pub fn aim_commands(&self) -> impl Iterator<Item = (Cycle, AimCommand)> + '_ {
+        self.records.iter_from(0).flat_map(move |record| {
+            let named = match *record {
+                Record::Command(c) if c.name != UNNAMED => Some(c),
+                _ => None,
+            };
+            named.into_iter().flat_map(move |c| {
+                let first = self.names[c.name as usize];
+                (0..c.count as usize)
+                    .map(move |i| (c.cycle(i), first.nth_in_run(i).unwrap_or(first)))
+            })
+        })
+    }
+
     /// The one place a folded record is expanded: the events of its
-    /// command `command`, a slot and then one event per listed bank.
+    /// command `command`, a slot, one event per listed bank and, for a
+    /// refresh, the refresh.
     fn command_events(
         &self,
-        train: Train,
+        record: Command,
         command: usize,
     ) -> impl Iterator<Item = AuditEvent> + '_ {
-        let cycle = train.cycle(command);
-        let (at, listed) = self.bank_lists[train.banks as usize];
-        let slot = AuditEvent::Slot {
-            cycle,
-            bus: match train.op {
-                BankOp::Read => BusKind::Column,
-                BankOp::Activate { .. } | BankOp::Precharge => BusKind::Row,
-            },
+        let cycle = record.cycle(command);
+        let (at, listed) = self.bank_lists[record.banks as usize];
+        let bus = match record.op {
+            BankOp::Read { .. } | BankOp::Write => BusKind::Column,
+            BankOp::Activate { .. } | BankOp::Precharge | BankOp::Refresh => BusKind::Row,
         };
+        let slot = AuditEvent::Slot { cycle, bus };
         let per_bank = self.bank_pool[at..at + listed]
             .iter()
-            .map(move |&bank| match train.op {
-                BankOp::Read => AuditEvent::ColRd {
+            .filter_map(move |&bank| match record.op {
+                BankOp::Read { external } => Some(AuditEvent::ColRd {
                     bank,
                     cycle,
-                    external: false,
-                },
-                BankOp::Activate { row } => AuditEvent::Act {
+                    external,
+                }),
+                BankOp::Write => Some(AuditEvent::ColWr { bank, cycle }),
+                BankOp::Activate { row } => Some(AuditEvent::Act {
                     bank,
                     row: row as usize,
                     cycle,
-                },
-                BankOp::Precharge => AuditEvent::Pre { bank, cycle },
+                }),
+                BankOp::Precharge => Some(AuditEvent::Pre { bank, cycle }),
+                BankOp::Refresh => None,
             });
-        std::iter::once(slot).chain(per_bank)
+        let refresh = (record.op == BankOp::Refresh).then_some(AuditEvent::Ref { cycle });
+        std::iter::once(slot).chain(per_bank).chain(refresh)
     }
 
     /// Expanded events the incremental check has visited over the log's
@@ -480,12 +599,12 @@ impl Audit {
                 Record::Event(e) => checker.feed(e, t),
                 // Its first command is next in line; the rest wait their
                 // turn on the heap.
-                Record::Train(train) => {
-                    for event in self.command_events(train, 0) {
+                Record::Command(command) => {
+                    for event in self.command_events(command, 0) {
                         checker.feed(event, t);
                     }
-                    if train.count > 1 {
-                        open.push(Reverse((train.cycle(1), true, r, 1)));
+                    if command.count > 1 {
+                        open.push(Reverse((command.cycle(1), true, r, 1)));
                     }
                 }
             }
@@ -515,17 +634,16 @@ impl Audit {
                 .chain(until)
                 .min();
             let (_, _, r, first) = next;
-            let Record::Train(train) = self.records.get(r) else {
+            let Record::Command(command) = self.records.get(r) else {
                 unreachable!("only trains are held open");
             };
-            for i in first..train.count as usize {
-                let cycle = train.cycle(i);
-                let key = (cycle, true, r, i);
+            for i in first..command.count as usize {
+                let key = (command.cycle(i), true, r, i);
                 if i > first && bound.is_some_and(|b| key >= b) {
                     open.push(Reverse(key));
                     break;
                 }
-                for event in self.command_events(train, i) {
+                for event in self.command_events(command, i) {
                     checker.feed(event, t);
                 }
             }
@@ -1262,5 +1380,202 @@ mod tests {
             3,
             "two clusters and the full gang, each listed once"
         );
+    }
+
+    #[test]
+    fn a_train_too_wide_for_one_record_is_stored_as_several() {
+        // A step past 32 bits: one record a command.
+        let mut audit = Audit::new();
+        audit.record_train(0, 1 << 33, 3, &[]);
+        assert_eq!(audit.records(), 3);
+        let slots: Vec<Cycle> = audit.events().map(|e| e.cycle()).collect();
+        assert_eq!(slots, [0, 1 << 33, 2 << 33]);
+        // A count past 32 bits: pieces of at most `u32::MAX` commands.
+        let count = (1usize << 32) + 5;
+        let mut audit = Audit::new();
+        audit.record_train(0, 1, count, &[]);
+        assert_eq!(audit.records(), 2);
+        assert_eq!(audit.len(), count);
+        audit.name_since(0, AimCommand::Gwrite { index: 0 });
+
+        // The second piece starts where the first left off, and is named
+        // by its place in the run.
+        let Record::Command(second) = audit.records.get(1) else {
+            panic!("a train is a command record");
+        };
+        let index = u32::MAX as usize;
+        assert_eq!((second.start, second.count), (index as Cycle, 6));
+        let name = audit.names[second.name as usize];
+        assert_eq!(name, AimCommand::Gwrite { index });
+    }
+
+    /// One step of a generated recording: `(kind, skip, dt, count, step)`.
+    /// `kind` picks a GWRITE, G_ACT or COMP, as a train of `count` (which
+    /// may be 0) or as singles, or a command that does not run, or
+    /// conventional traffic; `skip` skips an index of its kind; `dt`
+    /// moves the cycle by -2..=5, so cycles repeat and go backwards. A
+    /// G_ACT's row is its cluster / 4, so clusters 3 and 4 are not one
+    /// run.
+    type Op = (u8, bool, i64, usize, Cycle);
+
+    /// Records `ops` after `prefix` READRES singles into a log, naming
+    /// each as it goes, with `record_train` for trains (`trains`) or with
+    /// every train split into singles; `plain` collects the named
+    /// commands one by one.
+    fn replay(
+        prefix: usize,
+        ops: &[Op],
+        trains: bool,
+        plain: &mut impl Extend<(Cycle, AimCommand)>,
+    ) -> Audit {
+        let mut log = Audit::new();
+        let mut cycle: Cycle = 0;
+        let slot = BankOp::Read { external: false };
+        for _ in 0..prefix {
+            cycle += 3;
+            plain.extend([(cycle, AimCommand::ReadRes)]);
+            let from = log.records();
+            log.fold(cycle, 0, 1, slot, []);
+            log.name_since(from, AimCommand::ReadRes);
+        }
+        let mut next = [0usize; 3];
+        for &(kind, skip, dt, count, step) in ops {
+            cycle = cycle.saturating_add_signed(dt);
+            if kind == 8 {
+                // A host PRE: in the log, not in the AiM view.
+                log.fold(cycle, 0, 1, BankOp::Precharge, [1]);
+                continue;
+            }
+            let i = next[usize::from(kind % 3)] + usize::from(skip);
+            let (first, op) = match kind {
+                0 | 3 => (AimCommand::Gwrite { index: i }, slot),
+                1 | 4 => {
+                    let cmd = AimCommand::GAct {
+                        cluster: i,
+                        row: i / 4,
+                    };
+                    (cmd, BankOp::Activate { row: 0 })
+                }
+                2 | 5 => (AimCommand::Comp { subchunk: i }, slot),
+                6 => (AimCommand::PreAll, BankOp::Precharge),
+                _ => (AimCommand::ReadRes, slot),
+            };
+            let count = if kind < 3 { count } else { 1 };
+            plain.extend((0..count).map(|k| {
+                let cmd = first.nth_in_run(k).expect("runs");
+                (cycle + k as Cycle * step, cmd)
+            }));
+            if trains && count != 1 {
+                let from = log.records();
+                log.fold(cycle, step, count, op, [0, 1]);
+                log.name_since(from, first);
+            } else {
+                for k in 0..count {
+                    let from = log.records();
+                    log.fold(cycle + k as Cycle * step, 0, 1, op, [0, 1]);
+                    log.name_since(from, first.nth_in_run(k).expect("runs"));
+                }
+            }
+            if kind < 6 {
+                next[usize::from(kind % 3)] = i + count;
+            }
+            cycle += count.saturating_sub(1) as Cycle * step;
+        }
+        log
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The AiM view expands to the named commands as recorded, and
+        /// the audit's view is the same log whether the commands came as
+        /// trains or as singles folded into runs when named; a prefix
+        /// near a chunk's size puts the folding on a chunk boundary.
+        #[test]
+        fn the_views_read_the_same_log_however_its_commands_were_grouped(
+            near_chunk in proptest::prelude::any::<bool>(),
+            offset in 0usize..6,
+            ops in proptest::collection::vec(
+                (0u8..9, proptest::prelude::any::<bool>(), -2i64..6, 0usize..5, 0u64..4),
+                0..120,
+            ),
+        ) {
+            let prefix = if near_chunk { LOG_CHUNK - 3 + offset } else { offset };
+            let mut plain = Vec::new();
+            let trains = replay(prefix, &ops, true, &mut plain);
+            let singles = replay(prefix, &ops, false, &mut Vec::new());
+            proptest::prop_assert_eq!(trains.aim_commands().count(), plain.len());
+            proptest::prop_assert!(trains.aim_commands().eq(plain.iter().copied()));
+            proptest::prop_assert!(singles.aim_commands().eq(plain.iter().copied()));
+            proptest::prop_assert_eq!(singles.len(), trains.len());
+            proptest::prop_assert!(singles.events().eq(trains.events()));
+        }
+    }
+
+    /// A record keeps the 40 bytes a single event takes: naming the AiM
+    /// commands costs the log no space.
+    #[test]
+    fn a_record_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 40);
+    }
+
+    /// A Newton row-set is eight records: the GWRITE train, four G_ACTs,
+    /// the COMP train, a READRES and the precharge-all; the oracle's
+    /// single GWRITEs and COMPs fold into the same eight as they are
+    /// named.
+    #[test]
+    fn a_row_set_is_eight_records_however_it_was_issued() {
+        let t = timing();
+        for singles in [false, true] {
+            let mut log = Audit::new();
+            let step = t.col_step();
+            let named = |log: &mut Audit, first: AimCommand, record: &dyn Fn(&mut Audit)| {
+                let from = log.records();
+                record(log);
+                log.name_since(from, first);
+            };
+            let slot = BankOp::Read { external: false };
+            for (first, start, banks) in [
+                (AimCommand::Gwrite { index: 0 }, 0, &[][..]),
+                (
+                    AimCommand::Comp { subchunk: 0 },
+                    200,
+                    &[0, 1, 2, 3, 4, 5, 6, 7][..],
+                ),
+            ] {
+                if first == (AimCommand::Comp { subchunk: 0 }) {
+                    for cluster in 0..4 {
+                        let pairs: Vec<_> =
+                            (2 * cluster..2 * cluster + 2).map(|b| (b, 7)).collect();
+                        let gact = AimCommand::GAct { cluster, row: 7 };
+                        named(&mut log, gact, &|log| {
+                            log.record_ganged_activate(10 + 30 * cluster as Cycle, &pairs)
+                        });
+                    }
+                }
+                if singles {
+                    for i in 0..32 {
+                        let cmd = first.nth_in_run(i).expect("runs");
+                        let at = start + i as Cycle * step;
+                        named(&mut log, cmd, &|log| {
+                            log.fold(at, 0, 1, slot, banks.iter().copied())
+                        });
+                    }
+                } else {
+                    named(&mut log, first, &|log| {
+                        log.record_train(start, step, 32, banks)
+                    });
+                }
+            }
+            named(&mut log, AimCommand::ReadRes, &|log| {
+                log.fold(400, 0, 1, slot, [])
+            });
+            named(&mut log, AimCommand::PreAll, &|log| {
+                log.record_precharge_all(380, 0..8)
+            });
+            assert_eq!(log.records(), 8, "singles: {singles}");
+            assert_eq!(log.aim_commands().count(), 32 + 4 + 32 + 2);
+            assert_eq!(log.validate(&t), vec![], "singles: {singles}");
+        }
     }
 }

@@ -17,9 +17,10 @@
 //! command per tCMD slot; commands on one bus must be issued in
 //! non-decreasing time order.
 
-use crate::audit::{Audit, AuditEvent, AuditViolation, BusKind};
+use crate::audit::{Audit, AuditViolation, BankOp};
 use crate::bank::Bank;
 use crate::bus::{CommandBus, DataBus};
+use crate::command::AimCommand;
 use crate::config::DramConfig;
 use crate::ecc::EccCounters;
 use crate::error::DramError;
@@ -61,7 +62,10 @@ pub struct Channel {
     last_refresh: Cycle,
     /// Per-bank ECC event counters (all zero while ECC is off).
     ecc: EccCounters,
-    audit: Option<Audit>,
+    /// The command log, once an observer asked for it, and whether the
+    /// timing audit reads it.
+    log: Option<Audit>,
+    audited: bool,
     /// Optional windowed telemetry collector + per-command energy model.
     telemetry: Option<Box<TelemetryState>>,
     /// Cycle of the first command issued, if any (drives the summary's
@@ -97,7 +101,8 @@ impl Channel {
             refresh_enabled: true,
             last_refresh: 0,
             ecc: EccCounters::new(config.banks),
-            audit: None,
+            log: None,
+            audited: false,
             telemetry: None,
             first_activity: None,
             last_act: None,
@@ -138,27 +143,62 @@ impl Channel {
         &mut self.storage
     }
 
-    /// Enables post-hoc timing auditing (see [`crate::audit`]): every
-    /// event from here on is logged — a command train, a ganged
-    /// activation or a precharge-all as one folded record — without
-    /// changing which code issues it. The log grows with the commands
-    /// issued outside trains (eight records per Newton row-set), not
-    /// with the bank accesses under them.
+    /// Enables post-hoc timing auditing (see [`crate::audit`]): starts
+    /// the command log if needed and lets [`Channel::audit`] read it.
     pub fn enable_audit(&mut self) {
-        self.audit = Some(Audit::new());
+        self.audited = true;
+        self.enable_command_log();
     }
 
-    /// The audit log, if auditing is enabled.
+    /// Starts the command log ([`crate::audit`]) unless it runs: every
+    /// command or train from here on is one folded record (eight per
+    /// Newton row-set), and which code issues it does not change. The
+    /// audit and the AiM command trace read it, from its start.
+    pub fn enable_command_log(&mut self) {
+        self.log.get_or_insert_with(Audit::new);
+    }
+
+    /// The command log, if one is running.
+    #[must_use]
+    pub fn command_log(&self) -> Option<&Audit> {
+        self.log.as_ref()
+    }
+
+    /// The audit's view of the command log: `None` unless auditing is
+    /// enabled.
     #[must_use]
     pub fn audit(&self) -> Option<&Audit> {
-        self.audit.as_ref()
+        self.log.as_ref().filter(|_| self.audited)
     }
 
     /// Audits the events logged since the last call against this
     /// channel's timing ([`Audit::validate_new`]): the violations they
     /// add, or `None` when auditing is off.
     pub fn audit_new_events(&mut self) -> Option<Vec<AuditViolation>> {
-        self.audit.as_mut().map(|a| a.validate_new(&self.timing))
+        let timing = &self.timing;
+        let log = self.log.as_mut().filter(|_| self.audited);
+        log.map(|a| a.validate_new(timing))
+    }
+
+    /// Issues what `issue` issues as the AiM command `cmd`: once it
+    /// succeeds, the records it logged are named `cmd` (a train: the run
+    /// `cmd` starts), which puts them in the AiM command trace; a failed
+    /// issue's stay unnamed. COMP and GWRITE trains name themselves.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `issue` returns.
+    pub fn issue_as<T>(
+        &mut self,
+        cmd: AimCommand,
+        issue: impl FnOnce(&mut Channel) -> Result<T, DramError>,
+    ) -> Result<T, DramError> {
+        let from = self.log.as_ref().map_or(0, Audit::records);
+        let issued = issue(self)?;
+        if let Some(log) = &mut self.log {
+            log.name_since(from, cmd);
+        }
+        Ok(issued)
     }
 
     /// Disables refresh-deadline tracking (for micro-tests that span less
@@ -279,9 +319,10 @@ impl Channel {
         Ok(())
     }
 
-    fn record(&mut self, event: AuditEvent) {
-        if let Some(a) = &mut self.audit {
-            a.record(event);
+    /// Logs one command at `cycle`: its bus slot and `op` on `banks`.
+    fn log(&mut self, cycle: Cycle, op: BankOp, banks: impl IntoIterator<Item = usize>) {
+        if let Some(log) = &mut self.log {
+            log.fold(cycle, 0, 1, op, banks);
         }
     }
 
@@ -486,8 +527,8 @@ impl Channel {
         for &(bank, row) in pairs {
             self.banks[bank].activate(cycle, row, &self.timing)?;
         }
-        if let Some(a) = &mut self.audit {
-            a.record_ganged_activate(cycle, pairs);
+        if let Some(log) = &mut self.log {
+            log.record_ganged_activate(cycle, pairs);
         }
         self.faw.record(cycle, pairs.len());
         self.stats.activates += pairs.len() as u64;
@@ -572,21 +613,18 @@ impl Channel {
     ) -> Result<(Cycle, Vec<u8>), DramError> {
         self.check_bank(bank)?;
         self.col_bus.issue(cycle, &self.timing)?;
-        self.record(AuditEvent::Slot {
-            cycle,
-            bus: BusKind::Column,
-        });
-        let row = self.banks[bank].column_access(cycle, false, &self.timing)?;
-        self.data_bus.transfer(
-            cycle + self.timing.t_aa,
-            self.config.col_bytes(),
-            &self.timing,
-        )?;
-        self.record(AuditEvent::ColRd {
-            bank,
-            cycle,
-            external: true,
-        });
+        let accessed = self.banks[bank]
+            .column_access(cycle, false, &self.timing)
+            .and_then(|row| {
+                let bytes = self.config.col_bytes();
+                let burst = cycle + self.timing.t_aa;
+                self.data_bus.transfer(burst, bytes, &self.timing)?;
+                Ok(row)
+            });
+        // The slot is taken either way; the bank read only if it began.
+        let op = BankOp::Read { external: true };
+        self.log(cycle, op, accessed.is_ok().then_some(bank));
+        let row = accessed?;
         self.stats.col_reads_external += 1;
         self.note_activity(cycle);
         if self.tracing() {
@@ -622,14 +660,15 @@ impl Channel {
     ) -> Result<Cycle, DramError> {
         self.check_bank(bank)?;
         self.col_bus.issue(cycle, &self.timing)?;
-        self.record(AuditEvent::Slot {
-            cycle,
-            bus: BusKind::Column,
-        });
-        let row = self.banks[bank].column_access(cycle, true, &self.timing)?;
-        self.data_bus
-            .transfer(cycle + self.timing.t_aa, data.len(), &self.timing)?;
-        self.record(AuditEvent::ColWr { bank, cycle });
+        let accessed = self.banks[bank]
+            .column_access(cycle, true, &self.timing)
+            .and_then(|row| {
+                let burst = cycle + self.timing.t_aa;
+                self.data_bus.transfer(burst, data.len(), &self.timing)?;
+                Ok(row)
+            });
+        self.log(cycle, BankOp::Write, accessed.is_ok().then_some(bank));
+        let row = accessed?;
         self.stats.col_writes_external += 1;
         self.note_activity(cycle);
         if self.tracing() {
@@ -684,25 +723,20 @@ impl Channel {
             }
         }
         self.col_bus.issue(cycle, &self.timing)?;
-        self.record(AuditEvent::Slot {
-            cycle,
-            bus: BusKind::Column,
-        });
-        let audit_on = self.audit.is_some();
-        for &(bank, col) in pairs {
+        // The log holds every bank whose read began, the one whose ECC
+        // check failed included.
+        let mut read = 0;
+        let outcome = pairs.iter().try_for_each(|&(bank, col)| {
             let row = self.banks[bank].column_access(cycle, false, &self.timing)?;
             self.banks[bank].note_internal_access(cycle, &self.timing);
-            if audit_on {
-                self.record(AuditEvent::ColRd {
-                    bank,
-                    cycle,
-                    external: false,
-                });
-            }
+            read += 1;
             self.ecc_check_column(cycle, bank, row, col)?;
-            let data = self.storage.column(bank, row, col)?;
-            sink(bank, data);
-        }
+            sink(bank, self.storage.column(bank, row, col)?);
+            Ok(())
+        });
+        let op = BankOp::Read { external: false };
+        self.log(cycle, op, pairs[..read].iter().map(|p| p.0));
+        outcome?;
         self.stats.col_reads_internal += pairs.len() as u64;
         if pairs.len() > 1 {
             self.stats.ganged_commands += 1;
@@ -738,14 +772,16 @@ impl Channel {
     ///
     /// Observers are told, not obeyed: the train applies closed-form,
     /// O(1) in `count * banks`, whatever is attached. The telemetry
-    /// collector takes it as one fold into its windows and an audit log
-    /// as one folded record ([`Audit::record_train`]). The one condition that expands the train into single-command
-    /// calls is ECC on without `rows_clean`: there the per-column checks
-    /// do real work and can fail at a particular command. `rows_clean`
-    /// is the caller's proof that the open rows hold no error — their
-    /// activation scrub (or the verified flags that let it be skipped)
-    /// found nothing, and nothing has written them since — under which
-    /// every such check would be a no-op `Ok(0)`.
+    /// collector takes it as one fold into its windows and the command
+    /// log as one folded record ([`Audit::record_train`]) named
+    /// [`AimCommand::Comp`] from sub-chunk 0. The one condition that
+    /// expands the train into single-command calls is ECC on without
+    /// `rows_clean`: there the per-column checks do real work and can
+    /// fail at a particular command. `rows_clean` is the caller's proof
+    /// that the open rows hold no error — their activation scrub (or the
+    /// verified flags that let it be skipped) found nothing, and nothing
+    /// has written them since — under which every such check would be a
+    /// no-op `Ok(0)`.
     ///
     /// # Errors
     ///
@@ -777,19 +813,19 @@ impl Channel {
         }
         self.col_bus.check_train(start, step, count, &self.timing)?;
         let last = start + (count as Cycle - 1) * step;
+        let comp = AimCommand::Comp { subchunk: 0 };
         if self.storage.ecc_enabled() && !rows_clean {
             let mut pairs: Vec<(usize, usize)> = banks.iter().map(|&b| (b, 0)).collect();
-            for i in 0..count {
-                for p in &mut pairs {
-                    p.1 = i;
+            return self.issue_as(comp, |ch| {
+                for i in 0..count {
+                    for p in &mut pairs {
+                        p.1 = i;
+                    }
+                    let at = start + i as Cycle * step;
+                    ch.issue_ganged_column_read_internal(at, &pairs, |_, _| {})?;
                 }
-                self.issue_ganged_column_read_internal(
-                    start + i as Cycle * step,
-                    &pairs,
-                    |_, _| {},
-                )?;
-            }
-            return Ok(last);
+                Ok(last)
+            });
         }
         self.col_bus
             .issue_train(start, step, count, &self.timing)
@@ -804,8 +840,10 @@ impl Channel {
             self.stats.ganged_commands += count as u64;
         }
         self.note_activity(start);
-        if let Some(a) = &mut self.audit {
-            a.record_train(start, step, count, banks);
+        if let Some(log) = &mut self.log {
+            let from = log.records();
+            log.record_train(start, step, count, banks);
+            log.name_since(from, comp);
         }
         if let Some(t) = &mut self.telemetry {
             let milli_pj = to_milli_pj(t.energy.command_pj("COMP", banks.len() as u32, 0));
@@ -829,9 +867,10 @@ impl Channel {
     /// `start, start + step, ...`. Observably identical to the sequential
     /// [`Channel::issue_broadcast_write`] loop. Like
     /// [`Channel::issue_comp_train`] it always applies closed-form and
-    /// tells whatever is attached — telemetry takes one fold, an audit
-    /// log one bank-less train record — and since a GWRITE touches no
-    /// bank, nothing ever expands it. Returns the cycle of the last command.
+    /// tells whatever is attached — telemetry takes one fold, the command
+    /// log one bank-less train record named [`AimCommand::Gwrite`] from
+    /// index 0 — and since a GWRITE touches no bank, nothing ever expands
+    /// it. Returns the cycle of the last command.
     ///
     /// # Errors
     ///
@@ -860,8 +899,10 @@ impl Channel {
             .expect("pre-flighted data-bus train");
         self.stats.broadcast_bytes += (count * bytes) as u64;
         self.note_activity(start);
-        if let Some(a) = &mut self.audit {
-            a.record_train(start, step, count, &[]);
+        if let Some(log) = &mut self.log {
+            let from = log.records();
+            log.record_train(start, step, count, &[]);
+            log.name_since(from, AimCommand::Gwrite { index: 0 });
         }
         if let Some(t) = &mut self.telemetry {
             let milli_pj = to_milli_pj(t.energy.command_pj("GWRITE", 0, bytes as u64));
@@ -886,10 +927,7 @@ impl Channel {
         bytes: usize,
     ) -> Result<Cycle, DramError> {
         self.col_bus.issue(cycle, &self.timing)?;
-        self.record(AuditEvent::Slot {
-            cycle,
-            bus: BusKind::Column,
-        });
+        self.log(cycle, BankOp::Read { external: false }, []);
         self.data_bus
             .transfer(cycle + self.timing.t_aa, bytes, &self.timing)?;
         self.stats.broadcast_bytes += bytes as u64;
@@ -927,10 +965,7 @@ impl Channel {
     /// Command-bus or data-bus violations.
     pub fn issue_result_read(&mut self, cycle: Cycle, bytes: usize) -> Result<Cycle, DramError> {
         self.col_bus.issue(cycle, &self.timing)?;
-        self.record(AuditEvent::Slot {
-            cycle,
-            bus: BusKind::Column,
-        });
+        self.log(cycle, BankOp::Read { external: false }, []);
         self.data_bus
             .transfer(cycle + self.timing.t_aa, bytes, &self.timing)?;
         self.note_activity(cycle);
@@ -966,10 +1001,7 @@ impl Channel {
     /// Command-bus violations.
     pub fn issue_control_command(&mut self, cycle: Cycle) -> Result<Cycle, DramError> {
         self.col_bus.issue(cycle, &self.timing)?;
-        self.record(AuditEvent::Slot {
-            cycle,
-            bus: BusKind::Column,
-        });
+        self.log(cycle, BankOp::Read { external: false }, []);
         self.note_activity(cycle);
         self.emit(TraceEvent::Command {
             cycle,
@@ -1017,12 +1049,9 @@ impl Channel {
     pub fn issue_precharge(&mut self, cycle: Cycle, bank: usize) -> Result<Cycle, DramError> {
         self.check_bank(bank)?;
         self.row_bus.issue(cycle, &self.timing)?;
-        self.record(AuditEvent::Slot {
-            cycle,
-            bus: BusKind::Row,
-        });
-        self.banks[bank].precharge(cycle, &self.timing)?;
-        self.record(AuditEvent::Pre { bank, cycle });
+        let closed = self.banks[bank].precharge(cycle, &self.timing);
+        self.log(cycle, BankOp::Precharge, closed.is_ok().then_some(bank));
+        closed?;
         self.stats.precharges += 1;
         self.note_activity(cycle);
         if self.tracing() {
@@ -1059,10 +1088,10 @@ impl Channel {
             }
         }
         self.row_bus.issue(cycle, &self.timing)?;
-        if let Some(a) = &mut self.audit {
+        if let Some(log) = &mut self.log {
             let open = self.banks.iter().enumerate();
             let open = open.filter(|(_, b)| b.state().open_row().is_some());
-            a.record_precharge_all(cycle, open.map(|(bank, _)| bank));
+            log.record_precharge_all(cycle, open.map(|(bank, _)| bank));
         }
         let mut closed = 0;
         for bank in 0..self.banks.len() {
@@ -1125,11 +1154,7 @@ impl Channel {
             }
         }
         self.row_bus.issue(cycle, &self.timing)?;
-        self.record(AuditEvent::Slot {
-            cycle,
-            bus: BusKind::Row,
-        });
-        self.record(AuditEvent::Ref { cycle });
+        self.log(cycle, BankOp::Refresh, []);
         let until = cycle + self.timing.t_rfc;
         for b in &mut self.banks {
             b.block_for_refresh(cycle, until)?;
@@ -1191,6 +1216,7 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::AuditEvent;
     use crate::timing::TimingParams;
 
     fn channel() -> Channel {
@@ -1767,5 +1793,40 @@ mod tests {
         // First read at tRCD, each subsequent exactly tCCD later.
         assert_eq!(c, t.t_rcd + (n - 1) * t.t_ccd);
         assert_eq!(ch.audit().unwrap().validate(&t), vec![]);
+    }
+
+    /// A legal train whose step does not fit a log record's 32 bits:
+    /// the log stores it as two records instead of panicking, and both
+    /// views read it as the two commands it is.
+    #[test]
+    fn an_audited_channel_logs_a_train_too_wide_for_one_record() {
+        let issue = |audited: bool| {
+            let mut ch = Channel::new(DramConfig::hbm2e_like()).unwrap();
+            if audited {
+                ch.enable_audit();
+            }
+            let last = ch.issue_broadcast_write_train(0, 1 << 33, 2, 32);
+            (last, ch)
+        };
+        assert_eq!(issue(false).0, Ok(1 << 33));
+        let (last, ch) = issue(true);
+        assert_eq!(last, Ok(1 << 33));
+        let log = ch.audit().expect("audited");
+        assert_eq!(log.records(), 2);
+        let slots: Vec<_> = log.events().collect();
+        let slot = |cycle| AuditEvent::Slot {
+            cycle,
+            bus: crate::audit::BusKind::Column,
+        };
+        assert_eq!(slots, [slot(0), slot(1 << 33)]);
+        let named: Vec<_> = log.aim_commands().collect();
+        assert_eq!(
+            named,
+            [
+                (0, AimCommand::Gwrite { index: 0 }),
+                (1 << 33, AimCommand::Gwrite { index: 1 })
+            ]
+        );
+        assert_eq!(log.validate(ch.timing()), vec![]);
     }
 }

@@ -29,17 +29,20 @@
 //!   *Ideal Non-PIM* baseline (external-bandwidth-bound, activations hidden).
 //! * [`address`]: physical address mapping and super-page allocation
 //!   (Sec. III-E: the matrix layout "expects physical address contiguity").
-//! * [`audit`]: an independent post-hoc validator that rechecks every issued
-//!   command against the raw constraint definitions (used throughout the
-//!   test suite).
+//! * [`audit`]: the channel's one command log, and an independent
+//!   post-hoc validator that rechecks every issued command against the
+//!   raw constraint definitions (used throughout the test suite).
+//! * [`command`]: the AiM command set (Table I), which names the log's
+//!   records for the AiM command trace.
 //! * [`ecc`]: a SECDED (72,64) on-die ECC model — check bytes per 64-bit
 //!   word, scrub on activation, check on every read and COMP operand fetch.
 //! * [`faults`]: deterministic fault-injection campaigns (bit flips,
 //!   stuck-at cells, retention decay) over resident rows.
 //!
 //! This crate knows nothing about machine learning: it exposes banks,
-//! timing, and buses. The AiM command set lives in `newton-core`, layered on
-//! top exactly as the paper argues AiM should be — as DRAM-like commands.
+//! timing, and buses. The AiM commands name what the channel issues, as
+//! the paper argues AiM should be: DRAM-like commands. Their semantics
+//! (the global buffer, the MAC units) live in `newton-core`.
 //!
 //! # Example
 //!
@@ -67,6 +70,7 @@ pub mod audit;
 pub mod bank;
 pub mod bus;
 pub mod channel;
+pub mod command;
 pub mod config;
 pub mod controller;
 pub mod ecc;

@@ -40,7 +40,7 @@ fn trace_one_row(cfg: &NewtonConfig) -> Result<String, AimError> {
     ch.enable_trace();
     ch.load_matrix(&mapping, &matrix)?;
     ch.run_mv(&mapping, &schedule, &vector, false)?;
-    Ok(render_gantt(ch.trace(), ch.channel().timing().t_cmd, 120))
+    Ok(render_gantt(&ch.trace(), ch.channel().timing().t_cmd, 120))
 }
 
 fn main() -> Result<(), AimError> {

@@ -48,14 +48,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "{m}x{n} GEMV: {} cycles, {} commands traced",
         run.end_cycle - run.start_cycle,
-        ch.trace().entries().len()
+        ch.trace().entries().count()
     );
 
     let out_dir = std::path::Path::new("target/trace");
     fs::create_dir_all(out_dir)?;
 
     // 1. Perfetto / chrome://tracing view of the command stream.
-    let chrome = export_chrome_trace(ch.trace(), ch.channel().timing(), cfg.dram.banks);
+    let chrome = export_chrome_trace(&ch.trace(), ch.channel().timing(), cfg.dram.banks);
     let trace_path = out_dir.join("gemv.trace.json");
     fs::write(&trace_path, &chrome)?;
     println!(
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Versioned metrics snapshot (same schema `reproduce` writes).
     let mut snap = MetricsSnapshot::new("example_gemv");
     snap.count("cycles", run.end_cycle - run.start_cycle)
-        .count("commands", ch.trace().entries().len() as u64)
+        .count("commands", ch.trace().entries().count() as u64)
         .scalar("bank_utilization", summary.bank_utilization())
         .scalar(
             "external_bandwidth_bytes_per_ns",

@@ -103,12 +103,12 @@ fn assert_observers_agree(what: &str, a: &NewtonChannel, b: &NewtonChannel) {
     };
     assert_eq!(verified(a), verified(b), "{what}: verified rows");
     let (ta, tb) = (a.trace(), b.trace());
-    if ta.is_enabled() && tb.is_enabled() && ta != tb {
+    if ta.is_enabled() && tb.is_enabled() && !ta.entries().eq(tb.entries()) {
         let i = ta
             .entries()
             .zip(tb.entries())
             .position(|(x, y)| x != y)
-            .unwrap_or(ta.entries().len().min(tb.entries().len()));
+            .unwrap_or(ta.entries().count().min(tb.entries().count()));
         panic!(
             "{what}: command traces diverge at entry {i}: oracle {:?}, production {:?}",
             ta.entries().nth(i),

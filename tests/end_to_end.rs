@@ -183,9 +183,9 @@ fn chrome_trace_export_golden_roundtrip() {
     ch.load_matrix(&mapping, &matrix).unwrap();
     ch.run_mv(&mapping, &schedule, &vector, false).unwrap();
 
-    let recorded = ch.trace().entries().len();
+    let recorded = ch.trace().entries().count();
     assert!(recorded > 0, "trace recorded nothing");
-    let json = export_chrome_trace(ch.trace(), ch.channel().timing(), cfg.dram.banks);
+    let json = export_chrome_trace(&ch.trace(), ch.channel().timing(), cfg.dram.banks);
     let doc = JsonValue::parse(&json).expect("export must be valid JSON");
     let events = doc
         .get("traceEvents")

@@ -466,7 +466,10 @@ proptest! {
                     "{what}: channel summaries"
                 );
                 for (a, b) in pairs[i][1].channels().iter().zip(pairs[0][1].channels()) {
-                    assert_eq!(a.trace(), b.trace(), "{what}: trace");
+                    assert!(
+                        a.trace().entries().eq(b.trace().entries()),
+                        "{what}: trace"
+                    );
                 }
             }
         };

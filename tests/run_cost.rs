@@ -11,9 +11,13 @@
 //! by design: it decodes every weight row into the plane the decoded-weight
 //! cache keeps, and what that costs is pinned here too.
 //!
+//! A watched channel keeps one command log for both observers, and what
+//! that log holds at its largest is pinned here as well: the peak live
+//! heap the trace and the audit add to a `bert_observed`-shaped round.
+//!
 //! A count, not a timing: under `ParallelPolicy::exact(1)` everything
 //! runs on the calling thread and its allocations repeat exactly. The
-//! counter is thread-local, so the tests in this file do not see each
+//! counters are thread-local, so the tests in this file do not see each
 //! other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -26,23 +30,33 @@ use newton_aim::core::TelemetryConfig;
 use newton_aim::trace::WindowMetrics;
 use newton_aim::workloads::{generator, Benchmark, MvShape};
 
-/// Counts the bytes each thread asks the system allocator for.
+/// Counts, per thread, the bytes asked of the system allocator, the bytes
+/// live (allocated and not yet freed) and the most that were live at once.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 // SAFETY: delegates every operation unchanged to the system allocator;
-// the only addition is a thread-local byte counter with no destructor
-// (`try_with` covers a thread that is being torn down).
+// the only addition is thread-local byte counters with no destructor
+// (`try_with` covers a thread that is being torn down). `realloc` keeps
+// its default, which goes through `alloc` and `dealloc`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATED_BYTES.try_with(|b| b.set(b.get() + layout.size() as u64));
+        let size = layout.size();
+        let _ = ALLOCATED_BYTES.try_with(|b| b.set(b.get() + size as u64));
+        let _ = LIVE_BYTES.try_with(|live| {
+            live.set(live.get() + size as i64);
+            let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|live| live.set(live.get() - layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -55,6 +69,16 @@ fn alloc_delta<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATED_BYTES.with(Cell::get);
     let r = f();
     (ALLOCATED_BYTES.with(Cell::get) - before, r)
+}
+
+/// The most heap this thread had live at once while running `f`, above
+/// what it had live when `f` began.
+fn peak_live_delta<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let start = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(start));
+    let r = f();
+    let peak = PEAK_BYTES.with(Cell::get);
+    ((peak - start).max(0) as u64, r)
 }
 
 const SHAPE: MvShape = MvShape { m: 64, n: 1024 };
@@ -233,5 +257,68 @@ fn retained_planes_cost_two_bytes_a_weight() {
     assert!(
         bytes <= limit,
         "the first query allocated {bytes} B, 55 % of {FIRST_RESIDENT_BERT_QUERY_BYTES_BEFORE} B is the limit"
+    );
+}
+
+/// The observers a `bert_observed`-shaped round runs with.
+#[derive(Clone, Copy)]
+enum Watched {
+    Nothing,
+    Audit,
+    TraceAndAudit,
+}
+
+/// Peak live heap of one `bert_observed`-shaped round on one channel:
+/// system, BERT S1 load, 4 warm-up queries and 32 queries, with the
+/// observers of `watched` attached before the load and telemetry off.
+fn observed_round_peak_bytes(watched: Watched) -> u64 {
+    peak_live_delta(|| {
+        let mut cfg = NewtonConfig::paper_default();
+        cfg.channels = 1;
+        cfg.parallel = ParallelPolicy::exact(1);
+        let mut sys = NewtonSystem::new(cfg).expect("config");
+        for ch in sys.channels_mut() {
+            if matches!(watched, Watched::TraceAndAudit) {
+                ch.enable_trace();
+            }
+            if !matches!(watched, Watched::Nothing) {
+                ch.channel_mut().enable_audit();
+            }
+        }
+        let shape = Benchmark::BertS1.shape();
+        let matrix = generator::matrix(shape, 7);
+        let loaded = sys.load_matrix(&matrix, shape.m, shape.n).expect("load");
+        let inputs: Vec<_> = (0..4).map(|s| generator::vector(shape.n, 8 + s)).collect();
+        for q in 0..4 + 32 {
+            sys.run_resident(&loaded, &inputs[q % inputs.len()])
+                .expect("run");
+        }
+        sys
+    })
+    .0
+}
+
+/// The peak live bytes the audit alone added to
+/// [`observed_round_peak_bytes`] when the command trace kept a store of
+/// its own (this test body, run on that tree). The trace then added
+/// 983,424 B more.
+const AUDIT_PEAK_BYTES_BEFORE: u64 = 1_394_048;
+
+#[test]
+fn the_trace_and_the_audit_share_one_log() {
+    let nothing = observed_round_peak_bytes(Watched::Nothing);
+    let both = observed_round_peak_bytes(Watched::TraceAndAudit);
+    let audit = observed_round_peak_bytes(Watched::Audit);
+    // The trace is a view of the audit's log: beside the audit it keeps
+    // nothing but the names of the AiM commands.
+    assert!(
+        both <= audit + 16 * 1024,
+        "arming the trace beside the audit raised the peak from {audit} B to {both} B"
+    );
+    let added = both.saturating_sub(nothing);
+    let limit = AUDIT_PEAK_BYTES_BEFORE * 11 / 10;
+    assert!(
+        added <= limit,
+        "trace and audit added {added} B of peak live heap; 1.1 x the {AUDIT_PEAK_BYTES_BEFORE} B the audit alone added is the limit"
     );
 }

@@ -171,7 +171,10 @@ mod tests {
     #[test]
     fn alexnet_model_time_is_conv_dominated() {
         let gpu = TitanVModel::new();
-        let alex = EndToEndModel::alexnet();
+        let alex = EndToEndModel::all()
+            .into_iter()
+            .find(|m| m.name == "AlexNet")
+            .expect("Fig. 8 model");
         let total = gpu.model_time_ns(&alex, 1);
         let non_fc = gpu.non_fc_time_ns(&alex, 1);
         assert!((non_fc / total - 0.85).abs() < 1e-9);

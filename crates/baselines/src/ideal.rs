@@ -27,7 +27,7 @@ pub struct IdealOutcome {
     /// Wall-clock time for one inference, in nanoseconds.
     pub time_ns: f64,
     /// DRAM rows streamed in the measured (worst) channel.
-    pub rows_streamed: usize,
+    rows_streamed: usize,
     /// Refreshes interposed in the measured channel.
     pub refreshes: u64,
 }

@@ -147,36 +147,25 @@ fn bench_bf16_simd(c: &mut Criterion) {
         });
     }
     let row_bf: Vec<Bf16> = row_v.iter().map(|&x| Bf16::from_f32(x)).collect();
-    let mut decoded = simd::LanePlane::zeroed(512);
-    c.bench_function("bf16/LanePlane::fill x512 (one row decode)", |b| {
-        b.iter(|| {
-            decoded.fill(black_box(&row_bf));
-            decoded.get(511)
-        })
-    });
     // The decode the simulator runs: the row as DRAM stores it, straight
-    // into the plane. Must build what `fill` builds.
+    // into the plane. Must build what `write` of the whole row builds.
     let row_bytes = newton_bf16::slice::pack(&row_bf);
     let mut from_bytes = simd::LanePlane::zeroed(512);
     c.bench_function("bf16/LanePlane::fill_le_bytes x512 (one row decode)", |b| {
-        b.iter(|| {
-            from_bytes.fill_le_bytes(black_box(&row_bytes));
-            from_bytes.get(511)
-        })
+        b.iter(|| from_bytes.fill_le_bytes(black_box(&row_bytes)))
     });
-    for i in 0..512 {
-        assert_eq!(
-            from_bytes.get(i).to_bits(),
-            decoded.get(i).to_bits(),
-            "fill_le_bytes diverged from fill at element {i}"
-        );
-    }
+    let (mut decoded, mut written) = ([Bf16::ZERO; 512], [Bf16::ZERO; 512]);
+    from_bytes.read(0, &mut decoded);
+    lane_plane(&row_v).read(0, &mut written);
+    assert_eq!(decoded, written, "fill_le_bytes diverged from write");
 }
 
 /// The lane-major plane of an exactly-widened `f32` row.
 fn lane_plane(row: &[f32]) -> simd::LanePlane {
     let bf: Vec<Bf16> = row.iter().map(|&x| Bf16::from_f32(x)).collect();
-    simd::LanePlane::from_row(&bf)
+    let mut plane = simd::LanePlane::zeroed(bf.len());
+    plane.write(0, &bf);
+    plane
 }
 
 /// Not a timing bench: proves the stack-only step, the batched folds and
@@ -253,7 +242,6 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
                 );
                 acc_bits ^= latches[0].to_bits();
             }
-            refilled.fill(black_box(&bf));
             refilled.write(16, black_box(&bf[..16]));
             refilled.fill_le_bytes(black_box(&row_bytes));
         }
@@ -262,7 +250,9 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
                 cache
                     .ensure_row(&storage, bank, row, Residency::SingleUse)
                     .expect("in range");
-                acc += cache.lanes(bank, row).get(row);
+                let mut e = [Bf16::ZERO];
+                cache.lanes(bank, row).read(row, &mut e);
+                acc += e[0].to_f32();
             }
         }
         (acc, acc_bits)

@@ -48,9 +48,8 @@
 //! `--threads` value (`--threads 1` is the fully serial reference).
 //!
 //! Besides the printed tables, every experiment writes a versioned JSON
-//! metrics snapshot (`<snapshot-dir>/<experiment>.json`, schema version
-//! `newton_trace::SNAPSHOT_SCHEMA_VERSION`) so results diff across
-//! commits.
+//! metrics snapshot (`<snapshot-dir>/<experiment>.json`, with a
+//! `schema_version` key) so results diff across commits.
 
 use newton_bench::harness::{run_experiments, HarnessOptions, EXPERIMENTS};
 use newton_bench::snapshot::SnapshotWriter;
@@ -239,7 +238,7 @@ mod tests {
         let Ok(Command::Run { opts, snapshot_dir }) = parse(&["--no-snapshots"]) else {
             panic!("accepted arguments");
         };
-        assert_eq!(opts.selected(), EXPERIMENTS);
+        assert!(opts.filter.is_empty(), "no filter selects everything");
         assert_eq!(opts.engine, TimingEngine::EventSkipping);
         assert_eq!(snapshot_dir, None);
         assert!(matches!(parse(&["--list"]), Ok(Command::List)));

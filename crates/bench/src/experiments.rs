@@ -28,7 +28,7 @@ use newton_bf16::Bf16;
 use newton_core::config::{NewtonConfig, OptLevel, TelemetryConfig};
 use newton_core::lut::ActivationKind;
 use newton_core::parallel;
-use newton_core::system::{LoadedMatrix, MvProblem, NewtonSystem, SystemRun};
+use newton_core::system::{LoadedMatrix, MvProblem, NewtonSystem};
 use newton_core::{AimError, RecoveryReport};
 use newton_dram::faults::{self, mix64, CampaignSpec};
 use newton_dram::stats::RunSummary;
@@ -82,7 +82,7 @@ pub struct LayerMeasurement {
     /// Titan-V-like GPU time (calibrated model), ns.
     pub gpu_ns: f64,
     /// Largest |simulated − reference| over the output vector.
-    pub max_numeric_error: f64,
+    pub(crate) max_numeric_error: f64,
     /// Whether the numeric error stayed within the bf16 error envelope.
     pub numerics_ok: bool,
     /// Per-channel DRAM summaries from the Newton run (power model input).
@@ -156,11 +156,11 @@ pub struct SpeedupRow {
     /// Workload name.
     pub name: String,
     /// Full Newton speedup over the GPU.
-    pub newton_x: f64,
+    pub(crate) newton_x: f64,
     /// Ideal Non-PIM speedup over the GPU.
-    pub ideal_x: f64,
+    pub(crate) ideal_x: f64,
     /// Non-opt-Newton speedup over the GPU.
-    pub nonopt_x: f64,
+    pub(crate) nonopt_x: f64,
 }
 
 /// Fig. 8, left section: per-layer speedups over the Titan-V-like GPU
@@ -181,10 +181,8 @@ pub(crate) fn fig08_layers_with(
     layers: &[LayerMeasurement],
     threads: usize,
 ) -> Result<Vec<SpeedupRow>, AimError> {
-    let nonopt = NewtonConfig {
-        opts: OptLevel::NonOpt.flags(),
-        ..base.clone()
-    };
+    let mut nonopt = base.clone();
+    nonopt.opts = OptLevel::NonOpt.flags();
     let nons = try_par_indexed(layers.len(), threads, |i| {
         measure_layer(&nonopt, layers[i].benchmark)
     })?;
@@ -235,21 +233,6 @@ fn model_problems(model: &EndToEndModel) -> Vec<LayerProblem> {
         .collect()
 }
 
-/// An end-to-end measurement for one model.
-#[derive(Debug, Clone)]
-pub struct EndToEndMeasurement {
-    /// The speedup bars.
-    pub row: SpeedupRow,
-    /// Newton FC time (measured), ns.
-    pub newton_fc_ns: f64,
-    /// GPU total model time (incl. non-FC), ns.
-    pub gpu_total_ns: f64,
-    /// Refreshes interposed during the Newton run.
-    pub refreshes: u64,
-    /// The raw Newton system run.
-    pub run: SystemRun,
-}
-
 /// Runs one end-to-end model on Newton (measured, on `cfg`) and composes
 /// the GPU/Ideal comparisons, applying Amdahl's law for the non-FC
 /// fraction.
@@ -266,7 +249,7 @@ fn measure_end_to_end(
     cfg: &NewtonConfig,
     model: &EndToEndModel,
     nonopt_layer_times: &[(Benchmark, f64)],
-) -> Result<EndToEndMeasurement, AimError> {
+) -> Result<SpeedupRow, AimError> {
     let mut sys = NewtonSystem::new(cfg.clone())?;
     let problems = model_problems(model);
     let mv: Vec<MvProblem<'_>> = problems
@@ -314,17 +297,11 @@ fn measure_end_to_end(
         .sum();
     let nonopt_total = nonopt_fc + non_fc;
 
-    Ok(EndToEndMeasurement {
-        row: SpeedupRow {
-            name: model.name.to_string(),
-            newton_x: gpu_total / newton_total,
-            ideal_x: gpu_total / ideal_total,
-            nonopt_x: gpu_total / nonopt_total,
-        },
-        newton_fc_ns: run.elapsed_ns,
-        gpu_total_ns: gpu_total,
-        refreshes: run.stats.refreshes,
-        run,
+    Ok(SpeedupRow {
+        name: model.name.to_string(),
+        newton_x: gpu_total / newton_total,
+        ideal_x: gpu_total / ideal_total,
+        nonopt_x: gpu_total / nonopt_total,
     })
 }
 
@@ -341,10 +318,8 @@ pub(crate) fn fig08_end_to_end_with(
     base: &NewtonConfig,
     threads: usize,
 ) -> Result<Vec<SpeedupRow>, AimError> {
-    let nonopt = NewtonConfig {
-        opts: OptLevel::NonOpt.flags(),
-        ..base.clone()
-    };
+    let mut nonopt = base.clone();
+    nonopt.opts = OptLevel::NonOpt.flags();
     let all = Benchmark::all();
     let nonopt_times: Vec<(Benchmark, f64)> = try_par_indexed(all.len(), threads, |i| {
         measure_layer(&nonopt, all[i]).map(|m| (all[i], m.newton_ns))
@@ -357,14 +332,14 @@ pub(crate) fn fig08_end_to_end_with(
     let mut rows = Vec::new();
     let (mut all_n, mut all_i, mut all_o, mut key_n) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for (model, m) in models.iter().zip(measured) {
-        all_n.push(m.row.newton_x);
-        all_i.push(m.row.ideal_x);
-        all_o.push(m.row.nonopt_x);
+    for (model, row) in models.iter().zip(measured) {
+        all_n.push(row.newton_x);
+        all_i.push(row.ideal_x);
+        all_o.push(row.nonopt_x);
         if model.name != "AlexNet" {
-            key_n.push(m.row.newton_x);
+            key_n.push(row.newton_x);
         }
-        rows.push(m.row);
+        rows.push(row);
     }
     rows.push(SpeedupRow {
         name: "mean (all)".into(),
@@ -391,7 +366,7 @@ pub struct LadderRow {
     /// The cumulative optimization level.
     pub level: OptLevel,
     /// Geomean speedup over the GPU across the Table II layers.
-    pub speedup_x: f64,
+    pub(crate) speedup_x: f64,
 }
 
 /// Fig. 9: isolating Newton's optimizations by progressively enabling
@@ -409,10 +384,8 @@ pub(crate) fn fig09_ladder_with(
     let levels = OptLevel::ladder();
     let benches = Benchmark::all();
     let speedups = try_par_indexed(levels.len() * benches.len(), threads, |k| {
-        let cfg = NewtonConfig {
-            opts: levels[k / benches.len()].flags(),
-            ..base.clone()
-        };
+        let mut cfg = base.clone();
+        cfg.opts = levels[k / benches.len()].flags();
         let m = measure_layer(&cfg, benches[k % benches.len()])?;
         Ok(m.gpu_ns / m.newton_ns)
     })?;
@@ -436,7 +409,7 @@ pub struct BankSweepRow {
     /// Benchmark name (or "geomean").
     pub name: String,
     /// Speedup over the GPU at 8, 16 and 32 banks per channel.
-    pub speedup_x: [f64; 3],
+    pub(crate) speedup_x: [f64; 3],
 }
 
 /// Fig. 10: sensitivity to the number of banks per channel (8/16/32).
@@ -556,7 +529,7 @@ pub struct PowerRow {
     pub name: String,
     /// Newton average power normalized to conventional DRAM at the same
     /// workload.
-    pub normalized_power: f64,
+    pub(crate) normalized_power: f64,
 }
 
 /// Fig. 13: Newton's average power normalized to conventional DRAM.
@@ -593,17 +566,17 @@ pub struct EnergyValidationRow {
     pub name: String,
     /// Streamed dynamic energy (sum of per-command milli-pJ attributions
     /// over every window and channel), pJ.
-    pub streamed_pj: f64,
+    pub(crate) streamed_pj: f64,
     /// The same dynamic energy recomputed from the postprocessed activity
     /// counts with the Fig. 13 coefficients, pJ.
-    pub model_pj: f64,
+    pub(crate) model_pj: f64,
     /// `|streamed - model| / model` (0 when the model energy is 0).
-    pub divergence: f64,
+    pub(crate) divergence: f64,
     /// Whether the streamed event *counts* equal the postprocessed
     /// counters bit-for-bit (the stronger guarantee behind the pJ
     /// comparison; the pJ themselves differ only by per-command
     /// milli-pJ rounding).
-    pub counts_bit_exact: bool,
+    pub(crate) counts_bit_exact: bool,
 }
 
 /// Validates the streamed per-command energy attribution against the
@@ -755,7 +728,7 @@ pub struct AblationRow {
     /// Baseline (full Newton) time, ns.
     pub newton_ns: f64,
     /// Variant time, ns.
-    pub variant_ns: f64,
+    pub(crate) variant_ns: f64,
 }
 
 impl AblationRow {
@@ -809,14 +782,11 @@ pub struct FamilyRow {
     pub name: &'static str,
     /// Banks per channel.
     pub banks: usize,
-    /// Measured Newton time for the probe layer, ns (single channel).
-    pub newton_ns: f64,
-    /// Analytic external-bandwidth bound for the same data, ns.
-    pub ideal_ns: f64,
-    /// Measured speedup over the external-bandwidth bound.
+    /// Measured speedup over the external-bandwidth bound for the probe
+    /// layer (single channel).
     pub measured_x: f64,
     /// Refined-model prediction for this family.
-    pub predicted_x: f64,
+    pub(crate) predicted_x: f64,
 }
 
 /// Sec. III-E extension: Newton's internal-vs-external bandwidth
@@ -863,8 +833,6 @@ pub(crate) fn ext_dram_families_with(
         Ok(FamilyRow {
             name,
             banks,
-            newton_ns: run.elapsed_ns,
-            ideal_ns,
             measured_x: ideal_ns / run.elapsed_ns,
             predicted_x: model.speedup_vs_ideal_refined(),
         })
@@ -879,8 +847,6 @@ pub struct ChannelSweepRow {
     pub channels: usize,
     /// Measured layer time, ns.
     pub newton_ns: f64,
-    /// Throughput relative to the 8-channel point.
-    pub scaling: f64,
     /// Parallel efficiency vs linear scaling from 8 channels.
     pub efficiency: f64,
 }
@@ -919,7 +885,6 @@ pub(crate) fn ext_channel_sweep_with(
             ChannelSweepRow {
                 channels,
                 newton_ns,
-                scaling,
                 efficiency: scaling / linear,
             }
         })
@@ -1005,11 +970,9 @@ fn campaign_system(
     ecc: bool,
     matrix: &[Bf16],
 ) -> Result<(NewtonSystem, LoadedMatrix), AimError> {
-    let mut sys = NewtonSystem::new(NewtonConfig {
-        channels: SWEEP_CHANNELS,
-        ecc,
-        ..base.clone()
-    })?;
+    let mut cfg = base.clone();
+    (cfg.channels, cfg.ecc) = (SWEEP_CHANNELS, ecc);
+    let mut sys = NewtonSystem::new(cfg)?;
     let loaded = sys.load_matrix(matrix, SWEEP_SHAPE.0, SWEEP_SHAPE.1)?;
     Ok((sys, loaded))
 }
@@ -1263,12 +1226,9 @@ pub(crate) fn serving_with(
     threads: usize,
 ) -> Result<Vec<ServingRow>, AimError> {
     let (m, n) = SWEEP_SHAPE;
-    let cfg = NewtonConfig {
-        channels: SWEEP_CHANNELS,
-        ecc: true,
-        telemetry: Some(TelemetryConfig::default()),
-        ..base.clone()
-    };
+    let mut cfg = base.clone();
+    (cfg.channels, cfg.ecc) = (SWEEP_CHANNELS, true);
+    cfg.telemetry = Some(TelemetryConfig::default());
     let matrix = generator::matrix(
         newton_workloads::MvShape::new(m, n),
         mix64(SERVING_SEED ^ 0xA),

@@ -81,8 +81,6 @@ fn enforce(claim: &str, verdict: Result<(), String>) {
 /// gone straight to stdout, plus the versioned metrics snapshot.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
-    /// The canonical experiment name (an [`EXPERIMENTS`] entry).
-    pub name: &'static str,
     /// The printed report, exactly as the serial harness would emit it.
     pub text: String,
     /// The metrics snapshot (`<snapshot-dir>/<name>.json`).
@@ -129,7 +127,7 @@ impl HarnessOptions {
     /// The selected experiments, always in canonical order (the filter
     /// narrows the set; it never reorders).
     #[must_use]
-    pub fn selected(&self) -> Vec<&'static str> {
+    pub(crate) fn selected(&self) -> Vec<&'static str> {
         EXPERIMENTS
             .iter()
             .copied()
@@ -142,12 +140,10 @@ impl HarnessOptions {
     /// telemetry choices.
     #[must_use]
     pub(crate) fn base_config(&self) -> NewtonConfig {
-        NewtonConfig {
-            engine: self.engine,
-            audit: self.audit,
-            telemetry: self.telemetry.then(TelemetryConfig::default),
-            ..NewtonConfig::paper_default()
-        }
+        let mut cfg = NewtonConfig::paper_default();
+        (cfg.engine, cfg.audit) = (self.engine, self.audit);
+        cfg.telemetry = self.telemetry.then(TelemetryConfig::default);
+        cfg
     }
 
     /// The resolved worker-pool width. Explicit `--threads` requests are
@@ -251,7 +247,6 @@ fn report_table2() -> Result<ExperimentReport, AimError> {
     snap.count("workloads", Benchmark::all().len() as u64);
     add_table(&mut snap, "Table II: workloads", &t);
     Ok(ExperimentReport {
-        name: "table2",
         text,
         snapshot: snap,
     })
@@ -293,7 +288,6 @@ fn report_table3(base: &NewtonConfig) -> Result<ExperimentReport, AimError> {
         .scalar("refined_model_x", mv.refined_model_x)
         .scalar("measured_x", mv.measured_x);
     Ok(ExperimentReport {
-        name: "table3",
         text,
         snapshot: snap,
     })
@@ -336,7 +330,6 @@ fn report_fig07(base: &NewtonConfig) -> Result<ExperimentReport, AimError> {
     let mut snap = MetricsSnapshot::new("fig07");
     snap.count("commands", trace.lines().count() as u64);
     Ok(ExperimentReport {
-        name: "fig07",
         text,
         snapshot: snap,
     })
@@ -431,7 +424,6 @@ fn report_fig08(
     );
     add_table(&mut snap, "Fig. 8 (right): end-to-end speedup vs GPU", &t);
     Ok(ExperimentReport {
-        name: "fig08",
         text,
         snapshot: snap,
     })
@@ -478,7 +470,6 @@ fn report_fig09(base: &NewtonConfig, threads: usize) -> Result<ExperimentReport,
     let mut snap = MetricsSnapshot::new("fig09");
     add_table(&mut snap, "Fig. 9: optimization ladder", &t);
     Ok(ExperimentReport {
-        name: "fig09",
         text,
         snapshot: snap,
     })
@@ -521,7 +512,6 @@ fn report_fig10(base: &NewtonConfig, threads: usize) -> Result<ExperimentReport,
     let mut snap = MetricsSnapshot::new("fig10");
     add_table(&mut snap, "Fig. 10: banks-per-channel sensitivity", &t);
     Ok(ExperimentReport {
-        name: "fig10",
         text,
         snapshot: snap,
     })
@@ -602,7 +592,6 @@ fn report_fig11(layers: &[LayerMeasurement]) -> Result<ExperimentReport, AimErro
     let mut snap = MetricsSnapshot::new("fig11");
     add_table(&mut snap, "Fig. 11: batch sensitivity vs Ideal Non-PIM", &t);
     Ok(ExperimentReport {
-        name: "fig11",
         text,
         snapshot: snap,
     })
@@ -632,7 +621,6 @@ fn report_fig12(layers: &[LayerMeasurement]) -> Result<ExperimentReport, AimErro
     let mut snap = MetricsSnapshot::new("fig12");
     add_table(&mut snap, "Fig. 12: batch sensitivity vs GPU", &t);
     Ok(ExperimentReport {
-        name: "fig12",
         text,
         snapshot: snap,
     })
@@ -734,7 +722,6 @@ fn report_fig13(
         );
     }
     Ok(ExperimentReport {
-        name: "fig13",
         text,
         snapshot: snap,
     })
@@ -827,7 +814,6 @@ fn report_ablations(base: &NewtonConfig, threads: usize) -> Result<ExperimentRep
     let _ = writeln!(text, "{}", t.render());
     add_table(&mut snap, "Ablation: four result latches per bank", &t);
     Ok(ExperimentReport {
-        name: "ablations",
         text,
         snapshot: snap,
     })
@@ -927,7 +913,6 @@ fn report_extensions(base: &NewtonConfig, threads: usize) -> Result<ExperimentRe
     let _ = writeln!(text, "{}", t.render());
     add_table(&mut snap, "Extension: channel scaling", &t);
     Ok(ExperimentReport {
-        name: "extensions",
         text,
         snapshot: snap,
     })
@@ -992,7 +977,6 @@ fn report_campaign(base: &NewtonConfig, threads: usize) -> Result<ExperimentRepo
     let _ = writeln!(text, "{}", t.render());
     add_table(&mut snap, "Fault campaign: BER sweep, ECC off/on", &t);
     Ok(ExperimentReport {
-        name: "campaign",
         text,
         snapshot: snap,
     })
@@ -1052,7 +1036,6 @@ fn report_serving(base: &NewtonConfig, threads: usize) -> Result<ExperimentRepor
         &t,
     );
     Ok(ExperimentReport {
-        name: "serving",
         text,
         snapshot: snap,
     })
@@ -1132,12 +1115,12 @@ mod tests {
             run_experiments(&opts).expect("harness run")
         };
         let serial = run(1);
-        let names: Vec<&str> = serial.iter().map(|r| r.name).collect();
+        let names: Vec<&str> = serial.iter().map(|r| r.snapshot.experiment()).collect();
         assert_eq!(names, ["table2", "fig07", "campaign"]);
         for threads in [2, 8] {
             let par = run(threads);
             for (a, b) in serial.iter().zip(&par) {
-                assert_eq!(a.name, b.name);
+                assert_eq!(a.snapshot.experiment(), b.snapshot.experiment());
                 assert_eq!(a.text, b.text, "text differs at {threads} threads");
                 assert_eq!(
                     a.snapshot.render(),

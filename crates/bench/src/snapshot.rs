@@ -1,8 +1,8 @@
 //! Metrics-snapshot writing for the `reproduce` harness.
 //!
 //! Every experiment `reproduce` runs can be captured as a versioned JSON
-//! document ([`newton_trace::MetricsSnapshot`], schema version
-//! [`newton_trace::SNAPSHOT_SCHEMA_VERSION`]) next to its printed
+//! document ([`newton_trace::MetricsSnapshot`], with a
+//! `schema_version` key) next to its printed
 //! figure/table, so results diff across commits instead of being
 //! eyeballed from terminal output.
 
@@ -60,7 +60,7 @@ impl SnapshotWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use newton_trace::{JsonValue, SNAPSHOT_SCHEMA_VERSION};
+    use newton_trace::JsonValue;
 
     #[test]
     fn disabled_writer_writes_nothing() {
@@ -86,8 +86,10 @@ mod tests {
         let text = std::fs::read_to_string(&w.written()[0]).unwrap();
         let doc = JsonValue::parse(&text).unwrap();
         assert_eq!(
-            doc.get("schema_version").unwrap().as_f64(),
-            Some(SNAPSHOT_SCHEMA_VERSION as f64)
+            doc.get("schema_version"),
+            MetricsSnapshot::new("fig99")
+                .to_json()
+                .get("schema_version")
         );
         assert_eq!(doc.get("experiment").unwrap().as_str(), Some("fig99"));
         let tables = doc.get("tables").unwrap().as_array().unwrap();

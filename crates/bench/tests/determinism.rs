@@ -11,12 +11,12 @@
 
 use newton_bf16::Bf16;
 use newton_core::config::NewtonConfig;
-use newton_core::parallel::{env_threads, ParallelPolicy, THREADS_ENV};
+use newton_core::parallel::ParallelPolicy;
 use newton_core::system::{NewtonSystem, SystemRun};
 use newton_core::{RecoveryReport, TelemetryConfig};
 use newton_dram::faults::{self, CampaignSpec, InjectedFault};
 use newton_model::power::ActivityCounts;
-use newton_trace::{EnergyModel, MetricsSnapshot};
+use newton_trace::{EnergyModel, MetricsSnapshot, TimeSeries, WindowMetrics};
 use newton_workloads::{generator, Benchmark, MvShape};
 use proptest::prelude::*;
 
@@ -164,9 +164,9 @@ fn newton_threads_env_controls_default_policy_only() {
     let host = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
+    const THREADS_ENV: &str = "NEWTON_THREADS";
     let old = std::env::var(THREADS_ENV).ok();
     std::env::set_var(THREADS_ENV, "3");
-    assert_eq!(env_threads(), Some(3));
     // Environment requests are capped at the host's cores; only exact()
     // may oversubscribe.
     assert_eq!(ParallelPolicy::default().threads(), 3.min(host));
@@ -174,17 +174,29 @@ fn newton_threads_env_controls_default_policy_only() {
     assert_eq!(ParallelPolicy::exact(2).threads(), 2);
     assert_eq!(ParallelPolicy::exact(host * 4).threads(), host * 4);
     std::env::set_var(THREADS_ENV, "1");
-    assert_eq!(env_threads(), Some(1));
     assert_eq!(ParallelPolicy::default().threads(), 1);
     // Unparseable or zero values fall back to auto-detection.
-    std::env::set_var(THREADS_ENV, "0");
-    assert_eq!(env_threads(), None);
-    std::env::set_var(THREADS_ENV, "lots");
-    assert_eq!(env_threads(), None);
+    for value in ["0", "lots"] {
+        std::env::set_var(THREADS_ENV, value);
+        assert_eq!(ParallelPolicy::default().threads(), host, "{value:?}");
+    }
     match old {
         Some(v) => std::env::set_var(THREADS_ENV, v),
         None => std::env::remove_var(THREADS_ENV),
     }
+}
+
+/// Every channel's telemetry series, in channel order.
+fn telemetry(run: &SystemRun) -> Vec<TimeSeries> {
+    run.channel_summaries
+        .iter()
+        .map(|s| s.telemetry.clone().expect("telemetry enabled"))
+        .collect()
+}
+
+/// `field` of every channel's telemetry totals, summed.
+fn total(series: &[TimeSeries], field: fn(&WindowMetrics) -> u64) -> u64 {
+    series.iter().map(|s| field(&s.totals())).sum()
 }
 
 /// An 8-channel system with streaming telemetry enabled and the pool
@@ -198,10 +210,12 @@ fn telemetry_system(threads: usize) -> NewtonSystem {
 }
 
 /// Everything simulation-deterministic about one telemetry-enabled run:
-/// the merged time series (windows, counts, energy), its rendered JSON
-/// export, and the host-phase digest (phase names and call counts; wall
-/// nanoseconds are host-dependent and excluded by design).
-fn telemetry_observation(threads: usize) -> (newton_trace::TimeSeries, String, u64, u64, String) {
+/// every channel's time series (windows, counts, energy) and the host
+/// phases' names and call counts (wall nanoseconds are host-dependent and
+/// excluded by design).
+type TelemetryObservation = (Vec<TimeSeries>, u64, u64, Vec<(&'static str, u64)>);
+
+fn telemetry_observation(threads: usize) -> TelemetryObservation {
     let b = Benchmark::DlrmS1;
     let shape = b.shape();
     let matrix = generator::matrix(shape, b.seed());
@@ -210,34 +224,32 @@ fn telemetry_observation(threads: usize) -> (newton_trace::TimeSeries, String, u
     let run = sys
         .run_mv(&matrix, shape.m, shape.n, &vector)
         .expect("telemetry run");
-    let merged = run.merged_telemetry().expect("telemetry enabled");
-    let model = EnergyModel::new();
-    let json = merged
-        .to_json(run.channel_summaries[0].tck_ns, &model)
-        .render();
-    let totals = merged.totals();
-    let digest = sys.host_phases().digest();
-    (
-        merged,
-        json,
-        totals.energy_milli_pj,
-        totals.refresh_milli_pj,
-        digest,
-    )
+    let series = telemetry(&run);
+    let phases = sys
+        .host_phases()
+        .phases()
+        .iter()
+        .map(|p| (p.name, p.calls))
+        .collect();
+    let energy = total(&series, |t| t.energy_milli_pj);
+    let refresh = total(&series, |t| t.refresh_milli_pj);
+    (series, energy, refresh, phases)
 }
 
 #[test]
 fn telemetry_is_bit_exact_across_thread_counts() {
     let serial = telemetry_observation(1);
-    assert!(!serial.0.windows().is_empty(), "series must have windows");
-    assert!(serial.2 > 0, "a COMP workload must attribute energy");
+    assert!(
+        serial.0.iter().all(|s| !s.windows().is_empty()),
+        "every series must have windows"
+    );
+    assert!(serial.1 > 0, "a COMP workload must attribute energy");
     for threads in [2, 8] {
         let par = telemetry_observation(threads);
-        assert_eq!(par.0, serial.0, "merged time series, threads={threads}");
-        assert_eq!(par.1, serial.1, "telemetry JSON, threads={threads}");
-        assert_eq!(par.2, serial.2, "energy totals, threads={threads}");
-        assert_eq!(par.3, serial.3, "refresh energy, threads={threads}");
-        assert_eq!(par.4, serial.4, "host-phase digest, threads={threads}");
+        assert_eq!(par.0, serial.0, "time series, threads={threads}");
+        assert_eq!(par.1, serial.1, "energy totals, threads={threads}");
+        assert_eq!(par.2, serial.2, "refresh energy, threads={threads}");
+        assert_eq!(par.3, serial.3, "host-phase calls, threads={threads}");
     }
 }
 
@@ -381,9 +393,14 @@ proptest! {
         prop_assert_eq!(streamed, post, "streamed counts must equal postprocessed counts");
 
         let model = EnergyModel::new();
-        let merged = run.merged_telemetry().expect("telemetry enabled");
-        let streamed_pj = merged.totals().energy_milli_pj as f64 / 1000.0;
-        let model_pj = merged.dynamic_energy_pj(&model);
+        let series = telemetry(&run);
+        let count = |field: fn(&WindowMetrics) -> u64| total(&series, field) as f64;
+        let streamed_pj = count(|t| t.energy_milli_pj) / 1000.0;
+        // The Fig. 13 model's dynamic components, refresh excluded.
+        let model_pj = model.e_act * count(|t| t.activates)
+            + model.e_array * count(|t| t.array_accesses)
+            + model.e_mac * count(|t| t.comp_ops)
+            + model.e_phy * (count(|t| t.bus_bytes) / model.col_bytes);
         if model_pj > 0.0 {
             let divergence = (streamed_pj - model_pj).abs() / model_pj;
             prop_assert!(

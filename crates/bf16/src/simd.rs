@@ -340,33 +340,13 @@ impl LanePlane {
         }
     }
 
-    /// A plane holding `row` (a ragged tail sub-chunk is zero-filled).
-    #[must_use]
-    pub fn from_row(row: &[Bf16]) -> LanePlane {
-        let mut plane = LanePlane::zeroed(row.len());
-        plane.fill(row);
-        plane
-    }
-
-    /// Number of 16-element sub-chunks the plane holds.
-    #[must_use]
-    pub fn n_sub(&self) -> usize {
-        self.n_sub
-    }
-
-    /// Overwrites the whole plane with `row`, zero-filling whatever `row`
-    /// does not cover.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is longer than the plane.
-    pub fn fill(&mut self, row: &[Bf16]) {
-        self.fill_with(row, Bf16::to_bits);
-    }
-
-    /// [`fill`](LanePlane::fill) from the row as DRAM stores it:
-    /// little-endian bf16 pairs, decoded straight into the plane with no
-    /// intermediate [`Bf16`] row.
+    /// Overwrites the whole plane with the row as DRAM stores it
+    /// (little-endian bf16 pairs), zero-filling whatever the row does not
+    /// cover. The bytes are decoded straight into the plane with no
+    /// intermediate [`Bf16`] row, and whole blocks are transposed with
+    /// sequential writes and no per-element index arithmetic (rows are
+    /// decoded cold on the weight-reload path, so this loop is paid per
+    /// use there).
     ///
     /// # Panics
     ///
@@ -374,15 +354,6 @@ impl LanePlane {
     pub fn fill_le_bytes(&mut self, bytes: &[u8]) {
         let (row, odd) = bytes.as_chunks::<2>();
         assert!(odd.is_empty(), "{} bytes are not bf16 pairs", bytes.len());
-        self.fill_with(row, u16::from_le_bytes);
-    }
-
-    /// The one transposing fill; `bits` gives an element's bf16 bits.
-    /// Whole blocks are transposed with sequential writes and no
-    /// per-element index arithmetic (rows are decoded cold on the
-    /// weight-reload path, so this loop is paid per use there).
-    #[inline]
-    fn fill_with<T: Copy>(&mut self, row: &[T], bits: impl Fn(T) -> u16) {
         assert!(
             row.len() <= self.n_sub * TREE_ARITY,
             "row of {} elements exceeds the plane's {} sub-chunks",
@@ -394,11 +365,13 @@ impl LanePlane {
             for (j, lane_row) in lanes.chunks_exact_mut(BLOCK_SUBS).enumerate() {
                 if block.len() == BLOCK_ELEMS {
                     for (lane, sub) in lane_row.iter_mut().zip(block.chunks_exact(TREE_ARITY)) {
-                        *lane = bits(sub[j]);
+                        *lane = u16::from_le_bytes(sub[j]);
                     }
                 } else {
                     for (s, lane) in lane_row.iter_mut().enumerate() {
-                        *lane = block.get(s * TREE_ARITY + j).map_or(0, |&e| bits(e));
+                        *lane = block
+                            .get(s * TREE_ARITY + j)
+                            .map_or(0, |&e| u16::from_le_bytes(e));
                     }
                 }
             }
@@ -437,16 +410,6 @@ impl LanePlane {
         for (elem, o) in (start..).zip(out) {
             *o = Bf16::from_bits(self.lanes[lane_index(elem)]);
         }
-    }
-
-    /// Element `elem` (row order), widened to `f32`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elem` is past the plane.
-    #[must_use]
-    pub fn get(&self, elem: usize) -> f32 {
-        widen(self.lanes[lane_index(elem)])
     }
 
     #[inline]
@@ -572,7 +535,7 @@ fn lane_block_roots_checked<const ROUND: bool>(
 /// # Panics
 ///
 /// Panics if `latches` and `weights` differ in length, or `n_sub`
-/// exceeds any plane's [`LanePlane::n_sub`].
+/// exceeds the sub-chunks any plane holds.
 pub fn comp_row_set(
     latches: &mut [Bf16],
     weights: &[&LanePlane],
@@ -660,7 +623,7 @@ mod tests {
     /// the cross-kernel contract — see the module docs).
     fn random_bf16(state: &mut u64) -> Bf16 {
         let b = Bf16::from_bits(mix(state) as u16);
-        if b.is_nan() {
+        if b.to_f32().is_nan() {
             Bf16::ZERO
         } else {
             b
@@ -818,7 +781,7 @@ mod tests {
             let inputs: Vec<Bf16> = (0..n_sub * 16)
                 .map(|_| match tame_bf16(&mut state) {
                     // Keep the planted products away from `0 x inf`.
-                    v if v.is_zero() => Bf16::ONE,
+                    v if v.to_f32() == 0.0 => Bf16::ONE,
                     v => v,
                 })
                 .collect();
@@ -855,6 +818,18 @@ mod tests {
         Bf16::from_f32(((mix(state) % 2001) as f32 - 1000.0) / 256.0)
     }
 
+    /// The plane of `row`, through the transposing byte fill.
+    fn from_row(row: &[Bf16]) -> LanePlane {
+        let mut plane = LanePlane::zeroed(row.len());
+        plane.fill_le_bytes(&crate::slice::pack(row));
+        plane
+    }
+
+    /// Element `elem` of `plane` (row order), widened to `f32`.
+    fn get(plane: &LanePlane, elem: usize) -> f32 {
+        widen(plane.lanes[lane_index(elem)])
+    }
+
     /// Runs one row-set through [`comp_row_set`] and checks every latch
     /// against the per-sub-chunk scalar steps and against the row-major
     /// [`comp_subchunks16_multi`].
@@ -866,16 +841,10 @@ mod tests {
         precision: TreePrecision,
         ctx: &str,
     ) -> Vec<Bf16> {
-        let planes: Vec<LanePlane> = rows.iter().map(|r| LanePlane::from_row(r)).collect();
+        let planes: Vec<LanePlane> = rows.iter().map(|r| from_row(r)).collect();
         let refs: Vec<&LanePlane> = planes.iter().collect();
         let mut lane_major = latches0.to_vec();
-        comp_row_set(
-            &mut lane_major,
-            &refs,
-            &LanePlane::from_row(inputs),
-            n_sub,
-            precision,
-        );
+        comp_row_set(&mut lane_major, &refs, &from_row(inputs), n_sub, precision);
 
         let elems = n_sub * TREE_ARITY;
         let wide: Vec<Vec<f32>> = rows.iter().map(|r| widen_row(&r[..elems])).collect();
@@ -912,40 +881,41 @@ mod tests {
             let row: Vec<Bf16> = (0..len)
                 .map(|_| Bf16::from_bits(mix(&mut state) as u16))
                 .collect();
-            let mut plane = LanePlane::from_row(&row);
-            assert_eq!(plane.n_sub(), len.div_ceil(16));
-            let capacity = plane.n_sub() * 16;
+            let mut plane = from_row(&row);
+            assert_eq!(plane.n_sub, len.div_ceil(16));
+            let capacity = plane.n_sub * 16;
             for i in 0..capacity {
                 let expect = row.get(i).map_or(0.0, |e| e.to_f32());
                 assert_eq!(
-                    plane.get(i).to_bits(),
+                    get(&plane, i).to_bits(),
                     expect.to_bits(),
                     "len {len} elem {i}"
                 );
             }
-            // The byte fill builds the identical plane and `read` returns
-            // the identical row.
-            let mut from_bytes = LanePlane::zeroed(len);
-            from_bytes.fill_le_bytes(&crate::slice::pack(&row));
+            // `write` of the whole row builds the identical plane and
+            // `read` returns the identical row.
+            let mut written = LanePlane::zeroed(len);
+            written.write(0, &row);
             let mut back = vec![Bf16::ONE; capacity];
-            from_bytes.read(0, &mut back);
+            written.read(0, &mut back);
             for (i, b) in back.iter().enumerate() {
-                assert_eq!(from_bytes.get(i).to_bits(), plane.get(i).to_bits());
+                assert_eq!(get(&written, i).to_bits(), get(&plane, i).to_bits());
                 assert_eq!(b.to_bits(), row.get(i).map_or(0, |e| e.to_bits()));
             }
-            // `write` lands where `fill` would have put the same elements,
-            // and a shorter refill zeroes what it no longer covers.
+            // `write` lands where the fill would have put the same
+            // elements, and a shorter refill zeroes what it no longer
+            // covers.
             if len >= 40 {
                 let mut patched = row.clone();
                 patched[20..40].fill(Bf16::ONE);
                 plane.write(20, &patched[20..40]);
                 for (i, e) in patched.iter().enumerate() {
-                    assert_eq!(plane.get(i).to_bits(), e.to_f32().to_bits());
+                    assert_eq!(get(&plane, i).to_bits(), e.to_f32().to_bits());
                 }
-                plane.fill(&row[..len / 2]);
+                plane.fill_le_bytes(&crate::slice::pack(&row[..len / 2]));
                 for i in 0..capacity {
                     let expect = row[..len / 2].get(i).map_or(0.0, |e| e.to_f32());
-                    assert_eq!(plane.get(i).to_bits(), expect.to_bits());
+                    assert_eq!(get(&plane, i).to_bits(), expect.to_bits());
                 }
             }
         }
@@ -1006,7 +976,7 @@ mod tests {
                     match input {
                         Some(v) => inputs[pos] = v,
                         // Keep the planted product away from `0 x inf`.
-                        None if inputs[pos].is_zero() => inputs[pos] = Bf16::ONE,
+                        None if inputs[pos].to_f32() == 0.0 => inputs[pos] = Bf16::ONE,
                         None => {}
                     }
                     let ctx = format!("{name} at j={} s={}", pos % 16, pos / 16);
@@ -1119,15 +1089,15 @@ mod tests {
     }
 
     /// `write` then `read` round-trips any range, and leaves the plane as
-    /// `from_row` of the row holding just that range would: every start
+    /// the fill of the row holding just that range would: every start
     /// and length over one whole block and a ragged part of a second, so
     /// ranges begin and end on and off sub-chunk and block boundaries.
     #[test]
-    fn write_stores_any_range_as_from_row_would() {
+    fn write_stores_any_range_as_the_fill_would() {
         let n = BLOCK_ELEMS + 2 * TREE_ARITY + 8;
         let row: Vec<Bf16> = (1..=n).map(|i| Bf16::from_bits(i as u16)).collect();
         // A range's plane is `full` with the lanes outside the range zero.
-        let full = LanePlane::from_row(&row);
+        let full = from_row(&row);
         let mut expected = vec![0u16; full.lanes.len()];
         let mut plane = LanePlane::zeroed(n);
         let mut out = vec![Bf16::ZERO; n];

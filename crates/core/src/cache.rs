@@ -209,10 +209,19 @@ mod tests {
         Bf16::from_f32(v)
     }
 
-    fn plane_bits(plane: &LanePlane) -> Vec<u32> {
-        (0..plane.n_sub() * 16)
-            .map(|i| plane.get(i).to_bits())
-            .collect()
+    /// The `f32` bits of the first `elems` elements of `plane` (row
+    /// order), rounded up to whole sub-chunks.
+    fn plane_bits(plane: &LanePlane, elems: usize) -> Vec<u32> {
+        let mut row = vec![Bf16::ZERO; elems.div_ceil(16) * 16];
+        plane.read(0, &mut row);
+        row.iter().map(|e| e.to_f32().to_bits()).collect()
+    }
+
+    /// Element `elem` of `plane` (row order), widened to `f32`.
+    fn elem(plane: &LanePlane, elem: usize) -> f32 {
+        let mut e = [Bf16::ZERO];
+        plane.read(elem, &mut e);
+        e[0].to_f32()
     }
 
     /// A row of ordinary values with the specials the kernel's rounding
@@ -237,7 +246,7 @@ mod tests {
         cache.ensure_row(&s, 2, 9, Resident).unwrap();
         assert_eq!(cache.decode_count(), 1);
         assert_eq!(cache.hit_count(), 1);
-        assert_eq!(cache.lanes(2, 9).get(3), row[3].to_f32());
+        assert_eq!(elem(cache.lanes(2, 9), 3), row[3].to_f32());
         let lanes_at = std::ptr::from_ref(cache.lanes(2, 9));
 
         // write_column bumps the generation -> re-decode with fresh data.
@@ -246,11 +255,11 @@ mod tests {
         cache.ensure_row(&s, 2, 9, Resident).unwrap();
         assert_eq!(cache.decode_count(), 2);
         assert_eq!(cache.hit_count(), 1);
-        assert_eq!(cache.lanes(2, 9).get(15), -7.0);
+        assert_eq!(elem(cache.lanes(2, 9), 15), -7.0);
         // A stale row is re-decoded where it lies: no fresh box.
         assert_eq!(std::ptr::from_ref(cache.lanes(2, 9)), lanes_at);
         // Untouched tail of the row survives the partial overwrite.
-        assert_eq!(cache.lanes(2, 9).get(16), row[16].to_f32());
+        assert_eq!(elem(cache.lanes(2, 9), 16), row[16].to_f32());
 
         // flip_bit also invalidates.
         s.flip_bit(2, 9, 0).unwrap();
@@ -274,8 +283,12 @@ mod tests {
             let mut streamed = DecodedWeightCache::new(cfg.banks, elems);
             retained.ensure_row(&s, 1, 4, Resident).unwrap();
             streamed.ensure_row(&s, 1, 4, SingleUse).unwrap();
-            let bits = plane_bits(streamed.lanes(1, 4));
-            assert_eq!(bits, plane_bits(retained.lanes(1, 4)), "{elems} elements");
+            let bits = plane_bits(streamed.lanes(1, 4), elems);
+            assert_eq!(
+                bits,
+                plane_bits(retained.lanes(1, 4), elems),
+                "{elems} elements"
+            );
             let expect: Vec<u32> = row.iter().map(|e| e.to_f32().to_bits()).collect();
             assert_eq!(bits[..elems], expect[..]);
             assert!(bits[elems..].iter().all(|&b| b == 0), "padding is +0.0");
@@ -289,28 +302,28 @@ mod tests {
         let fives = newton_bf16::slice::pack(&[bf(5.0); 512]);
         s.write_row(0, 3, &fives).unwrap();
         cache.ensure_row(&s, 0, 3, SingleUse).unwrap();
-        assert_eq!(cache.lanes(0, 3).get(100), 5.0);
+        assert_eq!(elem(cache.lanes(0, 3), 100), 5.0);
 
         s.write_row(0, 3, &newton_bf16::slice::pack(&[bf(6.0); 512]))
             .unwrap();
         cache.ensure_row(&s, 0, 3, SingleUse).unwrap();
-        assert_eq!(cache.lanes(0, 3).get(100), 6.0);
+        assert_eq!(elem(cache.lanes(0, 3), 100), 6.0);
 
         s.write_column(0, 3, 2, &newton_bf16::slice::pack(&[bf(-1.5); 16]))
             .unwrap();
         cache.ensure_row(&s, 0, 3, SingleUse).unwrap();
-        assert_eq!(cache.lanes(0, 3).get(32), -1.5);
-        assert_eq!(cache.lanes(0, 3).get(48), 6.0);
+        assert_eq!(elem(cache.lanes(0, 3), 32), -1.5);
+        assert_eq!(elem(cache.lanes(0, 3), 48), 6.0);
 
         // Bit 15 of element 0 is its sign.
         s.flip_bit(0, 3, 15).unwrap();
         cache.ensure_row(&s, 0, 3, SingleUse).unwrap();
-        assert_eq!(cache.lanes(0, 3).get(0), -6.0);
+        assert_eq!(elem(cache.lanes(0, 3), 0), -6.0);
 
         // Another row through the same bank's scratch replaces the first.
         s.write_row(0, 8, &fives).unwrap();
         cache.ensure_row(&s, 0, 8, SingleUse).unwrap();
-        assert_eq!(cache.lanes(0, 8).get(0), 5.0);
+        assert_eq!(elem(cache.lanes(0, 8), 0), 5.0);
 
         // Streaming never hits, not even on unchanged bytes.
         cache.ensure_row(&s, 0, 8, SingleUse).unwrap();
@@ -337,14 +350,14 @@ mod tests {
         s.write_row(5, 1, &newton_bf16::slice::pack(&[bf(2.0); 512]))
             .unwrap();
         cache.ensure_row(&s, 5, 1, SingleUse).unwrap();
-        assert_eq!(cache.lanes(5, 1).get(7), 2.0);
+        assert_eq!(elem(cache.lanes(5, 1), 7), 2.0);
         assert_ne!(std::ptr::from_ref(cache.lanes(5, 1)), retained_at);
         assert_eq!((cache.decode_count(), cache.hit_count()), (2, 1));
 
         // ...so the next retained read still sees it stale, re-decodes in
         // place, and then hits; the scratch copy is not consulted again.
         cache.ensure_row(&s, 5, 1, Resident).unwrap();
-        assert_eq!(cache.lanes(5, 1).get(7), 2.0);
+        assert_eq!(elem(cache.lanes(5, 1), 7), 2.0);
         assert_eq!(std::ptr::from_ref(cache.lanes(5, 1)), retained_at);
         cache.ensure_row(&s, 5, 1, SingleUse).unwrap();
         assert_eq!((cache.decode_count(), cache.hit_count()), (3, 2));
@@ -357,7 +370,7 @@ mod tests {
         cache.ensure_row(&s, 0, 0, Resident).unwrap();
         cache.ensure_row(&s, 0, 0, Resident).unwrap();
         assert_eq!(cache.decode_count(), 1);
-        assert!(plane_bits(cache.lanes(0, 0)).iter().all(|&b| b == 0));
+        assert!(plane_bits(cache.lanes(0, 0), 512).iter().all(|&b| b == 0));
     }
 
     #[test]

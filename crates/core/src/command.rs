@@ -26,12 +26,6 @@ impl<'a> CommandTrace<'a> {
         CommandTrace { log }
     }
 
-    /// Whether recording is active.
-    #[must_use]
-    pub fn is_enabled(self) -> bool {
-        self.log.is_some()
-    }
-
     /// The recorded `(cycle, command)` pairs in recording order, trains
     /// expanded.
     pub fn entries(self) -> impl Iterator<Item = (Cycle, AimCommand)> + 'a {
@@ -94,7 +88,7 @@ mod tests {
     #[test]
     fn a_disabled_trace_is_empty() {
         let trace = CommandTrace::new(None);
-        assert!(!trace.is_enabled());
+        assert!(trace.log.is_none());
         assert_eq!(trace.entries().count(), 0);
         assert_eq!(trace.render(), "");
     }
@@ -112,7 +106,6 @@ mod tests {
         // Conventional traffic is in the log, not in the trace.
         ch.issue_precharge_all(20).expect("PREA");
         let trace = CommandTrace::new(ch.command_log());
-        assert!(trace.is_enabled());
         assert!(trace.entries().eq(entries));
         let rendered = trace.render();
         assert_eq!(rendered.lines().count(), 5);

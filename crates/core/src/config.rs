@@ -64,17 +64,17 @@ pub enum TimingEngine {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptFlags {
     /// One COMP command gangs the compute in all banks.
-    pub ganged_comp: bool,
+    pub(crate) ganged_comp: bool,
     /// COMP is a single complex command (broadcast + column read +
     /// multiply-add) instead of three simple ones.
-    pub complex_comp: bool,
+    pub(crate) complex_comp: bool,
     /// Chunk-interleaved layout + column-major tile traversal (full input
     /// reuse). When false, the Newton-no-reuse layout/schedule is used.
     pub interleaved_reuse: bool,
     /// G_ACT gangs four bank activations into one command.
-    pub ganged_act: bool,
+    pub(crate) ganged_act: bool,
     /// Aggressive tFAW from beefed-up internal voltage generation.
-    pub aggressive_tfaw: bool,
+    pub(crate) aggressive_tfaw: bool,
 }
 
 impl OptFlags {
@@ -196,7 +196,7 @@ pub struct NewtonConfig {
     /// tCCD (it accepts a new set every column access); the paper notes
     /// the completion latency exceeds the 4-cycle command spacing, so the
     /// controller delays READRES by this amount.
-    pub adder_tree_latency: Cycle,
+    pub(crate) adder_tree_latency: Cycle,
     /// Result latches per bank: 1 in Newton proper; 4 in the explored
     /// "option in between" of Sec. III-C.
     pub result_latches_per_bank: usize,

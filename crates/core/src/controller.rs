@@ -4,13 +4,13 @@
 //! The controller is where every evaluated mechanism of the paper meets
 //! the timing substrate:
 //!
-//! * **Ganged compute** ([`OptFlags::ganged_comp`]): one `COMP#` drives
+//! * **Ganged compute** (`OptFlags::ganged_comp`): one `COMP#` drives
 //!   all banks under a single column-bus slot; disabled, each bank gets
 //!   its own command — 16× the command traffic (Sec. V-B).
-//! * **Complex commands** ([`OptFlags::complex_comp`]): `COMP#` fuses
+//! * **Complex commands** (`OptFlags::complex_comp`): `COMP#` fuses
 //!   broadcast + column read + multiply-add; disabled, each step is a
 //!   separate simple command — 3× the traffic.
-//! * **Ganged activation** ([`OptFlags::ganged_act`]): `G_ACT#` opens a
+//! * **Ganged activation** (`OptFlags::ganged_act`): `G_ACT#` opens a
 //!   4-bank cluster per row-bus slot within tFAW; disabled, banks activate
 //!   one by one.
 //! * **Refresh interposition** (Sec. III-E): if the pending refresh would
@@ -28,10 +28,6 @@
 //! [`NewtonChannel::run_mv`] calls them in schedule order; the ISA
 //! interpreter of `newton-isa` maps instructions onto them, so both get
 //! the same command order, refresh interposition and optimizations.
-//!
-//! [`OptFlags::ganged_comp`]: crate::config::OptFlags::ganged_comp
-//! [`OptFlags::complex_comp`]: crate::config::OptFlags::complex_comp
-//! [`OptFlags::ganged_act`]: crate::config::OptFlags::ganged_act
 
 use newton_bf16::Bf16;
 use newton_dram::audit::AuditViolation;
@@ -683,8 +679,9 @@ impl NewtonChannel {
     ) -> Result<(), AimError> {
         let t = *self.channel.timing();
         self.copy_boundary(offset, n_sub)?;
+        let mut block = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
         let payloads: Vec<Vec<u8>> = (offset..offset + n_sub)
-            .map(|s| newton_bf16::slice::pack(self.device.global_buffer().subchunk(s)))
+            .map(|s| newton_bf16::slice::pack(self.device.global_buffer().subchunk(s, &mut block)))
             .collect();
         let mut cur = self.channel.earliest_activate(bank).max(self.now);
         self.channel.issue_activate(cur, bank, row)?;
@@ -906,7 +903,11 @@ impl NewtonChannel {
         // otherwise each bank gets its own. Simple commands wrap each
         // column read in a broadcast and a multiply-add trigger.
         let (ganged, complex) = (self.config.opts.ganged_comp, self.config.opts.complex_comp);
+        let mut block = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
         for sub in 0..n_sub {
+            // The broadcast input sub-chunk, read once for every bank and
+            // command of this sub-chunk.
+            let inputs = self.device.global_buffer().subchunk(sub, &mut block);
             for k in 0..if ganged { 1 } else { rs.work.len() } {
                 let target = (!ganged).then(|| rs.work[k].bank);
                 if !complex {
@@ -936,7 +937,7 @@ impl NewtonChannel {
                 self.channel.issue_as(cmd, |ch| {
                     ch.issue_ganged_column_read_internal(t, pairs, |bank, data| {
                         functional_comp(
-                            device, cache, engine, sub_elems, row, latch, sub, bank, data,
+                            device, cache, engine, sub_elems, row, latch, sub, bank, data, inputs,
                         );
                     })
                 })?;
@@ -1101,7 +1102,8 @@ impl NewtonChannel {
 /// oracle decodes it through the allocating scalar kernels, production
 /// ignores it (the cache holds the same bytes decoded as a plane), so the
 /// column read — and with it all timing, stats, audit, and trace
-/// behavior — happens identically on both engines.
+/// behavior — happens identically on both engines. `inputs` is global-buffer
+/// sub-chunk `sub`.
 #[expect(clippy::too_many_arguments, reason = "flat hot-path dispatch")]
 fn functional_comp(
     device: &mut NewtonDevice,
@@ -1113,9 +1115,10 @@ fn functional_comp(
     sub: usize,
     bank: usize,
     data: &[u8],
+    inputs: &[Bf16],
 ) {
     match engine {
-        TimingEngine::Reference => device.comp_bank_reference(bank, latch, sub, data),
+        TimingEngine::Reference => device.comp_bank_reference(bank, latch, data, inputs),
         // Per-sub-chunk step over the decoded row: the configurations the
         // batched fast path in `compute_row_set` does not cover
         // (non-ganged or simple commands, sub-chunk widths other than the
@@ -1125,7 +1128,7 @@ fn functional_comp(
             let mut weights = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
             let weights = &mut weights[..sub_elems];
             cache.lanes(bank, row).read(sub * sub_elems, weights);
-            device.comp_bank_decoded(bank, latch, sub, weights);
+            device.comp_bank_decoded(bank, latch, weights, inputs);
         }
     }
 }
@@ -1570,9 +1573,13 @@ mod tests {
         let stored = ch.channel().storage().column(2, 7, 0).unwrap();
         assert_eq!(stored, &newton_bf16::slice::pack(&elems)[..]);
         ch.copy_row_to_buffer(2, 7, 0, 1).unwrap();
-        assert_eq!(ch.device.global_buffer().subchunk(0), &elems[..]);
+        let mut block = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
+        assert_eq!(
+            ch.device.global_buffer().subchunk(0, &mut block),
+            &elems[..]
+        );
 
-        let (now, audited) = (ch.now(), ch.channel().audit().unwrap().len());
+        let (now, audited) = (ch.now(), ch.channel().audit().unwrap().events().count());
         for err in [
             ch.copy_buffer_to_row(2, 7, 31, 2),
             ch.copy_row_to_buffer(2, 7, usize::MAX, 1),
@@ -1580,7 +1587,7 @@ mod tests {
             assert!(matches!(err, Err(AimError::Shape { .. })), "{err:?}");
         }
         assert_eq!(ch.now(), now, "a rejected COPY issues nothing");
-        assert_eq!(ch.channel().audit().unwrap().len(), audited);
+        assert_eq!(ch.channel().audit().unwrap().events().count(), audited);
         assert_eq!(ch.validate_audit(), Ok(()));
     }
 
@@ -1642,17 +1649,16 @@ mod tests {
                 .unwrap();
             let entries: Vec<_> = ch.trace().entries().collect();
             let events: Option<Vec<_>> = ch.channel().audit().map(|a| a.events().collect());
-            (ch.trace().is_enabled(), entries, events)
+            (entries, events)
         };
-        let (traced, entries, events) = run(true, false);
-        assert!(traced && !entries.is_empty() && events.is_none());
-        let (traced, none, audit_events) = run(false, true);
-        assert!(!traced && none.is_empty() && audit_events.is_some());
-        let (traced, both_entries, both_events) = run(true, true);
-        assert!(traced);
+        let (entries, events) = run(true, false);
+        assert!(!entries.is_empty() && events.is_none());
+        let (none, audit_events) = run(false, true);
+        assert!(none.is_empty() && audit_events.is_some());
+        let (both_entries, both_events) = run(true, true);
         assert_eq!(both_entries, entries);
         assert_eq!(both_events, audit_events);
-        assert_eq!(run(false, false), (false, Vec::new(), None));
+        assert_eq!(run(false, false), (Vec::new(), None));
     }
 
     #[test]

@@ -18,15 +18,15 @@ use crate::lut::{ActivationKind, ActivationLut};
 /// The channel-wide, DRAM-row-wide input vector buffer (512 bf16 elements
 /// for a 1 KB row), loaded one sub-chunk at a time by `GWRITE#`.
 ///
-/// Alongside the bf16 elements the buffer maintains the same elements as
-/// the batched COMP kernel's lane-major plane, so a row-set COMP needs no
-/// per-COMP transposing pass (the kernel widens each block to `f32` once
-/// per gang). The plane is updated on every write and can never go stale.
+/// The elements are kept once, as the batched COMP kernel's lane-major
+/// plane, so a row-set COMP needs no per-COMP transposing pass (the
+/// kernel widens each block to `f32` once per gang); the per-sub-chunk
+/// paths read a sub-chunk back out in row order.
 #[derive(Debug, Clone)]
 pub struct GlobalBuffer {
-    elems: Vec<Bf16>,
     lanes: LanePlane,
     subchunk: usize,
+    subchunks: usize,
 }
 
 impl GlobalBuffer {
@@ -43,16 +43,16 @@ impl GlobalBuffer {
             "sub-chunk width {subchunk} must divide the row width {row_elems}"
         );
         GlobalBuffer {
-            elems: vec![Bf16::ZERO; row_elems],
             lanes: LanePlane::zeroed(row_elems),
             subchunk,
+            subchunks: row_elems / subchunk,
         }
     }
 
     /// Number of sub-chunk slots (GWRITE commands to fill the buffer).
     #[must_use]
     pub(crate) fn subchunks(&self) -> usize {
-        self.elems.len() / self.subchunk
+        self.subchunks
     }
 
     /// Executes one `GWRITE#`: writes `data` into sub-chunk slot `index`.
@@ -80,27 +80,29 @@ impl GlobalBuffer {
                 ),
             });
         }
-        let start = index * self.subchunk;
-        self.elems[start..start + data.len()].copy_from_slice(data);
-        for e in &mut self.elems[start + data.len()..start + self.subchunk] {
-            *e = Bf16::ZERO;
-        }
+        let mut slot = [Bf16::ZERO; reduce::MAX_CHUNK];
+        slot[..data.len()].copy_from_slice(data);
         self.lanes
-            .write(start, &self.elems[start..start + self.subchunk]);
+            .write(index * self.subchunk, &slot[..self.subchunk]);
         Ok(())
     }
 
     /// The broadcast view of sub-chunk `index` (what every bank's
-    /// multipliers receive during a COMP).
+    /// multipliers receive during a COMP), read into `block`.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range (device-internal path; the
-    /// controller validates indices).
-    #[must_use]
-    pub(crate) fn subchunk(&self, index: usize) -> &[Bf16] {
-        let start = index * self.subchunk;
-        &self.elems[start..start + self.subchunk]
+    /// controller validates indices) or the sub-chunk is wider than
+    /// `block` (`NewtonDevice::new` rejects such a width).
+    pub(crate) fn subchunk<'a>(
+        &self,
+        index: usize,
+        block: &'a mut [Bf16; reduce::MAX_CHUNK],
+    ) -> &'a [Bf16] {
+        let block = &mut block[..self.subchunk];
+        self.lanes.read(index * self.subchunk, block);
+        block
     }
 }
 
@@ -271,8 +273,9 @@ impl NewtonDevice {
     /// Executes the compute half of a COMP on `bank` through the reference
     /// (allocating) reduction, the oracle's data path: the matrix
     /// sub-chunk bytes (as read from the bank's open row) are unpacked and
-    /// multiply-accumulated against global-buffer sub-chunk `subchunk`
-    /// into latch `latch`.
+    /// multiply-accumulated against `inputs` (the broadcast global-buffer
+    /// sub-chunk, read once per ganged COMP by the caller) into latch
+    /// `latch`.
     ///
     /// # Panics
     ///
@@ -282,21 +285,20 @@ impl NewtonDevice {
         &mut self,
         bank: usize,
         latch: usize,
-        subchunk: usize,
         row_bytes: &[u8],
+        inputs: &[Bf16],
     ) {
         debug_assert_eq!(row_bytes.len(), 2 * self.subchunk);
         let weights: Vec<Bf16> = row_bytes
             .chunks_exact(2)
             .map(|c| Bf16::from_le_bytes([c[0], c[1]]))
             .collect();
-        let inputs = self.global.subchunk(subchunk);
         self.macs[bank].comp_reference(latch, &weights, inputs);
     }
 
     /// The compute half of a COMP over weights already decoded to
     /// [`Bf16`] (the decoded-weight cache's), through the production
-    /// reduction.
+    /// reduction, against the broadcast sub-chunk `inputs`.
     ///
     /// # Panics
     ///
@@ -305,11 +307,10 @@ impl NewtonDevice {
         &mut self,
         bank: usize,
         latch: usize,
-        subchunk: usize,
         weights: &[Bf16],
+        inputs: &[Bf16],
     ) {
         debug_assert_eq!(weights.len(), self.subchunk);
-        let inputs = self.global.subchunk(subchunk);
         self.macs[bank].comp(latch, weights, inputs);
     }
 
@@ -386,14 +387,33 @@ mod tests {
         Bf16::from_f32(v)
     }
 
+    /// Sub-chunk `index` of `g`, in row order.
+    fn sub(g: &GlobalBuffer, index: usize) -> Vec<Bf16> {
+        let mut block = [Bf16::ZERO; reduce::MAX_CHUNK];
+        g.subchunk(index, &mut block).to_vec()
+    }
+
+    /// Element `elem` of `g`'s plane (row order), widened to `f32`.
+    fn elem(g: &GlobalBuffer, elem: usize) -> f32 {
+        let mut e = [Bf16::ZERO];
+        g.lanes.read(elem, &mut e);
+        e[0].to_f32()
+    }
+
+    /// The lane-major plane of `row`.
+    fn plane(row: &[Bf16]) -> LanePlane {
+        let mut plane = LanePlane::zeroed(row.len());
+        plane.write(0, row);
+        plane
+    }
+
     #[test]
     fn global_buffer_gwrite_fills_subchunks() {
         let mut g = GlobalBuffer::new(512, 16);
         assert_eq!(g.subchunks(), 32);
-        assert_eq!(g.elems.len(), 512);
         g.write_subchunk(2, &[bf(1.5); 16]).unwrap();
-        assert_eq!(g.subchunk(2), &vec![bf(1.5); 16][..]);
-        assert_eq!(g.subchunk(1), &vec![Bf16::ZERO; 16][..]);
+        assert_eq!(sub(&g, 2), vec![bf(1.5); 16]);
+        assert_eq!(sub(&g, 1), vec![Bf16::ZERO; 16]);
     }
 
     #[test]
@@ -401,7 +421,7 @@ mod tests {
         let mut g = GlobalBuffer::new(64, 16);
         g.write_subchunk(0, &[bf(2.0); 16]).unwrap();
         g.write_subchunk(0, &[bf(3.0); 5]).unwrap();
-        let s = g.subchunk(0);
+        let s = sub(&g, 0);
         assert!(s[..5].iter().all(|&x| x == bf(3.0)));
         assert!(s[5..].iter().all(|&x| x == Bf16::ZERO));
     }
@@ -475,14 +495,14 @@ mod tests {
             .global_buffer_mut()
             .write_subchunk(0, &inputs)
             .unwrap();
-        ref_dev.comp_bank_reference(0, 0, 0, &bytes);
+        ref_dev.comp_bank_reference(0, 0, &bytes, &sub(ref_dev.global_buffer(), 0));
 
         let mut dec_dev = mk();
         dec_dev
             .global_buffer_mut()
             .write_subchunk(0, &inputs)
             .unwrap();
-        dec_dev.comp_bank_decoded(0, 0, 0, &weights);
+        dec_dev.comp_bank_decoded(0, 0, &weights, &sub(dec_dev.global_buffer(), 0));
 
         let expect: f64 = weights.iter().map(|w| w.to_f64() * 1.5).sum();
         assert_eq!(ref_dev.read_result(0, 0, false).to_f64(), expect);
@@ -508,7 +528,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let planes: Vec<LanePlane> = rows.iter().map(|r| LanePlane::from_row(r)).collect();
+            let planes: Vec<LanePlane> = rows.iter().map(|r| plane(r)).collect();
 
             let mut step_dev = mk();
             let mut batch_dev = mk();
@@ -530,7 +550,8 @@ mod tests {
                 step_dev.preload_bias(b, 0, bf(b as f32));
                 batch_dev.preload_bias(b, 0, bf(b as f32));
                 for s in 0..n_sub {
-                    step_dev.comp_bank_decoded(b, 0, s, &rows[b][s * 16..(s + 1) * 16]);
+                    let inputs = sub(step_dev.global_buffer(), s);
+                    step_dev.comp_bank_decoded(b, 0, &rows[b][s * 16..(s + 1) * 16], &inputs);
                 }
             }
             batch_dev.comp_banks_row_simd(&banks, 0, n_sub, |b| &planes[b]);
@@ -551,19 +572,20 @@ mod tests {
         g.write_subchunk(1, &[bf(-3.25); 10]).unwrap();
         for i in 0..64 {
             assert_eq!(
-                g.lanes.get(i).to_bits(),
-                g.subchunk(i / 16)[i % 16].to_f32().to_bits()
+                elem(&g, i).to_bits(),
+                sub(&g, i / 16)[i % 16].to_f32().to_bits()
             );
         }
-        assert_eq!(g.lanes.get(16), -3.25);
-        assert_eq!(g.lanes.get(26), 0.0);
+        assert_eq!(elem(&g, 16), -3.25);
+        assert_eq!(elem(&g, 26), 0.0);
         // A non-16 write granularity keeps the plane in row order too.
         let mut g = GlobalBuffer::new(64, 32);
         g.write_subchunk(1, &[bf(2.0); 20]).unwrap();
         for i in 0..64 {
             let expect = if (32..52).contains(&i) { 2.0 } else { 0.0 };
-            assert_eq!(g.lanes.get(i), expect, "element {i}");
+            assert_eq!(elem(&g, i), expect, "element {i}");
         }
+        assert_eq!(sub(&g, 1)[19..21], [bf(2.0), Bf16::ZERO]);
     }
 
     #[test]
@@ -574,7 +596,7 @@ mod tests {
             .write_subchunk(0, &[bf(2.0); 16])
             .unwrap();
         let weights = newton_bf16::slice::pack(&[bf(-1.0); 16]);
-        dev.comp_bank_reference(1, 0, 0, &weights);
+        dev.comp_bank_reference(1, 0, &weights, &sub(dev.global_buffer(), 0));
         assert_eq!(dev.read_result(1, 0, false).to_f32(), -32.0);
         // Through the ReLU LUT the negative result clamps to zero.
         assert_eq!(dev.read_result(1, 0, true), Bf16::ZERO);

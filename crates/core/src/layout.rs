@@ -328,25 +328,6 @@ impl MatrixMapping {
         }
         Ok(())
     }
-
-    /// Reads the matrix back out of channel storage (round-trip testing).
-    ///
-    /// # Errors
-    ///
-    /// [`AimError::Dram`] on storage failures.
-    pub fn extract(&self, channel: &Channel) -> Result<Vec<Bf16>, AimError> {
-        let mut out = vec![Bf16::ZERO; self.m * self.n];
-        for i in 0..self.m {
-            for c in 0..self.num_chunks() {
-                let (bank, dram_row, _) = self.location(i, c * self.row_elems)?;
-                let len = self.chunk_elems(c);
-                let row = channel.storage().row(bank, dram_row)?;
-                let vals = slice::unpack(&row[..len * 2]).expect("even byte count");
-                out[i * self.n + c * self.row_elems..][..len].copy_from_slice(&vals);
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -356,6 +337,21 @@ mod tests {
 
     fn mapping(layout: Layout, m: usize, n: usize) -> MatrixMapping {
         MatrixMapping::new(layout, m, n, 16, 512, 0).unwrap()
+    }
+
+    /// Reads the matrix `map` placed back out of channel storage.
+    fn extract(map: &MatrixMapping, channel: &Channel) -> Result<Vec<Bf16>, AimError> {
+        let mut out = vec![Bf16::ZERO; map.m * map.n];
+        for i in 0..map.m {
+            for c in 0..map.num_chunks() {
+                let (bank, dram_row, _) = map.location(i, c * map.row_elems)?;
+                let len = map.chunk_elems(c);
+                let row = channel.storage().row(bank, dram_row)?;
+                let vals = slice::unpack(&row[..len * 2]).expect("even byte count");
+                out[i * map.n + c * map.row_elems..][..len].copy_from_slice(&vals);
+            }
+        }
+        Ok(out)
     }
 
     #[test]
@@ -433,7 +429,7 @@ mod tests {
                 .map(|k| Bf16::from_f32(((k % 251) as f32) - 125.0))
                 .collect();
             map.load(&mut ch, &matrix).unwrap();
-            assert_eq!(map.extract(&ch).unwrap(), matrix, "{layout:?}");
+            assert_eq!(extract(&map, &ch).unwrap(), matrix, "{layout:?}");
             // base_row honored: row 0 of bank 0 untouched.
             assert!(ch.storage().row(0, 0).unwrap().iter().all(|&b| b == 0));
         }
@@ -463,8 +459,8 @@ mod tests {
                 map.load(&mut a, &staged).unwrap();
                 map.load_strided(&mut b, &global, ch, channels).unwrap();
                 assert_eq!(
-                    map.extract(&a).unwrap(),
-                    map.extract(&b).unwrap(),
+                    extract(&map, &a).unwrap(),
+                    extract(&map, &b).unwrap(),
                     "{layout:?} ch={ch}"
                 );
             }
@@ -518,7 +514,7 @@ mod tests {
             .map(|k| Bf16::from_f32((k % 97) as f32))
             .collect();
         map.load(&mut ch, &matrix).unwrap();
-        assert_eq!(map.extract(&ch).unwrap(), matrix);
+        assert_eq!(extract(&map, &ch).unwrap(), matrix);
         assert!(ch.storage().row(3, 0).unwrap().iter().all(|&b| b == 0));
         // Degenerate maps rejected.
         for bad in [vec![0, 1, 1], vec![0, 2, 1]] {

@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Name of the environment variable that overrides the thread count.
-pub const THREADS_ENV: &str = "NEWTON_THREADS";
+const THREADS_ENV: &str = "NEWTON_THREADS";
 
 /// Work threshold (in per-channel MAC operations) below which layer
 /// simulation stays serial by default: thread spawn and cache effects
@@ -30,7 +30,7 @@ const DEFAULT_MIN_CHANNEL_MACS: usize = 1_000_000;
 /// Reads `NEWTON_THREADS`, returning `Some(n)` for a valid positive
 /// integer and `None` otherwise (unset, empty, unparsable, or `0`).
 #[must_use]
-pub fn env_threads() -> Option<usize> {
+fn env_threads() -> Option<usize> {
     std::env::var(THREADS_ENV)
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
@@ -54,29 +54,16 @@ pub fn host_threads() -> usize {
 /// The policy only ever changes *wall-clock* behavior. Simulated results
 /// are bit-identical for every thread count — asserted by the
 /// cross-thread determinism suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ParallelPolicy {
-    /// Upper bound on worker threads. `None` uses the host's available
-    /// parallelism.
-    pub max_threads: Option<usize>,
-    /// Minimum per-item work (in MAC operations, or elements for loads)
-    /// before threads are spawned; smaller work runs serially.
-    pub min_channel_macs: usize,
-    /// Whether `NEWTON_THREADS` overrides `max_threads`. Tests that pin
-    /// an exact thread count set this to `false`.
-    pub respect_env: bool,
-}
-
-impl Default for ParallelPolicy {
-    /// Environment-respecting policy with the historical serial
-    /// threshold of one million per-channel MACs.
-    fn default() -> ParallelPolicy {
-        ParallelPolicy {
-            max_threads: None,
-            min_channel_macs: DEFAULT_MIN_CHANNEL_MACS,
-            respect_env: true,
-        }
-    }
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum ParallelPolicy {
+    /// `NEWTON_THREADS` when it is set, otherwise the host's available
+    /// parallelism, capped at the host's either way; items below one
+    /// million per-channel MACs (or elements, for loads) run serially.
+    #[default]
+    Auto,
+    /// Exactly this many workers (at least one), whatever the
+    /// environment, the host or the size of the work.
+    Exact(usize),
 }
 
 impl ParallelPolicy {
@@ -85,55 +72,47 @@ impl ParallelPolicy {
     /// `exact(1)`, `exact(2)`, `exact(8)` runs bit-for-bit).
     #[must_use]
     pub fn exact(n: usize) -> ParallelPolicy {
-        ParallelPolicy {
-            max_threads: Some(n.max(1)),
-            min_channel_macs: 0,
-            respect_env: false,
-        }
+        ParallelPolicy::Exact(n.max(1))
     }
 
-    /// A policy that never spawns threads.
-    #[must_use]
-    pub fn serial() -> ParallelPolicy {
-        ParallelPolicy::exact(1)
-    }
-
-    /// The resolved thread budget, from the first of three sources that
-    /// applies: a *pinned* width, `NEWTON_THREADS`, the `max_threads`
-    /// hint (the host's available parallelism when there is none).
+    /// The resolved thread budget.
     ///
-    /// A policy pinned to an explicit width — `respect_env == false`
-    /// with `max_threads` set, i.e. [`ParallelPolicy::exact`] — returns
-    /// that width untouched, without asking the environment or the
-    /// operating system anything; the determinism suite deliberately
-    /// oversubscribes to prove scheduling cannot leak into results. Every
-    /// other source (`NEWTON_THREADS` when respected, a `max_threads`
-    /// hint, auto-detection) is capped at the host's available
-    /// parallelism: oversubscribing scoped workers cannot help
-    /// cycle-granular simulation and measurably hurts (a 1-core host ran
-    /// `--threads 8` 2.4x slower than serial before this cap).
+    /// A pinned width ([`ParallelPolicy::exact`]) is returned untouched,
+    /// without asking the environment or the operating system anything;
+    /// the determinism suite deliberately oversubscribes to prove
+    /// scheduling cannot leak into results. [`ParallelPolicy::Auto`]
+    /// reads `NEWTON_THREADS` and caps it, or the auto-detected width, at
+    /// the host's available parallelism: oversubscribing scoped workers
+    /// cannot help cycle-granular simulation and measurably hurts (a
+    /// 1-core host ran `--threads 8` 2.4x slower than serial before this
+    /// cap).
     ///
     /// Resolve once and keep the number, as
     /// [`NewtonSystem`](crate::system::NewtonSystem) does at construction:
     /// [`host_threads`] is not free.
     #[must_use]
     pub fn threads(&self) -> usize {
-        if let (false, Some(n)) = (self.respect_env, self.max_threads) {
-            return n.max(1);
+        match *self {
+            ParallelPolicy::Exact(n) => n.max(1),
+            ParallelPolicy::Auto => {
+                let host = host_threads();
+                env_threads().unwrap_or(host).clamp(1, host)
+            }
         }
-        let host = host_threads();
-        let asked = self.respect_env.then(env_threads).flatten();
-        asked.or(self.max_threads).unwrap_or(host).clamp(1, host)
     }
 
     /// The most workers `items` independent tasks can use when the
     /// largest performs `max_item_work` units: 1 (serial) when there is
-    /// at most one item or the work is below
-    /// [`ParallelPolicy::min_channel_macs`], otherwise `items`. The
-    /// minimum of this and a resolved budget is the width to run at.
+    /// at most one item or, under [`ParallelPolicy::Auto`], the work is
+    /// below one million units; otherwise `items`. The minimum of this
+    /// and a resolved budget is the width to run at.
     #[must_use]
     pub(crate) fn useful_workers(&self, items: usize, max_item_work: usize) -> usize {
-        if items <= 1 || max_item_work < self.min_channel_macs {
+        let min_work = match self {
+            ParallelPolicy::Auto => DEFAULT_MIN_CHANNEL_MACS,
+            ParallelPolicy::Exact(_) => 0,
+        };
+        if items <= 1 || max_item_work < min_work {
             1
         } else {
             items
@@ -241,12 +220,9 @@ mod tests {
 
     #[test]
     fn exact_pins_thread_count_and_ignores_env() {
-        let p = ParallelPolicy::exact(4);
-        assert_eq!(p.threads(), 4);
-        assert!(!p.respect_env);
-        assert_eq!(p.min_channel_macs, 0);
+        assert_eq!(ParallelPolicy::exact(4).threads(), 4);
         assert_eq!(ParallelPolicy::exact(0).threads(), 1);
-        assert_eq!(ParallelPolicy::serial().threads(), 1);
+        assert_eq!(ParallelPolicy::exact(1).threads(), 1);
     }
 
     #[test]
@@ -254,74 +230,32 @@ mod tests {
         let p = ParallelPolicy::exact(8);
         assert_eq!(p.threads().min(p.useful_workers(24, 1)), 8);
         assert_eq!(p.threads().min(p.useful_workers(3, 1)), 3);
+        assert_eq!(p.useful_workers(24, 0), 24);
         assert_eq!(p.useful_workers(1, usize::MAX), 1);
         assert_eq!(p.useful_workers(0, usize::MAX), 1);
 
-        let gated = ParallelPolicy {
-            max_threads: Some(8),
-            min_channel_macs: 1_000_000,
-            respect_env: false,
-        };
-        assert_eq!(gated.useful_workers(24, 999_999), 1);
-        assert_eq!(gated.useful_workers(24, 1_000_000), 24);
+        let auto = ParallelPolicy::Auto;
+        assert_eq!(auto.useful_workers(24, 999_999), 1);
+        assert_eq!(auto.useful_workers(24, 1_000_000), 24);
+        assert_eq!(auto.useful_workers(1, usize::MAX), 1);
     }
 
     #[test]
-    fn default_policy_keeps_historical_threshold() {
-        let p = ParallelPolicy::default();
-        assert_eq!(p.min_channel_macs, DEFAULT_MIN_CHANNEL_MACS);
-        assert!(p.respect_env);
-        assert!(p.threads() >= 1);
+    fn default_policy_is_auto() {
+        assert_eq!(ParallelPolicy::default(), ParallelPolicy::Auto);
+        assert!(ParallelPolicy::default().threads() >= 1);
     }
 
     #[test]
-    fn non_pinned_widths_are_capped_at_host_parallelism() {
-        let host = host_threads();
-        // Auto-detection resolves to the host width exactly.
-        let auto = ParallelPolicy {
-            max_threads: None,
-            min_channel_macs: 0,
-            respect_env: false,
-        };
-        assert_eq!(auto.threads(), host);
-        // An oversubscribed hint is capped (whether or not NEWTON_THREADS
-        // is set in the test environment, the result never exceeds host).
-        let hinted = ParallelPolicy {
-            max_threads: Some(host * 4),
-            min_channel_macs: 0,
-            respect_env: true,
-        };
-        assert!(hinted.threads() <= host);
-        assert!(ParallelPolicy::default().threads() <= host);
-        // Pinned exact() still oversubscribes on purpose.
-        assert_eq!(ParallelPolicy::exact(host * 4).threads(), host * 4);
-    }
-
-    #[test]
-    fn resolution_order_is_pinned_then_env_then_hint() {
+    fn auto_reads_the_environment_capped_at_host_parallelism() {
         // Reads `NEWTON_THREADS` but never sets it (the environment is
         // process-global; the determinism suite owns the mutating test),
-        // so each expectation is stated for the value found.
+        // so the expectation is stated for the value found.
         let host = host_threads();
-        let policy = |max_threads, respect_env| ParallelPolicy {
-            max_threads,
-            min_channel_macs: 0,
-            respect_env,
-        };
-        // 1. A pinned width wins over everything and is never capped.
-        assert_eq!(policy(Some(host + 3), false).threads(), host + 3);
-        // 2. Then the environment, when the policy respects it: it beats
-        //    the hint in either direction, capped at the host.
-        for hint in [Some(1), Some(host + 3), None] {
-            let expected = env_threads().or(hint).unwrap_or(host).min(host);
-            assert_eq!(policy(hint, true).threads(), expected, "hint {hint:?}");
-        }
-        // 3. Then the hint, capped at the host; no hint is the host.
-        assert_eq!(policy(None, false).threads(), host);
-        if env_threads().is_none() {
-            assert_eq!(policy(Some(1), true).threads(), 1);
-            assert_eq!(policy(Some(host + 3), true).threads(), host);
-        }
+        let expected = env_threads().unwrap_or(host).min(host);
+        assert_eq!(ParallelPolicy::Auto.threads(), expected);
+        // Pinned exact() still oversubscribes on purpose.
+        assert_eq!(ParallelPolicy::exact(host * 4).threads(), host * 4);
     }
 
     #[test]

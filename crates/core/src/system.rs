@@ -16,7 +16,7 @@ use newton_bf16::{slice, Bf16};
 use newton_dram::stats::RunSummary;
 use newton_dram::timing::Cycle;
 use newton_dram::DramError;
-use newton_trace::{HostProfiler, TimeSeries};
+use newton_trace::HostProfiler;
 
 use crate::cache::Residency;
 use crate::config::{NewtonConfig, TimingEngine};
@@ -64,30 +64,6 @@ pub struct SystemRun {
     pub channel_summaries: Vec<RunSummary>,
 }
 
-impl SystemRun {
-    /// The system-wide telemetry series: every channel's windowed series
-    /// merged elementwise, in channel order (deterministic for any thread
-    /// count). `None` when telemetry was not enabled.
-    ///
-    /// # Panics
-    ///
-    /// If channels ran with different window widths (impossible through
-    /// [`NewtonSystem`], which configures every channel identically).
-    #[must_use]
-    pub fn merged_telemetry(&self) -> Option<TimeSeries> {
-        let mut merged: Option<TimeSeries> = None;
-        for s in &self.channel_summaries {
-            if let Some(t) = &s.telemetry {
-                match &mut merged {
-                    Some(m) => m.merge(t),
-                    None => merged = Some(t.clone()),
-                }
-            }
-        }
-        merged
-    }
-}
-
 /// A matrix made resident in channel DRAM by
 /// [`NewtonSystem::load_matrix`], reusable across inputs without
 /// reloading (run it with [`NewtonSystem::run_resident`]).
@@ -100,14 +76,6 @@ pub struct LoadedMatrix {
     plans: Arc<Vec<Option<ChannelPlan>>>,
     m: usize,
     n: usize,
-}
-
-impl LoadedMatrix {
-    /// Per-channel plans (`None` for idle trailing channels).
-    #[must_use]
-    pub fn plans(&self) -> &[Option<ChannelPlan>] {
-        &self.plans
-    }
 }
 
 // The parallel data plane hands `&mut NewtonChannel` to scoped worker
@@ -657,16 +625,6 @@ impl NewtonSystem {
         Ok(())
     }
 
-    /// Banks retired so far, as `(channel, bank)` pairs in order.
-    #[must_use]
-    pub fn retired_banks(&self) -> Vec<(usize, usize)> {
-        self.retired
-            .iter()
-            .enumerate()
-            .flat_map(|(ch, set)| set.iter().map(move |&b| (ch, b)))
-            .collect()
-    }
-
     /// Surviving fraction of the system's bank capacity (`1.0` when no
     /// bank is retired).
     #[must_use]
@@ -935,6 +893,15 @@ mod tests {
                     .map(|j| matrix[i * n + j].to_f64() * vector[j].to_f64())
                     .sum()
             })
+            .collect()
+    }
+
+    /// Banks retired so far, as `(channel, bank)` pairs in order.
+    fn retired_banks(sys: &NewtonSystem) -> Vec<(usize, usize)> {
+        sys.retired
+            .iter()
+            .enumerate()
+            .flat_map(|(ch, set)| set.iter().map(move |&b| (ch, b)))
             .collect()
     }
 
@@ -1226,7 +1193,7 @@ mod tests {
         assert_eq!(report.scrub_rewrites, 1);
         assert_eq!(report.retired_banks, vec![(0, 2)]);
         assert_eq!(report.capacity_fraction, 31.0 / 32.0);
-        assert_eq!(sys.retired_banks(), vec![(0, 2)]);
+        assert_eq!(retired_banks(&sys), vec![(0, 2)]);
         // Retirement is sticky: the next plain run routes around bank 2
         // and stays clean.
         let run = sys.run_mv(&matrix, m, n, &vector).unwrap();
@@ -1248,7 +1215,7 @@ mod tests {
 
         sys.retire_bank(0, 3).unwrap();
         sys.retire_bank(0, 3).unwrap(); // idempotent
-        assert_eq!(sys.retired_banks(), vec![(0, 3)]);
+        assert_eq!(retired_banks(&sys), vec![(0, 3)]);
         assert!(sys.capacity_fraction() < 1.0);
         assert!(sys.retire_bank(2, 0).is_err(), "channel out of range");
         assert!(sys.retire_bank(0, 999).is_err(), "bank out of range");
@@ -1335,25 +1302,16 @@ mod tests {
         let mut sys = NewtonSystem::new(cfg).unwrap();
         let run = sys.run_mv(&matrix, m, n, &vector).unwrap();
 
-        // Every channel carries a sampled series; the merged series sums
-        // their event counts exactly.
-        let merged = run.merged_telemetry().expect("telemetry enabled");
-        assert_eq!(merged.window_cycles(), 256);
-        let mut activates = 0;
+        // Every channel carries a sampled series whose event counts match
+        // its run summary.
+        let mut energy = 0;
         for s in &run.channel_summaries {
-            let t = s.telemetry.as_ref().expect("per-channel series");
-            assert_eq!(t.totals().commands, s.commands);
-            activates += t.totals().activates;
+            let t = s.telemetry.as_ref().expect("per-channel series").totals();
+            assert_eq!(t.commands, s.commands);
+            assert_eq!(t.activates, s.stats.activates);
+            energy += t.energy_milli_pj;
         }
-        assert_eq!(merged.totals().activates, activates);
-        assert_eq!(
-            merged.totals().activates,
-            run.channel_summaries
-                .iter()
-                .map(|s| s.stats.activates)
-                .sum::<u64>()
-        );
-        assert!(merged.totals().energy_milli_pj > 0);
+        assert!(energy > 0);
 
         // Host phases registered and exercised; COMP call counts are
         // simulation-deterministic (one per row-set per channel).
@@ -1370,7 +1328,7 @@ mod tests {
         // Telemetry off by default: no series.
         let mut plain = NewtonSystem::new(small_cfg(4)).unwrap();
         let run = plain.run_mv(&matrix, m, n, &vector).unwrap();
-        assert!(run.merged_telemetry().is_none());
+        assert!(run.channel_summaries.iter().all(|s| s.telemetry.is_none()));
     }
 
     /// Which rows a run may skip scrubbing is a fact the storage keeps;

@@ -89,7 +89,6 @@ pub struct RowSet {
 /// The full schedule for one channel's share of an MV product.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    kind: ScheduleKind,
     row_sets: Vec<RowSet>,
 }
 
@@ -114,7 +113,7 @@ impl Schedule {
             ScheduleKind::NoReuse => Self::build_no_reuse(mapping),
             ScheduleKind::FourLatch => Self::build_four_latch(mapping),
         };
-        Schedule { kind, row_sets }
+        Schedule { row_sets }
     }
 
     fn active_work(mapping: &MatrixMapping, g: usize, banks: usize) -> Vec<BankWork> {
@@ -236,12 +235,6 @@ impl Schedule {
             g0 += span;
         }
         out
-    }
-
-    /// The traversal kind.
-    #[must_use]
-    pub fn kind(&self) -> ScheduleKind {
-        self.kind
     }
 
     /// The row-sets in execution order.

@@ -59,7 +59,14 @@ fn readres_gangs_sixteen_bank_reads_into_one_command() {
     for (ganged, expect) in [(true, 1u64), (false, 16u64)] {
         let mut cfg = NewtonConfig::paper_default();
         cfg.channels = 1;
-        cfg.opts.ganged_comp = ganged;
+        // +gang adds the ganged COMP (and READRES) to Non-opt and
+        // nothing else.
+        let level = if ganged {
+            OptLevel::Gang
+        } else {
+            OptLevel::NonOpt
+        };
+        cfg.opts = level.flags();
         let kind = ScheduleKind::InterleavedFullReuse;
         let mapping = MatrixMapping::new(kind.layout(), 16, 512, 16, 512, 0).unwrap();
         let schedule = Schedule::build(kind, &mapping);
@@ -78,7 +85,13 @@ fn gact_quarters_the_activation_commands() {
     for (ganged, expect) in [(true, 4u64), (false, 16u64)] {
         let mut cfg = NewtonConfig::paper_default();
         cfg.channels = 1;
-        cfg.opts.ganged_act = ganged;
+        // +four-bank adds G_ACT to +reuse and nothing else.
+        let level = if ganged {
+            OptLevel::FourBank
+        } else {
+            OptLevel::Reuse
+        };
+        cfg.opts = level.flags();
         let kind = ScheduleKind::InterleavedFullReuse;
         let mapping = MatrixMapping::new(kind.layout(), 16, 512, 16, 512, 0).unwrap();
         let schedule = Schedule::build(kind, &mapping);

@@ -44,10 +44,8 @@ fn mapping_and_schedule(cfg: &NewtonConfig, m: usize, n: usize) -> (MatrixMappin
 
 /// A one-channel `NewtonChannel` on `engine`.
 fn channel_on(cfg: &NewtonConfig, engine: TimingEngine) -> NewtonChannel {
-    let cfg = NewtonConfig {
-        engine,
-        ..cfg.clone()
-    };
+    let mut cfg = cfg.clone();
+    cfg.engine = engine;
     NewtonChannel::new(&cfg, ActivationKind::Identity).expect("channel")
 }
 
@@ -280,7 +278,11 @@ proptest! {
         let mut retained = channel_on(&cfg, TimingEngine::EventSkipping);
         let mut streamed = channel_on(&cfg, TimingEngine::EventSkipping);
         let mut reference = channel_on(&cfg, TimingEngine::Reference);
-        let single_use = ChannelPlan::new(schedule.kind(), mapping.clone(), Residency::SingleUse);
+        let single_use = ChannelPlan::new(
+            ScheduleKind::InterleavedFullReuse,
+            mapping.clone(),
+            Residency::SingleUse,
+        );
         for ch in [&mut retained, &mut streamed, &mut reference] {
             ch.load_matrix(&mapping, &matrix).unwrap();
         }

@@ -24,8 +24,8 @@
 //! of a record to an [`AuditEvent::Slot`] at `start + i * step` and one
 //! event per listed bank (a [`AuditEvent::ColRd`], [`AuditEvent::ColWr`],
 //! [`AuditEvent::Act`] or [`AuditEvent::Pre`]; after a refresh's slot, an
-//! [`AuditEvent::Ref`]). [`Audit::len`] and [`Audit::events`] speak of
-//! that expanded sequence, so a log written folded is indistinguishable
+//! [`AuditEvent::Ref`]). [`Audit::events`] lists that expanded
+//! sequence, so a log written folded is indistinguishable
 //! from one written event by event. The AiM view,
 //! [`Audit::aim_commands`], lists the named records' commands in
 //! recording order; the command trace of `newton-core` is that view.
@@ -274,8 +274,6 @@ pub struct Audit {
     /// The distinct AiM commands records are named by, and where each is.
     names: Vec<AimCommand>,
     name_index: HashMap<AimCommand, u32>,
-    /// Expanded event count.
-    len: usize,
     /// The incremental check's state: the checker as the first `checked`
     /// records left it.
     carried: Checker,
@@ -292,7 +290,6 @@ impl Audit {
     /// Records one event.
     pub fn record(&mut self, event: AuditEvent) {
         self.records.push(Record::Event(event));
-        self.len += 1;
     }
 
     /// Records a train of `count` column-bus commands, command `i` at
@@ -386,8 +383,6 @@ impl Audit {
                 op,
             }));
         }
-        let refresh = usize::from(op == BankOp::Refresh);
-        self.len += count * (1 + listed + refresh);
     }
 
     /// Number of records the log holds: one a train or single command,
@@ -458,18 +453,6 @@ impl Audit {
         }
     }
 
-    /// Number of recorded events, trains counted expanded.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the log is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Recorded events in issue order, trains expanded.
     pub fn events(&self) -> impl Iterator<Item = AuditEvent> + '_ {
         self.records.iter_from(0).flat_map(move |record| {
@@ -537,9 +520,9 @@ impl Audit {
     }
 
     /// Expanded events the incremental check has visited over the log's
-    /// life. Equal to [`Audit::len`] after a [`Audit::validate_new`] as
-    /// long as every cut so far was clean; larger once a fallback re-ran
-    /// the full pass.
+    /// life. Equal to the number of [`Audit::events`] after a
+    /// [`Audit::validate_new`] as long as every cut so far was clean;
+    /// larger once a fallback re-ran the full pass.
     #[must_use]
     pub fn events_visited(&self) -> u64 {
         self.carried.fed
@@ -979,7 +962,7 @@ mod tests {
             cycle: t.t_ras,
         });
         assert_eq!(audit.validate(&t), vec![]);
-        assert_eq!(audit.len(), 6);
+        assert_eq!(audit.events().count(), 6);
     }
 
     #[test]
@@ -1142,9 +1125,7 @@ mod tests {
         let t = timing();
         let singly = log_with_trains(&t, false);
         let folded = log_with_trains(&t, true);
-        assert_eq!(folded.len(), 8 + 3 + 6 * 3 + 2);
-        assert_eq!(folded.len(), singly.len());
-        assert_eq!(folded.events().count(), folded.len());
+        assert_eq!(folded.events().count(), 8 + 3 + 6 * 3 + 2);
         assert!(folded.events().eq(singly.events()));
         assert_eq!(folded.validate(&t), vec![]);
         assert_eq!(singly.validate(&t), vec![]);
@@ -1195,9 +1176,9 @@ mod tests {
         let t = timing();
         let mut audit = log_with_trains(&t, true);
         assert_eq!(audit.validate_new(&t), vec![]);
-        assert_eq!(audit.events_visited(), audit.len() as u64);
+        assert_eq!(audit.events_visited(), audit.events().count() as u64);
         assert_eq!(audit.validate_new(&t), vec![], "nothing new, nothing fed");
-        assert_eq!(audit.events_visited(), audit.len() as u64);
+        assert_eq!(audit.events_visited(), audit.events().count() as u64);
 
         // A clean cut: later events only. One of them closes bank 0 inside
         // tRTP of the COMP train's last read, which only the state carried
@@ -1211,7 +1192,7 @@ mod tests {
         assert_eq!(added.len(), 1, "{added:?}");
         assert_eq!(added[0].constraint, "tRTP");
         assert_eq!(added, audit.validate(&t));
-        assert_eq!(audit.events_visited(), audit.len() as u64);
+        assert_eq!(audit.events_visited(), audit.events().count() as u64);
 
         // A dirty cut: an event recorded now that belongs before ones
         // already checked. Fed to the carried state it would look like a
@@ -1235,7 +1216,7 @@ mod tests {
         );
         assert_eq!(
             audit.events_visited(),
-            visited + audit.len() as u64,
+            visited + audit.events().count() as u64,
             "the fallback re-read the whole log"
         );
         // And the state it leaves is the full pass's: the next clean cut
@@ -1244,7 +1225,10 @@ mod tests {
             cycle: last_read + 1000,
         });
         assert_eq!(audit.validate_new(&t), vec![]);
-        assert_eq!(audit.events_visited(), visited + audit.len() as u64);
+        assert_eq!(
+            audit.events_visited(),
+            visited + audit.events().count() as u64
+        );
     }
 
     #[test]
@@ -1370,7 +1354,6 @@ mod tests {
         let acts = [(0, 8), (1, 9)].map(|(bank, row)| AuditEvent::Act { bank, row, cycle });
         record_gang(&mut singly, cycle, &acts);
 
-        assert_eq!(folded.len(), singly.len());
         assert!(folded.events().eq(singly.events()));
         assert_eq!(folded.validate(&t), singly.validate(&t));
         assert_eq!(folded.validate(&t), vec![]);
@@ -1395,7 +1378,15 @@ mod tests {
         let mut audit = Audit::new();
         audit.record_train(0, 1, count, &[]);
         assert_eq!(audit.records(), 2);
-        assert_eq!(audit.len(), count);
+        let stored: usize = audit
+            .records
+            .iter_from(0)
+            .map(|r| match r {
+                Record::Command(c) => c.count as usize,
+                Record::Event(_) => 1,
+            })
+            .sum();
+        assert_eq!(stored, count);
         audit.name_since(0, AimCommand::Gwrite { index: 0 });
 
         // The second piece starts where the first left off, and is named
@@ -1507,7 +1498,6 @@ mod tests {
             proptest::prop_assert_eq!(trains.aim_commands().count(), plain.len());
             proptest::prop_assert!(trains.aim_commands().eq(plain.iter().copied()));
             proptest::prop_assert!(singles.aim_commands().eq(plain.iter().copied()));
-            proptest::prop_assert_eq!(singles.len(), trains.len());
             proptest::prop_assert!(singles.events().eq(trains.events()));
         }
     }

@@ -479,9 +479,9 @@ mod tests {
         let end = 10 + t.t_ras + t.t_rp + 25;
         let r = b.residency(end);
         assert_eq!(r.total(), end);
-        assert_eq!(r.row_open, t.t_ras);
-        assert_eq!(r.precharging, t.t_rp);
-        assert_eq!(r.idle, end - t.t_ras - t.t_rp);
+        assert_eq!(r.get(BankClass::RowOpen), t.t_ras);
+        assert_eq!(r.get(BankClass::Precharging), t.t_rp);
+        assert_eq!(r.get(BankClass::Idle), end - t.t_ras - t.t_rp);
     }
 
     #[test]
@@ -493,8 +493,8 @@ mod tests {
         b.note_internal_access(t.t_rcd, &t);
         let end = t.t_rcd + 10 * t.t_ccd;
         let r = b.residency(end);
-        assert_eq!(r.computing, t.t_ccd);
-        assert_eq!(r.row_open, end - t.t_ccd);
+        assert_eq!(r.get(BankClass::Computing), t.t_ccd);
+        assert_eq!(r.get(BankClass::RowOpen), end - t.t_ccd);
         assert_eq!(r.total(), end);
     }
 }

@@ -325,8 +325,6 @@ mod tests {
         bus.issue(t.t_cmd + 100, &t).unwrap();
         let gaps = bus.slot_gaps();
         assert_eq!(gaps.count(), 2); // first issue has no predecessor
-        assert_eq!(gaps.sum(), t.t_cmd + 100);
-        assert_eq!(gaps.max(), 100);
     }
 
     #[test]

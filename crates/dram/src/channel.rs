@@ -243,18 +243,18 @@ impl Channel {
     /// Scrubs an entire row against its SECDED check bytes on activation
     /// (the row-buffer fill is where a real on-die ECC engine sees the
     /// whole row). No-op while ECC is off.
-    fn ecc_scrub_row(&mut self, cycle: Cycle, bank: usize, row: usize) -> Result<(), DramError> {
+    fn ecc_scrub_row(&mut self, bank: usize, row: usize) -> Result<(), DramError> {
         if !self.storage.ecc_enabled() {
             return Ok(());
         }
         match self.storage.scrub_row(bank, row) {
             Ok(0) => Ok(()),
             Ok(n) => {
-                self.note_ecc_corrected(cycle, bank, row, n);
+                self.note_ecc_corrected(bank, n);
                 Ok(())
             }
             Err(e) => {
-                self.note_ecc_uncorrectable(cycle, bank, row, &e);
+                self.note_ecc_uncorrectable(bank, &e);
                 Err(e)
             }
         }
@@ -262,49 +262,32 @@ impl Channel {
 
     /// Checks the words backing one column on a read or COMP operand
     /// fetch. No-op while ECC is off.
-    fn ecc_check_column(
-        &mut self,
-        cycle: Cycle,
-        bank: usize,
-        row: usize,
-        col: usize,
-    ) -> Result<(), DramError> {
+    fn ecc_check_column(&mut self, bank: usize, row: usize, col: usize) -> Result<(), DramError> {
         if !self.storage.ecc_enabled() {
             return Ok(());
         }
         match self.storage.check_column(bank, row, col) {
             Ok(0) => Ok(()),
             Ok(n) => {
-                self.note_ecc_corrected(cycle, bank, row, n);
+                self.note_ecc_corrected(bank, n);
                 Ok(())
             }
             Err(e) => {
-                self.note_ecc_uncorrectable(cycle, bank, row, &e);
+                self.note_ecc_uncorrectable(bank, &e);
                 Err(e)
             }
         }
     }
 
-    fn note_ecc_corrected(&mut self, cycle: Cycle, bank: usize, row: usize, words: u32) {
+    fn note_ecc_corrected(&mut self, bank: usize, words: u32) {
         self.stats.ecc_corrected += u64::from(words);
         self.ecc.corrected[bank] += u64::from(words);
-        self.emit(TraceEvent::EccCorrected {
-            cycle,
-            bank: bank as u32,
-            row: row as u32,
-            bits: words,
-        });
     }
 
-    fn note_ecc_uncorrectable(&mut self, cycle: Cycle, bank: usize, row: usize, err: &DramError) {
+    fn note_ecc_uncorrectable(&mut self, bank: usize, err: &DramError) {
         if matches!(err, DramError::Uncorrectable { .. }) {
             self.stats.ecc_uncorrectable += 1;
             self.ecc.uncorrectable[bank] += 1;
-            self.emit(TraceEvent::EccUncorrectable {
-                cycle,
-                bank: bank as u32,
-                row: row as u32,
-            });
         }
     }
 
@@ -389,10 +372,9 @@ impl Channel {
 
     /// Reports that a scheduling controller issued a request at `cycle`
     /// after it waited `waited` cycles in queue. Folded into the summary's
-    /// queue-latency histogram and into telemetry when it is on.
-    pub(crate) fn record_queue_latency(&mut self, cycle: Cycle, waited: Cycle) {
+    /// queue-latency histogram.
+    pub(crate) fn record_queue_latency(&mut self, waited: Cycle) {
         self.queue_latency.record(waited);
-        self.emit(TraceEvent::QueueLatency { cycle, waited });
     }
 
     // ------------------------------------------------------------------
@@ -565,7 +547,7 @@ impl Channel {
         // checked/corrected as it enters the row buffer.
         if scrub {
             for &(bank, row) in pairs {
-                self.ecc_scrub_row(cycle, bank, row)?;
+                self.ecc_scrub_row(bank, row)?;
             }
         }
         Ok(cycle)
@@ -640,7 +622,7 @@ impl Channel {
             });
             self.emit_energy(cycle, "RD", 1, self.config.col_bytes() as u64);
         }
-        self.ecc_check_column(cycle, bank, row, col)?;
+        self.ecc_check_column(bank, row, col)?;
         let data = self.storage.column(bank, row, col)?.to_vec();
         Ok((cycle, data))
     }
@@ -730,7 +712,7 @@ impl Channel {
             let row = self.banks[bank].column_access(cycle, false, &self.timing)?;
             self.banks[bank].note_internal_access(cycle, &self.timing);
             read += 1;
-            self.ecc_check_column(cycle, bank, row, col)?;
+            self.ecc_check_column(bank, row, col)?;
             sink(bank, self.storage.column(bank, row, col)?);
             Ok(())
         });
@@ -749,13 +731,6 @@ impl Channel {
                 label: "COMP",
                 bank_ops: pairs.len() as u32,
             });
-            for &(bank, _) in pairs {
-                self.emit(TraceEvent::BankState {
-                    cycle,
-                    bank: bank as u32,
-                    class: BankClass::Computing,
-                });
-            }
             self.emit_energy(cycle, "COMP", pairs.len() as u32, 0);
         }
         Ok(cycle)
@@ -855,9 +830,6 @@ impl Channel {
                 banks.len() as u32,
                 milli_pj,
             );
-            for &bank in banks {
-                t.series.record_bank_comp_train(bank, count as u64);
-            }
         }
         Ok(last)
     }
@@ -1171,13 +1143,6 @@ impl Channel {
                 label: "REF",
                 bank_ops: banks as u32,
             });
-            for bank in 0..banks {
-                self.emit(TraceEvent::BankState {
-                    cycle,
-                    bank: bank as u32,
-                    class: BankClass::Refreshing,
-                });
-            }
             self.emit_energy(cycle, "REF", banks as u32, 0);
         }
         Ok(cycle)
@@ -1730,16 +1695,12 @@ mod tests {
         );
         assert_eq!(totals.bus_bytes, s.external_bytes);
         assert_eq!(totals.bank_open_cycles, s.bank_open_cycles);
-        assert_eq!(totals.ganged_act_banks, 4);
         // Streamed fixed-point energy agrees with the coefficients.
         let m = EnergyModel::new();
-        let expect_pj = m.act_pj(4) + m.comp_pj(4) + m.phy_pj(32);
+        let expect_pj = m.command_pj("G_ACT", 4, 0)
+            + m.command_pj("COMP", 4, 0)
+            + m.command_pj("READRES", 0, 32);
         assert_eq!(totals.energy_milli_pj, (expect_pj * 1000.0).round() as u64);
-        assert_eq!(series.dynamic_energy_pj(&m), m.window_pj(&totals));
-        // Per-bank attribution saw the four activates and COMPs.
-        assert_eq!(series.per_bank()[0].activates, 1);
-        assert_eq!(series.per_bank()[0].comp_ops, 1);
-        assert_eq!(series.per_bank()[8].activates, 0);
         // Windows pad to the end cycle.
         assert_eq!(series.windows().len(), (end as usize).div_ceil(64));
     }
@@ -1762,11 +1723,11 @@ mod tests {
         }
         // The four touched banks computed for one tCCD each.
         for r in &s.residency[..4] {
-            assert_eq!(r.computing, t.t_ccd);
-            assert_eq!(r.precharging, t.t_rp);
+            assert_eq!(r.get(BankClass::Computing), t.t_ccd);
+            assert_eq!(r.get(BankClass::Precharging), t.t_rp);
         }
         // Untouched banks were idle the whole time.
-        assert_eq!(s.residency[8].idle, end);
+        assert_eq!(s.residency[8].get(BankClass::Idle), end);
         // Activity metadata: first command at cycle 0, gaps recorded.
         assert_eq!(s.activity_start, 0);
         assert_eq!(s.row_slot_gaps.count(), 1);

@@ -114,9 +114,9 @@ impl CounterRng {
 pub struct RetentionSpec {
     /// Rows are stale once the channel has gone more than
     /// `refi_multiple × tREFI` cycles without an all-bank refresh.
-    pub refi_multiple: u64,
+    pub(crate) refi_multiple: u64,
     /// Single-bit flips injected into each stale resident row.
-    pub flips_per_stale_row: usize,
+    flips_per_stale_row: usize,
 }
 
 /// A deterministic fault-injection campaign.
@@ -173,7 +173,7 @@ pub struct InjectedFault {
     /// Affected row.
     pub row: usize,
     /// Flipped/stuck bit index within the row.
-    pub bit: usize,
+    pub(crate) bit: usize,
 }
 
 /// Word-granular fault targets: every fault class claims whole 64-bit

@@ -27,8 +27,6 @@
 //!   page, refresh interposed) for host traffic beside the AiM stream.
 //! * [`stream`]: a streaming read controller used to model the paper's
 //!   *Ideal Non-PIM* baseline (external-bandwidth-bound, activations hidden).
-//! * [`address`]: physical address mapping and super-page allocation
-//!   (Sec. III-E: the matrix layout "expects physical address contiguity").
 //! * [`audit`]: the channel's one command log, and an independent
 //!   post-hoc validator that rechecks every issued command against the
 //!   raw constraint definitions (used throughout the test suite).
@@ -65,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod address;
 pub mod audit;
 pub mod bank;
 pub mod bus;
@@ -77,7 +74,6 @@ pub mod ecc;
 pub mod error;
 pub mod faults;
 pub mod faw;
-pub mod ini;
 pub mod stats;
 pub mod storage;
 pub mod stream;

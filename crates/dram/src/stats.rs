@@ -13,7 +13,7 @@ pub struct ChannelStats {
     /// Row activations (each bank counted, even when ganged).
     pub activates: u64,
     /// Row precharges (each bank counted, even in precharge-all).
-    pub precharges: u64,
+    pub(crate) precharges: u64,
     /// External column reads (data crossed the channel PHY).
     pub col_reads_external: u64,
     /// External column writes.
@@ -24,11 +24,11 @@ pub struct ChannelStats {
     /// All-bank refresh operations.
     pub refreshes: u64,
     /// Commands that ganged multiple bank operations into one slot.
-    pub ganged_commands: u64,
+    pub(crate) ganged_commands: u64,
     /// Bytes written into on-die buffers via broadcast-class commands
     /// (e.g. Newton's GWRITE); counted separately from column writes
     /// because they do not touch bank arrays.
-    pub broadcast_bytes: u64,
+    pub(crate) broadcast_bytes: u64,
     /// SECDED-corrected single-bit errors (64-bit words corrected), total
     /// across banks. Zero while the ECC model is off.
     pub ecc_corrected: u64,
@@ -51,7 +51,7 @@ pub struct RunSummary {
     /// Aggregate bank-open time (sum over banks), in cycles.
     pub bank_open_cycles: Cycle,
     /// Cycle of the first command issued (0 when nothing ran).
-    pub activity_start: Cycle,
+    pub(crate) activity_start: Cycle,
     /// Completion cycle of the measured activity.
     pub end_cycle: Cycle,
     /// Command-clock period, for converting to wall-clock.
@@ -63,11 +63,11 @@ pub struct RunSummary {
     /// cycles, over requests drained by a scheduling controller.
     pub queue_latency: Log2Histogram,
     /// Inter-slot gaps on the row command bus.
-    pub row_slot_gaps: Log2Histogram,
+    pub(crate) row_slot_gaps: Log2Histogram,
     /// Inter-slot gaps on the column command bus.
-    pub col_slot_gaps: Log2Histogram,
+    pub(crate) col_slot_gaps: Log2Histogram,
     /// Gaps between consecutive activate commands (any bank).
-    pub act_gaps: Log2Histogram,
+    pub(crate) act_gaps: Log2Histogram,
     /// Per-bank ECC correction/detection counters (empty vectors in a
     /// default summary; one entry per bank when produced by a channel).
     pub ecc: EccCounters,

@@ -26,8 +26,6 @@ use crate::timing::Cycle;
 pub struct StreamOutcome {
     /// Cycle at which the last data beat completes.
     pub end_cycle: Cycle,
-    /// Rows fully read.
-    pub rows_read: usize,
     /// Refreshes interposed during the stream.
     pub refreshes: u64,
 }
@@ -132,7 +130,6 @@ impl<'a> StreamReader<'a> {
 
         Ok(StreamOutcome {
             end_cycle: end,
-            rows_read: rows.len(),
             refreshes: self.channel.stats().refreshes - refreshes_before,
         })
     }
@@ -185,7 +182,6 @@ mod tests {
         // ACT at 0, first RD at tRCD, last RD at tRCD + 31*tCCD, data done
         // tAA + tCCD later.
         assert_eq!(out.end_cycle, t.t_rcd + 31 * t.t_ccd + t.t_aa + t.t_ccd);
-        assert_eq!(out.rows_read, 1);
         assert_eq!(ch.audit().unwrap().validate(&t), vec![]);
     }
 
@@ -253,10 +249,9 @@ mod tests {
         let mut ch = channel();
         let t = TimingParams::hbm2e_like().to_cycles().unwrap();
         let mut reader = StreamReader::new(&mut ch);
-        let out = reader
+        reader
             .read_rows(0, &[(0, 0), (0, 1)], |_, _, _| {})
             .unwrap();
-        assert_eq!(out.rows_read, 2);
         assert_eq!(ch.audit().unwrap().validate(&t), vec![]);
     }
 

@@ -39,7 +39,7 @@ pub struct TimingParams {
     /// Row precharge time: PRE to ACT on the same bank.
     pub t_rp_ns: f64,
     /// Row active time: ACT to PRE on the same bank.
-    pub t_ras_ns: f64,
+    t_ras_ns: f64,
     /// Column-to-column delay: successive column accesses on the same bank
     /// group / channel (the data-burst cadence).
     pub t_ccd_ns: f64,
@@ -51,10 +51,10 @@ pub struct TimingParams {
     /// Read-to-precharge delay on the same bank.
     pub t_rtp_ns: f64,
     /// Write recovery: end of write data to PRE on the same bank.
-    pub t_wr_ns: f64,
+    t_wr_ns: f64,
     /// Column access latency (CAS latency / tAA): column command to first
     /// data beat.
-    pub t_aa_ns: f64,
+    t_aa_ns: f64,
     /// Average periodic refresh interval.
     pub t_refi_ns: f64,
     /// Refresh cycle time: duration an all-bank refresh occupies the rank.

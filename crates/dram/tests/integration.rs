@@ -3,7 +3,7 @@
 
 use newton_dram::controller::{FrFcfs, PagePolicy, Request};
 use newton_dram::stream::StreamReader;
-use newton_dram::{ini, Channel, DramConfig};
+use newton_dram::{Channel, DramConfig};
 
 #[test]
 fn controller_then_stream_share_one_channel_legally() {
@@ -61,9 +61,15 @@ fn written_data_streams_back_out_bit_exact() {
 }
 
 #[test]
-fn ini_defined_device_feeds_the_whole_stack() {
-    let cfg = ini::parse_config("NUM_BANKS=4\nNUM_ROWS=128\nNUM_COLS=16\ntREFI=2000\ntRFC=200\n")
-        .unwrap();
+fn a_custom_device_feeds_the_whole_stack() {
+    // 4 banks of 128 rows of 16 columns, refreshing every 2 us.
+    let mut cfg = DramConfig::hbm2e_like();
+    cfg.banks = 4;
+    cfg.rows_per_bank = 128;
+    cfg.cols_per_row = 16;
+    cfg.timing.t_refi_ns = 2000.0;
+    cfg.timing.t_rfc_ns = 200.0;
+    cfg.validate().unwrap();
     assert_eq!(cfg.row_bytes(), 512);
     let mut ch = Channel::new(cfg).unwrap();
     ch.enable_audit();

@@ -5,7 +5,7 @@
 
 use newton_dram::controller::{FrFcfs, PagePolicy, Request};
 use newton_dram::stream::StreamReader;
-use newton_dram::{ini, Channel, DramConfig};
+use newton_dram::{Channel, DramConfig};
 use proptest::prelude::*;
 
 /// A compact random request description.
@@ -106,7 +106,7 @@ proptest! {
     }
 
     /// Random row lists stream to completion with a clean audit on
-    /// arbitrary INI-tweaked devices.
+    /// devices with random bank counts, column cadence and tFAW.
     #[test]
     fn stream_fuzz_on_randomized_devices(
         banks in prop::sample::select(vec![4usize, 8, 16]),
@@ -115,11 +115,14 @@ proptest! {
         n_rows in 1usize..40,
         seed in 0u64..1000,
     ) {
-        let text = format!(
-            "NUM_BANKS={banks}\ntCCD={tccd}\ntCMD={tccd}\ntFAW={tfaw}\nNUM_ROWS=256\n"
-        );
-        let cfg = ini::parse_config(&text).unwrap();
-        let mut ch = Channel::new(cfg).unwrap();
+        let mut cfg = DramConfig::hbm2e_like();
+        cfg.banks = banks;
+        cfg.rows_per_bank = 256;
+        cfg.timing.t_ccd_ns = f64::from(tccd);
+        cfg.timing.t_cmd_ns = f64::from(tccd);
+        cfg.timing.t_faw_ns = f64::from(tfaw);
+        cfg.validate().unwrap();
+        let mut ch = Channel::new(cfg.clone()).unwrap();
         ch.enable_audit();
         // Pseudo-random but reproducible row list.
         let rows: Vec<(usize, usize)> = (0..n_rows)
@@ -129,8 +132,9 @@ proptest! {
             })
             .collect();
         let mut reader = StreamReader::new(&mut ch);
-        let out = reader.read_rows(0, &rows, |_, _, _| {}).unwrap();
-        prop_assert_eq!(out.rows_read, n_rows);
+        let mut columns = vec![0usize; n_rows];
+        let out = reader.read_rows(0, &rows, |row, _, _| columns[row] += 1).unwrap();
+        prop_assert!(columns.iter().all(|&c| c == cfg.cols_per_row), "{columns:?}");
         let t = *ch.timing();
         let violations = ch.audit().unwrap().validate(&t);
         prop_assert!(violations.is_empty(), "{violations:?}");

@@ -15,7 +15,6 @@
 
 use newton_baselines::{IdealNonPim, TitanVModel};
 use newton_core::config::NewtonConfig;
-use newton_core::controller::AimStats;
 use newton_core::system::NewtonSystem;
 use newton_dram::timing::Cycle;
 use newton_workloads::MvShape;
@@ -34,8 +33,6 @@ pub struct BackendRun {
     pub elapsed_ns: f64,
     /// End-to-end cycles (cycle-accurate backends only).
     pub cycles: Option<Cycle>,
-    /// AiM command counters (cycle-accurate backends only).
-    pub stats: Option<AimStats>,
 }
 
 /// Anything that can execute a recognized MV trace.
@@ -108,7 +105,6 @@ impl Backend for NewtonBackend {
             outputs: run.output,
             elapsed_ns: run.elapsed_ns,
             cycles: Some(run.cycles),
-            stats: Some(run.stats),
         })
     }
 }
@@ -159,7 +155,6 @@ impl Backend for IdealBackend {
             outputs: host_outputs(trace),
             elapsed_ns: outcome.time_ns,
             cycles: None,
-            stats: None,
         })
     }
 }
@@ -192,7 +187,6 @@ impl Backend for GpuBackend {
             outputs: host_outputs(trace),
             elapsed_ns: self.model.mv_time_ns(shape, 1),
             cycles: None,
-            stats: None,
         })
     }
 }

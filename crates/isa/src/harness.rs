@@ -23,8 +23,6 @@ use crate::mv::MvTrace;
 pub struct BackendReport {
     /// One run per backend, in execution order.
     pub runs: Vec<BackendRun>,
-    /// Host f64 reference outputs.
-    pub reference: Vec<f64>,
     /// Per-backend max absolute error vs the reference.
     pub max_abs_err: Vec<f64>,
 }
@@ -62,11 +60,7 @@ pub fn run_backends(
         max_abs_err.push(err);
         runs.push(run);
     }
-    Ok(BackendReport {
-        runs,
-        reference,
-        max_abs_err,
-    })
+    Ok(BackendReport { runs, max_abs_err })
 }
 
 impl BackendReport {

@@ -135,10 +135,8 @@ fn tampered_mac_stream_is_rejected() {
 #[test]
 fn tampered_readout_stream_is_rejected() {
     use newton_isa::Instr;
-    let cfg = NewtonConfig {
-        channels: 2,
-        ..NewtonConfig::paper_default()
-    };
+    let mut cfg = NewtonConfig::paper_default();
+    cfg.channels = 2;
     let matrix = generator::matrix(MvShape::new(64, 64), 3);
     let vector = generator::vector(64, 4);
     let lowered = generate::lower_mv(&cfg, &matrix, 64, 64, &vector).unwrap();

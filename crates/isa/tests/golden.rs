@@ -22,10 +22,8 @@ fn golden(name: &str) {
     let expected = std::fs::read_to_string(format!("{dir}/{name}.expected")).unwrap();
     let program = Program::parse(&trace).unwrap();
     for engine in [TimingEngine::Reference, TimingEngine::default()] {
-        let cfg = NewtonConfig {
-            engine,
-            ..NewtonConfig::paper_default()
-        };
+        let mut cfg = NewtonConfig::paper_default();
+        cfg.engine = engine;
         let run = interp::interpret(&program, cfg).unwrap();
         assert_eq!(
             run.log, expected,
@@ -97,10 +95,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// sha256 through the CLI) and parses back to itself.
 #[test]
 fn lowered_bert_s1_text_is_canonical() {
-    let cfg = NewtonConfig {
-        channels: 2,
-        ..NewtonConfig::paper_default()
-    };
+    let mut cfg = NewtonConfig::paper_default();
+    cfg.channels = 2;
     let program = generate::lower_benchmark(Benchmark::BertS1, &cfg).unwrap();
     let text = program.render();
     assert_eq!(text.len(), 6_338_797);

@@ -43,7 +43,7 @@ pub struct ActivityCounts {
     /// Bytes crossing the external PHY.
     pub phy_bytes: f64,
     /// Integrated open-bank time, bank·ns.
-    pub bank_open_ns: f64,
+    bank_open_ns: f64,
     /// Number of channels the counts cover (power is reported per
     /// channel so different systems compare fairly).
     pub channels: f64,
@@ -122,7 +122,7 @@ pub struct PowerBreakdown {
     /// Static background power.
     pub background: f64,
     /// Open-bank (activated-row) standby power.
-    pub bank_open: f64,
+    bank_open: f64,
     /// Row-activation power.
     pub activation: f64,
     /// Bank-array column access power.
@@ -314,20 +314,12 @@ mod tests {
             label: "RD",
             bank_ops: 1,
         });
-        let summary = RunSummary {
-            stats: newton_dram::stats::ChannelStats {
-                activates: 4,
-                col_reads_internal: 8,
-                col_reads_external: 1,
-                ..Default::default()
-            },
-            external_bytes: 64,
-            bank_open_cycles: 0,
-            end_cycle: 100,
-            tck_ns: 1.25,
-            telemetry: Some(series.sampled(100)),
-            ..RunSummary::default()
-        };
+        let mut summary = RunSummary::default();
+        summary.stats.activates = 4;
+        summary.stats.col_reads_internal = 8;
+        summary.stats.col_reads_external = 1;
+        (summary.external_bytes, summary.end_cycle, summary.tck_ns) = (64, 100, 1.25);
+        summary.telemetry = Some(series.sampled(100));
         let summaries = vec![summary.clone(), summary];
         let streamed = ActivityCounts::from_aim_telemetry(&summaries).unwrap();
         let post = ActivityCounts::from_aim_summaries(&summaries);

@@ -16,10 +16,10 @@ pub struct Request {
     /// Monotonic query id (trace order).
     pub id: u64,
     /// Simulated cycle the query entered the admission queue.
-    pub arrival_cycle: u64,
+    pub(crate) arrival_cycle: u64,
     /// Simulated cycle after which completing the query no longer meets
     /// its SLO.
-    pub deadline_cycle: u64,
+    pub(crate) deadline_cycle: u64,
     /// Index into the server's canonical input set.
     pub input: usize,
 }

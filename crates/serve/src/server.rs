@@ -41,8 +41,7 @@ use newton_core::config::NewtonConfig;
 use newton_core::system::{LoadedMatrix, NewtonSystem};
 use newton_core::{AimError, RecoveryReport};
 use newton_dram::faults::{self, CampaignSpec};
-use newton_trace::event::{RequestClass, TraceEvent};
-use newton_trace::{MetricsSnapshot, TimeSeries, DEFAULT_WINDOW_CYCLES};
+use newton_trace::MetricsSnapshot;
 use newton_workloads::arrivals::ArrivalPattern;
 use newton_workloads::generator;
 
@@ -88,23 +87,6 @@ pub struct TrafficConfig {
 }
 
 impl TrafficConfig {
-    /// A steady-Poisson config with serving defaults: 100 µs deadline,
-    /// queue of 64, batches of 8, 256-cycle base backoff, no
-    /// conventional traffic.
-    #[must_use]
-    pub fn poisson(rate_per_us: f64, requests: usize, seed: u64) -> TrafficConfig {
-        TrafficConfig {
-            pattern: ArrivalPattern::Poisson { rate_per_us },
-            requests,
-            seed,
-            deadline_ns: 100_000.0,
-            queue_capacity: 64,
-            max_batch: 8,
-            retry_backoff_cycles: 256,
-            conventional: None,
-        }
-    }
-
     fn validate(&self) -> Result<(), String> {
         self.pattern.validate()?;
         if !(self.deadline_ns.is_finite() && self.deadline_ns > 0.0) {
@@ -139,7 +121,7 @@ pub struct ServeReport {
     /// Queries in the arrival trace.
     pub offered: u64,
     /// Queries accepted into the queue.
-    pub admitted: u64,
+    pub(crate) admitted: u64,
     /// Queries refused at admission (queue full).
     pub shed: u64,
     /// Queries expired in queue past their deadline (never dispatched).
@@ -189,9 +171,6 @@ pub struct ServeReport {
     /// Aggregated recovery ladder outcome (attempts, scrubs, retired
     /// banks, final capacity fraction).
     pub recovery: RecoveryReport,
-    /// Per-window request-event series (arrivals, admissions, sheds,
-    /// deadline misses, retries) for JSON/Perfetto export.
-    pub request_series: TimeSeries,
     /// The first typed errors (at most `ERROR_SAMPLE_CAP`), in occurrence
     /// order.
     pub errors: Vec<ServeError>,
@@ -312,8 +291,7 @@ impl Server {
         })
     }
 
-    /// The underlying system (for inspection: clocks, retired banks,
-    /// capacity).
+    /// The underlying system (for inspection: clocks, capacity).
     #[must_use]
     pub fn system(&self) -> &NewtonSystem {
         &self.sys
@@ -393,11 +371,6 @@ impl Server {
             .map_err(|e| ServeError::Fatal(AimError::InvalidConfig(e)))?;
         let cfg = self.sys.config();
         let tck = cfg.dram.timing.tck_ns;
-        let window = cfg
-            .telemetry
-            .as_ref()
-            .map_or(DEFAULT_WINDOW_CYCLES, |t| t.window_cycles);
-        let mut series = TimeSeries::new(window, cfg.dram.banks);
 
         let arrivals_ns = traffic
             .pattern
@@ -435,16 +408,8 @@ impl Server {
             while next < arr.len() && arr[next] <= now {
                 let id = next as u64;
                 let cycle = arr[next];
-                series.record(&TraceEvent::Request {
-                    cycle,
-                    class: RequestClass::Arrival,
-                });
                 if queue.len() >= traffic.queue_capacity {
                     shed += 1;
-                    series.record(&TraceEvent::Request {
-                        cycle,
-                        class: RequestClass::Shed,
-                    });
                     if errors.len() < ERROR_SAMPLE_CAP {
                         errors.push(ServeError::Shed {
                             id,
@@ -452,10 +417,6 @@ impl Server {
                         });
                     }
                 } else {
-                    series.record(&TraceEvent::Request {
-                        cycle,
-                        class: RequestClass::Admission,
-                    });
                     queue.push_back(Request {
                         id,
                         arrival_cycle: cycle,
@@ -518,10 +479,6 @@ impl Server {
                 }
                 let r = queue.pop_front().expect("front checked");
                 expired += 1;
-                series.record(&TraceEvent::Request {
-                    cycle: now,
-                    class: RequestClass::DeadlineMiss,
-                });
                 if errors.len() < ERROR_SAMPLE_CAP {
                     errors.push(ServeError::DeadlineExceeded {
                         id: r.id,
@@ -546,12 +503,6 @@ impl Server {
                     let extra = rep.attempts - 1;
                     retries += extra;
                     let cycle = self.sys.now();
-                    for _ in 0..extra {
-                        series.record(&TraceEvent::Request {
-                            cycle,
-                            class: RequestClass::Retry,
-                        });
-                    }
                     // Exponential backoff: base · (2^extra − 1) cycles of
                     // simulated cool-down, shift-capped against overflow.
                     let shift = extra.min(16) as u32;
@@ -575,10 +526,6 @@ impl Server {
                 latencies.push(done - r.arrival_cycle);
                 if done > r.deadline_cycle {
                     late += 1;
-                    series.record(&TraceEvent::Request {
-                        cycle: done,
-                        class: RequestClass::DeadlineMiss,
-                    });
                 }
                 sdc += run
                     .output
@@ -641,7 +588,6 @@ impl Server {
                 retired_banks: retired,
                 capacity_fraction: self.sys.capacity_fraction(),
             },
-            request_series: series,
             errors,
         })
     }
@@ -665,7 +611,16 @@ mod tests {
 
     #[test]
     fn traffic_validation_rejects_nonsense() {
-        let mut t = TrafficConfig::poisson(1.0, 10, 1);
+        let mut t = TrafficConfig {
+            pattern: ArrivalPattern::Poisson { rate_per_us: 1.0 },
+            requests: 10,
+            seed: 1,
+            deadline_ns: 100_000.0,
+            queue_capacity: 64,
+            max_batch: 8,
+            retry_backoff_cycles: 256,
+            conventional: None,
+        };
         assert!(t.validate().is_ok());
         t.deadline_ns = 0.0;
         assert!(t.validate().is_err());

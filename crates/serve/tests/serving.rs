@@ -16,6 +16,22 @@ use newton_workloads::{generator, MvShape};
 const M: usize = 32;
 const N: usize = 256;
 
+/// A steady-Poisson config with serving defaults: 100 µs deadline,
+/// queue of 64, batches of 8, 256-cycle base backoff, no conventional
+/// traffic.
+fn poisson(rate_per_us: f64, requests: usize, seed: u64) -> TrafficConfig {
+    TrafficConfig {
+        pattern: ArrivalPattern::Poisson { rate_per_us },
+        requests,
+        seed,
+        deadline_ns: 100_000.0,
+        queue_capacity: 64,
+        max_batch: 8,
+        retry_backoff_cycles: 256,
+        conventional: None,
+    }
+}
+
 fn server(channels: usize, ecc: bool) -> Server {
     let mut cfg = NewtonConfig::paper_default();
     cfg.channels = channels;
@@ -31,7 +47,7 @@ fn fault_free_serving_completes_everything() {
     // Slow arrivals relative to service time: nothing sheds or expires.
     let t = TrafficConfig {
         deadline_ns: 1e9,
-        ..TrafficConfig::poisson(0.001, 40, 3)
+        ..poisson(0.001, 40, 3)
     };
     let r = s.serve(&t, &ChaosPlan::none()).expect("serves");
     assert_eq!(r.offered, 40);
@@ -46,11 +62,6 @@ fn fault_free_serving_completes_everything() {
     assert!(r.energy_pj > 0.0, "telemetry on: energy must be attributed");
     assert!(r.joules_per_query > 0.0);
     assert!((r.recovery.capacity_fraction - 1.0).abs() < 1e-12);
-    // Request events landed in the telemetry series.
-    let tot = r.request_series.totals();
-    assert_eq!(tot.arrivals, 40);
-    assert_eq!(tot.admissions, 40);
-    assert_eq!(tot.sheds, 0);
 }
 
 #[test]
@@ -63,12 +74,12 @@ fn overload_sheds_explicitly_and_accounts_for_every_query() {
         queue_capacity: 4,
         max_batch: 2,
         deadline_ns: 1e9,
-        ..TrafficConfig::poisson(50.0, 120, 5)
+        ..poisson(50.0, 120, 5)
     };
     let r = s.serve(&t, &ChaosPlan::none()).expect("serves");
     assert!(r.shed > 0, "overload must shed");
     assert_eq!(r.offered, r.completed + r.shed + r.expired);
-    assert_eq!(r.admitted, r.completed + r.expired);
+    assert_eq!(r.offered - r.shed, r.completed + r.expired);
     assert_eq!(r.sdc, 0);
     assert!(
         r.errors
@@ -76,7 +87,6 @@ fn overload_sheds_explicitly_and_accounts_for_every_query() {
             .any(|e| matches!(e, ServeError::Shed { .. })),
         "sheds surface as typed errors"
     );
-    assert_eq!(r.request_series.totals().sheds, r.shed);
 }
 
 #[test]
@@ -94,7 +104,7 @@ fn tight_deadlines_expire_with_typed_errors() {
         deadline_ns: 2_000.0,
         queue_capacity: 64,
         max_batch: 2,
-        ..TrafficConfig::poisson(1.0, 80, 7)
+        ..poisson(1.0, 80, 7)
     };
     let r = s.serve(&t, &ChaosPlan::none()).expect("serves");
     assert!(
@@ -108,7 +118,6 @@ fn tight_deadlines_expire_with_typed_errors() {
             .iter()
             .any(|e| matches!(e, ServeError::DeadlineExceeded { .. })));
     }
-    assert!(r.request_series.totals().deadline_misses >= r.expired + r.late_completions);
 }
 
 #[test]
@@ -124,7 +133,7 @@ fn transient_faults_retry_scrub_and_never_corrupt() {
     let t = TrafficConfig {
         deadline_ns: 1e9,
         retry_backoff_cycles: 128,
-        ..TrafficConfig::poisson(0.001, 30, 9)
+        ..poisson(0.001, 30, 9)
     };
     let r = s
         .serve(&t, &ChaosPlan::faults_after(5, spec))
@@ -140,7 +149,6 @@ fn transient_faults_retry_scrub_and_never_corrupt() {
         r.recovery.retired_banks.is_empty(),
         "transient faults scrub clean; nothing retires"
     );
-    assert_eq!(r.request_series.totals().retries, r.retries);
 }
 
 #[test]
@@ -149,7 +157,7 @@ fn stuck_cells_retire_banks_and_serving_degrades_gracefully() {
     let t = TrafficConfig {
         deadline_ns: 1e9,
         retry_backoff_cycles: 128,
-        ..TrafficConfig::poisson(0.001, 30, 13)
+        ..poisson(0.001, 30, 13)
     };
     let plan = ChaosPlan {
         events: vec![ChaosEvent {
@@ -172,10 +180,17 @@ fn stuck_cells_retire_banks_and_serving_degrades_gracefully() {
         r.recovery.capacity_fraction < 1.0,
         "capacity shrinks after retirement"
     );
-    // The system itself agrees with the report.
+    // The report lists each retired bank once, and the list agrees with
+    // the capacity the system itself has lost.
+    let mut distinct = r.recovery.retired_banks.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), r.recovery.retired_banks.len(), "{r:?}");
+    let cfg = s.system().config();
+    let total = (cfg.channels * cfg.dram.banks) as f64;
     assert_eq!(
-        s.system().retired_banks().len(),
-        r.recovery.retired_banks.len()
+        s.system().capacity_fraction(),
+        (total - r.recovery.retired_banks.len() as f64) / total
     );
 }
 
@@ -183,7 +198,7 @@ fn stuck_cells_retire_banks_and_serving_degrades_gracefully() {
 fn conventional_traffic_serializes_and_inflates_latency() {
     let base = TrafficConfig {
         deadline_ns: 1e9,
-        ..TrafficConfig::poisson(0.002, 30, 17)
+        ..poisson(0.002, 30, 17)
     };
     let mut alone = server(2, true);
     let quiet = alone.serve(&base, &ChaosPlan::none()).expect("serves");
@@ -211,7 +226,7 @@ fn idle_gaps_accrue_refresh_and_still_serve() {
     let mut s = server(2, true);
     let t = TrafficConfig {
         deadline_ns: 1e9,
-        ..TrafficConfig::poisson(0.001, 20, 19)
+        ..poisson(0.001, 20, 19)
     };
     let plan = ChaosPlan {
         events: vec![ChaosEvent {
@@ -228,7 +243,7 @@ fn idle_gaps_accrue_refresh_and_still_serve() {
 fn reports_are_deterministic_across_runs() {
     let t = TrafficConfig {
         deadline_ns: 1e9,
-        ..TrafficConfig::poisson(0.005, 25, 23)
+        ..poisson(0.005, 25, 23)
     };
     let spec = CampaignSpec {
         seed: 5,
@@ -262,7 +277,7 @@ fn a_second_serve_reports_its_own_energy_not_the_servers_lifetime() {
     let mut s = server(2, true);
     let t = TrafficConfig {
         deadline_ns: 1e9,
-        ..TrafficConfig::poisson(0.001, 40, 3)
+        ..poisson(0.001, 40, 3)
     };
     let first = s.serve(&t, &ChaosPlan::none()).expect("first");
     let after_first = lifetime_energy_milli_pj(&s);

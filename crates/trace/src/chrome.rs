@@ -100,25 +100,6 @@ impl ChromeTraceBuilder {
         self.events.push(JsonValue::Object(obj));
     }
 
-    /// Adds a counter ("C") sample named `name` on process `pid`.
-    pub(crate) fn counter(&mut self, pid: u64, name: &str, cycle: u64, series: &[(&str, f64)]) {
-        self.events.push(JsonValue::Object(vec![
-            ("ph".into(), JsonValue::from("C")),
-            ("name".into(), JsonValue::from(name)),
-            ("pid".into(), JsonValue::from(pid)),
-            ("ts".into(), JsonValue::from(self.cycles_to_us(cycle))),
-            (
-                "args".into(),
-                JsonValue::Object(
-                    series
-                        .iter()
-                        .map(|(k, v)| ((*k).to_string(), JsonValue::from(*v)))
-                        .collect(),
-                ),
-            ),
-        ]));
-    }
-
     /// Finishes the document:
     /// `{"traceEvents": [...], "displayTimeUnit": "ns"}`.
     #[must_use]
@@ -146,11 +127,10 @@ mod tests {
         b.process_name(1, "channel 0");
         b.thread_name(1, 2, "bank 2");
         b.complete(1, 2, "ACT", 100, 14, &[("row", JsonValue::from(7u64))]);
-        b.counter(1, "bandwidth", 500, &[("bytes_per_ns", 6.5)]);
         let text = b.render();
         let doc = JsonValue::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), 3);
         assert_eq!(doc.get("displayTimeUnit").unwrap().as_str(), Some("ns"));
         let slice = &events[2];
         assert_eq!(slice.get("ph").unwrap().as_str(), Some("X"));

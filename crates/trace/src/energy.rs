@@ -16,8 +16,6 @@
 //! constants from [`EnergyModel::default`], and a property test asserts
 //! streamed counts reproduce the postprocessed totals bit-for-bit.
 
-use crate::timeseries::WindowMetrics;
-
 /// Command labels whose bank operations are row activations.
 const ACT_LABELS: [&str; 2] = ["ACT", "G_ACT"];
 
@@ -65,20 +63,20 @@ impl EnergyModel {
 
     /// Energy of an activation command covering `bank_ops` banks, pJ.
     #[must_use]
-    pub fn act_pj(&self, bank_ops: u32) -> f64 {
+    pub(crate) fn act_pj(&self, bank_ops: u32) -> f64 {
         self.e_act * f64::from(bank_ops)
     }
 
     /// Energy of an all-bank COMP covering `bank_ops` banks: one internal
     /// array read plus one MAC per bank, pJ.
     #[must_use]
-    pub fn comp_pj(&self, bank_ops: u32) -> f64 {
+    pub(crate) fn comp_pj(&self, bank_ops: u32) -> f64 {
         (self.e_array + self.e_mac) * f64::from(bank_ops)
     }
 
     /// PHY energy for `bytes` crossing the external interface, pJ.
     #[must_use]
-    pub fn phy_pj(&self, bytes: u64) -> f64 {
+    pub(crate) fn phy_pj(&self, bytes: u64) -> f64 {
         self.e_phy * (bytes as f64 / self.col_bytes)
     }
 
@@ -88,7 +86,7 @@ impl EnergyModel {
     /// paper folds it into background), so this is approximated as one
     /// activation per refreshed bank and accounted *separately* from the
     /// model-comparable dynamic energy (see
-    /// [`WindowMetrics::refresh_milli_pj`]).
+    /// [`WindowMetrics::refresh_milli_pj`](crate::WindowMetrics::refresh_milli_pj)).
     #[must_use]
     pub fn refresh_pj(&self, banks: u32) -> f64 {
         self.e_act * f64::from(banks)
@@ -115,17 +113,6 @@ impl EnergyModel {
             0.0
         };
         core + self.phy_pj(data_bytes)
-    }
-
-    /// Model-comparable dynamic energy of one telemetry window, pJ:
-    /// activation + array + MAC + PHY, exactly the components of the
-    /// postprocessed Fig. 13 model (refresh excluded).
-    #[must_use]
-    pub fn window_pj(&self, w: &WindowMetrics) -> f64 {
-        self.e_act * w.activates as f64
-            + self.e_array * w.array_accesses as f64
-            + self.e_mac * w.comp_ops as f64
-            + self.phy_pj(w.bus_bytes)
     }
 }
 
@@ -164,20 +151,6 @@ mod tests {
         assert_eq!(m.command_pj("GWRITE", 0, 64), m.phy_pj(64));
         assert_eq!(m.command_pj("PRE", 1, 0), 0.0);
         assert_eq!(m.command_pj("REF", 16, 0), 0.0, "REF is separable");
-    }
-
-    #[test]
-    fn window_energy_sums_the_dynamic_components() {
-        let m = EnergyModel::new();
-        let w = WindowMetrics {
-            activates: 2,
-            array_accesses: 10,
-            comp_ops: 8,
-            bus_bytes: 64,
-            ..WindowMetrics::default()
-        };
-        let expect = 2.0 * m.e_act + 10.0 * m.e_array + 8.0 * m.e_mac + m.phy_pj(64);
-        assert_eq!(m.window_pj(&w), expect);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The instrumentation event vocabulary: [`TraceEvent`] and its parts.
 //!
 //! Events have one consumer, the windowed [`TimeSeries`]. The DRAM
-//! channel folds every command, bank-state change, data burst,
-//! queue-latency sample, ECC event and energy attribution into its series
-//! while telemetry is on and builds no event at all while it is off; the
-//! serving layer records its [`TraceEvent::Request`] series the same way.
+//! channel folds every command, row open and close, data burst and energy
+//! attribution into its series while telemetry is on and builds no event
+//! at all while it is off.
 //!
 //! [`TimeSeries`]: crate::timeseries::TimeSeries
 
@@ -50,33 +49,6 @@ pub enum TraceEvent {
         /// Bytes moved.
         bytes: u64,
     },
-    /// A scheduler issued a request that had waited in its queue.
-    QueueLatency {
-        /// Issue cycle.
-        cycle: u64,
-        /// Cycles between arrival and issue.
-        waited: u64,
-    },
-    /// The SECDED scrub corrected single-bit errors in a row.
-    EccCorrected {
-        /// Cycle of the access that triggered the scrub.
-        cycle: u64,
-        /// Bank holding the row.
-        bank: u32,
-        /// The corrected row.
-        row: u32,
-        /// Number of corrected 64-bit words.
-        bits: u32,
-    },
-    /// The SECDED scrub detected an uncorrectable multi-bit error.
-    EccUncorrectable {
-        /// Cycle of the access that detected the error.
-        cycle: u64,
-        /// Bank holding the row.
-        bank: u32,
-        /// The damaged row.
-        row: u32,
-    },
     /// Energy attributed to a command at issue time (emitted only when
     /// telemetry is enabled; fixed-point so the stream stays integral).
     CommandEnergy {
@@ -88,30 +60,4 @@ pub enum TraceEvent {
         /// Attributed energy in milli-picojoules.
         milli_pj: u64,
     },
-    /// A serving-layer request event (arrival, admission, shed, deadline
-    /// miss, retry), emitted by the online scheduler in `newton-serve`.
-    Request {
-        /// Simulated cycle the event happened at.
-        cycle: u64,
-        /// What happened to the request.
-        class: RequestClass,
-    },
-}
-
-/// What happened to one serving-layer request (see
-/// [`TraceEvent::Request`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RequestClass {
-    /// The request arrived at the server.
-    Arrival,
-    /// Admission control accepted it into the queue.
-    Admission,
-    /// Admission control shed it (queue over capacity) — counted, never
-    /// silently dropped.
-    Shed,
-    /// The request's deadline passed (either expired in the queue or
-    /// completed late).
-    DeadlineMiss,
-    /// A run attempt failed on an uncorrectable fault and was retried.
-    Retry,
 }

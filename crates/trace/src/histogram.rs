@@ -11,8 +11,6 @@
 pub struct Log2Histogram {
     buckets: [u64; 65],
     count: u64,
-    sum: u64,
-    max: u64,
 }
 
 impl Default for Log2Histogram {
@@ -20,8 +18,6 @@ impl Default for Log2Histogram {
         Log2Histogram {
             buckets: [0; 65],
             count: 0,
-            sum: 0,
-            max: 0,
         }
     }
 }
@@ -42,8 +38,6 @@ impl Log2Histogram {
     pub fn record(&mut self, value: u64) {
         self.buckets[bucket_of(value)] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.max = self.max.max(value);
     }
 
     /// Records `n` identical samples in constant time. Equivalent to
@@ -54,26 +48,12 @@ impl Log2Histogram {
         }
         self.buckets[bucket_of(value)] += n;
         self.count += n;
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
-        self.max = self.max.max(value);
     }
 
     /// Number of samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all samples (saturating).
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample, or 0 when empty.
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max
     }
 }
 
@@ -101,8 +81,6 @@ mod tests {
         h.record(4);
         h.record(1023);
         assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1033);
-        assert_eq!(h.max(), 1023);
         // 0 | 1 | 2..4 | 4..8 | 512..1024
         assert_eq!(nonzero(&h), vec![(0, 1), (1, 1), (2, 2), (3, 1), (10, 1)]);
     }
@@ -111,7 +89,6 @@ mod tests {
     fn empty_histogram_reports_zeroes() {
         let h = Log2Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.max(), 0);
         assert!(nonzero(&h).is_empty());
     }
 
@@ -128,9 +105,6 @@ mod tests {
             batched.record_n(value, n);
             assert_eq!(looped, batched, "value={value} n={n}");
         }
-        let mut h = Log2Histogram::new();
-        h.record_n(u64::MAX, 2);
-        assert_eq!(h.sum(), u64::MAX, "sum saturates under record_n");
     }
 
     #[test]
@@ -139,7 +113,6 @@ mod tests {
         h.record(u64::MAX);
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), u64::MAX, "sum saturates");
         assert_eq!(nonzero(&h), vec![(64, 2)]);
     }
 }

@@ -5,8 +5,8 @@
 //! of named phases (encode / drain / comp / merge / snapshot in the
 //! system simulator), each accumulating a call count and elapsed
 //! nanoseconds. Call counts are functions of the workload alone, so they
-//! are part of the determinism contract (byte-identical at every thread
-//! width — see [`HostProfiler::digest`]); nanosecond totals are
+//! are part of the determinism contract (identical at every thread
+//! width); nanosecond totals are
 //! host-dependent by nature and are only ever *reported*, never compared.
 //!
 //! The registry is deliberately dumb — a `Vec` in registration order, no
@@ -63,23 +63,6 @@ impl HostProfiler {
     pub fn phases(&self) -> &[HostPhase] {
         &self.phases
     }
-
-    /// The simulation-deterministic part of the report — phase names and
-    /// call counts, in order, with wall-clock omitted. Byte-identical at
-    /// every `NEWTON_THREADS` width for the same workload.
-    #[must_use]
-    pub fn digest(&self) -> String {
-        let mut s = String::new();
-        for p in &self.phases {
-            if !s.is_empty() {
-                s.push(';');
-            }
-            s.push_str(p.name);
-            s.push(':');
-            s.push_str(&p.calls.to_string());
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -99,17 +82,5 @@ mod tests {
         assert_eq!(p.phases()[1].nanos, 2000);
         assert_eq!(p.phases()[0].nanos, 100);
         assert_eq!(p.phases()[3].nanos, 9);
-    }
-
-    #[test]
-    fn digest_covers_calls_but_not_wall_clock() {
-        let mut a = HostProfiler::new(&["encode", "drain"]);
-        let mut b = HostProfiler::new(&["encode", "drain"]);
-        a.add("drain", 3, 111);
-        b.add("drain", 3, 999_999);
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.digest(), "encode:0;drain:3");
-        b.add("drain", 1, 0);
-        assert_ne!(a.digest(), b.digest());
     }
 }

@@ -245,7 +245,7 @@ impl JsonValue {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
-    pub message: String,
+    message: String,
     /// Byte offset of the problem.
     pub offset: usize,
 }

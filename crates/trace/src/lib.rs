@@ -6,9 +6,8 @@
 //! plumbing every other crate uses to answer those questions:
 //!
 //! * [`event`] — the [`TraceEvent`] vocabulary (commands, bank states,
-//!   data bursts, queue latency, ECC, energy, serving requests) that
-//!   [`timeseries`] folds into windows. Nothing is built per event while
-//!   telemetry is off.
+//!   data bursts, energy) that [`timeseries`] folds into windows.
+//!   Nothing is built per event while telemetry is off.
 //! * [`residency`] — per-bank cycle attribution across five states (idle,
 //!   row-open, precharging, refreshing, computing) with a
 //!   sum-equals-elapsed invariant.
@@ -17,9 +16,9 @@
 //! * [`chrome`] — Chrome trace-event JSON export, loadable in Perfetto or
 //!   `chrome://tracing` (one track per bank, one per command bus).
 //! * [`timeseries`] — fixed-width simulated-time windows of integer event
-//!   counters (bandwidth, bank occupancy, queue depth, ganged-ACT width,
-//!   ECC corrections, energy), deterministic under any thread width and
-//!   mergeable across channels.
+//!   counters (commands, bus bytes, bank-open time, activations, COMPs,
+//!   array accesses, energy), one series per channel, deterministic under
+//!   any thread width.
 //! * [`energy`] — the Fig. 13 coefficients as per-command energies,
 //!   consulted at command-issue time by the DRAM channel.
 //! * [`hostprof`] — a host wall-clock phase registry (encode / drain /
@@ -50,10 +49,10 @@ pub mod timeseries;
 
 pub use chrome::ChromeTraceBuilder;
 pub use energy::EnergyModel;
-pub use event::{RequestClass, TraceBus, TraceEvent};
+pub use event::{TraceBus, TraceEvent};
 pub use histogram::Log2Histogram;
 pub use hostprof::{HostPhase, HostProfiler};
 pub use json::{JsonError, JsonValue};
 pub use residency::{BankClass, Residency, ResidencyTracker};
-pub use snapshot::{MetricsSnapshot, SNAPSHOT_SCHEMA_VERSION};
-pub use timeseries::{BankEnergyCounts, TimeSeries, WindowMetrics, Windows, DEFAULT_WINDOW_CYCLES};
+pub use snapshot::MetricsSnapshot;
+pub use timeseries::{TimeSeries, WindowMetrics, Windows, DEFAULT_WINDOW_CYCLES};

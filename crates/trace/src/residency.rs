@@ -61,15 +61,15 @@ impl BankClass {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Residency {
     /// Cycles precharged and unconstrained.
-    pub idle: u64,
+    idle: u64,
     /// Cycles with a row open.
-    pub row_open: u64,
+    row_open: u64,
     /// Cycles inside tRP windows.
-    pub precharging: u64,
+    precharging: u64,
     /// Cycles inside tRFC windows.
-    pub refreshing: u64,
+    refreshing: u64,
     /// Cycles inside internal-access tCCD windows.
-    pub computing: u64,
+    computing: u64,
 }
 
 impl Residency {

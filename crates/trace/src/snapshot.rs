@@ -29,7 +29,7 @@ use crate::json::JsonValue;
 use crate::timeseries::TELEMETRY_SCHEMA_VERSION;
 
 /// Current snapshot schema version. Bump only for breaking shape changes.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
+pub(crate) const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
 
 /// One experiment's metrics, ready to serialize.
 #[derive(Debug, Clone)]

@@ -1,15 +1,13 @@
 //! Windowed time-series telemetry over the trace-event stream.
 //!
-//! A [`TimeSeries`] folds the [`TraceEvent`]s a DRAM channel (or the
-//! serving layer) emits while telemetry is on into fixed-width
-//! simulated-time windows (default [`DEFAULT_WINDOW_CYCLES`]) of pure
-//! integer counters, answering "what was the bandwidth, bank occupancy,
-//! queue depth, ganged-ACT width, ECC correction rate, and energy at
-//! simulated time *t*". Because every accumulated field is a `u64` event
-//! count (derived rates and picojoules are computed only at export), a
-//! series is bit-identical for any host thread count and merges across
-//! channels by plain element-wise addition — the same determinism
-//! contract the rest of the simulator keeps.
+//! A [`TimeSeries`] folds the [`TraceEvent`]s a DRAM channel emits while
+//! telemetry is on into fixed-width simulated-time windows (default
+//! [`DEFAULT_WINDOW_CYCLES`]) of pure integer counters, answering "what
+//! were the commands, bus bytes, bank-open time, activations, COMPs,
+//! array accesses and energy at simulated time *t*". Because every
+//! accumulated field is a `u64` event count (energy in fixed-point
+//! milli-pJ), a series is bit-identical for any host thread count — the
+//! same determinism contract the rest of the simulator keeps.
 //!
 //! Window semantics: an event at `cycle` lands in window
 //! `cycle / window_cycles`. Bank-open time follows the DRAM bank's own
@@ -29,14 +27,12 @@
 use std::ops::Index;
 use std::sync::Arc;
 
-use crate::energy::EnergyModel;
-use crate::event::{RequestClass, TraceEvent};
-use crate::json::JsonValue;
+use crate::event::TraceEvent;
 use crate::residency::BankClass;
 
-/// Version of the telemetry JSON documents ([`TimeSeries::to_json`] and
-/// the `telemetry_schema_version` key snapshots carry). Bump only for
-/// breaking shape changes; consumers must ignore unknown keys.
+/// Version of the telemetry schema, the `telemetry_schema_version` key
+/// snapshots carry. Bump only for breaking shape changes; consumers must
+/// ignore unknown keys.
 ///
 /// v3: the replay cache's counters (added in v2) are gone — they describe
 /// the simulator process, not the simulated machine, and live on
@@ -57,40 +53,16 @@ pub struct WindowMetrics {
     pub bank_open_cycles: u64,
     /// Row activations (each bank counted, even when ganged).
     pub activates: u64,
-    /// Activation commands that ganged more than one bank.
-    pub ganged_acts: u64,
-    /// Banks covered by those ganged activation commands.
-    pub ganged_act_banks: u64,
     /// Per-bank COMP operations (internal array reads into MACs).
     pub comp_ops: u64,
     /// Bank-array column accesses (internal + external).
     pub array_accesses: u64,
-    /// Banks touched by all-bank refresh commands.
-    pub refresh_banks: u64,
-    /// Requests drained from a scheduling queue.
-    pub queue_samples: u64,
-    /// Total cycles those requests waited before issue.
-    pub queue_wait_cycles: u64,
-    /// SECDED-corrected words.
-    pub ecc_corrected: u64,
-    /// Detected-uncorrectable ECC errors.
-    pub ecc_uncorrectable: u64,
     /// Streamed dynamic energy (fixed-point milli-pJ) from
     /// [`TraceEvent::CommandEnergy`], refresh excluded.
     pub energy_milli_pj: u64,
     /// Streamed refresh energy (milli-pJ), kept separable because the
     /// postprocessed Fig. 13 model has no refresh component.
     pub refresh_milli_pj: u64,
-    /// Serving-layer request arrivals ([`TraceEvent::Request`]).
-    pub arrivals: u64,
-    /// Requests admitted into the scheduler queue.
-    pub admissions: u64,
-    /// Requests shed by admission control (explicit, never silent).
-    pub sheds: u64,
-    /// Deadline misses (expired in queue or completed late).
-    pub deadline_misses: u64,
-    /// Run attempts retried after uncorrectable faults.
-    pub retries: u64,
 }
 
 impl WindowMetrics {
@@ -100,22 +72,10 @@ impl WindowMetrics {
         bus_bytes: 0,
         bank_open_cycles: 0,
         activates: 0,
-        ganged_acts: 0,
-        ganged_act_banks: 0,
         comp_ops: 0,
         array_accesses: 0,
-        refresh_banks: 0,
-        queue_samples: 0,
-        queue_wait_cycles: 0,
-        ecc_corrected: 0,
-        ecc_uncorrectable: 0,
         energy_milli_pj: 0,
         refresh_milli_pj: 0,
-        arrivals: 0,
-        admissions: 0,
-        sheds: 0,
-        deadline_misses: 0,
-        retries: 0,
     };
 
     /// Element-wise accumulate.
@@ -124,26 +84,14 @@ impl WindowMetrics {
         self.bus_bytes += o.bus_bytes;
         self.bank_open_cycles += o.bank_open_cycles;
         self.activates += o.activates;
-        self.ganged_acts += o.ganged_acts;
-        self.ganged_act_banks += o.ganged_act_banks;
         self.comp_ops += o.comp_ops;
         self.array_accesses += o.array_accesses;
-        self.refresh_banks += o.refresh_banks;
-        self.queue_samples += o.queue_samples;
-        self.queue_wait_cycles += o.queue_wait_cycles;
-        self.ecc_corrected += o.ecc_corrected;
-        self.ecc_uncorrectable += o.ecc_uncorrectable;
         self.energy_milli_pj += o.energy_milli_pj;
         self.refresh_milli_pj += o.refresh_milli_pj;
-        self.arrivals += o.arrivals;
-        self.admissions += o.admissions;
-        self.sheds += o.sheds;
-        self.deadline_misses += o.deadline_misses;
-        self.retries += o.retries;
     }
 }
 
-/// Windows per storage chunk: 32 x 160 B = 5 KiB. A snapshot copies the
+/// Windows per storage chunk: 32 x 64 B = 2 KiB. A snapshot copies the
 /// newest chunk and nothing else, so shorter is cheaper per run; the
 /// list of sealed chunks is rebuilt once per chunk while a snapshot is
 /// held, so longer is cheaper per window. One run of a small resident
@@ -165,7 +113,7 @@ const ZERO_CHUNK: &Chunk = &[WindowMetrics::ZERO; CHUNK_WINDOWS];
 /// shared between a series and its clones, as is the list of sealed
 /// chunks itself: a clone costs two pointers and a copy of the newest
 /// chunk, however long the series. Only a write reaching back into a
-/// sealed chunk (a bank-open span closing at precharge, a merge) pays
+/// sealed chunk (a bank-open span closing at precharge) pays
 /// for uniqueness, copying the list and the chunk if a clone still
 /// holds them. A sealed `None` is a chunk of zeros, so padding and idle
 /// gaps cost a pointer each and no windows.
@@ -260,32 +208,6 @@ impl Windows {
         }
         &mut self.chunk_mut(idx / CHUNK_WINDOWS)[idx % CHUNK_WINDOWS]
     }
-
-    /// Element-wise accumulate of `other`, padding to its length.
-    fn add(&mut self, other: &Windows) {
-        self.pad_to(other.len);
-        // After the pad `self` has sealed at least as many chunks.
-        for (dst, src) in Arc::make_mut(&mut self.sealed)
-            .iter_mut()
-            .zip(other.sealed.iter())
-        {
-            let Some(src) = src else { continue };
-            match dst {
-                // Zeros plus a chunk is that chunk: share it.
-                None => *dst = Some(Arc::clone(src)),
-                Some(dst) => add_chunk(Arc::make_mut(dst), src),
-            }
-        }
-        if *other.newest != *ZERO_CHUNK {
-            add_chunk(self.chunk_mut(other.sealed.len()), &other.newest);
-        }
-    }
-}
-
-fn add_chunk(dst: &mut Chunk, src: &Chunk) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        d.add(s);
-    }
 }
 
 impl Index<usize> for Windows {
@@ -323,35 +245,11 @@ impl std::fmt::Debug for Windows {
     }
 }
 
-/// Per-bank event counts for residency-style energy attribution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BankEnergyCounts {
-    /// Row activations of this bank.
-    pub activates: u64,
-    /// COMP operations this bank performed.
-    pub comp_ops: u64,
-    /// Refresh operations this bank took part in.
-    pub refreshes: u64,
-}
-
-impl BankEnergyCounts {
-    /// Dynamic energy this bank's counted events represent, pJ
-    /// (refresh included, reported per bank only).
-    #[must_use]
-    pub(crate) fn energy_pj(&self, model: &EnergyModel) -> f64 {
-        model.e_act * self.activates as f64
-            + (model.e_array + model.e_mac) * self.comp_ops as f64
-            + model.e_act * self.refreshes as f64
-    }
-}
-
-/// A windowed telemetry series for one channel (or, after
-/// [`TimeSeries::merge`], a whole system).
+/// A windowed telemetry series for one channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     window_cycles: u64,
     windows: Windows,
-    per_bank: Vec<BankEnergyCounts>,
     /// Open-row start cycle per bank (span attributed at precharge).
     open_since: Vec<Option<u64>>,
 }
@@ -364,15 +262,8 @@ impl TimeSeries {
         TimeSeries {
             window_cycles: window_cycles.max(1),
             windows: Windows::default(),
-            per_bank: vec![BankEnergyCounts::default(); banks],
             open_since: vec![None; banks],
         }
-    }
-
-    /// The configured window width in cycles.
-    #[must_use]
-    pub fn window_cycles(&self) -> u64 {
-        self.window_cycles
     }
 
     /// The windows accumulated so far (index `i` covers cycles
@@ -380,12 +271,6 @@ impl TimeSeries {
     #[must_use]
     pub fn windows(&self) -> &Windows {
         &self.windows
-    }
-
-    /// Per-bank event counts.
-    #[must_use]
-    pub fn per_bank(&self) -> &[BankEnergyCounts] {
-        &self.per_bank
     }
 
     /// The index of the window holding `cycle`. Events nearly always land
@@ -433,19 +318,12 @@ impl TimeSeries {
                 let w = self.window_mut(cycle);
                 w.commands += 1;
                 match label {
-                    "ACT" | "G_ACT" => {
-                        w.activates += u64::from(bank_ops);
-                        if bank_ops > 1 {
-                            w.ganged_acts += 1;
-                            w.ganged_act_banks += u64::from(bank_ops);
-                        }
-                    }
+                    "ACT" | "G_ACT" => w.activates += u64::from(bank_ops),
                     "COMP" => {
                         w.comp_ops += u64::from(bank_ops);
                         w.array_accesses += u64::from(bank_ops);
                     }
                     "RD" | "WR" => w.array_accesses += 1,
-                    "REF" => w.refresh_banks += u64::from(bank_ops),
                     _ => {}
                 }
             }
@@ -453,16 +331,8 @@ impl TimeSeries {
                 let b = bank as usize;
                 match class {
                     BankClass::RowOpen => {
-                        if let Some(slot) = self.per_bank.get_mut(b) {
-                            slot.activates += 1;
-                        }
                         if let Some(s) = self.open_since.get_mut(b) {
                             s.get_or_insert(cycle);
-                        }
-                    }
-                    BankClass::Computing => {
-                        if let Some(slot) = self.per_bank.get_mut(b) {
-                            slot.comp_ops += 1;
                         }
                     }
                     BankClass::Precharging | BankClass::Idle => {
@@ -470,25 +340,10 @@ impl TimeSeries {
                             self.add_open_span(from, cycle);
                         }
                     }
-                    BankClass::Refreshing => {
-                        if let Some(slot) = self.per_bank.get_mut(b) {
-                            slot.refreshes += 1;
-                        }
-                    }
+                    BankClass::Computing | BankClass::Refreshing => {}
                 }
             }
             TraceEvent::DataBurst { cycle, bytes } => self.window_mut(cycle).bus_bytes += bytes,
-            TraceEvent::QueueLatency { cycle, waited } => {
-                let w = self.window_mut(cycle);
-                w.queue_samples += 1;
-                w.queue_wait_cycles += waited;
-            }
-            TraceEvent::EccCorrected { cycle, bits, .. } => {
-                self.window_mut(cycle).ecc_corrected += u64::from(bits);
-            }
-            TraceEvent::EccUncorrectable { cycle, .. } => {
-                self.window_mut(cycle).ecc_uncorrectable += 1;
-            }
             TraceEvent::CommandEnergy {
                 cycle,
                 label,
@@ -499,16 +354,6 @@ impl TimeSeries {
                     w.refresh_milli_pj += milli_pj;
                 } else {
                     w.energy_milli_pj += milli_pj;
-                }
-            }
-            TraceEvent::Request { cycle, class } => {
-                let w = self.window_mut(cycle);
-                match class {
-                    RequestClass::Arrival => w.arrivals += 1,
-                    RequestClass::Admission => w.admissions += 1,
-                    RequestClass::Shed => w.sheds += 1,
-                    RequestClass::DeadlineMiss => w.deadline_misses += 1,
-                    RequestClass::Retry => w.retries += 1,
                 }
             }
         }
@@ -560,19 +405,12 @@ impl TimeSeries {
         self.fold_train(start, step, count, |w, k| {
             w.commands += k;
             match label {
-                "ACT" | "G_ACT" => {
-                    w.activates += k * u64::from(bank_ops);
-                    if bank_ops > 1 {
-                        w.ganged_acts += k;
-                        w.ganged_act_banks += k * u64::from(bank_ops);
-                    }
-                }
+                "ACT" | "G_ACT" => w.activates += k * u64::from(bank_ops),
                 "COMP" => {
                     w.comp_ops += k * u64::from(bank_ops);
                     w.array_accesses += k * u64::from(bank_ops);
                 }
                 "RD" | "WR" => w.array_accesses += k,
-                "REF" => w.refresh_banks += k * u64::from(bank_ops),
                 _ => {}
             }
             if milli_pj > 0 {
@@ -591,15 +429,6 @@ impl TimeSeries {
         self.fold_train(start, step, count, |w, k| w.bus_bytes += k * bytes);
     }
 
-    /// Folds `count` COMP operations into a bank's residency counters —
-    /// value-equivalent to `count` [`BankClass::Computing`] bank-state
-    /// events (which are window-independent).
-    pub fn record_bank_comp_train(&mut self, bank: usize, count: u64) {
-        if let Some(slot) = self.per_bank.get_mut(bank) {
-            slot.comp_ops += count;
-        }
-    }
-
     /// A snapshot of the series covering `0..end_cycle`: windows padded
     /// with zeros up to the window containing the last cycle, so two runs
     /// ending at the same cycle render byte-identically regardless of
@@ -615,32 +444,6 @@ impl TimeSeries {
         s
     }
 
-    /// Element-wise merge of another series (windows, per-bank counts).
-    /// Merging is commutative and associative on the counters, so
-    /// cross-channel aggregation is order-independent in value (the
-    /// system merges in channel order anyway).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window widths differ — merged series must share a
-    /// time base.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(
-            self.window_cycles, other.window_cycles,
-            "telemetry merge requires equal window widths"
-        );
-        self.windows.add(&other.windows);
-        if other.per_bank.len() > self.per_bank.len() {
-            self.per_bank
-                .resize(other.per_bank.len(), BankEnergyCounts::default());
-        }
-        for (dst, src) in self.per_bank.iter_mut().zip(&other.per_bank) {
-            dst.activates += src.activates;
-            dst.comp_ops += src.comp_ops;
-            dst.refreshes += src.refreshes;
-        }
-    }
-
     /// Sum of every window (grand totals for the run).
     #[must_use]
     pub fn totals(&self) -> WindowMetrics {
@@ -649,220 +452,6 @@ impl TimeSeries {
             t.add(w);
         }
         t
-    }
-
-    /// Streamed model-comparable dynamic energy in pJ, computed from the
-    /// accumulated event counts and the coefficients (refresh excluded);
-    /// this is the quantity asserted against the postprocessed Fig. 13
-    /// model.
-    #[must_use]
-    pub fn dynamic_energy_pj(&self, model: &EnergyModel) -> f64 {
-        model.window_pj(&self.totals())
-    }
-
-    /// The versioned JSON telemetry document.
-    #[must_use]
-    pub fn to_json(&self, tck_ns: f64, model: &EnergyModel) -> JsonValue {
-        let w = self.window_cycles;
-        let window_ns = w as f64 * tck_ns;
-        let banks = self.per_bank.len().max(1) as f64;
-        let windows = self
-            .windows
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let depth = m.queue_wait_cycles as f64 / w as f64;
-                let ganged_width = if m.ganged_acts == 0 {
-                    0.0
-                } else {
-                    m.ganged_act_banks as f64 / m.ganged_acts as f64
-                };
-                JsonValue::Object(vec![
-                    ("window".into(), JsonValue::from(i as u64)),
-                    ("start_cycle".into(), JsonValue::from(i as u64 * w)),
-                    ("commands".into(), JsonValue::from(m.commands)),
-                    ("bus_bytes".into(), JsonValue::from(m.bus_bytes)),
-                    (
-                        "bandwidth_bytes_per_ns".into(),
-                        JsonValue::from(m.bus_bytes as f64 / window_ns),
-                    ),
-                    (
-                        "bank_open_cycles".into(),
-                        JsonValue::from(m.bank_open_cycles),
-                    ),
-                    (
-                        "bank_utilization".into(),
-                        JsonValue::from(m.bank_open_cycles as f64 / (banks * w as f64)),
-                    ),
-                    ("activates".into(), JsonValue::from(m.activates)),
-                    ("ganged_acts".into(), JsonValue::from(m.ganged_acts)),
-                    ("mean_ganged_width".into(), JsonValue::from(ganged_width)),
-                    ("comp_ops".into(), JsonValue::from(m.comp_ops)),
-                    ("array_accesses".into(), JsonValue::from(m.array_accesses)),
-                    ("refresh_banks".into(), JsonValue::from(m.refresh_banks)),
-                    ("queue_samples".into(), JsonValue::from(m.queue_samples)),
-                    ("mean_queue_depth".into(), JsonValue::from(depth)),
-                    ("ecc_corrected".into(), JsonValue::from(m.ecc_corrected)),
-                    (
-                        "ecc_uncorrectable".into(),
-                        JsonValue::from(m.ecc_uncorrectable),
-                    ),
-                    ("energy_pj".into(), JsonValue::from(model.window_pj(m))),
-                    (
-                        "streamed_energy_milli_pj".into(),
-                        JsonValue::from(m.energy_milli_pj),
-                    ),
-                    (
-                        "refresh_energy_milli_pj".into(),
-                        JsonValue::from(m.refresh_milli_pj),
-                    ),
-                    ("arrivals".into(), JsonValue::from(m.arrivals)),
-                    ("admissions".into(), JsonValue::from(m.admissions)),
-                    ("sheds".into(), JsonValue::from(m.sheds)),
-                    ("deadline_misses".into(), JsonValue::from(m.deadline_misses)),
-                    ("retries".into(), JsonValue::from(m.retries)),
-                ])
-            })
-            .collect();
-        let totals = self.totals();
-        let per_bank = self
-            .per_bank
-            .iter()
-            .enumerate()
-            .map(|(b, c)| {
-                JsonValue::Object(vec![
-                    ("bank".into(), JsonValue::from(b as u64)),
-                    ("activates".into(), JsonValue::from(c.activates)),
-                    ("comp_ops".into(), JsonValue::from(c.comp_ops)),
-                    ("refreshes".into(), JsonValue::from(c.refreshes)),
-                    ("energy_pj".into(), JsonValue::from(c.energy_pj(model))),
-                ])
-            })
-            .collect();
-        JsonValue::Object(vec![
-            (
-                "telemetry_schema_version".into(),
-                JsonValue::from(TELEMETRY_SCHEMA_VERSION),
-            ),
-            ("window_cycles".into(), JsonValue::from(w)),
-            ("tck_ns".into(), JsonValue::from(tck_ns)),
-            ("banks".into(), JsonValue::from(self.per_bank.len() as u64)),
-            ("windows".into(), JsonValue::Array(windows)),
-            (
-                "totals".into(),
-                JsonValue::Object(vec![
-                    ("commands".into(), JsonValue::from(totals.commands)),
-                    ("bus_bytes".into(), JsonValue::from(totals.bus_bytes)),
-                    ("activates".into(), JsonValue::from(totals.activates)),
-                    ("comp_ops".into(), JsonValue::from(totals.comp_ops)),
-                    (
-                        "array_accesses".into(),
-                        JsonValue::from(totals.array_accesses),
-                    ),
-                    (
-                        "bank_open_cycles".into(),
-                        JsonValue::from(totals.bank_open_cycles),
-                    ),
-                    (
-                        "dynamic_energy_pj".into(),
-                        JsonValue::from(self.dynamic_energy_pj(model)),
-                    ),
-                    (
-                        "streamed_energy_milli_pj".into(),
-                        JsonValue::from(totals.energy_milli_pj),
-                    ),
-                    (
-                        "refresh_energy_milli_pj".into(),
-                        JsonValue::from(totals.refresh_milli_pj),
-                    ),
-                    ("arrivals".into(), JsonValue::from(totals.arrivals)),
-                    ("admissions".into(), JsonValue::from(totals.admissions)),
-                    ("sheds".into(), JsonValue::from(totals.sheds)),
-                    (
-                        "deadline_misses".into(),
-                        JsonValue::from(totals.deadline_misses),
-                    ),
-                    ("retries".into(), JsonValue::from(totals.retries)),
-                ]),
-            ),
-            ("per_bank".into(), JsonValue::Array(per_bank)),
-        ])
-    }
-
-    /// Exports the series as Chrome/Perfetto counter tracks on process
-    /// `pid` (one sample per window at the window's start cycle).
-    pub fn to_chrome(
-        &self,
-        builder: &mut crate::chrome::ChromeTraceBuilder,
-        pid: u64,
-        model: &EnergyModel,
-    ) {
-        let w = self.window_cycles;
-        let banks = self.per_bank.len().max(1) as f64;
-        for (i, m) in self.windows.iter().enumerate() {
-            let cycle = i as u64 * w;
-            builder.counter(
-                pid,
-                "telemetry: bandwidth",
-                cycle,
-                &[("bytes_per_cycle", m.bus_bytes as f64 / w as f64)],
-            );
-            builder.counter(
-                pid,
-                "telemetry: bank utilization",
-                cycle,
-                &[(
-                    "open_fraction",
-                    m.bank_open_cycles as f64 / (banks * w as f64),
-                )],
-            );
-            builder.counter(
-                pid,
-                "telemetry: queue depth",
-                cycle,
-                &[("mean_depth", m.queue_wait_cycles as f64 / w as f64)],
-            );
-            builder.counter(
-                pid,
-                "telemetry: ganged width",
-                cycle,
-                &[(
-                    "banks_per_ganged_act",
-                    if m.ganged_acts == 0 {
-                        0.0
-                    } else {
-                        m.ganged_act_banks as f64 / m.ganged_acts as f64
-                    },
-                )],
-            );
-            builder.counter(
-                pid,
-                "telemetry: energy",
-                cycle,
-                &[
-                    ("dynamic_pj", model.window_pj(m)),
-                    ("refresh_pj", m.refresh_milli_pj as f64 / 1000.0),
-                ],
-            );
-            builder.counter(
-                pid,
-                "telemetry: ecc",
-                cycle,
-                &[("corrected", m.ecc_corrected as f64)],
-            );
-            builder.counter(
-                pid,
-                "telemetry: requests",
-                cycle,
-                &[
-                    ("arrivals", m.arrivals as f64),
-                    ("admissions", m.admissions as f64),
-                    ("sheds", m.sheds as f64),
-                    ("deadline_misses", m.deadline_misses as f64),
-                    ("retries", m.retries as f64),
-                ],
-            );
-        }
     }
 }
 
@@ -894,20 +483,12 @@ mod tests {
             cycle: 250,
             bytes: 32,
         });
-        ts.record(&TraceEvent::QueueLatency {
-            cycle: 251,
-            waited: 10,
-        });
         assert_eq!(ts.windows().len(), 3);
         assert_eq!(ts.windows()[0].activates, 4);
-        assert_eq!(ts.windows()[0].ganged_acts, 1);
-        assert_eq!(ts.windows()[0].ganged_act_banks, 4);
         assert_eq!(ts.windows()[1], WindowMetrics::default());
         assert_eq!(ts.windows()[2].comp_ops, 2);
         assert_eq!(ts.windows()[2].array_accesses, 2);
         assert_eq!(ts.windows()[2].bus_bytes, 32);
-        assert_eq!(ts.windows()[2].queue_samples, 1);
-        assert_eq!(ts.windows()[2].queue_wait_cycles, 10);
         let t = ts.totals();
         assert_eq!(t.commands, 2);
         assert_eq!(t.activates, 4);
@@ -953,36 +534,6 @@ mod tests {
         assert_eq!(ts.windows()[1].bank_open_cycles, 100);
         assert_eq!(ts.windows()[2].bank_open_cycles, 50);
         assert_eq!(ts.totals().bank_open_cycles, 200);
-        assert_eq!(ts.per_bank()[0].activates, 1);
-    }
-
-    #[test]
-    fn merge_is_elementwise_and_requires_same_window() {
-        let mut a = TimeSeries::new(100, 1);
-        let mut b = TimeSeries::new(100, 1);
-        a.record(&act(0, 1));
-        b.record(&act(150, 2));
-        b.record(&act(10, 1));
-        a.merge(&b);
-        assert_eq!(a.windows().len(), 2);
-        assert_eq!(a.windows()[0].activates, 2);
-        assert_eq!(a.windows()[1].activates, 2);
-        let mut order = TimeSeries::new(100, 1);
-        order.record(&act(10, 1));
-        order.record(&act(150, 2));
-        order.merge(&{
-            let mut x = TimeSeries::new(100, 1);
-            x.record(&act(0, 1));
-            x
-        });
-        assert_eq!(a, order, "merge is order-independent in value");
-    }
-
-    #[test]
-    #[should_panic(expected = "equal window widths")]
-    fn merge_rejects_mismatched_windows() {
-        let mut a = TimeSeries::new(100, 1);
-        a.merge(&TimeSeries::new(200, 1));
     }
 
     #[test]
@@ -1056,25 +607,16 @@ mod tests {
         for cycle in [2, w + 1, 4 * w + 7] {
             straight.record(&act(cycle, 2));
         }
-        // ... one that was snapshotted, padded past two idle chunks, then
-        // written backwards into them ...
+        // ... and one that was snapshotted, padded past two idle chunks,
+        // then written backwards into them.
         let mut padded = TimeSeries::new(1, 1);
         padded.record(&act(2, 2));
         let held = padded.sampled(3 * w);
         let mut padded = padded.sampled(4 * w + 8);
         padded.record(&act(4 * w + 7, 2));
         padded.record(&act(w + 1, 2));
-        // ... and one assembled by merging halves.
-        let mut merged = TimeSeries::new(1, 1);
-        merged.record(&act(4 * w + 7, 2));
-        let mut low = TimeSeries::new(1, 1);
-        low.record(&act(2, 2));
-        low.record(&act(w + 1, 2));
-        merged.merge(&low);
 
         assert_eq!(straight, padded);
-        assert_eq!(straight, merged);
-        assert_eq!(padded, merged);
         assert_eq!(format!("{straight:?}"), format!("{padded:?}"));
         // An untouched chunk and a chunk of written zeros read the same.
         assert_ne!(straight, held);
@@ -1087,68 +629,6 @@ mod tests {
             s
         });
         assert_eq!(WindowMetrics::ZERO, WindowMetrics::default());
-    }
-
-    #[test]
-    fn json_document_is_versioned_and_parseable() {
-        let mut ts = TimeSeries::new(100, 2);
-        ts.record(&act(5, 2));
-        ts.record(&TraceEvent::DataBurst {
-            cycle: 20,
-            bytes: 64,
-        });
-        let doc = ts.to_json(1.0, &EnergyModel::new());
-        let text = doc.render_pretty();
-        let back = JsonValue::parse(&text).unwrap();
-        assert_eq!(
-            back.get("telemetry_schema_version").unwrap().as_f64(),
-            Some(TELEMETRY_SCHEMA_VERSION as f64)
-        );
-        assert_eq!(back.get("window_cycles").unwrap().as_f64(), Some(100.0));
-        let windows = back.get("windows").unwrap().as_array().unwrap();
-        assert_eq!(windows.len(), 1);
-        assert_eq!(windows[0].get("activates").unwrap().as_f64(), Some(2.0));
-        let totals = back.get("totals").unwrap();
-        assert_eq!(totals.get("bus_bytes").unwrap().as_f64(), Some(64.0));
-        // The v3 shape, key for key: simulated facts only.
-        let keys = |v: &JsonValue| match v {
-            JsonValue::Object(kv) => kv
-                .iter()
-                .map(|(k, _)| k.as_str())
-                .collect::<Vec<_>>()
-                .join(" "),
-            other => panic!("not an object: {other:?}"),
-        };
-        assert_eq!(
-            keys(&windows[0]),
-            "window start_cycle commands bus_bytes bandwidth_bytes_per_ns \
-             bank_open_cycles bank_utilization activates ganged_acts mean_ganged_width \
-             comp_ops array_accesses refresh_banks queue_samples mean_queue_depth \
-             ecc_corrected ecc_uncorrectable energy_pj streamed_energy_milli_pj \
-             refresh_energy_milli_pj arrivals admissions sheds deadline_misses retries"
-        );
-        assert_eq!(
-            keys(totals),
-            "commands bus_bytes activates comp_ops array_accesses bank_open_cycles \
-             dynamic_energy_pj streamed_energy_milli_pj refresh_energy_milli_pj \
-             arrivals admissions sheds deadline_misses retries"
-        );
-    }
-
-    #[test]
-    fn chrome_export_emits_counter_tracks_per_window() {
-        let mut ts = TimeSeries::new(100, 1);
-        ts.record(&act(5, 1));
-        ts.record(&act(150, 1));
-        let mut b = crate::chrome::ChromeTraceBuilder::new(1.0);
-        ts.to_chrome(&mut b, 7, &EnergyModel::new());
-        // Seven counter tracks per window (bandwidth, bank utilization,
-        // queue depth, ganged width, energy, ecc, requests), two windows.
-        let doc = b.build();
-        assert_eq!(
-            doc.get("traceEvents").unwrap().as_array().unwrap().len(),
-            14
-        );
     }
 
     #[test]
@@ -1181,15 +661,9 @@ mod tests {
                     milli_pj: 1234,
                 });
                 looped.record(&TraceEvent::DataBurst { cycle, bytes: 32 });
-                looped.record(&TraceEvent::BankState {
-                    cycle,
-                    bank: 2,
-                    class: BankClass::Computing,
-                });
             }
             folded.record_command_train(start, step, count, "COMP", 16, 1234);
             folded.record_burst_train(start, step, count, 32);
-            folded.record_bank_comp_train(2, count);
             assert_eq!(looped, folded, "start={start} step={step} count={count}");
         }
         // GWRITE trains count commands + energy only, like record().
@@ -1222,64 +696,6 @@ mod tests {
         });
         b2.record_command_train(10, 4, 1, "GWRITE", 0, 0);
         assert_eq!(a, b2);
-    }
-
-    #[test]
-    fn request_events_count_per_window_and_export() {
-        let mut ts = TimeSeries::new(100, 0);
-        for (cycle, class) in [
-            (5, RequestClass::Arrival),
-            (6, RequestClass::Admission),
-            (150, RequestClass::Arrival),
-            (151, RequestClass::Shed),
-            (260, RequestClass::DeadlineMiss),
-            (270, RequestClass::Retry),
-        ] {
-            ts.record(&TraceEvent::Request { cycle, class });
-        }
-        assert_eq!(ts.windows()[0].arrivals, 1);
-        assert_eq!(ts.windows()[0].admissions, 1);
-        assert_eq!(ts.windows()[1].arrivals, 1);
-        assert_eq!(ts.windows()[1].sheds, 1);
-        assert_eq!(ts.windows()[2].deadline_misses, 1);
-        assert_eq!(ts.windows()[2].retries, 1);
-        let t = ts.totals();
-        assert_eq!(
-            (
-                t.arrivals,
-                t.admissions,
-                t.sheds,
-                t.deadline_misses,
-                t.retries
-            ),
-            (2, 1, 1, 1, 1)
-        );
-        // Request events are not commands; command counters stay zero.
-        assert_eq!(t.commands, 0);
-
-        // Merging sums the request counters like every other field.
-        let mut other = TimeSeries::new(100, 0);
-        other.record(&TraceEvent::Request {
-            cycle: 10,
-            class: RequestClass::Shed,
-        });
-        let mut merged = ts.clone();
-        merged.merge(&other);
-        assert_eq!(merged.totals().sheds, 2);
-
-        // The JSON document carries the request counters, still under
-        // the existing telemetry schema version.
-        let doc = ts.to_json(1.0, &EnergyModel::new());
-        let back = JsonValue::parse(&doc.render_pretty()).unwrap();
-        assert_eq!(
-            back.get("telemetry_schema_version").unwrap().as_f64(),
-            Some(TELEMETRY_SCHEMA_VERSION as f64)
-        );
-        let totals = back.get("totals").unwrap();
-        assert_eq!(totals.get("arrivals").unwrap().as_f64(), Some(2.0));
-        assert_eq!(totals.get("sheds").unwrap().as_f64(), Some(1.0));
-        let w0 = &back.get("windows").unwrap().as_array().unwrap()[0];
-        assert_eq!(w0.get("admissions").unwrap().as_f64(), Some(1.0));
     }
 
     #[test]

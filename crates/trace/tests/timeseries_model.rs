@@ -1,9 +1,9 @@
 //! Model-based check of the chunked, structurally shared window storage
 //! behind [`TimeSeries`]: random interleavings of every recording call
-//! with `sampled`, `clone` and `merge`, snapshots
-//! kept alive across later writes, against a flat `Vec<WindowMetrics>`
-//! model that copies where the series shares. The series must read the
-//! same as the model through every accessor and exporter, and a snapshot
+//! with `sampled` and `clone`, snapshots kept alive across later writes,
+//! against a flat `Vec<WindowMetrics>` model that copies where the
+//! series shares. The series must read the
+//! same as the model through every accessor and `Debug`, and a snapshot
 //! must still read as the model's copy taken at the same point however
 //! far the live series has moved on — including when a bank-open span
 //! closes back into windows the snapshot shares.
@@ -11,73 +11,26 @@
 //! Window width 8 keeps cycles small: a chunk (a few tens of windows, the
 //! length is private to the series) is a few hundred cycles.
 
-use newton_trace::{
-    BankClass, BankEnergyCounts, ChromeTraceBuilder, EnergyModel, JsonValue, RequestClass,
-    TimeSeries, TraceBus, TraceEvent, WindowMetrics,
-};
+use newton_trace::{BankClass, TimeSeries, TraceBus, TraceEvent, WindowMetrics};
 use proptest::prelude::*;
 
 const W: u64 = 8;
 const BANKS: usize = 4;
 const LABELS: [&str; 7] = ["ACT", "G_ACT", "COMP", "RD", "WR", "REF", "PRE"];
-const REQUESTS: [RequestClass; 5] = [
-    RequestClass::Arrival,
-    RequestClass::Admission,
-    RequestClass::Shed,
-    RequestClass::DeadlineMiss,
-    RequestClass::Retry,
-];
 
 /// Every counter of a window, in declaration order.
-fn counters(w: &mut WindowMetrics) -> [&mut u64; 20] {
+fn counters(w: &mut WindowMetrics) -> [&mut u64; 8] {
     [
         &mut w.commands,
         &mut w.bus_bytes,
         &mut w.bank_open_cycles,
         &mut w.activates,
-        &mut w.ganged_acts,
-        &mut w.ganged_act_banks,
         &mut w.comp_ops,
         &mut w.array_accesses,
-        &mut w.refresh_banks,
-        &mut w.queue_samples,
-        &mut w.queue_wait_cycles,
-        &mut w.ecc_corrected,
-        &mut w.ecc_uncorrectable,
         &mut w.energy_milli_pj,
         &mut w.refresh_milli_pj,
-        &mut w.arrivals,
-        &mut w.admissions,
-        &mut w.sheds,
-        &mut w.deadline_misses,
-        &mut w.retries,
     ]
 }
-
-/// The JSON key each counter is exported under, parallel to
-/// [`counters`]; `None` where the document carries only a derived rate.
-const JSON_KEYS: [Option<&str>; 20] = [
-    Some("commands"),
-    Some("bus_bytes"),
-    Some("bank_open_cycles"),
-    Some("activates"),
-    Some("ganged_acts"),
-    None,
-    Some("comp_ops"),
-    Some("array_accesses"),
-    Some("refresh_banks"),
-    Some("queue_samples"),
-    None,
-    Some("ecc_corrected"),
-    Some("ecc_uncorrectable"),
-    Some("streamed_energy_milli_pj"),
-    Some("refresh_energy_milli_pj"),
-    Some("arrivals"),
-    Some("admissions"),
-    Some("sheds"),
-    Some("deadline_misses"),
-    Some("retries"),
-];
 
 fn add(dst: &mut WindowMetrics, src: &WindowMetrics) {
     let mut src = *src;
@@ -91,7 +44,6 @@ fn add(dst: &mut WindowMetrics, src: &WindowMetrics) {
 #[derive(Debug, Clone, PartialEq)]
 struct Flat {
     windows: Vec<WindowMetrics>,
-    per_bank: Vec<BankEnergyCounts>,
     open_since: Vec<Option<u64>>,
 }
 
@@ -99,7 +51,6 @@ impl Flat {
     fn new() -> Flat {
         Flat {
             windows: Vec::new(),
-            per_bank: vec![BankEnergyCounts::default(); BANKS],
             open_since: vec![None; BANKS],
         }
     }
@@ -124,19 +75,12 @@ impl Flat {
                 let w = self.at(cycle);
                 w.commands += 1;
                 match label {
-                    "ACT" | "G_ACT" => {
-                        w.activates += ops;
-                        if ops > 1 {
-                            w.ganged_acts += 1;
-                            w.ganged_act_banks += ops;
-                        }
-                    }
+                    "ACT" | "G_ACT" => w.activates += ops,
                     "COMP" => {
                         w.comp_ops += ops;
                         w.array_accesses += ops;
                     }
                     "RD" | "WR" => w.array_accesses += 1,
-                    "REF" => w.refresh_banks += ops,
                     _ => {}
                 }
             }
@@ -147,11 +91,9 @@ impl Flat {
                 }
                 match class {
                     BankClass::RowOpen => {
-                        self.per_bank[b].activates += 1;
                         self.open_since[b].get_or_insert(cycle);
                     }
-                    BankClass::Computing => self.per_bank[b].comp_ops += 1,
-                    BankClass::Refreshing => self.per_bank[b].refreshes += 1,
+                    BankClass::Computing | BankClass::Refreshing => {}
                     BankClass::Precharging | BankClass::Idle => {
                         if let Some(from) = self.open_since[b].take() {
                             for c in from..cycle {
@@ -162,15 +104,6 @@ impl Flat {
                 }
             }
             TraceEvent::DataBurst { cycle, bytes } => self.at(cycle).bus_bytes += bytes,
-            TraceEvent::QueueLatency { cycle, waited } => {
-                let w = self.at(cycle);
-                w.queue_samples += 1;
-                w.queue_wait_cycles += waited;
-            }
-            TraceEvent::EccCorrected { cycle, bits, .. } => {
-                self.at(cycle).ecc_corrected += u64::from(bits);
-            }
-            TraceEvent::EccUncorrectable { cycle, .. } => self.at(cycle).ecc_uncorrectable += 1,
             TraceEvent::CommandEnergy {
                 cycle,
                 label,
@@ -183,16 +116,6 @@ impl Flat {
                     w.energy_milli_pj += milli_pj;
                 }
             }
-            TraceEvent::Request { cycle, class } => {
-                let w = self.at(cycle);
-                match class {
-                    RequestClass::Arrival => w.arrivals += 1,
-                    RequestClass::Admission => w.admissions += 1,
-                    RequestClass::Shed => w.sheds += 1,
-                    RequestClass::DeadlineMiss => w.deadline_misses += 1,
-                    RequestClass::Retry => w.retries += 1,
-                }
-            }
         }
     }
 
@@ -203,21 +126,6 @@ impl Flat {
             s.windows.resize(n, WindowMetrics::default());
         }
         s
-    }
-
-    fn merge(&mut self, other: &Flat) {
-        if other.windows.len() > self.windows.len() {
-            self.windows
-                .resize(other.windows.len(), WindowMetrics::default());
-        }
-        for (d, s) in self.windows.iter_mut().zip(&other.windows) {
-            add(d, s);
-        }
-        for (d, s) in self.per_bank.iter_mut().zip(&other.per_bank) {
-            d.activates += s.activates;
-            d.comp_ops += s.comp_ops;
-            d.refreshes += s.refreshes;
-        }
     }
 
     fn totals(&self) -> WindowMetrics {
@@ -239,88 +147,18 @@ fn check_reads(series: &TimeSeries, model: &Flat, what: &str) -> Result<(), Test
     }
     let iterated: Vec<WindowMetrics> = windows.iter().copied().collect();
     prop_assert_eq!(&iterated, &model.windows, "{}: iter", what);
-    prop_assert_eq!(series.per_bank(), &model.per_bank[..], "{}: per_bank", what);
     prop_assert_eq!(series.totals(), model.totals(), "{}: totals", what);
     Ok(())
 }
 
-/// `Debug`, the JSON document and the Perfetto counter tracks carry the
-/// model's windows, in order.
-fn check_exports(series: &TimeSeries, model: &Flat, what: &str) -> Result<(), TestCaseError> {
+/// `Debug` lists the model's windows, in order.
+fn check_debug(series: &TimeSeries, model: &Flat, what: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         format!("{:?}", series.windows()),
         format!("{:?}", model.windows),
         "{}: Debug",
         what
     );
-    let energy = EnergyModel::new();
-    // The text is a pure function of this value (`json.rs` tests that).
-    let doc = series.to_json(0.5, &energy);
-    let rows = doc.get("windows").and_then(JsonValue::as_array).unwrap();
-    prop_assert_eq!(rows.len(), model.windows.len(), "{}: JSON windows", what);
-    let num = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64);
-    let mut model_rows = model.windows.clone();
-    model_rows.push(model.totals());
-    let json_rows = rows.iter().chain(doc.get("totals"));
-    for (i, (row, m)) in json_rows.zip(&mut model_rows).enumerate() {
-        let is_window = i < model.windows.len();
-        if is_window {
-            prop_assert_eq!(num(row, "window"), Some(i as f64));
-            prop_assert_eq!(num(row, "start_cycle"), Some((i as u64 * W) as f64));
-        }
-        for (key, value) in JSON_KEYS.iter().zip(counters(m)) {
-            // The totals object carries a subset of the window keys.
-            let Some(key) = key.filter(|k| is_window || row.get(k).is_some()) else {
-                continue;
-            };
-            prop_assert_eq!(
-                num(row, key),
-                Some(*value as f64),
-                "{}: JSON row {} {}",
-                what,
-                i,
-                key
-            );
-        }
-    }
-    let banks = doc.get("per_bank").and_then(JsonValue::as_array).unwrap();
-    prop_assert_eq!(banks.len(), BANKS);
-    for (row, b) in banks.iter().zip(&model.per_bank) {
-        prop_assert_eq!(num(row, "activates"), Some(b.activates as f64));
-        prop_assert_eq!(num(row, "comp_ops"), Some(b.comp_ops as f64));
-        prop_assert_eq!(num(row, "refreshes"), Some(b.refreshes as f64));
-    }
-
-    let mut chrome = ChromeTraceBuilder::new(1.0);
-    series.to_chrome(&mut chrome, 3, &energy);
-    let built = chrome.build();
-    let events = built
-        .get("traceEvents")
-        .and_then(JsonValue::as_array)
-        .unwrap();
-    prop_assert_eq!(events.len(), 7 * model.windows.len(), "{}: tracks", what);
-    for (i, (tracks, m)) in events.chunks(7).zip(&model.windows).enumerate() {
-        for e in tracks {
-            prop_assert_eq!(num(e, "pid"), Some(3.0));
-            prop_assert_eq!(num(e, "ts"), Some((i as u64 * W) as f64 / 1000.0));
-        }
-        let arg = |track: usize, key: &str| {
-            tracks[track]
-                .get("args")
-                .and_then(|a| num(a, key))
-                .unwrap_or(f64::NAN)
-        };
-        prop_assert_eq!(arg(0, "bytes_per_cycle"), m.bus_bytes as f64 / W as f64);
-        prop_assert_eq!(
-            arg(1, "open_fraction"),
-            m.bank_open_cycles as f64 / (BANKS as f64 * W as f64)
-        );
-        prop_assert_eq!(arg(2, "mean_depth"), m.queue_wait_cycles as f64 / W as f64);
-        prop_assert_eq!(arg(4, "refresh_pj"), m.refresh_milli_pj as f64 / 1000.0);
-        prop_assert_eq!(arg(5, "corrected"), m.ecc_corrected as f64);
-        prop_assert_eq!(arg(6, "arrivals"), m.arrivals as f64);
-        prop_assert_eq!(arg(6, "retries"), m.retries as f64);
-    }
     Ok(())
 }
 
@@ -353,29 +191,10 @@ fn apply(op: RawOp, live: &mut Pair, kept: &mut Vec<Pair>) {
             cycle,
             bytes: b % 100,
         }),
-        3 => Some(TraceEvent::QueueLatency {
-            cycle,
-            waited: b % 50,
-        }),
-        4 => Some(TraceEvent::EccCorrected {
-            cycle,
-            bank,
-            row: 0,
-            bits: (c % 3) as u32,
-        }),
-        5 => Some(TraceEvent::EccUncorrectable {
-            cycle,
-            bank,
-            row: 0,
-        }),
-        6 => Some(TraceEvent::CommandEnergy {
+        3 => Some(TraceEvent::CommandEnergy {
             cycle,
             label,
             milli_pj: c % 5000,
-        }),
-        7 => Some(TraceEvent::Request {
-            cycle,
-            class: REQUESTS[(b % 5) as usize],
         }),
         _ => None,
     };
@@ -386,7 +205,7 @@ fn apply(op: RawOp, live: &mut Pair, kept: &mut Vec<Pair>) {
     }
     let (step, count) = (b % 40, c % 50);
     match kind {
-        8 => {
+        4 => {
             let (bank_ops, milli_pj) = ((a % 17) as u32, (a >> 8) % 3 * 700);
             live.0
                 .record_command_train(cycle, step, count, label, bank_ops, milli_pj);
@@ -407,7 +226,7 @@ fn apply(op: RawOp, live: &mut Pair, kept: &mut Vec<Pair>) {
                 }
             }
         }
-        9 => {
+        5 => {
             live.0.record_burst_train(cycle, step, count, 32);
             for i in 0..count {
                 live.1.record(&TraceEvent::DataBurst {
@@ -416,36 +235,15 @@ fn apply(op: RawOp, live: &mut Pair, kept: &mut Vec<Pair>) {
                 });
             }
         }
-        10 => {
-            live.0.record_bank_comp_train(bank as usize, count);
-            for _ in 0..count {
-                live.1.record(&TraceEvent::BankState {
-                    cycle,
-                    bank,
-                    class: BankClass::Computing,
-                });
-            }
-        }
-        11 | 12 => {
+        6..=8 => {
             let end = a % 4000; // often past the last window: zero padding
             kept.push((live.0.sampled(end), live.1.sampled(end)));
         }
-        13 => kept.push(live.clone()),
-        // Merge a snapshot into the live series, or the live series into
-        // a snapshot (a write to a series that only holds shared chunks).
-        14 | 15 if !kept.is_empty() => {
-            let i = (a % kept.len() as u64) as usize;
-            if kind == 14 {
-                live.0.merge(&kept[i].0);
-                live.1.merge(&kept[i].1);
-            } else {
-                kept[i].0.merge(&live.0);
-                kept[i].1.merge(&live.1);
-            }
-        }
-        // Carry on recording into a former snapshot; keep the former
-        // live series as the snapshot.
-        16 if !kept.is_empty() => {
+        9 => kept.push(live.clone()),
+        // Carry on recording into a former snapshot (a series that only
+        // holds shared chunks); keep the former live series as the
+        // snapshot.
+        10 if !kept.is_empty() => {
             let i = (a % kept.len() as u64) as usize;
             std::mem::swap(live, &mut kept[i]);
         }
@@ -458,7 +256,7 @@ proptest! {
 
     #[test]
     fn shared_storage_reads_as_the_flat_model(
-        ops in prop::collection::vec((0u8..17, any::<u64>(), any::<u64>(), any::<u64>()), 1..80),
+        ops in prop::collection::vec((0u8..11, any::<u64>(), any::<u64>(), any::<u64>()), 1..80),
     ) {
         let mut live: Pair = (TimeSeries::new(W, BANKS), Flat::new());
         let mut kept: Vec<Pair> = Vec::new();
@@ -470,11 +268,11 @@ proptest! {
         // The live series has moved on; every snapshot still reads as the
         // model's copy taken when it was.
         check_reads(&live.0, &live.1, "live")?;
-        check_exports(&live.0, &live.1, "live")?;
+        check_debug(&live.0, &live.1, "live")?;
         for (i, (snapshot, model)) in kept.iter().enumerate() {
             let what = format!("snapshot {i}");
             check_reads(snapshot, model, &what)?;
-            check_exports(snapshot, model, &what)?;
+            check_debug(snapshot, model, &what)?;
         }
         // Equality is by value: two paths to the same windows agree.
         for (a, ma) in &kept {
@@ -524,7 +322,7 @@ fn a_span_closing_across_chunk_boundaries_leaves_the_snapshot_alone() {
     assert_eq!(live.0.windows()[143].bank_open_cycles, 6);
     check_reads(&live.0, &live.1, "live").unwrap();
     check_reads(&snapshot.0, &snapshot.1, "snapshot").unwrap();
-    check_exports(&snapshot.0, &snapshot.1, "snapshot").unwrap();
+    check_debug(&snapshot.0, &snapshot.1, "snapshot").unwrap();
     assert_eq!(snapshot.0.totals().bank_open_cycles, 0);
     assert_eq!(snapshot.0.windows().len(), 150);
 }

@@ -58,7 +58,7 @@ impl DecodeStreamSpec {
     ///
     /// Panics when `t >= self.tokens`.
     #[must_use]
-    pub fn token_input(&self, t: usize) -> Vec<Bf16> {
+    pub(crate) fn token_input(&self, t: usize) -> Vec<Bf16> {
         assert!(t < self.tokens, "token {t} out of range {}", self.tokens);
         generator::vector(self.n, self.seed ^ TOKEN_SEED_SALT.wrapping_add(t as u64))
     }

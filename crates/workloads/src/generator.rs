@@ -145,7 +145,7 @@ mod tests {
         let rng = CounterRng::new(77);
         let len = PAR_FILL_MIN_ELEMS + 1234;
         let gen = |k: u64| Bf16::from_f32(rng.range_f32_at(k, -0.5, 0.5));
-        let serial = fill(len, ParallelPolicy::serial(), gen);
+        let serial = fill(len, ParallelPolicy::exact(1), gen);
         for threads in [2, 3, 8] {
             let policy = ParallelPolicy::exact(threads);
             assert_eq!(fill(len, policy, gen), serial, "threads={threads}");
@@ -154,7 +154,7 @@ mod tests {
         // same bytes.
         assert_eq!(
             fill(100, ParallelPolicy::exact(8), gen),
-            fill(100, ParallelPolicy::serial(), gen)
+            fill(100, ParallelPolicy::exact(1), gen)
         );
     }
 }

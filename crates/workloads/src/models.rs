@@ -49,7 +49,7 @@ impl EndToEndModel {
     /// (`4096 x n` = four 1024-wide gates); gate folding keeps a 2048-wide
     /// `[x, h]` input for the next layer.
     #[must_use]
-    pub fn gnmt() -> EndToEndModel {
+    fn gnmt() -> EndToEndModel {
         let mut layers = vec![ModelLayer {
             shape: Benchmark::GnmtS1.shape(),
             benchmark: Benchmark::GnmtS1,
@@ -114,7 +114,7 @@ impl EndToEndModel {
     /// AlexNet's two FC layers (the conv-dominated 85% of GPU time is
     /// carried in `fc_fraction_gpu`).
     #[must_use]
-    pub fn alexnet() -> EndToEndModel {
+    fn alexnet() -> EndToEndModel {
         EndToEndModel {
             name: "AlexNet",
             layers: vec![

@@ -9,7 +9,7 @@ use newton_aim::bf16::reduce::dot_error_bound;
 use newton_aim::core::config::NewtonConfig;
 use newton_aim::core::system::NewtonSystem;
 use newton_aim::core::AimError;
-use newton_aim::dram::{ini, DramConfig};
+use newton_aim::dram::DramConfig;
 use newton_aim::workloads::{generator, reference, MvShape};
 
 fn run_family(dram: DramConfig, shape: MvShape) {
@@ -52,15 +52,13 @@ fn ddr4_like_runs_newton_correctly() {
 }
 
 #[test]
-fn ini_loaded_device_runs_newton_correctly() {
-    let dram = ini::parse_config(
-        "; a custom 8-bank device with a slow column path\n\
-         NUM_BANKS=8\n\
-         tCCD=6\n\
-         tCMD=6\n\
-         tFAW=36\n",
-    )
-    .unwrap();
+fn a_custom_device_runs_newton_correctly() {
+    // An 8-bank device with a slow column path.
+    let mut dram = DramConfig::hbm2e_like();
+    dram.banks = 8;
+    dram.timing.t_ccd_ns = 6.0;
+    dram.timing.t_cmd_ns = 6.0;
+    dram.timing.t_faw_ns = 36.0;
     run_family(dram, MvShape::new(24, 600));
 }
 

@@ -11,6 +11,14 @@ use newton_aim::workloads::models::EndToEndModel;
 use newton_aim::workloads::reference::{self, Activation, RefLayer};
 use newton_aim::workloads::{generator, MvShape};
 
+/// The Fig. 8 end-to-end model called `name`.
+fn model(name: &str) -> EndToEndModel {
+    EndToEndModel::all()
+        .into_iter()
+        .find(|m| m.name == name)
+        .expect("a Fig. 8 model")
+}
+
 #[test]
 fn three_layer_mlp_matches_chained_reference() {
     let shapes = [
@@ -109,7 +117,7 @@ fn dlrm_end_to_end_runs_and_sees_normalization_exposure() {
 
 #[test]
 fn gnmt_gate_folding_chains() {
-    let model = EndToEndModel::gnmt();
+    let model = model("GNMT");
     // Two layers are enough to prove the 4096 -> 2048 folding works on
     // the device (full model is exercised by the benches in release).
     let mats: Vec<_> = model.layers[..2]
@@ -143,7 +151,7 @@ fn alexnet_end_to_end_speedup_is_amdahl_limited() {
     // The conv-dominated fraction bounds the AlexNet end-to-end speedup
     // near 1/(0.85) ≈ 1.18 no matter how fast Newton runs the FC layers.
     let gpu = TitanVModel::new();
-    let model = EndToEndModel::alexnet();
+    let model = model("AlexNet");
     let gpu_total = gpu.model_time_ns(&model, 1);
     let non_fc = gpu.non_fc_time_ns(&model, 1);
     let newton_fc = 0.0; // infinitely fast FC

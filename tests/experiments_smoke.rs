@@ -29,7 +29,7 @@ fn dlrm_layer_measurement_shape() {
     // DLRM is the cheapest benchmark; check the Fig. 8 orderings.
     let m =
         bench::measure_layer(&NewtonConfig::paper_default(), Benchmark::DlrmS1).expect("measure");
-    assert!(m.numerics_ok, "numeric error {}", m.max_numeric_error);
+    assert!(m.numerics_ok, "numeric error out of bounds");
     assert!(m.newton_ns < m.ideal_ns, "Newton beats Ideal Non-PIM");
     assert!(m.ideal_ns < m.gpu_ns, "Ideal Non-PIM beats the GPU");
     // DLRM fits inside one refresh window (Sec. V-A).
@@ -136,12 +136,12 @@ fn campaign_and_serving_run_through_the_harness() {
             .get("scalars")
             .and_then(|scalars| scalars.get(key))
             .and_then(newton_aim::trace::JsonValue::as_f64)
-            .unwrap_or_else(|| panic!("{}: no scalar {key}", report.name))
+            .unwrap_or_else(|| panic!("{}: no scalar {key}", report.snapshot.experiment()))
     };
-    assert_eq!(campaign.name, "campaign");
+    assert_eq!(campaign.snapshot.experiment(), "campaign");
     assert_eq!(scalar(campaign, "rate_1e-4/ecc_on/sdc"), 0.0);
     assert_eq!(scalar(campaign, "rate_1e-4/ecc_off/sdc"), 33.0);
-    assert_eq!(serving.name, "serving");
+    assert_eq!(serving.snapshot.experiment(), "serving");
     assert_eq!(scalar(serving, "degraded/stuck_ecc/completed"), 160.0);
     assert_eq!(scalar(serving, "degraded/stuck_ecc/offered"), 160.0);
     assert_eq!(

@@ -19,11 +19,17 @@ use newton_aim::core::config::NewtonConfig;
 use newton_aim::dram::faults::CounterRng;
 use newton_aim::workloads::{generator, MvShape};
 
+/// The lane-major plane of `row`.
+fn plane(row: &[Bf16]) -> LanePlane {
+    let mut plane = LanePlane::zeroed(row.len());
+    plane.write(0, row);
+    plane
+}
+
 fn config(channels: usize) -> NewtonConfig {
-    NewtonConfig {
-        channels,
-        ..NewtonConfig::paper_default()
-    }
+    let mut cfg = NewtonConfig::paper_default();
+    cfg.channels = channels;
+    cfg
 }
 
 fn assert_simd_matches_reference(channels: usize, shape: MvShape) {
@@ -124,16 +130,10 @@ fn row_set_kernel_rounds_subnormal_products_like_the_scalar_steps() {
         let inputs: Vec<Bf16> = (0..ELEMS)
             .map(|e| near_2_pow_minus_70(&rng, 16 * ELEMS + e))
             .collect();
-        let planes: Vec<LanePlane> = rows.iter().map(|r| LanePlane::from_row(r)).collect();
+        let planes: Vec<LanePlane> = rows.iter().map(|r| plane(r)).collect();
         let refs: Vec<&LanePlane> = planes.iter().collect();
         let mut latches = [Bf16::ZERO; 16];
-        comp_row_set(
-            &mut latches,
-            &refs,
-            &LanePlane::from_row(&inputs),
-            ELEMS / 16,
-            precision,
-        );
+        comp_row_set(&mut latches, &refs, &plane(&inputs), ELEMS / 16, precision);
         let mut nonzero = 0;
         for (bank, (row, latch)) in rows.iter().zip(latches).enumerate() {
             let scalar = row
@@ -147,7 +147,7 @@ fn row_set_kernel_rounds_subnormal_products_like_the_scalar_steps() {
                 scalar.to_bits(),
                 "bank {bank} {precision:?}"
             );
-            nonzero += usize::from(!scalar.is_zero());
+            nonzero += usize::from(scalar.to_f32() != 0.0);
         }
         assert!(
             nonzero > 8,

@@ -85,12 +85,10 @@ fn the_fig07_trace_views_keep_their_bytes() {
 /// `run_resident` of BERT S1 on one channel, with the command trace
 /// attached too when `traced`.
 fn audited_bert_query(traced: bool) -> (usize, u64) {
-    let cfg = NewtonConfig {
-        channels: 1,
-        audit: true,
-        parallel: ParallelPolicy::exact(1),
-        ..NewtonConfig::paper_default()
-    };
+    let mut cfg = NewtonConfig::paper_default();
+    cfg.channels = 1;
+    cfg.audit = true;
+    cfg.parallel = ParallelPolicy::exact(1);
     let mut sys = NewtonSystem::new(cfg).expect("config");
     if traced {
         for ch in sys.channels_mut() {
@@ -107,7 +105,7 @@ fn audited_bert_query(traced: bool) -> (usize, u64) {
     for event in audit.events() {
         writeln!(lines, "{event:?}").expect("write to a String");
     }
-    (audit.len(), fnv1a(lines.as_bytes()))
+    (audit.events().count(), fnv1a(lines.as_bytes()))
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! legal.
 
 use newton_aim::bf16::reduce::dot_error_bound;
+use newton_aim::bf16::{slice, Bf16};
 use newton_aim::core::config::NewtonConfig;
 use newton_aim::core::layout::{Layout, MatrixMapping};
 use newton_aim::core::system::NewtonSystem;
@@ -11,6 +12,23 @@ use newton_aim::core::tiling::{Schedule, ScheduleKind};
 use newton_aim::dram::{Channel, DramConfig};
 use newton_aim::workloads::{generator, reference, MvShape};
 use proptest::prelude::*;
+
+/// Reads the `m x n` matrix `mapping` placed back out of channel
+/// storage.
+fn extract(mapping: &MatrixMapping, ch: &Channel, m: usize, n: usize) -> Vec<Bf16> {
+    let mut out = vec![Bf16::ZERO; m * n];
+    for i in 0..m {
+        for c in 0..mapping.num_chunks() {
+            let start = c * mapping.row_elems();
+            let (bank, dram_row, _) = mapping.location(i, start).unwrap();
+            let len = mapping.chunk_elems(c);
+            let row = ch.storage().row(bank, dram_row).unwrap();
+            let values = slice::unpack(&row[..len * 2]).unwrap();
+            out[i * n + start..][..len].copy_from_slice(&values);
+        }
+    }
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -68,7 +86,7 @@ proptest! {
         let mut ch = Channel::new(DramConfig::hbm2e_like()).unwrap();
         let matrix = generator::matrix(MvShape::new(m, n), seed);
         mapping.load(&mut ch, &matrix).unwrap();
-        prop_assert_eq!(mapping.extract(&ch).unwrap(), matrix);
+        prop_assert_eq!(extract(&mapping, &ch, m, n), matrix);
     }
 
     /// Schedule coverage: every (matrix row, chunk) pair is computed
@@ -103,17 +121,5 @@ proptest! {
         }
         let expected = if kind == ScheduleKind::InterleavedFullReuse { chunks as u32 } else { 1 };
         prop_assert!(reads.iter().all(|&c| c == expected));
-    }
-
-    /// The address mapper is a bijection over random locations.
-    #[test]
-    fn address_mapper_bijection(addr in 0usize..(1 << 20)) {
-        use newton_aim::dram::address::{AddressMapper, Interleave};
-        let cfg = DramConfig::hbm2e_like();
-        for il in [Interleave::BankInterleaved, Interleave::BankSequential] {
-            let m = AddressMapper::new(&cfg, il);
-            let loc = m.decode(addr).unwrap();
-            prop_assert_eq!(m.encode(loc).unwrap(), addr);
-        }
     }
 }

@@ -60,7 +60,8 @@ fn long_run_with_refresh_is_timing_legal() {
 #[test]
 fn baseline_tfaw_is_timing_legal() {
     let mut cfg = NewtonConfig::paper_default();
-    cfg.opts.aggressive_tfaw = false;
+    // Full Newton but for the aggressive tFAW.
+    cfg.opts = OptLevel::FourBank.flags();
     run_audited(cfg, MvShape::new(64, 512));
 }
 

@@ -2,12 +2,12 @@
 //! arithmetic, and the 16-input adder-tree reduction used by every COMP —
 //! the allocating oracle, the stack-only step and the batched folds, with
 //! a counting allocator proving every kernel but the oracle performs zero
-//! heap allocation per call.
+//! heap allocation per call. The production kernel is timed twice in one
+//! process: on freestanding planes and on rows where `Storage` keeps them.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use newton_bf16::reduce::TreePrecision;
 use newton_bf16::{reduce, simd, Bf16};
-use newton_core::cache::{DecodedWeightCache, Residency};
 use newton_dram::{DramConfig, Storage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,7 +89,8 @@ fn bench_bf16(c: &mut Criterion) {
 }
 
 /// The batched folds that interleave a gang's per-bank latch chains —
-/// row-major and the production lane-major kernel — and the plane decode.
+/// row-major and the production lane-major kernel, on freestanding planes
+/// and on storage rows.
 fn bench_bf16_simd(c: &mut Criterion) {
     // One hbm2e-like row: 32 sub-chunks x 16 elements.
     let row_v: Vec<f32> = (0..512)
@@ -146,18 +147,45 @@ fn bench_bf16_simd(c: &mut Criterion) {
             })
         });
     }
-    let row_bf: Vec<Bf16> = row_v.iter().map(|&x| Bf16::from_f32(x)).collect();
-    // The decode the simulator runs: the row as DRAM stores it, straight
-    // into the plane. Must build what `write` of the whole row builds.
-    let row_bytes = newton_bf16::slice::pack(&row_bf);
-    let mut from_bytes = simd::LanePlane::zeroed(512);
-    c.bench_function("bf16/LanePlane::fill_le_bytes x512 (one row decode)", |b| {
-        b.iter(|| from_bytes.fill_le_bytes(black_box(&row_bytes)))
-    });
-    let (mut decoded, mut written) = ([Bf16::ZERO; 512], [Bf16::ZERO; 512]);
-    from_bytes.read(0, &mut decoded);
-    lane_plane(&row_v).read(0, &mut written);
-    assert_eq!(decoded, written, "fill_le_bytes diverged from write");
+    // The same gang where the simulator finds it: one row of each of 16
+    // banks of a channel's storage, written as DRAM row bytes.
+    let storage = gang_storage(&planes);
+    let stored: Vec<&simd::LanePlane> = (0..16)
+        .map(|bank| storage.lanes(bank, 0).expect("in range"))
+        .collect();
+    let mut on_planes = [Bf16::ZERO; 16];
+    simd::comp_row_set(&mut on_planes, &lane_refs, &lane_v, 32, TreePrecision::Wide);
+    let mut on_rows = [Bf16::ZERO; 16];
+    simd::comp_row_set(&mut on_rows, &stored, &lane_v, 32, TreePrecision::Wide);
+    assert_eq!(on_planes, on_rows, "storage rows fold as their planes do");
+    c.bench_function(
+        "bf16/comp_row_set 16 banks wide on storage rows (one row-set)",
+        |b| {
+            b.iter(|| {
+                let mut latches = [Bf16::ZERO; 16];
+                simd::comp_row_set(
+                    black_box(&mut latches),
+                    black_box(&stored),
+                    black_box(&lane_v),
+                    32,
+                    TreePrecision::Wide,
+                );
+                latches
+            })
+        },
+    );
+}
+
+/// One channel's storage holding `rows[k]` as row 0 of bank `k`.
+fn gang_storage(rows: &[Vec<f32>]) -> Storage {
+    let mut storage = Storage::new(&DramConfig::hbm2e_like());
+    for (bank, row) in rows.iter().enumerate() {
+        let bf: Vec<Bf16> = row.iter().map(|&x| Bf16::from_f32(x)).collect();
+        storage
+            .write_row(bank, 0, &newton_bf16::slice::pack(&bf))
+            .expect("in range");
+    }
+    storage
 }
 
 /// The lane-major plane of an exactly-widened `f32` row.
@@ -168,8 +196,8 @@ fn lane_plane(row: &[f32]) -> simd::LanePlane {
     plane
 }
 
-/// Not a timing bench: proves the stack-only step, the batched folds and
-/// the plane decodes never allocate.
+/// Not a timing bench: proves the stack-only step and the batched folds,
+/// on freestanding planes and on storage rows, never allocate.
 /// Runs under `--test` too, so `cargo test` exercises the assertion.
 fn bench_zero_alloc_proof(c: &mut Criterion) {
     let xs: Vec<f32> = (0..128).map(|i| (i as f32).cos()).collect();
@@ -191,8 +219,8 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
     let mut refilled = simd::LanePlane::zeroed(512);
     let row_bytes = newton_bf16::slice::pack(&bf.repeat(4));
 
-    // A single-use plan's weight rows: once the cache is built, decoding
-    // any number of distinct rows through it must not touch the heap.
+    // Weight rows where storage keeps them: folding any number of distinct
+    // rows in place must not touch the heap.
     let dram = DramConfig::hbm2e_like();
     let mut storage = Storage::new(&dram);
     for row in 0..64 {
@@ -200,7 +228,7 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
             storage.write_row(bank, row, &row_bytes).expect("in range");
         }
     }
-    let mut cache = DecodedWeightCache::new(dram.banks, dram.row_bytes() / 2);
+    let mut gang: Vec<&simd::LanePlane> = Vec::with_capacity(dram.banks);
 
     let (bytes, sink) = alloc_delta(|| {
         let mut acc = 0.0f32;
@@ -224,7 +252,7 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
             // The batched folds are stack-only too: the row-major one the
             // benchmark probe times, then the production lane-major kernel
             // (slow-path redo included: it reuses the same stack scratch)
-            // and the in-place re-decode.
+            // and the in-place row stores.
             for prec in [TreePrecision::Wide, TreePrecision::PerStage] {
                 simd::comp_subchunks16_multi(
                     black_box(&mut latches),
@@ -243,27 +271,31 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
                 acc_bits ^= latches[0].to_bits();
             }
             refilled.write(16, black_box(&bf[..16]));
-            refilled.fill_le_bytes(black_box(&row_bytes));
+            refilled.store_le_bytes(black_box(&row_bytes));
         }
         for row in 0..64 {
-            for bank in 0..dram.banks {
-                cache
-                    .ensure_row(&storage, bank, row, Residency::SingleUse)
-                    .expect("in range");
-                let mut e = [Bf16::ZERO];
-                cache.lanes(bank, row).read(row, &mut e);
-                acc += e[0].to_f32();
-            }
+            gang.clear();
+            gang.extend((0..dram.banks).map(|bank| storage.lanes(bank, row).expect("in range")));
+            let mut latches = [Bf16::ZERO; 16];
+            simd::comp_row_set(
+                black_box(&mut latches),
+                black_box(&gang),
+                black_box(&lane_v),
+                32,
+                TreePrecision::Wide,
+            );
+            acc += latches[0].to_f32();
         }
         (acc, acc_bits)
     });
-    assert_eq!(cache.decode_count(), 64 * dram.banks as u64);
     black_box(sink);
     assert_eq!(
         bytes, 0,
-        "comp_step_noalloc/SIMD kernels and streamed row decodes allocated {bytes} heap bytes"
+        "comp_step_noalloc/SIMD kernels and folds of storage rows allocated {bytes} heap bytes"
     );
-    println!("bf16/zero-alloc proof: 0 heap bytes across 9000 kernel calls and 1024 streamed rows");
+    println!(
+        "bf16/zero-alloc proof: 0 heap bytes across 9000 kernel calls and 64 row-sets of storage rows"
+    );
     // Keep the harness aware this 'bench' ran (and give --test a hook).
     c.bench_function("bf16/zero-alloc proof (see assert above)", |b| {
         b.iter(|| {

@@ -463,7 +463,6 @@ proptest! {
                                 .storage()
                                 .row(*bank, 0)
                                 .ok()
-                                .map(<[u8]>::to_vec)
                         })
                         .collect();
                     prop_assert!(rows.windows(2).all(|w| w[0] == w[1]));

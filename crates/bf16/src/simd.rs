@@ -38,9 +38,11 @@
 //! widens as it loads — each input block once per gang into a stack block
 //! of `f32`, each weight inside the product loop (a shift into the high
 //! half, which is exact) — so products and sums round exactly as they
-//! would on `f32` planes. The decoded-weight cache and the device global
-//! buffer maintain such planes, and only this module knows their index
-//! math.
+//! would on `f32` planes. A plane is also how the DRAM storage keeps a
+//! row and how the device global buffer keeps its input, so the kernel
+//! reads weights where they are stored; only this module knows the
+//! index math, and the planes' byte and word accessors translate the
+//! logical row positions the storage contract speaks in.
 //!
 //! One carve-out: NaN **inputs** are outside the cross-kernel contract.
 //! When both operands of an `f32` addition are NaN, hardware returns one
@@ -308,19 +310,38 @@ pub fn comp_subchunks16_multi(
     }
 }
 
-/// A row of bf16 values, stored as their bits **lane-major** for
-/// [`comp_row_set`].
+/// A row of bf16 values, stored as their bits **lane-major**: the order
+/// [`comp_row_set`] reads them in, and the one form a weight row takes.
+/// `newton_dram::Storage` keeps every DRAM row as a `LanePlane` and the
+/// kernel folds those planes where they lie; the device's global buffer
+/// keeps the input row the same way.
 ///
 /// The row is cut into 16-element sub-chunks and the sub-chunks into
 /// blocks of 32. Inside a block the layout is
 /// `[element j][sub-chunk s]`: element `j` of sub-chunk `s` of block `b`
 /// lives at `b * 512 + j * 32 + s`, so the 32 sub-chunks' `j`-th elements
-/// are contiguous. The last block is padded with `+0.0` to full size.
-/// This module is the only place that knows the index math.
+/// are contiguous. A plane holds whole blocks, and whatever its row does
+/// not cover is `+0.0`: the paper's 1 KiB row (512 elements) is exactly
+/// one block, any other row length is padded up to the next block. This
+/// module is the only place that knows the index math.
 ///
 /// Each element costs 2 bytes, as in the DRAM row; the kernel widens it
 /// to `f32` exactly (low 16 bits zero, the precondition of its hoisted
 /// inf/NaN test) as it loads.
+///
+/// Besides [`Bf16`] elements, a plane reads and writes its row as DRAM
+/// holds it logically, whatever the row's geometry:
+///
+/// * **bytes** in row order ([`read_le_bytes`](LanePlane::read_le_bytes),
+///   [`write_le_bytes`](LanePlane::write_le_bytes),
+///   [`store_le_bytes`](LanePlane::store_le_bytes)): byte `p` is the low
+///   (`p` even) or high half of element `p / 2`, as in little-endian
+///   bf16 pairs, so a row of an odd byte count ends on the low half of an
+///   element;
+/// * **64-bit words** ([`le_word`](LanePlane::le_word),
+///   [`set_le_word`](LanePlane::set_le_word)): word `w` is bytes
+///   `8w..8w + 8` read little-endian, elements `4w..4w + 4`, which always
+///   lie in one sub-chunk: four lanes 32 apart.
 #[derive(Debug, Clone)]
 pub struct LanePlane {
     lanes: Box<[u16]>,
@@ -340,24 +361,21 @@ impl LanePlane {
         }
     }
 
-    /// Overwrites the whole plane with the row as DRAM stores it
-    /// (little-endian bf16 pairs), zero-filling whatever the row does not
-    /// cover. The bytes are decoded straight into the plane with no
-    /// intermediate [`Bf16`] row, and whole blocks are transposed with
-    /// sequential writes and no per-element index arithmetic (rows are
-    /// decoded cold on the weight-reload path, so this loop is paid per
-    /// use there).
+    /// Overwrites the whole plane with the row `bytes` (logical order,
+    /// see the type docs), zero-filling whatever the bytes do not cover.
+    /// Whole blocks are transposed with sequential stores and no
+    /// per-element index arithmetic: this is how a DRAM row write lands,
+    /// once, on the weight-reload path.
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is odd-sized or holds more elements than the plane.
-    pub fn fill_le_bytes(&mut self, bytes: &[u8]) {
+    /// Panics if `bytes` holds more elements than the plane.
+    pub fn store_le_bytes(&mut self, bytes: &[u8]) {
         let (row, odd) = bytes.as_chunks::<2>();
-        assert!(odd.is_empty(), "{} bytes are not bf16 pairs", bytes.len());
         assert!(
-            row.len() <= self.n_sub * TREE_ARITY,
-            "row of {} elements exceeds the plane's {} sub-chunks",
-            row.len(),
+            bytes.len().div_ceil(2) <= self.n_sub * TREE_ARITY,
+            "row of {} bytes exceeds the plane's {} sub-chunks",
+            bytes.len(),
             self.n_sub
         );
         let blocks = row.chunks(BLOCK_ELEMS).chain(std::iter::repeat(&[][..]));
@@ -376,27 +394,94 @@ impl LanePlane {
                 }
             }
         }
+        if let [last] = odd {
+            self.lanes[lane_index(row.len())] = u16::from(*last);
+        }
     }
 
-    /// Overwrites elements `start..start + values.len()` (row order). The
-    /// part of the range in one sub-chunk is one lane of as many
-    /// contiguous lane rows: one index computation, then strided stores.
+    /// Reads row bytes `start..start + out.len()` (logical order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the plane.
+    pub fn read_le_bytes(&self, start: usize, out: &mut [u8]) {
+        let (head, whole, tail) = split_bytes(start, out.len());
+        if let Some(p) = head {
+            out[0] = self.lanes[lane_index(p / 2)].to_le_bytes()[1];
+        }
+        let (pairs, _) = out[usize::from(head.is_some())..].as_chunks_mut::<2>();
+        for (first, piece) in runs(whole.start, whole.len()) {
+            let lanes = self.lanes[first..].iter().step_by(BLOCK_SUBS);
+            for (pair, lane) in pairs[piece].iter_mut().zip(lanes) {
+                *pair = lane.to_le_bytes();
+            }
+        }
+        if let Some(p) = tail {
+            out[out.len() - 1] = self.lanes[lane_index(p / 2)].to_le_bytes()[0];
+        }
+    }
+
+    /// Overwrites row bytes `start..start + bytes.len()` (logical order),
+    /// leaving every other byte as it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the plane.
+    pub fn write_le_bytes(&mut self, start: usize, bytes: &[u8]) {
+        let (head, whole, tail) = split_bytes(start, bytes.len());
+        if let Some(p) = head {
+            let lane = &mut self.lanes[lane_index(p / 2)];
+            *lane = u16::from_le_bytes([lane.to_le_bytes()[0], bytes[0]]);
+        }
+        let (pairs, _) = bytes[usize::from(head.is_some())..].as_chunks::<2>();
+        for (first, piece) in runs(whole.start, whole.len()) {
+            let lanes = self.lanes[first..].iter_mut().step_by(BLOCK_SUBS);
+            for (lane, &pair) in lanes.zip(&pairs[piece]) {
+                *lane = u16::from_le_bytes(pair);
+            }
+        }
+        if let Some(p) = tail {
+            let lane = &mut self.lanes[lane_index(p / 2)];
+            *lane = u16::from_le_bytes([bytes[bytes.len() - 1], lane.to_le_bytes()[1]]);
+        }
+    }
+
+    /// Row bytes `8w..8w + 8` as a little-endian 64-bit word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word lies past the plane.
+    #[must_use]
+    pub fn le_word(&self, w: usize) -> u64 {
+        let first = lane_index(4 * w);
+        (0..4).fold(0, |word, k| {
+            word | u64::from(self.lanes[first + k * BLOCK_SUBS]) << (16 * k)
+        })
+    }
+
+    /// Overwrites row bytes `8w..8w + 8` with `word`, little-endian.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word lies past the plane.
+    pub fn set_le_word(&mut self, w: usize, word: u64) {
+        let first = lane_index(4 * w);
+        for k in 0..4 {
+            self.lanes[first + k * BLOCK_SUBS] = (word >> (16 * k)) as u16;
+        }
+    }
+
+    /// Overwrites elements `start..start + values.len()` (row order).
     ///
     /// # Panics
     ///
     /// Panics if the range runs past the plane.
     pub fn write(&mut self, start: usize, values: &[Bf16]) {
-        let (mut elem, mut rest) = (start, values);
-        while !rest.is_empty() {
-            let in_sub = (TREE_ARITY - elem % TREE_ARITY).min(rest.len());
-            let (piece, tail) = rest.split_at(in_sub);
-            let lanes = self.lanes[lane_index(elem)..]
-                .iter_mut()
-                .step_by(BLOCK_SUBS);
-            for (lane, v) in lanes.zip(piece) {
+        for (first, piece) in runs(start, values.len()) {
+            let lanes = self.lanes[first..].iter_mut().step_by(BLOCK_SUBS);
+            for (lane, v) in lanes.zip(&values[piece]) {
                 *lane = v.to_bits();
             }
-            (elem, rest) = (elem + in_sub, tail);
         }
     }
 
@@ -407,8 +492,11 @@ impl LanePlane {
     ///
     /// Panics if the range runs past the plane.
     pub fn read(&self, start: usize, out: &mut [Bf16]) {
-        for (elem, o) in (start..).zip(out) {
-            *o = Bf16::from_bits(self.lanes[lane_index(elem)]);
+        for (first, piece) in runs(start, out.len()) {
+            let lanes = self.lanes[first..].iter().step_by(BLOCK_SUBS);
+            for (o, &lane) in out[piece].iter_mut().zip(lanes) {
+                *o = Bf16::from_bits(lane);
+            }
         }
     }
 
@@ -418,6 +506,38 @@ impl LanePlane {
             .try_into()
             .expect("sliced to one block")
     }
+}
+
+// A 64-bit word (four elements) never straddles a sub-chunk.
+const _: () = assert!(TREE_ARITY.is_multiple_of(4));
+
+/// The pieces of elements `start..start + len` that each lie in one
+/// sub-chunk: the lane of a piece's first element (the others follow
+/// [`BLOCK_SUBS`] lanes apart, one lane row each) and the piece's
+/// offsets in `0..len`. One index computation a piece, then strided
+/// loads or stores.
+fn runs(start: usize, len: usize) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        (at < len).then(|| {
+            let elem = start + at;
+            let n = (TREE_ARITY - elem % TREE_ARITY).min(len - at);
+            at += n;
+            (lane_index(elem), at - n..at)
+        })
+    })
+}
+
+/// Row bytes `start..start + len` cut at element boundaries: the byte
+/// position of a leading high half, the whole elements, and the byte
+/// position of a trailing low half.
+fn split_bytes(start: usize, len: usize) -> (Option<usize>, std::ops::Range<usize>, Option<usize>) {
+    let end = start + len;
+    let head = (start % 2 == 1 && start < end).then_some(start);
+    let first = start.div_ceil(2);
+    let last = (end / 2).max(first);
+    let tail = (end % 2 == 1 && end > 2 * first).then(|| end - 1);
+    (head, first..last, tail)
 }
 
 /// Lane-major position of row element `elem`.
@@ -818,10 +938,10 @@ mod tests {
         Bf16::from_f32(((mix(state) % 2001) as f32 - 1000.0) / 256.0)
     }
 
-    /// The plane of `row`, through the transposing byte fill.
+    /// The plane of `row`, through the transposing byte store.
     fn from_row(row: &[Bf16]) -> LanePlane {
         let mut plane = LanePlane::zeroed(row.len());
-        plane.fill_le_bytes(&crate::slice::pack(row));
+        plane.store_le_bytes(&crate::slice::pack(row));
         plane
     }
 
@@ -902,8 +1022,8 @@ mod tests {
                 assert_eq!(get(&written, i).to_bits(), get(&plane, i).to_bits());
                 assert_eq!(b.to_bits(), row.get(i).map_or(0, |e| e.to_bits()));
             }
-            // `write` lands where the fill would have put the same
-            // elements, and a shorter refill zeroes what it no longer
+            // `write` lands where the byte store would have put the same
+            // elements, and a shorter store zeroes what it no longer
             // covers.
             if len >= 40 {
                 let mut patched = row.clone();
@@ -912,11 +1032,54 @@ mod tests {
                 for (i, e) in patched.iter().enumerate() {
                     assert_eq!(get(&plane, i).to_bits(), e.to_f32().to_bits());
                 }
-                plane.fill_le_bytes(&crate::slice::pack(&row[..len / 2]));
+                plane.store_le_bytes(&crate::slice::pack(&row[..len / 2]));
                 for i in 0..capacity {
                     let expect = row[..len / 2].get(i).map_or(0.0, |e| e.to_f32());
                     assert_eq!(get(&plane, i).to_bits(), expect.to_bits());
                 }
+            }
+        }
+    }
+
+    /// The byte and word accessors keep the logical row: against a plain
+    /// byte vector, at byte counts that are odd, that end inside a
+    /// sub-chunk or a block, and that fill whole blocks. Bytes the row
+    /// does not cover read as zero.
+    #[test]
+    fn bytes_and_words_keep_the_logical_row_at_any_length() {
+        let mut state = 0xB17E_u64;
+        for len in [0usize, 1, 2, 7, 31, 45, 296, 1023, 1024, 1025, 2048] {
+            let mut plane = LanePlane::zeroed(len.div_ceil(2));
+            let capacity = plane.n_sub * TREE_ARITY * 2;
+            let mut shadow = vec![0u8; capacity];
+            let row: Vec<u8> = (0..len).map(|_| mix(&mut state) as u8).collect();
+            shadow[..len].copy_from_slice(&row);
+            plane.store_le_bytes(&row);
+            for round in 0..64 {
+                let start = (mix(&mut state) as usize) % (len + 1);
+                let n = (mix(&mut state) as usize) % (len - start + 1);
+                let bytes: Vec<u8> = (0..n).map(|_| mix(&mut state) as u8).collect();
+                plane.write_le_bytes(start, &bytes);
+                shadow[start..start + n].copy_from_slice(&bytes);
+                if len >= 8 {
+                    let w = (mix(&mut state) as usize) % (len / 8);
+                    let word = mix(&mut state);
+                    plane.set_le_word(w, word);
+                    shadow[8 * w..8 * w + 8].copy_from_slice(&word.to_le_bytes());
+                }
+                let mut back = vec![0xA5u8; capacity];
+                plane.read_le_bytes(0, &mut back);
+                assert_eq!(back, shadow, "len {len} round {round}");
+                for (w, chunk) in shadow.chunks_exact(8).enumerate() {
+                    let want = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+                    assert_eq!(plane.le_word(w), want, "len {len} word {w}");
+                }
+            }
+            // The elements are the little-endian pairs of the bytes.
+            let mut elems = vec![Bf16::ZERO; capacity / 2];
+            plane.read(0, &mut elems);
+            for (e, pair) in elems.iter().zip(shadow.chunks_exact(2)) {
+                assert_eq!(e.to_bits(), u16::from_le_bytes([pair[0], pair[1]]));
             }
         }
     }
@@ -1089,11 +1252,11 @@ mod tests {
     }
 
     /// `write` then `read` round-trips any range, and leaves the plane as
-    /// the fill of the row holding just that range would: every start
+    /// the byte store of the row holding just that range would: every start
     /// and length over one whole block and a ragged part of a second, so
     /// ranges begin and end on and off sub-chunk and block boundaries.
     #[test]
-    fn write_stores_any_range_as_the_fill_would() {
+    fn write_stores_any_range_as_the_byte_store_would() {
         let n = BLOCK_ELEMS + 2 * TREE_ARITY + 8;
         let row: Vec<Bf16> = (1..=n).map(|i| Bf16::from_bits(i as u16)).collect();
         // A range's plane is `full` with the lanes outside the range zero.

@@ -49,8 +49,8 @@ impl Default for TelemetryConfig {
 pub enum TimingEngine {
     /// Production: each GWRITE and ganged COMP stream issues as one
     /// closed-form train, activations skip the scrub of rows the storage
-    /// marks verified, and COMP folds decoded weight planes through the
-    /// SIMD kernel. The default.
+    /// marks verified, and COMP folds the stored weight rows in place
+    /// through the SIMD kernel. The default.
     #[default]
     EventSkipping,
     /// The oracle: every command issued and checked singly after its

@@ -34,7 +34,6 @@ use newton_dram::audit::AuditViolation;
 use newton_dram::timing::Cycle;
 use newton_dram::Channel;
 
-use crate::cache::{DecodedWeightCache, Residency};
 use crate::command::{AimCommand, CommandTrace};
 use crate::config::{NewtonConfig, TimingEngine};
 use crate::device::NewtonDevice;
@@ -151,7 +150,6 @@ pub struct NewtonChannel {
     traced: bool,
     host_queue: Vec<HostRequest>,
     host_responses: Vec<HostResponse>,
-    weight_cache: DecodedWeightCache,
     /// The issue cycle of the last COMP of the row-set
     /// [`NewtonChannel::open_row_set`] left open, if one is open.
     open_comp: Option<Cycle>,
@@ -209,7 +207,6 @@ impl NewtonChannel {
             config.tree_precision,
             activation,
         )?;
-        let weight_cache = DecodedWeightCache::new(config.dram.banks, config.row_elems());
         Ok(NewtonChannel {
             channel,
             device,
@@ -218,7 +215,6 @@ impl NewtonChannel {
             traced: false,
             host_queue: Vec::new(),
             host_responses: Vec::new(),
-            weight_cache,
             open_comp: None,
             tree_done: 0,
             done: 0,
@@ -250,12 +246,6 @@ impl NewtonChannel {
     /// affects host-side work per command.
     pub(crate) fn set_timing_engine(&mut self, engine: TimingEngine) {
         self.config.engine = engine;
-    }
-
-    /// The decoded-weight cache (hit/decode counters for perf reporting).
-    #[must_use]
-    pub fn weight_cache(&self) -> &DecodedWeightCache {
-        &self.weight_cache
     }
 
     /// Queues a host (non-AiM) request. It is serviced at the next
@@ -417,23 +407,19 @@ impl NewtonChannel {
         vector: &[Bf16],
         lut_readout: bool,
     ) -> Result<MvRun, AimError> {
-        // A caller holding its own mapping and schedule can run them
-        // again: decoded rows are retained.
-        self.drain(mapping, schedule, vector, lut_readout, Residency::Resident)
+        self.drain(mapping, schedule, vector, lut_readout)
     }
 
     /// The one row-set loop behind [`NewtonChannel::run_mv`] and
     /// [`NewtonChannel::run_planned`]: each row-set of `schedule` opened,
     /// its latches read, and the last one closed by
-    /// [`NewtonChannel::finish`]. `residency` only decides whether decoded
-    /// weight rows outlive their row-set.
+    /// [`NewtonChannel::finish`].
     fn drain(
         &mut self,
         mapping: &MatrixMapping,
         schedule: &Schedule,
         vector: &[Bf16],
         lut_readout: bool,
-        residency: Residency,
     ) -> Result<MvRun, AimError> {
         if vector.len() != mapping.n() {
             return Err(AimError::Shape {
@@ -456,7 +442,7 @@ impl NewtonChannel {
         for rs in schedule.row_sets() {
             let base = rs.chunk * mapping.row_elems();
             let input = &vector[base..base + mapping.chunk_elems(rs.chunk)];
-            self.open_row_set(rs, input, input.len().div_ceil(sub), residency)?;
+            self.open_row_set(rs, input, input.len().div_ceil(sub))?;
             for reads in rs.read_after.chunk_by(|a, b| a.latch == b.latch) {
                 let banks = reads.iter().map(|r| r.bank);
                 let values = self.read_latch(banks, reads[0].latch, lut_readout)?;
@@ -499,7 +485,6 @@ impl NewtonChannel {
         rs: &RowSet,
         input: &[Bf16],
         n_sub: usize,
-        residency: Residency,
     ) -> Result<(), AimError> {
         self.boundary(self.row_set_estimate(rs, n_sub))?;
 
@@ -522,7 +507,7 @@ impl NewtonChannel {
         // writes storage inside a row-set.
         let rows_clean = self.channel.stats().ecc_corrected == corrected;
         let comp_started = std::time::Instant::now();
-        let (comp_cmds, last_comp) = self.compute_row_set(rs, n_sub, residency, rows_clean)?;
+        let (comp_cmds, last_comp) = self.compute_row_set(rs, n_sub, rows_clean)?;
         self.comp_calls += 1;
         self.comp_nanos += comp_started.elapsed().as_nanos() as u64;
         self.tally.compute_commands += comp_cmds;
@@ -719,16 +704,14 @@ impl NewtonChannel {
     }
 
     /// Runs one matrix–vector product through a [`ChannelPlan`]: its
-    /// mapping and schedule, and its [`Residency`] — a single-use plan
-    /// drains the same commands but streams its weight rows through the
-    /// decode scratch instead of keeping them. Results are read raw: the
-    /// host applies each layer's activation.
+    /// mapping and schedule. Results are read raw: the host applies each
+    /// layer's activation.
     ///
     /// # Errors
     ///
     /// As [`NewtonChannel::run_mv`].
     pub fn run_planned(&mut self, plan: &ChannelPlan, vector: &[Bf16]) -> Result<MvRun, AimError> {
-        self.drain(plan.map(), plan.schedule(), vector, false, plan.residency())
+        self.drain(plan.map(), plan.schedule(), vector, false)
     }
 
     /// Loads input chunk `input` into the global buffer, one GWRITE per
@@ -830,27 +813,12 @@ impl NewtonChannel {
         &mut self,
         rs: &RowSet,
         n_sub: usize,
-        residency: Residency,
         rows_clean: bool,
     ) -> Result<(u64, Cycle), AimError> {
         let sub_elems = self.config.subchunk_elems();
         self.scratch_banks.clear();
         self.scratch_banks.extend(rs.work.iter().map(|w| w.bank));
         let engine = self.config.engine;
-        if engine == TimingEngine::EventSkipping {
-            // Pin every active (bank, row) as a decoded plane before the
-            // COMP stream. Nothing writes storage inside a row-set, so the
-            // pinned decodes stay current until the next boundary.
-            for i in 0..self.scratch_banks.len() {
-                let bank = self.scratch_banks[i];
-                self.weight_cache.ensure_row(
-                    self.channel.storage(),
-                    bank,
-                    rs.dram_row,
-                    residency,
-                )?;
-            }
-        }
         let row = rs.dram_row;
         let latch = rs.latch;
         let mut cmds = 0u64;
@@ -864,8 +832,9 @@ impl NewtonChannel {
         // first scanned slot every successive COMP lands exactly one
         // `col_step` later: issue it as one train (same cycles, stats,
         // audit records, ECC checks and telemetry as the per-command
-        // loop), then fold each bank's whole row against the global
-        // buffer's plane in one batched kernel pass. Bit-exact because
+        // loop), then fold each bank's whole row, where storage keeps it,
+        // against the global buffer's plane in one batched kernel pass.
+        // Nothing writes storage inside a row-set. Bit-exact because
         // nothing inside a row-set observes device latch state, per-bank
         // sub-chunk order is preserved, and the batched kernel equals the
         // per-sub steps (`newton_bf16::simd::comp_row_set`).
@@ -888,14 +857,14 @@ impl NewtonChannel {
             self.now = last;
             last_col = last;
             cmds += n_sub as u64;
-            // Whole-gang fold: the device takes all banks' planes at once
+            // Whole-gang fold: the device takes all banks' rows at once
             // so their (independent) serial latch chains interleave
             // instead of running back to back.
-            let cache = &self.weight_cache;
+            let storage = self.channel.storage();
             self.device
                 .comp_banks_row_simd(&self.scratch_banks, latch, n_sub, |bank| {
-                    cache.lanes(bank, row)
-                });
+                    storage.lanes(bank, row)
+                })?;
             return Ok((cmds, last_col));
         }
 
@@ -932,13 +901,11 @@ impl NewtonChannel {
                         bank: None,
                     },
                 };
-                let (device, cache) = (&mut self.device, &self.weight_cache);
+                let device = &mut self.device;
                 let pairs = &self.scratch_pairs;
                 self.channel.issue_as(cmd, |ch| {
                     ch.issue_ganged_column_read_internal(t, pairs, |bank, data| {
-                        functional_comp(
-                            device, cache, engine, sub_elems, row, latch, sub, bank, data, inputs,
-                        );
+                        functional_comp(device, engine, latch, bank, data, inputs);
                     })
                 })?;
                 self.now = t;
@@ -1027,10 +994,8 @@ impl NewtonChannel {
     }
 
     /// Returns the channel to a quiescent, all-banks-precharged state
-    /// after an error abandoned a run mid-row-set, and invalidates the
-    /// decoded-weight cache (a recovery rewrite changes row contents).
-    /// Used by `NewtonSystem::run_resident_resilient` between retry
-    /// attempts.
+    /// after an error abandoned a run mid-row-set. Used by
+    /// `NewtonSystem::run_resident_resilient` between retry attempts.
     ///
     /// # Errors
     ///
@@ -1039,7 +1004,6 @@ impl NewtonChannel {
     pub(crate) fn recover(&mut self) -> Result<(), AimError> {
         self.precharge_open_banks()?;
         self.open_comp = None;
-        self.weight_cache.clear();
         Ok(())
     }
 
@@ -1098,37 +1062,31 @@ impl NewtonChannel {
 }
 
 /// The functional half of one COMP, with the kernel the engine implies.
-/// `data` is the raw column-read payload the timing model produced: the
-/// oracle decodes it through the allocating scalar kernels, production
-/// ignores it (the cache holds the same bytes decoded as a plane), so the
-/// column read — and with it all timing, stats, audit, and trace
-/// behavior — happens identically on both engines. `inputs` is global-buffer
-/// sub-chunk `sub`.
-#[expect(clippy::too_many_arguments, reason = "flat hot-path dispatch")]
+/// `data` is the column the read returned, in the row's logical byte
+/// order: the oracle decodes it through the allocating scalar kernels,
+/// production through the allocation-free ones. `inputs` is the
+/// broadcast global-buffer sub-chunk.
 fn functional_comp(
     device: &mut NewtonDevice,
-    cache: &DecodedWeightCache,
     engine: TimingEngine,
-    sub_elems: usize,
-    row: usize,
     latch: usize,
-    sub: usize,
     bank: usize,
     data: &[u8],
     inputs: &[Bf16],
 ) {
     match engine {
         TimingEngine::Reference => device.comp_bank_reference(bank, latch, data, inputs),
-        // Per-sub-chunk step over the decoded row: the configurations the
-        // batched fast path in `compute_row_set` does not cover
-        // (non-ganged or simple commands, sub-chunk widths other than the
-        // 16-wide MAC tree).
+        // Per-sub-chunk step: the configurations the batched fast path in
+        // `compute_row_set` does not cover (non-ganged or simple
+        // commands, sub-chunk widths other than the 16-wide MAC tree).
         TimingEngine::EventSkipping => {
             // `NewtonDevice::new` bounds the sub-chunk width by MAX_CHUNK.
             let mut weights = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
-            let weights = &mut weights[..sub_elems];
-            cache.lanes(bank, row).read(sub * sub_elems, weights);
-            device.comp_bank_decoded(bank, latch, weights, inputs);
+            let (pairs, _) = data.as_chunks::<2>();
+            for (w, &pair) in weights.iter_mut().zip(pairs) {
+                *w = Bf16::from_le_bytes(pair);
+            }
+            device.comp_bank_decoded(bank, latch, &weights[..pairs.len()], inputs);
         }
     }
 }
@@ -1361,10 +1319,12 @@ mod tests {
         assert_eq!(responses.len(), 2);
         assert_eq!(responses[0].data, vec![0xEEu8; 32]);
         assert!(responses[1].data.is_empty());
-        assert_eq!(
-            ch.channel().storage().column(5, 1001, 0).unwrap(),
-            &[0x55u8; 32][..]
-        );
+        let mut stored = [0u8; 32];
+        ch.channel()
+            .storage()
+            .read_column(5, 1001, 0, &mut stored)
+            .unwrap();
+        assert_eq!(stored, [0x55u8; 32]);
         // Responses drained.
         assert!(ch.take_host_responses().is_empty());
 
@@ -1533,35 +1493,6 @@ mod tests {
     }
 
     #[test]
-    fn single_use_plan_drains_the_same_but_keeps_nothing() {
-        let cfg = cfg1(OptLevel::Full);
-        let matrix: Vec<Bf16> = (0..32 * 512).map(|k| bf((k % 9) as f32 / 4.0)).collect();
-        let vector = vec![bf(0.5); 512];
-        let run = |residency| {
-            let mapping =
-                MatrixMapping::new(crate::layout::Layout::ChunkInterleaved, 32, 512, 16, 512, 0)
-                    .unwrap();
-            let plan = ChannelPlan::new(ScheduleKind::InterleavedFullReuse, mapping, residency);
-            let mut ch = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
-            ch.load_matrix(plan.map(), &matrix).unwrap();
-            let run = ch.run_planned(&plan, &vector).unwrap();
-            let decodes = ch.weight_cache().decode_count();
-            // A second touch of the same rows tells the two apart.
-            ch.run_mv(plan.map(), plan.schedule(), &vector, false)
-                .unwrap();
-            let hits = ch.weight_cache().hit_count();
-            (run, hits, decodes)
-        };
-        let (resident, hits, decodes) = run(Residency::Resident);
-        assert!(hits == 32 && decodes == 32);
-        let (single, hits, decodes) = run(Residency::SingleUse);
-        assert!(hits == 0 && decodes == 32);
-        assert_eq!(single.stats, resident.stats);
-        assert_eq!(single.outputs, resident.outputs);
-        assert_eq!(single.end_cycle, resident.end_cycle);
-    }
-
-    #[test]
     fn copies_round_trip_and_reject_spans_past_the_global_buffer() {
         let cfg = cfg1(OptLevel::Full);
         let mut ch = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
@@ -1570,8 +1501,12 @@ mod tests {
         let gb = ch.device_mut().global_buffer_mut();
         gb.write_subchunk(30, &elems).unwrap();
         ch.copy_buffer_to_row(2, 7, 30, 2).unwrap();
-        let stored = ch.channel().storage().column(2, 7, 0).unwrap();
-        assert_eq!(stored, &newton_bf16::slice::pack(&elems)[..]);
+        let mut stored = [0u8; 32];
+        ch.channel()
+            .storage()
+            .read_column(2, 7, 0, &mut stored)
+            .unwrap();
+        assert_eq!(stored[..], newton_bf16::slice::pack(&elems)[..]);
         ch.copy_row_to_buffer(2, 7, 0, 1).unwrap();
         let mut block = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
         assert_eq!(

@@ -297,8 +297,8 @@ impl NewtonDevice {
     }
 
     /// The compute half of a COMP over weights already decoded to
-    /// [`Bf16`] (the decoded-weight cache's), through the production
-    /// reduction, against the broadcast sub-chunk `inputs`.
+    /// [`Bf16`], through the production reduction, against the broadcast
+    /// sub-chunk `inputs`.
     ///
     /// # Panics
     ///
@@ -319,11 +319,16 @@ impl NewtonDevice {
     /// `latch` — bit-exact with issuing
     /// [`comp_bank_decoded`](NewtonDevice::comp_bank_decoded) once per
     /// bank per sub-chunk in ascending order, and advances each bank's
-    /// COMP counter by `n_sub`. `plane_of(bank)` is that row as a
-    /// lane-major plane (the decoded-weight cache's). Banks are folded a
-    /// gang at a time so their serial latch chains interleave (see
+    /// COMP counter by `n_sub`. `plane_of(bank)` is that row where the
+    /// storage keeps it, a lane-major plane. Banks are folded a gang at a
+    /// time so their serial latch chains interleave (see
     /// [`newton_bf16::simd::comp_row_set`]); banks never interact, so any
     /// bank order gives the same result.
+    ///
+    /// # Errors
+    ///
+    /// What `plane_of` returns for a bank (a bad address); the gangs
+    /// before it are folded, the rest are not.
     ///
     /// # Panics
     ///
@@ -331,13 +336,13 @@ impl NewtonDevice {
     /// at the paper's 16-wide MAC tree; the controller takes the
     /// per-sub-chunk paths for other widths) or a plane is shorter than
     /// `n_sub` sub-chunks.
-    pub(crate) fn comp_banks_row_simd<'a>(
+    pub(crate) fn comp_banks_row_simd<'a, E>(
         &mut self,
         banks: &[usize],
         latch: usize,
         n_sub: usize,
-        plane_of: impl Fn(usize) -> &'a LanePlane,
-    ) {
+        plane_of: impl Fn(usize) -> Result<&'a LanePlane, E>,
+    ) -> Result<(), E> {
         assert_eq!(
             self.subchunk,
             reduce::TREE_ARITY,
@@ -351,7 +356,7 @@ impl NewtonDevice {
             let mut planes = [inputs; GANG_MAX];
             for ((l, p), &bank) in latches.iter_mut().zip(&mut planes).zip(gang) {
                 *l = self.macs[bank].latches[latch];
-                *p = plane_of(bank);
+                *p = plane_of(bank)?;
             }
             simd::comp_row_set(
                 &mut latches[..gang.len()],
@@ -364,6 +369,7 @@ impl NewtonDevice {
                 self.macs[bank].latches[latch] = l;
             }
         }
+        Ok(())
     }
 
     /// Reads bank `bank`'s latch `latch`, optionally through the channel's
@@ -554,7 +560,9 @@ mod tests {
                     step_dev.comp_bank_decoded(b, 0, &rows[b][s * 16..(s + 1) * 16], &inputs);
                 }
             }
-            batch_dev.comp_banks_row_simd(&banks, 0, n_sub, |b| &planes[b]);
+            batch_dev
+                .comp_banks_row_simd(&banks, 0, n_sub, |b| Ok::<_, ()>(&planes[b]))
+                .unwrap();
 
             for b in 0..BANKS {
                 assert_eq!(

@@ -58,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod cache;
 pub mod command;
 pub mod config;
 pub mod controller;

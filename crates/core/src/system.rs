@@ -18,7 +18,6 @@ use newton_dram::timing::Cycle;
 use newton_dram::DramError;
 use newton_trace::HostProfiler;
 
-use crate::cache::Residency;
 use crate::config::{NewtonConfig, TimingEngine};
 use crate::controller::{AimStats, NewtonChannel};
 use crate::error::AimError;
@@ -331,17 +330,11 @@ impl NewtonSystem {
     /// Builds one [`ChannelPlan`] per channel from freshly-built mappings
     /// — the single `Schedule::build` site for a loaded matrix (every
     /// run path goes through plans; none rebuilds the schedule per run).
-    /// The caller knows whether it will run the plans more than once, and
-    /// says so with `residency`.
-    fn build_plans(
-        &self,
-        mappings: Vec<Option<MatrixMapping>>,
-        residency: Residency,
-    ) -> Vec<Option<ChannelPlan>> {
+    fn build_plans(&self, mappings: Vec<Option<MatrixMapping>>) -> Vec<Option<ChannelPlan>> {
         let kind = self.schedule_kind();
         mappings
             .into_iter()
-            .map(|m| m.map(|map| ChannelPlan::new(kind, map, residency)))
+            .map(|m| m.map(|map| ChannelPlan::new(kind, map)))
             .collect()
     }
 
@@ -478,7 +471,7 @@ impl NewtonSystem {
     ) -> Result<LoadedMatrix, AimError> {
         let (mappings, _) = self.load_matrix_at(matrix, m, n, 0)?;
         Ok(LoadedMatrix {
-            plans: Arc::new(self.build_plans(mappings, Residency::Resident)),
+            plans: Arc::new(self.build_plans(mappings)),
             m,
             n,
         })
@@ -507,7 +500,7 @@ impl NewtonSystem {
             mappings.push(self.channel_mapping(ch, m, n, 0)?);
         }
         Ok(LoadedMatrix {
-            plans: Arc::new(self.build_plans(mappings, Residency::Resident)),
+            plans: Arc::new(self.build_plans(mappings)),
             m,
             n,
         })
@@ -550,9 +543,7 @@ impl NewtonSystem {
         vector: &[Bf16],
     ) -> Result<SystemRun, AimError> {
         let (mappings, _) = self.load_matrix_at(matrix, m, n, 0)?;
-        // The plans die with this call and the next call rewrites the
-        // weights: nothing decoded here is worth keeping.
-        let plans = self.build_plans(mappings, Residency::SingleUse);
+        let plans = self.build_plans(mappings);
         self.run_loaded(&plans, m, vector)
     }
 
@@ -580,8 +571,8 @@ impl NewtonSystem {
         }
     }
 
-    /// Quiesces every channel after an aborted run (banks precharged,
-    /// decoded-weight caches dropped); see `NewtonChannel::recover`.
+    /// Quiesces every channel after an aborted run (banks precharged);
+    /// see `NewtonChannel::recover`.
     ///
     /// # Errors
     ///
@@ -722,7 +713,7 @@ impl NewtonSystem {
                     // transient faults; stuck cells reassert and fail
                     // again.
                     let mappings = self.load_matrix_at(matrix, m, n, 0)?.0;
-                    replans = Some(self.build_plans(mappings, Residency::Resident));
+                    replans = Some(self.build_plans(mappings));
                 }
                 Err(e) => return Err(e),
             }
@@ -791,7 +782,7 @@ impl NewtonSystem {
         for layer in layers {
             let (mappings, rows) = self.load_matrix_at(layer.matrix, layer.m, layer.n, base_row)?;
             base_row += rows;
-            all_plans.push(self.build_plans(mappings, Residency::SingleUse));
+            all_plans.push(self.build_plans(mappings));
         }
 
         let start = self

@@ -77,6 +77,8 @@ pub struct Channel {
     act_gaps: Log2Histogram,
     /// Queue latencies reported by scheduling controllers.
     queue_latency: Log2Histogram,
+    /// Reused buffer for the column an internal read hands its sink.
+    column: Vec<u8>,
 }
 
 impl Channel {
@@ -108,6 +110,7 @@ impl Channel {
             last_act: None,
             act_gaps: Log2Histogram::new(),
             queue_latency: Log2Histogram::new(),
+            column: vec![0; config.col_bytes()],
             config,
             timing,
         })
@@ -623,7 +626,8 @@ impl Channel {
             self.emit_energy(cycle, "RD", 1, self.config.col_bytes() as u64);
         }
         self.ecc_check_column(bank, row, col)?;
-        let data = self.storage.column(bank, row, col)?.to_vec();
+        let mut data = vec![0; self.config.col_bytes()];
+        self.storage.read_column(bank, row, col, &mut data)?;
         Ok((cycle, data))
     }
 
@@ -708,14 +712,17 @@ impl Channel {
         // The log holds every bank whose read began, the one whose ECC
         // check failed included.
         let mut read = 0;
+        let mut column = std::mem::take(&mut self.column);
         let outcome = pairs.iter().try_for_each(|&(bank, col)| {
             let row = self.banks[bank].column_access(cycle, false, &self.timing)?;
             self.banks[bank].note_internal_access(cycle, &self.timing);
             read += 1;
             self.ecc_check_column(bank, row, col)?;
-            sink(bank, self.storage.column(bank, row, col)?);
+            self.storage.read_column(bank, row, col, &mut column)?;
+            sink(bank, &column);
             Ok(())
         });
+        self.column = column;
         let op = BankOp::Read { external: false };
         self.log(cycle, op, pairs[..read].iter().map(|p| p.0));
         outcome?;
@@ -741,9 +748,9 @@ impl Channel {
     /// `start + i * step` and reads column `i` of the open row on every
     /// bank in `banks`. Observably identical to `count` sequential
     /// [`Channel::issue_ganged_column_read_internal`] calls with a no-op
-    /// sink — data is *not* delivered; callers on this path read the open
-    /// rows from their own decoded copy. Returns the cycle of the last
-    /// command.
+    /// sink — data is *not* delivered; callers on this path fold the open
+    /// rows where storage keeps them ([`Storage::lanes`]). Returns the
+    /// cycle of the last command.
     ///
     /// Observers are told, not obeyed: the train applies closed-form,
     /// O(1) in `count * banks`, whatever is attached. The telemetry

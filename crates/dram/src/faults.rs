@@ -22,8 +22,8 @@
 //!   time).
 //!
 //! All injection goes through [`Storage::flip_bit`](crate::Storage) /
-//! `set_stuck`, i.e. the generation-counter path, so decoded-weight caches
-//! above the channel invalidate correctly.
+//! `set_stuck`, into the one copy of each row that every read, scrub and
+//! COMP sees.
 
 use std::collections::BTreeSet;
 

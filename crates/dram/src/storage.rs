@@ -1,13 +1,35 @@
 //! Functional row storage: the actual bytes behind every (bank, row).
 //!
+//! **The contract is logical.** A row is `row_bytes` bytes in row order;
+//! column `c` is bytes `c * col_bytes..(c + 1) * col_bytes`, bit `k` is
+//! bit `k % 8` of byte `k / 8`, and ECC word `w` is bytes `8w..8w + 8`
+//! read little-endian. Every accessor takes and returns these positions,
+//! so no caller can tell how a row is kept.
+//!
+//! **The memory is in the MAC lanes' order.** Each row is kept once, as a
+//! [`LanePlane`]: byte `p` is the low (`p` even) or high half of bf16
+//! element `p / 2`, and each element sits where the COMP kernel reads it
+//! (`newton_bf16::simd` is the one place that knows the index math).
+//! [`Storage::lanes`] hands a row to the kernel, which folds it in place,
+//! as Newton's multipliers compute on the row the sense amplifiers hold
+//! (Sec. III-B): no second, decoded copy of a weight exists, so nothing
+//! has to be kept coherent with one. The paper's 1 KiB row is exactly one
+//! 512-element block of the layout; a row of any other geometry (8-bit
+//! columns, a byte count that is odd or not a whole number of blocks) is
+//! padded with zeros up to whole blocks, beyond its last logical byte,
+//! where no accessor reaches. A row write transposes its bytes into the
+//! row once, with sequential stores.
+//!
 //! Rows are lazily allocated (an untouched HBM2E channel is 512 MiB; a
 //! typical Newton workload touches only the rows holding its matrix).
 //! Reads of never-written rows return zeros, matching a simulator-reset
 //! device.
 //!
-//! With ECC enabled (see [`Storage::enable_ecc`]), every 64-bit word of a
-//! row carries a SECDED (72,64) check byte (see [`crate::ecc`]):
-//! legitimate writes ([`write_row`](Storage::write_row),
+//! **ECC words stay logical.** With ECC enabled (see
+//! [`Storage::enable_ecc`]), every logical 64-bit word of a row carries a
+//! SECDED (72,64) check byte (see [`crate::ecc`]), gathered from and
+//! corrected into the word's four lanes: legitimate writes
+//! ([`write_row`](Storage::write_row),
 //! [`write_column`](Storage::write_column)) encode, while
 //! [`flip_bit`](Storage::flip_bit) and stuck-at cells deliberately do
 //! *not* — they are the fault primitives whose damage the scrub paths
@@ -20,22 +42,21 @@
 
 use std::collections::BTreeMap;
 
+use newton_bf16::simd::LanePlane;
+
 use crate::config::DramConfig;
 use crate::ecc::{self, Secded, WORD_BYTES};
 use crate::error::DramError;
 
-/// A materialized row: its bytes plus a generation counter that is bumped
-/// on every mutation, letting derived caches (e.g. the decoded-weight cache
-/// in `newton-core`) detect staleness without hashing the contents.
+/// A materialized row: its bytes, in the kernel's lane order.
 #[derive(Debug, Clone)]
 struct RowSlot {
-    data: Box<[u8]>,
-    generation: u64,
+    data: LanePlane,
     /// The last full-row scrub corrected nothing and no stored or check
-    /// byte changed since. Kept beside `generation`, which the COMP after
-    /// the activation that reads this flag reads from the same slot.
+    /// byte changed since.
     verified: bool,
-    /// SECDED check bytes, one per 64-bit word; present iff ECC is on.
+    /// SECDED check bytes, one per logical 64-bit word; present iff ECC
+    /// is on.
     check: Option<Box<[u8]>>,
 }
 
@@ -63,10 +84,7 @@ pub struct Storage {
     col_bytes: usize,
     cols_per_row: usize,
     /// Shared read-only zero row for never-written rows.
-    zero_row: Box<[u8]>,
-    /// Monotonic counter handing out fresh generations across all rows, so
-    /// a row rewritten after a cache snapshot never reuses an old value.
-    next_generation: u64,
+    zero_row: LanePlane,
     /// Whether rows carry SECDED check bytes.
     ecc: bool,
     /// Persistent stuck-at cells, re-asserted after every legitimate write
@@ -85,8 +103,7 @@ impl Storage {
             row_bytes: config.row_bytes(),
             col_bytes: config.col_bytes(),
             cols_per_row: config.cols_per_row,
-            zero_row: vec![0u8; config.row_bytes()].into_boxed_slice(),
-            next_generation: 0,
+            zero_row: LanePlane::zeroed(config.row_bytes().div_ceil(2)),
             ecc: false,
             stuck: BTreeMap::new(),
         }
@@ -119,9 +136,12 @@ impl Storage {
             return Ok(());
         }
         self.ecc = true;
+        let words = self.row_bytes / WORD_BYTES;
         for bank in &mut self.banks {
             for slot in bank.iter_mut().flatten() {
-                slot.check = Some(encode_checks(&slot.data));
+                let mut check = vec![0; words].into_boxed_slice();
+                encode_words(&slot.data, &mut check, 0..words);
+                slot.check = Some(check);
             }
         }
         Ok(())
@@ -131,11 +151,6 @@ impl Storage {
     #[must_use]
     pub(crate) fn ecc_enabled(&self) -> bool {
         self.ecc
-    }
-
-    fn bump_generation(&mut self) -> u64 {
-        self.next_generation += 1;
-        self.next_generation
     }
 
     fn check_bank_row(&self, bank: usize, row: usize) -> Result<(), DramError> {
@@ -156,38 +171,46 @@ impl Storage {
         Ok(())
     }
 
+    fn check_column_index(&self, col: usize) -> Result<(), DramError> {
+        if col >= self.cols_per_row {
+            return Err(DramError::AddressOutOfRange {
+                kind: "column",
+                index: col,
+                limit: self.cols_per_row,
+            });
+        }
+        Ok(())
+    }
+
     /// The row slot if it has been materialized (in-bounds rows beyond the
     /// lazily-grown vector read as never written).
     fn slot(&self, bank: usize, row: usize) -> Option<&RowSlot> {
         self.banks[bank].get(row).and_then(Option::as_ref)
     }
 
-    /// Reads an entire row (zeros if never written).
+    /// The row as it is kept: the plane the COMP kernel folds in place
+    /// (all zeros if never written). Its bytes past
+    /// [`row_bytes`](Storage::row_bytes) are zero padding.
     ///
     /// # Errors
     ///
     /// [`DramError::AddressOutOfRange`] for bad indices.
-    pub fn row(&self, bank: usize, row: usize) -> Result<&[u8], DramError> {
+    pub fn lanes(&self, bank: usize, row: usize) -> Result<&LanePlane, DramError> {
         self.check_bank_row(bank, row)?;
         Ok(self
             .slot(bank, row)
             .map_or(&self.zero_row, |slot| &slot.data))
     }
 
-    /// Current generation of a (bank, row): `0` for a never-written row,
-    /// otherwise a value that strictly increases on every mutation of that
-    /// row ([`write_row`](Storage::write_row),
-    /// [`write_column`](Storage::write_column),
-    /// [`flip_bit`](Storage::flip_bit), ECC scrub corrections). Caches
-    /// keyed on (bank, row) stay coherent by re-checking this against
-    /// their snapshot.
+    /// A copy of an entire row's bytes (zeros if never written).
     ///
     /// # Errors
     ///
     /// [`DramError::AddressOutOfRange`] for bad indices.
-    pub fn row_generation(&self, bank: usize, row: usize) -> Result<u64, DramError> {
-        self.check_bank_row(bank, row)?;
-        Ok(self.slot(bank, row).map_or(0, |slot| slot.generation))
+    pub fn row(&self, bank: usize, row: usize) -> Result<Vec<u8>, DramError> {
+        let mut bytes = vec![0; self.row_bytes];
+        self.lanes(bank, row)?.read_le_bytes(0, &mut bytes);
+        Ok(bytes)
     }
 
     /// Whether a scrub of `(bank, row)` is known to find nothing: ECC is
@@ -220,54 +243,41 @@ impl Storage {
                 actual: data.len(),
             });
         }
-        let generation = self.bump_generation();
-        let ecc = self.ecc;
-        let rows = &mut self.banks[bank];
-        if rows.len() <= row {
-            rows.resize_with(row + 1, || None);
-        }
-        match &mut rows[row] {
-            // An existing slot keeps its buffers (a weight reload rewrites
-            // the whole matrix; it should not also free and reallocate it).
-            Some(slot) => {
-                slot.generation = generation;
-                slot.verified = false;
-                slot.data.copy_from_slice(data);
-                if let Some(check) = &mut slot.check {
-                    for (w, c) in check.iter_mut().enumerate() {
-                        *c = ecc::encode(word_at(data, w));
-                    }
-                }
-            }
-            empty => {
-                *empty = Some(RowSlot {
-                    data: data.into(),
-                    generation,
-                    verified: false,
-                    check: ecc.then(|| encode_checks(data)),
-                });
-            }
+        // An existing slot keeps its buffers (a weight reload rewrites the
+        // whole matrix; it should not also free and reallocate it).
+        let slot = self.slot_mut(bank, row);
+        slot.data.store_le_bytes(data);
+        if let Some(check) = &mut slot.check {
+            let words = check.len();
+            encode_words(&slot.data, check, 0..words);
         }
         self.reassert_stuck(bank, row, 0, self.row_bytes);
         Ok(())
     }
 
-    /// Reads one column I/O worth of bytes from a row.
+    /// Copies one column I/O worth of bytes from a row into `out`.
     ///
     /// # Errors
     ///
-    /// [`DramError::AddressOutOfRange`] for bad bank/row/column indices.
-    pub fn column(&self, bank: usize, row: usize, col: usize) -> Result<&[u8], DramError> {
-        if col >= self.cols_per_row {
-            return Err(DramError::AddressOutOfRange {
-                kind: "column",
-                index: col,
-                limit: self.cols_per_row,
+    /// [`DramError::AddressOutOfRange`] for bad bank/row/column indices;
+    /// [`DramError::StorageSize`] if `out` is not exactly one column.
+    pub fn read_column(
+        &self,
+        bank: usize,
+        row: usize,
+        col: usize,
+        out: &mut [u8],
+    ) -> Result<(), DramError> {
+        self.check_column_index(col)?;
+        if out.len() != self.col_bytes {
+            return Err(DramError::StorageSize {
+                expected: self.col_bytes,
+                actual: out.len(),
             });
         }
-        let row_data = self.row(bank, row)?;
-        let start = col * self.col_bytes;
-        Ok(&row_data[start..start + self.col_bytes])
+        self.lanes(bank, row)?
+            .read_le_bytes(col * self.col_bytes, out);
+        Ok(())
     }
 
     /// Writes one column I/O worth of bytes into a row, allocating the row
@@ -286,13 +296,7 @@ impl Storage {
         data: &[u8],
     ) -> Result<(), DramError> {
         self.check_bank_row(bank, row)?;
-        if col >= self.cols_per_row {
-            return Err(DramError::AddressOutOfRange {
-                kind: "column",
-                index: col,
-                limit: self.cols_per_row,
-            });
-        }
+        self.check_column_index(col)?;
         if data.len() != self.col_bytes {
             return Err(DramError::StorageSize {
                 expected: self.col_bytes,
@@ -302,12 +306,9 @@ impl Storage {
         let start = col * self.col_bytes;
         let end = start + self.col_bytes;
         let slot = self.slot_mut(bank, row);
-        slot.data[start..end].copy_from_slice(data);
+        slot.data.write_le_bytes(start, data);
         if let Some(check) = &mut slot.check {
-            for w in start / WORD_BYTES..end / WORD_BYTES {
-                let word = word_at(&slot.data, w);
-                check[w] = ecc::encode(word);
-            }
+            encode_words(&slot.data, check, start / WORD_BYTES..end / WORD_BYTES);
         }
         self.reassert_stuck(bank, row, start, end);
         Ok(())
@@ -328,6 +329,14 @@ impl Storage {
     /// index beyond the row.
     pub fn flip_bit(&mut self, bank: usize, row: usize, bit: usize) -> Result<(), DramError> {
         self.check_bank_row(bank, row)?;
+        self.check_bit(bit)?;
+        let data = &mut self.slot_mut(bank, row).data;
+        let (w, mask) = word_bit(bit);
+        data.set_le_word(w, data.le_word(w) ^ mask);
+        Ok(())
+    }
+
+    fn check_bit(&self, bit: usize) -> Result<(), DramError> {
         if bit >= self.row_bytes * 8 {
             return Err(DramError::AddressOutOfRange {
                 kind: "bit",
@@ -335,8 +344,6 @@ impl Storage {
                 limit: self.row_bytes * 8,
             });
         }
-        let slot = self.slot_mut(bank, row);
-        slot.data[bit / 8] ^= 1 << (bit % 8);
         Ok(())
     }
 
@@ -357,13 +364,7 @@ impl Storage {
         value: bool,
     ) -> Result<(), DramError> {
         self.check_bank_row(bank, row)?;
-        if bit >= self.row_bytes * 8 {
-            return Err(DramError::AddressOutOfRange {
-                kind: "bit",
-                index: bit,
-                limit: self.row_bytes * 8,
-            });
-        }
+        self.check_bit(bit)?;
         let cells = self.stuck.entry((bank, row)).or_default();
         match cells.iter_mut().find(|c| c.bit == bit) {
             Some(c) => c.value = value,
@@ -376,10 +377,9 @@ impl Storage {
 
     /// Checks and corrects an entire row against its check bytes (the
     /// row-buffer-fill scrub performed on activation). Returns the number
-    /// of corrected single-bit errors; corrections that change data bits
-    /// bump the row generation so derived caches re-decode. A scrub that
-    /// corrects nothing marks the row verified; one that corrects anything
-    /// leaves it unverified until the next clean scrub.
+    /// of corrected single-bit errors. A scrub that corrects nothing marks
+    /// the row verified; one that corrects anything leaves it unverified
+    /// until the next clean scrub.
     ///
     /// No-op (`Ok(0)`) when ECC is off or the row was never allocated (an
     /// all-zero row is a valid codeword).
@@ -409,13 +409,7 @@ impl Storage {
         row: usize,
         col: usize,
     ) -> Result<u32, DramError> {
-        if col >= self.cols_per_row {
-            return Err(DramError::AddressOutOfRange {
-                kind: "column",
-                index: col,
-                limit: self.cols_per_row,
-            });
-        }
+        self.check_column_index(col)?;
         let start = col * self.col_bytes / WORD_BYTES;
         let end = (col + 1) * self.col_bytes / WORD_BYTES;
         self.scrub_words(bank, row, start..end, false)
@@ -440,16 +434,12 @@ impl Storage {
             .as_mut()
             .expect("ECC-enabled rows always carry check bytes");
         let mut corrected = 0u32;
-        let mut data_fixed = false;
         for w in words {
-            let word = word_at(&slot.data, w);
-            match ecc::decode(word, check[w]) {
+            match ecc::decode(slot.data.le_word(w), check[w]) {
                 Secded::Clean => {}
                 Secded::CorrectedData { data, .. } => {
-                    slot.data[w * WORD_BYTES..(w + 1) * WORD_BYTES]
-                        .copy_from_slice(&data.to_le_bytes());
+                    slot.data.set_le_word(w, data);
                     corrected += 1;
-                    data_fixed = true;
                 }
                 Secded::CorrectedCheck { check: fixed } => {
                     check[w] = fixed;
@@ -459,10 +449,6 @@ impl Storage {
                     return Err(DramError::Uncorrectable { bank, row });
                 }
             }
-        }
-        if data_fixed {
-            self.next_generation += 1;
-            slot.generation = self.next_generation;
         }
         if corrected > 0 {
             slot.verified = false;
@@ -489,22 +475,19 @@ impl Storage {
 
     /// The row slot a mutation is about to change: materialized with
     /// zeros (a valid codeword: ECC check bytes of a zero word are zero)
-    /// if it was never written, given a fresh generation and marked
-    /// unverified.
+    /// if it was never written, and marked unverified.
     fn slot_mut(&mut self, bank: usize, row: usize) -> &mut RowSlot {
-        let generation = self.bump_generation();
-        let row_bytes = self.row_bytes;
-        let ecc = self.ecc;
-        if self.banks[bank].len() <= row {
-            self.banks[bank].resize_with(row + 1, || None);
+        let words = self.row_bytes / WORD_BYTES;
+        let (zero_row, ecc) = (&self.zero_row, self.ecc);
+        let rows = &mut self.banks[bank];
+        if rows.len() <= row {
+            rows.resize_with(row + 1, || None);
         }
-        let slot = self.banks[bank][row].get_or_insert_with(|| RowSlot {
-            data: vec![0u8; row_bytes].into_boxed_slice(),
-            generation,
+        let slot = rows[row].get_or_insert_with(|| RowSlot {
+            data: zero_row.clone(),
             verified: false,
-            check: ecc.then(|| vec![0u8; row_bytes / WORD_BYTES].into_boxed_slice()),
+            check: ecc.then(|| vec![0u8; words].into_boxed_slice()),
         });
-        slot.generation = generation;
         slot.verified = false;
         slot
     }
@@ -516,13 +499,10 @@ impl Storage {
         let Some(cells) = self.stuck.get(&(bank, row)) else {
             return;
         };
-        // `stuck` and `banks` are disjoint fields; clone the short defect
-        // list to keep the borrows simple.
-        let cells = cells.clone();
         let Some(slot) = self.banks[bank].get_mut(row).and_then(Option::as_mut) else {
             return;
         };
-        for c in &cells {
+        for c in cells {
             if (byte_start * 8..byte_end * 8).contains(&c.bit) {
                 set_bit(&mut slot.data, c.bit, c.value);
             }
@@ -530,43 +510,47 @@ impl Storage {
     }
 }
 
+/// The logical 64-bit word holding row bit `bit`, and the bit's mask in it.
 #[inline]
-fn word_at(data: &[u8], w: usize) -> u64 {
-    u64::from_le_bytes(
-        data[w * WORD_BYTES..(w + 1) * WORD_BYTES]
-            .try_into()
-            .expect("word-aligned row"),
-    )
+fn word_bit(bit: usize) -> (usize, u64) {
+    (bit / (8 * WORD_BYTES), 1 << (bit % (8 * WORD_BYTES)))
 }
 
 #[inline]
-fn set_bit(data: &mut [u8], bit: usize, value: bool) {
-    if value {
-        data[bit / 8] |= 1 << (bit % 8);
-    } else {
-        data[bit / 8] &= !(1 << (bit % 8));
+fn set_bit(data: &mut LanePlane, bit: usize, value: bool) {
+    let (w, mask) = word_bit(bit);
+    let word = data.le_word(w);
+    data.set_le_word(w, if value { word | mask } else { word & !mask });
+}
+
+/// Re-encodes the check bytes of logical words `words` of `data`.
+fn encode_words(data: &LanePlane, check: &mut [u8], words: std::ops::Range<usize>) {
+    for w in words {
+        check[w] = ecc::encode(data.le_word(w));
     }
-}
-
-fn encode_checks(data: &[u8]) -> Box<[u8]> {
-    (0..data.len() / WORD_BYTES)
-        .map(|w| ecc::encode(word_at(data, w)))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use newton_bf16::Bf16;
 
     fn storage() -> Storage {
         Storage::new(&DramConfig::hbm2e_like())
+    }
+
+    /// Column `col` of `(bank, row)`, as a read returns it.
+    fn column(s: &Storage, bank: usize, row: usize, col: usize) -> Result<Vec<u8>, DramError> {
+        let mut out = vec![0; s.col_bytes];
+        s.read_column(bank, row, col, &mut out)?;
+        Ok(out)
     }
 
     #[test]
     fn unwritten_rows_read_as_zero() {
         let s = storage();
         assert!(s.row(3, 100).unwrap().iter().all(|&b| b == 0));
-        assert!(s.column(3, 100, 31).unwrap().iter().all(|&b| b == 0));
+        assert!(column(&s, 3, 100, 31).unwrap().iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -576,7 +560,7 @@ mod tests {
         s.write_row(0, 5, &data).unwrap();
         assert_eq!(s.row(0, 5).unwrap(), &data[..]);
         // Column 2 covers bytes 64..96.
-        assert_eq!(s.column(0, 5, 2).unwrap(), &data[64..96]);
+        assert_eq!(column(&s, 0, 5, 2).unwrap(), &data[64..96]);
     }
 
     #[test]
@@ -601,7 +585,7 @@ mod tests {
             Err(DramError::AddressOutOfRange { kind: "row", .. })
         ));
         assert!(matches!(
-            s.column(0, 0, 32),
+            column(&s, 0, 0, 32),
             Err(DramError::AddressOutOfRange { kind: "column", .. })
         ));
         assert!(matches!(
@@ -627,36 +611,29 @@ mod tests {
         assert!(s.flip_bit(16, 0, 0).is_err());
     }
 
+    /// The plane the kernel folds is the row itself: its elements are
+    /// the row's little-endian bf16 pairs, and every mutation shows in it
+    /// at once, with nothing to invalidate.
     #[test]
-    fn generations_start_at_zero_and_bump_on_every_mutation() {
+    fn the_kernel_reads_the_stored_row() {
         let mut s = storage();
-        assert_eq!(s.row_generation(0, 5).unwrap(), 0, "unwritten row");
-
-        s.write_row(0, 5, &vec![0u8; 1024]).unwrap();
-        let g1 = s.row_generation(0, 5).unwrap();
-        assert!(g1 > 0);
+        let elems = |s: &Storage| {
+            let mut out = vec![Bf16::ZERO; 512];
+            s.lanes(0, 5).unwrap().read(0, &mut out);
+            out
+        };
+        assert!(elems(&s).iter().all(|e| e.to_bits() == 0), "unwritten row");
+        let row: Vec<Bf16> = (0..512).map(|i| Bf16::from_f32(i as f32 - 200.0)).collect();
+        s.write_row(0, 5, &newton_bf16::slice::pack(&row)).unwrap();
+        assert_eq!(elems(&s), row);
 
         s.write_column(0, 5, 2, &[0xAAu8; 32]).unwrap();
-        let g2 = s.row_generation(0, 5).unwrap();
-        assert!(g2 > g1, "write_column must bump the generation");
-
-        s.flip_bit(0, 5, 3).unwrap();
-        let g3 = s.row_generation(0, 5).unwrap();
-        assert!(g3 > g2, "flip_bit must bump the generation");
-
-        // Other rows are unaffected, and a row first touched later still
-        // gets a generation never seen on any row before.
-        assert_eq!(s.row_generation(0, 6).unwrap(), 0);
-        s.write_column(1, 0, 0, &[0u8; 32]).unwrap();
-        assert!(s.row_generation(1, 0).unwrap() > g3);
-
-        // Reads never bump.
-        let _ = s.row(0, 5).unwrap();
-        let _ = s.column(0, 5, 0).unwrap();
-        assert_eq!(s.row_generation(0, 5).unwrap(), g3);
-
-        // Bounds.
-        assert!(s.row_generation(16, 0).is_err());
+        assert!(elems(&s)[32..48].iter().all(|e| e.to_bits() == 0xAAAA));
+        assert_eq!(elems(&s)[48..], row[48..]);
+        // Bit 16 * 70 + 15 is the sign of element 70.
+        s.flip_bit(0, 5, 16 * 70 + 15).unwrap();
+        assert_eq!(elems(&s)[70], -row[70]);
+        assert!(s.lanes(16, 0).is_err() && s.lanes(0, 32_768).is_err());
     }
 
     #[test]
@@ -737,10 +714,9 @@ mod tests {
         assert_eq!(s.scrub_row(0, 1).unwrap(), 0);
         s.enable_ecc().unwrap();
         assert!(s.ecc_enabled());
-        // Clean rows (encoded on enable) scrub clean, generation unchanged.
-        let g = s.row_generation(0, 1).unwrap();
+        // Clean rows (encoded on enable) scrub clean.
         assert_eq!(s.scrub_row(0, 1).unwrap(), 0);
-        assert_eq!(s.row_generation(0, 1).unwrap(), g);
+        assert_eq!(s.row(0, 1).unwrap(), data);
         // Unallocated rows are implicitly valid zero codewords.
         assert_eq!(s.scrub_row(5, 99).unwrap(), 0);
         assert_eq!(s.check_column(5, 99, 0).unwrap(), 0);
@@ -759,20 +735,18 @@ mod tests {
     }
 
     #[test]
-    fn ecc_corrects_single_bit_and_bumps_generation() {
+    fn ecc_corrects_single_bit_in_the_stored_row() {
         let mut s = storage();
         s.enable_ecc().unwrap();
         let data: Vec<u8> = (0..1024).map(|i| (i * 7 % 256) as u8).collect();
         s.write_row(2, 9, &data).unwrap();
         s.flip_bit(2, 9, 1234).unwrap();
-        let g_faulty = s.row_generation(2, 9).unwrap();
         assert_ne!(s.row(2, 9).unwrap(), &data[..]);
         assert_eq!(s.scrub_row(2, 9).unwrap(), 1);
         assert_eq!(s.row(2, 9).unwrap(), &data[..], "scrub restored the row");
-        assert!(
-            s.row_generation(2, 9).unwrap() > g_faulty,
-            "correction must invalidate derived caches"
-        );
+        let mut elems = vec![Bf16::ZERO; 512];
+        s.lanes(2, 9).unwrap().read(0, &mut elems);
+        assert_eq!(newton_bf16::slice::pack(&elems), data, "the kernel sees it");
         // Second scrub: clean.
         assert_eq!(s.scrub_row(2, 9).unwrap(), 0);
     }
@@ -786,7 +760,7 @@ mod tests {
         s.flip_bit(0, 0, 800).unwrap();
         s.flip_bit(0, 0, 8).unwrap(); // outside column 3
         assert_eq!(s.check_column(0, 0, 3).unwrap(), 1);
-        assert_eq!(s.column(0, 0, 3).unwrap(), &[0x5Au8; 32][..]);
+        assert_eq!(column(&s, 0, 0, 3).unwrap(), &[0x5Au8; 32][..]);
         // The out-of-column fault is still there for the row scrub.
         assert_eq!(s.scrub_row(0, 0).unwrap(), 1);
         assert_eq!(s.row(0, 0).unwrap(), &vec![0x5Au8; 1024][..]);
@@ -863,22 +837,15 @@ mod tests {
     }
 
     #[test]
-    fn rewriting_a_row_reuses_its_buffer() {
+    fn rewriting_a_row_keeps_its_stuck_cells_and_reencodes() {
         let mut s = storage();
         s.enable_ecc().unwrap();
         s.write_row(4, 6, &[0xFFu8; 1024]).unwrap();
         s.set_stuck(4, 6, 8, false).unwrap();
-        let at = s.row(4, 6).unwrap().as_ptr();
-        let g1 = s.row_generation(4, 6).unwrap();
 
         s.write_row(4, 6, &[0x77u8; 1024]).unwrap();
         let row = s.row(4, 6).unwrap();
-        assert_eq!(row.as_ptr(), at, "an existing slot is overwritten in place");
         assert_eq!((row[0], row[1], row[1023]), (0x77, 0x76, 0x77));
-        assert!(
-            s.row_generation(4, 6).unwrap() > g1,
-            "generation strictly increases"
-        );
         // Checks were re-encoded over the new bytes, then the stuck cell
         // reasserted itself: exactly that one defect is visible to ECC.
         assert_eq!(s.scrub_row(4, 6).unwrap(), 1);

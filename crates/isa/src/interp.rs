@@ -34,7 +34,6 @@ use std::fmt::Write as _;
 use std::ops::Range;
 
 use newton_bf16::{slice, Bf16};
-use newton_core::cache::Residency;
 use newton_core::config::NewtonConfig;
 use newton_core::controller::{HostRequest, NewtonChannel};
 use newton_core::system::NewtonSystem;
@@ -464,7 +463,9 @@ impl Interp {
                 self.check_addr(*bank, Some(*row), Some(*col))?;
                 for (i, ch) in self.channels_of(*channels)?.enumerate() {
                     let storage = self.system()?.channels()[ch].channel().storage();
-                    let values = slice::unpack(storage.column(*bank, *row, *col)?)
+                    let mut column = [0u8; GPR_BYTES];
+                    storage.read_column(*bank, *row, *col, &mut column)?;
+                    let values = slice::unpack(&column)
                         .map_err(|e| IsaError::Geometry(format!("stored column: {e:?}")))?;
                     self.readout("RD_SBK", ch, *gpr, &values, i == 0);
                 }
@@ -608,12 +609,7 @@ impl Interp {
                     })
                 })
                 .collect();
-            self.system()?.channels_mut()[ch].open_row_set(
-                &rs,
-                input,
-                n_sub,
-                Residency::SingleUse,
-            )?;
+            self.system()?.channels_mut()[ch].open_row_set(&rs, input, n_sub)?;
         }
         Ok(())
     }

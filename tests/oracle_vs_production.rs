@@ -163,6 +163,42 @@ fn flip_and_engine_switch_edges_agree() {
     assert_eq!(token(&mut systems, &loaded, "ecc off", 1), (0, false));
 }
 
+/// No stale weight: on a resident one-channel BERT S1 with ECC off, a bit
+/// flipped in storage between two production runs reaches the second
+/// run, which equals the oracle's run on the same storage bit for bit.
+/// Nothing tells production that a weight changed; it reads the rows
+/// where they are stored.
+#[test]
+fn a_flipped_weight_bit_reaches_the_next_resident_run() {
+    let shape = Benchmark::BertS1.shape();
+    let matrix = generator::matrix(shape, 7);
+    let vector = generator::vector(shape.n, 8);
+    let mut cfg = config(1, 1);
+    cfg.ecc = false;
+    cfg.telemetry = None;
+    let mut sys = NewtonSystem::new(cfg).expect("config");
+    let loaded = sys.load_matrix(&matrix, shape.m, shape.n).expect("load");
+    let before = sys.run_resident(&loaded, &vector).expect("run");
+    // The lowest exponent bit of element 37 of (bank 3, row 5): that
+    // weight doubles or halves.
+    let storage = sys.channels_mut()[0].channel_mut().storage_mut();
+    storage.flip_bit(3, 5, 37 * 16 + 7).expect("flip");
+    let production = sys.run_resident(&loaded, &vector).expect("run");
+    sys.set_timing_engine(TimingEngine::Reference);
+    let oracle = sys.run_resident(&loaded, &vector).expect("run");
+    assert_eq!(
+        bits(&production),
+        bits(&oracle),
+        "the flip reached both engines"
+    );
+    let changed = bits(&before)
+        .iter()
+        .zip(bits(&production))
+        .filter(|(a, b)| **a != *b)
+        .count();
+    assert_eq!(changed, 1, "exactly the flipped weight's output moved");
+}
+
 /// A Table II layer lowered to `.aim` text, parsed back and physically
 /// replayed agrees on both legs at each width, twice, and its first run
 /// equals the API-driven `run_mv` of the same layer.
@@ -501,7 +537,7 @@ proptest! {
                         .flatten()
                         .map(|s| {
                             let storage = s.channels()[channel].channel().storage();
-                            storage.row(bank, 0).ok().map(<[u8]>::to_vec)
+                            storage.row(bank, 0).ok()
                         })
                         .collect();
                     prop_assert!(rows.windows(2).all(|w| w[0] == w[1]));

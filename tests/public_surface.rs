@@ -74,12 +74,8 @@ const TEST_HOOKS: &[(&str, &str, &str)] = &[
     ("crates/bf16/src/scalar.rs", "NEG_INFINITY", "tests name special values"),
     ("crates/bf16/src/scalar.rs", "NAN", "tests feed NaN operands"),
     ("crates/bf16/src/scalar.rs", "MIN", "exhaustive tests name the finite range"),
-    // The production engine's decoded-weight cache and plans.
-    ("crates/core/src/cache.rs", "ensure_row", "bench: a decode allocates nothing"),
-    ("crates/core/src/cache.rs", "decode_count", "engine tests count decodes"),
-    ("crates/core/src/cache.rs", "hit_count", "engine tests count cache hits"),
-    ("crates/core/src/controller.rs", "weight_cache", "engine tests read the cache"),
-    ("crates/core/src/controller.rs", "run_planned", "engine tests stream a single-use plan"),
+    // The production engine's plans.
+    ("crates/core/src/controller.rs", "run_planned", "engine tests run a plan"),
     ("crates/core/src/config.rs", "tree_precision", "tests run the per-stage tree"),
     ("crates/core/src/config.rs", "batch_norm_first_tile_ns", "tests vary the BN exposure"),
     ("crates/core/src/system.rs", "set_timing_engine", "oracle tests switch engines"),

@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks of the bf16 substrate: scalar conversion,
 //! arithmetic, and the 16-input adder-tree reduction used by every COMP —
-//! the allocating oracle, the stack-only step and the batched folds, with
-//! a counting allocator proving every kernel but the oracle performs zero
-//! heap allocation per call. The production kernel is timed twice in one
-//! process: on freestanding planes and on rows where `Storage` keeps them.
+//! the allocating oracle step and the batched folds, with a counting
+//! allocator proving the folds perform zero heap allocation per call. The
+//! production kernel is timed twice in one process: on freestanding
+//! planes and on rows where `Storage` keeps them.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use newton_bf16::reduce::TreePrecision;
@@ -73,15 +73,13 @@ fn bench_bf16(c: &mut Criterion) {
         b.iter(|| reduce::tree_reduce_bf16(black_box(weights)))
     });
 
-    // The stack-only step: same arithmetic, no heap traffic.
-    let chunk_w = &bf[..64.min(bf.len())];
-    let chunk_v = &bf[64..128];
-    c.bench_function("bf16/comp_step_noalloc x64 (one COMP)", |b| {
+    // The oracle's COMP: one scalar step, latch accumulation included.
+    c.bench_function("bf16/comp_step x16 (one oracle COMP)", |b| {
         b.iter(|| {
-            reduce::comp_step_noalloc(
+            reduce::comp_step(
                 black_box(Bf16::ZERO),
-                black_box(chunk_w),
-                black_box(chunk_v),
+                black_box(weights),
+                black_box(inputs),
                 TreePrecision::Wide,
             )
         })
@@ -196,13 +194,12 @@ fn lane_plane(row: &[f32]) -> simd::LanePlane {
     plane
 }
 
-/// Not a timing bench: proves the stack-only step and the batched folds,
-/// on freestanding planes and on storage rows, never allocate.
+/// Not a timing bench: proves the batched folds, on freestanding planes
+/// and on storage rows, never allocate.
 /// Runs under `--test` too, so `cargo test` exercises the assertion.
 fn bench_zero_alloc_proof(c: &mut Criterion) {
     let xs: Vec<f32> = (0..128).map(|i| (i as f32).cos()).collect();
     let bf: Vec<Bf16> = xs.iter().map(|&x| Bf16::from_f32(x)).collect();
-    let (chunk_w, chunk_v) = (&bf[..64], &bf[64..128]);
 
     // SIMD operands (plain slices built before the counted region).
     let row_w: Vec<f32> = bf.iter().cycle().take(512).map(|x| x.to_f32()).collect();
@@ -235,24 +232,9 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
         let mut acc_bits = 0u16;
         let mut latches = [Bf16::ZERO; 16];
         for _ in 0..1_000 {
-            acc_bits ^= reduce::comp_step_noalloc(
-                Bf16::ZERO,
-                black_box(chunk_w),
-                black_box(chunk_v),
-                TreePrecision::Wide,
-            )
-            .to_bits();
-            acc_bits ^= reduce::comp_step_noalloc(
-                Bf16::ZERO,
-                black_box(chunk_w),
-                black_box(chunk_v),
-                TreePrecision::PerStage,
-            )
-            .to_bits();
-            // The batched folds are stack-only too: the row-major one the
-            // benchmark probe times, then the production lane-major kernel
-            // (slow-path redo included: it reuses the same stack scratch)
-            // and the in-place row stores.
+            // The row-major fold the benchmark probe times, then the
+            // production lane-major kernel (slow-path redo included: it
+            // reuses the same stack scratch) and the in-place row stores.
             for prec in [TreePrecision::Wide, TreePrecision::PerStage] {
                 simd::comp_subchunks16_multi(
                     black_box(&mut latches),
@@ -291,21 +273,24 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
     black_box(sink);
     assert_eq!(
         bytes, 0,
-        "comp_step_noalloc/SIMD kernels and folds of storage rows allocated {bytes} heap bytes"
+        "SIMD kernels and folds of storage rows allocated {bytes} heap bytes"
     );
     println!(
-        "bf16/zero-alloc proof: 0 heap bytes across 9000 kernel calls and 64 row-sets of storage rows"
+        "bf16/zero-alloc proof: 0 heap bytes across 4000 kernel calls, 2000 plane stores and 64 row-sets of storage rows"
     );
     // Keep the harness aware this 'bench' ran (and give --test a hook).
     c.bench_function("bf16/zero-alloc proof (see assert above)", |b| {
         b.iter(|| {
             alloc_delta(|| {
-                reduce::comp_step_noalloc(
-                    Bf16::ZERO,
-                    black_box(chunk_w),
-                    black_box(chunk_v),
+                let mut latches = [Bf16::ZERO; 16];
+                simd::comp_row_set(
+                    black_box(&mut latches),
+                    black_box(&lane_planes),
+                    black_box(&lane_v),
+                    32,
                     TreePrecision::Wide,
-                )
+                );
+                latches
             })
             .0
         })

@@ -22,10 +22,11 @@ use crate::Bf16;
 /// this many elements.
 pub const TREE_ARITY: usize = 16;
 
-/// Upper bound on the sub-chunk width any caller may reduce through the
-/// stack-only kernels ([`comp_step_noalloc`] and the `MacUnit` hot path):
-/// four tree passes worth of elements, matching the widest column I/O the
-/// device model accepts.
+/// The widest sub-chunk (column I/O, in elements) the device model
+/// accepts: four tree passes worth of elements. It sizes the fixed stack
+/// scratch of one sub-chunk: a global-buffer slot being written or read
+/// back, and the production fold's operands at widths other than
+/// [`TREE_ARITY`].
 pub const MAX_CHUNK: usize = 64;
 
 /// Precision discipline for the adder tree.
@@ -100,116 +101,6 @@ pub fn tree_reduce_bf16(values: &[Bf16]) -> Bf16 {
         level = next;
     }
     level[0]
-}
-
-/// In-place, allocation-free form of [`tree_reduce_wide`]: reduces
-/// `level[..]` pairwise in tree order, reusing the slice as the scratch
-/// for every tree stage. Bit-exact with the reference for every length
-/// (the pairing — including the bypassed odd-tail lane — is identical).
-///
-/// The slice contents are clobbered. Returns the root of the tree, `0.0`
-/// for an empty slice.
-///
-/// # Example
-///
-/// ```
-/// use newton_bf16::reduce;
-/// let mut buf = [1.0f32, 2.0, 3.0, 4.0, 5.0];
-/// assert_eq!(reduce::tree_reduce_wide_into(&mut buf), 15.0);
-/// ```
-#[must_use]
-pub fn tree_reduce_wide_into(level: &mut [f32]) -> f32 {
-    let mut n = level.len();
-    if n == 0 {
-        return 0.0;
-    }
-    while n > 1 {
-        let mut read = 0;
-        let mut write = 0;
-        while read + 1 < n {
-            level[write] = level[read] + level[read + 1];
-            read += 2;
-            write += 1;
-        }
-        if read < n {
-            // Odd tail: the bypassed lane carries to the next stage.
-            level[write] = level[read];
-            write += 1;
-        }
-        n = write;
-    }
-    level[0]
-}
-
-/// In-place, allocation-free form of [`tree_reduce_bf16`]: every stage
-/// rounds to bf16, reusing `level` as the scratch. Bit-exact with the
-/// reference; clobbers the slice. Returns [`Bf16::ZERO`] for an empty
-/// slice.
-#[must_use]
-pub fn tree_reduce_bf16_into(level: &mut [Bf16]) -> Bf16 {
-    let mut n = level.len();
-    if n == 0 {
-        return Bf16::ZERO;
-    }
-    while n > 1 {
-        let mut read = 0;
-        let mut write = 0;
-        while read + 1 < n {
-            level[write] = level[read] + level[read + 1];
-            read += 2;
-            write += 1;
-        }
-        if read < n {
-            level[write] = level[read];
-            write += 1;
-        }
-        n = write;
-    }
-    level[0]
-}
-
-/// Allocation-free form of [`comp_step`] for chunks up to [`MAX_CHUNK`]
-/// elements: identical semantics (bf16 products, tree reduction in the
-/// chosen discipline, bf16 rounding at the result latch) with all scratch
-/// on the stack. Bit-exact with the reference on every input.
-///
-/// # Panics
-///
-/// Panics if the lengths differ or exceed [`MAX_CHUNK`].
-#[must_use]
-pub fn comp_step_noalloc(
-    latch: Bf16,
-    weights: &[Bf16],
-    inputs: &[Bf16],
-    precision: TreePrecision,
-) -> Bf16 {
-    assert_eq!(
-        weights.len(),
-        inputs.len(),
-        "comp_step_noalloc: weight/input length mismatch"
-    );
-    assert!(
-        weights.len() <= MAX_CHUNK,
-        "comp_step_noalloc: {} elements exceed MAX_CHUNK {MAX_CHUNK}",
-        weights.len()
-    );
-    let n = weights.len();
-    match precision {
-        TreePrecision::Wide => {
-            let mut products = [0.0f32; MAX_CHUNK];
-            for (p, (w, v)) in products.iter_mut().zip(weights.iter().zip(inputs)) {
-                *p = w.mul_round(*v).to_f32();
-            }
-            latch.accumulate_wide(tree_reduce_wide_into(&mut products[..n]))
-        }
-        TreePrecision::PerStage => {
-            let mut products = [Bf16::ZERO; MAX_CHUNK];
-            for (p, (w, v)) in products.iter_mut().zip(weights.iter().zip(inputs)) {
-                *p = w.mul_round(*v);
-            }
-            latch + tree_reduce_bf16_into(&mut products[..n])
-        }
-    }
 }
 
 /// One COMP step in the wide discipline: multiply element-wise (rounding
@@ -395,54 +286,6 @@ mod tests {
         assert_eq!(latch.to_f32(), 64.0);
         let staged = comp_step(Bf16::ZERO, &w, &v, TreePrecision::PerStage);
         assert_eq!(staged.to_f32(), 16.0);
-    }
-
-    #[test]
-    fn into_reducers_match_reference_on_selected_lengths() {
-        // Powers of two, odd tails, and the full MAX_CHUNK width.
-        for n in [0usize, 1, 2, 3, 5, 7, 8, 13, 15, 16, 17, 31, 33, 63, 64] {
-            let xs: Vec<Bf16> = (0..n).map(|i| bf((i as f32 - 7.3) * 0.37)).collect();
-            let mut wide_buf: Vec<f32> = xs.iter().map(|x| x.to_f32()).collect();
-            assert_eq!(
-                tree_reduce_wide_into(&mut wide_buf).to_bits(),
-                tree_reduce_wide(&xs).to_bits(),
-                "wide mismatch at n={n}"
-            );
-            let mut bf_buf: Vec<Bf16> = xs.clone();
-            assert_eq!(
-                tree_reduce_bf16_into(&mut bf_buf),
-                tree_reduce_bf16(&xs),
-                "per-stage mismatch at n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn comp_step_noalloc_matches_comp_step() {
-        // Every bypass-lane pattern of one 16-to-1 tree, then wider chunks.
-        for n in (0usize..=17).chain([48, 64]) {
-            let w: Vec<Bf16> = (0..n).map(|i| bf((i as f32).sin() * 3.0)).collect();
-            let v: Vec<Bf16> = (0..n).map(|i| bf((i as f32).cos() * 2.0)).collect();
-            for precision in [TreePrecision::Wide, TreePrecision::PerStage] {
-                let latch = bf(1.625);
-                assert_eq!(
-                    comp_step_noalloc(latch, &w, &v, precision),
-                    comp_step(latch, &w, &v, precision),
-                    "mismatch at n={n}, {precision:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed MAX_CHUNK")]
-    fn comp_step_noalloc_rejects_oversized_chunks() {
-        let _ = comp_step_noalloc(
-            Bf16::ZERO,
-            &[Bf16::ONE; 65],
-            &[Bf16::ONE; 65],
-            TreePrecision::Wide,
-        );
     }
 
     #[test]

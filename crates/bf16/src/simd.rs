@@ -14,15 +14,15 @@
 //!
 //! * `round_bf16_f32` ≡ `Bf16::from_f32(x).to_f32()` for **all** `f32`
 //!   bit patterns, including NaN quieting and overflow-to-infinity.
-//! * [`comp_row_set`], the kernel the simulator runs, folds a whole row of
-//!   sub-chunk COMPs for every bank of a row-set in one pass over
+//! * [`comp_row_set`], the one production COMP kernel, folds a whole row
+//!   of sub-chunk COMPs for every bank of a row-set in one pass over
 //!   lane-major [`LanePlane`]s and equals one
-//!   [`comp_step_noalloc`](crate::reduce::comp_step_noalloc) per bank per
-//!   sub-chunk step for step, latch value included: identical product
+//!   [`comp_step`](crate::reduce::comp_step) (the oracle's COMP) per bank
+//!   per sub-chunk step for step, latch value included: identical product
 //!   rounding, the identical `(0,1)(2,3)…` pairwise tree-level structure of
-//!   [`tree_reduce_wide_into`](crate::reduce::tree_reduce_wide_into), and in
-//!   the per-stage discipline the per-stage bf16 rounding order of the
-//!   paper's 16-wide adder tree.
+//!   [`tree_reduce_wide`](crate::reduce::tree_reduce_wide), and in the
+//!   per-stage discipline the per-stage bf16 rounding order of the paper's
+//!   16-wide adder tree.
 //! * [`comp_subchunks16_multi`] does the same over row-major planes.
 //!
 //! The row-major [`comp_subchunks16_multi`] takes plain slices of exact
@@ -212,9 +212,9 @@ pub const MULTI_MAX_BANKS: usize = 16;
 /// 16-element sub-chunk of `weights[k]` (bank `k`'s row plane) × the
 /// shared `inputs` plane (exact `f32` widenings), one tree reduction and
 /// one accumulation into `latches[k]` in the given `precision` — step for
-/// step identical to calling
-/// [`comp_step_noalloc`](crate::reduce::comp_step_noalloc) once per bank
-/// per sub-chunk, in sub-chunk order, on the bf16 values the planes widen.
+/// step identical to calling [`comp_step`](crate::reduce::comp_step) once
+/// per bank per sub-chunk, in sub-chunk order, on the bf16 values the
+/// planes widen.
 /// Banks never interact: the per-bank arithmetic DAG is `block_roots`
 /// plus the serial latch chain `latch ← round(latch + root)`, which is
 /// `Bf16::accumulate_wide` (Wide) or the bf16 `latch + tree` addition
@@ -640,8 +640,8 @@ fn lane_block_roots_checked<const ROUND: bool>(
 /// `latches[k]` pairs with `weights[k]`; all planes are lane-major
 /// ([`LanePlane`]).
 ///
-/// Bit-exact with one [`comp_step_noalloc`](crate::reduce::comp_step_noalloc)
-/// per bank per sub-chunk in ascending order, and with the row-major
+/// Bit-exact with one [`comp_step`](crate::reduce::comp_step) per bank
+/// per sub-chunk in ascending order, and with the row-major
 /// [`comp_subchunks16_multi`]: the per-sub-chunk arithmetic DAG
 /// and the serial latch chain are the same, only laid out so that every
 /// tree level is a vertical add. As there, the latch chains of a gang run
@@ -727,7 +727,7 @@ fn comp_gang(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduce::comp_step_noalloc;
+    use crate::reduce::comp_step;
 
     /// Deterministic 64-bit mixer (splitmix64 finalizer) — no external
     /// crates on the bf16 test path.
@@ -825,11 +825,11 @@ mod tests {
     }
 
     /// The scalar oracle of every batched fold here: one
-    /// [`comp_step_noalloc`] per 16-element sub-chunk, in order.
+    /// [`comp_step`] per 16-element sub-chunk, in order.
     fn scalar_chain(latch: Bf16, row: &[Bf16], inputs: &[Bf16], precision: TreePrecision) -> Bf16 {
         row.chunks(TREE_ARITY)
             .zip(inputs.chunks(TREE_ARITY))
-            .fold(latch, |l, (w, v)| comp_step_noalloc(l, w, v, precision))
+            .fold(latch, |l, (w, v)| comp_step(l, w, v, precision))
     }
 
     /// Runs one gang through the row-major [`comp_subchunks16_multi`] and

@@ -17,9 +17,9 @@
 //!   mature inside the deterministic latency of the next row-set, the
 //!   controller waits for it to mature, refreshes, then proceeds.
 //!
-//! All data movement is real: COMP performs bf16 arithmetic on the bytes
-//! the banks return, so every timing experiment doubles as a numerical
-//! correctness check.
+//! All data movement is real: COMP performs bf16 arithmetic on the
+//! weights the banks hold, so every timing experiment doubles as a
+//! numerical correctness check.
 //!
 //! AiM commands reach the channel only through the row-set operations
 //! ([`NewtonChannel::open_row_set`], [`NewtonChannel::read_latch`],
@@ -805,44 +805,33 @@ impl NewtonChannel {
         Ok(cmds)
     }
 
-    /// Streams the `n_sub` COMP commands of a row-set. `rows_clean` says
-    /// the row-set's activation corrected nothing, which proves the open
-    /// rows hold no error. Returns (commands issued, issue cycle of the
-    /// last column access).
+    /// Issues the `n_sub` COMP commands of a row-set as the flags expand
+    /// them. `rows_clean` says the row-set's activation corrected nothing,
+    /// which proves the open rows hold no error. Returns (commands issued,
+    /// issue cycle of the last column access).
+    ///
+    /// The flags change which commands issue, never what a bank's MAC
+    /// tree adds up: each latch sees its sub-chunks in ascending order, no
+    /// command inside a row-set reads a latch, and nothing writes storage
+    /// inside one. So production computes nothing per command and folds
+    /// the row-set once afterwards, where storage keeps its rows; only the
+    /// reference engine computes per command.
     fn compute_row_set(
         &mut self,
         rs: &RowSet,
         n_sub: usize,
         rows_clean: bool,
     ) -> Result<(u64, Cycle), AimError> {
-        let sub_elems = self.config.subchunk_elems();
         self.scratch_banks.clear();
         self.scratch_banks.extend(rs.work.iter().map(|w| w.bank));
-        let engine = self.config.engine;
-        let row = rs.dram_row;
-        let latch = rs.latch;
-        let mut cmds = 0u64;
-        let mut last_col = self.now;
-
-        // Batched SIMD fast path: under ganged complex COMP with the
-        // paper's 16-wide sub-chunks, the command stream of a row-set is
-        // n_sub ganged column reads whose *functional* work factors into
-        // one independent fold per bank. Inside that stream no other
-        // command touches the column bus or these banks, so after the
-        // first scanned slot every successive COMP lands exactly one
-        // `col_step` later: issue it as one train (same cycles, stats,
-        // audit records, ECC checks and telemetry as the per-command
-        // loop), then fold each bank's whole row, where storage keeps it,
-        // against the global buffer's plane in one batched kernel pass.
-        // Nothing writes storage inside a row-set. Bit-exact because
-        // nothing inside a row-set observes device latch state, per-bank
-        // sub-chunk order is preserved, and the batched kernel equals the
-        // per-sub steps (`newton_bf16::simd::comp_row_set`).
-        if engine == TimingEngine::EventSkipping
-            && self.config.opts.ganged_comp
-            && self.config.opts.complex_comp
-            && sub_elems == newton_bf16::reduce::TREE_ARITY
-        {
+        let production = self.config.engine == TimingEngine::EventSkipping;
+        let opts = self.config.opts;
+        let issued = if production && opts.ganged_comp && opts.complex_comp {
+            // Inside a ganged complex COMP stream no other command touches
+            // the column bus or these banks, so after the first scanned
+            // slot every COMP lands exactly one `col_step` later: one train
+            // (same cycles, stats, audit records, ECC checks and telemetry
+            // as the per-command loop).
             let col_step = self.channel.timing().col_step();
             let t0 = self
                 .channel
@@ -855,28 +844,40 @@ impl NewtonChannel {
                 rows_clean,
             )?;
             self.now = last;
-            last_col = last;
-            cmds += n_sub as u64;
-            // Whole-gang fold: the device takes all banks' rows at once
-            // so their (independent) serial latch chains interleave
-            // instead of running back to back.
-            let storage = self.channel.storage();
+            (n_sub as u64, last)
+        } else {
+            self.issue_comp_commands(rs, n_sub)?
+        };
+        if production {
+            let (storage, row) = (self.channel.storage(), rs.dram_row);
             self.device
-                .comp_banks_row_simd(&self.scratch_banks, latch, n_sub, |bank| {
+                .comp_row_set(&self.scratch_banks, rs.latch, n_sub, |bank| {
                     storage.lanes(bank, row)
                 })?;
-            return Ok((cmds, last_col));
         }
+        Ok(issued)
+    }
 
-        // One command set per sub-chunk drives every bank when ganged;
-        // otherwise each bank gets its own. Simple commands wrap each
-        // column read in a broadcast and a multiply-add trigger.
+    /// Issues a row-set's COMPs one command at a time. One command set
+    /// per sub-chunk drives every bank when ganged; otherwise each bank
+    /// gets its own. Simple commands wrap each column read in a broadcast
+    /// and a multiply-add trigger. Only the reference engine computes on
+    /// the bytes each read returns.
+    fn issue_comp_commands(&mut self, rs: &RowSet, n_sub: usize) -> Result<(u64, Cycle), AimError> {
         let (ganged, complex) = (self.config.opts.ganged_comp, self.config.opts.complex_comp);
+        let reference = self.config.engine == TimingEngine::Reference;
+        let latch = rs.latch;
+        let mut cmds = 0u64;
+        let mut last_col = self.now;
         let mut block = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
         for sub in 0..n_sub {
             // The broadcast input sub-chunk, read once for every bank and
             // command of this sub-chunk.
-            let inputs = self.device.global_buffer().subchunk(sub, &mut block);
+            let inputs: &[Bf16] = if reference {
+                self.device.global_buffer().subchunk(sub, &mut block)
+            } else {
+                &[]
+            };
             for k in 0..if ganged { 1 } else { rs.work.len() } {
                 let target = (!ganged).then(|| rs.work[k].bank);
                 if !complex {
@@ -905,7 +906,9 @@ impl NewtonChannel {
                 let pairs = &self.scratch_pairs;
                 self.channel.issue_as(cmd, |ch| {
                     ch.issue_ganged_column_read_internal(t, pairs, |bank, data| {
-                        functional_comp(device, engine, latch, bank, data, inputs);
+                        if reference {
+                            device.comp_bank_reference(bank, latch, data, inputs);
+                        }
                     })
                 })?;
                 self.now = t;
@@ -1058,36 +1061,6 @@ impl NewtonChannel {
         let estimate =
             t.t_rcd + n_sub as Cycle * t.col_step() + t.t_wr.max(t.t_rtp) + t.t_rp + 4 * t.t_cmd;
         self.boundary(estimate)
-    }
-}
-
-/// The functional half of one COMP, with the kernel the engine implies.
-/// `data` is the column the read returned, in the row's logical byte
-/// order: the oracle decodes it through the allocating scalar kernels,
-/// production through the allocation-free ones. `inputs` is the
-/// broadcast global-buffer sub-chunk.
-fn functional_comp(
-    device: &mut NewtonDevice,
-    engine: TimingEngine,
-    latch: usize,
-    bank: usize,
-    data: &[u8],
-    inputs: &[Bf16],
-) {
-    match engine {
-        TimingEngine::Reference => device.comp_bank_reference(bank, latch, data, inputs),
-        // Per-sub-chunk step: the configurations the batched fast path in
-        // `compute_row_set` does not cover (non-ganged or simple
-        // commands, sub-chunk widths other than the 16-wide MAC tree).
-        TimingEngine::EventSkipping => {
-            // `NewtonDevice::new` bounds the sub-chunk width by MAX_CHUNK.
-            let mut weights = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
-            let (pairs, _) = data.as_chunks::<2>();
-            for (w, &pair) in weights.iter_mut().zip(pairs) {
-                *w = Bf16::from_le_bytes(pair);
-            }
-            device.comp_bank_decoded(bank, latch, &weights[..pairs.len()], inputs);
-        }
     }
 }
 

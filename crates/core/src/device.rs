@@ -18,10 +18,11 @@ use crate::lut::{ActivationKind, ActivationLut};
 /// The channel-wide, DRAM-row-wide input vector buffer (512 bf16 elements
 /// for a 1 KB row), loaded one sub-chunk at a time by `GWRITE#`.
 ///
-/// The elements are kept once, as the batched COMP kernel's lane-major
-/// plane, so a row-set COMP needs no per-COMP transposing pass (the
-/// kernel widens each block to `f32` once per gang); the per-sub-chunk
-/// paths read a sub-chunk back out in row order.
+/// The elements are kept once, as the lane-major plane the production
+/// row-set fold reads in place (the kernel widens each block to `f32`
+/// once per gang). The reference engine's per-command COMPs, the fold at
+/// sub-chunk widths other than 16, and `COPY_GBBK` read a sub-chunk back
+/// out in row order.
 #[derive(Debug, Clone)]
 pub struct GlobalBuffer {
     lanes: LanePlane,
@@ -151,26 +152,14 @@ impl MacUnit {
 
     /// Executes one COMP step into latch `latch`: multiply the matrix
     /// sub-chunk by the broadcast input sub-chunk, reduce through the
-    /// tree, accumulate. Chunks up to [`reduce::MAX_CHUNK`] elements run
-    /// through the allocation-free kernels (bit-exact with the reference;
-    /// longer operands fall back to the allocating reference path).
+    /// tree, accumulate, through the scalar oracle `reduce::comp_step`:
+    /// the COMP kernel of the `TimingEngine::Reference` engine, and the
+    /// production fold's step at sub-chunk widths other than 16.
     ///
     /// # Panics
     ///
     /// Panics if `latch` is out of range or the operand lengths differ
     /// (device-internal invariants; the controller guarantees them).
-    pub(crate) fn comp(&mut self, latch: usize, weights: &[Bf16], inputs: &[Bf16]) {
-        let v = if weights.len() <= reduce::MAX_CHUNK {
-            reduce::comp_step_noalloc(self.latches[latch], weights, inputs, self.precision)
-        } else {
-            reduce::comp_step(self.latches[latch], weights, inputs, self.precision)
-        };
-        self.latches[latch] = v;
-    }
-
-    /// The reference (allocating) form of [`MacUnit::comp`]: identical
-    /// arithmetic through `reduce::comp_step`: the COMP kernel of the
-    /// `TimingEngine::Reference` oracle.
     fn comp_reference(&mut self, latch: usize, weights: &[Bf16], inputs: &[Bf16]) {
         let v = reduce::comp_step(self.latches[latch], weights, inputs, self.precision);
         self.latches[latch] = v;
@@ -296,58 +285,50 @@ impl NewtonDevice {
         self.macs[bank].comp_reference(latch, &weights, inputs);
     }
 
-    /// The compute half of a COMP over weights already decoded to
-    /// [`Bf16`], through the production reduction, against the broadcast
-    /// sub-chunk `inputs`.
+    /// The production COMP of a row-set: for every bank in `banks`, folds
+    /// global-buffer sub-chunks `0..n_sub` against the bank's open row
+    /// into latch `latch`, bit-exact with one
+    /// [`comp_bank_reference`](NewtonDevice::comp_bank_reference) per bank
+    /// per sub-chunk in ascending order. `plane_of(bank)` is that row
+    /// where the storage keeps it, a lane-major plane.
     ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len()` is not the device sub-chunk width.
-    pub(crate) fn comp_bank_decoded(
-        &mut self,
-        bank: usize,
-        latch: usize,
-        weights: &[Bf16],
-        inputs: &[Bf16],
-    ) {
-        debug_assert_eq!(weights.len(), self.subchunk);
-        self.macs[bank].comp(latch, weights, inputs);
-    }
-
-    /// Batched row-set COMP: for every bank in `banks`, folds global-buffer
-    /// sub-chunks `0..n_sub` against the bank's open row into latch
-    /// `latch` — bit-exact with issuing
-    /// [`comp_bank_decoded`](NewtonDevice::comp_bank_decoded) once per
-    /// bank per sub-chunk in ascending order, and advances each bank's
-    /// COMP counter by `n_sub`. `plane_of(bank)` is that row where the
-    /// storage keeps it, a lane-major plane. Banks are folded a gang at a
-    /// time so their serial latch chains interleave (see
-    /// [`newton_bf16::simd::comp_row_set`]); banks never interact, so any
-    /// bank order gives the same result.
+    /// At the paper's 16-wide sub-chunks the banks are folded a gang at a
+    /// time by [`newton_bf16::simd::comp_row_set`], so their serial latch
+    /// chains interleave. Every built-in DRAM family has 256-bit columns;
+    /// only test configurations reach another width, and there each
+    /// column is read out of the plane and stepped through the oracle's
+    /// scalar step. Banks never interact, so any bank order gives the
+    /// same result.
     ///
     /// # Errors
     ///
-    /// What `plane_of` returns for a bank (a bad address); the gangs
-    /// before it are folded, the rest are not.
+    /// What `plane_of` returns for a bank (a bad address); no bank from
+    /// it on is folded.
     ///
     /// # Panics
     ///
-    /// Panics if the device sub-chunk width is not 16 (the kernel is fixed
-    /// at the paper's 16-wide MAC tree; the controller takes the
-    /// per-sub-chunk paths for other widths) or a plane is shorter than
-    /// `n_sub` sub-chunks.
-    pub(crate) fn comp_banks_row_simd<'a, E>(
+    /// Panics if a plane is shorter than `n_sub` sub-chunks.
+    pub(crate) fn comp_row_set<'a, E>(
         &mut self,
         banks: &[usize],
         latch: usize,
         n_sub: usize,
         plane_of: impl Fn(usize) -> Result<&'a LanePlane, E>,
     ) -> Result<(), E> {
-        assert_eq!(
-            self.subchunk,
-            reduce::TREE_ARITY,
-            "SIMD COMP path requires 16-wide sub-chunks"
-        );
+        if self.subchunk != reduce::TREE_ARITY {
+            let width = self.subchunk;
+            let mut weights = [Bf16::ZERO; reduce::MAX_CHUNK];
+            let mut block = [Bf16::ZERO; reduce::MAX_CHUNK];
+            for &bank in banks {
+                let plane = plane_of(bank)?;
+                for sub in 0..n_sub {
+                    plane.read(sub * width, &mut weights[..width]);
+                    let inputs = self.global.subchunk(sub, &mut block);
+                    self.macs[bank].comp_reference(latch, &weights[..width], inputs);
+                }
+            }
+            return Ok(());
+        }
         const GANG_MAX: usize = simd::MULTI_MAX_BANKS;
         let inputs = &self.global.lanes;
         for gang in banks.chunks(GANG_MAX) {
@@ -450,8 +431,8 @@ mod tests {
         let mut m = MacUnit::new(1, TreePrecision::Wide);
         let w = vec![bf(2.0); 16];
         let v = vec![bf(0.5); 16];
-        m.comp(0, &w, &v);
-        m.comp(0, &w, &v);
+        m.comp_reference(0, &w, &v);
+        m.comp_reference(0, &w, &v);
         assert_eq!(m.result(0).to_f32(), 32.0);
         m.reset();
         assert_eq!(m.result(0), Bf16::ZERO);
@@ -461,7 +442,7 @@ mod tests {
     fn four_latch_variant_keeps_independent_accumulators() {
         let mut m = MacUnit::new(4, TreePrecision::Wide);
         for latch in 0..4 {
-            m.comp(latch, &[bf(latch as f32 + 1.0); 16], &[bf(1.0); 16]);
+            m.comp_reference(latch, &[bf(latch as f32 + 1.0); 16], &[bf(1.0); 16]);
         }
         for latch in 0..4 {
             assert_eq!(m.result(latch).to_f32(), 16.0 * (latch as f32 + 1.0));
@@ -488,43 +469,19 @@ mod tests {
     }
 
     #[test]
-    fn decoded_comp_path_matches_byte_path() {
-        let mk = || {
-            NewtonDevice::new(2, 512, 16, 1, TreePrecision::Wide, ActivationKind::Identity).unwrap()
-        };
-        let weights: Vec<Bf16> = (0..16).map(|i| bf(i as f32 * 0.375 - 2.0)).collect();
-        let bytes = newton_bf16::slice::pack(&weights);
-        let inputs = [bf(1.5); 16];
-
-        let mut ref_dev = mk();
-        ref_dev
-            .global_buffer_mut()
-            .write_subchunk(0, &inputs)
-            .unwrap();
-        ref_dev.comp_bank_reference(0, 0, &bytes, &sub(ref_dev.global_buffer(), 0));
-
-        let mut dec_dev = mk();
-        dec_dev
-            .global_buffer_mut()
-            .write_subchunk(0, &inputs)
-            .unwrap();
-        dec_dev.comp_bank_decoded(0, 0, &weights, &sub(dec_dev.global_buffer(), 0));
-
-        let expect: f64 = weights.iter().map(|w| w.to_f64() * 1.5).sum();
-        assert_eq!(ref_dev.read_result(0, 0, false).to_f64(), expect);
-        assert_eq!(
-            dec_dev.read_result(0, 0, false),
-            ref_dev.read_result(0, 0, false)
-        );
-    }
-
-    #[test]
-    fn batched_row_set_matches_per_subchunk_comps_in_both_disciplines() {
-        // 18 banks: one full gang of 16 plus a second gang of 2.
+    fn row_set_fold_matches_per_subchunk_reference_comps() {
+        // 18 banks: one full gang of 16 plus a second gang of 2; the
+        // SIMD width and two scalar-step widths.
         const BANKS: usize = 18;
-        for precision in [TreePrecision::Wide, TreePrecision::PerStage] {
+        for (width, precision) in [
+            (16, TreePrecision::Wide),
+            (16, TreePrecision::PerStage),
+            (4, TreePrecision::Wide),
+            (32, TreePrecision::PerStage),
+        ] {
             let mk = || {
-                NewtonDevice::new(BANKS, 512, 16, 1, precision, ActivationKind::Identity).unwrap()
+                NewtonDevice::new(BANKS, 512, width, 1, precision, ActivationKind::Identity)
+                    .unwrap()
             };
             let n_sub = 5;
             let rows: Vec<Vec<Bf16>> = (0..BANKS)
@@ -537,38 +494,34 @@ mod tests {
             let planes: Vec<LanePlane> = rows.iter().map(|r| plane(r)).collect();
 
             let mut step_dev = mk();
-            let mut batch_dev = mk();
+            let mut fold_dev = mk();
             for s in 0..n_sub {
-                let chunk: Vec<Bf16> = (0..16)
-                    .map(|i| bf((s * 16 + i) as f32 * 0.03 - 1.0))
+                let chunk: Vec<Bf16> = (0..width)
+                    .map(|i| bf((s * width + i) as f32 * 0.03 - 1.0))
                     .collect();
-                step_dev
-                    .global_buffer_mut()
-                    .write_subchunk(s, &chunk)
-                    .unwrap();
-                batch_dev
-                    .global_buffer_mut()
-                    .write_subchunk(s, &chunk)
-                    .unwrap();
+                for dev in [&mut step_dev, &mut fold_dev] {
+                    dev.global_buffer_mut().write_subchunk(s, &chunk).unwrap();
+                }
             }
             let banks: Vec<usize> = (0..BANKS).rev().collect();
             for &b in &banks {
                 step_dev.preload_bias(b, 0, bf(b as f32));
-                batch_dev.preload_bias(b, 0, bf(b as f32));
+                fold_dev.preload_bias(b, 0, bf(b as f32));
                 for s in 0..n_sub {
                     let inputs = sub(step_dev.global_buffer(), s);
-                    step_dev.comp_bank_decoded(b, 0, &rows[b][s * 16..(s + 1) * 16], &inputs);
+                    let bytes = newton_bf16::slice::pack(&rows[b][s * width..(s + 1) * width]);
+                    step_dev.comp_bank_reference(b, 0, &bytes, &inputs);
                 }
             }
-            batch_dev
-                .comp_banks_row_simd(&banks, 0, n_sub, |b| Ok::<_, ()>(&planes[b]))
+            fold_dev
+                .comp_row_set(&banks, 0, n_sub, |b| Ok::<_, ()>(&planes[b]))
                 .unwrap();
 
             for b in 0..BANKS {
                 assert_eq!(
-                    batch_dev.read_result(b, 0, false).to_bits(),
+                    fold_dev.read_result(b, 0, false).to_bits(),
                     step_dev.read_result(b, 0, false).to_bits(),
-                    "bank {b} precision {precision:?}"
+                    "bank {b} width {width} precision {precision:?}"
                 );
             }
         }

@@ -93,7 +93,8 @@ fn assert_runs_identical(
 }
 
 /// Both engines at every rung of the Fig. 9 ladder: ganged/complex on and
-/// off covers the batched train-and-fold path and the per-sub-chunk path.
+/// off covers the COMP train and the per-command loop, each followed by
+/// the one row-set fold.
 #[test]
 fn engines_identical_across_the_opt_ladder() {
     for level in OptLevel::ladder() {

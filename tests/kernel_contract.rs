@@ -3,16 +3,15 @@
 //! indistinguishable from the oracle of `common/conformance.rs` through
 //! `run_mv` and through a resident matrix, including when the weights in
 //! storage hold an infinity and a NaN, which send the kernel down its
-//! full-rounding fallback. `run_mv` streams each weight row through a
-//! scratch plane and a resident matrix retains its decoded rows; the two
-//! decodes must agree with each other and with the oracle too, and so
-//! must operands small enough that their products are subnormal `f32`s.
+//! full-rounding fallback. Both fold the weight rows where storage keeps
+//! them and must agree with each other and with the oracle, and so must
+//! operands small enough that their products are subnormal `f32`s.
 
 #[path = "common/conformance.rs"]
 mod conformance;
 
 use conformance::{assert_conformant, bits, load, pair, run_resident};
-use newton_aim::bf16::reduce::{comp_step_noalloc, TreePrecision};
+use newton_aim::bf16::reduce::{comp_step, TreePrecision};
 use newton_aim::bf16::simd::{comp_row_set, LanePlane};
 use newton_aim::bf16::Bf16;
 use newton_aim::core::config::NewtonConfig;
@@ -139,9 +138,7 @@ fn row_set_kernel_rounds_subnormal_products_like_the_scalar_steps() {
             let scalar = row
                 .chunks(16)
                 .zip(inputs.chunks(16))
-                .fold(Bf16::ZERO, |l, (w, v)| {
-                    comp_step_noalloc(l, w, v, precision)
-                });
+                .fold(Bf16::ZERO, |l, (w, v)| comp_step(l, w, v, precision));
             assert_eq!(
                 latch.to_bits(),
                 scalar.to_bits(),

@@ -1,14 +1,15 @@
 //! The two paths the simulator keeps must not diverge: the oracle and
 //! production legs of `common/conformance.rs` run the same work — ragged
-//! and Table II-sized layers, resident matrices through weight writes and
-//! fault flips, random write / COMP interleavings, a lowered BERT trace
-//! replayed and interpreted, serving under chaos and under conventional
-//! traffic — at pool widths 1, 2 and 8, and every simulated surface must
-//! agree bit for bit, under a command trace and the timing audit too
-//! (observers are told what happened, they do not change which code
-//! runs). Production skips the
-//! activation scrub of rows the storage marks verified and the oracle
-//! never does, so the tests also pin when a row is verified.
+//! and Table II-sized layers, a ragged layer at every column width and
+//! Fig. 9 rung, resident matrices through weight writes, fault flips and
+//! a row-set that fails, random write / COMP interleavings, a lowered
+//! BERT trace replayed and interpreted, serving under chaos and under
+//! conventional traffic — at pool widths 1, 2 and 8, and every simulated
+//! surface must agree bit for bit, under a command trace and the timing
+//! audit too (observers are told what happened, they do not change which
+//! code runs). Production skips the activation scrub of rows the storage
+//! marks verified and the oracle never does, so the tests also pin when a
+//! row is verified.
 
 #[path = "common/conformance.rs"]
 mod conformance;
@@ -16,12 +17,15 @@ mod conformance;
 use conformance::{
     assert_conformant, assert_serve_conformant, bits, load, pair, pair_with, run_resident,
 };
-use newton_aim::core::config::{NewtonConfig, TelemetryConfig, TimingEngine};
+use newton_aim::core::config::{NewtonConfig, OptLevel, TelemetryConfig, TimingEngine};
+use newton_aim::core::controller::NewtonChannel;
 use newton_aim::core::layout::MatrixMapping;
+use newton_aim::core::lut::ActivationKind;
 use newton_aim::core::system::{NewtonSystem, SystemRun};
 use newton_aim::core::tiling::{Schedule, ScheduleKind};
-use newton_aim::core::ParallelPolicy;
+use newton_aim::core::{AimError, ParallelPolicy};
 use newton_aim::dram::faults::CampaignSpec;
+use newton_aim::dram::DramError;
 use newton_aim::isa::{generate, interp, mv, Program};
 use newton_aim::workloads::arrivals::ArrivalPattern;
 use newton_aim::workloads::{generator, Benchmark, DecodeStreamSpec, MvShape};
@@ -55,6 +59,113 @@ fn ragged_run_mv_agrees() {
             .expect("run_mv")
     });
     assert_conformant("run_mv 50x700", &systems, &runs);
+}
+
+/// Every column width from 32 to 1024 bits at every rung of the Fig. 9
+/// ladder, with ECC on wherever a column holds whole 64-bit words: the
+/// flags change which commands issue and the width changes which fold
+/// production runs, and neither may change a simulated bit.
+#[test]
+fn every_column_width_and_rung_agrees() {
+    let shape = MvShape::new(40, 900);
+    let matrix = generator::matrix(shape, 61);
+    let vector = generator::vector(shape.n, 62);
+    for col_io_bits in [32, 64, 128, 256, 512, 1024] {
+        for level in OptLevel::ladder() {
+            let mut cfg = config(2, 1);
+            cfg.opts = level.flags();
+            cfg.dram.col_io_bits = col_io_bits;
+            cfg.ecc = col_io_bits % 64 == 0;
+            let mut systems = pair(&cfg);
+            let runs = systems.each_mut().map(|s| {
+                s.run_mv(&matrix, shape.m, shape.n, &vector)
+                    .expect("run_mv")
+            });
+            let what = format!("{col_io_bits}-bit columns, {level:?}");
+            assert_conformant(&what, &systems, &runs);
+        }
+    }
+}
+
+/// Sticks bits `bit` and `bit + 1` of `(bank, row)` of `ch` at the
+/// opposite of what they hold: a double-bit fault in one word that no
+/// rewrite heals.
+fn stick_two_bits(ch: &mut NewtonChannel, bank: usize, row: usize, bit: usize) {
+    let storage = ch.channel_mut().storage_mut();
+    let bytes = storage.row(bank, row).expect("row");
+    for b in [bit, bit + 1] {
+        let held = bytes[b / 8] >> (b % 8) & 1 == 1;
+        storage.set_stuck(bank, row, b, !held).expect("set_stuck");
+    }
+}
+
+/// A row-set that fails: two stuck bits in one word of bank 2's weight
+/// row make every activation of that row uncorrectable. At three rungs,
+/// `run_resident_resilient` scrub-rewrites, fails again and retires the
+/// bank alike on both legs, with the same outputs, stats and observers;
+/// and `open_row_set` on that row returns the same error on both.
+#[test]
+fn a_failing_row_set_recovers_alike() {
+    let shape = MvShape::new(32, 512);
+    let matrix = generator::matrix(shape, 71);
+    let vector = generator::vector(shape.n, 72);
+    for level in [OptLevel::NonOpt, OptLevel::Gang, OptLevel::Full] {
+        let mut cfg = config(2, 1);
+        cfg.opts = level.flags();
+        let mut systems = pair(&cfg);
+        let loaded = load(&mut systems, &matrix, shape.m, shape.n);
+        for sys in &mut systems {
+            stick_two_bits(&mut sys.channels_mut()[0], 2, 0, 16);
+        }
+        let [a, b] = &mut systems;
+        let outcomes = [(a, &loaded[0]), (b, &loaded[1])].map(|(s, l)| {
+            s.run_resident_resilient(l, &matrix, &vector)
+                .expect("recovers")
+        });
+        let what = format!("{level:?} resilient run");
+        let [(oracle, oracle_report), (production, report)] = outcomes;
+        assert_eq!(oracle_report, report, "{what}: recovery reports");
+        assert_eq!(report.scrub_rewrites, 1, "{what}: {report:?}");
+        assert_eq!(report.retired_banks, vec![(0, 2)], "{what}: {report:?}");
+        assert_conformant(&what, &systems, &[oracle, production]);
+
+        let kind = ScheduleKind::InterleavedFullReuse;
+        let per_channel = MvShape::new(16, shape.n);
+        let mapping = MatrixMapping::new(
+            kind.layout(),
+            per_channel.m,
+            per_channel.n,
+            cfg.dram.banks,
+            cfg.row_elems(),
+            0,
+        )
+        .expect("mapping");
+        let schedule = Schedule::build(kind, &mapping);
+        let rs = &schedule.row_sets()[0];
+        assert!(rs.dram_row == 0 && rs.work.iter().any(|w| w.bank == 2));
+        let base = rs.chunk * mapping.row_elems();
+        let input = &vector[base..base + mapping.chunk_elems(rs.chunk)];
+        let weights = generator::matrix(per_channel, 73);
+        let errors = pair_with(&cfg, |c| {
+            let mut ch = NewtonChannel::new(&c, ActivationKind::Identity).expect("channel");
+            ch.load_matrix(&mapping, &weights).expect("load");
+            stick_two_bits(&mut ch, 2, 0, 16);
+            let n_sub = input.len().div_ceil(c.subchunk_elems());
+            let err = ch
+                .open_row_set(rs, input, n_sub)
+                .expect_err("uncorrectable");
+            (err, *ch.channel().stats(), ch.now())
+        });
+        assert!(
+            matches!(
+                errors[1].0,
+                AimError::Dram(DramError::Uncorrectable { bank: 2, row: 0 })
+            ),
+            "{level:?}: {:?}",
+            errors[1].0
+        );
+        assert_eq!(errors[0], errors[1], "{level:?} open_row_set");
+    }
 }
 
 /// Load, run, run, weight write, run, run on both legs; with `watched`,

@@ -63,8 +63,6 @@ const TEST_HOOKS: &[(&str, &str, &str)] = &[
     // bf16 numerics: the scalar and tree kernels the SIMD path must equal.
     ("crates/bf16/src/reduce.rs", "tree_reduce_wide", "bf16 properties check the adder tree"),
     ("crates/bf16/src/reduce.rs", "tree_reduce_bf16", "bf16 properties check the tree"),
-    ("crates/bf16/src/reduce.rs", "tree_reduce_wide_into", "checked against the allocating tree"),
-    ("crates/bf16/src/reduce.rs", "tree_reduce_bf16_into", "checked against the allocating tree"),
     ("crates/bf16/src/reduce.rs", "dot_chunk_wide", "bf16 properties check a COMP step"),
     ("crates/bf16/src/scalar.rs", "mul_round", "bf16 properties check a multiplier"),
     ("crates/bf16/src/scalar.rs", "accumulate_wide", "the bf16 bench times a latch add"),

@@ -69,20 +69,10 @@ fn bench_bf16(c: &mut Criterion) {
     c.bench_function("bf16/dot_chunk_wide (one COMP step)", |b| {
         b.iter(|| reduce::dot_chunk_wide(black_box(weights), black_box(inputs)))
     });
-    c.bench_function("bf16/tree_reduce_bf16 x16", |b| {
-        b.iter(|| reduce::tree_reduce_bf16(black_box(weights)))
-    });
 
     // The oracle's COMP: one scalar step, latch accumulation included.
     c.bench_function("bf16/comp_step x16 (one oracle COMP)", |b| {
-        b.iter(|| {
-            reduce::comp_step(
-                black_box(Bf16::ZERO),
-                black_box(weights),
-                black_box(inputs),
-                TreePrecision::Wide,
-            )
-        })
+        b.iter(|| reduce::comp_step(black_box(Bf16::ZERO), black_box(weights), black_box(inputs)))
     });
 }
 
@@ -121,30 +111,18 @@ fn bench_bf16_simd(c: &mut Criterion) {
     let lane_planes: Vec<simd::LanePlane> = planes.iter().map(|p| lane_plane(p)).collect();
     let lane_refs: Vec<&simd::LanePlane> = lane_planes.iter().collect();
     let lane_v = lane_plane(&row_v);
-    for (name, prec) in [
-        (
-            "bf16/comp_row_set 16 banks wide (one row-set)",
-            TreePrecision::Wide,
-        ),
-        (
-            "bf16/comp_row_set 16 banks per-stage (one row-set)",
-            TreePrecision::PerStage,
-        ),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let mut latches = [Bf16::ZERO; 16];
-                simd::comp_row_set(
-                    black_box(&mut latches),
-                    black_box(&lane_refs),
-                    black_box(&lane_v),
-                    32,
-                    prec,
-                );
-                latches
-            })
-        });
-    }
+    c.bench_function("bf16/comp_row_set 16 banks (one row-set)", |b| {
+        b.iter(|| {
+            let mut latches = [Bf16::ZERO; 16];
+            simd::comp_row_set(
+                black_box(&mut latches),
+                black_box(&lane_refs),
+                black_box(&lane_v),
+                32,
+            );
+            latches
+        })
+    });
     // The same gang where the simulator finds it: one row of each of 16
     // banks of a channel's storage, written as DRAM row bytes.
     let storage = gang_storage(&planes);
@@ -152,12 +130,12 @@ fn bench_bf16_simd(c: &mut Criterion) {
         .map(|bank| storage.lanes(bank, 0).expect("in range"))
         .collect();
     let mut on_planes = [Bf16::ZERO; 16];
-    simd::comp_row_set(&mut on_planes, &lane_refs, &lane_v, 32, TreePrecision::Wide);
+    simd::comp_row_set(&mut on_planes, &lane_refs, &lane_v, 32);
     let mut on_rows = [Bf16::ZERO; 16];
-    simd::comp_row_set(&mut on_rows, &stored, &lane_v, 32, TreePrecision::Wide);
+    simd::comp_row_set(&mut on_rows, &stored, &lane_v, 32);
     assert_eq!(on_planes, on_rows, "storage rows fold as their planes do");
     c.bench_function(
-        "bf16/comp_row_set 16 banks wide on storage rows (one row-set)",
+        "bf16/comp_row_set 16 banks on storage rows (one row-set)",
         |b| {
             b.iter(|| {
                 let mut latches = [Bf16::ZERO; 16];
@@ -166,7 +144,6 @@ fn bench_bf16_simd(c: &mut Criterion) {
                     black_box(&stored),
                     black_box(&lane_v),
                     32,
-                    TreePrecision::Wide,
                 );
                 latches
             })
@@ -235,23 +212,20 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
             // The row-major fold the benchmark probe times, then the
             // production lane-major kernel (slow-path redo included: it
             // reuses the same stack scratch) and the in-place row stores.
-            for prec in [TreePrecision::Wide, TreePrecision::PerStage] {
-                simd::comp_subchunks16_multi(
-                    black_box(&mut latches),
-                    black_box(&planes),
-                    black_box(&row_v),
-                    prec,
-                );
-                acc_bits ^= latches[0].to_bits();
-                simd::comp_row_set(
-                    black_box(&mut latches),
-                    black_box(&lane_planes),
-                    black_box(&lane_v),
-                    32,
-                    prec,
-                );
-                acc_bits ^= latches[0].to_bits();
-            }
+            simd::comp_subchunks16_multi(
+                black_box(&mut latches),
+                black_box(&planes),
+                black_box(&row_v),
+                TreePrecision::Wide,
+            );
+            acc_bits ^= latches[0].to_bits();
+            simd::comp_row_set(
+                black_box(&mut latches),
+                black_box(&lane_planes),
+                black_box(&lane_v),
+                32,
+            );
+            acc_bits ^= latches[0].to_bits();
             refilled.write(16, black_box(&bf[..16]));
             refilled.store_le_bytes(black_box(&row_bytes));
         }
@@ -264,7 +238,6 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
                 black_box(&gang),
                 black_box(&lane_v),
                 32,
-                TreePrecision::Wide,
             );
             acc += latches[0].to_f32();
         }
@@ -276,7 +249,7 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
         "SIMD kernels and folds of storage rows allocated {bytes} heap bytes"
     );
     println!(
-        "bf16/zero-alloc proof: 0 heap bytes across 4000 kernel calls, 2000 plane stores and 64 row-sets of storage rows"
+        "bf16/zero-alloc proof: 0 heap bytes across 2000 kernel calls, 2000 plane stores and 64 row-sets of storage rows"
     );
     // Keep the harness aware this 'bench' ran (and give --test a hook).
     c.bench_function("bf16/zero-alloc proof (see assert above)", |b| {
@@ -288,7 +261,6 @@ fn bench_zero_alloc_proof(c: &mut Criterion) {
                     black_box(&lane_planes),
                     black_box(&lane_v),
                     32,
-                    TreePrecision::Wide,
                 );
                 latches
             })

@@ -12,9 +12,9 @@
 //!   round-to-nearest-even conversions and arithmetic implemented by
 //!   computing in `f32` and rounding back (the standard software model for
 //!   bf16 hardware datapaths, which keep wide internal products).
-//! * [`reduce`]: 16-input adder-tree reduction in the two precisions a
-//!   hardware tree might use (wide `f32` carry within a round, or strict
-//!   per-stage bf16 rounding), plus the result-latch accumulation step.
+//! * [`reduce`]: the 16-input adder tree the device computes (bf16
+//!   products, a tree that carries `f32`), plus the result-latch
+//!   accumulation step that rounds back to bf16.
 //! * [`simd`]: explicit-width, branch-free variants of the COMP kernels
 //!   over fixed lane arrays the autovectorizer can lower to SIMD, proven
 //!   bit-exact against the scalar oracles above.

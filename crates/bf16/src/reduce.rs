@@ -3,17 +3,14 @@
 //! Each Newton bank multiplies a 16-element matrix sub-chunk by the matching
 //! 16 input-vector elements and reduces the products "through a pipelined
 //! adder tree" (paper Fig. 4): a 16-to-1 tree needs 15 adders plus one more
-//! for accumulation into the result latch. This module provides the tree in
-//! the two precision disciplines a hardware implementation might use:
+//! for accumulation into the result latch. The tree modelled here
+//! ([`dot_chunk_wide`], [`tree_reduce_wide`]) is the device's: the
+//! multipliers round products to bf16, the tree carries `f32` (wide
+//! carry-save adders), and only the result latch, the paper's "one scalar
+//! bfloat16 register", rounds back to bf16.
 //!
-//! * **Wide** ([`dot_chunk_wide`], [`tree_reduce_wide`]): multipliers round
-//!   products to bf16 but the tree carries `f32` (wide carry-save adders),
-//!   rounding only at the result latch. This is the simulator's default.
-//! * **Per-stage** (`dot_chunk_bf16`, [`tree_reduce_bf16`]): every adder
-//!   output is rounded back to bf16, the most conservative hardware model.
-//!
-//! Both disciplines reduce in *tree order* (pairwise), which differs from a
-//! sequential sum once rounding is involved; tests pin the distinction.
+//! The tree reduces in *tree order* (pairwise), which differs from a
+//! sequential sum once rounding is involved.
 
 use crate::Bf16;
 
@@ -29,16 +26,15 @@ pub const TREE_ARITY: usize = 16;
 /// [`TREE_ARITY`].
 pub const MAX_CHUNK: usize = 64;
 
-/// Precision discipline for the adder tree.
-///
-/// See the [module docs](self) for the hardware interpretation of each mode.
+/// The adder tree's precision discipline, which has one value: products
+/// rounded to bf16, a tree that carries `f32`, and a result latch that
+/// rounds. [`comp_subchunks16_multi`](crate::simd::comp_subchunks16_multi)
+/// still takes it and ignores it; ROADMAP 1(c) deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TreePrecision {
     /// Products rounded to bf16; tree carries `f32`; result latch rounds.
     #[default]
     Wide,
-    /// Every tree stage rounds its output to bf16.
-    PerStage,
 }
 
 /// Reduces values pairwise (tree order) carrying `f32` through the tree.
@@ -74,36 +70,7 @@ pub fn tree_reduce_wide(values: &[Bf16]) -> f32 {
     level[0]
 }
 
-/// Reduces values pairwise (tree order) rounding each stage to bf16.
-///
-/// # Example
-///
-/// ```
-/// use newton_bf16::{Bf16, reduce};
-/// let xs = vec![Bf16::ONE; 16];
-/// assert_eq!(reduce::tree_reduce_bf16(&xs).to_f32(), 16.0);
-/// ```
-#[must_use]
-pub fn tree_reduce_bf16(values: &[Bf16]) -> Bf16 {
-    if values.is_empty() {
-        return Bf16::ZERO;
-    }
-    let mut level: Vec<Bf16> = values.to_vec();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            next.push(if pair.len() == 2 {
-                pair[0] + pair[1]
-            } else {
-                pair[0]
-            });
-        }
-        level = next;
-    }
-    level[0]
-}
-
-/// One COMP step in the wide discipline: multiply element-wise (rounding
+/// The tree half of one COMP step: multiply element-wise (rounding
 /// each product to bf16, as the 16 multipliers do), then tree-reduce in
 /// `f32`. Returns the wide partial sum destined for the result latch.
 ///
@@ -134,29 +101,9 @@ pub fn dot_chunk_wide(weights: &[Bf16], inputs: &[Bf16]) -> f32 {
     tree_reduce_wide(&products)
 }
 
-/// One COMP step in the per-stage discipline: bf16 products, bf16 adders.
-///
-/// # Panics
-///
-/// Panics if `weights` and `inputs` have different lengths.
-#[must_use]
-fn dot_chunk_bf16(weights: &[Bf16], inputs: &[Bf16]) -> Bf16 {
-    assert_eq!(
-        weights.len(),
-        inputs.len(),
-        "dot_chunk_bf16: weight/input length mismatch"
-    );
-    let products: Vec<Bf16> = weights
-        .iter()
-        .zip(inputs)
-        .map(|(w, v)| w.mul_round(*v))
-        .collect();
-    tree_reduce_bf16(&products)
-}
-
-/// One COMP step under either discipline, returning the new result-latch
-/// value after accumulating into `latch` (bf16 rounding at the latch in
-/// both cases, per the paper's "single scalar bfloat16 register").
+/// One COMP step, returning the new result-latch value after
+/// accumulating the wide tree sum into `latch` (bf16 rounding at the
+/// latch, per the paper's "single scalar bfloat16 register").
 ///
 /// # Panics
 ///
@@ -165,18 +112,15 @@ fn dot_chunk_bf16(weights: &[Bf16], inputs: &[Bf16]) -> Bf16 {
 /// # Example
 ///
 /// ```
-/// use newton_bf16::{Bf16, reduce::{comp_step, TreePrecision}};
+/// use newton_bf16::{Bf16, reduce::comp_step};
 /// let w = vec![Bf16::ONE; 16];
 /// let v = vec![Bf16::ONE; 16];
-/// let latch = comp_step(Bf16::ZERO, &w, &v, TreePrecision::Wide);
+/// let latch = comp_step(Bf16::ZERO, &w, &v);
 /// assert_eq!(latch.to_f32(), 16.0);
 /// ```
 #[must_use]
-pub fn comp_step(latch: Bf16, weights: &[Bf16], inputs: &[Bf16], precision: TreePrecision) -> Bf16 {
-    match precision {
-        TreePrecision::Wide => latch.accumulate_wide(dot_chunk_wide(weights, inputs)),
-        TreePrecision::PerStage => latch + dot_chunk_bf16(weights, inputs),
-    }
+pub fn comp_step(latch: Bf16, weights: &[Bf16], inputs: &[Bf16]) -> Bf16 {
+    latch.accumulate_wide(dot_chunk_wide(weights, inputs))
 }
 
 /// Upper bound on the absolute error of a bf16 dot product of length `n`
@@ -209,51 +153,23 @@ mod tests {
     #[test]
     fn empty_reductions_are_zero() {
         assert_eq!(tree_reduce_wide(&[]), 0.0);
-        assert_eq!(tree_reduce_bf16(&[]), Bf16::ZERO);
     }
 
     #[test]
     fn single_element_passes_through() {
         assert_eq!(tree_reduce_wide(&[bf(7.5)]), 7.5);
-        assert_eq!(tree_reduce_bf16(&[bf(-7.5)]), bf(-7.5));
     }
 
     #[test]
     fn sixteen_ones_sum_exactly() {
         let xs = vec![Bf16::ONE; 16];
         assert_eq!(tree_reduce_wide(&xs), 16.0);
-        assert_eq!(tree_reduce_bf16(&xs).to_f32(), 16.0);
     }
 
     #[test]
     fn odd_lengths_carry_the_tail() {
         let xs: Vec<Bf16> = (1..=7).map(|i| bf(i as f32)).collect();
         assert_eq!(tree_reduce_wide(&xs), 28.0);
-        assert_eq!(tree_reduce_bf16(&xs).to_f32(), 28.0);
-    }
-
-    #[test]
-    fn tree_order_differs_from_sequential_under_rounding() {
-        // 256 + 1 + 1 + 1: sequentially in bf16, each +1 is absorbed
-        // (256 + 1 rounds back to 256); the tree pairs (256+1) and (1+1),
-        // and 2 is large enough to register against 257-rounded-to-256...
-        // Construct a case where the results provably differ.
-        let xs = [bf(256.0), bf(1.0), bf(1.0), bf(1.0)];
-        let sequential: Bf16 = xs.iter().copied().sum();
-        let tree = tree_reduce_bf16(&xs);
-        // Sequential: 256+1=257->256(RNE ties-to-even), +1 -> 256, +1 -> 256.
-        assert_eq!(sequential.to_f32(), 256.0);
-        // Tree: (256+1)->256, (1+1)=2, 256+2=258 representable.
-        assert_eq!(tree.to_f32(), 258.0);
-    }
-
-    #[test]
-    fn wide_tree_is_more_accurate_than_per_stage() {
-        let xs: Vec<Bf16> = (0..16).map(|i| bf(1.0 + i as f32 / 128.0)).collect();
-        let exact: f64 = xs.iter().map(|x| x.to_f64()).sum();
-        let wide = tree_reduce_wide(&xs) as f64;
-        let staged = tree_reduce_bf16(&xs).to_f64();
-        assert!((wide - exact).abs() <= (staged - exact).abs() + 1e-9);
     }
 
     #[test]
@@ -281,11 +197,9 @@ mod tests {
         let v = vec![bf(2.0); 16];
         let mut latch = Bf16::ZERO;
         for _ in 0..4 {
-            latch = comp_step(latch, &w, &v, TreePrecision::Wide);
+            latch = comp_step(latch, &w, &v);
         }
         assert_eq!(latch.to_f32(), 64.0);
-        let staged = comp_step(Bf16::ZERO, &w, &v, TreePrecision::PerStage);
-        assert_eq!(staged.to_f32(), 16.0);
     }
 
     #[test]

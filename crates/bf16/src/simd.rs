@@ -19,10 +19,8 @@
 //!   lane-major [`LanePlane`]s and equals one
 //!   [`comp_step`](crate::reduce::comp_step) (the oracle's COMP) per bank
 //!   per sub-chunk step for step, latch value included: identical product
-//!   rounding, the identical `(0,1)(2,3)…` pairwise tree-level structure of
-//!   [`tree_reduce_wide`](crate::reduce::tree_reduce_wide), and in the
-//!   per-stage discipline the per-stage bf16 rounding order of the paper's
-//!   16-wide adder tree.
+//!   rounding and the identical `(0,1)(2,3)…` pairwise tree-level
+//!   structure of [`tree_reduce_wide`](crate::reduce::tree_reduce_wide).
 //! * [`comp_subchunks16_multi`] does the same over row-major planes.
 //!
 //! The row-major [`comp_subchunks16_multi`] takes plain slices of exact
@@ -92,30 +90,24 @@ const BLOCK_SUBS: usize = 32;
 const BLOCK_ELEMS: usize = BLOCK_SUBS * TREE_ARITY;
 
 /// One flat adder-tree level over a block: `out[i] = in[2i] + in[2i+1]`
-/// for `i in 0..n`, rounded per element when `ROUND`. Because sub-chunks
-/// are laid out contiguously and every level width divides 16, adjacent
-/// global pairs never straddle a sub-chunk boundary — the per-sub tree
-/// levels of the whole block collapse into one vectorizable pass.
+/// for `i in 0..n`. Because sub-chunks are laid out contiguously and
+/// every level width divides 16, adjacent global pairs never straddle a
+/// sub-chunk boundary — the per-sub tree levels of the whole block
+/// collapse into one vectorizable pass.
 #[inline]
-fn tree_level_flat<const ROUND: bool>(input: &[f32], out: &mut [f32], n: usize) {
+fn tree_level_flat(input: &[f32], out: &mut [f32], n: usize) {
     for (o, pair) in out[..n].iter_mut().zip(input[..2 * n].chunks_exact(2)) {
-        let s = pair[0] + pair[1];
-        *o = if ROUND { round_bf16_f32(s) } else { s };
+        *o = pair[0] + pair[1];
     }
 }
 
 /// Fused products + first adder level over a block: for each operand pair
-/// `(2i, 2i+1)`, round the two products and emit their sum (rounded when
-/// `ROUND`). Identical arithmetic to a pass that rounds every product
-/// followed by [`tree_level_flat`], but the rounded products never
-/// round-trip through memory — the level-1 value is formed in registers.
+/// `(2i, 2i+1)`, round the two products and emit their sum. Identical
+/// arithmetic to a pass that rounds every product followed by
+/// [`tree_level_flat`], but the rounded products never round-trip
+/// through memory — the level-1 value is formed in registers.
 #[inline]
-fn products_level1_flat<const ROUND: bool>(
-    weights: &[f32],
-    inputs: &[f32],
-    out: &mut [f32],
-    n: usize,
-) {
+fn products_level1_flat(weights: &[f32], inputs: &[f32], out: &mut [f32], n: usize) {
     for ((o, w), v) in out[..n]
         .iter_mut()
         .zip(weights[..2 * n].chunks_exact(2))
@@ -123,8 +115,7 @@ fn products_level1_flat<const ROUND: bool>(
     {
         let p0 = f32::from_bits(round_bf16_bits((w[0] * v[0]).to_bits()));
         let p1 = f32::from_bits(round_bf16_bits((w[1] * v[1]).to_bits()));
-        let s = p0 + p1;
-        *o = if ROUND { round_bf16_f32(s) } else { s };
+        *o = p0 + p1;
     }
 }
 
@@ -156,15 +147,9 @@ fn widen(bits: u16) -> f32 {
 /// if any product was infinite or NaN — in which case the output is
 /// untrusted and the caller must redo the block through the full path.
 /// When it returns `false`, the output is bit-identical to
-/// [`products_level1_flat`] (level-1 sums are always rounded through the
-/// full [`round_bf16_f32`], since sums can overflow independently).
+/// [`products_level1_flat`].
 #[inline]
-fn products_level1_flat_clean<const ROUND: bool>(
-    weights: &[f32],
-    inputs: &[f32],
-    out: &mut [f32],
-    n: usize,
-) -> bool {
+fn products_level1_flat_clean(weights: &[f32], inputs: &[f32], out: &mut [f32], n: usize) -> bool {
     let mut special = 0u32;
     for ((o, w), v) in out[..n]
         .iter_mut()
@@ -175,31 +160,30 @@ fn products_level1_flat_clean<const ROUND: bool>(
         let b1 = (w[1] * v[1]).to_bits();
         special |= u32::from(b0 & 0x7F80_0000 == 0x7F80_0000);
         special |= u32::from(b1 & 0x7F80_0000 == 0x7F80_0000);
-        let s =
+        *o =
             f32::from_bits(round_bf16_bits_finite(b0)) + f32::from_bits(round_bf16_bits_finite(b1));
-        *o = if ROUND { round_bf16_f32(s) } else { s };
     }
     special != 0
 }
 
-/// Adder-tree roots of one block: products + four flat tree levels, with
-/// rounding per level when `ROUND` (per-stage discipline). `roots[s]` is
-/// the tree output of sub-chunk `s`; only the first `wb.len() / 16` slots
-/// are written. The clean-path product pass handles the common all-finite
-/// case; if any product hits the inf/NaN encoding the block is redone
-/// through the full rounding path (identical bits in every case).
+/// Adder-tree roots of one block: products + four flat tree levels.
+/// `roots[s]` is the tree output of sub-chunk `s`; only the first
+/// `wb.len() / 16` slots are written. The clean-path product pass handles
+/// the common all-finite case; if any product hits the inf/NaN encoding
+/// the block is redone through the full rounding path (identical bits in
+/// every case).
 #[inline]
-fn block_roots<const ROUND: bool>(wb: &[f32], vb: &[f32], roots: &mut [f32; BLOCK_SUBS]) {
+fn block_roots(wb: &[f32], vb: &[f32], roots: &mut [f32; BLOCK_SUBS]) {
     let elems = wb.len();
     let mut l1 = [0f32; BLOCK_ELEMS / 2];
     let mut l2 = [0f32; BLOCK_ELEMS / 4];
     let mut l3 = [0f32; BLOCK_ELEMS / 8];
-    if products_level1_flat_clean::<ROUND>(wb, vb, &mut l1, elems / 2) {
-        products_level1_flat::<ROUND>(wb, vb, &mut l1, elems / 2);
+    if products_level1_flat_clean(wb, vb, &mut l1, elems / 2) {
+        products_level1_flat(wb, vb, &mut l1, elems / 2);
     }
-    tree_level_flat::<ROUND>(&l1, &mut l2, elems / 4);
-    tree_level_flat::<ROUND>(&l2, &mut l3, elems / 8);
-    tree_level_flat::<ROUND>(&l3, roots, elems / 16);
+    tree_level_flat(&l1, &mut l2, elems / 4);
+    tree_level_flat(&l2, &mut l3, elems / 8);
+    tree_level_flat(&l3, roots, elems / 16);
 }
 
 /// The most latch chains one gang interleaves; [`comp_subchunks16_multi`]
@@ -211,15 +195,14 @@ pub const MULTI_MAX_BANKS: usize = 16;
 /// Multi-bank batched fold over row-major planes: for each consecutive
 /// 16-element sub-chunk of `weights[k]` (bank `k`'s row plane) × the
 /// shared `inputs` plane (exact `f32` widenings), one tree reduction and
-/// one accumulation into `latches[k]` in the given `precision` — step for
-/// step identical to calling [`comp_step`](crate::reduce::comp_step) once
-/// per bank per sub-chunk, in sub-chunk order, on the bf16 values the
-/// planes widen.
+/// one accumulation into `latches[k]` — step for step identical to
+/// calling [`comp_step`](crate::reduce::comp_step) once per bank per
+/// sub-chunk, in sub-chunk order, on the bf16 values the planes widen.
+/// `_precision` has one value and is ignored (see [`TreePrecision`]).
 /// Banks never interact: the per-bank arithmetic DAG is `block_roots`
 /// plus the serial latch chain `latch ← round(latch + root)`, which is
-/// `Bf16::accumulate_wide` (Wide) or the bf16 `latch + tree` addition
-/// (PerStage); only the *schedule* is shared. Stack scratch only, whatever
-/// the row width.
+/// `Bf16::accumulate_wide`; only the *schedule* is shared. Stack scratch
+/// only, whatever the row width.
 ///
 /// The point of computing banks together is the latch chain. Per bank it
 /// is a true serial dependence — `acc = round(acc + root)` cannot overlap
@@ -239,7 +222,7 @@ pub fn comp_subchunks16_multi(
     latches: &mut [Bf16],
     weights: &[&[f32]],
     inputs: &[f32],
-    precision: TreePrecision,
+    _precision: TreePrecision,
 ) {
     assert_eq!(
         latches.len(),
@@ -267,7 +250,7 @@ pub fn comp_subchunks16_multi(
             .chunks_mut(MULTI_MAX_BANKS)
             .zip(weights.chunks(MULTI_MAX_BANKS))
         {
-            comp_subchunks16_multi(latches, weights, inputs, precision);
+            comp_subchunks16_multi(latches, weights, inputs, TreePrecision::Wide);
         }
         return;
     }
@@ -285,14 +268,7 @@ pub fn comp_subchunks16_multi(
         let mut roots_t = [0f32; BLOCK_SUBS * MULTI_MAX_BANKS];
         let mut roots = [0f32; BLOCK_SUBS];
         for (k, plane) in weights.iter().enumerate() {
-            match precision {
-                TreePrecision::Wide => {
-                    block_roots::<false>(&plane[base..base + elems], vb, &mut roots);
-                }
-                TreePrecision::PerStage => {
-                    block_roots::<true>(&plane[base..base + elems], vb, &mut roots);
-                }
-            }
+            block_roots(&plane[base..base + elems], vb, &mut roots);
             for (sub, &r) in roots.iter().take(n_sub).enumerate() {
                 roots_t[sub * nb + k] = r;
             }
@@ -552,15 +528,15 @@ type LaneRow = [f32; BLOCK_SUBS];
 /// The 32 adder-tree roots of one lane-major block: 16 product rows
 /// reduced through four levels of vertical adds, every pass a straight
 /// loop over 32 contiguous lanes. Per sub-chunk (= per lane) this is the
-/// arithmetic DAG of [`block_roots`]: products rounded to bf16, the
-/// `(0,1)(2,3)…` pairing, per-level rounding when `ROUND`. The weights
-/// `w` are bf16 bits, widened as they are multiplied; the inputs `v` come
-/// widened already.
+/// arithmetic DAG of [`block_roots`]: products rounded to bf16, then the
+/// `(0,1)(2,3)…` pairing. The weights `w` are bf16 bits, widened as they
+/// are multiplied; the inputs `v` come widened already.
 ///
-/// With `FULL` unset every rounding is [`round_bf16_bits_finite`], which
-/// is only trusted when no root comes out inf/NaN (see [`comp_row_set`]).
+/// With `FULL` unset every product rounds through
+/// [`round_bf16_bits_finite`], which is only trusted when no root comes
+/// out inf/NaN (see [`comp_row_set`]).
 #[inline]
-fn lane_block_roots<const ROUND: bool, const FULL: bool>(
+fn lane_block_roots<const FULL: bool>(
     w: &[u16; BLOCK_ELEMS],
     v: &[f32; BLOCK_ELEMS],
     roots: &mut LaneRow,
@@ -588,7 +564,7 @@ fn lane_block_roots<const ROUND: bool, const FULL: bool>(
     let add = |a: LaneRow, b: LaneRow| -> LaneRow {
         let mut out = [0f32; BLOCK_SUBS];
         for ((o, &x), &y) in out.iter_mut().zip(&a).zip(&b) {
-            *o = if ROUND { round::<FULL>(x + y) } else { x + y };
+            *o = x + y;
         }
         out
     };
@@ -619,19 +595,19 @@ fn lane_block_roots<const ROUND: bool, const FULL: bool>(
 /// it shares the all-ones exponent, so it is a false positive that takes
 /// the slow path and gets the same bits.
 #[inline]
-fn lane_block_roots_checked<const ROUND: bool>(
+fn lane_block_roots_checked(
     w: &[u16; BLOCK_ELEMS],
     v: &[f32; BLOCK_ELEMS],
     n: usize,
     roots: &mut LaneRow,
 ) {
-    lane_block_roots::<ROUND, false>(w, v, roots);
+    lane_block_roots::<false>(w, v, roots);
     let mut special = 0u32;
     for r in &roots[..n] {
         special |= u32::from(r.to_bits() & 0x7F80_0000 == 0x7F80_0000);
     }
     if special != 0 {
-        lane_block_roots::<ROUND, true>(w, v, roots);
+        lane_block_roots::<true>(w, v, roots);
     }
 }
 
@@ -661,7 +637,6 @@ pub fn comp_row_set(
     weights: &[&LanePlane],
     inputs: &LanePlane,
     n_sub: usize,
-    precision: TreePrecision,
 ) {
     assert_eq!(
         latches.len(),
@@ -676,18 +651,12 @@ pub fn comp_row_set(
         .chunks_mut(MULTI_MAX_BANKS)
         .zip(weights.chunks(MULTI_MAX_BANKS))
     {
-        comp_gang(latches, weights, inputs, n_sub, precision);
+        comp_gang(latches, weights, inputs, n_sub);
     }
 }
 
 /// [`comp_row_set`] for one gang of at most [`MULTI_MAX_BANKS`] banks.
-fn comp_gang(
-    latches: &mut [Bf16],
-    weights: &[&LanePlane],
-    inputs: &LanePlane,
-    n_sub: usize,
-    precision: TreePrecision,
-) {
+fn comp_gang(latches: &mut [Bf16], weights: &[&LanePlane], inputs: &LanePlane, n_sub: usize) {
     let nb = latches.len();
     let mut acc = [0f32; MULTI_MAX_BANKS];
     for (a, l) in acc.iter_mut().zip(latches.iter()) {
@@ -704,11 +673,7 @@ fn comp_gang(
             *v = widen(bits);
         }
         for (k, plane) in weights.iter().enumerate() {
-            let wb = plane.block(b);
-            match precision {
-                TreePrecision::Wide => lane_block_roots_checked::<false>(wb, &vb, n, &mut roots),
-                TreePrecision::PerStage => lane_block_roots_checked::<true>(wb, &vb, n, &mut roots),
-            }
+            lane_block_roots_checked(plane.block(b), &vb, n, &mut roots);
             for (sub, &r) in roots[..n].iter().enumerate() {
                 roots_t[sub * nb + k] = r;
             }
@@ -753,8 +718,6 @@ mod tests {
     fn bits_of(b: Bf16) -> u16 {
         b.to_bits()
     }
-
-    const BOTH: [TreePrecision; 2] = [TreePrecision::Wide, TreePrecision::PerStage];
 
     #[test]
     fn round_lane_matches_scalar_for_every_high_half_and_tie_pattern() {
@@ -826,30 +789,24 @@ mod tests {
 
     /// The scalar oracle of every batched fold here: one
     /// [`comp_step`] per 16-element sub-chunk, in order.
-    fn scalar_chain(latch: Bf16, row: &[Bf16], inputs: &[Bf16], precision: TreePrecision) -> Bf16 {
+    fn scalar_chain(latch: Bf16, row: &[Bf16], inputs: &[Bf16]) -> Bf16 {
         row.chunks(TREE_ARITY)
             .zip(inputs.chunks(TREE_ARITY))
-            .fold(latch, |l, (w, v)| comp_step(l, w, v, precision))
+            .fold(latch, |l, (w, v)| comp_step(l, w, v))
     }
 
     /// Runs one gang through the row-major [`comp_subchunks16_multi`] and
     /// checks every latch against that bank's scalar chain.
-    fn check_row_major(
-        rows: &[Vec<Bf16>],
-        inputs: &[Bf16],
-        latches0: &[Bf16],
-        precision: TreePrecision,
-        ctx: &str,
-    ) {
+    fn check_row_major(rows: &[Vec<Bf16>], inputs: &[Bf16], latches0: &[Bf16], ctx: &str) {
         let planes: Vec<Vec<f32>> = rows.iter().map(|r| widen_row(r)).collect();
         let refs: Vec<&[f32]> = planes.iter().map(Vec::as_slice).collect();
         let mut multi = latches0.to_vec();
-        comp_subchunks16_multi(&mut multi, &refs, &widen_row(inputs), precision);
+        comp_subchunks16_multi(&mut multi, &refs, &widen_row(inputs), TreePrecision::Wide);
         for (k, row) in rows.iter().enumerate() {
             assert_eq!(
                 bits_of(multi[k]),
-                bits_of(scalar_chain(latches0[k], row, inputs, precision)),
-                "bank {k} of {} {precision:?} {ctx}",
+                bits_of(scalar_chain(latches0[k], row, inputs)),
+                "bank {k} of {} {ctx}",
                 rows.len()
             );
         }
@@ -863,21 +820,12 @@ mod tests {
         // multiple blocks. Full-range operands, infinities included.
         for nb in [1usize, 3, 16, MULTI_MAX_BANKS + 2] {
             for n_sub in [1usize, 2, 3, 5, 7, 32, 45] {
-                for precision in BOTH {
-                    let rows: Vec<Vec<Bf16>> = (0..nb)
-                        .map(|_| (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect())
-                        .collect();
-                    let inputs: Vec<Bf16> =
-                        (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect();
-                    let latches0: Vec<Bf16> = (0..nb).map(|_| random_bf16(&mut state)).collect();
-                    check_row_major(
-                        &rows,
-                        &inputs,
-                        &latches0,
-                        precision,
-                        &format!("n_sub={n_sub}"),
-                    );
-                }
+                let rows: Vec<Vec<Bf16>> = (0..nb)
+                    .map(|_| (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect())
+                    .collect();
+                let inputs: Vec<Bf16> = (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect();
+                let latches0: Vec<Bf16> = (0..nb).map(|_| random_bf16(&mut state)).collect();
+                check_row_major(&rows, &inputs, &latches0, &format!("n_sub={n_sub}"));
             }
         }
     }
@@ -906,9 +854,7 @@ mod tests {
                 })
                 .collect();
             let latches0: Vec<Bf16> = (0..nb).map(|_| tame_bf16(&mut state)).collect();
-            for precision in BOTH {
-                check_row_major(&rows, &inputs, &latches0, precision, "specials in bank 1");
-            }
+            check_row_major(&rows, &inputs, &latches0, "specials in bank 1");
         }
     }
 
@@ -958,13 +904,12 @@ mod tests {
         inputs: &[Bf16],
         latches0: &[Bf16],
         n_sub: usize,
-        precision: TreePrecision,
         ctx: &str,
     ) -> Vec<Bf16> {
         let planes: Vec<LanePlane> = rows.iter().map(|r| from_row(r)).collect();
         let refs: Vec<&LanePlane> = planes.iter().collect();
         let mut lane_major = latches0.to_vec();
-        comp_row_set(&mut lane_major, &refs, &from_row(inputs), n_sub, precision);
+        comp_row_set(&mut lane_major, &refs, &from_row(inputs), n_sub);
 
         let elems = n_sub * TREE_ARITY;
         let wide: Vec<Vec<f32>> = rows.iter().map(|r| widen_row(&r[..elems])).collect();
@@ -974,20 +919,20 @@ mod tests {
             &mut row_major,
             &wide_refs,
             &widen_row(&inputs[..elems]),
-            precision,
+            TreePrecision::Wide,
         );
 
         for (k, row) in rows.iter().enumerate() {
-            let scalar = scalar_chain(latches0[k], &row[..elems], &inputs[..elems], precision);
+            let scalar = scalar_chain(latches0[k], &row[..elems], &inputs[..elems]);
             assert_eq!(
                 bits_of(lane_major[k]),
                 bits_of(scalar),
-                "vs scalar steps: bank {k} n_sub={n_sub} {precision:?} {ctx}"
+                "vs scalar steps: bank {k} n_sub={n_sub} {ctx}"
             );
             assert_eq!(
                 bits_of(lane_major[k]),
                 bits_of(row_major[k]),
-                "vs row-major: bank {k} n_sub={n_sub} {precision:?} {ctx}"
+                "vs row-major: bank {k} n_sub={n_sub} {ctx}"
             );
         }
         lane_major
@@ -1093,15 +1038,12 @@ mod tests {
         let mut state = 0x1A7E_3A30u64;
         for nb in [1usize, 3, 16, 18] {
             for n_sub in [1usize, 7, 31, 32, 33, 45, 64] {
-                for precision in BOTH {
-                    let rows: Vec<Vec<Bf16>> = (0..nb)
-                        .map(|_| (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect())
-                        .collect();
-                    let inputs: Vec<Bf16> =
-                        (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect();
-                    let latches0: Vec<Bf16> = (0..nb).map(|_| random_bf16(&mut state)).collect();
-                    check_row_set(&rows, &inputs, &latches0, n_sub, precision, "random");
-                }
+                let rows: Vec<Vec<Bf16>> = (0..nb)
+                    .map(|_| (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect())
+                    .collect();
+                let inputs: Vec<Bf16> = (0..n_sub * 16).map(|_| random_bf16(&mut state)).collect();
+                let latches0: Vec<Bf16> = (0..nb).map(|_| random_bf16(&mut state)).collect();
+                check_row_set(&rows, &inputs, &latches0, n_sub, "random");
             }
         }
     }
@@ -1129,25 +1071,23 @@ mod tests {
             .collect();
         let inputs: Vec<Bf16> = (0..n_sub * 16).map(|_| tame_bf16(&mut state)).collect();
         let latches0 = [tame_bf16(&mut state), tame_bf16(&mut state)];
-        for precision in BOTH {
-            let clean = check_row_set(&rows, &inputs, &latches0, n_sub, precision, "clean");
-            assert!(clean.iter().all(|l| l.is_finite()));
-            for (name, weight, input) in plants {
-                for pos in 0..n_sub * 16 {
-                    let (mut rows, mut inputs) = (rows.clone(), inputs.clone());
-                    rows[0][pos] = weight;
-                    match input {
-                        Some(v) => inputs[pos] = v,
-                        // Keep the planted product away from `0 x inf`.
-                        None if inputs[pos].to_f32() == 0.0 => inputs[pos] = Bf16::ONE,
-                        None => {}
-                    }
-                    let ctx = format!("{name} at j={} s={}", pos % 16, pos / 16);
-                    let out = check_row_set(&rows, &inputs, &latches0, n_sub, precision, &ctx);
-                    assert!(!out[0].is_finite(), "{ctx}: the special must surface");
-                    if input.is_none() {
-                        assert_eq!(bits_of(out[1]), bits_of(clean[1]), "{ctx}");
-                    }
+        let clean = check_row_set(&rows, &inputs, &latches0, n_sub, "clean");
+        assert!(clean.iter().all(|l| l.is_finite()));
+        for (name, weight, input) in plants {
+            for pos in 0..n_sub * 16 {
+                let (mut rows, mut inputs) = (rows.clone(), inputs.clone());
+                rows[0][pos] = weight;
+                match input {
+                    Some(v) => inputs[pos] = v,
+                    // Keep the planted product away from `0 x inf`.
+                    None if inputs[pos].to_f32() == 0.0 => inputs[pos] = Bf16::ONE,
+                    None => {}
+                }
+                let ctx = format!("{name} at j={} s={}", pos % 16, pos / 16);
+                let out = check_row_set(&rows, &inputs, &latches0, n_sub, &ctx);
+                assert!(!out[0].is_finite(), "{ctx}: the special must surface");
+                if input.is_none() {
+                    assert_eq!(bits_of(out[1]), bits_of(clean[1]), "{ctx}");
                 }
             }
         }
@@ -1181,9 +1121,7 @@ mod tests {
             for n_sub in [1usize, 2] {
                 let rows = [pick(n_sub * 16), pick(n_sub * 16)];
                 let (inputs, latches0) = (pick(n_sub * 16), pick(2));
-                for precision in BOTH {
-                    check_row_set(&rows, &inputs, &latches0, n_sub, precision, "palette");
-                }
+                check_row_set(&rows, &inputs, &latches0, n_sub, "palette");
             }
         }
     }
@@ -1196,35 +1134,31 @@ mod tests {
             (vec![-Bf16::ONE; elems], vec![Bf16::ZERO; elems])
         };
         for n_sub in [1usize, 7, 31, 33, 45] {
-            for precision in BOTH {
-                let (row, inputs) = neg_zero_products(n_sub * 16);
-                let out = check_row_set(
-                    &[row],
-                    &inputs,
-                    &[Bf16::NEG_ZERO],
-                    n_sub,
-                    precision,
-                    "-0.0 latch, zero-padded plane",
-                );
-                assert_eq!(bits_of(out[0]), bits_of(Bf16::NEG_ZERO));
+            let (row, inputs) = neg_zero_products(n_sub * 16);
+            let out = check_row_set(
+                &[row],
+                &inputs,
+                &[Bf16::NEG_ZERO],
+                n_sub,
+                "-0.0 latch, zero-padded plane",
+            );
+            assert_eq!(bits_of(out[0]), bits_of(Bf16::NEG_ZERO));
 
-                // The same with live data past `n_sub`: a wider plane whose
-                // unfolded lanes hold infinities and NaNs.
-                let (mut row, mut inputs) = neg_zero_products(64 * 16);
-                for e in n_sub * 16..64 * 16 {
-                    row[e] = [Bf16::INFINITY, Bf16::NAN, Bf16::ONE][e % 3];
-                    inputs[e] = [Bf16::NEG_INFINITY, Bf16::ONE, Bf16::NAN][e % 3];
-                }
-                let out = check_row_set(
-                    &[row],
-                    &inputs,
-                    &[Bf16::NEG_ZERO],
-                    n_sub,
-                    precision,
-                    "-0.0 latch, specials past n_sub",
-                );
-                assert_eq!(bits_of(out[0]), bits_of(Bf16::NEG_ZERO));
+            // The same with live data past `n_sub`: a wider plane whose
+            // unfolded lanes hold infinities and NaNs.
+            let (mut row, mut inputs) = neg_zero_products(64 * 16);
+            for e in n_sub * 16..64 * 16 {
+                row[e] = [Bf16::INFINITY, Bf16::NAN, Bf16::ONE][e % 3];
+                inputs[e] = [Bf16::NEG_INFINITY, Bf16::ONE, Bf16::NAN][e % 3];
             }
+            let out = check_row_set(
+                &[row],
+                &inputs,
+                &[Bf16::NEG_ZERO],
+                n_sub,
+                "-0.0 latch, specials past n_sub",
+            );
+            assert_eq!(bits_of(out[0]), bits_of(Bf16::NEG_ZERO));
         }
     }
 
@@ -1232,23 +1166,17 @@ mod tests {
     fn row_set_kernel_with_nothing_to_fold_returns_the_latches() {
         let plane = LanePlane::zeroed(512);
         let mut latches = [Bf16::from_f32(1.625), Bf16::NEG_ZERO];
-        comp_row_set(
-            &mut latches,
-            &[&plane, &plane],
-            &plane,
-            0,
-            TreePrecision::Wide,
-        );
+        comp_row_set(&mut latches, &[&plane, &plane], &plane, 0);
         assert_eq!(bits_of(latches[0]), bits_of(Bf16::from_f32(1.625)));
         assert_eq!(bits_of(latches[1]), bits_of(Bf16::NEG_ZERO));
-        comp_row_set(&mut [], &[], &plane, 32, TreePrecision::Wide);
+        comp_row_set(&mut [], &[], &plane, 32);
     }
 
     #[test]
     #[should_panic(expected = "exceeds a plane")]
     fn row_set_kernel_rejects_n_sub_past_a_plane() {
         let (short, long) = (LanePlane::zeroed(16), LanePlane::zeroed(512));
-        comp_row_set(&mut [Bf16::ZERO], &[&short], &long, 2, TreePrecision::Wide);
+        comp_row_set(&mut [Bf16::ZERO], &[&short], &long, 2);
     }
 
     /// `write` then `read` round-trips any range, and leaves the plane as

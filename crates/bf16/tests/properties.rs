@@ -106,17 +106,6 @@ proptest! {
         prop_assert!((got - exact).abs() <= mag * 1e-5);
     }
 
-    /// Per-stage tree reduction stays within the analytic error envelope.
-    #[test]
-    fn staged_tree_within_error_bound(xs in prop::collection::vec(-8.0f32..8.0, 1..33)) {
-        let bf: Vec<Bf16> = xs.iter().copied().map(Bf16::from_f32).collect();
-        let exact: f64 = bf.iter().map(|v| v.to_f64()).sum();
-        let got = reduce::tree_reduce_bf16(&bf).to_f64();
-        let mag: f64 = bf.iter().map(|v| v.to_f64().abs()).sum::<f64>().max(1.0);
-        let bound = reduce::dot_error_bound(bf.len(), 16, mag);
-        prop_assert!((got - exact).abs() <= bound, "got {got}, exact {exact}, bound {bound}");
-    }
-
     /// dot_chunk_wide equals the exact f64 dot of the *rounded products*
     /// up to f32 tree arithmetic error.
     #[test]

@@ -16,7 +16,6 @@
 //! [`OptFlags`] holds the five switches independently; [`OptLevel`] is the
 //! exact cumulative ladder of Fig. 9.
 
-use newton_bf16::reduce::TreePrecision;
 use newton_dram::timing::Cycle;
 use newton_dram::DramConfig;
 
@@ -200,8 +199,6 @@ pub struct NewtonConfig {
     /// Result latches per bank: 1 in Newton proper; 4 in the explored
     /// "option in between" of Sec. III-C.
     pub result_latches_per_bank: usize,
-    /// Precision discipline of the adder tree (see `newton-bf16`).
-    pub tree_precision: TreePrecision,
     /// Host-side exposed latency (ns) for normalizing the first tile of a
     /// layer's output before the next layer can start (Sec. III-C batch
     /// normalization pipelining; the rest is hidden under compute).
@@ -248,7 +245,6 @@ impl NewtonConfig {
             channels: 24,
             adder_tree_latency: 12,
             result_latches_per_bank: 1,
-            tree_precision: TreePrecision::Wide,
             batch_norm_first_tile_ns: 100.0,
             parallel: ParallelPolicy::default(),
             ecc: false,

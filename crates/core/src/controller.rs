@@ -204,7 +204,6 @@ impl NewtonChannel {
             config.row_elems(),
             config.subchunk_elems(),
             config.result_latches_per_bank,
-            config.tree_precision,
             activation,
         )?;
         Ok(NewtonChannel {
@@ -612,6 +611,8 @@ impl NewtonChannel {
     /// `COPY_BKGB`: copies columns `0..n_sub` of `(bank, row)` into
     /// global-buffer sub-chunks `offset..offset + n_sub` through internal
     /// column reads, at a row-set boundary: activate, read, precharge.
+    /// The reads deliver no data; once they have succeeded (ECC checks
+    /// included) the columns are read out of storage.
     ///
     /// # Errors
     ///
@@ -628,22 +629,24 @@ impl NewtonChannel {
         self.copy_boundary(offset, n_sub)?;
         let mut cur = self.channel.earliest_activate(bank).max(self.now);
         self.channel.issue_activate(cur, bank, row)?;
-        let mut bytes = Vec::with_capacity(n_sub * self.config.dram.col_bytes());
         for sub in 0..n_sub {
             cur = self.channel.earliest_ganged_column_read(cur, &[bank]);
             self.channel
-                .issue_ganged_column_read_internal(cur, &[(bank, sub)], |_, data| {
-                    bytes.extend_from_slice(data);
-                })?;
+                .issue_ganged_column_read_internal(cur, &[(bank, sub)])?;
         }
         self.precharge_bank(bank, cur + t.t_rtp)?;
-        let gb = self.device.global_buffer_mut();
-        for (sub, column) in bytes.chunks(self.config.dram.col_bytes()).enumerate() {
+        let mut column = vec![0; self.config.dram.col_bytes()];
+        for sub in 0..n_sub {
+            self.channel
+                .storage()
+                .read_column(bank, row, sub, &mut column)?;
             let elems: Vec<Bf16> = column
                 .chunks_exact(2)
                 .map(|b| Bf16::from_le_bytes([b[0], b[1]]))
                 .collect();
-            gb.write_subchunk(offset + sub, &elems)?;
+            self.device
+                .global_buffer_mut()
+                .write_subchunk(offset + sub, &elems)?;
         }
         Ok(())
     }
@@ -861,8 +864,10 @@ impl NewtonChannel {
     /// Issues a row-set's COMPs one command at a time. One command set
     /// per sub-chunk drives every bank when ganged; otherwise each bank
     /// gets its own. Simple commands wrap each column read in a broadcast
-    /// and a multiply-add trigger. Only the reference engine computes on
-    /// the bytes each read returns.
+    /// and a multiply-add trigger. Only the reference engine computes per
+    /// command: once a column read has succeeded for all its banks, it
+    /// reads each bank's column out of storage and steps it through the
+    /// scalar COMP. A read that fails computes none of its banks.
     fn issue_comp_commands(&mut self, rs: &RowSet, n_sub: usize) -> Result<(u64, Cycle), AimError> {
         let (ganged, complex) = (self.config.opts.ganged_comp, self.config.opts.complex_comp);
         let reference = self.config.engine == TimingEngine::Reference;
@@ -870,6 +875,8 @@ impl NewtonChannel {
         let mut cmds = 0u64;
         let mut last_col = self.now;
         let mut block = [Bf16::ZERO; newton_bf16::reduce::MAX_CHUNK];
+        let mut column = [0u8; 2 * newton_bf16::reduce::MAX_CHUNK];
+        let column = &mut column[..self.config.dram.col_bytes()];
         for sub in 0..n_sub {
             // The broadcast input sub-chunk, read once for every bank and
             // command of this sub-chunk.
@@ -902,15 +909,16 @@ impl NewtonChannel {
                         bank: None,
                     },
                 };
-                let device = &mut self.device;
                 let pairs = &self.scratch_pairs;
-                self.channel.issue_as(cmd, |ch| {
-                    ch.issue_ganged_column_read_internal(t, pairs, |bank, data| {
-                        if reference {
-                            device.comp_bank_reference(bank, latch, data, inputs);
-                        }
-                    })
-                })?;
+                self.channel
+                    .issue_as(cmd, |ch| ch.issue_ganged_column_read_internal(t, pairs))?;
+                if reference {
+                    let storage = self.channel.storage();
+                    for &(bank, col) in pairs {
+                        storage.read_column(bank, rs.dram_row, col, column)?;
+                        self.device.comp_bank_reference(bank, latch, column, inputs);
+                    }
+                }
                 self.now = t;
                 last_col = last_col.max(t);
                 cmds += 1;

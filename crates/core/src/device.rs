@@ -8,7 +8,7 @@
 //! by the entire channel, broadcast directly into the multiplier inputs
 //! "without any further per-bank latching to save area".
 
-use newton_bf16::reduce::{self, TreePrecision};
+use newton_bf16::reduce;
 use newton_bf16::simd::{self, LanePlane};
 use newton_bf16::Bf16;
 
@@ -114,9 +114,8 @@ impl GlobalBuffer {
 /// reuses the input across four matrix rows per bank; Newton proper uses a
 /// single latch.
 #[derive(Debug, Clone)]
-pub struct MacUnit {
+pub(crate) struct MacUnit {
     latches: Vec<Bf16>,
-    precision: TreePrecision,
 }
 
 impl MacUnit {
@@ -126,11 +125,10 @@ impl MacUnit {
     ///
     /// Panics if `latches` is zero.
     #[must_use]
-    pub(crate) fn new(latches: usize, precision: TreePrecision) -> MacUnit {
+    pub(crate) fn new(latches: usize) -> MacUnit {
         assert!(latches > 0, "a MAC unit needs at least one result latch");
         MacUnit {
             latches: vec![Bf16::ZERO; latches],
-            precision,
         }
     }
 
@@ -161,8 +159,7 @@ impl MacUnit {
     /// Panics if `latch` is out of range or the operand lengths differ
     /// (device-internal invariants; the controller guarantees them).
     fn comp_reference(&mut self, latch: usize, weights: &[Bf16], inputs: &[Bf16]) {
-        let v = reduce::comp_step(self.latches[latch], weights, inputs, self.precision);
-        self.latches[latch] = v;
+        self.latches[latch] = reduce::comp_step(self.latches[latch], weights, inputs);
     }
 
     /// Preloads latch `latch` with a bias value (the AiM `WR_BIAS` data
@@ -207,7 +204,6 @@ impl NewtonDevice {
         row_elems: usize,
         subchunk: usize,
         latches: usize,
-        precision: TreePrecision,
         activation: ActivationKind,
     ) -> Result<NewtonDevice, AimError> {
         if subchunk > reduce::MAX_CHUNK {
@@ -221,9 +217,7 @@ impl NewtonDevice {
         }
         Ok(NewtonDevice {
             global: GlobalBuffer::new(row_elems, subchunk),
-            macs: (0..banks)
-                .map(|_| MacUnit::new(latches, precision))
-                .collect(),
+            macs: (0..banks).map(|_| MacUnit::new(latches)).collect(),
             lut: ActivationLut::new(activation),
             subchunk,
         })
@@ -261,10 +255,11 @@ impl NewtonDevice {
 
     /// Executes the compute half of a COMP on `bank` through the reference
     /// (allocating) reduction, the oracle's data path: the matrix
-    /// sub-chunk bytes (as read from the bank's open row) are unpacked and
-    /// multiply-accumulated against `inputs` (the broadcast global-buffer
-    /// sub-chunk, read once per ganged COMP by the caller) into latch
-    /// `latch`.
+    /// sub-chunk bytes (the column of the bank's open row, which the
+    /// reference engine reads out of storage once the COMP's column read
+    /// has succeeded) are unpacked and multiply-accumulated against
+    /// `inputs` (the broadcast global-buffer sub-chunk, read once per
+    /// ganged COMP by the caller) into latch `latch`.
     ///
     /// # Panics
     ///
@@ -332,7 +327,6 @@ impl NewtonDevice {
         const GANG_MAX: usize = simd::MULTI_MAX_BANKS;
         let inputs = &self.global.lanes;
         for gang in banks.chunks(GANG_MAX) {
-            let precision = self.macs[gang[0]].precision;
             let mut latches = [Bf16::ZERO; GANG_MAX];
             let mut planes = [inputs; GANG_MAX];
             for ((l, p), &bank) in latches.iter_mut().zip(&mut planes).zip(gang) {
@@ -344,7 +338,6 @@ impl NewtonDevice {
                 &planes[..gang.len()],
                 inputs,
                 n_sub,
-                precision,
             );
             for (&bank, &l) in gang.iter().zip(&latches) {
                 self.macs[bank].latches[latch] = l;
@@ -428,7 +421,7 @@ mod tests {
 
     #[test]
     fn mac_unit_accumulates_and_resets() {
-        let mut m = MacUnit::new(1, TreePrecision::Wide);
+        let mut m = MacUnit::new(1);
         let w = vec![bf(2.0); 16];
         let v = vec![bf(0.5); 16];
         m.comp_reference(0, &w, &v);
@@ -440,7 +433,7 @@ mod tests {
 
     #[test]
     fn four_latch_variant_keeps_independent_accumulators() {
-        let mut m = MacUnit::new(4, TreePrecision::Wide);
+        let mut m = MacUnit::new(4);
         for latch in 0..4 {
             m.comp_reference(latch, &[bf(latch as f32 + 1.0); 16], &[bf(1.0); 16]);
         }
@@ -453,8 +446,7 @@ mod tests {
     fn oversized_subchunk_is_rejected_at_construction() {
         // reduce::MAX_CHUNK bounds the COMP stack scratch: a wider
         // sub-chunk must fail construction, not panic mid-run.
-        let err = NewtonDevice::new(2, 512, 128, 1, TreePrecision::Wide, ActivationKind::Relu)
-            .unwrap_err();
+        let err = NewtonDevice::new(2, 512, 128, 1, ActivationKind::Relu).unwrap_err();
         assert!(matches!(
             err,
             AimError::Shape {
@@ -463,9 +455,7 @@ mod tests {
             }
         ));
         // The boundary width itself is accepted.
-        assert!(
-            NewtonDevice::new(2, 512, 64, 1, TreePrecision::Wide, ActivationKind::Relu).is_ok()
-        );
+        assert!(NewtonDevice::new(2, 512, 64, 1, ActivationKind::Relu).is_ok());
     }
 
     #[test]
@@ -473,16 +463,8 @@ mod tests {
         // 18 banks: one full gang of 16 plus a second gang of 2; the
         // SIMD width and two scalar-step widths.
         const BANKS: usize = 18;
-        for (width, precision) in [
-            (16, TreePrecision::Wide),
-            (16, TreePrecision::PerStage),
-            (4, TreePrecision::Wide),
-            (32, TreePrecision::PerStage),
-        ] {
-            let mk = || {
-                NewtonDevice::new(BANKS, 512, width, 1, precision, ActivationKind::Identity)
-                    .unwrap()
-            };
+        for width in [16, 4, 32] {
+            let mk = || NewtonDevice::new(BANKS, 512, width, 1, ActivationKind::Identity).unwrap();
             let n_sub = 5;
             let rows: Vec<Vec<Bf16>> = (0..BANKS)
                 .map(|b| {
@@ -521,7 +503,7 @@ mod tests {
                 assert_eq!(
                     fold_dev.read_result(b, 0, false).to_bits(),
                     step_dev.read_result(b, 0, false).to_bits(),
-                    "bank {b} width {width} precision {precision:?}"
+                    "bank {b} width {width}"
                 );
             }
         }
@@ -551,8 +533,7 @@ mod tests {
 
     #[test]
     fn device_comp_bank_reads_bytes_and_uses_global_buffer() {
-        let mut dev =
-            NewtonDevice::new(2, 512, 16, 1, TreePrecision::Wide, ActivationKind::Relu).unwrap();
+        let mut dev = NewtonDevice::new(2, 512, 16, 1, ActivationKind::Relu).unwrap();
         dev.global_buffer_mut()
             .write_subchunk(0, &[bf(2.0); 16])
             .unwrap();

@@ -116,20 +116,6 @@ fn engines_identical_across_the_opt_ladder() {
     }
 }
 
-#[test]
-fn per_stage_precision_stays_identical() {
-    let mut cfg = cfg1(OptLevel::Full);
-    cfg.tree_precision = newton_bf16::reduce::TreePrecision::PerStage;
-    let (m, n) = (16, 512);
-    let matrix: Vec<Bf16> = (0..m * n)
-        .map(|k| bf(((k % 13) as f32 - 6.0) / 4.0))
-        .collect();
-    let vectors = vec![(0..n).map(|k| bf(((k % 7) as f32 - 3.0) / 2.0)).collect()];
-    let reference = run_on(&cfg, TimingEngine::Reference, m, n, &matrix, &vectors);
-    let production = run_on(&cfg, TimingEngine::EventSkipping, m, n, &matrix, &vectors);
-    assert_runs_identical(&reference, &production, "per-stage");
-}
-
 /// Write a row, COMP against it, overwrite via `write_row`,
 /// `write_column` and `flip_bit`, COMP again — production, which folds the
 /// stored rows in place, must match the oracle (which decodes the bytes

@@ -77,8 +77,6 @@ pub struct Channel {
     act_gaps: Log2Histogram,
     /// Queue latencies reported by scheduling controllers.
     queue_latency: Log2Histogram,
-    /// Reused buffer for the column an internal read hands its sink.
-    column: Vec<u8>,
 }
 
 impl Channel {
@@ -110,7 +108,6 @@ impl Channel {
             last_act: None,
             act_gaps: Log2Histogram::new(),
             queue_latency: Log2Histogram::new(),
-            column: vec![0; config.col_bytes()],
             config,
             timing,
         })
@@ -675,19 +672,21 @@ impl Channel {
     }
 
     /// Issues a ganged *internal* column read at `cycle` under a single
-    /// column-bus slot: every `(bank, col)` pair reads one column from its
-    /// open row, and `sink(bank, data)` receives each bank's bytes (this
-    /// is the data path into Newton's per-bank multipliers).
+    /// column-bus slot: every `(bank, col)` pair accesses one column of its
+    /// open row, and with ECC on the words backing it are checked. No data
+    /// is delivered: a caller that computes on the column (the reference
+    /// engine's COMP, `COPY_BKGB`) reads it from [`Channel::storage`] once
+    /// the read has succeeded.
     ///
     /// # Errors
     ///
-    /// Constraint violations, bank-state errors, or bad indices. Banks are
-    /// validated before any state mutates.
+    /// Constraint violations, bank-state errors, bad indices, or an
+    /// uncorrectable ECC error. Banks are validated before any state
+    /// mutates.
     pub fn issue_ganged_column_read_internal(
         &mut self,
         cycle: Cycle,
         pairs: &[(usize, usize)],
-        mut sink: impl FnMut(usize, &[u8]),
     ) -> Result<Cycle, DramError> {
         for &(bank, col) in pairs {
             self.check_bank(bank)?;
@@ -712,17 +711,12 @@ impl Channel {
         // The log holds every bank whose read began, the one whose ECC
         // check failed included.
         let mut read = 0;
-        let mut column = std::mem::take(&mut self.column);
         let outcome = pairs.iter().try_for_each(|&(bank, col)| {
             let row = self.banks[bank].column_access(cycle, false, &self.timing)?;
             self.banks[bank].note_internal_access(cycle, &self.timing);
             read += 1;
-            self.ecc_check_column(bank, row, col)?;
-            self.storage.read_column(bank, row, col, &mut column)?;
-            sink(bank, &column);
-            Ok(())
+            self.ecc_check_column(bank, row, col)
         });
-        self.column = column;
         let op = BankOp::Read { external: false };
         self.log(cycle, op, pairs[..read].iter().map(|p| p.0));
         outcome?;
@@ -747,10 +741,10 @@ impl Channel {
     /// COMP stream for one row-set): command `i` lands at
     /// `start + i * step` and reads column `i` of the open row on every
     /// bank in `banks`. Observably identical to `count` sequential
-    /// [`Channel::issue_ganged_column_read_internal`] calls with a no-op
-    /// sink — data is *not* delivered; callers on this path fold the open
-    /// rows where storage keeps them ([`Storage::lanes`]). Returns the
-    /// cycle of the last command.
+    /// [`Channel::issue_ganged_column_read_internal`] calls, which deliver
+    /// no data either; callers on this path fold the open rows where
+    /// storage keeps them ([`Storage::lanes`]). Returns the cycle of the
+    /// last command.
     ///
     /// Observers are told, not obeyed: the train applies closed-form,
     /// O(1) in `count * banks`, whatever is attached. The telemetry
@@ -804,7 +798,7 @@ impl Channel {
                         p.1 = i;
                     }
                     let at = start + i as Cycle * step;
-                    ch.issue_ganged_column_read_internal(at, &pairs, |_, _| {})?;
+                    ch.issue_ganged_column_read_internal(at, &pairs)?;
                 }
                 Ok(last)
             });
@@ -1250,25 +1244,13 @@ mod tests {
     fn ganged_internal_read_hits_all_banks_in_one_slot() {
         let mut ch = channel();
         let t = timing();
-        for bank in 0..4 {
-            let row: Vec<u8> = vec![bank as u8; 1024];
-            ch.storage_mut().write_row(bank, 0, &row).unwrap();
-        }
         let c = ch
             .issue_ganged_activate(0, &[(0, 0), (1, 0), (2, 0), (3, 0)])
             .unwrap();
         let rd = ch.earliest_ganged_column_read(c, &[0, 1, 2, 3]);
         assert_eq!(rd, c + t.t_rcd);
-        let mut seen = Vec::new();
-        ch.issue_ganged_column_read_internal(
-            rd,
-            &[(0, 5), (1, 5), (2, 5), (3, 5)],
-            |bank, data| {
-                seen.push((bank, data[0]));
-            },
-        )
-        .unwrap();
-        assert_eq!(seen, vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
+        ch.issue_ganged_column_read_internal(rd, &[(0, 5), (1, 5), (2, 5), (3, 5)])
+            .unwrap();
         let s = ch.summary(rd);
         assert_eq!(s.stats.col_reads_internal, 4);
         assert_eq!(s.external_bytes, 0, "internal reads never touch the PHY");
@@ -1395,9 +1377,7 @@ mod tests {
             match train {
                 Train::Comp => {
                     let pairs: Vec<(usize, usize)> = TRAIN_BANKS.iter().map(|&b| (b, i)).collect();
-                    looped
-                        .issue_ganged_column_read_internal(c, &pairs, |_, _| {})
-                        .unwrap();
+                    looped.issue_ganged_column_read_internal(c, &pairs).unwrap();
                 }
                 Train::Gwrite => {
                     looped.issue_broadcast_write(c, 32).unwrap();
@@ -1635,7 +1615,7 @@ mod tests {
         ch.issue_activate(0, 0, 0).unwrap();
         let t = *ch.timing();
         assert!(ch
-            .issue_ganged_column_read_internal(t.t_rcd, &[(0, 99)], |_, _| {})
+            .issue_ganged_column_read_internal(t.t_rcd, &[(0, 99)])
             .is_err());
     }
 
@@ -1679,12 +1659,8 @@ mod tests {
         let a = ch
             .issue_ganged_activate(0, &[(0, 0), (1, 0), (2, 0), (3, 0)])
             .unwrap();
-        ch.issue_ganged_column_read_internal(
-            a + t.t_rcd,
-            &[(0, 0), (1, 0), (2, 0), (3, 0)],
-            |_, _| {},
-        )
-        .unwrap();
+        ch.issue_ganged_column_read_internal(a + t.t_rcd, &[(0, 0), (1, 0), (2, 0), (3, 0)])
+            .unwrap();
         ch.issue_result_read(a + t.t_rcd + t.t_ccd, 32).unwrap();
         let p = ch.earliest_precharge_all();
         ch.issue_precharge_all(p).unwrap();
@@ -1718,7 +1694,7 @@ mod tests {
         let t = timing();
         ch.issue_ganged_activate(0, &[(0, 0), (1, 0), (2, 0), (3, 0)])
             .unwrap();
-        ch.issue_ganged_column_read_internal(t.t_rcd, &[(0, 0), (1, 0), (2, 0), (3, 0)], |_, _| {})
+        ch.issue_ganged_column_read_internal(t.t_rcd, &[(0, 0), (1, 0), (2, 0), (3, 0)])
             .unwrap();
         let p = ch.earliest_precharge_all();
         ch.issue_precharge_all(p).unwrap();

@@ -102,21 +102,3 @@ fn bank_counts_do_not_change_results() {
         assert_eq!(o, &outputs[0]);
     }
 }
-
-#[test]
-fn per_stage_tree_precision_still_within_coarse_bound() {
-    use newton_aim::bf16::reduce::TreePrecision;
-    let shape = MvShape::new(16, 512);
-    let mut cfg = NewtonConfig::paper_default();
-    cfg.channels = 1;
-    cfg.tree_precision = TreePrecision::PerStage;
-    let matrix = generator::matrix(shape, 4);
-    let vector = generator::vector(shape.n, 4);
-    let mut sys = NewtonSystem::new(cfg).unwrap();
-    let run = sys.run_mv(&matrix, shape.m, shape.n, &vector).unwrap();
-    let expect = reference::mv_f64(&matrix, shape.m, shape.n, &vector);
-    for (got, want) in run.output.iter().zip(&expect) {
-        let bound = dot_error_bound(shape.n, 16, want.abs().max(1.0)) * 2.0;
-        assert!((*got as f64 - want).abs() <= bound);
-    }
-}

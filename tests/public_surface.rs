@@ -62,7 +62,6 @@ const TEST_HOOKS: &[(&str, &str, &str)] = &[
     ("crates/bench/src/experiments.rs", "fig07_command_trace_with", "observer_views pins it"),
     // bf16 numerics: the scalar and tree kernels the SIMD path must equal.
     ("crates/bf16/src/reduce.rs", "tree_reduce_wide", "bf16 properties check the adder tree"),
-    ("crates/bf16/src/reduce.rs", "tree_reduce_bf16", "bf16 properties check the tree"),
     ("crates/bf16/src/reduce.rs", "dot_chunk_wide", "bf16 properties check a COMP step"),
     ("crates/bf16/src/scalar.rs", "mul_round", "bf16 properties check a multiplier"),
     ("crates/bf16/src/scalar.rs", "accumulate_wide", "the bf16 bench times a latch add"),
@@ -74,7 +73,6 @@ const TEST_HOOKS: &[(&str, &str, &str)] = &[
     ("crates/bf16/src/scalar.rs", "MIN", "exhaustive tests name the finite range"),
     // The production engine's plans.
     ("crates/core/src/controller.rs", "run_planned", "engine tests run a plan"),
-    ("crates/core/src/config.rs", "tree_precision", "tests run the per-stage tree"),
     ("crates/core/src/config.rs", "batch_norm_first_tile_ns", "tests vary the BN exposure"),
     ("crates/core/src/system.rs", "set_timing_engine", "oracle tests switch engines"),
     // The audit, driven by hand-built logs.

@@ -31,6 +31,7 @@
 
 use newton_bf16::Bf16;
 use newton_dram::audit::AuditViolation;
+use newton_dram::controller::{Completion, FrFcfs, PagePolicy, Request};
 use newton_dram::timing::Cycle;
 use newton_dram::Channel;
 
@@ -105,39 +106,6 @@ pub struct MvRun {
     pub stats: AimStats,
 }
 
-/// A host (non-AiM) memory request queued against a Newton channel.
-///
-/// Sec. III-D: AiM and non-AiM data may share a bank but never a DRAM
-/// row; non-AiM commands are "guaranteed to access a different row than
-/// the AiM commands", so a precharge separates them, "in which time the
-/// AiM operations are guaranteed to complete". The controller services
-/// queued host requests at row-set boundaries, where every bank is
-/// precharged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostRequest {
-    /// Bank to access.
-    pub bank: usize,
-    /// DRAM row (must not be an AiM matrix row; the controller checks
-    /// nothing here — the *allocator* keeps regions disjoint, as in the
-    /// paper).
-    pub row: usize,
-    /// Column I/O index.
-    pub col: usize,
-    /// `Some(data)` writes the column; `None` reads it.
-    pub write: Option<Vec<u8>>,
-}
-
-/// A completed host request: the issue cycle and, for reads, the data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostResponse {
-    /// The request that completed.
-    pub request: HostRequest,
-    /// Cycle the column command issued at.
-    pub cycle: Cycle,
-    /// Read data (empty for writes).
-    pub data: Vec<u8>,
-}
-
 /// One Newton channel: the DRAM substrate plus the AiM device state plus
 /// this controller's scheduling cursor.
 #[derive(Debug)]
@@ -148,8 +116,10 @@ pub struct NewtonChannel {
     now: Cycle,
     /// Whether [`NewtonChannel::trace`] reads the channel's command log.
     traced: bool,
-    host_queue: Vec<HostRequest>,
-    host_responses: Vec<HostResponse>,
+    /// Queued host (non-AiM) requests, drained closed-page at row-set
+    /// boundaries (Sec. III-D).
+    host: FrFcfs,
+    host_responses: Vec<Completion>,
     /// The issue cycle of the last COMP of the row-set
     /// [`NewtonChannel::open_row_set`] left open, if one is open.
     open_comp: Option<Cycle>,
@@ -212,7 +182,7 @@ impl NewtonChannel {
             config: config.clone(),
             now: 0,
             traced: false,
-            host_queue: Vec::new(),
+            host: FrFcfs::new(PagePolicy::Closed),
             host_responses: Vec::new(),
             open_comp: None,
             tree_done: 0,
@@ -252,59 +222,31 @@ impl NewtonChannel {
     /// all banks precharged — Sec. III-D's interleaving rule), or
     /// immediately by [`NewtonChannel::service_host_requests`] when the
     /// channel is idle.
-    pub fn enqueue_host_request(&mut self, request: HostRequest) {
-        self.host_queue.push(request);
+    pub fn enqueue_host_request(&mut self, request: Request) {
+        self.host.enqueue(request);
     }
 
     /// Completed host requests since the last call (drains the response
     /// buffer).
-    pub fn take_host_responses(&mut self) -> Vec<HostResponse> {
+    pub fn take_host_responses(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.host_responses)
     }
 
     /// Services every queued host request right now (channel idle between
-    /// AiM operations). Each request activates its row, performs the
-    /// column access over the external bus, and precharges so the bank is
-    /// AiM-ready again.
+    /// AiM operations): one FR-FCFS drain from the cursor, closed page, so
+    /// each access precharges its bank and the banks are AiM-ready again.
+    /// A refresh that falls due meanwhile is the drain's. The cursor moves
+    /// to the last column issue.
     ///
     /// # Errors
     ///
     /// Substrate errors (bad addresses, capacity).
     pub fn service_host_requests(&mut self) -> Result<(), AimError> {
-        let queue = std::mem::take(&mut self.host_queue);
-        for request in queue {
-            let t = *self.channel.timing();
-            // Respect the refresh deadline exactly like AiM row-sets do.
-            let estimate = t.t_rcd + t.t_ccd + t.t_rtp + t.t_rp + 4 * t.t_cmd;
-            if self.channel.refresh_due() <= self.now + estimate {
-                self.interpose_refresh()?;
-            }
-            let a = self.channel.earliest_activate(request.bank).max(self.now);
-            self.channel.issue_activate(a, request.bank, request.row)?;
-            let c = self.channel.earliest_column_read(a, request.bank);
-            let (cycle, data) = match &request.write {
-                Some(data) => {
-                    let c = self.channel.issue_column_write_external(
-                        c,
-                        request.bank,
-                        request.col,
-                        data,
-                    )?;
-                    (c, Vec::new())
-                }
-                None => self
-                    .channel
-                    .issue_column_read_external(c, request.bank, request.col)?,
-            };
-            let p = self.channel.earliest_precharge(request.bank).max(cycle);
-            self.channel.issue_precharge(p, request.bank)?;
-            self.now = self.now.max(cycle);
-            self.host_responses.push(HostResponse {
-                request,
-                cycle,
-                data,
-            });
+        let done = self.host.drain(&mut self.channel, self.now)?;
+        if let Some(last) = done.iter().map(|c| c.issue_cycle).max() {
+            self.now = self.now.max(last);
         }
+        self.host_responses.extend(done);
         Ok(())
     }
 
@@ -697,7 +639,7 @@ impl NewtonChannel {
     /// the next AiM operation occupies, waits for it and refreshes first.
     fn boundary(&mut self, estimate: Cycle) -> Result<(), AimError> {
         self.close_row_set()?;
-        if !self.host_queue.is_empty() {
+        if !self.host.is_empty() {
             self.service_host_requests()?;
         }
         if self.channel.refresh_due() <= self.now + estimate {
@@ -1259,6 +1201,18 @@ mod tests {
         assert!(run.outputs.iter().all(|&v| v == -512.0));
     }
 
+    /// A host request arriving at cycle 0.
+    fn host_request(bank: usize, row: usize, col: usize, write: Option<Vec<u8>>) -> Request {
+        Request {
+            id: 0,
+            bank,
+            row,
+            col,
+            write,
+            arrival: 0,
+        }
+    }
+
     #[test]
     fn host_traffic_interleaves_at_row_set_boundaries() {
         // Sec. III-D: non-AiM requests to different rows of AiM banks are
@@ -1279,18 +1233,8 @@ mod tests {
             .storage_mut()
             .write_column(3, 1000, 7, &[0xEEu8; 32])
             .unwrap();
-        ch.enqueue_host_request(HostRequest {
-            bank: 3,
-            row: 1000,
-            col: 7,
-            write: None,
-        });
-        ch.enqueue_host_request(HostRequest {
-            bank: 5,
-            row: 1001,
-            col: 0,
-            write: Some(vec![0x55u8; 32]),
-        });
+        ch.enqueue_host_request(host_request(3, 1000, 7, None));
+        ch.enqueue_host_request(host_request(5, 1001, 0, Some(vec![0x55u8; 32])));
 
         let run = ch.run_mv(&mapping, &schedule, &vector, false).unwrap();
         // AiM results unaffected by the interleaved traffic.
@@ -1322,12 +1266,7 @@ mod tests {
         let cfg = cfg1(OptLevel::Full);
         let mut ch = NewtonChannel::new(&cfg, ActivationKind::Identity).unwrap();
         ch.channel_mut().enable_audit();
-        ch.enqueue_host_request(HostRequest {
-            bank: 0,
-            row: 5,
-            col: 0,
-            write: None,
-        });
+        ch.enqueue_host_request(host_request(0, 5, 0, None));
         ch.service_host_requests().unwrap();
         let responses = ch.take_host_responses();
         assert_eq!(responses.len(), 1);
@@ -1364,12 +1303,7 @@ mod tests {
             let vector = vec![bf(1.0); 512];
             ch.load_matrix(&mapping, &matrix).unwrap();
             for i in 0..n_host {
-                ch.enqueue_host_request(HostRequest {
-                    bank: i % 16,
-                    row: 2000 + i,
-                    col: 0,
-                    write: None,
-                });
+                ch.enqueue_host_request(host_request(i % 16, 2000 + i, 0, None));
             }
             let run = ch.run_mv(&mapping, &schedule, &vector, false).unwrap();
             (run.end_cycle - run.start_cycle, run.outputs)

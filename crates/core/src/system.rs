@@ -1367,11 +1367,13 @@ mod tests {
         let run = sys.run_resident(&loaded, &vector).unwrap();
         assert_eq!((run.output, verified(&sys, 0)), (clean.output.clone(), 16));
         sys.set_timing_engine(TimingEngine::EventSkipping);
-        sys.channels_mut()[0].enqueue_host_request(crate::controller::HostRequest {
+        sys.channels_mut()[0].enqueue_host_request(newton_dram::controller::Request {
+            id: 0,
             bank: 3,
             row: 4000,
             col: 0,
             write: Some(vec![0x5A; 32]),
+            arrival: 0,
         });
         let run = sys.run_resident(&loaded, &vector).unwrap();
         assert_eq!(run.output, clean.output);

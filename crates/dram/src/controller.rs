@@ -2,9 +2,10 @@
 //!
 //! The Newton paper's host still performs ordinary reads and writes
 //! (inputs, outputs, the non-AiM data that may share banks with the
-//! matrix), and its Ideal Non-PIM baseline is "any non-PIM architecture"
-//! fed by a real memory controller. This module provides the classic
-//! First-Ready, First-Come-First-Served scheduler over [`Channel`]:
+//! matrix, Sec. III-D); a Newton channel drains them through this
+//! module's classic First-Ready, First-Come-First-Served scheduler over
+//! [`Channel`], closed page, at row-set boundaries. (The Ideal Non-PIM
+//! baseline streams rows through [`crate::stream::StreamReader`].)
 //!
 //! * requests that *hit* an open row go first (first-ready);
 //! * among equals, the oldest request wins (FCFS);
@@ -57,8 +58,8 @@ pub struct Request {
 /// A completed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Completion {
-    /// The request id.
-    pub id: u64,
+    /// The request that completed.
+    pub request: Request,
     /// Cycle the column command issued.
     pub issue_cycle: Cycle,
     /// Cycle the data beat completed (read data valid / write data
@@ -124,6 +125,12 @@ impl FrFcfs {
             req: request,
             first_step: None,
         });
+    }
+
+    /// Whether no request is queued.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 
     /// Scheduler statistics so far.
@@ -217,8 +224,8 @@ impl FrFcfs {
                 }
             }
             // Precharge/activate need only Copy fields; the Column step
-            // takes ownership of the entry, so the write payload is moved
-            // — never cloned — into the substrate.
+            // takes ownership of the entry and hands the request, write
+            // payload included, to its completion — never cloned.
             match step {
                 Step::Precharge => {
                     let bank = self.queue[idx].req.bank;
@@ -242,17 +249,17 @@ impl FrFcfs {
                         None => channel.issue_column_read_external(at, r.bank, r.col)?,
                     };
                     channel.record_queue_latency(issue_cycle - r.arrival);
+                    if self.policy == PagePolicy::Closed {
+                        let p = channel.earliest_precharge(r.bank);
+                        channel.issue_precharge(p, r.bank)?;
+                    }
                     completions.push(Completion {
-                        id: r.id,
+                        request: r,
                         issue_cycle,
                         data_cycle: issue_cycle + t.t_aa + t.t_ccd,
                         data,
                         row_hit: pending.first_step == Some(Step::Column),
                     });
-                    if self.policy == PagePolicy::Closed {
-                        let p = channel.earliest_precharge(r.bank);
-                        channel.issue_precharge(p, r.bank)?;
-                    }
                 }
             }
         }
@@ -314,7 +321,7 @@ mod tests {
         let done = mc.drain(&mut ch, 0).unwrap();
         let got: Vec<(u64, u64, bool)> = done
             .iter()
-            .map(|c| (c.id, c.issue_cycle, c.row_hit))
+            .map(|c| (c.request.id, c.issue_cycle, c.row_hit))
             .collect();
         // Captured from this full-queue rescan before any optimisation:
         // the completion order, every issue cycle, every hit flag, and
@@ -389,7 +396,12 @@ mod tests {
             }
         };
         for c in done {
-            let head = [c.id, c.issue_cycle, c.data_cycle, u64::from(c.row_hit)];
+            let head = [
+                c.request.id,
+                c.issue_cycle,
+                c.data_cycle,
+                u64::from(c.row_hit),
+            ];
             for v in head.into_iter().chain([c.data.len() as u64]) {
                 eat(v);
             }
@@ -479,7 +491,7 @@ mod tests {
         mc.enqueue(read(1, 0, 10, 3));
         let done = mc.drain(&mut ch, 0).unwrap();
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].id, 1);
+        assert_eq!(done[0].request.id, 1);
         assert!(!done[0].row_hit);
         assert_eq!(done[0].issue_cycle, t.t_rcd, "ACT at 0, RD at tRCD");
         assert_eq!(mc.stats().row_misses, 1);
@@ -497,7 +509,7 @@ mod tests {
         mc.enqueue(read(2, 0, 9, 0));
         mc.enqueue(read(3, 0, 5, 1));
         let done = mc.drain(&mut ch, 0).unwrap();
-        let order: Vec<u64> = done.iter().map(|c| c.id).collect();
+        let order: Vec<u64> = done.iter().map(|c| c.request.id).collect();
         assert_eq!(order, vec![1, 3, 2], "row hit promoted: {order:?}");
         assert_eq!(mc.stats().row_hits, 1);
         assert_eq!(mc.stats().row_conflicts, 1);

@@ -23,8 +23,9 @@
 //!   single command slot.
 //! * [`storage`]: functional row storage (lazily allocated; rows hold real
 //!   bytes so compute-in-memory models produce real numbers).
-//! * [`controller`]: a conventional FR-FCFS controller (open or closed
-//!   page, refresh interposed) for host traffic beside the AiM stream.
+//! * [`controller`]: the one conventional scheduler, FR-FCFS (open or
+//!   closed page, refresh interposed), for host traffic beside the AiM
+//!   stream.
 //! * [`stream`]: a streaming read controller used to model the paper's
 //!   *Ideal Non-PIM* baseline (external-bandwidth-bound, activations hidden).
 //! * [`audit`]: the channel's one command log, and an independent

@@ -60,7 +60,7 @@ proptest! {
         }
         let done = mc.drain(&mut ch, 0).unwrap();
         prop_assert_eq!(done.len(), reqs.len(), "every request completes exactly once");
-        let mut ids: Vec<u64> = done.iter().map(|c| c.id).collect();
+        let mut ids: Vec<u64> = done.iter().map(|c| c.request.id).collect();
         ids.sort_unstable();
         ids.dedup();
         prop_assert_eq!(ids.len(), reqs.len(), "no duplicate completions");

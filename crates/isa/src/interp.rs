@@ -17,9 +17,9 @@
 //! `NewtonConfig::engine` are therefore the controller's, and a lowered
 //! matrix–vector trace interprets to the command stream `run_resident`
 //! issues for it. The **serialization rule** modeled in `newton-serve`
-//! is honored literally: queued conventional `WR`/`RD` requests drain
-//! (timed, with refresh interposition) before the next AiM instruction
-//! may issue.
+//! is honored literally: conventional `WR`/`RD` requests queue on their
+//! channels and drain through FR-FCFS (closed page, refresh interposed)
+//! before the next AiM instruction may issue.
 //!
 //! Register/storage deposits (`WR_GPR`, `WR_SBK`, `WR_GB`, `WR_BIAS`,
 //! `RD_SBK`) are *untimed*, mirroring the API path where matrix
@@ -35,9 +35,10 @@ use std::ops::Range;
 
 use newton_bf16::{slice, Bf16};
 use newton_core::config::NewtonConfig;
-use newton_core::controller::{HostRequest, NewtonChannel};
+use newton_core::controller::NewtonChannel;
 use newton_core::system::NewtonSystem;
 use newton_core::tiling::{BankWork, ReadOut, RowSet};
+use newton_dram::controller::Request;
 use newton_dram::timing::Cycle;
 
 use crate::error::IsaError;
@@ -191,8 +192,8 @@ impl Interp {
     }
 
     /// The serialization fence: every channel's open row-set closes and
-    /// every queued conventional request drains (timed) before an AiM
-    /// instruction may issue.
+    /// every queued conventional request drains through FR-FCFS before an
+    /// AiM instruction may issue; each completion logs a `HOST` line.
     fn fence(&mut self) -> Result<(), IsaError> {
         if !self.pending_hosts {
             return Ok(());
@@ -202,21 +203,18 @@ impl Interp {
             let nc = &mut self.system()?.channels_mut()[ch];
             nc.close_row_set()?;
             nc.service_host_requests()?;
-            for resp in nc.take_host_responses() {
+            for done in nc.take_host_responses() {
                 self.host_ops += 1;
-                let kind = if resp.request.write.is_some() {
-                    "WR"
-                } else {
-                    "RD"
-                };
+                let r = &done.request;
+                let kind = if r.write.is_some() { "WR" } else { "RD" };
                 let mut line = format!(
                     "HOST ch={ch} {kind} bank={} row={} col={} cycle={}",
-                    resp.request.bank, resp.request.row, resp.request.col, resp.cycle
+                    r.bank, r.row, r.col, done.issue_cycle
                 );
-                if !resp.data.is_empty() {
+                if !done.data.is_empty() {
                     let mut fixed = [0u8; GPR_BYTES];
-                    let n = resp.data.len().min(GPR_BYTES);
-                    fixed[..n].copy_from_slice(&resp.data[..n]);
+                    let n = done.data.len().min(GPR_BYTES);
+                    fixed[..n].copy_from_slice(&done.data[..n]);
                     let _ = write!(line, " data={}", hex32(&fixed));
                 }
                 line.push('\n');
@@ -499,38 +497,36 @@ impl Interp {
                 }
             }
             Instr::WrHost {
-                gpr,
                 channels,
                 bank,
                 row,
                 col,
-            } => {
-                self.check_gpr(*gpr)?;
-                self.check_addr(*bank, Some(*row), Some(*col))?;
-                let data = self.gprs[*gpr].to_vec();
-                for ch in self.channels_of(*channels)? {
-                    self.system()?.channels_mut()[ch].enqueue_host_request(HostRequest {
-                        bank: *bank,
-                        row: *row,
-                        col: *col,
-                        write: Some(data.clone()),
-                    });
-                }
-                self.pending_hosts = true;
+                ..
             }
-            Instr::RdHost {
+            | Instr::RdHost {
                 channels,
                 bank,
                 row,
                 col,
             } => {
+                let write = match instr {
+                    Instr::WrHost { gpr, .. } => {
+                        self.check_gpr(*gpr)?;
+                        Some(self.gprs[*gpr].to_vec())
+                    }
+                    _ => None,
+                };
                 self.check_addr(*bank, Some(*row), Some(*col))?;
                 for ch in self.channels_of(*channels)? {
-                    self.system()?.channels_mut()[ch].enqueue_host_request(HostRequest {
+                    // Arrives at the channel's cursor; drains at the next fence.
+                    let nc = &mut self.system()?.channels_mut()[ch];
+                    nc.enqueue_host_request(Request {
+                        id: 0,
                         bank: *bank,
                         row: *row,
                         col: *col,
-                        write: None,
+                        write: write.clone(),
+                        arrival: nc.now(),
                     });
                 }
                 self.pending_hosts = true;

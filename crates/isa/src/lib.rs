@@ -23,8 +23,8 @@
 //!   controller's row-set operations, the ones the API path's drain
 //!   runs, so refresh, `OptFlags` and the engine are the controller's;
 //!   it honors the AiM-vs-conventional serialization rule modeled in
-//!   `newton-serve` (queued conventional requests drain before the next
-//!   AiM instruction may issue).
+//!   `newton-serve` (queued conventional requests drain through the
+//!   channel's FR-FCFS queue before the next AiM instruction may issue).
 //! * [`generate`]: the trace-generation library — lowers Table II
 //!   workloads (seeded by `CounterRng`) to `.aim` traces and builds
 //!   random well-formed programs for the fuzzer.

@@ -122,6 +122,37 @@ proptest! {
         }
     }
 
+    /// Conventional `WR` / `RD` to a bank, row or column outside the
+    /// geometry are a typed rejection, not a request the scheduler sees.
+    #[test]
+    fn host_address_out_of_range_is_typed(
+        bank in 16usize..256,
+        row in 32_768usize..100_000,
+        col in 32usize..1000,
+        write in any::<bool>(),
+    ) {
+        let host = |bank, row, col| {
+            let instr = if write {
+                Instr::WrHost { gpr: 0, channels: 0x1, bank, row, col }
+            } else {
+                Instr::RdHost { channels: 0x1, bank, row, col }
+            };
+            interp::interpret(&one_instr_program(instr), small_config())
+        };
+        match host(bank, 0, 0) {
+            Err(IsaError::BankOutOfRange { bank: b, banks: 16 }) => assert_eq!(b, bank),
+            other => panic!("expected BankOutOfRange, got {other:?}"),
+        }
+        match host(0, row, 0) {
+            Err(IsaError::RowOutOfRange { row: r, .. }) => assert_eq!(r, row),
+            other => panic!("expected RowOutOfRange, got {other:?}"),
+        }
+        match host(0, 0, col) {
+            Err(IsaError::ColOutOfRange { col: c, cols: 32 }) => assert_eq!(c, col),
+            other => panic!("expected ColOutOfRange, got {other:?}"),
+        }
+    }
+
     /// Out-of-range GPRs are a typed rejection.
     #[test]
     fn gpr_out_of_range_is_typed(gpr in 64usize..1024) {

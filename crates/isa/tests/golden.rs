@@ -57,6 +57,14 @@ fn mixed_aim_and_conventional_traffic() {
     golden("mixed_host");
 }
 
+/// Host traffic to five banks: FR-FCFS overlaps one bank's activation
+/// with another's column access and precharge, so the last of the seven
+/// requests issues at cycle 92 although each precharges its bank.
+#[test]
+fn conventional_traffic_overlaps_banks() {
+    golden("mixed_host_banks");
+}
+
 #[test]
 fn malformed_trace_is_a_typed_line_error() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/traces");

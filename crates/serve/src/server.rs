@@ -28,7 +28,8 @@
 //!    conventional request streams (the SK hynix AiM scheduling rule):
 //!    conventional bursts due since the last batch drain *before* the
 //!    next AiM batch may issue, inflating tail latency under mixed
-//!    traffic.
+//!    traffic. A burst is real column reads drained through every
+//!    channel's FR-FCFS queue, which the audit and telemetry see.
 //!
 //! All scheduling state advances in simulated command-clock cycles via
 //! [`NewtonSystem::now`] / [`NewtonSystem::advance_all_to`], so reports
@@ -40,7 +41,8 @@ use newton_bf16::Bf16;
 use newton_core::config::NewtonConfig;
 use newton_core::system::{LoadedMatrix, NewtonSystem};
 use newton_core::{AimError, RecoveryReport};
-use newton_dram::faults::{self, CampaignSpec};
+use newton_dram::controller;
+use newton_dram::faults::{self, CampaignSpec, CounterRng};
 use newton_trace::MetricsSnapshot;
 use newton_workloads::arrivals::ArrivalPattern;
 use newton_workloads::generator;
@@ -52,15 +54,20 @@ use crate::request::{Request, ServeError};
 /// the samples make failures debuggable without unbounded growth).
 const ERROR_SAMPLE_CAP: usize = 32;
 
+/// Rows at the top of every bank that conventional bursts read: Sec.
+/// III-D's non-AiM data shares banks with the matrix, never a row.
+const BURST_ROWS: usize = 64;
+
 /// Background conventional-DRAM traffic sharing the channels with AiM
-/// work. The controller serializes the two request classes, so each due
-/// burst stalls the next AiM batch for `burst_cycles`.
+/// work. The controller serializes the two request classes: each due
+/// burst's column reads (of the top 64 rows of each bank, drawn from the
+/// traffic seed) drain on every channel before the next AiM batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConventionalTraffic {
     /// One burst becomes due every `interval_ns` of simulated time.
     pub interval_ns: f64,
-    /// Serialized drain cost per burst, in command-clock cycles.
-    pub burst_cycles: u64,
+    /// Column reads queued on every channel per burst.
+    pub burst_requests: usize,
 }
 
 /// One serving experiment: the arrival process, SLO, and scheduler
@@ -107,6 +114,9 @@ impl TrafficConfig {
                     "conventional interval_ns must be finite and > 0, got {}",
                     c.interval_ns
                 ));
+            }
+            if c.burst_requests == 0 {
+                return Err("conventional burst_requests must be >= 1".to_string());
             }
         }
         Ok(())
@@ -346,6 +356,44 @@ impl Server {
         Ok(2)
     }
 
+    /// One conventional burst: `n` column reads a channel of its top
+    /// `BURST_ROWS` rows, drawn from `seed` (counter `k` on), drained by
+    /// FR-FCFS; the channels then re-synchronize. A burst row the matrix
+    /// holds (nothing else writes storage) is refused, not read.
+    fn conventional_burst(&mut self, seed: u64, k: &mut u64, n: usize) -> Result<(), AimError> {
+        let rng = CounterRng::new(seed);
+        for nc in self.sys.channels_mut() {
+            let dram = nc.channel().config();
+            let (banks, cols) = (dram.banks as u64, dram.cols_per_row as u64);
+            let rows = dram.rows_per_bank;
+            let first = rows.saturating_sub(BURST_ROWS);
+            let taken = nc.channel().storage().allocated_row_indices();
+            if let Some((bank, row)) = taken.into_iter().find(|&(_, row)| row >= first) {
+                return Err(AimError::InvalidConfig(format!(
+                    "conventional bursts read rows {first}..{rows}, but bank {bank} holds matrix row {row}"
+                )));
+            }
+            let arrival = nc.now();
+            for _ in 0..n {
+                let draw = rng.u64_at(*k);
+                nc.enqueue_host_request(controller::Request {
+                    id: *k,
+                    bank: (draw % banks) as usize,
+                    row: first + ((draw >> 16) % (rows - first) as u64) as usize,
+                    col: ((draw >> 32) % cols) as usize,
+                    write: None,
+                    arrival,
+                });
+                *k += 1;
+            }
+            nc.service_host_requests()?;
+            nc.take_host_responses();
+        }
+        let end = self.sys.now();
+        self.sys.advance_all_to(end);
+        Ok(())
+    }
+
     /// Replays an arrival trace through the deadline scheduler and
     /// returns the full accounting. See the module docs for the loop's
     /// five obligations.
@@ -385,9 +433,10 @@ impl Server {
         let deadline_cycles = ((traffic.deadline_ns / tck).ceil() as u64).max(1);
         let conv = traffic.conventional.map(|c| {
             let interval = ((c.interval_ns / tck).ceil() as u64).max(1);
-            (interval, c.burst_cycles)
+            (interval, c.burst_requests)
         });
         let mut next_conv_due = conv.map(|(interval, _)| origin + interval);
+        let mut burst_draws = 0u64;
 
         let mut queue: VecDeque<Request> = VecDeque::new();
         let mut next = 0usize;
@@ -461,10 +510,10 @@ impl Server {
 
             // 4. AiM-vs-conventional serialization: drain every due
             // conventional burst before the next AiM batch may issue.
-            if let (Some((interval, burst_cycles)), Some(due)) = (conv, next_conv_due.as_mut()) {
+            if let (Some((interval, requests)), Some(due)) = (conv, next_conv_due.as_mut()) {
                 while *due <= self.sys.now() {
-                    let cur = self.sys.now();
-                    self.sys.advance_all_to(cur + burst_cycles);
+                    self.conventional_burst(traffic.seed, &mut burst_draws, requests)
+                        .map_err(ServeError::Fatal)?;
                     conventional_bursts += 1;
                     *due += interval;
                 }
@@ -633,8 +682,71 @@ mod tests {
         t.max_batch = 2;
         t.conventional = Some(ConventionalTraffic {
             interval_ns: f64::NAN,
-            burst_cycles: 10,
+            burst_requests: 10,
         });
         assert!(t.validate().is_err());
+    }
+
+    fn conventional_traffic(burst_requests: usize) -> TrafficConfig {
+        TrafficConfig {
+            pattern: ArrivalPattern::Poisson { rate_per_us: 0.05 },
+            requests: 4,
+            seed: 3,
+            deadline_ns: 1e9,
+            queue_capacity: 8,
+            max_batch: 2,
+            retry_backoff_cycles: 256,
+            conventional: Some(ConventionalTraffic {
+                interval_ns: 1_000.0,
+                burst_requests,
+            }),
+        }
+    }
+
+    fn small_server(rows_per_bank: usize) -> Server {
+        let mut cfg = NewtonConfig::paper_default();
+        cfg.channels = 1;
+        cfg.dram.rows_per_bank = rows_per_bank;
+        let matrix = generator::matrix(newton_workloads::MvShape::new(16, 512), 5);
+        Server::new(cfg, matrix, 16, 512, 1, 7).expect("server")
+    }
+
+    #[test]
+    fn empty_conventional_bursts_are_rejected() {
+        assert!(conventional_traffic(0).validate().is_err());
+        let err = small_server(1024)
+            .serve(&conventional_traffic(0), &ChaosPlan::none())
+            .unwrap_err();
+        assert!(
+            matches!(err, ServeError::Fatal(AimError::InvalidConfig(_))),
+            "{err:?}"
+        );
+    }
+
+    /// With 64 rows a bank, the burst rows are every row, the matrix's
+    /// row 0 included: the server refuses rather than read it.
+    #[test]
+    fn bursts_over_matrix_rows_are_rejected() {
+        let mut s = small_server(BURST_ROWS);
+        let err = s
+            .serve(&conventional_traffic(4), &ChaosPlan::none())
+            .unwrap_err();
+        match err {
+            ServeError::Fatal(AimError::InvalidConfig(msg)) => {
+                assert!(msg.contains("matrix row 0"), "{msg}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        assert_eq!(
+            s.system().channels()[0]
+                .channel()
+                .stats()
+                .col_reads_external,
+            0
+        );
+        let served = small_server(BURST_ROWS + 1)
+            .serve(&conventional_traffic(4), &ChaosPlan::none())
+            .expect("the top 64 rows are clear of the matrix");
+        assert!(served.conventional_bursts > 0);
     }
 }

@@ -206,7 +206,7 @@ fn conventional_traffic_serializes_and_inflates_latency() {
     let t = TrafficConfig {
         conventional: Some(ConventionalTraffic {
             interval_ns: 5_000.0,
-            burst_cycles: 2_000,
+            burst_requests: 32,
         }),
         ..base
     };

@@ -2,9 +2,11 @@
 //! normal memory and can hold non-AiM data ... non-AiM commands can
 //! interleave with AiM commands to the same bank", as long as they never
 //! share a DRAM row. This example runs a matrix–vector product while the
-//! host reads and writes unrelated rows of the *same banks*, and also
-//! demonstrates the standalone FR-FCFS controller on conventional
-//! traffic.
+//! host reads and writes unrelated rows of the *same banks*, and then
+//! drives the same FR-FCFS scheduler on a bare DRAM channel. Both parts
+//! use one request type, `newton_dram::controller::Request`: the Newton
+//! channel drains its queue through FR-FCFS, closed page, at row-set
+//! boundaries.
 //!
 //! Run with:
 //!
@@ -13,7 +15,7 @@
 //! ```
 
 use newton_aim::core::config::NewtonConfig;
-use newton_aim::core::controller::{HostRequest, NewtonChannel};
+use newton_aim::core::controller::NewtonChannel;
 use newton_aim::core::layout::MatrixMapping;
 use newton_aim::core::lut::ActivationKind;
 use newton_aim::core::tiling::{Schedule, ScheduleKind};
@@ -43,18 +45,16 @@ fn main() -> Result<(), AimError> {
     ch.load_matrix(&mapping, &matrix)?;
     // Non-AiM data lives in the same banks, different rows.
     for bank in 0..4 {
-        ch.enqueue_host_request(HostRequest {
-            bank,
-            row: 5000 + bank,
-            col: 0,
-            write: Some(vec![bank as u8; 32]),
-        });
-        ch.enqueue_host_request(HostRequest {
-            bank,
-            row: 5000 + bank,
-            col: 0,
-            write: None,
-        });
+        for write in [Some(vec![bank as u8; 32]), None] {
+            ch.enqueue_host_request(Request {
+                id: 0,
+                bank,
+                row: 5000 + bank,
+                col: 0,
+                write,
+                arrival: 0,
+            });
+        }
     }
     let run = ch.run_mv(&mapping, &schedule, &vector, false)?;
     let responses = ch.take_host_responses();
@@ -88,7 +88,7 @@ fn main() -> Result<(), AimError> {
     for c in &done {
         println!(
             "  id {} issued @ {:>4}, data @ {:>4}, {}",
-            c.id,
+            c.request.id,
             c.issue_cycle,
             c.data_cycle,
             if c.row_hit {

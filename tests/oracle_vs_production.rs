@@ -535,7 +535,7 @@ fn conventional_traffic_serving_agrees() {
     };
     traffic.conventional = Some(ConventionalTraffic {
         interval_ns: 4_000.0,
-        burst_cycles: 64,
+        burst_requests: 16,
     });
     let reports = serve(&config(2, 1), (47, 49), &traffic, &ChaosPlan::none());
     assert_serve_conformant("conventional traffic", &reports);

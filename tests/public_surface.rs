@@ -82,6 +82,8 @@ const TEST_HOOKS: &[(&str, &str, &str)] = &[
     ("crates/dram/src/audit.rs", "records", "audit_mutations counts records"),
     ("crates/dram/src/audit.rs", "validate_new", "audit_trains cuts the check"),
     ("crates/dram/src/audit.rs", "events_visited", "each event is checked once"),
+    // The channel's one-command issue, beside the FR-FCFS scheduler.
+    ("crates/dram/src/channel.rs", "issue_column_read_external", "storage tests read without the fill scrub"),
     // Timing, for building custom devices and the audit's violations.
     ("crates/dram/src/timing.rs", "to_cycles", "audit and ISA tests derive timings"),
     ("crates/dram/src/timing.rs", "t_refi_ns", "custom-device test: 2 us tREFI"),
@@ -101,7 +103,7 @@ const TEST_HOOKS: &[(&str, &str, &str)] = &[
     ("crates/model/src/power.rs", "background", "power_and_model: Fig. 13"),
     ("crates/model/src/power.rs", "phy", "power_and_model: Fig. 13"),
     ("crates/serve/src/server.rs", "interval_ns", "serving tests add host traffic"),
-    ("crates/serve/src/server.rs", "burst_cycles", "serving tests add host traffic"),
+    ("crates/serve/src/server.rs", "burst_requests", "serving tests add host traffic"),
     ("crates/serve/src/server.rs", "conventional_bursts", "serving tests count bursts"),
     ("crates/workloads/src/arrivals.rs", "rate_per_ns_at", "arrival tests integrate the rate"),
     ("crates/workloads/src/arrivals.rs", "arrival_times_ns_with_threads", "thread invariance"),

@@ -17,7 +17,8 @@
 //! ```
 //!
 //! An argument that is not in this list exits 2 naming it, and so does an
-//! `--only` value matching no experiment; a simulator error or a snapshot
+//! `--only` value matching no experiment or naming none (empty names
+//! between commas are dropped); a simulator error or a snapshot
 //! that cannot be written exits 1. Every experiment checks the shape
 //! claim the paper makes about it on the rows it renders (and `campaign`
 //! / `serving` their zero-SDC and accounting guarantees): a violated
@@ -80,8 +81,17 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, String>
             "--list" => list = true,
             "--only" => {
                 let v = it.next().ok_or("--only requires a value (try --list)")?;
-                opts.filter
-                    .extend(v.split(',').map(|s| s.trim().to_string()));
+                // An empty name is a substring of every experiment's.
+                let names: Vec<String> = v
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|s| !s.is_empty())
+                    .map(String::from)
+                    .collect();
+                if names.is_empty() {
+                    return Err(format!("--only {v:?} names no experiment (try --list)"));
+                }
+                opts.filter.extend(names);
             }
             "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => opts.threads = Some(n),
@@ -211,6 +221,16 @@ mod tests {
     fn a_filter_matching_nothing_is_refused() {
         let err = parse(&["--only", "fig09,fig99"]).expect_err("fig99");
         assert!(err.contains("fig99") && err.contains("--list"), "{err}");
+        // Each of these matched every experiment and exited 0 before.
+        for empty in ["", ",", " , "] {
+            let err = parse(&["--only", empty]).expect_err(empty);
+            assert!(err.contains("--list"), "{err}");
+        }
+        // A trailing comma adds no empty name that would match them all.
+        let Ok(Command::Run { opts, .. }) = parse(&["--only", "fig13,"]) else {
+            panic!("fig13, names fig13");
+        };
+        assert_eq!(opts.filter, ["fig13"]);
     }
 
     #[test]

@@ -41,6 +41,7 @@ use newton_workloads::arrivals::ArrivalPattern;
 use newton_workloads::models::EndToEndModel;
 use newton_workloads::reference::{self, Activation};
 use newton_workloads::{generator, Benchmark};
+use std::rc::Rc;
 
 use crate::report::geomean;
 
@@ -209,20 +210,29 @@ pub(crate) fn fig08_layers_with(
     Ok(rows)
 }
 
-/// One prepared layer: the owned weight matrix plus the `MvProblem`
-/// fields (m, n, activation, batch-norm, output-keep).
-type LayerProblem = (Vec<Bf16>, usize, usize, Activation, bool, Option<usize>);
+/// One prepared layer: the weight matrix plus the `MvProblem` fields
+/// (m, n, activation, batch-norm, output-keep).
+type LayerProblem = (Rc<Vec<Bf16>>, usize, usize, Activation, bool, Option<usize>);
 
-/// Builds the `MvProblem` list (and owned matrices) for an end-to-end
-/// model. Weight matrices are shared per unique benchmark shape (the
-/// timing is identical; host memory stays bounded).
+/// Builds the `MvProblem` list (and matrices) for an end-to-end model.
+/// Layers of one benchmark share one weight matrix (the timing is
+/// identical; host memory stays bounded): BERT's 144 layers hold three.
 fn model_problems(model: &EndToEndModel) -> Vec<LayerProblem> {
+    let mut shared: Vec<(Benchmark, Rc<Vec<Bf16>>)> = Vec::new();
     model
         .layers
         .iter()
         .map(|l| {
+            let matrix = match shared.iter().find(|(b, _)| *b == l.benchmark) {
+                Some((_, m)) => Rc::clone(m),
+                None => {
+                    let m = Rc::new(generator::matrix(l.shape, l.benchmark.seed()));
+                    shared.push((l.benchmark, Rc::clone(&m)));
+                    m
+                }
+            };
             (
-                generator::matrix(l.shape, l.benchmark.seed()),
+                matrix,
                 l.shape.m,
                 l.shape.n,
                 l.activation,

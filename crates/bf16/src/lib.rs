@@ -17,7 +17,8 @@
 //!   accumulation step that rounds back to bf16.
 //! * [`simd`]: explicit-width, branch-free variants of the COMP kernels
 //!   over fixed lane arrays the autovectorizer can lower to SIMD, proven
-//!   bit-exact against the scalar oracles above.
+//!   bit-exact against the scalar oracles above; the production kernel
+//!   runs a build compiled for the host's widest vector unit.
 //! * [`mod@slice`]: bulk conversions and the little-endian byte packing used by
 //!   the DRAM row storage in `newton-dram`.
 //!
@@ -33,7 +34,7 @@
 //! assert_eq!(partial, (0..16).map(|i| i as f32 * 0.5).sum::<f32>());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod scalar;

@@ -6,7 +6,18 @@
 //! the *same arithmetic DAG* over fixed-width blocks of `f32` lanes with
 //! straight-line tree levels and a branchless rounding select, so the
 //! compiler's autovectorizer can emit SIMD code on stable Rust — no nightly
-//! features, no `unsafe`, no target-specific intrinsics.
+//! features, no target-specific intrinsics.
+//!
+//! The production kernel's gang fold is compiled three times from one
+//! body: for AVX-512F, for AVX2 and for the target's baseline (SSE2 on
+//! x86-64, and the only build on other targets). Each call runs the
+//! widest build the CPU reports through `is_x86_feature_detected!`;
+//! calling a build compiled for a feature is the crate's one `unsafe`
+//! block. The body and its adder-tree helpers are `#[inline(always)]`: a
+//! helper compiled out of line keeps the baseline codegen even when its
+//! caller enables wider vectors, so a build that only added the feature
+//! attributes gained nothing. All three builds compute the same DAG, and
+//! the tests below pin each one against the oracle.
 //!
 //! Bit-exactness contract: every function here is proven (exhaustively for
 //! the rounding lane, property-tested for the kernels) to produce the same
@@ -535,7 +546,12 @@ type LaneRow = [f32; BLOCK_SUBS];
 /// With `FULL` unset every product rounds through
 /// [`round_bf16_bits_finite`], which is only trusted when no root comes
 /// out inf/NaN (see [`comp_row_set`]).
-#[inline]
+///
+/// The helpers are `#[inline(always)]` fn items, not closures, so that
+/// none is compiled out of line: an out-of-line helper keeps the
+/// baseline codegen even inside a caller built for a wider vector unit
+/// (see [`comp_gang`]).
+#[inline(always)]
 fn lane_block_roots<const FULL: bool>(
     w: &[u16; BLOCK_ELEMS],
     v: &[f32; BLOCK_ELEMS],
@@ -550,7 +566,12 @@ fn lane_block_roots<const FULL: bool>(
             round_bf16_bits_finite(bits)
         })
     }
-    let product = |j: usize| -> LaneRow {
+    #[inline(always)]
+    fn product<const FULL: bool>(
+        w: &[u16; BLOCK_ELEMS],
+        v: &[f32; BLOCK_ELEMS],
+        j: usize,
+    ) -> LaneRow {
         let (wj, vj) = (
             &w[j * BLOCK_SUBS..][..BLOCK_SUBS],
             &v[j * BLOCK_SUBS..][..BLOCK_SUBS],
@@ -560,23 +581,34 @@ fn lane_block_roots<const FULL: bool>(
             *o = round::<FULL>(widen(x) * y);
         }
         out
-    };
-    let add = |a: LaneRow, b: LaneRow| -> LaneRow {
+    }
+    #[inline(always)]
+    fn add(a: LaneRow, b: LaneRow) -> LaneRow {
         let mut out = [0f32; BLOCK_SUBS];
         for ((o, &x), &y) in out.iter_mut().zip(&a).zip(&b) {
             *o = x + y;
         }
         out
-    };
+    }
     // Depth-first, so a row of partial sums is consumed right after it is
     // produced (measured faster than finishing each tree level in turn).
-    let quad = |i: usize| {
+    #[inline(always)]
+    fn quad<const FULL: bool>(w: &[u16; BLOCK_ELEMS], v: &[f32; BLOCK_ELEMS], i: usize) -> LaneRow {
         add(
-            add(product(4 * i), product(4 * i + 1)),
-            add(product(4 * i + 2), product(4 * i + 3)),
+            add(
+                product::<FULL>(w, v, 4 * i),
+                product::<FULL>(w, v, 4 * i + 1),
+            ),
+            add(
+                product::<FULL>(w, v, 4 * i + 2),
+                product::<FULL>(w, v, 4 * i + 3),
+            ),
         )
-    };
-    *roots = add(add(quad(0), quad(1)), add(quad(2), quad(3)));
+    }
+    *roots = add(
+        add(quad::<FULL>(w, v, 0), quad::<FULL>(w, v, 1)),
+        add(quad::<FULL>(w, v, 2), quad::<FULL>(w, v, 3)),
+    );
 }
 
 /// [`lane_block_roots`] with the inf/NaN decision hoisted out of the
@@ -594,7 +626,7 @@ fn lane_block_roots<const FULL: bool>(
 /// product or sum that overflows) is rounded correctly by the fast path;
 /// it shares the all-ones exponent, so it is a false positive that takes
 /// the slow path and gets the same bits.
-#[inline]
+#[inline(always)]
 fn lane_block_roots_checked(
     w: &[u16; BLOCK_ELEMS],
     v: &[f32; BLOCK_ELEMS],
@@ -628,11 +660,39 @@ fn lane_block_roots_checked(
 /// Blocks are always computed 32 lanes wide; lanes at or past `n_sub` are
 /// never folded into a latch, so what they hold cannot matter.
 ///
+/// The fold runs on the widest build this CPU has: AVX-512F, else AVX2,
+/// else the target's baseline (see the module docs). Every build computes
+/// the same DAG, so the bits do not depend on the host.
+///
 /// # Panics
 ///
 /// Panics if `latches` and `weights` differ in length, or `n_sub`
 /// exceeds the sub-chunks any plane holds.
 pub fn comp_row_set(
+    latches: &mut [Bf16],
+    weights: &[&LanePlane],
+    inputs: &LanePlane,
+    n_sub: usize,
+) {
+    fold_row_set(Build::Avx512f, latches, weights, inputs, n_sub);
+}
+
+/// The builds of the gang fold, narrowest first. Each x86 build is the
+/// same Rust body compiled with one more CPU feature enabled; the
+/// portable build is the only one on other targets. [`comp_row_set`]
+/// allows the widest; the tests also pin each narrower one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Build {
+    #[cfg_attr(not(test), allow(dead_code))]
+    Portable,
+    Avx2,
+    Avx512f,
+}
+
+/// [`comp_row_set`] on the widest build up to `widest` that this CPU
+/// runs.
+fn fold_row_set(
+    widest: Build,
     latches: &mut [Bf16],
     weights: &[&LanePlane],
     inputs: &LanePlane,
@@ -651,12 +711,80 @@ pub fn comp_row_set(
         .chunks_mut(MULTI_MAX_BANKS)
         .zip(weights.chunks(MULTI_MAX_BANKS))
     {
-        comp_gang(latches, weights, inputs, n_sub);
+        comp_gang(widest, latches, weights, inputs, n_sub);
     }
 }
 
-/// [`comp_row_set`] for one gang of at most [`MULTI_MAX_BANKS`] banks.
-fn comp_gang(latches: &mut [Bf16], weights: &[&LanePlane], inputs: &LanePlane, n_sub: usize) {
+/// The signature of every build of [`gang_fold`].
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+type GangFold = unsafe fn(&mut [Bf16], &[&LanePlane], &LanePlane, usize);
+
+/// [`comp_row_set`] for one gang of at most [`MULTI_MAX_BANKS`] banks,
+/// on the widest build up to `widest` whose CPU feature
+/// `is_x86_feature_detected!` reports. This is the one place the crate
+/// uses `unsafe`: calling a function compiled for a CPU feature is sound
+/// only on a CPU that has it. On a 2-core AVX-512F x86-64 host the
+/// benchmark's `bert_resident` host time per query fell by about a third
+/// against the baseline build alone.
+#[allow(unsafe_code)]
+#[cfg_attr(
+    not(any(target_arch = "x86", target_arch = "x86_64")),
+    allow(unused_variables)
+)]
+fn comp_gang(
+    widest: Build,
+    latches: &mut [Bf16],
+    weights: &[&LanePlane],
+    inputs: &LanePlane,
+    n_sub: usize,
+) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        let wide: Option<GangFold> =
+            if widest >= Build::Avx512f && is_x86_feature_detected!("avx512f") {
+                Some(gang_fold_avx512f)
+            } else if widest >= Build::Avx2 && is_x86_feature_detected!("avx2") {
+                Some(gang_fold_avx2)
+            } else {
+                None
+            };
+        if let Some(fold) = wide {
+            // SAFETY: `fold` is `gang_fold_avx512f` only when
+            // `is_x86_feature_detected!("avx512f")` has just returned true,
+            // and `gang_fold_avx2` only when `("avx2")` has: each build
+            // runs on a CPU with the one feature it is compiled for.
+            return unsafe { fold(latches, weights, inputs, n_sub) };
+        }
+    }
+    gang_fold(latches, weights, inputs, n_sub);
+}
+
+/// [`gang_fold`] compiled for AVX-512F: a 32-lane row is two registers.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn gang_fold_avx512f(
+    latches: &mut [Bf16],
+    weights: &[&LanePlane],
+    inputs: &LanePlane,
+    n_sub: usize,
+) {
+    gang_fold(latches, weights, inputs, n_sub);
+}
+
+/// [`gang_fold`] compiled for AVX2: a 32-lane row is four registers.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn gang_fold_avx2(latches: &mut [Bf16], weights: &[&LanePlane], inputs: &LanePlane, n_sub: usize) {
+    gang_fold(latches, weights, inputs, n_sub);
+}
+
+/// The body of every build of [`comp_gang`]; `#[inline(always)]`, like
+/// the tree helpers it calls, so each build compiles the whole fold for
+/// its own CPU features. No build fuses a multiply and an add: every
+/// product is rounded to bf16 before it is added, and Rust contracts none
+/// on its own.
+#[inline(always)]
+fn gang_fold(latches: &mut [Bf16], weights: &[&LanePlane], inputs: &LanePlane, n_sub: usize) {
     let nb = latches.len();
     let mut acc = [0f32; MULTI_MAX_BANKS];
     for (a, l) in acc.iter_mut().zip(latches.iter()) {
@@ -896,7 +1024,13 @@ mod tests {
         widen(plane.lanes[lane_index(elem)])
     }
 
-    /// Runs one row-set through [`comp_row_set`] and checks every latch
+    /// Every build of the gang fold, widest allowed: the portable body
+    /// runs on every host, AVX2 and AVX-512F on a CPU that has them (on
+    /// one that does not, the fold falls back to the next narrower build).
+    const BUILDS: [Build; 3] = [Build::Portable, Build::Avx2, Build::Avx512f];
+
+    /// Runs one row-set through every build of the row-set fold (the
+    /// widest is what [`comp_row_set`] runs) and checks every latch
     /// against the per-sub-chunk scalar steps and against the row-major
     /// [`comp_subchunks16_multi`].
     fn check_row_set(
@@ -908,8 +1042,7 @@ mod tests {
     ) -> Vec<Bf16> {
         let planes: Vec<LanePlane> = rows.iter().map(|r| from_row(r)).collect();
         let refs: Vec<&LanePlane> = planes.iter().collect();
-        let mut lane_major = latches0.to_vec();
-        comp_row_set(&mut lane_major, &refs, &from_row(inputs), n_sub);
+        let input_plane = from_row(inputs);
 
         let elems = n_sub * TREE_ARITY;
         let wide: Vec<Vec<f32>> = rows.iter().map(|r| widen_row(&r[..elems])).collect();
@@ -922,20 +1055,90 @@ mod tests {
             TreePrecision::Wide,
         );
 
-        for (k, row) in rows.iter().enumerate() {
-            let scalar = scalar_chain(latches0[k], &row[..elems], &inputs[..elems]);
-            assert_eq!(
-                bits_of(lane_major[k]),
-                bits_of(scalar),
-                "vs scalar steps: bank {k} n_sub={n_sub} {ctx}"
-            );
-            assert_eq!(
-                bits_of(lane_major[k]),
-                bits_of(row_major[k]),
-                "vs row-major: bank {k} n_sub={n_sub} {ctx}"
-            );
+        let mut lane_major = latches0.to_vec();
+        for build in BUILDS {
+            lane_major.copy_from_slice(latches0);
+            fold_row_set(build, &mut lane_major, &refs, &input_plane, n_sub);
+            for (k, row) in rows.iter().enumerate() {
+                let scalar = scalar_chain(latches0[k], &row[..elems], &inputs[..elems]);
+                assert_eq!(
+                    bits_of(lane_major[k]),
+                    bits_of(scalar),
+                    "{build:?} vs scalar steps: bank {k} n_sub={n_sub} {ctx}"
+                );
+                assert_eq!(
+                    bits_of(lane_major[k]),
+                    bits_of(row_major[k]),
+                    "{build:?} vs row-major: bank {k} n_sub={n_sub} {ctx}"
+                );
+            }
         }
         lane_major
+    }
+
+    #[test]
+    fn every_build_matches_scalar_steps_on_edge_products() {
+        // Seventeen banks (a full gang, then a gang of one) over 45
+        // sub-chunks (a whole block, then a ragged one), every latch
+        // carrying a non-zero value in. Bank 0 is full-range random; banks
+        // 1-3 each plant one special that forces the full-rounding redo of
+        // its block; banks 4 and 5 make subnormal products.
+        let (nb, n_sub) = (MULTI_MAX_BANKS + 1, 45);
+        let elems = n_sub * TREE_ARITY;
+        let mut state = 0xED6E_5EEDu64;
+        // Every third sub-chunk of inputs is tiny (about 2^-70).
+        let tiny = |state: &mut u64| {
+            Bf16::from_f32(f32::from_bits(
+                0x1D80_0000 | (mix(state) as u32 & 0x007F_0000),
+            ))
+        };
+        let mut inputs: Vec<Bf16> = (0..elems)
+            .map(|e| match (e / TREE_ARITY) % 3 {
+                2 => tiny(&mut state),
+                _ => match tame_bf16(&mut state) {
+                    v if v.to_f32() == 0.0 => Bf16::ONE,
+                    v => v,
+                },
+            })
+            .collect();
+        let mut rows: Vec<Vec<Bf16>> = (0..nb)
+            .map(|_| (0..elems).map(|_| tame_bf16(&mut state)).collect())
+            .collect();
+        rows[0] = (0..elems).map(|_| random_bf16(&mut state)).collect();
+        // Overflow: MAX x 4 is past f32's range.
+        rows[1][40] = Bf16::MAX;
+        inputs[40] = Bf16::from_f32(4.0);
+        // 0 x inf.
+        rows[2][70] = Bf16::INFINITY;
+        inputs[70] = Bf16::ZERO;
+        // inf - inf inside one sub-chunk's tree.
+        rows[3][100] = Bf16::INFINITY;
+        rows[3][101] = Bf16::NEG_INFINITY;
+        (inputs[100], inputs[101]) = (Bf16::ONE, Bf16::ONE);
+        // Tiny x tiny (about 2^-140) and bf16 subnormals x tame values.
+        rows[4] = (0..elems).map(|_| tiny(&mut state)).collect();
+        rows[5] = (0..elems)
+            .map(|_| Bf16::from_bits(1 + (mix(&mut state) % 0x7F) as u16))
+            .collect();
+        for k in [4, 5] {
+            let subnormal = rows[k]
+                .iter()
+                .zip(&inputs)
+                .map(|(w, v)| w.to_f32() * v.to_f32())
+                .filter(|p| *p != 0.0 && p.abs() < f32::MIN_POSITIVE)
+                .count();
+            assert!(subnormal > 100, "bank {k}: {subnormal} subnormal products");
+        }
+        let latches0: Vec<Bf16> = (0..nb)
+            .map(|_| match tame_bf16(&mut state) {
+                v if v.to_f32() == 0.0 => Bf16::ONE,
+                v => v,
+            })
+            .collect();
+        let out = check_row_set(&rows, &inputs, &latches0, n_sub, "edge products");
+        assert!(out[1].to_f32().is_infinite(), "overflow surfaces");
+        assert!(out[2].to_f32().is_nan(), "0 x inf surfaces");
+        assert!(out[3].to_f32().is_nan(), "inf - inf surfaces");
     }
 
     #[test]
